@@ -84,36 +84,56 @@ func NewRunner(ks []kernels.Kernel, prog *core.Program) *Runner {
 		}
 		return fn
 	}
-	r := &Runner{prog: prog, ks: ks, wSeg: make([]int32, 1, prog.NumWPartitions()+1)}
+	// spanEnd[g] is where the maximal span alternating between the loops of
+	// segments g and g+1 ends. Consecutive segments of a w-partition differ in
+	// loop (ProgramBuilder opens a segment on a tag change), so that span
+	// continues exactly while SegLoop[e] == SegLoop[e-2], and one right-to-left
+	// pass per w-partition finds every end.
+	spanEnd := make([]int32, prog.NumSegments())
+	// unit returns the end of the dispatch unit starting at segment g of a
+	// w-partition ending at g1, and its pair body when the span from g is
+	// coalesced: its segments are short enough that per-batch dispatch would
+	// dominate.
+	unit := func(g, g1 int) (int, kernels.PairRunner) {
+		if g+1 < g1 {
+			end := int(spanEnd[g])
+			if iters := int(prog.SegOff[end] - prog.SegOff[g]); iters < (end-g)*pairRunLimit {
+				if fn := pairFor(prog.SegLoop[g], prog.SegLoop[g+1]); fn != nil {
+					return end, fn
+				}
+			}
+		}
+		return g + 1, nil
+	}
+	units := 0
+	for w := 0; w < prog.NumWPartitions(); w++ {
+		g0, g1 := int(prog.WSeg[w]), int(prog.WSeg[w+1])
+		for g := g1 - 2; g >= g0; g-- {
+			spanEnd[g] = int32(g + 2)
+			if g+2 < g1 && prog.SegLoop[g+2] == prog.SegLoop[g] {
+				spanEnd[g] = spanEnd[g+1]
+			}
+		}
+		for g := g0; g < g1; units++ {
+			g, _ = unit(g, g1)
+		}
+	}
+	r := &Runner{prog: prog, ks: ks, segs: make([]seg, 0, units), wSeg: make([]int32, 1, prog.NumWPartitions()+1)}
 	for w := 0; w < prog.NumWPartitions(); w++ {
 		g1 := int(prog.WSeg[w+1])
 		for g := int(prog.WSeg[w]); g < g1; {
-			// Coalesce a maximal span alternating between two loops into one
-			// pair segment when its segments are short enough that per-batch
-			// dispatch would dominate.
-			if g+1 < g1 {
-				l1, l2 := prog.SegLoop[g], prog.SegLoop[g+1]
-				end := g + 2
-				for end < g1 && (prog.SegLoop[end] == l1 || prog.SegLoop[end] == l2) {
-					end++
+			end, fn := unit(g, g1)
+			s := seg{lo: prog.SegOff[g], hi: prog.SegOff[end], pair: fn, g0: int32(g)}
+			if fn == nil {
+				s.loop = prog.SegLoop[g]
+				if b := batch[s.loop]; b != nil {
+					s.batch = b
+				} else {
+					s.k = ks[s.loop]
 				}
-				iters := int(prog.SegOff[end] - prog.SegOff[g])
-				if iters < (end-g)*pairRunLimit {
-					if fn := pairFor(l1, l2); fn != nil {
-						r.segs = append(r.segs, seg{lo: prog.SegOff[g], hi: prog.SegOff[end], pair: fn, g0: int32(g)})
-						g = end
-						continue
-					}
-				}
-			}
-			s := seg{lo: prog.SegOff[g], hi: prog.SegOff[g+1], loop: prog.SegLoop[g], g0: int32(g)}
-			if b := batch[s.loop]; b != nil {
-				s.batch = b
-			} else {
-				s.k = r.ks[s.loop]
 			}
 			r.segs = append(r.segs, s)
-			g++
+			g = end
 		}
 		r.wSeg = append(r.wSeg, int32(len(r.segs)))
 	}

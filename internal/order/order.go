@@ -1,264 +1,172 @@
-// Package order provides fill- and bandwidth-reducing symmetric reorderings.
-// The paper reorders every matrix with METIS before scheduling "to improve
+// Package order provides the parallelism-exposing symmetric reordering applied
+// before scheduling. The paper reorders every matrix with METIS "to improve
 // thread parallelism" (section 4.1); this package substitutes METIS with a
-// Reverse Cuthill-McKee ordering and a recursive pseudo-nested-dissection
-// ordering built from BFS level-structure separators. Both operate on the
-// symmetrized pattern of a square sparse matrix and return a permutation in
-// the sparse.PermuteSym convention (perm[new] = old).
+// recursive pseudo-nested-dissection ordering built from BFS level-structure
+// separators. It operates on the symmetrized pattern of a square sparse
+// matrix and returns a permutation in the sparse.PermuteSym convention
+// (perm[new] = old).
 package order
 
 import (
 	"fmt"
-	"sort"
+	"math"
 
 	"sparsefusion/internal/sparse"
 )
 
-// adjacency returns the symmetrized pattern of a as successor lists without
-// self loops.
-func adjacency(a *sparse.CSR) [][]int {
-	n := a.Rows
-	adj := make([][]int, n)
-	add := func(u, v int) {
-		adj[u] = append(adj[u], v)
+// mergeRow writes the ascending union of the ascending lists x and y, without
+// the vertex r itself, to dst and returns its length; a nil dst only counts.
+func mergeRow(dst []int32, x, y []int, r int) int {
+	n := 0
+	for i, j := 0, 0; i < len(x) || j < len(y); {
+		var v int
+		switch {
+		case j == len(y) || (i < len(x) && x[i] < y[j]):
+			v = x[i]
+			i++
+		case i == len(x) || y[j] < x[i]:
+			v = y[j]
+			j++
+		default:
+			v = x[i]
+			i++
+			j++
+		}
+		if v != r {
+			if dst != nil {
+				dst[n] = int32(v)
+			}
+			n++
+		}
 	}
-	t := a.Transpose()
+	return n
+}
+
+// adjacency returns the symmetrized pattern of a without self loops as a flat
+// graph: the neighbours of v are adj[ptr[v]:ptr[v+1]], ascending. Rows of a
+// and of its transpose are sorted (the sparse package's invariant), so each
+// neighbour list is a merge, counted first so that adj is allocated exactly.
+func adjacency(a *sparse.CSR) (ptr []int, adj []int32) {
+	n := a.Rows
+	t := (&sparse.CSR{Rows: n, Cols: n, P: a.P, I: a.I}).Transpose() // pattern only: no value copy
+	row := func(m *sparse.CSR, r int) []int { return m.I[m.P[r]:m.P[r+1]] }
+	ptr = make([]int, n+1)
 	for r := 0; r < n; r++ {
-		for k := a.P[r]; k < a.P[r+1]; k++ {
-			if a.I[k] != r {
-				add(r, a.I[k])
-			}
-		}
-		for k := t.P[r]; k < t.P[r+1]; k++ {
-			if t.I[k] != r {
-				add(r, t.I[k])
-			}
-		}
+		ptr[r+1] = ptr[r] + mergeRow(nil, row(a, r), row(t, r), r)
 	}
-	for u := range adj {
-		sort.Ints(adj[u])
-		adj[u] = dedupSorted(adj[u])
+	adj = make([]int32, ptr[n])
+	for r := 0; r < n; r++ {
+		mergeRow(adj[ptr[r]:ptr[r+1]], row(a, r), row(t, r), r)
 	}
-	return adj
-}
-
-func dedupSorted(s []int) []int {
-	out := s[:0]
-	for i, v := range s {
-		if i == 0 || v != s[i-1] {
-			out = append(out, v)
-		}
-	}
-	return out
-}
-
-// pseudoPeripheral finds a vertex of approximately maximal eccentricity in
-// the component containing start, via repeated BFS (the George-Liu
-// heuristic).
-func pseudoPeripheral(adj [][]int, start int, scratch []int) int {
-	cur := start
-	curDepth := -1
-	for {
-		last, depth := bfsLast(adj, cur, scratch)
-		if depth <= curDepth {
-			return cur
-		}
-		cur, curDepth = last, depth
-	}
-}
-
-// bfsLast runs a BFS from s and returns the minimum-degree vertex of the last
-// level together with the depth reached. scratch must be a len(adj) int slice
-// used as a visited-stamp array (callers zero it once; stamping uses s+1).
-func bfsLast(adj [][]int, s int, scratch []int) (last, depth int) {
-	stamp := s + 1
-	queue := []int{s}
-	scratch[s] = stamp
-	depth = 0
-	levelStart := 0
-	last = s
-	for levelStart < len(queue) {
-		levelEnd := len(queue)
-		for i := levelStart; i < levelEnd; i++ {
-			v := queue[i]
-			for _, w := range adj[v] {
-				if scratch[w] != stamp {
-					scratch[w] = stamp
-					queue = append(queue, w)
-				}
-			}
-		}
-		if len(queue) > levelEnd {
-			depth++
-			// Pick the minimum-degree vertex of the new last level.
-			best, bestDeg := queue[levelEnd], len(adj[queue[levelEnd]])
-			for _, v := range queue[levelEnd:] {
-				if len(adj[v]) < bestDeg {
-					best, bestDeg = v, len(adj[v])
-				}
-			}
-			last = best
-		}
-		levelStart = levelEnd
-	}
-	return last, depth
-}
-
-// RCM returns the Reverse Cuthill-McKee permutation of a square matrix.
-func RCM(a *sparse.CSR) ([]int, error) {
-	if a.Rows != a.Cols {
-		return nil, fmt.Errorf("order: RCM needs a square matrix, got %dx%d", a.Rows, a.Cols)
-	}
-	n := a.Rows
-	adj := adjacency(a)
-	visited := make([]bool, n)
-	scratch := make([]int, n)
-	order := make([]int, 0, n)
-	for comp := 0; comp < n; comp++ {
-		if visited[comp] {
-			continue
-		}
-		root := pseudoPeripheral(adj, comp, scratch)
-		if visited[root] {
-			root = comp
-		}
-		// Cuthill-McKee BFS with neighbors sorted by ascending degree.
-		queue := []int{root}
-		visited[root] = true
-		for len(queue) > 0 {
-			v := queue[0]
-			queue = queue[1:]
-			order = append(order, v)
-			var nbr []int
-			for _, w := range adj[v] {
-				if !visited[w] {
-					visited[w] = true
-					nbr = append(nbr, w)
-				}
-			}
-			sort.Slice(nbr, func(i, j int) bool { return len(adj[nbr[i]]) < len(adj[nbr[j]]) })
-			queue = append(queue, nbr...)
-		}
-	}
-	// Reverse for RCM.
-	for i, j := 0, len(order)-1; i < j; i, j = i+1, j-1 {
-		order[i], order[j] = order[j], order[i]
-	}
-	return order, nil
+	return ptr, adj
 }
 
 // NestedDissection returns a recursive pseudo-nested-dissection permutation:
-// each component is split by a BFS level-structure separator; the two halves
-// are ordered recursively and the separator is numbered last, which is the
-// property direct and incomplete factorizations benefit from. leafSize stops
-// the recursion (64 is a reasonable default).
+// each part is split by a level of the BFS level structure rooted at its
+// first vertex; the two halves are ordered recursively and the separator is
+// numbered last, which is the property direct and incomplete factorizations
+// benefit from. Parts of at most leafSize vertices (64 is a reasonable
+// default) and parts whose level structure has fewer than three levels keep
+// the order they arrived in.
 func NestedDissection(a *sparse.CSR, leafSize int) ([]int, error) {
 	if a.Rows != a.Cols {
 		return nil, fmt.Errorf("order: nested dissection needs a square matrix, got %dx%d", a.Rows, a.Cols)
 	}
+	n := a.Rows
+	if n > math.MaxInt32/2 {
+		return nil, fmt.Errorf("order: nested dissection of %d vertices exceeds the int32 adjacency", n)
+	}
 	if leafSize < 1 {
 		leafSize = 64
 	}
-	adj := adjacency(a)
-	n := a.Rows
-	perm := make([]int, 0, n)
-	all := make([]int, n)
-	for i := range all {
-		all[i] = i
+	d := dissector{
+		leaf:  leafSize,
+		state: make([]int32, n),
+		queue: make([]int, n),
+		off:   make([]int, 0, n+1),
 	}
-	var dissect func(part []int)
-	dissect = func(part []int) {
-		if len(part) <= leafSize {
-			// Order leaves by Cuthill-McKee within the part for locality.
-			perm = append(perm, part...)
-			return
-		}
-		inPart := make(map[int]bool, len(part))
-		for _, v := range part {
-			inPart[v] = true
-		}
-		// BFS level structure from a pseudo-peripheral vertex of the part.
-		root := part[0]
-		levels := bfsLevelsWithin(adj, root, inPart)
-		if len(levels) < 3 {
-			perm = append(perm, part...)
-			return
-		}
-		// Separator = median level; halves = levels below / above it.
-		mid := pickSeparatorLevel(levels, len(part))
-		var left, right []int
-		for l, lv := range levels {
-			switch {
-			case l < mid:
-				left = append(left, lv...)
-			case l > mid:
-				right = append(right, lv...)
-			}
-		}
-		// Vertices not reached (other components of the part).
-		reached := len(left) + len(right) + len(levels[mid])
-		if reached < len(part) {
-			seen := make(map[int]bool, reached)
-			for _, lv := range levels {
-				for _, v := range lv {
-					seen[v] = true
-				}
-			}
-			for _, v := range part {
-				if !seen[v] {
-					left = append(left, v)
-				}
-			}
-		}
-		if len(left) == 0 || len(right) == 0 {
-			perm = append(perm, part...)
-			return
-		}
-		dissect(left)
-		dissect(right)
-		perm = append(perm, levels[mid]...)
+	d.ptr, d.adj = adjacency(a)
+	perm := make([]int, n)
+	for i := range perm {
+		perm[i] = i
 	}
-	dissect(all)
+	d.dissect(perm)
 	return perm, nil
 }
 
-// bfsLevelsWithin computes the BFS level structure from root restricted to
-// the vertex set inPart.
-func bfsLevelsWithin(adj [][]int, root int, inPart map[int]bool) [][]int {
-	visited := map[int]bool{root: true}
-	levels := [][]int{{root}}
-	for {
-		var next []int
-		for _, v := range levels[len(levels)-1] {
-			for _, w := range adj[v] {
-				if inPart[w] && !visited[w] {
-					visited[w] = true
-					next = append(next, w)
+// dissector carries the graph and the scratch every recursion level reuses,
+// so a dissection allocates a fixed number of arrays whatever its depth.
+type dissector struct {
+	ptr  []int
+	adj  []int32
+	leaf int
+	// state[v] == id marks v as an unvisited member of the part numbered id,
+	// -id as a visited one; ids are handed out per dissect call, at most 2n.
+	state []int32
+	id    int32
+	queue []int // BFS order of the current part, then its unreached vertices
+	off   []int // level l of that BFS is queue[off[l]:off[l+1]]
+}
+
+// dissect reorders part, a sub-slice of the permutation, in place into
+// left | right | separator and recurses into the first two.
+func (d *dissector) dissect(part []int) {
+	if len(part) <= d.leaf {
+		return
+	}
+	d.id++
+	id := d.id
+	for _, v := range part {
+		d.state[v] = id
+	}
+	// BFS level structure from part[0], restricted to the part.
+	q, off := d.queue, append(d.off[:0], 0)
+	q[0] = part[0]
+	d.state[part[0]] = -id
+	cnt := 1 // vertices in q
+	for lo := 0; lo < cnt; {
+		hi := cnt
+		off = append(off, hi)
+		for _, v := range q[lo:hi] {
+			for _, w := range d.adj[d.ptr[v]:d.ptr[v+1]] {
+				if d.state[w] == id {
+					d.state[w] = -id
+					q[cnt] = int(w)
+					cnt++
 				}
 			}
 		}
-		if len(next) == 0 {
-			return levels
-		}
-		levels = append(levels, next)
+		lo = hi
 	}
-}
-
-// pickSeparatorLevel chooses the level whose removal splits the level
-// structure closest to half the part weight.
-func pickSeparatorLevel(levels [][]int, total int) int {
-	best, bestScore := len(levels)/2, 1<<62
-	cum := 0
-	for l := 1; l < len(levels)-1; l++ {
-		cum += len(levels[l-1])
-		below := cum
-		above := total - cum - len(levels[l])
-		score := abs(below-above) + 4*len(levels[l]) // small separators preferred
-		if score < bestScore {
-			best, bestScore = l, score
+	levels := len(off) - 1
+	if levels < 3 {
+		return
+	}
+	// Separator = the interior level whose removal splits the part closest
+	// to half its weight, small separators preferred. Vertices the BFS did
+	// not reach (other components of the part) count as above it.
+	mid, midScore := 0, math.MaxInt
+	for l := 1; l < levels-1; l++ {
+		below, above := off[l], len(part)-off[l+1]
+		if score := abs(below-above) + 4*(off[l+1]-off[l]); score < midScore {
+			mid, midScore = l, score
 		}
 	}
-	return best
+	// left = levels below the separator, then the unreached vertices in part
+	// order; right = levels above it. Both are non-empty: 1 <= mid <= levels-2.
+	end := cnt
+	for _, v := range part {
+		if d.state[v] == id {
+			q[end] = v
+			end++
+		}
+	}
+	nl := copy(part, q[:off[mid]])
+	nl += copy(part[nl:], q[cnt:end])
+	nr := copy(part[nl:], q[off[mid+1]:cnt])
+	copy(part[nl+nr:], q[off[mid]:off[mid+1]])
+	d.dissect(part[:nl])
+	d.dissect(part[nl : nl+nr])
 }
 
 func abs(x int) int {
@@ -266,18 +174,4 @@ func abs(x int) int {
 		return -x
 	}
 	return x
-}
-
-// Bandwidth returns the maximum |i-j| over stored entries, a quality metric
-// for RCM in tests and tools.
-func Bandwidth(a *sparse.CSR) int {
-	b := 0
-	for r := 0; r < a.Rows; r++ {
-		for k := a.P[r]; k < a.P[r+1]; k++ {
-			if d := abs(r - a.I[k]); d > b {
-				b = d
-			}
-		}
-	}
-	return b
 }

@@ -3,6 +3,7 @@ package sparse
 import (
 	"bytes"
 	"math/rand"
+	"slices"
 	"testing"
 	"testing/quick"
 )
@@ -342,6 +343,61 @@ func TestPermuteSymPreservesValuesUnderRelabeling(t *testing.T) {
 				t.Fatalf("permuted entry (%d,%d) mismatched", r, c)
 			}
 		}
+	}
+}
+
+// TestPermuteSymMatchesTripletConstruction compares the counting-sort
+// PermuteSym entry for entry with what it replaced: relabel every entry and
+// let FromTriplets sort. Patterns are unsymmetric with empty rows and empty
+// columns; sizes start at the empty matrix.
+func TestPermuteSymMatchesTripletConstruction(t *testing.T) {
+	for seed := int64(0); seed < 40; seed++ {
+		rng := rand.New(rand.NewSource(seed))
+		n := rng.Intn(60)
+		var ts []Triplet
+		for r := 0; r < n; r++ {
+			if rng.Intn(4) == 0 {
+				continue // empty row
+			}
+			for k := rng.Intn(2 * (1 + n/8)); k > 0; k-- {
+				ts = append(ts, Triplet{r, rng.Intn(n), rng.NormFloat64()})
+			}
+		}
+		a := Must(FromTriplets(n, n, ts))
+		perm := rng.Perm(n)
+		got, err := PermuteSym(a, perm)
+		if err != nil {
+			t.Fatal(err)
+		}
+		inv := InversePerm(perm)
+		var rel []Triplet
+		for r := 0; r < n; r++ {
+			for k := a.P[r]; k < a.P[r+1]; k++ {
+				rel = append(rel, Triplet{inv[r], inv[a.I[k]], a.X[k]})
+			}
+		}
+		want := Must(FromTriplets(n, n, rel))
+		if err := got.Validate(); err != nil {
+			t.Fatalf("seed %d: %v", seed, err)
+		}
+		if !slices.Equal(got.P, want.P) || !slices.Equal(got.I, want.I) || !slices.Equal(got.X, want.X) {
+			t.Fatalf("seed %d (n=%d, nnz=%d): PermuteSym differs from the triplet construction", seed, n, a.NNZ())
+		}
+	}
+}
+
+// TestPermuteSymAllocs keeps the reorder path free of per-entry garbage: the
+// permuted matrix, the inverse, the validity bitmap and the counting-sort
+// scratch are all there is.
+func TestPermuteSymAllocs(t *testing.T) {
+	a := Must(RandomSPD(2000, 8, 5))
+	perm := rand.New(rand.NewSource(1)).Perm(a.Rows)
+	if got := testing.AllocsPerRun(5, func() {
+		if _, err := PermuteSym(a, perm); err != nil {
+			t.Fatal(err)
+		}
+	}); got > 10 {
+		t.Fatalf("%.0f allocs per PermuteSym, want <= 10", got)
 	}
 }
 
