@@ -11,8 +11,13 @@ build:
 test:
 	$(GO) test ./...
 
+# race also repeats the packed rung's determinism tests: a slot shared between
+# two w-partitions, or a fold that depends on who ran what, shows up as a race
+# or as differing bits only when the timing cooperates.
 race:
-	$(GO) test -race . ./internal/exec/... ./internal/core/... ./internal/dag/... ./internal/lbc/... ./internal/cache/... ./internal/combos/... ./internal/kernels/... ./internal/serve/... ./internal/telemetry/...
+	$(GO) test -race . ./internal/exec/... ./internal/core/... ./internal/dag/... ./internal/lbc/... ./internal/cache/... ./internal/combos/... ./internal/kernels/... ./internal/relayout/... ./internal/serve/... ./internal/telemetry/...
+	$(GO) test -race -count=5 -run 'TestPackedScatter|TestScatterArmedFromPoolWidth' ./internal/exec/
+	$(GO) test -race -count=5 -run 'TestConcurrentSessionsMatchReference|TestScatterOperationCleanAfterCancelStorm' .
 
 # fuzz smoke-runs the native Go fuzz targets on the two untrusted-input
 # parsers: the binary schedule loader and the Matrix Market reader. Each

@@ -10,6 +10,7 @@ import (
 	"strings"
 	"sync/atomic"
 	"testing"
+	"time"
 
 	"sparsefusion/internal/sparse"
 )
@@ -245,4 +246,63 @@ func TestTracerBuffersSurviveCancellation(t *testing.T) {
 			t.Fatalf("truncated trace line after cancellation: %q", line)
 		}
 	}
+}
+
+// TestScatterOperationCleanAfterCancelStorm: the packed rung of a scatter
+// combination keeps spill-slot scratch between runs, so a run cancelled at
+// whatever s-partition boundary the deadline happens to hit must leave it
+// clean. Deadlines sweep from "before the first round" to "after the last";
+// after each, an uncancelled run must reproduce the bits of an operation that
+// was never cancelled. (internal/exec cancels inside every s-partition
+// deterministically; this is the same contract through the facade.)
+func TestScatterOperationCleanAfterCancelStorm(t *testing.T) {
+	m, _, err := RandomSPD(3000, 6, 35).Reorder()
+	if err != nil {
+		t.Fatal(err)
+	}
+	in := sparse.RandomVec(m.Rows(), 11)
+	newOp := func() *Operation {
+		op, err := NewOperation(TrsvMv, m, Options{Threads: 4})
+		if err != nil {
+			t.Fatal(err)
+		}
+		if err := op.SetInput(in); err != nil {
+			t.Fatal(err)
+		}
+		if op.Mode() != ModePacked || op.layout.Scatter[1].Redirected == 0 {
+			t.Fatalf("mode %s, scatter %+v: the fixture has no spill slots to dirty", op.Mode(), op.layout.Scatter[1])
+		}
+		return op
+	}
+	ref := newOp()
+	rep, err := ref.Run()
+	if err != nil {
+		t.Fatal(err)
+	}
+	want := ref.Output()
+
+	op := newOp()
+	midRun := 0
+	for i := 0; i <= 24; i++ {
+		ctx, cancel := context.WithTimeout(context.Background(), rep.Time*time.Duration(i)/16)
+		_, err := op.RunContext(ctx)
+		cancel()
+		var c *CancelledError
+		switch {
+		case err == nil:
+		case errors.As(err, &c):
+			if c.SPartition >= 0 {
+				midRun++
+			}
+		default:
+			t.Fatalf("deadline %d/16 of a run: %v", i, err)
+		}
+		if _, err := op.Run(); err != nil {
+			t.Fatal(err)
+		}
+		if !bitsSame(op.Output(), want) {
+			t.Fatalf("clean run after deadline %d/16 of a run diverged from an operation never cancelled", i)
+		}
+	}
+	t.Logf("%d of 25 runs were cancelled between s-partitions", midRun)
 }

@@ -49,7 +49,7 @@ func main() {
 		threads = flag.Int("threads", runtime.GOMAXPROCS(0), "schedule width r")
 		runs    = flag.Int("runs", 5, "executor repetitions (minimum reported)")
 		reorder = flag.Bool("reorder", true, "apply nested-dissection reordering first (the paper's METIS step)")
-		dump    = flag.Bool("dump", false, "print the fused schedule's per-s-partition shape")
+		dump    = flag.Bool("dump", false, "print the fused schedule's per-s-partition shape and the packed scatter loops' redirect counts")
 		trace   = flag.String("trace", "", "write a Chrome trace of one fused execution to this path")
 	)
 	flag.Parse()
@@ -78,6 +78,9 @@ func main() {
 			fmt.Printf("  s%-4d width=%-3d iters=%-8d costs=%v\n", si, st.Widths, st.Iters, st.Costs)
 		}
 		fmt.Println()
+		if err := dumpScatter(in, sched, *threads); err != nil {
+			log.Fatal(err)
+		}
 	}
 	if *trace != "" {
 		if err := writeTrace(*trace, in, *threads); err != nil {
@@ -221,6 +224,36 @@ func writeTrace(path string, in *combos.Instance, threads int) error {
 	}
 	fmt.Printf("wrote trace to %s (open in chrome://tracing; %d executor spans, cross-check ok)\n\n",
 		path, len(compiledSpans))
+	return nil
+}
+
+// dumpScatter prints what the packed rung's no-atomics scatter costs on this
+// schedule: per scatter loop, how many of its updates the re-layout redirected
+// into private slots and how many adds fold them back, then the share of one
+// warm packed run the calling goroutine spent folding.
+func dumpScatter(in *combos.Instance, sched *core.Schedule, threads int) error {
+	runner, lay, err := exec.CompileFusedPacked(in.Kernels, sched)
+	if err != nil {
+		fmt.Printf("packed scatter: chain does not pack (%v)\n\n", err)
+		return nil
+	}
+	fmt.Println("packed scatter loops (updates per run, redirected to private slots, slots, fold adds per run):")
+	for l, sc := range lay.Scatter {
+		if sc == nil {
+			continue
+		}
+		fmt.Printf("  loop %d %-12s entries=%-9d redirected=%-8d (%.1f%%) slots=%-7d fold=%d\n",
+			l, in.Kernels[l].Name(), sc.Entries, sc.Redirected,
+			100*float64(sc.Redirected)/float64(max(sc.Entries, 1)), sc.Slots, len(sc.FoldTarget))
+	}
+	var st exec.Stats
+	for i := 0; i < 3; i++ { // the last of three: pool and caches warm
+		if st, err = runner.Run(threads); err != nil {
+			return fmt.Errorf("packed run: %w", err)
+		}
+	}
+	fmt.Printf("  host-side fold %v of a %v packed run (%.2f%%)\n\n",
+		st.Fold, st.Elapsed, 100*float64(st.Fold)/float64(max(st.Elapsed, 1)))
 	return nil
 }
 

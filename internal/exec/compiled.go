@@ -49,6 +49,10 @@ type Runner struct {
 	// dispatch unit (parallel to segs) and switches Run to the packed path.
 	// Set by AttachLayout (exec/packed.go).
 	packed []packedSeg
+	// spill holds the packed path's scatter loops and their runner-private
+	// slot scratch; spillDirty asks the next run to zero the slots first.
+	spill      []spillLoop
+	spillDirty bool
 
 	// rec, when non-nil, is the attached execution profiler (SetRecorder).
 	// Its enable flag is sampled once per run; a disabled recorder costs one
@@ -166,8 +170,12 @@ func (r *Runner) Recorder() *Recorder { return r.rec }
 
 // Run executes the compiled schedule with the same semantics and Stats
 // accounting as RunFusedLegacy: Prepare in loop order, one barrier per
-// s-partition, atomic scatter mode iff the caller is multi-threaded and the
-// schedule is actually wide. A worker-body panic — a kernel breakdown or an
+// s-partition. On the compiled-unpacked path scatter kernels run in atomic
+// mode iff two w-partitions can actually run at once (pool and schedule both
+// wider than one); on the packed path they never do — contended updates go
+// to this runner's spill slots, folded by the caller after each barrier, so
+// for one layout the results are the same bits on every run at every pool
+// width. A worker-body panic — a kernel breakdown or an
 // out-of-range iteration in a corrupt program — abandons the remaining
 // s-partitions and returns as an *ExecError; the Runner itself stays usable
 // (the fault channel is re-armed, the pool torn down as always).
@@ -208,9 +216,14 @@ func (r *Runner) runOnPool(ctx context.Context, pl *pool, threads int) (Stats, e
 	watch := pl.watchCancel(ctx)
 	defer watch.finish(pl)
 	p := r.prog
-	parallel := threads > 1 && p.MaxWidth > 1
-	setAtomics(r.ks, parallel)
-	defer setAtomics(r.ks, false)
+	if r.packed != nil {
+		r.bindSpill()
+	} else {
+		// The pool, not the caller's thread budget, decides whether two
+		// w-partitions can run at once.
+		setAtomics(r.ks, pl.workers > 1 && p.MaxWidth > 1)
+		defer setAtomics(r.ks, false)
+	}
 	var st Stats
 	t0 := time.Now()
 	for _, k := range r.ks {
@@ -265,7 +278,13 @@ func (r *Runner) runOnPool(ctx context.Context, pl *pool, threads int) (Stats, e
 			pl.run(width, func(w int) { runBody(w0 + w) }, durs[:width])
 		}
 		accumulate(&st, durs[:parts], threads)
+		// Fold before looking at the fault: a cancelled round completed, and
+		// its outputs must be those of an uncancelled run; a faulted round's
+		// slots must not leak into the next run.
+		fold := r.foldSpill(s)
+		st.Fold += fold
 		if recording {
+			rec.fold += fold
 			if sst != nil {
 				// Stolen spans belong to the slot that executed them: durs[q]
 				// is slot q's whole-round busy time, stolen w-partitions
@@ -286,6 +305,7 @@ func (r *Runner) runOnPool(ctx context.Context, pl *pool, threads int) (Stats, e
 					wp = int(sst.curW[f.worker])
 				}
 			}
+			r.spillDirty = f.cancel == nil
 			st.Elapsed = time.Since(t0)
 			return st, f.runError(s, wp)
 		}
@@ -431,10 +451,10 @@ func RunChainCompiled(ks []kernels.Kernel, rs []*Runner, ps []*partition.Partiti
 
 // RunFused executes the fused loops under a core.Schedule produced by ICO.
 // ks[l] is the kernel of loop l; each kernel's Prepare runs first, in loop
-// order. threads only affects the potential-gain normalization and atomic
-// mode — the schedule's own w-partition structure decides actual
-// parallelism. The schedule is compiled on every call; callers that rerun
-// one schedule should compile once via CompileFused and Run the Runner.
+// order. threads only affects the potential-gain normalization — the
+// schedule's own w-partition structure decides actual parallelism. The
+// schedule is compiled on every call; callers that rerun one schedule should
+// compile once via CompileFused and Run the Runner.
 func RunFused(ks []kernels.Kernel, sched *core.Schedule, threads int) (Stats, error) {
 	if r, err := CompileFused(ks, sched); err == nil {
 		return r.Run(threads)

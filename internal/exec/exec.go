@@ -28,6 +28,10 @@ type Stats struct {
 	// PotentialGain is sum over barriers of (max - mean) w-partition run
 	// time: the wait time threads spend at barriers, averaged per thread.
 	PotentialGain time.Duration
+	// Fold is the time the calling goroutine spent between rounds adding the
+	// packed scatter loops' spill slots into their targets; part of Elapsed,
+	// outside every w-partition's run time.
+	Fold time.Duration
 }
 
 // AtomicSetter is implemented by kernels whose Run scatters into shared
@@ -37,7 +41,11 @@ type AtomicSetter interface {
 	SetAtomic(bool)
 }
 
-// setAtomics switches scatter kernels into (or out of) atomic mode.
+// setAtomics switches scatter kernels into (or out of) atomic mode. Callers
+// arm it from what can actually run concurrently — the pool's worker count
+// and the schedule's width — never from the caller's threads argument, which
+// only normalizes the potential-gain statistic: every executor sizes its pool
+// to the schedule, so a wide schedule runs wide even when threads is 1.
 func setAtomics(ks []kernels.Kernel, on bool) {
 	for _, k := range ks {
 		if a, ok := k.(AtomicSetter); ok {
@@ -90,8 +98,7 @@ func RunFusedLegacyContext(ctx context.Context, ks []kernels.Kernel, sched *core
 // walking the partition slices directly; reference implementation and
 // fallback for CompilePartitioned.
 func RunPartitionedLegacy(k kernels.Kernel, p *partition.Partitioning, threads int) (Stats, error) {
-	parallel := threads > 1 && anyWide(p)
-	setAtomics([]kernels.Kernel{k}, parallel)
+	setAtomics([]kernels.Kernel{k}, anyWide(p))
 	defer setAtomics([]kernels.Kernel{k}, false)
 	var st Stats
 	t0 := time.Now()
@@ -168,8 +175,7 @@ func RunChainLegacy(ks []kernels.Kernel, ps []*partition.Partitioning, threads i
 // fallback for CompileJoint.
 func RunJointLegacy(k1, k2 kernels.Kernel, p *partition.Partitioning, threads int) (Stats, error) {
 	n1 := k1.Iterations()
-	parallel := threads > 1 && anyWide(p)
-	setAtomics([]kernels.Kernel{k1, k2}, parallel)
+	setAtomics([]kernels.Kernel{k1, k2}, anyWide(p))
 	defer setAtomics([]kernels.Kernel{k1, k2}, false)
 	var st Stats
 	t0 := time.Now()

@@ -1,7 +1,9 @@
 package exec
 
 import (
+	"context"
 	"errors"
+	"runtime"
 	"testing"
 	"time"
 
@@ -178,6 +180,118 @@ func TestBreakdownSurfacesThroughParallelExecutor(t *testing.T) {
 		var ee *ExecError
 		if !errors.As(err, &ee) {
 			t.Fatalf("threads=%d: breakdown not carried by *ExecError: %v", th, err)
+		}
+	}
+}
+
+// hookUnit wraps the packed body of dispatch unit g so that before runs ahead
+// of it and after behind it (either may be nil), and returns the undo.
+func hookUnit(r *Runner, g int32, before, after func()) (undo func()) {
+	saved := r.packed[g]
+	call := func(f func()) {
+		if f != nil {
+			f()
+		}
+	}
+	ps := &r.packed[g]
+	if pair := saved.pair; pair != nil {
+		ps.pair = func(iters []int32, s1, s2 *kernels.PackedStream, e1, i1, e2, i2 int) {
+			call(before)
+			pair(iters, s1, s2, e1, i1, e2, i2)
+			call(after)
+		}
+	} else {
+		ps.run = hookedRunner{saved.run, func() { call(before) }, func() { call(after) }}
+	}
+	return func() { r.packed[g] = saved }
+}
+
+type hookedRunner struct {
+	kernels.PackedRunner
+	before, after func()
+}
+
+func (h hookedRunner) RunManyPacked(iters []int32, s *kernels.PackedStream, ent, it int) {
+	h.before()
+	h.PackedRunner.RunManyPacked(iters, s, ent, it)
+	h.after()
+}
+
+// TestPackedScatterCleanAfterCancelAndFault: the spill slots of the packed
+// scatter loops are runner state that outlives a run, so an interrupted run
+// must not leak partial sums into the next one. A run is cancelled inside
+// every s-partition in turn (the round completes and is folded, the rest never
+// start) and a worker is made to panic after its w-partition wrote its slots;
+// after each, a clean run must return the bits of a runner that never saw
+// either — with stealing on and off.
+func TestPackedScatterCleanAfterCancelAndFault(t *testing.T) {
+	for name, mk := range scatterFixtures() {
+		loops, ks, snap := mk()
+		sched, err := core.ICO(loops, icoParams())
+		if err != nil {
+			t.Fatalf("%s: %v", name, err)
+		}
+		fresh, _, err := CompileFusedPacked(ks, sched)
+		if err != nil {
+			t.Fatalf("%s: %v", name, err)
+		}
+		mustRun(fresh.Run(threads))
+		want := snap()
+
+		for _, steal := range []bool{false, true} {
+			r, _, err := CompileFusedPacked(ks, sched)
+			if err != nil {
+				t.Fatalf("%s: %v", name, err)
+			}
+			r.Configure(Config{Steal: steal})
+			prog := r.Program()
+			pl := NewPool(prog.MaxWidth)
+			clean := func(what string) {
+				t.Helper()
+				if _, err := r.RunOn(pl, threads); err != nil {
+					t.Fatalf("%s steal=%v: clean run after %s: %v", name, steal, what, err)
+				}
+				if !bitsSame(snap(), want) {
+					t.Fatalf("%s steal=%v: clean run after %s diverged from a fresh runner", name, steal, what)
+				}
+			}
+			for s := 0; s < prog.NumSPartitions(); s++ {
+				// The last w-partition of the round, so every other one has
+				// (most likely) already filled its slots.
+				g := r.wSeg[prog.SOff[s+1]-1]
+
+				ctx, cancel := context.WithCancel(context.Background())
+				undo := hookUnit(r, g, func() {
+					cancel()
+					for pl.p.fault.Load() == nil { // until the watcher installed it
+						runtime.Gosched()
+					}
+				}, nil)
+				_, err := r.RunOnContext(ctx, pl, threads)
+				undo()
+				var c *CancelledError
+				if !errors.As(err, &c) || c.SPartition != s {
+					t.Fatalf("%s steal=%v: cancel inside s-partition %d returned %v", name, steal, s, err)
+				}
+				clean("a cancel")
+
+				undo = hookUnit(r, g, nil, func() { panic("fault_test: injected panic") })
+				_, err = r.RunOn(pl, threads)
+				undo()
+				var ee *ExecError
+				if !errors.As(err, &ee) || ee.SPartition != s {
+					t.Fatalf("%s steal=%v: panic inside s-partition %d returned %v", name, steal, s, err)
+				}
+				for _, sp := range r.spill {
+					for i, v := range sp.slots {
+						if v != 0 {
+							t.Fatalf("%s steal=%v: slot %d = %v after the faulted round was folded", name, steal, i, v)
+						}
+					}
+				}
+				clean("a worker panic")
+			}
+			pl.Close()
 		}
 	}
 }

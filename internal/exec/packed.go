@@ -2,6 +2,7 @@ package exec
 
 import (
 	"fmt"
+	"time"
 
 	"sparsefusion/internal/core"
 	"sparsefusion/internal/kernels"
@@ -30,15 +31,37 @@ type packedSeg struct {
 	it2  int32                    // first occurrence slot in s2 (pair only)
 }
 
+// spillLoop is one scatter loop's share of the packed path: the kernel whose
+// packed body writes the slots, the runner-private slot scratch, and the
+// layout's fold table for it.
+type spillLoop struct {
+	k     kernels.SpillScatterer
+	slots []float64
+	sc    *relayout.Scatter
+}
+
 // AttachLayout binds a schedule-order re-layout to the runner and switches
 // Run to the packed path. The layout must have been built for this runner's
 // program; every kernel must support packed batch execution, and every
-// coalesced pair span must have a packed pair specialization. On error the
-// runner is left unchanged (still running the compiled-unpacked path).
+// coalesced pair span must have a packed pair specialization. The layout
+// itself stays immutable and shareable: the spill slots its scatter loops
+// redirect into are allocated here, per runner. On error the runner is left
+// unchanged (still running the compiled-unpacked path).
 func (r *Runner) AttachLayout(lay *relayout.Layout) error {
 	prog := r.prog
 	if lay.Program() != prog {
 		return fmt.Errorf("exec: layout was built for a different program")
+	}
+	var spill []spillLoop
+	for l, sc := range lay.Scatter {
+		if sc == nil {
+			continue
+		}
+		k, ok := r.ks[l].(kernels.SpillScatterer)
+		if !ok {
+			return fmt.Errorf("exec: layout redirects scatter updates of loop %d but kernel %s has no spill slots", l, r.ks[l].Name())
+		}
+		spill = append(spill, spillLoop{k: k, slots: make([]float64, sc.Slots), sc: sc})
 	}
 	packed := make([]packedSeg, len(r.segs))
 	for i := range r.segs {
@@ -79,7 +102,7 @@ func (r *Runner) AttachLayout(lay *relayout.Layout) error {
 			it1:  prog.SegIter[g0],
 		}
 	}
-	r.packed = packed
+	r.packed, r.spill = packed, spill
 	return nil
 }
 
@@ -88,7 +111,46 @@ func (r *Runner) Packed() bool { return r.packed != nil }
 
 // DetachLayout drops the stream bindings, returning Run to the
 // compiled-unpacked path.
-func (r *Runner) DetachLayout() { r.packed = nil }
+func (r *Runner) DetachLayout() { r.packed, r.spill = nil, nil }
+
+// bindSpill points every scatter kernel's packed body at this runner's slots.
+// Done per run, not per attach: kernels may be shared with another runner
+// that bound its own since. A run that ended in a worker fault may have left
+// a straggler's partial sums behind, so the first run after one starts from
+// zeroed slots.
+func (r *Runner) bindSpill() {
+	for i := range r.spill {
+		sp := &r.spill[i]
+		if r.spillDirty {
+			clear(sp.slots)
+		}
+		sp.k.BindSpill(sp.slots)
+	}
+	r.spillDirty = false
+}
+
+// foldSpill adds s-partition s's spill slots into their targets and zeroes
+// them, on the calling goroutine between the round's barrier and the next
+// round. It returns the time spent, zero (and no clock read) when the
+// s-partition redirected nothing.
+func (r *Runner) foldSpill(s int) time.Duration {
+	var t0 time.Time
+	for i := range r.spill {
+		sp := &r.spill[i]
+		lo, hi := sp.sc.FoldOff[s], sp.sc.FoldOff[s+1]
+		if lo == hi {
+			continue
+		}
+		if t0.IsZero() {
+			t0 = time.Now()
+		}
+		sp.k.FoldSpill(sp.sc.FoldTarget[lo:hi])
+	}
+	if t0.IsZero() {
+		return 0
+	}
+	return time.Since(t0)
+}
 
 // runWPacked executes one w-partition against the packed streams, one
 // dispatch per segment.

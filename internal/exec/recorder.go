@@ -45,6 +45,7 @@ type Recorder struct {
 	barriers int64
 	steals   int64
 	reseeds  int64
+	fold     time.Duration // host-side spill-slot folding between rounds
 }
 
 // PartitionProfile aggregates one s-partition's barrier economics across
@@ -109,6 +110,7 @@ func (r *Recorder) Reset() {
 	r.parts = r.parts[:0]
 	r.runs, r.barriers = 0, 0
 	r.steals, r.reseeds = 0, 0
+	r.fold = 0
 }
 
 // noteReseed counts one steal-driven assignment re-seed.
@@ -205,6 +207,10 @@ type Breakdown struct {
 	// owner; Reseeds counts steal-driven assignment rebuilds. Both are zero
 	// on the static path.
 	Steals, Reseeds int64
+	// FoldNs is the calling goroutine's time between rounds spent folding the
+	// packed scatter loops' spill slots into their targets: host-side work no
+	// worker's busy or wait time contains.
+	FoldNs int64
 	// DroppedSpans counts ring overwrites (0 means Spans is complete).
 	DroppedSpans int64
 }
@@ -228,6 +234,7 @@ func (r *Recorder) Breakdown() Breakdown {
 		WorkerWaitNs: make([]int64, len(r.wait)),
 		Steals:       r.steals,
 		Reseeds:      r.reseeds,
+		FoldNs:       r.fold.Nanoseconds(),
 		DroppedSpans: r.dropped,
 	}
 	for i := range r.busy {

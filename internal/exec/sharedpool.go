@@ -117,8 +117,7 @@ func runFusedLegacyOnPool(ctx context.Context, ks []kernels.Kernel, sched *core.
 	}
 	watch := pl.watchCancel(ctx)
 	defer watch.finish(pl)
-	parallel := threads > 1 && sched.MaxWidth() > 1
-	setAtomics(ks, parallel)
+	setAtomics(ks, pl.workers > 1 && sched.MaxWidth() > 1)
 	defer setAtomics(ks, false)
 	var st Stats
 	t0 := time.Now()

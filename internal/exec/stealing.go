@@ -18,6 +18,9 @@ import (
 // s-partition (the barrier still orders dependent rounds), and a w-partition
 // always runs whole on one goroutine (its internal arithmetic order — the
 // bit-exactness contract — is untouched; only which goroutine runs it moves).
+// That covers the packed scatter loops too: the spill slots a w-partition
+// accumulates contended updates into are named in its packed stream, so a
+// stolen w-partition writes the same slots its owner would have.
 //
 // The seed doubles as affinity: it is held constant across runs of one
 // Program, so a w-partition's operand cache lines stay with the slot that ran

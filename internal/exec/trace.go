@@ -23,8 +23,7 @@ type Span struct {
 // fault the spans recorded so far are returned alongside the error — the
 // partial timeline is exactly what explains the fault.
 func RunFusedTraced(ks []kernels.Kernel, sched *core.Schedule, threads int) (Stats, []Span, error) {
-	parallel := threads > 1 && sched.MaxWidth() > 1
-	setAtomics(ks, parallel)
+	setAtomics(ks, sched.MaxWidth() > 1)
 	defer setAtomics(ks, false)
 	var st Stats
 	var spans []Span

@@ -1,7 +1,5 @@
 package kernels
 
-import "sparsefusion/internal/atomicf"
-
 // This file defines the packed-executor ABI (internal/relayout +
 // internal/exec): a kernel's sparse operand rows/columns are copied once, at
 // inspection time, into schedule execution order, so the executor's hot loop
@@ -12,10 +10,14 @@ import "sparsefusion/internal/atomicf"
 // perfectly sequential in execution order, so the locality the schedule's
 // packing step creates is realized in the memory system.
 //
-// The packed bodies replay the exact arithmetic of the Run/RunMany bodies in
-// the same order, so packed outputs are bit-identical to the legacy and
+// The gather bodies replay the exact arithmetic of the Run/RunMany bodies in
+// the same order, so their packed outputs are bit-identical to the legacy and
 // compiled-unpacked executors (asserted by tests in this package and
-// internal/exec).
+// internal/exec). The scatter bodies (SpMV-CSC, SpTRSV-CSC) never synchronize:
+// the re-layout proves which targets have one writer per s-partition and
+// redirects every other update into a private spill slot (SpillScatterer), so
+// their sums are reproducible run to run at any worker count, but associate
+// differently from the column-order sequential sum.
 
 // PackedStream is one loop's sparse operand re-laid-out into schedule
 // execution order. Entries of consecutive scheduled iterations are adjacent:
@@ -24,7 +26,9 @@ import "sparsefusion/internal/atomicf"
 type PackedStream struct {
 	// Idx holds the operand indices (column ids of a CSR row, row ids of a
 	// CSC column) of every scheduled iteration, one contiguous run per
-	// occurrence, in execution order.
+	// occurrence, in execution order. In a scatter kernel's stream a negative
+	// entry ^slot redirects the update into spill slot slot instead of the
+	// target vector (see SpillScatterer).
 	Idx []int32
 	// Val holds the matching operand values, parallel to Idx.
 	Val []float64
@@ -78,6 +82,37 @@ type PackedTracer interface {
 	TracePacked(i int, s *PackedStream, ent, it int, emit func(uintptr)) int
 }
 
+// SpillScatterer is implemented by the packed kernels whose iterations
+// accumulate into entries of a shared vector (the loops figure 2a of the paper
+// annotates as atomic). Instead of atomics, the re-layout decides per
+// s-partition which targets exactly one w-partition writes — those keep their
+// index in the stream and take a plain += — and rewrites every update to a
+// target two w-partitions share into ^slot, a private accumulator owned by
+// that (s-partition, w-partition, target). The executor folds an s-partition's
+// slots into their targets after its barrier, in slot order.
+type SpillScatterer interface {
+	// ScatterShape reports the target vector's length and how many leading
+	// entries of each occurrence are not scatter updates (the diagonal of a
+	// triangular-solve column).
+	ScatterShape() (targets, skip int)
+	// BindSpill points the packed body at the slot scratch of the runner
+	// about to execute it. Slots are per runner, never part of the shared
+	// layout, and must be zero between runs.
+	BindSpill(slots []float64)
+	// FoldSpill adds slot i into target tgt[i] for ascending i, zeroing the
+	// slots it consumed.
+	FoldSpill(tgt []int32)
+}
+
+// foldSpill is the shared FoldSpill body.
+func foldSpill(dst, slots []float64, tgt []int32) {
+	slots = slots[:len(tgt)]
+	for i, t := range tgt {
+		dst[t] += slots[i]
+		slots[i] = 0
+	}
+}
+
 // appendCSR appends row/column i of a matrix-order (p, idx, val) triple to
 // the stream: the shared body of most AppendStream implementations.
 func (s *PackedStream) appendCSR(p []int, idx []int, val []float64, i int) {
@@ -116,48 +151,29 @@ func (k *SpMVCSC) AppendStream(j int, s *PackedStream) { s.appendCSR(k.A.P, k.A.
 func (k *SpMVCSC) PackedSource() []float64             { return k.A.X }
 func (k *SpMVCSC) StreamEntries(j int) int             { return k.A.P[j+1] - k.A.P[j] }
 
+func (k *SpMVCSC) ScatterShape() (targets, skip int) { return k.A.Rows, 0 }
+func (k *SpMVCSC) BindSpill(slots []float64)         { k.spill = slots }
+func (k *SpMVCSC) FoldSpill(tgt []int32)             { foldSpill(k.Y, k.spill, tgt) }
+
 // packedIter scatters one packed column; shared with the fused pair bodies.
 func (k *SpMVCSC) packedIter(j int, s *PackedStream, ent, it int) int {
 	n := int(s.Len[it])
 	vs, is := s.Val[ent:ent+n], s.Idx[ent:ent+n]
 	xj := k.X[j]
-	if k.Atomic {
-		for c := 0; c < n; c++ {
-			atomicf.Add(&k.Y[is[c]], vs[c]*xj)
-		}
-	} else {
-		for c := 0; c < n; c++ {
-			k.Y[is[c]] += vs[c] * xj
+	for c, t := range is {
+		if t >= 0 {
+			k.Y[t] += vs[c] * xj
+		} else {
+			k.spill[^t] += vs[c] * xj
 		}
 	}
 	return ent + n
 }
 
-// RunManyPacked scatters Y += A[:,j]*X[j] from the packed stream; the Atomic
-// flag is hoisted out of the per-entry loop.
+// RunManyPacked scatters Y += A[:,j]*X[j] from the packed stream.
 func (k *SpMVCSC) RunManyPacked(iters []int32, s *PackedStream, ent, it int) {
-	if k.Atomic {
-		for o, v := range iters {
-			j := int(v & IterMask)
-			n := int(s.Len[it+o])
-			vs, is := s.Val[ent:ent+n], s.Idx[ent:ent+n]
-			ent += n
-			xj := k.X[j]
-			for c := 0; c < n; c++ {
-				atomicf.Add(&k.Y[is[c]], vs[c]*xj)
-			}
-		}
-		return
-	}
 	for o, v := range iters {
-		j := int(v & IterMask)
-		n := int(s.Len[it+o])
-		vs, is := s.Val[ent:ent+n], s.Idx[ent:ent+n]
-		ent += n
-		xj := k.X[j]
-		for c := 0; c < n; c++ {
-			k.Y[is[c]] += vs[c] * xj
-		}
+		ent = k.packedIter(int(v&IterMask), s, ent, it+o)
 	}
 }
 
@@ -242,6 +258,10 @@ func (k *SpTRSVCSC) AppendStream(j int, s *PackedStream) { s.appendCSR(k.L.P, k.
 func (k *SpTRSVCSC) PackedSource() []float64             { return k.L.X }
 func (k *SpTRSVCSC) StreamEntries(j int) int             { return k.L.P[j+1] - k.L.P[j] }
 
+func (k *SpTRSVCSC) ScatterShape() (targets, skip int) { return k.L.Rows, 1 }
+func (k *SpTRSVCSC) BindSpill(slots []float64)         { k.spill = slots }
+func (k *SpTRSVCSC) FoldSpill(tgt []int32)             { foldSpill(k.X, k.spill, tgt) }
+
 // packedIter finalizes and scatters one packed column (diagonal first);
 // shared with the fused pair bodies.
 func (k *SpTRSVCSC) packedIter(j int, s *PackedStream, ent, it int) int {
@@ -252,51 +272,20 @@ func (k *SpTRSVCSC) packedIter(j int, s *PackedStream, ent, it int) int {
 	}
 	xj := (k.B[j] + k.X[j]) / vs[0]
 	k.X[j] = xj
-	if k.Atomic {
-		for c := 1; c < n; c++ {
-			atomicf.Add(&k.X[is[c]], -vs[c]*xj)
-		}
-	} else {
-		for c := 1; c < n; c++ {
-			k.X[is[c]] -= vs[c] * xj
+	for c := 1; c < n; c++ {
+		if t := is[c]; t >= 0 {
+			k.X[t] -= vs[c] * xj
+		} else {
+			k.spill[^t] -= vs[c] * xj
 		}
 	}
 	return ent + n
 }
 
-// RunManyPacked finalizes and scatters the packed columns in stream order;
-// the Atomic flag is hoisted out of the per-entry loop.
+// RunManyPacked finalizes and scatters the packed columns in stream order.
 func (k *SpTRSVCSC) RunManyPacked(iters []int32, s *PackedStream, ent, it int) {
-	if k.Atomic {
-		for o, v := range iters {
-			j := int(v & IterMask)
-			n := int(s.Len[it+o])
-			vs, is := s.Val[ent:ent+n], s.Idx[ent:ent+n]
-			ent += n
-			if vs[0] == 0 {
-				breakdown(k.Name(), j, "zero diagonal")
-			}
-			xj := (k.B[j] + k.X[j]) / vs[0]
-			k.X[j] = xj
-			for c := 1; c < n; c++ {
-				atomicf.Add(&k.X[is[c]], -vs[c]*xj)
-			}
-		}
-		return
-	}
 	for o, v := range iters {
-		j := int(v & IterMask)
-		n := int(s.Len[it+o])
-		vs, is := s.Val[ent:ent+n], s.Idx[ent:ent+n]
-		ent += n
-		if vs[0] == 0 {
-			breakdown(k.Name(), j, "zero diagonal")
-		}
-		xj := (k.B[j] + k.X[j]) / vs[0]
-		k.X[j] = xj
-		for c := 1; c < n; c++ {
-			k.X[is[c]] -= vs[c] * xj
-		}
+		ent = k.packedIter(int(v&IterMask), s, ent, it+o)
 	}
 }
 
@@ -568,4 +557,7 @@ var (
 	_ PackedRunner = (*SpTRSVUnitLowerCSR)(nil)
 	_ PackedRunner = (*DScalCSR)(nil)
 	_ PackedRunner = (*DScalCSC)(nil)
+
+	_ SpillScatterer = (*SpMVCSC)(nil)
+	_ SpillScatterer = (*SpTRSVCSC)(nil)
 )

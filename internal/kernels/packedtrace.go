@@ -33,17 +33,28 @@ func (k *SpMVCSR) TracePacked(i int, s *PackedStream, ent, it int, emit func(uin
 	return ent + n
 }
 
+// scatterAddr is the word a packed scatter entry updates, given the bases of
+// the target vector and the spill slots: the target entry, or the slot a
+// negative entry redirects to (an unbound kernel's slots trace as an array at
+// address zero, distinct from every real one).
+func scatterAddr(target, spill uintptr, t int32) uintptr {
+	if t < 0 {
+		return spill + uintptr(^t)*wordSize
+	}
+	return target + uintptr(t)*wordSize
+}
+
 // TracePacked replays packed SpMV-CSC column j.
 func (k *SpMVCSC) TracePacked(j int, s *PackedStream, ent, it int, emit func(uintptr)) int {
 	emit(baseInt32(s.Len) + uintptr(it)*int32Size)
 	n := int(s.Len[it])
 	bi, bv := baseInt32(s.Idx), base(s.Val)
-	by := base(k.Y)
+	by, bs := base(k.Y), base(k.spill)
 	emit(base(k.X) + uintptr(j)*wordSize)
 	for c := ent; c < ent+n; c++ {
 		emit(bi + uintptr(c)*int32Size)
 		emit(bv + uintptr(c)*wordSize)
-		emit(by + uintptr(s.Idx[c])*wordSize)
+		emit(scatterAddr(by, bs, s.Idx[c]))
 	}
 	return ent + n
 }
@@ -86,12 +97,12 @@ func (k *SpTRSVCSC) TracePacked(j int, s *PackedStream, ent, it int, emit func(u
 	emit(baseInt32(s.Len) + uintptr(it)*int32Size)
 	n := int(s.Len[it])
 	bi, bv := baseInt32(s.Idx), base(s.Val)
-	vx := base(k.X)
+	vx, bs := base(k.X), base(k.spill)
 	emit(base(k.B) + uintptr(j)*wordSize)
 	for c := ent; c < ent+n; c++ {
 		emit(bi + uintptr(c)*int32Size)
 		emit(bv + uintptr(c)*wordSize)
-		emit(vx + uintptr(s.Idx[c])*wordSize)
+		emit(scatterAddr(vx, bs, s.Idx[c]))
 	}
 	return ent + n
 }

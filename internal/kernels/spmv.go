@@ -68,6 +68,9 @@ type SpMVCSC struct {
 	// invoked from concurrent goroutines.
 	Atomic bool
 
+	// spill is the runner-owned slot scratch of the packed body (BindSpill).
+	spill []float64
+
 	g *dag.Graph
 }
 
@@ -78,11 +81,12 @@ func NewSpMVCSC(a *sparse.CSC, x, y []float64) *SpMVCSC {
 
 // WithVectors returns a copy of the kernel bound to fresh x/y vectors,
 // sharing the matrix and its iteration DAG (per-session clone). Atomic mode
-// resets: the executor re-arms it per run.
+// and the spill binding reset: the executor re-arms both per run.
 func (k *SpMVCSC) WithVectors(x, y []float64) *SpMVCSC {
 	c := *k
 	c.X, c.Y = x, y
 	c.Atomic = false
+	c.spill = nil
 	return &c
 }
 

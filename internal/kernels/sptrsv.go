@@ -78,6 +78,9 @@ type SpTRSVCSC struct {
 	// Atomic selects atomic scatter updates, required under concurrency.
 	Atomic bool
 
+	// spill is the runner-owned slot scratch of the packed body (BindSpill).
+	spill []float64
+
 	g *dag.Graph
 }
 

@@ -2,7 +2,6 @@ package relayout
 
 import (
 	"fmt"
-	"math"
 	"sync"
 
 	"sparsefusion/internal/core"
@@ -14,93 +13,29 @@ import (
 // by the worker that will consume it at execution time. Build fills the
 // streams on one goroutine, so on a multi-socket machine every page of every
 // stream lands on the building thread's node and half the executor's stream
-// bandwidth crosses the interconnect. Here the segments are sized up front
-// (StreamPacker.StreamEntries), the full streams are allocated once, and
-// asn.Workers goroutines — one per executor slot of the work-stealing
-// assignment — fill exactly the w-partitions their slot owns, through
-// disjoint capacity-clamped windows of the shared arrays.
+// bandwidth crosses the interconnect. Here asn.Workers goroutines — one per
+// executor slot of the work-stealing assignment — fill exactly the
+// w-partitions their slot owns, through the same disjoint windows of the
+// preallocated arrays Build fills serially.
 //
 // The result is byte-identical to Build's: the same AppendStream bodies write
-// the same entries at the same offsets, only the writing goroutine differs.
+// the same entries at the same offsets, only the writing goroutine differs,
+// and the scatter analysis runs once on the filled streams either way.
 // Steals at execution time move a w-partition off its seeded slot, so the
 // placement is best-effort by construction — exactly as warm caches are.
 func BuildFirstTouch(prog *core.Program, ks []kernels.Kernel, asn *core.Assignment) (*Layout, error) {
-	packers, err := validateChain(prog, ks)
-	if err != nil {
-		return nil, err
-	}
 	if asn == nil {
 		return nil, fmt.Errorf("relayout: first-touch build needs a worker assignment")
 	}
 	if got, want := len(asn.Owner), prog.NumWPartitions(); got != want {
 		return nil, fmt.Errorf("relayout: assignment covers %d w-partitions, program has %d", got, want)
 	}
+	return build(prog, ks, asn)
+}
 
-	lay := &Layout{
-		Streams: make([]*kernels.PackedStream, prog.NumLoops),
-		SegEnt:  make([]int32, prog.NumSegments()),
-		prog:    prog,
-	}
-
-	// Sizing pass: per-segment entry counts, per-loop totals, and the same
-	// occurrence-cursor cross-check Build performs while appending.
-	segN := make([]int32, prog.NumSegments())
-	entTotal := make([]int, prog.NumLoops)
-	occTotal := make([]int, prog.NumLoops)
-	for g := 0; g < prog.NumSegments(); g++ {
-		l := int(prog.SegLoop[g])
-		if entTotal[l] > math.MaxInt32 {
-			return nil, fmt.Errorf("relayout: loop %d stream exceeds int32 entry cursors", l)
-		}
-		lay.SegEnt[g] = int32(entTotal[l])
-		if int32(occTotal[l]) != prog.SegIter[g] {
-			return nil, fmt.Errorf("relayout: segment %d occurrence cursor %d does not match SegIter %d",
-				g, occTotal[l], prog.SegIter[g])
-		}
-		n := 0
-		for _, v := range prog.Iters[prog.SegOff[g]:prog.SegOff[g+1]] {
-			n += packers[l].StreamEntries(int(v & kernels.IterMask))
-		}
-		segN[g] = int32(n)
-		entTotal[l] += n
-		occTotal[l] += int(prog.SegOff[g+1] - prog.SegOff[g])
-	}
-	for l, n := range entTotal {
-		if n > math.MaxInt32 {
-			return nil, fmt.Errorf("relayout: loop %d stream exceeds int32 entry cursors", l)
-		}
-	}
-
-	// Allocate the full streams. Whether a loop's packer appends Pos is
-	// probed with one scratch append — the behavior is per kernel type, not
-	// per iteration — so the Pos array exists exactly when Build's would.
-	usesPos := make([]bool, prog.NumLoops)
-	probed := make([]bool, prog.NumLoops)
-	for _, v := range prog.Iters {
-		l, idx := kernels.UnpackIter(v)
-		if probed[l] {
-			continue
-		}
-		probed[l] = true
-		var scratch kernels.PackedStream
-		packers[l].AppendStream(idx, &scratch)
-		usesPos[l] = len(scratch.Pos) > 0
-	}
-	for l := range lay.Streams {
-		s := &kernels.PackedStream{
-			Idx: make([]int32, entTotal[l]),
-			Val: make([]float64, entTotal[l]),
-			Len: make([]int32, occTotal[l]),
-		}
-		if usesPos[l] {
-			s.Pos = make([]int32, occTotal[l])
-		}
-		lay.Streams[l] = s
-	}
-
-	// Fill pass: one goroutine per assignment slot, each appending its own
-	// w-partitions' segments into capacity-clamped windows of the shared
-	// arrays (append inside capacity writes in place, never reallocates).
+// fillByOwner runs the fill pass with one goroutine per assignment slot, each
+// packing the w-partitions it owns.
+func fillByOwner(prog *core.Program, packers []kernels.StreamPacker, lay *Layout, segN []int32, asn *core.Assignment) error {
 	errs := make([]error, asn.Workers)
 	var wg sync.WaitGroup
 	wg.Add(asn.Workers)
@@ -109,7 +44,7 @@ func BuildFirstTouch(prog *core.Program, ks []kernels.Kernel, asn *core.Assignme
 			defer wg.Done()
 			for s := 0; s < prog.NumSPartitions(); s++ {
 				for _, w := range asn.Queue(s, q) {
-					if err := fillWPartition(prog, packers, lay, segN, usesPos, int(w)); err != nil {
+					if err := fillWPartition(prog, packers, lay, segN, int(w)); err != nil {
 						errs[q] = err
 						return
 					}
@@ -120,42 +55,7 @@ func BuildFirstTouch(prog *core.Program, ks []kernels.Kernel, asn *core.Assignme
 	wg.Wait()
 	for _, err := range errs {
 		if err != nil {
-			return nil, err
-		}
-	}
-
-	lay.Sum, _ = SourceSum(ks, prog.NumLoops)
-	return lay, nil
-}
-
-// fillWPartition packs all segments of w-partition w into their windows.
-func fillWPartition(prog *core.Program, packers []kernels.StreamPacker, lay *Layout, segN []int32, usesPos []bool, w int) error {
-	for g := int(prog.WSeg[w]); g < int(prog.WSeg[w+1]); g++ {
-		l := int(prog.SegLoop[g])
-		full := lay.Streams[l]
-		e0, n := int(lay.SegEnt[g]), int(segN[g])
-		o0, m := int(prog.SegIter[g]), int(prog.SegOff[g+1]-prog.SegOff[g])
-		win := kernels.PackedStream{
-			Idx: full.Idx[e0 : e0 : e0+n],
-			Val: full.Val[e0 : e0 : e0+n],
-			Len: full.Len[o0 : o0 : o0+m],
-		}
-		if usesPos[l] {
-			win.Pos = full.Pos[o0 : o0 : o0+m]
-		}
-		for _, v := range prog.Iters[prog.SegOff[g]:prog.SegOff[g+1]] {
-			packers[l].AppendStream(int(v&kernels.IterMask), &win)
-		}
-		// A packer whose AppendStream disagrees with its StreamEntries either
-		// under-fills the window or overflows it (append then reallocates and
-		// the entries never reach the shared arrays). Both are sizing-contract
-		// violations, not recoverable layout states.
-		if len(win.Idx) != n || len(win.Len) != m {
-			return fmt.Errorf("relayout: kernel %d segment %d packed %d entries / %d occurrences, sized for %d / %d",
-				l, g, len(win.Idx), len(win.Len), n, m)
-		}
-		if usesPos[l] && len(win.Pos) != m {
-			return fmt.Errorf("relayout: kernel %d segment %d packed %d Pos slots, sized for %d", l, g, len(win.Pos), m)
+			return err
 		}
 	}
 	return nil

@@ -39,6 +39,12 @@ type Layout struct {
 	// occurrence cursor) it lets the executor start any segment — or any
 	// fused two-loop span — at the right stream position.
 	SegEnt []int32
+	// Scatter[l] is the writer-exclusivity analysis of loop l when its kernel
+	// scatters (kernels.SpillScatterer), nil otherwise: the loop's stream
+	// already carries the redirects, this is the fold table that completes
+	// them and the counts to report. Immutable like the streams; the slots
+	// themselves are per-runner scratch.
+	Scatter []*Scatter
 	// Sum is the checksum of the source value arrays the streams were packed
 	// from (SourceSum at build time). A layout shared across operations —
 	// the schedule-cache path — bakes in matrix values, not just structure,
@@ -52,8 +58,9 @@ type Layout struct {
 // Program returns the compiled program this layout was built for.
 func (l *Layout) Program() *core.Program { return l.prog }
 
-// Words returns the layout's total memory footprint in 4-byte words, for
-// reporting the re-layout's space cost.
+// Words returns the operand streams' memory footprint in 4-byte words, for
+// reporting the re-layout's space cost and the bytes a run streams. The
+// scatter fold tables (Scatter) are not operand data and are not counted.
 func (l *Layout) Words() int {
 	w := 0
 	for _, s := range l.Streams {
@@ -84,55 +91,150 @@ func writtenValues(k kernels.Kernel) [][]float64 {
 	return nil
 }
 
-// Build constructs the packed layout for a compiled program: it walks the
-// program's run segments in global (execution) order and appends every
-// iteration's operand entries to its loop's stream, recording each segment's
-// starting entry cursor. It fails when a kernel does not support the packed
-// layout, when a fused kernel overwrites another kernel's packed source
-// during the run, or when a stream outgrows the int32 cursors; callers keep
-// the compiled-unpacked executor as the fallback for those cases.
+// Build constructs the packed layout for a compiled program: every
+// iteration's operand entries are copied into its loop's stream in global
+// (execution) order, each segment starting at the entry cursor recorded for
+// it, and the scatter loops' shared targets are redirected into spill slots
+// (scatter.go). It fails when a kernel does not support the packed layout,
+// when a fused kernel overwrites another kernel's packed source during the
+// run, or when a stream outgrows the int32 cursors; callers keep the
+// compiled-unpacked executor as the fallback for those cases.
 func Build(prog *core.Program, ks []kernels.Kernel) (*Layout, error) {
+	return build(prog, ks, nil)
+}
+
+// build is the body of Build and BuildFirstTouch: size, allocate, fill — on
+// this goroutine, or with asn on one goroutine per owning worker slot — then
+// analyze the scatter loops on the filled streams.
+func build(prog *core.Program, ks []kernels.Kernel, asn *core.Assignment) (*Layout, error) {
 	packers, err := validateChain(prog, ks)
 	if err != nil {
 		return nil, err
 	}
+	lay, segN, err := allocate(prog, packers)
+	if err != nil {
+		return nil, err
+	}
+	if asn == nil {
+		for w := 0; w < prog.NumWPartitions(); w++ {
+			if err := fillWPartition(prog, packers, lay, segN, w); err != nil {
+				return nil, err
+			}
+		}
+	} else if err := fillByOwner(prog, packers, lay, segN, asn); err != nil {
+		return nil, err
+	}
+	lay.Scatter = make([]*Scatter, prog.NumLoops)
+	for l, k := range ks[:prog.NumLoops] {
+		if sc, ok := k.(kernels.SpillScatterer); ok {
+			lay.Scatter[l] = redirectShared(prog, lay, l, sc)
+		}
+	}
+	lay.Sum, _ = SourceSum(ks, prog.NumLoops)
+	return lay, nil
+}
 
+// allocate sizes every stream with one counting pass over the program
+// (StreamPacker.StreamEntries must agree with AppendStream exactly) and
+// allocates each array once at its final length, so filling never grows or
+// moves one. It returns the per-segment entry counts the fill pass windows
+// the arrays with, and performs the occurrence-cursor cross-check against
+// Program.SegIter on the way.
+func allocate(prog *core.Program, packers []kernels.StreamPacker) (*Layout, []int32, error) {
 	lay := &Layout{
 		Streams: make([]*kernels.PackedStream, prog.NumLoops),
 		SegEnt:  make([]int32, prog.NumSegments()),
 		prog:    prog,
 	}
-	// Pre-size the occurrence-aligned buffers from one counting pass.
-	perLoop := make([]int, prog.NumLoops)
-	for _, v := range prog.Iters {
-		loop, _ := kernels.UnpackIter(v)
-		perLoop[loop]++
-	}
-	for l := range lay.Streams {
-		lay.Streams[l] = &kernels.PackedStream{Len: make([]int32, 0, perLoop[l])}
-	}
+	segN := make([]int32, prog.NumSegments())
+	entTotal := make([]int, prog.NumLoops)
+	occTotal := make([]int, prog.NumLoops)
 	for g := 0; g < prog.NumSegments(); g++ {
 		l := int(prog.SegLoop[g])
-		s := lay.Streams[l]
-		if len(s.Idx) > math.MaxInt32 {
-			return nil, fmt.Errorf("relayout: loop %d stream exceeds int32 entry cursors", l)
+		if entTotal[l] > math.MaxInt32 {
+			return nil, nil, fmt.Errorf("relayout: loop %d stream exceeds int32 entry cursors", l)
 		}
-		lay.SegEnt[g] = int32(len(s.Idx))
-		if int32(len(s.Len)) != prog.SegIter[g] {
-			return nil, fmt.Errorf("relayout: segment %d occurrence cursor %d does not match SegIter %d",
-				g, len(s.Len), prog.SegIter[g])
+		lay.SegEnt[g] = int32(entTotal[l])
+		if int32(occTotal[l]) != prog.SegIter[g] {
+			return nil, nil, fmt.Errorf("relayout: segment %d occurrence cursor %d does not match SegIter %d",
+				g, occTotal[l], prog.SegIter[g])
+		}
+		n := 0
+		for _, v := range prog.Iters[prog.SegOff[g]:prog.SegOff[g+1]] {
+			n += packers[l].StreamEntries(int(v & kernels.IterMask))
+		}
+		segN[g] = int32(n)
+		entTotal[l] += n
+		occTotal[l] += int(prog.SegOff[g+1] - prog.SegOff[g])
+	}
+	for l, n := range entTotal {
+		if n > math.MaxInt32 {
+			return nil, nil, fmt.Errorf("relayout: loop %d stream exceeds int32 entry cursors", l)
+		}
+	}
+
+	// Whether a loop's packer appends Pos is probed with one scratch append of
+	// the loop's first scheduled iteration — the behavior is per kernel type,
+	// not per iteration.
+	usesPos := make([]bool, prog.NumLoops)
+	probed := make([]bool, prog.NumLoops)
+	for g := 0; g < prog.NumSegments(); g++ {
+		l := int(prog.SegLoop[g])
+		if probed[l] || prog.SegOff[g] == prog.SegOff[g+1] {
+			continue
+		}
+		probed[l] = true
+		var scratch kernels.PackedStream
+		packers[l].AppendStream(int(prog.Iters[prog.SegOff[g]]&kernels.IterMask), &scratch)
+		usesPos[l] = len(scratch.Pos) > 0
+	}
+	for l := range lay.Streams {
+		s := &kernels.PackedStream{
+			Idx: make([]int32, entTotal[l]),
+			Val: make([]float64, entTotal[l]),
+			Len: make([]int32, occTotal[l]),
+		}
+		if usesPos[l] {
+			s.Pos = make([]int32, occTotal[l])
+		}
+		lay.Streams[l] = s
+	}
+	return lay, segN, nil
+}
+
+// fillWPartition packs all segments of w-partition w into their windows of
+// the preallocated arrays: capacity-clamped sub-slices, so the packers'
+// appends write in place and can never reallocate or spill into a neighbor.
+func fillWPartition(prog *core.Program, packers []kernels.StreamPacker, lay *Layout, segN []int32, w int) error {
+	for g := int(prog.WSeg[w]); g < int(prog.WSeg[w+1]); g++ {
+		l := int(prog.SegLoop[g])
+		full := lay.Streams[l]
+		e0, n := int(lay.SegEnt[g]), int(segN[g])
+		o0, m := int(prog.SegIter[g]), int(prog.SegOff[g+1]-prog.SegOff[g])
+		win := kernels.PackedStream{
+			Idx: full.Idx[e0 : e0 : e0+n],
+			Val: full.Val[e0 : e0 : e0+n],
+			Len: full.Len[o0 : o0 : o0+m],
+		}
+		if full.Pos != nil {
+			win.Pos = full.Pos[o0 : o0 : o0+m]
 		}
 		for _, v := range prog.Iters[prog.SegOff[g]:prog.SegOff[g+1]] {
-			packers[l].AppendStream(int(v&kernels.IterMask), s)
+			packers[l].AppendStream(int(v&kernels.IterMask), &win)
+		}
+		// A packer whose AppendStream disagrees with its StreamEntries either
+		// under-fills the window or overflows it (append then reallocates and
+		// the entries never reach the shared arrays). Both are sizing-contract
+		// violations, not recoverable layout states.
+		if len(win.Idx) != n || len(win.Val) != n || len(win.Len) != m {
+			return fmt.Errorf("relayout: kernel %d segment %d packed %d entries / %d occurrences, sized for %d / %d",
+				l, g, len(win.Idx), len(win.Len), n, m)
+		}
+		if full.Pos != nil && len(win.Pos) != m {
+			return fmt.Errorf("relayout: kernel %d segment %d packed %d Pos slots, sized for %d", l, g, len(win.Pos), m)
 		}
 	}
-	for l, s := range lay.Streams {
-		if len(s.Idx) > math.MaxInt32 {
-			return nil, fmt.Errorf("relayout: loop %d stream exceeds int32 entry cursors", l)
-		}
-	}
-	lay.Sum, _ = SourceSum(ks, prog.NumLoops)
-	return lay, nil
+	return nil
 }
 
 // validateChain is the shared admission check of Build and BuildFirstTouch:

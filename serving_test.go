@@ -136,14 +136,30 @@ func TestCachedArtifactsBitIdentical(t *testing.T) {
 // sessions over one cached operation solve different right-hand sides
 // concurrently through a bounded server, and each result must be
 // bit-identical to a private operation solving the same input. Run under
-// -race this also proves the artifact sharing is data-race-free.
+// -race this also proves the artifact sharing is data-race-free. The scatter
+// combination runs on a reordered matrix, so its schedule has width and its
+// layout redirects contended updates into spill slots: the sessions share
+// that layout and must not share the slots.
 func TestConcurrentSessionsMatchReference(t *testing.T) {
-	const clients = 8
-	m := RandomSPD(400, 4, 17)
-	sc := NewScheduleCache(CacheConfig{})
-	op, err := NewOperation(TrsvTrsv, m, Options{Threads: 4, Cache: sc})
+	reordered, _, err := RandomSPD(600, 6, 18).Reorder()
 	if err != nil {
 		t.Fatal(err)
+	}
+	t.Run("TrsvTrsv", func(t *testing.T) { concurrentSessions(t, TrsvTrsv, RandomSPD(400, 4, 17)) })
+	t.Run("TrsvMv", func(t *testing.T) { concurrentSessions(t, TrsvMv, reordered) })
+}
+
+func concurrentSessions(t *testing.T, combo Combination, m *Matrix) {
+	const clients = 8
+	sc := NewScheduleCache(CacheConfig{})
+	op, err := NewOperation(combo, m, Options{Threads: 4, Cache: sc})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if combo == TrsvMv {
+		if sc := op.layout.Scatter[1]; op.sched.MaxWidth() < 2 || sc == nil || sc.Redirected == 0 {
+			t.Fatalf("width %d, scatter %+v: the fixture redirects nothing", op.sched.MaxWidth(), sc)
+		}
 	}
 	sv := NewServer(ServerConfig{MaxConcurrent: 3, Width: op.sched.MaxWidth()})
 	defer sv.Close()
@@ -156,7 +172,7 @@ func TestConcurrentSessionsMatchReference(t *testing.T) {
 			x[j] = float64((i+1)*(j%13+1)) * 0.25
 		}
 		inputs[i] = x
-		ref, err := NewOperation(TrsvTrsv, m, Options{Threads: 4})
+		ref, err := NewOperation(combo, m, Options{Threads: 4})
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -179,6 +195,10 @@ func TestConcurrentSessionsMatchReference(t *testing.T) {
 				s, err := op.NewSession()
 				if err != nil {
 					errs <- err
+					return
+				}
+				if s.layout != op.layout || s.Mode() != ModePacked {
+					errs <- errors.New("session does not run the operation's packed layout")
 					return
 				}
 				if err := s.SetInput(inputs[i]); err != nil {

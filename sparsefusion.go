@@ -574,9 +574,26 @@ func buildArtifacts(inst *combos.Instance, sched *core.Schedule, tr *Tracer, id 
 		return art
 	}
 	art.Layout = lay
-	t.Emit("inspect.relayout",
-		telemetry.Int("op", id),
-		telemetry.Dur("dur_ns", time.Since(t0)))
+	if t != nil {
+		// What the no-atomics scatter costs: of the scatter updates per run,
+		// how many go to private slots, and how many adds fold them back.
+		var entries, redirected, slots, folds int
+		for _, sc := range lay.Scatter {
+			if sc != nil {
+				entries += sc.Entries
+				redirected += sc.Redirected
+				slots += sc.Slots
+				folds += len(sc.FoldTarget)
+			}
+		}
+		t.Emit("inspect.relayout",
+			telemetry.Int("op", id),
+			telemetry.Dur("dur_ns", time.Since(t0)),
+			telemetry.Int("scatter_entries", int64(entries)),
+			telemetry.Int("scatter_redirected", int64(redirected)),
+			telemetry.Int("scatter_slots", int64(slots)),
+			telemetry.Int("scatter_fold_entries", int64(folds)))
+	}
 	return art
 }
 
