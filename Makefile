@@ -11,13 +11,14 @@ build:
 test:
 	$(GO) test ./...
 
-# race also repeats the packed rung's determinism tests: a slot shared between
+# race also repeats the packed rung's determinism tests — a slot shared between
 # two w-partitions, or a fold that depends on who ran what, shows up as a race
-# or as differing bits only when the timing cooperates.
+# or as differing bits only when the timing cooperates — and the concurrent
+# opens over one Matrix, whose memoized forms every operation shares.
 race:
 	$(GO) test -race . ./internal/exec/... ./internal/core/... ./internal/dag/... ./internal/lbc/... ./internal/cache/... ./internal/combos/... ./internal/kernels/... ./internal/relayout/... ./internal/serve/... ./internal/telemetry/...
 	$(GO) test -race -count=5 -run 'TestPackedScatter|TestScatterArmedFromPoolWidth' ./internal/exec/
-	$(GO) test -race -count=5 -run 'TestConcurrentSessionsMatchReference|TestScatterOperationCleanAfterCancelStorm' .
+	$(GO) test -race -count=5 -run 'TestConcurrentSessionsMatchReference|TestScatterOperationCleanAfterCancelStorm|TestConcurrentOpensShareMatrixMemos' .
 
 # fuzz smoke-runs the native Go fuzz targets on the two untrusted-input
 # parsers: the binary schedule loader and the Matrix Market reader. Each

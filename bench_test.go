@@ -323,7 +323,7 @@ func BenchmarkFig10(b *testing.B) {
 // BenchmarkPublicAPI exercises the facade the way a downstream user would:
 // inspect once, run many times.
 func BenchmarkPublicAPI(b *testing.B) {
-	m := &Matrix{csr: benchMatrix(b)}
+	m := newMatrix(benchMatrix(b))
 	op, err := NewOperation(TrsvMv, m, Options{})
 	if err != nil {
 		b.Fatal(err)

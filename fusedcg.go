@@ -58,8 +58,7 @@ type FusedCGOptions struct {
 // Barriers like an Operation.
 type FusedCG struct {
 	execState
-	fp     cache.Key
-	cached bool
+	fp cache.Key
 
 	chain   *combos.Chain
 	n       int
@@ -89,6 +88,7 @@ type FusedCG struct {
 // per fingerprint; chain fingerprints are keyed by the ordered kernel ids and
 // block size, so they never collide with pairwise entries.
 func NewFusedCG(m *Matrix, opts FusedCGOptions) (*FusedCG, error) {
+	t0 := time.Now()
 	a := m.csr
 	n := a.Rows
 	if a.Rows != a.Cols {
@@ -191,59 +191,18 @@ func NewFusedCG(m *Matrix, opts FusedCGOptions) (*FusedCG, error) {
 	inst.Snapshot = func() []float64 { return append([]float64(nil), f.x...) }
 	inst.Output = f.x
 
-	tr := opts.Tracer
-	f.execState = execState{inst: inst, th: opts.threads(), steal: opts.Steal, spin: opts.SpinBudget, watchdog: opts.Watchdog, id: nextStateID.Add(1), tr: tr}
+	f.execState = execState{inst: inst, th: opts.threads(), steal: opts.Steal, spin: opts.SpinBudget, watchdog: opts.Watchdog, id: nextStateID.Add(1), tr: opts.Tracer}
 	f.fp = opts.chainFingerprint(m, chain, block)
-	tr.raw().Emit("inspect.dag_build",
+	// BuildChain has already built every kernel DAG (its Check needs them).
+	f.tr.raw().Emit("inspect.dag_build",
 		telemetry.Int("op", f.id),
 		telemetry.String("combo", inst.Name),
 		telemetry.Int("n", int64(n)),
 		telemetry.Int("nnz", int64(m.NNZ())),
 		telemetry.Int("chain_len", int64(chain.NumKernels())))
-
-	params := core.Params{Threads: f.th, ReuseRatio: inst.Reuse, LBC: opts.lbc()}
-	ico := func() (*core.Schedule, error) {
-		if tr == nil {
-			return core.ICO(inst.Loops, params)
-		}
-		t := time.Now()
-		sched, tm, err := core.ICOTimed(inst.Loops, params)
-		if err != nil {
-			return nil, err
-		}
-		tr.raw().Emit("inspect.ico",
-			telemetry.Int("op", f.id),
-			telemetry.Dur("dur_ns", time.Since(t)),
-			telemetry.Dur("setup_ns", tm.Setup),
-			telemetry.Dur("lbc_ns", tm.Head),
-			telemetry.Dur("pairing_ns", tm.Pairing),
-			telemetry.Dur("merge_ns", tm.Merge),
-			telemetry.Dur("slack_ns", tm.Slack),
-			telemetry.Dur("pack_ns", tm.Pack),
-			telemetry.Int("s_partitions", int64(sched.NumSPartitions())),
-			telemetry.Bool("interleaved", sched.Interleaved))
-		return sched, nil
-	}
-	if opts.Cache == nil {
-		sched, err := ico()
-		if err != nil {
-			return nil, err
-		}
-		f.bindArtifacts(buildArtifacts(inst, sched, tr, f.id), false)
-		return f, nil
-	}
-	entry, err := opts.Cache.c.GetOrBuild(f.fp, cache.Builder{
-		Inspect:  ico,
-		Validate: inst.Loops.Validate,
-		Complete: func(s *core.Schedule) (cache.Artifacts, error) {
-			return buildArtifacts(inst, s, tr, f.id), nil
-		},
-	})
-	if err != nil {
+	if err := f.open(t0, opts.Options, f.fp); err != nil {
 		return nil, err
 	}
-	f.cached = true
-	f.bindArtifacts(entry.Artifacts, true)
 	return f, nil
 }
 
@@ -261,7 +220,7 @@ func (o FusedCGOptions) chainFingerprint(m *Matrix, c *combos.Chain, block int) 
 		agg = d.Agg
 	}
 	ids := append(c.KernelIDs(), fmt.Sprintf("block=%d", block))
-	return cache.Fingerprint(m.csr, cache.Params{
+	return m.fingerprint(cache.Params{
 		Threads:       o.threads(),
 		LBCInitialCut: ic,
 		LBCAgg:        agg,

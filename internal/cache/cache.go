@@ -24,7 +24,7 @@ type Artifacts struct {
 	// Layout is the schedule-order packed re-layout; nil when the chain does
 	// not support packing (LayoutErr says why). Unlike the schedule and
 	// program it bakes in matrix values — consumers must check
-	// Layout.VerifySources against their kernels before sharing it.
+	// Layout.VerifySum against their kernels before sharing it.
 	Layout    *relayout.Layout
 	LayoutErr string
 }

@@ -18,6 +18,7 @@ package combos
 import (
 	"errors"
 	"fmt"
+	"sync"
 	"time"
 
 	"sparsefusion/internal/core"
@@ -29,6 +30,7 @@ import (
 	"sparsefusion/internal/lbc"
 	"sparsefusion/internal/par"
 	"sparsefusion/internal/partition"
+	"sparsefusion/internal/relayout"
 	"sparsefusion/internal/sparse"
 	"sparsefusion/internal/wavefront"
 )
@@ -67,8 +69,12 @@ type Instance struct {
 	ID      ID
 	Name    string
 	Kernels []kernels.Kernel
-	Loops   *core.Loops
-	Reuse   float64
+	// Loops and Reuse are the inspector's input, derived from the kernels:
+	// filled when Build, BuildGS or BuildChain returns, and by the first
+	// Derive call on an instance from Assemble or CloneForSession. Running
+	// the kernels needs neither.
+	Loops *core.Loops
+	Reuse float64
 	// Snapshot copies the observable output (the last kernel's result).
 	Snapshot func() []float64
 	// Input is the combination's input vector (nil for matrix-only
@@ -81,6 +87,41 @@ type Instance struct {
 	// GSX0 is the sweep-chain input of a BuildGS instance (copy Output into
 	// it between executions to iterate the solver); nil otherwise.
 	GSX0 []float64
+
+	// derive fills Loops and Reuse, once, and reports whether anything had to
+	// be built for it; nil when construction already filled them.
+	fusion sync.Once
+	derive func() (built bool)
+	// sourceSum, when set, is relayout.SourceSum of Kernels from checksums
+	// the matrix memoizes (the pure combinations, whose packed sources are
+	// the shared sparse.Forms arrays). It captures the Forms' checksum funcs,
+	// never the Forms: an instance must not keep alive a matrix form its
+	// kernels do not read.
+	sourceSum func() uint64
+}
+
+// Derive fills Loops and Reuse if they are not filled yet — kernel DAGs, F and
+// the reuse ratio, the expensive half of instantiating a combination — and
+// reports whether this call did the work. Safe for concurrent use; every
+// caller returns with the fields set.
+func (in *Instance) Derive() (built bool) {
+	in.fusion.Do(func() {
+		if in.derive != nil {
+			built = in.derive()
+			in.derive = nil
+		}
+	})
+	return built
+}
+
+// SourceSum is relayout.SourceSum over the instance's kernels: the checksum a
+// packed layout of them carries. The pure combinations answer from their
+// matrix's memoized checksums instead of re-hashing the value arrays.
+func (in *Instance) SourceSum() (uint64, bool) {
+	if in.sourceSum != nil {
+		return in.sourceSum(), true
+	}
+	return relayout.SourceSum(in.Kernels, len(in.Kernels))
 }
 
 // FlopCount sums the kernels' floating-point work.
@@ -99,10 +140,29 @@ func Build(id ID, a *sparse.CSR) (*Instance, error) {
 }
 
 // BuildWorkers is Build with intra-build parallelism: the two kernel
-// constructors (which build the iteration DAGs) run concurrently, then the F
-// matrix construction overlaps the reuse-ratio computation. Constructors only
-// read their shared inputs, so the result is identical for any worker count.
+// constructors run concurrently, then the two iteration DAGs, the F matrix
+// and the reuse ratio. Every task only reads its shared inputs, so the result
+// is identical for any worker count.
 func BuildWorkers(id ID, a *sparse.CSR, workers int) (*Instance, error) {
+	in, err := assemble(id, sparse.NewForms(a), workers)
+	if err != nil {
+		return nil, err
+	}
+	in.Derive()
+	return in, nil
+}
+
+// Assemble is the half of Build that running the kernels needs — matrices,
+// vectors, kernels — over the matrix forms src memoizes; the fusion input
+// waits for Derive. An operation opened on a cached schedule stops here. The
+// pure combinations (the CloneForSession set) read src's shared forms; the
+// factorization combinations write matrix values and take private copies.
+func Assemble(id ID, src *sparse.Forms) (*Instance, error) {
+	return assemble(id, src, 1)
+}
+
+func assemble(id ID, src *sparse.Forms, workers int) (*Instance, error) {
+	a := src.A
 	if a.Rows != a.Cols {
 		return nil, fmt.Errorf("combos: matrix must be square, got %dx%d", a.Rows, a.Cols)
 	}
@@ -122,11 +182,13 @@ func BuildWorkers(id ID, a *sparse.CSR, workers int) (*Instance, error) {
 	)
 	switch id {
 	case TrsvTrsv:
-		l := a.Lower()
+		l := src.Lower()
 		y, x, z := vec(1), make([]float64, n), make([]float64, n)
 		build1 = func() kernels.Kernel { return kernels.NewSpTRSVCSR(l, y, x) }
 		build2 = func() kernels.Kernel { return kernels.NewSpTRSVCSR(l, x, z) }
 		buildF = func() *sparse.CSR { return core.FDiagonal(n) }
+		lsum := src.LowerSum
+		in.sourceSum = func() uint64 { return sparse.FoldSums(lsum(), lsum()) }
 		in.Snapshot = snap(z)
 		in.Input, in.Output = y, z
 		in.mklSeq = []bool{false, false}
@@ -153,12 +215,14 @@ func BuildWorkers(id ID, a *sparse.CSR, workers int) (*Instance, error) {
 		in.Output = work.X
 		in.mklSeq = []bool{false, true}
 	case TrsvMv:
-		l := a.Lower()
-		ac := a.ToCSC()
+		l := src.Lower()
+		ac := src.CSC()
 		x, y, z := vec(1), make([]float64, n), make([]float64, n)
 		build1 = func() kernels.Kernel { return kernels.NewSpTRSVCSR(l, x, y) }
 		build2 = func() kernels.Kernel { return kernels.NewSpMVCSC(ac, y, z) }
 		buildF = func() *sparse.CSR { return core.FTrsvToMVCSC(ac) }
+		lsum, csum := src.LowerSum, src.CSCSum
+		in.sourceSum = func() uint64 { return sparse.FoldSums(lsum(), csum()) }
 		in.Snapshot = snap(z)
 		in.Input, in.Output = x, z
 		in.mklSeq = []bool{false, false}
@@ -204,6 +268,8 @@ func BuildWorkers(id ID, a *sparse.CSR, workers int) (*Instance, error) {
 		build1 = func() kernels.Kernel { return kernels.NewSpMVCSR(a, x, y) }
 		build2 = func() kernels.Kernel { return kernels.NewSpMVCSR(a, y, z) }
 		buildF = func() *sparse.CSR { return core.FPattern(a) }
+		sum := src.Sum
+		in.sourceSum = func() uint64 { return sparse.FoldSums(sum(), sum()) }
 		in.Snapshot = snap(z)
 		in.Input, in.Output = x, z
 		in.mklSeq = []bool{false, false}
@@ -219,14 +285,20 @@ func BuildWorkers(id ID, a *sparse.CSR, workers int) (*Instance, error) {
 		return nil, buildErr
 	}
 	in.Kernels = []kernels.Kernel{k1, k2}
-	var f *sparse.CSR
-	par.Do(workers,
-		func() { f = buildF() },
-		func() { in.Reuse = core.ReuseRatioChain(in.Kernels) },
-	)
-	in.Loops = &core.Loops{G: []*dag.Graph{k1.DAG(), k2.DAG()}, F: []*sparse.CSR{f}}
 	if finish != nil {
 		finish(k1, k2)
+	}
+	in.derive = func() bool {
+		var g1, g2 *dag.Graph
+		var f *sparse.CSR
+		par.Do(workers,
+			func() { g1 = k1.DAG() },
+			func() { g2 = k2.DAG() },
+			func() { f = buildF() },
+			func() { in.Reuse = core.ReuseRatioChain(in.Kernels) },
+		)
+		in.Loops = &core.Loops{G: []*dag.Graph{g1, g2}, F: []*sparse.CSR{f}}
+		return true
 	}
 	return in, nil
 }
@@ -304,7 +376,8 @@ var ErrNotCloneable = errors.New("combos: combination writes matrix values and c
 
 // CloneForSession returns a copy of the instance with fresh input, output,
 // and intermediate vectors but the same matrices, iteration DAGs, and fusion
-// input (Loops). The clone is what a serving client solves on: the expensive
+// input (Loops, which the clone's Derive takes from this instance's). The
+// clone is what a serving client solves on: the expensive
 // immutable inspection state is shared, the per-run storage is private, so
 // any number of clones may execute the same cached schedule concurrently.
 // Only the pure combinations — TRSV-TRSV, TRSV-MV, MV-MV, whose kernels never
@@ -313,7 +386,12 @@ var ErrNotCloneable = errors.New("combos: combination writes matrix values and c
 // The clone's Input starts as a copy of the base instance's input, so an
 // unmodified clone computes the base result (the bit-identity oracle).
 func (in *Instance) CloneForSession() (*Instance, error) {
-	c := &Instance{ID: in.ID, Name: in.Name, Loops: in.Loops, Reuse: in.Reuse, mklSeq: in.mklSeq}
+	c := &Instance{ID: in.ID, Name: in.Name, mklSeq: in.mklSeq, sourceSum: in.sourceSum}
+	c.derive = func() bool {
+		built := in.Derive()
+		c.Loops, c.Reuse = in.Loops, in.Reuse
+		return built
+	}
 	n := len(in.Output)
 	mid := make([]float64, n)
 	out := make([]float64, n)

@@ -5,7 +5,9 @@ import (
 	"testing"
 
 	"sparsefusion/internal/core"
+	"sparsefusion/internal/kernels"
 	"sparsefusion/internal/lbc"
+	"sparsefusion/internal/relayout"
 	"sparsefusion/internal/sparse"
 )
 
@@ -268,5 +270,77 @@ func TestBuildWorkersDeterministic(t *testing.T) {
 	}
 	if !bytes.Equal(gs.Bytes(), ws.Bytes()) {
 		t.Fatal("GS: schedule from parallel build differs")
+	}
+}
+
+// TestAssembleThenDerive: Assemble leaves the fusion input unbuilt, the first
+// Derive builds exactly what Build returns, a session clone derives through
+// the instance it was cloned from, and two instances over one Forms share the
+// matrix forms for the pure combinations only — the factorization
+// combinations write matrix values and keep private copies.
+func TestAssembleThenDerive(t *testing.T) {
+	a := sparse.Must(sparse.RandomSPD(300, 5, 19))
+	src := sparse.NewForms(a)
+	for _, id := range append(append([]ID(nil), All...), MvMv) {
+		want, err := Build(id, a)
+		if err != nil {
+			t.Fatal(err)
+		}
+		in, err := Assemble(id, src)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if in.Loops != nil {
+			t.Fatalf("%s: Assemble built the fusion input", in.Name)
+		}
+		clone, cerr := in.CloneForSession()
+		if cerr == nil {
+			// The clone first: it must pull the derivation through in.
+			if !clone.Derive() || clone.Loops == nil || clone.Loops != in.Loops || clone.Reuse != in.Reuse {
+				t.Fatalf("%s: clone did not derive through its instance", in.Name)
+			}
+			if in.Derive() {
+				t.Fatalf("%s: derived twice", in.Name)
+			}
+		} else if !in.Derive() || in.Derive() {
+			t.Fatalf("%s: Derive must build exactly once", in.Name)
+		}
+		if in.Reuse != want.Reuse {
+			t.Fatalf("%s: reuse %v, Build's %v", in.Name, in.Reuse, want.Reuse)
+		}
+		gs, err := core.ICO(in.Loops, core.Params{Threads: threads, ReuseRatio: in.Reuse})
+		if err != nil {
+			t.Fatal(err)
+		}
+		ws, err := core.ICO(want.Loops, core.Params{Threads: threads, ReuseRatio: want.Reuse})
+		if err != nil {
+			t.Fatal(err)
+		}
+		if !bytes.Equal(gs.Bytes(), ws.Bytes()) {
+			t.Fatalf("%s: schedule from Assemble+Derive differs from Build's", in.Name)
+		}
+
+		// The memoized checksum is the one a layout of these kernels carries.
+		sum, ok := in.SourceSum()
+		wantSum, wantOK := relayout.SourceSum(in.Kernels, len(in.Kernels))
+		if ok != wantOK || (ok && sum != wantSum) {
+			t.Fatalf("%s: SourceSum %#x/%v, relayout's %#x/%v", in.Name, sum, ok, wantSum, wantOK)
+		}
+
+		other, err := Assemble(id, src)
+		if err != nil {
+			t.Fatal(err)
+		}
+		shared := true
+		for l := range in.Kernels {
+			p, isPacker := in.Kernels[l].(kernels.StreamPacker)
+			q, _ := other.Kernels[l].(kernels.StreamPacker)
+			if !isPacker || &p.PackedSource()[0] != &q.PackedSource()[0] {
+				shared = false
+			}
+		}
+		if pure := cerr == nil; shared != pure {
+			t.Fatalf("%s: two instances share their matrix values = %v, want %v", in.Name, shared, pure)
+		}
 	}
 }

@@ -92,11 +92,14 @@ const (
 	treeBarrierThreshold = 16
 
 	// defaultSpinBudget is how many times a waiter polls the round word
-	// before escalating to yield and then park. ~30k polls is tens of
-	// microseconds on current cores: longer than an uncontended barrier
-	// round-trip, far shorter than a scheduler wakeup. Override with
-	// SPARSEFUSION_SPIN_BUDGET (or ExecConfig) on oversubscribed machines,
-	// where any spinning just steals cycles from the producer.
+	// before escalating to yield and then park. 30k polls measured ≈ 10–15 µs
+	// on the 2-vCPU reference box (ROADMAP items 1–2, finding ii): longer
+	// than an uncontended barrier round-trip, shorter than a scheduler
+	// wakeup — and shorter than the gap between two short rounds, so a
+	// worker is often already yielding when the next one is published.
+	// Override with SPARSEFUSION_SPIN_BUDGET (or ExecConfig) on
+	// oversubscribed machines, where any spinning just steals cycles from the
+	// producer.
 	defaultSpinBudget = 30_000
 )
 

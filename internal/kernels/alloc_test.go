@@ -15,7 +15,9 @@ import (
 // allocated O(n). Bounds are deliberately loose (about 2x the current counts)
 // so only a regression back to per-element allocation trips them. Note the
 // weight slices themselves are retained by the DAG (dag.Parallel keeps w),
-// so they rightly count as one allocation, not workspace.
+// so they rightly count as one allocation, not workspace. The DAG is built on
+// first demand, so every case asks for it: construction plus DAG() is what an
+// inspection pays.
 func TestConstructorAllocsBounded(t *testing.T) {
 	const n = 2000
 	a := sparse.Must(sparse.RandomSPD(n, 8, 5))
@@ -34,17 +36,17 @@ func TestConstructorAllocsBounded(t *testing.T) {
 		bound float64
 		f     func()
 	}{
-		{"NewSpMVCSR", 8, func() { NewSpMVCSR(a, x, y) }},
-		{"NewSpMVCSC", 8, func() { NewSpMVCSC(ac, x, y) }},
-		{"NewSpMVPlusCSR", 8, func() { NewSpMVPlusCSR(a, x, b, y) }},
-		{"NewDScalCSR", 10, func() { NewDScalCSR(a, d, work) }},
-		{"NewDScalCSC", 10, func() { NewDScalCSC(ac, d, workC) }},
-		{"NewSpTRSVCSR", 12, func() { NewSpTRSVCSR(l, b, x) }},
-		{"NewSpTRSVCSC", 10, func() { NewSpTRSVCSC(lc, b, x) }},
-		{"NewSpTRSVTransCSC", 12, func() { NewSpTRSVTransCSC(lc, b, x) }},
-		{"NewSpTRSVUnitLowerCSR", 12, func() { NewSpTRSVUnitLowerCSR(l, b, x) }},
-		{"NewSpIC0CSC", 20, func() { NewSpIC0CSC(lc) }},
-		{"NewSpILU0CSR", 16, func() { NewSpILU0CSR(a) }},
+		{"NewSpMVCSR", 8, func() { NewSpMVCSR(a, x, y).DAG() }},
+		{"NewSpMVCSC", 8, func() { NewSpMVCSC(ac, x, y).DAG() }},
+		{"NewSpMVPlusCSR", 8, func() { NewSpMVPlusCSR(a, x, b, y).DAG() }},
+		{"NewDScalCSR", 10, func() { NewDScalCSR(a, d, work).DAG() }},
+		{"NewDScalCSC", 10, func() { NewDScalCSC(ac, d, workC).DAG() }},
+		{"NewSpTRSVCSR", 12, func() { NewSpTRSVCSR(l, b, x).DAG() }},
+		{"NewSpTRSVCSC", 10, func() { NewSpTRSVCSC(lc, b, x).DAG() }},
+		{"NewSpTRSVTransCSC", 12, func() { NewSpTRSVTransCSC(lc, b, x).DAG() }},
+		{"NewSpTRSVUnitLowerCSR", 12, func() { NewSpTRSVUnitLowerCSR(l, b, x).DAG() }},
+		{"NewSpIC0CSC", 20, func() { NewSpIC0CSC(lc).DAG() }},
+		{"NewSpILU0CSR", 16, func() { k, _ := NewSpILU0CSR(a); k.DAG() }},
 	}
 	for _, tc := range cases {
 		tc.f() // warm the scratch pool so steady-state is measured
@@ -66,12 +68,12 @@ func benchConstructor(b *testing.B, f func()) {
 func BenchmarkNewSpIC0CSC(b *testing.B) {
 	a := sparse.Must(sparse.RandomSPD(20000, 8, 5))
 	lc := a.Lower().ToCSC()
-	benchConstructor(b, func() { NewSpIC0CSC(lc) })
+	benchConstructor(b, func() { NewSpIC0CSC(lc).DAG() })
 }
 
 func BenchmarkNewSpILU0CSR(b *testing.B) {
 	a := sparse.Must(sparse.RandomSPD(20000, 8, 5))
-	benchConstructor(b, func() { NewSpILU0CSR(a) })
+	benchConstructor(b, func() { k, _ := NewSpILU0CSR(a); k.DAG() })
 }
 
 func BenchmarkNewSpTRSVCSC(b *testing.B) {
@@ -79,5 +81,5 @@ func BenchmarkNewSpTRSVCSC(b *testing.B) {
 	lc := a.Lower().ToCSC()
 	b1 := sparse.RandomVec(20000, 6)
 	x := make([]float64, 20000)
-	benchConstructor(b, func() { NewSpTRSVCSC(lc, b1, x) })
+	benchConstructor(b, func() { NewSpTRSVCSC(lc, b1, x).DAG() })
 }

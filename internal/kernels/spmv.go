@@ -13,12 +13,12 @@ type SpMVCSR struct {
 	X []float64
 	Y []float64
 
-	g *dag.Graph
+	g *lazyDAG
 }
 
 // NewSpMVCSR builds the kernel. X and Y must have length A.Cols and A.Rows.
 func NewSpMVCSR(a *sparse.CSR, x, y []float64) *SpMVCSR {
-	return &SpMVCSR{A: a, X: x, Y: y, g: dag.ParallelCSR(a.P, 0)}
+	return &SpMVCSR{A: a, X: x, Y: y, g: newLazyDAG(func() *dag.Graph { return dag.ParallelCSR(a.P, 0) })}
 }
 
 // WithVectors returns a copy of the kernel bound to fresh x/y vectors,
@@ -31,7 +31,7 @@ func (k *SpMVCSR) WithVectors(x, y []float64) *SpMVCSR {
 
 func (k *SpMVCSR) Name() string    { return "SpMV-CSR" }
 func (k *SpMVCSR) Iterations() int { return k.A.Rows }
-func (k *SpMVCSR) DAG() *dag.Graph { return k.g }
+func (k *SpMVCSR) DAG() *dag.Graph { return k.g.get() }
 
 // Prepare zeroes Y.
 func (k *SpMVCSR) Prepare() {
@@ -71,12 +71,12 @@ type SpMVCSC struct {
 	// spill is the runner-owned slot scratch of the packed body (BindSpill).
 	spill []float64
 
-	g *dag.Graph
+	g *lazyDAG
 }
 
 // NewSpMVCSC builds the kernel. X and Y must have length A.Cols and A.Rows.
 func NewSpMVCSC(a *sparse.CSC, x, y []float64) *SpMVCSC {
-	return &SpMVCSC{A: a, X: x, Y: y, g: dag.ParallelCSR(a.P, 0)}
+	return &SpMVCSC{A: a, X: x, Y: y, g: newLazyDAG(func() *dag.Graph { return dag.ParallelCSR(a.P, 0) })}
 }
 
 // WithVectors returns a copy of the kernel bound to fresh x/y vectors,
@@ -92,7 +92,7 @@ func (k *SpMVCSC) WithVectors(x, y []float64) *SpMVCSC {
 
 func (k *SpMVCSC) Name() string    { return "SpMV-CSC" }
 func (k *SpMVCSC) Iterations() int { return k.A.Cols }
-func (k *SpMVCSC) DAG() *dag.Graph { return k.g }
+func (k *SpMVCSC) DAG() *dag.Graph { return k.g.get() }
 
 // Prepare zeroes Y.
 func (k *SpMVCSC) Prepare() {
@@ -130,12 +130,12 @@ type SpMVPlusCSR struct {
 	B []float64
 	Y []float64
 
-	g *dag.Graph
+	g *lazyDAG
 }
 
 // NewSpMVPlusCSR builds the kernel; all vectors have length A.Rows (= Cols).
 func NewSpMVPlusCSR(a *sparse.CSR, x, b, y []float64) *SpMVPlusCSR {
-	return &SpMVPlusCSR{A: a, X: x, B: b, Y: y, g: dag.ParallelCSR(a.P, 1)}
+	return &SpMVPlusCSR{A: a, X: x, B: b, Y: y, g: newLazyDAG(func() *dag.Graph { return dag.ParallelCSR(a.P, 1) })}
 }
 
 // WithVectors returns a copy of the kernel bound to fresh x/b/y vectors,
@@ -148,7 +148,7 @@ func (k *SpMVPlusCSR) WithVectors(x, b, y []float64) *SpMVPlusCSR {
 
 func (k *SpMVPlusCSR) Name() string    { return "SpMV+b-CSR" }
 func (k *SpMVPlusCSR) Iterations() int { return k.A.Rows }
-func (k *SpMVPlusCSR) DAG() *dag.Graph { return k.g }
+func (k *SpMVPlusCSR) DAG() *dag.Graph { return k.g.get() }
 func (k *SpMVPlusCSR) Prepare()        {}
 
 // Run computes Y[i] = B[i] + sum_j A[i][j]*X[j].

@@ -18,13 +18,18 @@ type SpTRSVTransCSC struct {
 	B []float64
 	X []float64
 
-	g *dag.Graph
+	g *lazyDAG
 }
 
 // NewSpTRSVTransCSC builds the kernel. L must be lower triangular with the
 // diagonal first in every column; B and X have length L.Cols and must not
 // alias.
 func NewSpTRSVTransCSC(l *sparse.CSC, b, x []float64) *SpTRSVTransCSC {
+	return &SpTRSVTransCSC{L: l, B: b, X: x, g: newLazyDAG(func() *dag.Graph { return transSolveDAG(l) })}
+}
+
+// transSolveDAG builds the iteration DAG of SpTRSVTransCSC over l.
+func transSolveDAG(l *sparse.CSC) *dag.Graph {
 	n := l.Cols
 	// Column j depends on every column i > j with L[i][j] != 0 (the solve
 	// reads X[i]); in iteration space: edge (n-1-i) -> (n-1-j). Counting
@@ -58,12 +63,12 @@ func NewSpTRSVTransCSC(l *sparse.CSC, b, x []float64) *SpTRSVTransCSC {
 			}
 		}
 	}
-	return &SpTRSVTransCSC{L: l, B: b, X: x, g: g}
+	return g
 }
 
 func (k *SpTRSVTransCSC) Name() string    { return "SpTRSV-trans-CSC" }
 func (k *SpTRSVTransCSC) Iterations() int { return k.L.Cols }
-func (k *SpTRSVTransCSC) DAG() *dag.Graph { return k.g }
+func (k *SpTRSVTransCSC) DAG() *dag.Graph { return k.g.get() }
 func (k *SpTRSVTransCSC) Prepare()        {}
 
 // Run processes iteration it (column j = n-1-it):

@@ -26,6 +26,7 @@ import (
 
 	"sparsefusion/internal/core"
 	"sparsefusion/internal/kernels"
+	"sparsefusion/internal/sparse"
 )
 
 // Layout is the schedule-order re-layout of a compiled program's operand
@@ -48,7 +49,7 @@ type Layout struct {
 	// Sum is the checksum of the source value arrays the streams were packed
 	// from (SourceSum at build time). A layout shared across operations —
 	// the schedule-cache path — bakes in matrix values, not just structure,
-	// so consumers call VerifySources before attaching a layout they did not
+	// so consumers call VerifySum before attaching a layout they did not
 	// build themselves.
 	Sum uint64
 
@@ -273,48 +274,38 @@ func validateChain(prog *core.Program, ks []kernels.Kernel) ([]kernels.StreamPac
 	return packers, nil
 }
 
-// SourceSum hashes (FNV-1a) the packed-source value arrays of the chain's
-// first nLoops kernels, in loop order. It returns ok=false when a kernel does
-// not support the packed layout — such chains never build a layout, so there
-// is nothing to compare.
+// SourceSum checksums the packed-source value arrays of the chain's first
+// nLoops kernels: sparse.ValueSum of each, folded in loop order
+// (sparse.FoldSums — a caller that already holds the arrays' checksums, like
+// a matrix serving many operations, folds them itself and hashes nothing). It
+// returns ok=false when a kernel does not support the packed layout — such
+// chains never build a layout, so there is nothing to compare.
 func SourceSum(ks []kernels.Kernel, nLoops int) (sum uint64, ok bool) {
 	if len(ks) < nLoops {
 		return 0, false
 	}
-	const (
-		offset64 = 14695981039346656037
-		prime64  = 1099511628211
-	)
-	h := uint64(offset64)
-	for l := 0; l < nLoops; l++ {
+	sums := make([]uint64, nLoops)
+	for l := range sums {
 		p, isPacker := ks[l].(kernels.StreamPacker)
 		if !isPacker {
 			return 0, false
 		}
-		src := p.PackedSource()
-		h = (h ^ uint64(len(src))) * prime64
-		for _, v := range src {
-			h = (h ^ math.Float64bits(v)) * prime64
-		}
+		sums[l] = sparse.ValueSum(p.PackedSource())
 	}
-	return h, true
+	return sparse.FoldSums(sums...), true
 }
 
-// VerifySources is the staleness check for sharing a cached layout: it
-// reports an error when the kernels' current source values no longer match
-// the values this layout packed. The schedule and compiled program depend
-// only on the sparsity structure, so they are shared by fingerprint alone —
-// but the packed streams copied values, and serving them to an operation
-// whose matrix holds different values would silently compute with stale data.
-// Callers that fail this check rebuild a private layout against the shared
-// program instead.
-func (l *Layout) VerifySources(ks []kernels.Kernel) error {
-	sum, ok := SourceSum(ks, l.prog.NumLoops)
-	if !ok {
-		return fmt.Errorf("relayout: chain does not support the packed layout")
-	}
+// VerifySum is the staleness check for sharing a cached layout: it reports an
+// error when sum — SourceSum of the kernels about to run on the layout — is
+// not the sum of the values the layout packed. The schedule and compiled
+// program depend only on the sparsity structure, so they are shared by
+// fingerprint alone — but the packed streams copied values, and serving them
+// to an operation whose matrix holds different values would silently compute
+// with stale data. Callers that fail this check rebuild a private layout
+// against the shared program instead.
+func (l *Layout) VerifySum(sum uint64) error {
 	if sum != l.Sum {
-		return fmt.Errorf("relayout: source values changed since the layout was packed (sum %#x, layout %#x)", sum, l.Sum)
+		return fmt.Errorf("relayout: source values differ from the ones the layout packed (sum %#x, layout %#x)", sum, l.Sum)
 	}
 	return nil
 }

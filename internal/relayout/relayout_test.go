@@ -278,3 +278,30 @@ func TestBuildRejectsMissingSegIter(t *testing.T) {
 		t.Fatal("Build accepted a program without SegIter metadata")
 	}
 }
+
+// TestVerifySumTracksSourceValues: a layout carries the fold of its kernels'
+// per-array value checksums — so a caller holding those checksums already
+// (sparse.FoldSums) and one hashing the arrays (SourceSum) agree — and VerifySum
+// rejects the same pattern holding different numbers.
+func TestVerifySumTracksSourceValues(t *testing.T) {
+	prog, ks, l := buildGSProgram(t, 120)
+	a := ks[1].(*kernels.SpMVPlusCSR).A
+	lay, err := Build(prog, ks)
+	if err != nil {
+		t.Fatal(err)
+	}
+	sum, ok := SourceSum(ks, prog.NumLoops)
+	if !ok || sum != lay.Sum {
+		t.Fatalf("SourceSum %#x/%v, layout carries %#x", sum, ok, lay.Sum)
+	}
+	if folded := sparse.FoldSums(sparse.ValueSum(l.X), sparse.ValueSum(a.X)); folded != lay.Sum {
+		t.Fatalf("FoldSums of the arrays' ValueSum %#x, layout carries %#x", folded, lay.Sum)
+	}
+	if err := lay.VerifySum(sum); err != nil {
+		t.Fatalf("unchanged sources rejected: %v", err)
+	}
+	a.X[3] *= 2
+	if changed, _ := SourceSum(ks, prog.NumLoops); lay.VerifySum(changed) == nil {
+		t.Fatal("changed source values accepted")
+	}
+}

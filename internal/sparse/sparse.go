@@ -191,52 +191,68 @@ func (a *CSC) Clone() *CSC {
 
 // Lower returns the lower-triangular part of a (including the diagonal) in
 // CSR form. Missing diagonal entries are inserted with value 1 so the result
-// is always a valid triangular-solve operand.
+// is always a valid triangular-solve operand. Rows are counted first and I/X
+// allocated once at their final length: the result lives as long as whatever
+// is built on it, so append slack would be live heap.
 func (a *CSR) Lower() *CSR {
 	l := &CSR{Rows: a.Rows, Cols: a.Cols, P: make([]int, a.Rows+1)}
 	for r := 0; r < a.Rows; r++ {
-		hasDiag := false
-		for k := a.P[r]; k < a.P[r+1] && a.I[k] <= r; k++ {
-			l.I = append(l.I, a.I[k])
-			l.X = append(l.X, a.X[k])
-			if a.I[k] == r {
-				hasDiag = true
-			}
+		k := a.P[r]
+		for k < a.P[r+1] && a.I[k] <= r {
+			k++
 		}
-		if !hasDiag {
-			l.I = append(l.I, r)
-			l.X = append(l.X, 1)
+		n := k - a.P[r]
+		if n == 0 || a.I[k-1] != r {
+			n++ // the inserted diagonal
 		}
-		l.P[r+1] = len(l.I)
+		l.P[r+1] = l.P[r] + n
+	}
+	l.I = make([]int, l.P[a.Rows])
+	l.X = make([]float64, l.P[a.Rows])
+	for r := 0; r < a.Rows; r++ {
+		dst, end, src := l.P[r], l.P[r+1], a.P[r]
+		// With a stored diagonal the row is a's first end-dst entries and the
+		// last of them is the diagonal; otherwise that slot takes the insert.
+		if d := src + end - dst - 1; d >= a.P[r+1] || a.I[d] != r {
+			end--
+			l.I[end], l.X[end] = r, 1
+		}
+		copy(l.I[dst:end], a.I[src:])
+		copy(l.X[dst:end], a.X[src:])
 	}
 	return l
 }
 
 // Upper returns the upper-triangular part of a (including the diagonal) in
-// CSR form, inserting unit diagonal entries when absent.
+// CSR form, inserting unit diagonal entries when absent. Counted first and
+// allocated once, like Lower.
 func (a *CSR) Upper() *CSR {
 	u := &CSR{Rows: a.Rows, Cols: a.Cols, P: make([]int, a.Rows+1)}
 	for r := 0; r < a.Rows; r++ {
-		hasDiag := false
-		start := a.P[r+1]
-		for k := a.P[r]; k < a.P[r+1]; k++ {
-			if a.I[k] >= r {
-				start = k
-				break
-			}
+		k := a.P[r]
+		for k < a.P[r+1] && a.I[k] < r {
+			k++
 		}
-		if start < a.P[r+1] && a.I[start] == r {
-			hasDiag = true
+		n := a.P[r+1] - k
+		if n == 0 || a.I[k] != r {
+			n++ // the inserted diagonal
 		}
-		if !hasDiag {
-			u.I = append(u.I, r)
-			u.X = append(u.X, 1)
+		u.P[r+1] = u.P[r] + n
+	}
+	u.I = make([]int, u.P[a.Rows])
+	u.X = make([]float64, u.P[a.Rows])
+	for r := 0; r < a.Rows; r++ {
+		dst, end := u.P[r], u.P[r+1]
+		// With a stored diagonal the row is a's last end-dst entries and the
+		// first of them is the diagonal; otherwise that slot takes the insert.
+		src := a.P[r+1] - (end - dst)
+		if src < a.P[r] || a.I[src] != r {
+			u.I[dst], u.X[dst] = r, 1
+			dst++
+			src++
 		}
-		for k := start; k < a.P[r+1]; k++ {
-			u.I = append(u.I, a.I[k])
-			u.X = append(u.X, a.X[k])
-		}
-		u.P[r+1] = len(u.I)
+		copy(u.I[dst:end], a.I[src:])
+		copy(u.X[dst:end], a.X[src:])
 	}
 	return u
 }

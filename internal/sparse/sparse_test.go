@@ -3,6 +3,7 @@ package sparse
 import (
 	"bytes"
 	"math/rand"
+	"reflect"
 	"slices"
 	"testing"
 	"testing/quick"
@@ -490,5 +491,127 @@ func TestCloneIndependent(t *testing.T) {
 	d.X[0] = 98
 	if c.X[0] == 98 {
 		t.Fatal("csc clone shares value storage")
+	}
+}
+
+// lowerAppend and upperAppend are the per-entry append constructions Lower
+// and Upper replaced, kept as the entry-for-entry reference.
+func lowerAppend(a *CSR) *CSR {
+	l := &CSR{Rows: a.Rows, Cols: a.Cols, P: make([]int, a.Rows+1)}
+	for r := 0; r < a.Rows; r++ {
+		hasDiag := false
+		for k := a.P[r]; k < a.P[r+1] && a.I[k] <= r; k++ {
+			l.I = append(l.I, a.I[k])
+			l.X = append(l.X, a.X[k])
+			hasDiag = hasDiag || a.I[k] == r
+		}
+		if !hasDiag {
+			l.I = append(l.I, r)
+			l.X = append(l.X, 1)
+		}
+		l.P[r+1] = len(l.I)
+	}
+	return l
+}
+
+func upperAppend(a *CSR) *CSR {
+	u := &CSR{Rows: a.Rows, Cols: a.Cols, P: make([]int, a.Rows+1)}
+	for r := 0; r < a.Rows; r++ {
+		start := a.P[r]
+		for start < a.P[r+1] && a.I[start] < r {
+			start++
+		}
+		if start == a.P[r+1] || a.I[start] != r {
+			u.I = append(u.I, r)
+			u.X = append(u.X, 1)
+		}
+		u.I = append(u.I, a.I[start:a.P[r+1]]...)
+		u.X = append(u.X, a.X[start:a.P[r+1]]...)
+		u.P[r+1] = len(u.I)
+	}
+	return u
+}
+
+// holeyPattern is a random square pattern in which some rows have no diagonal,
+// some nothing left or right of it, and some no entries at all.
+func holeyPattern(t *testing.T, n int, seed int64) *CSR {
+	t.Helper()
+	rng := rand.New(rand.NewSource(seed))
+	var ts []Triplet
+	for r := 0; r < n; r++ {
+		if rng.Intn(8) == 0 {
+			continue
+		}
+		if rng.Intn(3) != 0 {
+			ts = append(ts, Triplet{r, r, 2 + rng.Float64()})
+		}
+		for k := rng.Intn(5); k > 0; k-- {
+			ts = append(ts, Triplet{r, rng.Intn(n), rng.NormFloat64()})
+		}
+	}
+	a, err := FromTriplets(n, n, ts)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return a
+}
+
+// TestLowerUpperCountThenFill: the triangles are allocated once at their
+// final length — no append slack kept alive, a handful of allocations however
+// large the matrix — and equal the old per-entry construction entry for entry,
+// inserted diagonals included.
+func TestLowerUpperCountThenFill(t *testing.T) {
+	for seed := int64(0); seed < 20; seed++ {
+		a := holeyPattern(t, 40+int(seed)*13, seed)
+		for _, tc := range []struct {
+			name      string
+			got, want *CSR
+		}{
+			{"Lower", a.Lower(), lowerAppend(a)},
+			{"Upper", a.Upper(), upperAppend(a)},
+		} {
+			if !reflect.DeepEqual(tc.got.P, tc.want.P) || !reflect.DeepEqual(tc.got.I, tc.want.I) || !reflect.DeepEqual(tc.got.X, tc.want.X) {
+				t.Fatalf("seed %d: %s differs from the append construction", seed, tc.name)
+			}
+			if cap(tc.got.I) != len(tc.got.I) || cap(tc.got.X) != len(tc.got.X) {
+				t.Fatalf("seed %d: %s keeps slack: I %d/%d, X %d/%d", seed, tc.name,
+					len(tc.got.I), cap(tc.got.I), len(tc.got.X), cap(tc.got.X))
+			}
+			if err := tc.got.Validate(); err != nil {
+				t.Fatalf("seed %d: %s: %v", seed, tc.name, err)
+			}
+		}
+	}
+	a := holeyPattern(t, 3000, 99)
+	if n := testing.AllocsPerRun(5, func() { a.Lower() }); n > 4 {
+		t.Errorf("Lower: %.0f allocations, want <= 4 (struct, P, I, X)", n)
+	}
+	if n := testing.AllocsPerRun(5, func() { a.Upper() }); n > 4 {
+		t.Errorf("Upper: %.0f allocations, want <= 4 (struct, P, I, X)", n)
+	}
+}
+
+// TestFormsDeriveOnceOnFirstUse: nothing is derived before it is asked for
+// (values edited until then are the values every form sees), and every later
+// call returns the same arrays and sums.
+func TestFormsDeriveOnceOnFirstUse(t *testing.T) {
+	a := Must(RandomSPD(200, 4, 3))
+	f := NewForms(a)
+	a.X[a.P[7]] = -42 // before first use: still allowed
+	l, c := f.Lower(), f.CSC()
+	if l.X[l.P[7]] != -42 {
+		t.Fatal("Lower was derived before its first use")
+	}
+	if !reflect.DeepEqual(l, a.Lower()) || !reflect.DeepEqual(c, a.ToCSC()) {
+		t.Fatal("memoized forms differ from Lower()/ToCSC()")
+	}
+	if f.Lower() != l || f.CSC() != c {
+		t.Fatal("forms derived twice")
+	}
+	if f.Sum() != ValueSum(a.X) || f.LowerSum() != ValueSum(l.X) || f.CSCSum() != ValueSum(c.X) {
+		t.Fatal("memoized checksums differ from ValueSum of the forms")
+	}
+	if ValueSum(a.X) == ValueSum(a.X[:len(a.X)-1]) || ValueSum(nil) == ValueSum([]float64{0}) {
+		t.Fatal("ValueSum ignores length")
 	}
 }

@@ -123,7 +123,7 @@ func TestTracerSeesCacheTransitions(t *testing.T) {
 	tr := NewTracer(&buf)
 	sc := NewScheduleCache(CacheConfig{Tracer: tr})
 	m := RandomSPD(300, 4, 22)
-	opts := Options{Threads: 4, Cache: sc}
+	opts := Options{Threads: 4, Cache: sc, Tracer: tr}
 	if _, err := NewOperation(TrsvTrsv, m, opts); err != nil {
 		t.Fatal(err)
 	}
@@ -134,15 +134,44 @@ func TestTracerSeesCacheTransitions(t *testing.T) {
 	if !hasEvent(names, "cache.miss") || !hasEvent(names, "cache.hit") {
 		t.Fatalf("want cache.miss then cache.hit, got %v", names)
 	}
+	// Every open says what it paid: the miss ends in op.open{cache=miss} after
+	// its inspection events, the hit in op.open{cache=hit} — same fingerprint —
+	// with no DAG build and no ICO in between.
+	var opens []map[string]any
+	inspected := 0 // inspect.dag_build / inspect.ico events since the last op.open
 	for _, l := range lines {
-		if l["ev"] == "cache.miss" {
+		switch l["ev"] {
+		case "cache.miss":
 			if fp, _ := l["fp"].(string); len(fp) != 12 {
 				t.Fatalf("cache.miss fingerprint prefix %q, want 12 hex chars", fp)
 			}
 			if d, _ := l["dur_ns"].(float64); d <= 0 {
 				t.Fatalf("cache.miss without build duration: %v", l)
 			}
+		case "inspect.dag_build", "inspect.ico":
+			inspected++
+		case "op.open":
+			if d, _ := l["dur_ns"].(float64); d <= 0 {
+				t.Fatalf("op.open without a duration: %v", l)
+			}
+			if want := map[string]int{"miss": 2, "hit": 0}[l["cache"].(string)]; inspected != want {
+				t.Fatalf("%d dag_build/ico events before %v, want %d", inspected, l, want)
+			}
+			opens, inspected = append(opens, l), 0
 		}
+	}
+	if len(opens) != 2 || opens[0]["cache"] != "miss" || opens[1]["cache"] != "hit" {
+		t.Fatalf("want op.open{cache=miss} then op.open{cache=hit}, got %v", opens)
+	}
+	if fp, _ := opens[1]["fp"].(string); len(fp) != 12 || fp != opens[0]["fp"] {
+		t.Fatalf("op.open fingerprint prefixes %v and %v, want one 12-hex-char prefix", opens[0]["fp"], fp)
+	}
+	if _, err := NewOperation(TrsvTrsv, m, Options{Threads: 4, Tracer: tr}); err != nil {
+		t.Fatal(err)
+	}
+	_, lines = traceEvents(t, &buf)
+	if last := lines[len(lines)-1]; last["ev"] != "op.open" || last["cache"] != "off" {
+		t.Fatalf("an open without a cache must end in op.open{cache=off}, got %v", last)
 	}
 }
 

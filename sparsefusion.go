@@ -30,6 +30,7 @@ import (
 	"fmt"
 	"io"
 	"runtime"
+	"strings"
 	"sync"
 	"time"
 
@@ -47,9 +48,48 @@ import (
 	"sparsefusion/internal/telemetry"
 )
 
-// Matrix is an immutable sparse matrix handle in CSR storage.
+// Matrix is an immutable sparse matrix handle in CSR storage. What operations
+// derive from the matrix alone, it derives once and keeps for as long as the
+// handle lives: the lower triangle, the CSC form and their value checksums
+// (forms), and the cache keys of the option sets it has been opened with
+// (keys). Every NewOperation over one handle shares them, so handles are
+// passed by pointer only.
 type Matrix struct {
-	csr *sparse.CSR
+	csr   *sparse.CSR
+	forms *sparse.Forms
+
+	mu   sync.Mutex
+	keys map[keyParams]cache.Key
+}
+
+// keyParams is cache.Params in comparable form (the chain's kernel ids
+// joined), the index of Matrix.keys.
+type keyParams struct {
+	combo, threads, lbcInitialCut, lbcAgg, chainLen int
+	chainKernels                                    string
+}
+
+func newMatrix(csr *sparse.CSR) *Matrix {
+	return &Matrix{csr: csr, forms: sparse.NewForms(csr)}
+}
+
+// fingerprint is cache.Fingerprint(m.csr, p) — byte for byte, so disk tiers
+// and saved schedules keep resolving — hashed on the first request for p and
+// remembered: the SHA-256 walks the whole pattern, a price every open of a
+// cached schedule would otherwise pay before it can look anything up.
+func (m *Matrix) fingerprint(p cache.Params) cache.Key {
+	id := keyParams{p.Combo, p.Threads, p.LBCInitialCut, p.LBCAgg, p.ChainLen, strings.Join(p.ChainKernels, "\x00")}
+	m.mu.Lock()
+	defer m.mu.Unlock()
+	k, ok := m.keys[id]
+	if !ok {
+		k = cache.Fingerprint(m.csr, p)
+		if m.keys == nil {
+			m.keys = make(map[keyParams]cache.Key)
+		}
+		m.keys[id] = k
+	}
+	return k
 }
 
 // Entry is one coordinate-format matrix entry.
@@ -68,7 +108,7 @@ func NewMatrix(rows, cols int, entries []Entry) (*Matrix, error) {
 	if err != nil {
 		return nil, err
 	}
-	return &Matrix{csr}, nil
+	return newMatrix(csr), nil
 }
 
 // LoadMatrixMarket reads a Matrix Market file (coordinate real/integer/
@@ -79,25 +119,25 @@ func LoadMatrixMarket(path string) (*Matrix, error) {
 	if err != nil {
 		return nil, err
 	}
-	return &Matrix{csr}, nil
+	return newMatrix(csr), nil
 }
 
 // Laplacian2D returns the 5-point Laplacian on a k-by-k grid (SPD, n = k^2).
 // k < 1 panics: grid sizes are compile-time choices, not runtime input.
-func Laplacian2D(k int) *Matrix { return &Matrix{sparse.Must(sparse.Laplacian2D(k))} }
+func Laplacian2D(k int) *Matrix { return newMatrix(sparse.Must(sparse.Laplacian2D(k))) }
 
 // Laplacian3D returns the 7-point Laplacian on a k^3 grid (SPD, n = k^3).
-func Laplacian3D(k int) *Matrix { return &Matrix{sparse.Must(sparse.Laplacian3D(k))} }
+func Laplacian3D(k int) *Matrix { return newMatrix(sparse.Must(sparse.Laplacian3D(k))) }
 
 // RandomSPD returns a random SPD matrix with about deg off-diagonal entries
 // per row; deterministic in seed.
 func RandomSPD(n, deg int, seed int64) *Matrix {
-	return &Matrix{sparse.Must(sparse.RandomSPD(n, deg, seed))}
+	return newMatrix(sparse.Must(sparse.RandomSPD(n, deg, seed)))
 }
 
 // PowerLawSPD returns an SPD matrix with a scale-free degree distribution.
 func PowerLawSPD(n, deg int, seed int64) *Matrix {
-	return &Matrix{sparse.Must(sparse.PowerLawSPD(n, deg, seed))}
+	return newMatrix(sparse.Must(sparse.PowerLawSPD(n, deg, seed)))
 }
 
 // Rows returns the row count.
@@ -124,7 +164,7 @@ func (m *Matrix) Reorder() (*Matrix, []int, error) {
 	if err != nil {
 		return nil, nil, err
 	}
-	return &Matrix{pa}, p, nil
+	return newMatrix(pa), p, nil
 }
 
 // PermuteVector maps x into the reordered index space: result[new] =
@@ -230,7 +270,7 @@ func (o Options) fingerprint(c Combination, m *Matrix) cache.Key {
 	if agg <= 0 {
 		agg = d.Agg
 	}
-	return cache.Fingerprint(m.csr, cache.Params{
+	return m.fingerprint(cache.Params{
 		Combo:         int(c),
 		Threads:       o.threads(),
 		LBCInitialCut: ic,
@@ -462,75 +502,123 @@ func (e *execState) emitDemotions(ds []Demotion) {
 // independent concurrent clients sharing the inspection artifacts.
 type Operation struct {
 	execState
-	fp     cache.Key
-	cached bool
+	fp cache.Key
 }
 
 // NewOperation inspects combination c over the SPD matrix m. With
 // Options.Cache set, inspection runs at most once per fingerprint — an
 // operation over a previously seen pattern reuses the cached schedule,
-// program, and (when the matrix values also match) packed layout.
+// program, and (when the matrix values also match) packed layout, and pays
+// for its kernels, vectors and executor binding only.
 func NewOperation(c Combination, m *Matrix, opts Options) (*Operation, error) {
-	tr := opts.Tracer
 	t0 := time.Now()
-	inst, err := combos.Build(combos.ID(c), m.csr)
+	inst, err := combos.Assemble(combos.ID(c), m.forms)
 	if err != nil {
 		return nil, err
 	}
 	op := &Operation{
-		execState: execState{inst: inst, th: opts.threads(), steal: opts.Steal, spin: opts.SpinBudget, watchdog: opts.Watchdog, id: nextStateID.Add(1), tr: tr},
+		execState: execState{inst: inst, th: opts.threads(), steal: opts.Steal, spin: opts.SpinBudget, watchdog: opts.Watchdog, id: nextStateID.Add(1), tr: opts.Tracer},
 		fp:        opts.fingerprint(c, m),
 	}
-	tr.raw().Emit("inspect.dag_build",
-		telemetry.Int("op", op.id),
-		telemetry.String("combo", inst.Name),
-		telemetry.Int("n", int64(m.Rows())),
-		telemetry.Int("nnz", int64(m.NNZ())),
-		telemetry.Dur("dur_ns", time.Since(t0)))
-	params := core.Params{Threads: op.th, ReuseRatio: inst.Reuse, LBC: opts.lbc()}
-	ico := func() (*core.Schedule, error) {
-		if tr == nil {
-			return core.ICO(inst.Loops, params)
-		}
-		t := time.Now()
-		sched, tm, err := core.ICOTimed(inst.Loops, params)
-		if err != nil {
-			return nil, err
-		}
-		tr.raw().Emit("inspect.ico",
-			telemetry.Int("op", op.id),
-			telemetry.Dur("dur_ns", time.Since(t)),
-			telemetry.Dur("setup_ns", tm.Setup),
-			telemetry.Dur("lbc_ns", tm.Head),
-			telemetry.Dur("pairing_ns", tm.Pairing),
-			telemetry.Dur("merge_ns", tm.Merge),
-			telemetry.Dur("slack_ns", tm.Slack),
-			telemetry.Dur("pack_ns", tm.Pack),
-			telemetry.Int("s_partitions", int64(sched.NumSPartitions())),
-			telemetry.Bool("interleaved", sched.Interleaved))
-		return sched, nil
+	if err := op.open(t0, opts, op.fp); err != nil {
+		return nil, err
 	}
+	return op, nil
+}
+
+// open resolves this state's artifact chain and binds the executor ladder to
+// it. With a cache it looks up first: a hit binds the shared artifacts and
+// never asks for the fusion input; a miss derives it, inspects, and completes
+// the chain under the cache's singleflight. Without one it inspects. One
+// op.open event says which it was and what the open cost since t0.
+func (e *execState) open(t0 time.Time, opts Options, fp cache.Key) error {
+	outcome := "off"
+	var art cache.Artifacts
 	if opts.Cache == nil {
-		sched, err := ico()
+		sched, err := e.inspect(opts.lbc())
 		if err != nil {
-			return nil, err
+			return err
 		}
-		op.bindArtifacts(buildArtifacts(inst, sched, tr, op.id), false)
-		return op, nil
+		art = buildArtifacts(e.inst, sched, e.tr, e.id)
+	} else {
+		outcome = "hit"
+		entry, err := opts.Cache.c.GetOrBuild(fp, cache.Builder{
+			Inspect:  func() (*core.Schedule, error) { return e.inspect(opts.lbc()) },
+			Validate: e.validate,
+			Complete: func(s *core.Schedule) (cache.Artifacts, error) {
+				outcome = "miss"
+				return buildArtifacts(e.inst, s, e.tr, e.id), nil
+			},
+		})
+		if err != nil {
+			return err
+		}
+		art = entry.Artifacts
 	}
-	entry, err := opts.Cache.c.GetOrBuild(op.fp, cache.Builder{
-		Inspect:  ico,
-		Validate: inst.Loops.Validate,
-		Complete: func(s *core.Schedule) (cache.Artifacts, error) {
-			return buildArtifacts(inst, s, tr, op.id), nil
-		},
-	})
+	e.bindArtifacts(art, opts.Cache != nil)
+	if t := e.tr.raw(); t != nil {
+		t.Emit("op.open",
+			telemetry.Int("op", e.id),
+			telemetry.String("combo", e.inst.Name),
+			telemetry.String("cache", outcome),
+			telemetry.String("fp", hexPrefix(fp)),
+			telemetry.Dur("dur_ns", time.Since(t0)))
+	}
+	return nil
+}
+
+// fusion returns the inspector's input over this state's kernels — the
+// per-kernel DAGs and F (Loops) and the reuse ratio — deriving it on first
+// demand; a session derives through its operation. Only a derivation that
+// actually ran is traced.
+func (e *execState) fusion() (*core.Loops, float64) {
+	t0 := time.Now()
+	if e.inst.Derive() {
+		edges := 0
+		for _, g := range e.inst.Loops.G {
+			edges += g.NumEdges()
+		}
+		e.tr.raw().Emit("inspect.dag_build",
+			telemetry.Int("op", e.id),
+			telemetry.String("combo", e.inst.Name),
+			telemetry.Int("n", int64(e.inst.Loops.G[0].N)),
+			telemetry.Int("dag_edges", int64(edges)),
+			telemetry.Dur("dur_ns", time.Since(t0)))
+	}
+	return e.inst.Loops, e.inst.Reuse
+}
+
+// validate checks a schedule this state did not inspect itself (disk tier,
+// saved file, or its own after an executor fault) against the fusion input.
+func (e *execState) validate(s *core.Schedule) error {
+	loops, _ := e.fusion()
+	return loops.Validate(s)
+}
+
+// inspect runs ICO over the fusion input; a tracer sees the stage breakdown.
+func (e *execState) inspect(lp lbc.Params) (*core.Schedule, error) {
+	loops, reuse := e.fusion()
+	params := core.Params{Threads: e.th, ReuseRatio: reuse, LBC: lp}
+	if e.tr == nil {
+		return core.ICO(loops, params)
+	}
+	t := time.Now()
+	sched, tm, err := core.ICOTimed(loops, params)
 	if err != nil {
 		return nil, err
 	}
-	op.cached = true
-	op.bindArtifacts(entry.Artifacts, true)
-	return op, nil
+	e.tr.raw().Emit("inspect.ico",
+		telemetry.Int("op", e.id),
+		telemetry.Dur("dur_ns", time.Since(t)),
+		telemetry.Dur("setup_ns", tm.Setup),
+		telemetry.Dur("lbc_ns", tm.Head),
+		telemetry.Dur("pairing_ns", tm.Pairing),
+		telemetry.Dur("merge_ns", tm.Merge),
+		telemetry.Dur("slack_ns", tm.Slack),
+		telemetry.Dur("pack_ns", tm.Pack),
+		telemetry.Int("s_partitions", int64(sched.NumSPartitions())),
+		telemetry.Bool("interleaved", sched.Interleaved))
+	return sched, nil
 }
 
 // Fingerprint returns the operation's content address in hex: the SHA-256
@@ -623,7 +711,7 @@ func (e *execState) bindArtifacts(art cache.Artifacts, shared bool) {
 		return
 	}
 	if shared {
-		if err := lay.VerifySources(e.inst.Kernels); err != nil {
+		if sum, ok := e.inst.SourceSum(); !ok || lay.VerifySum(sum) != nil {
 			fresh, ferr := relayout.Build(art.Program, e.inst.Kernels)
 			if ferr != nil {
 				e.layErr = ferr.Error()
@@ -693,7 +781,10 @@ func (e *execState) SetInput(x []float64) error {
 func (e *execState) Output() []float64 { return e.inst.Snapshot() }
 
 // ReuseRatio reports the inspector's locality metric (paper section 2.2).
-func (e *execState) ReuseRatio() float64 { return e.inst.Reuse }
+func (e *execState) ReuseRatio() float64 {
+	_, reuse := e.fusion()
+	return reuse
+}
 
 // Interleaved reports the packing variant the reuse ratio selected.
 func (e *execState) Interleaved() bool { return e.sched.Interleaved }
@@ -822,7 +913,7 @@ func (e *execState) runLadder(ctx context.Context, pl *exec.Pool) (exec.Stats, e
 		// The fault came from the packed or compiled artifacts. If the
 		// schedule itself no longer validates, no rung can run it — report
 		// both facts instead of retrying.
-		if verr := e.inst.Loops.Validate(e.sched); verr != nil {
+		if verr := e.validate(e.sched); verr != nil {
 			return st, fmt.Errorf("sparsefusion: executor fault (%v) and schedule invalid: %w", err, verr)
 		}
 		var taken []Demotion
@@ -1080,7 +1171,7 @@ func (e *ScheduleMismatchError) Error() string {
 // validated against the matrix's dependency structure, so a corrupt or
 // stale file is rejected rather than executed.
 func NewOperationFromSchedule(c Combination, m *Matrix, r io.Reader, opts Options) (*Operation, error) {
-	inst, err := combos.Build(combos.ID(c), m.csr)
+	inst, err := combos.Assemble(combos.ID(c), m.forms)
 	if err != nil {
 		return nil, err
 	}
@@ -1105,7 +1196,7 @@ func NewOperationFromSchedule(c Combination, m *Matrix, r io.Reader, opts Option
 			return nil, err
 		}
 	}
-	if err := inst.Loops.Validate(sched); err != nil {
+	if err := op.validate(sched); err != nil {
 		return nil, fmt.Errorf("sparsefusion: saved schedule does not match this matrix: %w", err)
 	}
 	op.bindArtifacts(buildArtifacts(inst, sched, op.tr, op.id), false)
