@@ -97,7 +97,6 @@ func main() {
 
 	impls := []*combos.Impl{
 		in.SparseFusion(*threads, figures.PaperLBC()),
-		in.SparseFusionLegacy(*threads, figures.PaperLBC()),
 		in.UnfusedParSy(*threads, figures.PaperLBC()),
 		in.UnfusedMKL(*threads),
 		in.JointWavefront(*threads),
@@ -130,10 +129,8 @@ func main() {
 // writeTrace renders one fused solve as a Chrome trace: the inspector's stage
 // spans (ICOTimed) and the executor's per-w-partition spans from the hot-path
 // recorder (exec.Recorder on the compiled runner, and on the packed runner when
-// the chain supports re-layout) on one timeline. The legacy traced executor
-// (exec.RunFusedTraced) runs as a cross-check — its span count must match the
-// recorder's — and contributes its own row group, so all three executor paths
-// are comparable in one view. Open the file in chrome://tracing or
+// the chain supports re-layout) on one timeline, so both executor paths are
+// comparable in one view. Open the file in chrome://tracing or
 // https://ui.perfetto.dev.
 func writeTrace(path string, in *combos.Instance, threads int) error {
 	sched, tm, err := core.ICOTimed(in.Loops, core.Params{Threads: threads, ReuseRatio: in.Reuse, LBC: figures.PaperLBC()})
@@ -175,14 +172,7 @@ func writeTrace(path string, in *combos.Instance, threads int) error {
 
 	runner, err := exec.CompileFused(in.Kernels, sched)
 	if err != nil {
-		// No compiled path for this schedule: the legacy tracer is the trace.
-		_, spans, terr := exec.RunFusedTraced(in.Kernels, sched, threads)
-		if terr != nil {
-			return terr
-		}
-		addRun(2, "executor (legacy)", spans, spanEnd(spans))
-		fmt.Printf("compiled path unavailable (%v); traced legacy executor only\n", err)
-		return flushTrace(path, tb)
+		return err
 	}
 	rec := exec.NewRecorder(sched.NumSPartitions()*sched.MaxWidth()+1, sched.MaxWidth())
 	runner.SetRecorder(rec)
@@ -207,22 +197,18 @@ func writeTrace(path string, in *combos.Instance, threads int) error {
 	}
 	runner.SetRecorder(nil)
 
-	// Cross-check: the legacy tracer walks the same schedule, so it must see
-	// exactly the recorder's span population (one per w-partition per barrier).
-	_, legacySpans, err := exec.RunFusedTraced(in.Kernels, sched, threads)
+	f, err := os.Create(path)
 	if err != nil {
-		return fmt.Errorf("legacy traced run: %w", err)
-	}
-	if len(legacySpans) != len(compiledSpans) {
-		return fmt.Errorf("trace cross-check failed: legacy tracer saw %d spans, recorder %d",
-			len(legacySpans), len(compiledSpans))
-	}
-	addRun(4, "executor (legacy cross-check)", legacySpans, spanEnd(legacySpans))
-
-	if err := flushTrace(path, tb); err != nil {
 		return err
 	}
-	fmt.Printf("wrote trace to %s (open in chrome://tracing; %d executor spans, cross-check ok)\n\n",
+	if err := tb.Write(f); err != nil {
+		f.Close()
+		return err
+	}
+	if err := f.Close(); err != nil {
+		return err
+	}
+	fmt.Printf("wrote trace to %s (open in chrome://tracing; %d executor spans per run)\n\n",
 		path, len(compiledSpans))
 	return nil
 }
@@ -255,29 +241,6 @@ func dumpScatter(in *combos.Instance, sched *core.Schedule, threads int) error {
 	fmt.Printf("  host-side fold %v of a %v packed run (%.2f%%)\n\n",
 		st.Fold, st.Elapsed, 100*float64(st.Fold)/float64(max(st.Elapsed, 1)))
 	return nil
-}
-
-// spanEnd is when the last span finishes — the run length as the spans saw it.
-func spanEnd(spans []exec.Span) time.Duration {
-	var end time.Duration
-	for _, s := range spans {
-		if e := s.Start + s.Duration; e > end {
-			end = e
-		}
-	}
-	return end
-}
-
-func flushTrace(path string, tb *telemetry.TimelineBuilder) error {
-	f, err := os.Create(path)
-	if err != nil {
-		return err
-	}
-	if err := tb.Write(f); err != nil {
-		f.Close()
-		return err
-	}
-	return f.Close()
 }
 
 func keys() []string {

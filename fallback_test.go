@@ -2,6 +2,7 @@ package sparsefusion
 
 import (
 	"bytes"
+	"context"
 	"errors"
 	"testing"
 	"time"
@@ -12,10 +13,11 @@ import (
 )
 
 // The degradation ladder under test: construction-time attach failures and
-// run-time executor faults demote an Operation packed -> compiled -> legacy,
-// each step re-validating the schedule, leaving the operation usable and its
-// results bit-identical to the reference executor. Numerical breakdowns, by
-// contrast, never demote — they are a property of the data, not the rung.
+// run-time executor faults demote an Operation packed -> compiled ->
+// sequential, each step re-validating the schedule, leaving the operation
+// usable and its results bit-identical to the one-thread oracle. Numerical
+// breakdowns, by contrast, never demote — they are a property of the data, not
+// the rung.
 
 // watchdog fails the test when fn does not return within the deadline — a
 // worker fault must never hang a barrier, whatever the worker count.
@@ -71,7 +73,7 @@ func TestCorruptSavedScheduleRejected(t *testing.T) {
 		}
 
 		// The untouched serialized schedule still loads, and the loaded
-		// operation's Run is bit-identical to the reference executor.
+		// operation's Run is bit-identical to the one-thread oracle.
 		good, err := NewOperationFromSchedule(TrsvTrsv, m, bytes.NewReader(buf.Bytes()), Options{Threads: th})
 		if err != nil {
 			t.Fatalf("threads=%d: valid schedule rejected: %v", th, err)
@@ -83,7 +85,7 @@ func TestCorruptSavedScheduleRejected(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		if _, err := exec.RunFusedLegacy(ref.inst.Kernels, ref.sched, th); err != nil {
+		if _, err := exec.RunScheduleSequential(context.Background(), ref.inst.Kernels, ref.sched); err != nil {
 			t.Fatal(err)
 		}
 		got, want := good.Output(), ref.inst.Snapshot()
@@ -107,8 +109,8 @@ func TestRunFaultDemotesDownTheLadder(t *testing.T) {
 		}
 		// Corrupt the compiled program shared by the packed and compiled
 		// rungs. The schedule itself stays valid, so the ladder demotes twice
-		// and the legacy rung — which walks the schedule, not the program —
-		// completes the run.
+		// and the sequential rung — which walks the schedule, not the program
+		// — completes the run.
 		prog := op.runner.Program()
 		prog.Iters[len(prog.Iters)-1] = kernels.PackIter(0, 1<<20)
 		err = watchdog(t, 10*time.Second, func() error { _, err := op.Run(); return err })
@@ -116,19 +118,19 @@ func TestRunFaultDemotesDownTheLadder(t *testing.T) {
 			t.Fatalf("threads=%d: ladder did not absorb the fault: %v", th, err)
 		}
 		h := op.Health()
-		if h.Mode != ModeLegacy {
-			t.Fatalf("threads=%d: mode %s after double fault, want legacy", th, h.Mode)
+		if h.Mode != ModeSequential {
+			t.Fatalf("threads=%d: mode %s after double fault, want sequential", th, h.Mode)
 		}
 		if len(h.Demotions) != 2 {
 			t.Fatalf("threads=%d: %d demotions recorded, want 2: %+v", th, len(h.Demotions), h.Demotions)
 		}
 		if h.Demotions[0].From != ModePacked || h.Demotions[0].To != ModeCompiled ||
-			h.Demotions[1].From != ModeCompiled || h.Demotions[1].To != ModeLegacy {
+			h.Demotions[1].From != ModeCompiled || h.Demotions[1].To != ModeSequential {
 			t.Fatalf("threads=%d: demotion chain %+v", th, h.Demotions)
 		}
 
 		// The demoted operation's subsequent valid Run is bit-identical to
-		// the reference executor on a fresh instance.
+		// the oracle on a fresh instance.
 		if _, err := op.Run(); err != nil {
 			t.Fatalf("threads=%d: demoted operation unusable: %v", th, err)
 		}
@@ -136,7 +138,7 @@ func TestRunFaultDemotesDownTheLadder(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		if _, err := exec.RunFusedLegacy(ref.inst.Kernels, ref.sched, th); err != nil {
+		if _, err := exec.RunScheduleSequential(context.Background(), ref.inst.Kernels, ref.sched); err != nil {
 			t.Fatal(err)
 		}
 		got, want := op.Output(), ref.inst.Snapshot()

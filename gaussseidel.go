@@ -22,13 +22,11 @@ type GaussSeidel struct {
 	b    []float64 // solver-owned right-hand side, shared with the kernels
 	x0   []float64 // sweep-chain input, shared with the first SpMV
 	xEnd []float64 // sweep-chain output
-	ks   []kernels.Kernel
 	sch  *core.Schedule
-	// run is the compiled sweep chain; nil means the legacy executor runs
-	// the schedule (it exceeded the packed representation).
-	run *exec.Runner
-	th  int
-	// SweepsPerFusion is how many sweeps one fused execution performs.
+	run  *exec.Runner // the compiled sweep chain
+	th   int
+	// SweepsPerFusion is how many sweeps one fused execution performs: the
+	// requested value after defaulting and clamping (GSOptions).
 	SweepsPerFusion int
 }
 
@@ -37,7 +35,9 @@ type GSOptions struct {
 	Options
 	// SweepsPerFusion unrolls this many sweeps into one fused schedule
 	// (2 loops per sweep). The paper finds 1-3 sweeps (2-6 loops) best;
-	// default 3.
+	// default 3. Values above 8 are clamped to 8 — one schedule tags at most
+	// 16 loops — and Solve iterates fused runs either way, so only the barrier
+	// amortization changes, never the sweeps performed.
 	SweepsPerFusion int
 }
 
@@ -51,6 +51,9 @@ func NewGaussSeidel(m *Matrix, opts GSOptions) (*GaussSeidel, error) {
 	if sweeps < 1 {
 		sweeps = 3
 	}
+	if sweeps > kernels.MaxLoops/2 {
+		sweeps = kernels.MaxLoops / 2
+	}
 	n := a.Rows
 	g := &GaussSeidel{
 		a: a, th: opts.threads(), SweepsPerFusion: sweeps,
@@ -63,13 +66,14 @@ func NewGaussSeidel(m *Matrix, opts GSOptions) (*GaussSeidel, error) {
 		negU.X[i] = -negU.X[i]
 	}
 	loops := &core.Loops{}
+	var ks []kernels.Kernel
 	x := g.x0
 	for s := 0; s < sweeps; s++ {
 		t := make([]float64, n)
 		xNext := make([]float64, n)
 		kmv := kernels.NewSpMVPlusCSR(negU, x, g.b, t)
 		ktr := kernels.NewSpTRSVCSR(l, t, xNext)
-		g.ks = append(g.ks, kmv, ktr)
+		ks = append(ks, kmv, ktr)
 		loops.G = append(loops.G, kmv.DAG(), ktr.DAG())
 		if s > 0 {
 			loops.F = append(loops.F, core.FPattern(negU))
@@ -78,13 +82,15 @@ func NewGaussSeidel(m *Matrix, opts GSOptions) (*GaussSeidel, error) {
 		x = xNext
 	}
 	g.xEnd = x
-	reuse := core.ReuseRatioChain(g.ks)
+	reuse := core.ReuseRatioChain(ks)
 	sch, err := core.ICO(loops, core.Params{Threads: g.th, ReuseRatio: reuse, LBC: opts.lbc()})
 	if err != nil {
 		return nil, err
 	}
 	g.sch = sch
-	g.run, _ = exec.CompileFused(g.ks, sch)
+	if g.run, err = exec.CompileFused(ks, sch); err != nil {
+		return nil, err
+	}
 	return g, nil
 }
 
@@ -121,13 +127,7 @@ func (g *GaussSeidel) SolveContext(ctx context.Context, b []float64, tol float64
 			copy(out, g.x0)
 			return out, sweeps, exec.Cancelled(ctx)
 		}
-		var err error
-		if g.run != nil {
-			_, err = g.run.RunContext(orBackground(ctx), g.th)
-		} else {
-			_, err = exec.RunFusedLegacyContext(orBackground(ctx), g.ks, g.sch, g.th)
-		}
-		if err != nil {
+		if _, err := g.run.RunContext(orBackground(ctx), g.th); err != nil {
 			out := make([]float64, n)
 			copy(out, g.x0)
 			// A cancellation mid-chain leaves x0 at the last completed chain

@@ -296,9 +296,9 @@ func TestHitOperationDerivesOnDemand(t *testing.T) {
 		t.Fatalf("%d inspect.dag_build events after ReuseRatio on a hit operation, want 2", n)
 	}
 
-	// Corrupt the shared compiled program last: every rung above legacy now
-	// faults, the ladder re-validates the schedule (deriving G and F for the
-	// first time) and finishes on the legacy rung.
+	// Corrupt the shared compiled program last: every rung above sequential
+	// now faults, the ladder re-validates the schedule (deriving G and F for
+	// the first time) and finishes on the sequential rung.
 	want := runWith(t, &first.execState, x)
 	faulty, faultySess := open(), open()
 	sess, err := faultySess.NewSession()
@@ -315,14 +315,14 @@ func TestHitOperationDerivesOnDemand(t *testing.T) {
 			t.Fatalf("%s: ladder did not absorb the fault: %v", name, err)
 		}
 		got := e.Output()
-		if h := e.Health(); h.Mode != ModeLegacy || len(h.Demotions) != 2 {
-			t.Fatalf("%s: %+v after a faulting program, want two demotions down to legacy", name, h)
+		if h := e.Health(); h.Mode != ModeSequential || len(h.Demotions) != 2 {
+			t.Fatalf("%s: %+v after a faulting program, want two demotions down to sequential", name, h)
 		}
 		if e.inst.Loops == nil {
 			t.Fatalf("%s: demoted without validating the schedule", name)
 		}
 		if e := sparse.RelErr(got, want); e > 1e-9 {
-			t.Fatalf("%s: legacy rung after demotion is off by %g", name, e)
+			t.Fatalf("%s: sequential rung after demotion is off by %g", name, e)
 		}
 	}
 	if sess.inst.Loops != faultySess.inst.Loops {

@@ -18,7 +18,7 @@ type Artifacts struct {
 	Schedule *core.Schedule
 	// Program is the schedule compiled to the flat executor form; nil when
 	// the schedule exceeds the compiled representation (ProgramErr says why),
-	// in which case consumers run the legacy executor.
+	// in which case consumers walk the schedule on one thread.
 	Program    *core.Program
 	ProgramErr string
 	// Layout is the schedule-order packed re-layout; nil when the chain does

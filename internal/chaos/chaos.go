@@ -1,6 +1,6 @@
-// Package chaos is the deterministic fault-injection harness behind
-// `spbench -mode chaos` and the robustness tests. Every fault it produces is
-// derived from a caller-supplied seed, so a failing scenario replays exactly:
+// Package chaos is the deterministic fault-injection harness behind the
+// scenario matrix in its own tests. Every fault it produces is derived from a
+// caller-supplied seed, so a failing scenario replays exactly:
 // the same worker stalls at the same iteration, the same byte of the same
 // cache file flips, the same request is cancelled at the same point in its
 // window. The package only composes hook points the production code already

@@ -36,8 +36,9 @@ type ChainSpec struct {
 	// below it — adjacencies that share too little data to be worth packing
 	// into one schedule. Zero or negative never cuts on reuse.
 	MinReuse float64
-	// MaxGroup caps the kernels per fused group; 0 means unbounded (compose
-	// the whole chain), 2 reproduces pairwise fusion, 1 disables fusion.
+	// MaxGroup caps the kernels per fused group; 0 composes as much of the
+	// chain as one schedule can tag (kernels.MaxLoops loops, cut there too),
+	// 2 reproduces pairwise fusion, 1 disables fusion.
 	MaxGroup int
 }
 
@@ -70,7 +71,7 @@ func BuildChain(spec ChainSpec) (*Chain, error) {
 	}
 	lo := 0
 	for i := 1; i <= len(spec.Links); i++ {
-		cut := i == len(spec.Links) ||
+		cut := i == len(spec.Links) || i-lo >= kernels.MaxLoops ||
 			(spec.MaxGroup > 0 && i-lo >= spec.MaxGroup) ||
 			(spec.MinReuse > 0 && c.PairReuse[i-1] < spec.MinReuse)
 		if !cut {
@@ -153,22 +154,16 @@ func (c *Chain) SparseFusion(threads int, lp lbc.Params) (*Impl, []*core.Schedul
 					return err
 				}
 				scheds[i] = s
-				// Groups too big for the compiled form fall back to the
-				// legacy walker at execution, like Instance.SparseFusion.
-				runners[i], _ = exec.CompileFused(g.Kernels, s)
+				if runners[i], err = exec.CompileFused(g.Kernels, s); err != nil {
+					return err
+				}
 			}
 			return nil
 		},
 		execute: func() (exec.Stats, error) {
 			var tot exec.Stats
-			for i, g := range c.Groups {
-				var st exec.Stats
-				var err error
-				if runners[i] != nil {
-					st, err = runners[i].Run(threads)
-				} else {
-					st, err = exec.RunFusedLegacy(g.Kernels, scheds[i], threads)
-				}
+			for _, r := range runners {
+				st, err := r.Run(threads)
 				tot.Elapsed += st.Elapsed
 				tot.Barriers += st.Barriers
 				tot.PotentialGain += st.PotentialGain

@@ -136,16 +136,25 @@ func TestChainKernelIDsOrdered(t *testing.T) {
 	}
 }
 
-// TestChainFusedMatchesSequential: the composed chain (k = 3..5), run through
-// Chain.SparseFusion at several thread counts, reproduces the sequential
-// reference bit for bit, and the fully-composed chain synchronizes strictly
-// less than the pairwise split of the same kernels.
+// TestChainFusedMatchesSequential: the composed chain (k = 3..5, and k = 20,
+// which no single schedule can tag and MaxGroup 0 must therefore split), run
+// through Chain.SparseFusion at several thread counts, reproduces the
+// sequential reference bit for bit, and the fully-composed chain synchronizes
+// no more than the pairwise split of the same kernels.
 func TestChainFusedMatchesSequential(t *testing.T) {
-	for _, k := range []int{3, 4, 5} {
+	for _, k := range []int{3, 4, 5, 20} {
 		spec, snap, reset := trsvChainSpec(t, 200, k)
 		c, err := BuildChain(spec)
 		if err != nil {
 			t.Fatal(err)
+		}
+		if want := (k + kernels.MaxLoops - 1) / kernels.MaxLoops; len(c.Groups) != want {
+			t.Fatalf("k=%d composed into %d groups, want %d", k, len(c.Groups), want)
+		}
+		for _, g := range c.Groups {
+			if len(g.Kernels) > kernels.MaxLoops {
+				t.Fatalf("k=%d: a group of %d loops, more than one schedule can tag", k, len(g.Kernels))
+			}
 		}
 		reset()
 		if err := c.RunSequential(); err != nil {

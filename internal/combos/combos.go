@@ -5,8 +5,8 @@
 //
 //	sparse fusion        — ICO schedule, fused executor (the contribution)
 //	unfused ParSy        — LBC per kernel DAG, kernels run back to back
-//	unfused MKL          — refimpl: row-parallel SpMV, level-set TRSV,
-//	                       sequential factorizations
+//	unfused MKL          — row-parallel SpMV, level-set TRSV, sequential
+//	                       factorizations
 //	fused wavefront      — wavefront schedule of the joint DAG
 //	fused LBC            — chordalize + LBC on the joint DAG
 //	fused DAGP           — multilevel acyclic partitioning of the joint DAG
@@ -466,105 +466,65 @@ func (im *Impl) Execute() (exec.Stats, error) {
 // The schedule is compiled to a flat exec.Runner during inspection, so the
 // executor timings cover only the hot path.
 func (in *Instance) SparseFusion(threads int, lp lbc.Params) *Impl {
-	var sched *core.Schedule
 	var runner *exec.Runner
 	return &Impl{
 		Name: "sparse-fusion",
 		inspect: func() error {
-			var err error
-			sched, err = core.ICO(in.Loops, core.Params{Threads: threads, ReuseRatio: in.Reuse, LBC: lp})
+			sched, err := core.ICO(in.Loops, core.Params{Threads: threads, ReuseRatio: in.Reuse, LBC: lp})
 			if err != nil {
 				return err
 			}
-			// A schedule too big for the packed form runs through the
-			// legacy executor instead of failing inspection.
-			runner, _ = exec.CompileFused(in.Kernels, sched)
-			return nil
-		},
-		execute: func() (exec.Stats, error) {
-			if runner != nil {
-				return runner.Run(threads)
-			}
-			return exec.RunFusedLegacy(in.Kernels, sched, threads)
-		},
-	}
-}
-
-// SparseFusionLegacy runs the same ICO schedule through the slice-walking
-// reference executor: the comparison row that isolates what compiling the
-// schedule buys.
-func (in *Instance) SparseFusionLegacy(threads int, lp lbc.Params) *Impl {
-	var sched *core.Schedule
-	return &Impl{
-		Name: "sf-legacy",
-		inspect: func() error {
-			var err error
-			sched, err = core.ICO(in.Loops, core.Params{Threads: threads, ReuseRatio: in.Reuse, LBC: lp})
+			runner, err = exec.CompileFused(in.Kernels, sched)
 			return err
 		},
-		execute: func() (exec.Stats, error) { return exec.RunFusedLegacy(in.Kernels, sched, threads) },
+		execute: func() (exec.Stats, error) { return runner.Run(threads) },
 	}
 }
 
 // UnfusedParSy schedules every kernel's own DAG with LBC (wavefront
 // parallelism for edge-free loops) and runs the kernels back to back.
 func (in *Instance) UnfusedParSy(threads int, lp lbc.Params) *Impl {
-	var ps []*partition.Partitioning
+	return in.unfusedImpl("unfused-parsy", threads, func(_ int, k kernels.Kernel) (*partition.Partitioning, error) {
+		return lbc.Schedule(k.DAG(), threads, lp)
+	})
+}
+
+// unfusedImpl wraps a per-kernel scheduler into an Impl: inspection schedules
+// and compiles every kernel's own DAG, execution runs the kernels back to
+// back. A nil partitioning means the kernel runs sequentially.
+func (in *Instance) unfusedImpl(name string, threads int, schedule func(i int, k kernels.Kernel) (*partition.Partitioning, error)) *Impl {
 	var rs []*exec.Runner
 	return &Impl{
-		Name: "unfused-parsy",
+		Name: name,
 		inspect: func() error {
-			ps, rs = nil, nil
-			for _, k := range in.Kernels {
-				p, err := lbc.Schedule(k.DAG(), threads, lp)
+			rs = make([]*exec.Runner, len(in.Kernels))
+			for i, k := range in.Kernels {
+				p, err := schedule(i, k)
 				if err != nil {
 					return err
 				}
-				ps = append(ps, p)
-				rs = append(rs, compilePartitioned(k, p))
+				if p == nil {
+					continue
+				}
+				if rs[i], err = exec.CompilePartitioned(k, p); err != nil {
+					return err
+				}
 			}
 			return nil
 		},
-		execute: func() (exec.Stats, error) { return exec.RunChainCompiled(in.Kernels, rs, ps, threads) },
+		execute: func() (exec.Stats, error) { return exec.RunChainCompiled(in.Kernels, rs, threads) },
 	}
-}
-
-// compilePartitioned compiles one kernel's partitioning, returning nil (the
-// legacy-fallback marker) when it does not fit the packed form.
-func compilePartitioned(k kernels.Kernel, p *partition.Partitioning) *exec.Runner {
-	r, err := exec.CompilePartitioned(k, p)
-	if err != nil {
-		return nil
-	}
-	return r
 }
 
 // UnfusedMKL mimics MKL's inspector-executor routines: level-set TRSV,
 // single-barrier chunked parallel loops, and sequential factorizations.
 func (in *Instance) UnfusedMKL(threads int) *Impl {
-	var ps []*partition.Partitioning
-	var rs []*exec.Runner
-	return &Impl{
-		Name: "unfused-mkl",
-		inspect: func() error {
-			ps, rs = nil, nil
-			for i, k := range in.Kernels {
-				if in.mklSeq[i] {
-					ps = append(ps, nil) // sequential (MKL's dcsrilu0)
-					rs = append(rs, nil)
-					continue
-				}
-				p, err := wavefront.Schedule(k.DAG(), threads)
-				if err != nil {
-					return err
-				}
-				ps = append(ps, p)
-				rs = append(rs, compilePartitioned(k, p))
-			}
-			return nil
-		},
-		execute: func() (exec.Stats, error) { return exec.RunChainCompiled(in.Kernels, rs, ps, threads) },
-	}
+	return in.unfusedImpl("unfused-mkl", threads, func(i int, k kernels.Kernel) (*partition.Partitioning, error) {
+		if in.mklSeq[i] {
+			return nil, nil // sequential (MKL's dcsrilu0)
+		}
+		return wavefront.Schedule(k.DAG(), threads)
+	})
 }
 
 // JointGraph builds the joint DAG of the instance's chain — any length, via
@@ -579,10 +539,9 @@ func (in *Instance) joint() (*dag.Graph, error) {
 
 // jointImpl wraps a joint-DAG scheduler into an Impl: inspection builds the
 // joint DAG, schedules it, and compiles the result; execution runs the
-// compiled form (or the legacy walker if compilation did not fit). The joint
-// executors dispatch exactly two kernels, so longer chains are rejected.
+// compiled form. The joint executors dispatch exactly two kernels, so longer
+// chains are rejected.
 func (in *Instance) jointImpl(name string, threads int, schedule func(*dag.Graph) (*partition.Partitioning, error)) *Impl {
-	var p *partition.Partitioning
 	var r *exec.Runner
 	return &Impl{
 		Name: name,
@@ -594,18 +553,14 @@ func (in *Instance) jointImpl(name string, threads int, schedule func(*dag.Graph
 			if err != nil {
 				return err
 			}
-			if p, err = schedule(j); err != nil {
+			p, err := schedule(j)
+			if err != nil {
 				return err
 			}
-			r, _ = exec.CompileJoint(in.Kernels[0], in.Kernels[1], p)
-			return nil
+			r, err = exec.CompileJoint(in.Kernels[0], in.Kernels[1], p)
+			return err
 		},
-		execute: func() (exec.Stats, error) {
-			if r != nil {
-				return r.Run(threads)
-			}
-			return exec.RunJointLegacy(in.Kernels[0], in.Kernels[1], p, threads)
-		},
+		execute: func() (exec.Stats, error) { return r.Run(threads) },
 	}
 }
 
@@ -638,24 +593,9 @@ func (in *Instance) JointDAGP(threads int) *Impl {
 // aggregator — an extra baseline beyond the paper's comparators (HDagg is
 // cited as related work).
 func (in *Instance) UnfusedHDagg(threads int) *Impl {
-	var ps []*partition.Partitioning
-	var rs []*exec.Runner
-	return &Impl{
-		Name: "unfused-hdagg",
-		inspect: func() error {
-			ps, rs = nil, nil
-			for _, k := range in.Kernels {
-				p, err := hdagg.Schedule(k.DAG(), threads, hdagg.Params{})
-				if err != nil {
-					return err
-				}
-				ps = append(ps, p)
-				rs = append(rs, compilePartitioned(k, p))
-			}
-			return nil
-		},
-		execute: func() (exec.Stats, error) { return exec.RunChainCompiled(in.Kernels, rs, ps, threads) },
-	}
+	return in.unfusedImpl("unfused-hdagg", threads, func(_ int, k kernels.Kernel) (*partition.Partitioning, error) {
+		return hdagg.Schedule(k.DAG(), threads, hdagg.Params{})
+	})
 }
 
 // JointHDagg applies the HDagg-style aggregator to the joint DAG.

@@ -2,6 +2,7 @@ package combos
 
 import (
 	"bytes"
+	"strings"
 	"testing"
 
 	"sparsefusion/internal/core"
@@ -189,6 +190,28 @@ func TestInspectTimesRecorded(t *testing.T) {
 	}
 	if im.InspectTime <= 0 {
 		t.Fatal("inspect time not recorded")
+	}
+}
+
+// TestInspectSurfacesCompileLimit: a hand-assembled instance one loop past
+// what a compiled program can tag is an inspection error, not a run on some
+// slower path. (BuildChain never produces one; it cuts groups at the limit.)
+func TestInspectSurfacesCompileLimit(t *testing.T) {
+	spec, _, _ := trsvChainSpec(t, 40, kernels.MaxLoops+1)
+	in := &Instance{Name: "too-long", Loops: &core.Loops{}}
+	for i, ln := range spec.Links {
+		in.Kernels = append(in.Kernels, ln.K)
+		if i > 0 {
+			in.Loops.F = append(in.Loops.F, ln.F)
+		}
+	}
+	finishChain(in)
+	im := in.SparseFusion(threads, lp())
+	if err := im.Inspect(); err == nil || !strings.Contains(err.Error(), "cannot compile") {
+		t.Fatalf("Inspect of %d loops returned %v, want the compile limit", len(in.Kernels), err)
+	}
+	if _, err := im.Execute(); err == nil {
+		t.Fatal("Execute ran an implementation whose inspection failed")
 	}
 }
 

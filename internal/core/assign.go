@@ -11,9 +11,7 @@ import "sort"
 // w-partitions heaviest-first, so the owner pops the big units early and
 // thieves — which take from the tail — carry off the small ones, keeping the
 // stolen work (and the cache lines it drags across cores) as cheap as the
-// imbalance allows. The relayout stage reuses the same assignment for its
-// first-touch mode, so the worker that will consume a w-partition's packed
-// streams is the one that faults their pages in.
+// imbalance allows.
 
 // Assignment maps every w-partition of a Program to a worker slot, grouped
 // into per-(s-partition, slot) queues in steal order.
@@ -27,8 +25,6 @@ type Assignment struct {
 	// IDs[Off[s*Workers+q]:Off[s*Workers+q+1]]. len(Off) is
 	// NumSPartitions*Workers+1.
 	Off []int32
-	// Owner[w] is the seeded slot of global w-partition w.
-	Owner []int32
 }
 
 // Queue returns slot q's seeded w-partition ids for s-partition s.
@@ -58,7 +54,6 @@ func AssignProgram(p *Program, workers int, weight func(w int) int64) *Assignmen
 		Workers: workers,
 		IDs:     make([]int32, 0, nW),
 		Off:     make([]int32, nS*workers+1),
-		Owner:   make([]int32, nW),
 	}
 	// Scratch reused across s-partitions: the sorted id list and the per-slot
 	// queues of the current s-partition.
@@ -96,7 +91,6 @@ func AssignProgram(p *Program, workers int, weight func(w int) int64) *Assignmen
 			}
 			queues[best] = append(queues[best], w)
 			load[best] += weight(int(w))
-			a.Owner[w] = int32(best)
 		}
 		for q := 0; q < workers; q++ {
 			if q < slots {

@@ -35,7 +35,7 @@ type Params struct {
 }
 
 // InspectorTimings breaks an ICO run into its pipeline phases, the numbers
-// cmd/spbench's inspector suite reports. Durations are wall-clock, so
+// bench/ reports as core.*_ms and lbc.head_ms. Durations are wall-clock, so
 // parallel phases report their span, not their CPU time.
 type InspectorTimings struct {
 	Setup   time.Duration // transposes, CSC conversions, state allocation

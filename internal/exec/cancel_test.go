@@ -28,7 +28,7 @@ import (
 // bit-identity guarantee at any worker count — the scatter SpMV's atomic
 // adds reassociate under parallelism — so every bit-compare below uses this
 // fixture.
-func compileGather(t *testing.T, th int) (*Runner, []kernels.Kernel, *core.Schedule, func() []float64, []float64) {
+func compileGather(t testing.TB, th int) (*Runner, []kernels.Kernel, *core.Schedule, func() []float64, []float64) {
 	t.Helper()
 	loops, ks, snap := fusedTrsvTrsv(600, int64(th))
 	p := icoParams()
@@ -226,24 +226,69 @@ func TestCancelVsFaultRace(t *testing.T) {
 	}
 }
 
-func TestLegacyExecutorCancelTyped(t *testing.T) {
+// cancelAt fires cancel when the armed iteration runs: a cancel that lands at
+// a known point of a walk, with no timing involved.
+type cancelAt struct {
+	kernels.Kernel
+	iter   int
+	cancel context.CancelFunc
+}
+
+func (k *cancelAt) Run(i int) {
+	if i == k.iter {
+		k.cancel()
+	}
+	k.Kernel.Run(i)
+}
+
+// TestSequentialWalkCancelTyped: the walk observes its context before the run
+// and before every s-partition. A dead context refuses the run untouched; one
+// that fires inside s-partition s stops the walk before s+1, with everything
+// written so far the bits of an uncancelled walk of the first s+1
+// s-partitions.
+func TestSequentialWalkCancelTyped(t *testing.T) {
 	for _, th := range faultWorkerCounts {
-		loops, ks, _ := fusedTrsvMv(400, int64(th))
-		p := icoParams()
-		p.Threads = th
-		sched, err := core.ICO(loops, p)
-		if err != nil {
-			t.Fatal(err)
-		}
+		_, ks, sched, snap, ref := compileGather(t, th)
 		ctx, cancel := context.WithCancel(context.Background())
 		cancel()
-		err = watchdog(t, 10*time.Second, func() error {
-			_, err := RunFusedLegacyContext(ctx, ks, sched, th)
-			return err
-		})
+		_, err := RunScheduleSequential(ctx, ks, sched)
 		var c *CancelledError
-		if !errors.As(err, &c) {
-			t.Fatalf("th=%d: legacy executor got %T (%v), want *CancelledError", th, err, err)
+		if !errors.As(err, &c) || c.SPartition != -1 || !errors.Is(err, context.Canceled) {
+			t.Fatalf("th=%d: dead context returned %T (%v), want *CancelledError at -1", th, err, err)
+		}
+		if !bitsSame(snap(), ref) {
+			t.Fatalf("th=%d: refused walk touched the fixture", th)
+		}
+
+		// TRSV's Prepare clears nothing, so each walk starts from zeroed
+		// solution vectors: what a cancelled walk did not write stays zero.
+		zeroed := func(ks []kernels.Kernel) [][]float64 {
+			xs := [][]float64{ks[0].(*kernels.SpTRSVCSR).X, ks[1].(*kernels.SpTRSVCSR).X}
+			for _, x := range xs {
+				clear(x)
+			}
+			return xs
+		}
+		// A twin fixture (compileGather is deterministic in th) walks the
+		// uncancelled prefixes.
+		_, twinKs, _, _, _ := compileGather(t, th)
+		for s := 0; s+1 < len(sched.S); s++ {
+			want := zeroed(twinKs)
+			walk(twinKs, &core.Schedule{S: sched.S[:s+1]})
+
+			got := zeroed(ks)
+			first := sched.S[s][0][0]
+			ctx, cancel := context.WithCancel(context.Background())
+			armed := append([]kernels.Kernel(nil), ks...)
+			armed[first.Loop] = &cancelAt{Kernel: ks[first.Loop], iter: first.Idx, cancel: cancel}
+			_, err := RunScheduleSequential(ctx, armed, sched)
+			cancel()
+			if !errors.As(err, &c) || c.SPartition != s+1 {
+				t.Fatalf("th=%d: cancel inside s-partition %d returned %v, want *CancelledError at %d", th, s, err, s+1)
+			}
+			if !bitsSame(got[0], want[0]) || !bitsSame(got[1], want[1]) {
+				t.Fatalf("th=%d: walk cancelled after s-partition %d differs from an uncancelled prefix", th, s)
+			}
 		}
 	}
 }
@@ -352,6 +397,29 @@ func TestPoisonedPoolRefusesRuns(t *testing.T) {
 	f = p.takeFault()
 	if f == nil || !f.watchdog {
 		t.Fatalf("poisoned pool ran anyway (fault %+v)", f)
+	}
+}
+
+// BenchmarkRunContext: what merely being cancellable costs a run. "armed" runs
+// under a context that can fire and never does — one watcher goroutine per
+// run, the same fault-pointer load per round — against "plain", whose
+// context.Background() arms nothing.
+func BenchmarkRunContext(b *testing.B) {
+	const th = 4
+	r, _, _, _, _ := compileGather(b, th)
+	armed, cancel := context.WithCancel(context.Background())
+	defer cancel()
+	for _, c := range []struct {
+		name string
+		ctx  context.Context
+	}{{"plain", context.Background()}, {"armed", armed}} {
+		b.Run(c.name, func(b *testing.B) {
+			for i := 0; i < b.N; i++ {
+				if _, err := r.RunContext(c.ctx, th); err != nil {
+					b.Fatal(err)
+				}
+			}
+		})
 	}
 }
 

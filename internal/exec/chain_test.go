@@ -1,6 +1,7 @@
 package exec
 
 import (
+	"context"
 	"errors"
 	"fmt"
 	"testing"
@@ -174,7 +175,8 @@ func assertBitIdentical(t *testing.T, label string, got, want []float64) {
 
 // TestChainBitIdenticalAcrossExecutors: k = 3, 4, 5 TRSV chains plus the
 // mixed sparse/vector chain agree bit-for-bit with the sequential reference
-// at workers 1..8 on the compiled, packed, and stealing executors.
+// at workers 1..8 on the compiled, packed, and stealing executors, as does
+// the one-thread walk of the same schedule.
 func TestChainBitIdenticalAcrossExecutors(t *testing.T) {
 	cases := map[string]*chainFixture{
 		"trsv-k3": trsvChain(t, 240, 3),
@@ -208,13 +210,10 @@ func TestChainBitIdenticalAcrossExecutors(t *testing.T) {
 			}
 			run("packed", func() (Stats, error) { return rp.Run(workers) })
 
-			rs, _, err := CompileFusedPackedFirstTouch(fx.ks, sched, Config{Steal: true}, workers)
-			if err != nil {
-				t.Fatalf("%s: first-touch pack: %v", name, err)
-			}
-			run("stealing", func() (Stats, error) { return rs.Run(workers) })
+			rp.Configure(Config{Steal: true})
+			run("stealing", func() (Stats, error) { return rp.Run(workers) })
 
-			run("legacy", func() (Stats, error) { return RunFusedLegacy(fx.ks, sched, workers) })
+			run("sequential", func() (Stats, error) { return RunScheduleSequential(context.Background(), fx.ks, sched) })
 		}
 	}
 }

@@ -15,9 +15,8 @@ import (
 // flat int32 slices: one kernels.BatchRunner call per segment instead of two
 // interface calls per iteration. Interleaved schedules, whose segments
 // shred down to a couple of iterations each, are coalesced into fused
-// two-kernel spans dispatched through a kernels.PairRunner. The slice-walking
-// Run*Legacy executors remain as the reference implementations these are
-// cross-checked against.
+// two-kernel spans dispatched through a kernels.PairRunner. The one-thread
+// schedule walk (RunScheduleSequential) is the oracle this is tested against.
 
 // seg is one dispatch unit of a compiled w-partition: the iteration range
 // Iters[lo:hi] plus the cheapest body able to run it. Exactly one of pair,
@@ -168,8 +167,7 @@ func (r *Runner) SetRecorder(rec *Recorder) {
 // Recorder returns the attached profiler, if any.
 func (r *Runner) Recorder() *Recorder { return r.rec }
 
-// Run executes the compiled schedule with the same semantics and Stats
-// accounting as RunFusedLegacy: Prepare in loop order, one barrier per
+// Run executes the compiled schedule: Prepare in loop order, one barrier per
 // s-partition. On the compiled-unpacked path scatter kernels run in atomic
 // mode iff two w-partitions can actually run at once (pool and schedule both
 // wider than one); on the packed path they never do — contended updates go
@@ -343,8 +341,9 @@ func (r *Runner) runW(w int) {
 }
 
 // CompileFused compiles an ICO schedule for the fused chain ks. It fails
-// only when the schedule exceeds the packed representation; callers fall
-// back to RunFusedLegacy then.
+// only when the schedule exceeds the packed representation (more than
+// kernels.MaxLoops loops or kernels.MaxIterations rows), which nothing the
+// library builds does.
 func CompileFused(ks []kernels.Kernel, sched *core.Schedule) (*Runner, error) {
 	prog, err := core.CompileSchedule(sched, len(ks))
 	if err != nil {
@@ -406,8 +405,8 @@ func CompileJoint(k1, k2 kernels.Kernel, p *partition.Partitioning) (*Runner, er
 }
 
 // BenchBarrier runs rounds empty barrier rounds of the given width on a
-// fresh pool and returns the mean cost per barrier; the harness behind the
-// committed barrier-throughput numbers (cmd/spbench).
+// fresh pool and returns the mean cost per barrier: the ns_per_barrier term
+// of bench/'s run-time model.
 func BenchBarrier(workers, rounds int) time.Duration {
 	pl := newPool(workers)
 	defer pl.close()
@@ -421,22 +420,19 @@ func BenchBarrier(workers, rounds int) time.Duration {
 }
 
 // RunChainCompiled executes kernels one after another, each under a
-// pre-compiled Runner. Entries with a nil runner fall back to the matching
-// partitioning (or run sequentially when that is nil too), mirroring
+// pre-compiled Runner. An entry with a nil runner runs its kernel
+// sequentially (the MKL-style baseline's factorizations), mirroring
 // RunChain's accounting.
-func RunChainCompiled(ks []kernels.Kernel, rs []*Runner, ps []*partition.Partitioning, threads int) (Stats, error) {
+func RunChainCompiled(ks []kernels.Kernel, rs []*Runner, threads int) (Stats, error) {
 	var st Stats
 	t0 := time.Now()
 	for i, k := range ks {
 		var s Stats
 		var err error
-		switch {
-		case rs[i] != nil:
+		if rs[i] != nil {
 			s, err = rs[i].Run(threads)
-		case ps[i] == nil:
+		} else {
 			s, err = RunSequentialKernel(k)
-		default:
-			s, err = RunPartitionedLegacy(k, ps[i], threads)
 		}
 		st.Barriers += s.Barriers
 		st.PotentialGain += s.PotentialGain
@@ -456,26 +452,29 @@ func RunChainCompiled(ks []kernels.Kernel, rs []*Runner, ps []*partition.Partiti
 // schedule is compiled on every call; callers that rerun one schedule should
 // compile once via CompileFused and Run the Runner.
 func RunFused(ks []kernels.Kernel, sched *core.Schedule, threads int) (Stats, error) {
-	if r, err := CompileFused(ks, sched); err == nil {
-		return r.Run(threads)
+	r, err := CompileFused(ks, sched)
+	if err != nil {
+		return Stats{}, err
 	}
-	return RunFusedLegacy(ks, sched, threads)
+	return r.Run(threads)
 }
 
 // RunPartitioned executes one kernel under a baseline partitioning
 // (wavefront, LBC or DAGP schedule of the kernel's own DAG).
 func RunPartitioned(k kernels.Kernel, p *partition.Partitioning, threads int) (Stats, error) {
-	if r, err := CompilePartitioned(k, p); err == nil {
-		return r.Run(threads)
+	r, err := CompilePartitioned(k, p)
+	if err != nil {
+		return Stats{}, err
 	}
-	return RunPartitionedLegacy(k, p, threads)
+	return r.Run(threads)
 }
 
 // RunJoint executes two kernels under a partitioning of their joint DAG:
 // the fused-wavefront / fused-LBC / fused-DAGP baselines.
 func RunJoint(k1, k2 kernels.Kernel, p *partition.Partitioning, threads int) (Stats, error) {
-	if r, err := CompileJoint(k1, k2, p); err == nil {
-		return r.Run(threads)
+	r, err := CompileJoint(k1, k2, p)
+	if err != nil {
+		return Stats{}, err
 	}
-	return RunJointLegacy(k1, k2, p, threads)
+	return r.Run(threads)
 }

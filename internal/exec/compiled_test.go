@@ -1,6 +1,7 @@
 package exec
 
 import (
+	"context"
 	"testing"
 	"time"
 
@@ -8,15 +9,57 @@ import (
 	"sparsefusion/internal/dag"
 	"sparsefusion/internal/kernels"
 	"sparsefusion/internal/lbc"
+	"sparsefusion/internal/partition"
 	"sparsefusion/internal/sparse"
 	"sparsefusion/internal/wavefront"
 )
 
-// TestCompiledMatchesLegacyBitIdentical: on width-1 schedules (ICO at
-// Threads=1) both executors run strictly sequentially in the same order with
-// the same arithmetic, so outputs must match bit for bit, as must the
-// barrier count.
-func TestCompiledMatchesLegacyBitIdentical(t *testing.T) {
+// walk runs the schedule through the one-thread oracle.
+func walk(ks []kernels.Kernel, sched *core.Schedule) Stats {
+	return mustRun(RunScheduleSequential(context.Background(), ks, sched))
+}
+
+// scatters reports whether the chain has a CSC scatter kernel, whose sums
+// associate differently under parallelism; every other chain is gather-only
+// and must reproduce the oracle's bits at any width.
+func scatters(ks []kernels.Kernel) bool {
+	for _, k := range ks {
+		if _, ok := k.(AtomicSetter); ok {
+			return true
+		}
+	}
+	return false
+}
+
+// asSchedule spells a baseline partitioning of a joint DAG as a fused
+// schedule — vertices below n1 are loop-0 iterations, the rest loop-1 — so the
+// partitioned and joint runners are checked against the same oracle as the
+// fused one. A single kernel's partitioning passes its iteration count as n1.
+func asSchedule(p *partition.Partitioning, n1 int) *core.Schedule {
+	sched := &core.Schedule{}
+	for _, sp := range p.S {
+		var ws [][]core.Iter
+		for _, wp := range sp {
+			var its []core.Iter
+			for _, v := range wp {
+				if v < n1 {
+					its = append(its, core.Iter{Loop: 0, Idx: v})
+				} else {
+					its = append(its, core.Iter{Loop: 1, Idx: v - n1})
+				}
+			}
+			ws = append(ws, its)
+		}
+		sched.S = append(sched.S, ws)
+	}
+	return sched
+}
+
+// TestCompiledMatchesSequentialWalkBitIdentical: on width-1 schedules (ICO at
+// Threads=1) the runner and the walk execute the same iterations in the same
+// order with the same arithmetic, so outputs must match bit for bit; the
+// runner crosses one barrier per s-partition, the walk none.
+func TestCompiledMatchesSequentialWalkBitIdentical(t *testing.T) {
 	for name, mk := range combos {
 		for _, reuse := range []float64{0.5, 1.5} {
 			loops, ks, snap := mk(300, 7)
@@ -25,31 +68,30 @@ func TestCompiledMatchesLegacyBitIdentical(t *testing.T) {
 			if err != nil {
 				t.Fatalf("%s: %v", name, err)
 			}
-			stL := mustRun(RunFusedLegacy(ks, sched, 1))
-			legacy := snap()
+			if st := walk(ks, sched); st.Barriers != 0 {
+				t.Fatalf("%s reuse %v: the walk reports %d barriers", name, reuse, st.Barriers)
+			}
+			want := snap()
 			r, err := CompileFused(ks, sched)
 			if err != nil {
 				t.Fatalf("%s: compile: %v", name, err)
 			}
 			stC := mustRun(r.Run(1))
-			compiled := snap()
-			for i := range legacy {
-				if compiled[i] != legacy[i] {
-					t.Fatalf("%s reuse %v: output[%d] = %v, legacy %v", name, reuse, i, compiled[i], legacy[i])
-				}
+			if got := snap(); !bitsSame(got, want) {
+				t.Fatalf("%s reuse %v: compiled output differs from the walk's", name, reuse)
 			}
-			if stC.Barriers != stL.Barriers {
-				t.Fatalf("%s reuse %v: %d barriers, legacy %d", name, reuse, stC.Barriers, stL.Barriers)
+			if stC.Barriers != sched.NumSPartitions() {
+				t.Fatalf("%s reuse %v: %d barriers, %d s-partitions", name, reuse, stC.Barriers, sched.NumSPartitions())
 			}
 		}
 	}
 }
 
-// TestCompiledMatchesLegacyParallel: wide schedules run scatter kernels in
-// atomic mode, whose accumulation order is nondeterministic, so parallel
-// equivalence is up to floating-point reassociation plus an exact barrier
-// count.
-func TestCompiledMatchesLegacyParallel(t *testing.T) {
+// TestCompiledMatchesSequentialWalkParallel: on wide schedules gather-only
+// chains still reproduce the walk's bits; chains with a CSC scatter run it in
+// atomic mode, whose accumulation order is nondeterministic, so they agree up
+// to floating-point reassociation.
+func TestCompiledMatchesSequentialWalkParallel(t *testing.T) {
 	for name, mk := range combos {
 		for _, reuse := range []float64{0.5, 1.5} {
 			loops, ks, snap := mk(300, 7)
@@ -59,29 +101,30 @@ func TestCompiledMatchesLegacyParallel(t *testing.T) {
 			if err != nil {
 				t.Fatalf("%s: %v", name, err)
 			}
-			stL := mustRun(RunFusedLegacy(ks, sched, threads))
-			legacy := snap()
+			walk(ks, sched)
+			want := snap()
 			r, err := CompileFused(ks, sched)
 			if err != nil {
 				t.Fatalf("%s: compile: %v", name, err)
 			}
 			for rep := 0; rep < 3; rep++ {
 				stC := mustRun(r.Run(threads))
-				if e := sparse.RelErr(snap(), legacy); e > 1e-9 {
-					t.Fatalf("%s reuse %v rep %d: compiled diverges from legacy by %v", name, reuse, rep, e)
+				got := snap()
+				if e := sparse.RelErr(got, want); e > 1e-9 || (!scatters(ks) && !bitsSame(got, want)) {
+					t.Fatalf("%s reuse %v rep %d: compiled diverges from the walk by %v", name, reuse, rep, e)
 				}
-				if stC.Barriers != stL.Barriers {
-					t.Fatalf("%s reuse %v: %d barriers, legacy %d", name, reuse, stC.Barriers, stL.Barriers)
+				if stC.Barriers != sched.NumSPartitions() {
+					t.Fatalf("%s reuse %v: %d barriers, %d s-partitions", name, reuse, stC.Barriers, sched.NumSPartitions())
 				}
 			}
 		}
 	}
 }
 
-// TestCompiledPartitionedMatchesLegacy: SpTRSV-CSR gathers (no scatter), so
-// its per-row arithmetic order is fixed and even parallel partitioned runs
-// must be bit-identical to the legacy executor.
-func TestCompiledPartitionedMatchesLegacy(t *testing.T) {
+// TestCompiledPartitionedMatchesSequentialWalk: SpTRSV-CSR gathers (no
+// scatter), so its per-row arithmetic order is fixed and even parallel
+// partitioned runs must be bit-identical to the walk of the same partitioning.
+func TestCompiledPartitionedMatchesSequentialWalk(t *testing.T) {
 	a := sparse.Must(sparse.RandomSPD(400, 5, 9))
 	l := a.Lower()
 	b := sparse.RandomVec(400, 10)
@@ -91,20 +134,18 @@ func TestCompiledPartitionedMatchesLegacy(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	stL := mustRun(RunPartitionedLegacy(k, lb, threads))
-	legacy := append([]float64(nil), x...)
+	walk([]kernels.Kernel{k}, asSchedule(lb, k.Iterations()))
+	want := append([]float64(nil), x...)
 	stC := mustRun(RunPartitioned(k, lb, threads))
-	for i := range legacy {
-		if x[i] != legacy[i] {
-			t.Fatalf("x[%d] = %v, legacy %v", i, x[i], legacy[i])
-		}
+	if !bitsSame(x, want) {
+		t.Fatal("partitioned run differs from the walk")
 	}
-	if stC.Barriers != stL.Barriers {
-		t.Fatalf("%d barriers, legacy %d", stC.Barriers, stL.Barriers)
+	if stC.Barriers != len(lb.S) {
+		t.Fatalf("%d barriers, %d s-partitions", stC.Barriers, len(lb.S))
 	}
 }
 
-func TestCompiledJointMatchesLegacy(t *testing.T) {
+func TestCompiledJointMatchesSequentialWalk(t *testing.T) {
 	loops, ks, snap := fusedTrsvMv(350, 11)
 	joint, err := dag.Joint(loops.G[0], loops.G[1], loops.F[0])
 	if err != nil {
@@ -114,14 +155,14 @@ func TestCompiledJointMatchesLegacy(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	stL := mustRun(RunJointLegacy(ks[0], ks[1], wf, threads))
-	legacy := snap()
+	walk(ks, asSchedule(wf, ks[0].Iterations()))
+	want := snap()
 	stC := mustRun(RunJoint(ks[0], ks[1], wf, threads))
-	if e := sparse.RelErr(snap(), legacy); e > 1e-9 {
-		t.Fatalf("joint compiled diverges from legacy by %v", e)
+	if e := sparse.RelErr(snap(), want); e > 1e-9 {
+		t.Fatalf("joint compiled diverges from the walk by %v", e)
 	}
-	if stC.Barriers != stL.Barriers {
-		t.Fatalf("%d barriers, legacy %d", stC.Barriers, stL.Barriers)
+	if stC.Barriers != len(wf.S) {
+		t.Fatalf("%d barriers, %d s-partitions", stC.Barriers, len(wf.S))
 	}
 }
 
@@ -185,11 +226,9 @@ func benchFused(b testing.TB, n int, reuse float64) ([]kernels.Kernel, *core.Sch
 	return []kernels.Kernel{k1, k2}, sched
 }
 
-// BenchmarkFusedExecutor compares the compiled executor against the legacy
-// slice walker on the SpTRSV -> SpMV pair at 8 w-partitions (the ISSUE's
-// acceptance benchmark). Both run on the same spin-barrier pool, so the
-// delta isolates dispatch: flat tagged stream + batch/pair bodies versus
-// per-iteration interface calls.
+// BenchmarkFusedExecutor compares the compiled executor against the
+// one-thread schedule walk on the SpTRSV -> SpMV pair at 8 w-partitions: what
+// the ladder's last rung costs against the rung above it.
 func BenchmarkFusedExecutor(b *testing.B) {
 	for _, tc := range []struct {
 		name  string
@@ -208,9 +247,9 @@ func BenchmarkFusedExecutor(b *testing.B) {
 				r.Run(8)
 			}
 		})
-		b.Run(tc.name+"/legacy", func(b *testing.B) {
+		b.Run(tc.name+"/sequential", func(b *testing.B) {
 			for i := 0; i < b.N; i++ {
-				RunFusedLegacy(ks, sched, 8)
+				walk(ks, sched)
 			}
 		})
 	}

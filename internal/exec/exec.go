@@ -12,6 +12,7 @@ package exec
 
 import (
 	"context"
+	"runtime/debug"
 	"time"
 
 	"sparsefusion/internal/core"
@@ -73,52 +74,44 @@ func accumulate(st *Stats, durs []time.Duration, threads int) {
 	}
 }
 
-// RunFusedLegacy executes the fused loops by walking the three-level
-// core.Schedule directly, dispatching every iteration through the Kernel
-// interface. It is the reference implementation the compiled path
-// (CompileFused) is cross-checked against, and the fallback when a schedule
-// does not fit the packed Program representation. A worker-body panic (kernel
-// breakdown or corrupt schedule) abandons the remaining s-partitions and is
-// returned as an *ExecError.
-func RunFusedLegacy(ks []kernels.Kernel, sched *core.Schedule, threads int) (Stats, error) {
-	return RunFusedLegacyContext(context.Background(), ks, sched, threads)
-}
-
-// RunFusedLegacyContext is RunFusedLegacy under cooperative cancellation: a
-// context fired mid-run stops at the next s-partition boundary and returns a
-// *CancelledError, with every completed s-partition bit-identical to an
-// uncancelled run's.
-func RunFusedLegacyContext(ctx context.Context, ks []kernels.Kernel, sched *core.Schedule, threads int) (Stats, error) {
-	pl := newPool(sched.MaxWidth())
-	defer pl.close()
-	return runFusedLegacyOnPool(ctx, ks, sched, threads, pl)
-}
-
-// RunPartitionedLegacy executes one kernel under a baseline partitioning by
-// walking the partition slices directly; reference implementation and
-// fallback for CompilePartitioned.
-func RunPartitionedLegacy(k kernels.Kernel, p *partition.Partitioning, threads int) (Stats, error) {
-	setAtomics([]kernels.Kernel{k}, anyWide(p))
-	defer setAtomics([]kernels.Kernel{k}, false)
-	var st Stats
+// RunScheduleSequential walks a fused schedule on the calling goroutine:
+// Prepare in loop order, then s-partitions, w-partitions and iterations in
+// schedule order — no pool, no atomics, no barriers (Stats.Barriers is 0). It
+// runs a schedule whose compiled program cannot be used (the facade ladder's
+// last rung) and is the deterministic oracle the Runner is tested against.
+// ctx is observed before every s-partition: a fired context returns a
+// *CancelledError naming the first s-partition that did not run (-1 when
+// none did), every earlier one complete. A panic out of a kernel body — a
+// breakdown, or an out-of-range iteration in a corrupt schedule — abandons
+// the rest and returns as the *ExecError the pool would produce.
+func RunScheduleSequential(ctx context.Context, ks []kernels.Kernel, sched *core.Schedule) (st Stats, err error) {
+	if ctx.Err() != nil {
+		return Stats{}, newCancelled(ctx)
+	}
 	t0 := time.Now()
-	k.Prepare()
-	pl := newPool(maxWidth(p))
-	defer pl.close()
-	durs := make([]time.Duration, maxWidth(p))
-	for si, sp := range p.S {
-		pl.run(len(sp), func(w int) {
-			for _, v := range sp[w] {
-				k.Run(v)
+	s, wp := 0, 0 // s-partition and global w-partition in flight
+	defer func() {
+		if rec := recover(); rec != nil {
+			err = (&workerFault{recovered: rec, stack: debug.Stack()}).execError(s, wp)
+		}
+		st.Elapsed = time.Since(t0)
+	}()
+	for _, k := range ks {
+		k.Prepare()
+	}
+	for ; s < len(sched.S); s++ {
+		if ctx.Err() != nil {
+			c := newCancelled(ctx)
+			c.SPartition = s
+			return st, c
+		}
+		for _, w := range sched.S[s] {
+			for _, it := range w {
+				ks[it.Loop].Run(it.Idx)
 			}
-		}, durs[:len(sp)])
-		accumulate(&st, durs[:len(sp)], threads)
-		if f := pl.takeFault(); f != nil {
-			st.Elapsed = time.Since(t0)
-			return st, f.runError(si, -1)
+			wp++
 		}
 	}
-	st.Elapsed = time.Since(t0)
 	return st, nil
 }
 
@@ -147,63 +140,6 @@ func RunChain(ks []kernels.Kernel, ps []*partition.Partitioning, threads int) (S
 	return st, nil
 }
 
-// RunChainLegacy is RunChain over the slice-walking partitioned executor.
-func RunChainLegacy(ks []kernels.Kernel, ps []*partition.Partitioning, threads int) (Stats, error) {
-	var st Stats
-	t0 := time.Now()
-	for i, k := range ks {
-		var s Stats
-		var err error
-		if ps[i] == nil {
-			s, err = RunSequentialKernel(k)
-		} else {
-			s, err = RunPartitionedLegacy(k, ps[i], threads)
-		}
-		st.Barriers += s.Barriers
-		st.PotentialGain += s.PotentialGain
-		if err != nil {
-			st.Elapsed = time.Since(t0)
-			return st, err
-		}
-	}
-	st.Elapsed = time.Since(t0)
-	return st, nil
-}
-
-// RunJointLegacy executes two kernels under a partitioning of their joint
-// DAG by testing v < n1 on every vertex; reference implementation and
-// fallback for CompileJoint.
-func RunJointLegacy(k1, k2 kernels.Kernel, p *partition.Partitioning, threads int) (Stats, error) {
-	n1 := k1.Iterations()
-	setAtomics([]kernels.Kernel{k1, k2}, anyWide(p))
-	defer setAtomics([]kernels.Kernel{k1, k2}, false)
-	var st Stats
-	t0 := time.Now()
-	k1.Prepare()
-	k2.Prepare()
-	pl := newPool(maxWidth(p))
-	defer pl.close()
-	durs := make([]time.Duration, maxWidth(p))
-	for si, sp := range p.S {
-		pl.run(len(sp), func(w int) {
-			for _, v := range sp[w] {
-				if v < n1 {
-					k1.Run(v)
-				} else {
-					k2.Run(v - n1)
-				}
-			}
-		}, durs[:len(sp)])
-		accumulate(&st, durs[:len(sp)], threads)
-		if f := pl.takeFault(); f != nil {
-			st.Elapsed = time.Since(t0)
-			return st, f.runError(si, -1)
-		}
-	}
-	st.Elapsed = time.Since(t0)
-	return st, nil
-}
-
 // RunSequentialKernel runs a kernel in plain iteration order, the baseline
 // the paper's amortization metric divides by (figure 7). A numerical
 // breakdown is returned as the *kernels.BreakdownError itself (there is no
@@ -213,15 +149,3 @@ func RunSequentialKernel(k kernels.Kernel) (Stats, error) {
 	err := kernels.RunSeq(k)
 	return Stats{Elapsed: time.Since(t0)}, err
 }
-
-func maxWidth(p *partition.Partitioning) int {
-	m := 1
-	for _, sp := range p.S {
-		if len(sp) > m {
-			m = len(sp)
-		}
-	}
-	return m
-}
-
-func anyWide(p *partition.Partitioning) bool { return maxWidth(p) > 1 }

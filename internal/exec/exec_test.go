@@ -1,8 +1,6 @@
 package exec
 
 import (
-	"bytes"
-	"encoding/json"
 	"testing"
 
 	"sparsefusion/internal/core"
@@ -258,77 +256,5 @@ func TestSingleThreadNoAtomics(t *testing.T) {
 	// Atomic mode must be off after the run.
 	if ks[1].(*kernels.SpMVCSC).Atomic {
 		t.Fatal("atomic mode left enabled")
-	}
-}
-
-func TestRunFusedTraced(t *testing.T) {
-	loops, ks, snap := fusedTrsvTrsv(200, 21)
-	want := seqResult(ks, snap)
-	sched, err := core.ICO(loops, icoParams())
-	if err != nil {
-		t.Fatal(err)
-	}
-	st, spans, err := RunFusedTraced(ks, sched, threads)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if got := snap(); sparse.RelErr(got, want) > 1e-9 {
-		t.Fatal("traced run diverges")
-	}
-	if len(spans) == 0 {
-		t.Fatal("no spans recorded")
-	}
-	// One span per w-partition, grouped by s-partition in order.
-	total := 0
-	for _, sp := range sched.S {
-		total += len(sp)
-	}
-	if len(spans) != total {
-		t.Fatalf("spans = %d, want %d", len(spans), total)
-	}
-	iters := 0
-	for _, s := range spans {
-		iters += s.Iters
-		if s.Duration < 0 || s.Start < 0 {
-			t.Fatalf("negative timing in span %+v", s)
-		}
-	}
-	if iters != sched.NumIterations() {
-		t.Fatalf("span iters %d != schedule %d", iters, sched.NumIterations())
-	}
-	if st.Barriers != sched.NumSPartitions() {
-		t.Fatal("barrier count wrong")
-	}
-}
-
-func TestWriteChromeTrace(t *testing.T) {
-	spans := []Span{
-		{SPartition: 0, WPartition: 0, Start: 0, Duration: 1000, Iters: 10},
-		{SPartition: 0, WPartition: 1, Start: 100, Duration: 900, Iters: 12},
-		{SPartition: 1, WPartition: 0, Start: 1200, Duration: 500, Iters: 5},
-	}
-	var buf bytes.Buffer
-	if err := WriteChromeTrace(&buf, spans); err != nil {
-		t.Fatal(err)
-	}
-	var doc struct {
-		TraceEvents []struct {
-			Name string  `json:"name"`
-			Ph   string  `json:"ph"`
-			Dur  float64 `json:"dur"`
-			TID  int     `json:"tid"`
-		} `json:"traceEvents"`
-	}
-	if err := json.Unmarshal(buf.Bytes(), &doc); err != nil {
-		t.Fatal(err)
-	}
-	if len(doc.TraceEvents) != 3 {
-		t.Fatalf("events = %d", len(doc.TraceEvents))
-	}
-	if doc.TraceEvents[0].Name != "s0 (10 iters)" || doc.TraceEvents[0].Ph != "X" {
-		t.Fatalf("event malformed: %+v", doc.TraceEvents[0])
-	}
-	if doc.TraceEvents[1].TID != 2 {
-		t.Fatal("w-partition not mapped to thread row")
 	}
 }

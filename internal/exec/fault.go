@@ -49,7 +49,7 @@ type ExecError struct {
 	// SPartition is the barrier round in which the fault was recovered.
 	SPartition int
 	// WPartition is the global w-partition index the slot was executing,
-	// or -1 when the executor cannot attribute one (legacy paths).
+	// or -1 when there is none to attribute (cancellation, watchdog).
 	WPartition int
 	// Recovered is the value the worker body panicked with.
 	Recovered any

@@ -3,6 +3,7 @@ package exec
 import (
 	"context"
 	"errors"
+	"fmt"
 	"runtime"
 	"testing"
 	"time"
@@ -36,45 +37,50 @@ func watchdog(t *testing.T, d time.Duration, fn func() error) error {
 
 var faultWorkerCounts = []int{1, 2, 4, 8}
 
-// corruptSchedule returns an ICO schedule for the combo with one iteration
-// index rewritten far out of the kernel's range, so the executor's dispatch
-// indexes out of bounds and panics inside a worker body.
-func corruptTrsvMv(t *testing.T, th int) (*core.Schedule, []kernels.Kernel) {
-	t.Helper()
-	loops, ks, _ := fusedTrsvMv(300, int64(th))
-	p := icoParams()
-	p.Threads = th
-	sched, err := core.ICO(loops, p)
-	if err != nil {
-		t.Fatal(err)
-	}
-	// Corrupt the last s-partition so earlier rounds run normally first: the
-	// fault must propagate through barriers that have already succeeded.
-	sp := sched.S[len(sched.S)-1]
-	wp := sp[len(sp)-1]
-	wp[len(wp)-1].Idx = 1 << 20 // far beyond the 300-row fixture
-	return sched, ks
-}
-
-func TestLegacyExecutorSurvivesCorruptSchedule(t *testing.T) {
+// TestSequentialWalkSurvivesCorruptSchedule: the walk has no program to
+// validate against, so an out-of-range iteration panics inside a kernel body;
+// it must come back as an *ExecError naming where it happened, and the
+// kernels — there is no runner to re-arm — must walk cleanly once the schedule
+// is repaired.
+func TestSequentialWalkSurvivesCorruptSchedule(t *testing.T) {
 	for _, th := range faultWorkerCounts {
-		sched, ks := corruptTrsvMv(t, th)
-		err := watchdog(t, 10*time.Second, func() error {
-			_, err := RunFusedLegacy(ks, sched, th)
-			return err
-		})
-		if err == nil {
-			t.Fatalf("threads=%d: corrupt schedule executed without error", th)
+		loops, ks, snap := fusedTrsvMv(300, int64(th))
+		p := icoParams()
+		p.Threads = th
+		sched, err := core.ICO(loops, p)
+		if err != nil {
+			t.Fatal(err)
 		}
+		walk(ks, sched)
+		want := snap()
+		// Corrupt the last iteration of the last w-partition, far beyond the
+		// 300-row fixture, so every earlier s-partition runs normally first.
+		lastS, lastW := len(sched.S)-1, -1
+		for _, sp := range sched.S {
+			lastW += len(sp)
+		}
+		sp := sched.S[lastS]
+		wp := sp[len(sp)-1]
+		saved := wp[len(wp)-1]
+		wp[len(wp)-1].Idx = 1 << 20
+		_, err = RunScheduleSequential(context.Background(), ks, sched)
 		var ee *ExecError
 		if !errors.As(err, &ee) {
-			t.Fatalf("threads=%d: error %T is not *ExecError: %v", th, err, err)
+			t.Fatalf("threads=%d: corrupt schedule returned %T (%v), want *ExecError", th, err, err)
 		}
 		if ee.Breakdown() != nil {
 			t.Fatalf("threads=%d: out-of-bounds fault misreported as breakdown", th)
 		}
 		if len(ee.Stack) == 0 {
 			t.Fatalf("threads=%d: fault carries no stack", th)
+		}
+		if ee.SPartition != lastS || ee.WPartition != lastW || ee.Watchdog {
+			t.Fatalf("threads=%d: fault attributed to s=%d w=%d watchdog=%v, want s=%d w=%d", th, ee.SPartition, ee.WPartition, ee.Watchdog, lastS, lastW)
+		}
+		wp[len(wp)-1] = saved
+		walk(ks, sched)
+		if !bitsSame(snap(), want) {
+			t.Fatalf("threads=%d: walk after the fault differs from the walk before it", th)
 		}
 	}
 }
@@ -132,7 +138,7 @@ func TestFaultAbandonsRemainingRounds(t *testing.T) {
 		t.Skip("schedule has a single s-partition")
 	}
 	sched.S[0][0][0].Idx = 1 << 20
-	st, err := RunFusedLegacy(ks, sched, threads)
+	st, err := RunFused(ks, sched, threads)
 	if err == nil {
 		t.Fatal("corrupt first round executed without error")
 	}
@@ -162,26 +168,32 @@ func TestBreakdownSurfacesThroughParallelExecutor(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	for _, th := range faultWorkerCounts {
+	check := func(label string, run func() (Stats, error)) {
 		err := watchdog(t, 10*time.Second, func() error {
-			_, err := RunFusedLegacy([]kernels.Kernel{k}, sched, th)
+			_, err := run()
 			return err
 		})
 		if err == nil {
-			t.Fatalf("threads=%d: zero-diagonal TRSV ran without error", th)
+			t.Fatalf("%s: zero-diagonal TRSV ran without error", label)
 		}
 		var bd *kernels.BreakdownError
 		if !errors.As(err, &bd) {
-			t.Fatalf("threads=%d: error does not unwrap to BreakdownError: %v", th, err)
+			t.Fatalf("%s: error does not unwrap to BreakdownError: %v", label, err)
 		}
 		if bd.Row != row {
-			t.Fatalf("threads=%d: breakdown at row %d, want %d", th, bd.Row, row)
+			t.Fatalf("%s: breakdown at row %d, want %d", label, bd.Row, row)
 		}
 		var ee *ExecError
 		if !errors.As(err, &ee) {
-			t.Fatalf("threads=%d: breakdown not carried by *ExecError: %v", th, err)
+			t.Fatalf("%s: breakdown not carried by *ExecError: %v", label, err)
 		}
 	}
+	ks := []kernels.Kernel{k}
+	for _, th := range faultWorkerCounts {
+		check(fmt.Sprintf("threads=%d", th), func() (Stats, error) { return RunFused(ks, sched, th) })
+	}
+	// The one-thread walk recovers the same panic into the same typed error.
+	check("walk", func() (Stats, error) { return RunScheduleSequential(context.Background(), ks, sched) })
 }
 
 // hookUnit wraps the packed body of dispatch unit g so that before runs ahead

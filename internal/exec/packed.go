@@ -14,8 +14,8 @@ import (
 // of a relayout.Layout. The hot loop then reads compact int32 indices and
 // float64 values with a single advancing cursor per stream instead of
 // pointer-chasing P[i] into matrix-order arrays. The compiled-unpacked path
-// (runW) and the slice-walking legacy executors remain as the reference
-// implementations the packed path is cross-checked against.
+// (runW) and the one-thread schedule walk are what the packed path is tested
+// against.
 
 // packedSeg is one dispatch unit's stream binding: the packed body plus the
 // entry/occurrence cursors at which the unit's data starts in each stream.
@@ -180,32 +180,6 @@ func CompileFusedPacked(ks []kernels.Kernel, sched *core.Schedule) (*Runner, *re
 		return nil, nil, err
 	}
 	lay, err := relayout.Build(r.Program(), ks)
-	if err != nil {
-		return nil, nil, err
-	}
-	if err := r.AttachLayout(lay); err != nil {
-		return nil, nil, err
-	}
-	return r, lay, nil
-}
-
-// CompileFusedPackedFirstTouch is CompileFusedPacked with the runner
-// configured for work-stealing (cfg.Steal is forced on) and the layout built
-// first-touch: each packed stream page is written by the executor slot that
-// owns it under the runner's seeded assignment for a pool of the given worker
-// count, so under a first-touch NUMA policy the pages land on the node that
-// will stream them. The layout contents are byte-identical to the
-// single-goroutine build; only page placement differs. Callers that later run
-// at a different width keep correctness — placement is best-effort, exactly
-// like stealing itself.
-func CompileFusedPackedFirstTouch(ks []kernels.Kernel, sched *core.Schedule, cfg Config, workers int) (*Runner, *relayout.Layout, error) {
-	r, err := CompileFused(ks, sched)
-	if err != nil {
-		return nil, nil, err
-	}
-	cfg.Steal = true
-	r.Configure(cfg)
-	lay, err := relayout.BuildFirstTouch(r.Program(), ks, r.Assignment(workers))
 	if err != nil {
 		return nil, nil, err
 	}

@@ -14,11 +14,10 @@ import (
 // CompileFusedPacked must reject (TestPackedFallbackForUnsupportedChains).
 var packableCombos = []string{"trsv-mv", "trsv-trsv"}
 
-// TestPackedMatchesLegacyBitIdentical: on width-1 schedules all three
-// executors (legacy slice walker, compiled-unpacked, packed) run strictly
-// sequentially with the same arithmetic order, so outputs must match bit for
-// bit.
-func TestPackedMatchesLegacyBitIdentical(t *testing.T) {
+// TestPackedMatchesSequentialWalkBitIdentical: on width-1 schedules the walk,
+// the compiled-unpacked path and the packed path run the same iterations in
+// the same order with the same arithmetic, so outputs must match bit for bit.
+func TestPackedMatchesSequentialWalkBitIdentical(t *testing.T) {
 	for _, name := range packableCombos {
 		mk := combos[name]
 		for _, reuse := range []float64{0.5, 1.5} {
@@ -28,8 +27,8 @@ func TestPackedMatchesLegacyBitIdentical(t *testing.T) {
 			if err != nil {
 				t.Fatalf("%s: %v", name, err)
 			}
-			stL := mustRun(RunFusedLegacy(ks, sched, 1))
-			legacy := snap()
+			walk(ks, sched)
+			want := snap()
 			r, lay, err := CompileFusedPacked(ks, sched)
 			if err != nil {
 				t.Fatalf("%s: compile packed: %v", name, err)
@@ -41,14 +40,11 @@ func TestPackedMatchesLegacyBitIdentical(t *testing.T) {
 				t.Fatalf("%s: empty layout", name)
 			}
 			stP := mustRun(r.Run(1))
-			packed := snap()
-			for i := range legacy {
-				if packed[i] != legacy[i] {
-					t.Fatalf("%s reuse %v: output[%d] = %v, legacy %v", name, reuse, i, packed[i], legacy[i])
-				}
+			if !bitsSame(snap(), want) {
+				t.Fatalf("%s reuse %v: packed output differs from the walk's", name, reuse)
 			}
-			if stP.Barriers != stL.Barriers {
-				t.Fatalf("%s reuse %v: %d barriers, legacy %d", name, reuse, stP.Barriers, stL.Barriers)
+			if stP.Barriers != sched.NumSPartitions() {
+				t.Fatalf("%s reuse %v: %d barriers, %d s-partitions", name, reuse, stP.Barriers, sched.NumSPartitions())
 			}
 			// Detaching returns the runner to the compiled-unpacked path,
 			// still bit-identical.
@@ -57,21 +53,18 @@ func TestPackedMatchesLegacyBitIdentical(t *testing.T) {
 				t.Fatalf("%s: detach did not clear the packed path", name)
 			}
 			r.Run(1)
-			unpacked := snap()
-			for i := range legacy {
-				if unpacked[i] != legacy[i] {
-					t.Fatalf("%s reuse %v: detached output[%d] diverges", name, reuse, i)
-				}
+			if !bitsSame(snap(), want) {
+				t.Fatalf("%s reuse %v: detached output diverges", name, reuse)
 			}
 		}
 	}
 }
 
-// TestPackedMatchesLegacyParallel: wide schedules run scatter kernels in
-// atomic mode (nondeterministic accumulation order), so parallel equivalence
-// is up to floating-point reassociation plus an exact barrier count. Run under
-// -race this also exercises the packed path for data races.
-func TestPackedMatchesLegacyParallel(t *testing.T) {
+// TestPackedMatchesSequentialWalkParallel: on wide schedules the gather-only
+// chain reproduces the walk's bits; the scatter chain sums its spill slots in
+// a different association, so it agrees to 1e-9. Run under -race this also
+// exercises the packed path for data races.
+func TestPackedMatchesSequentialWalkParallel(t *testing.T) {
 	for _, name := range packableCombos {
 		mk := combos[name]
 		for _, reuse := range []float64{0.5, 1.5} {
@@ -82,19 +75,20 @@ func TestPackedMatchesLegacyParallel(t *testing.T) {
 			if err != nil {
 				t.Fatalf("%s: %v", name, err)
 			}
-			stL := mustRun(RunFusedLegacy(ks, sched, threads))
-			legacy := snap()
+			walk(ks, sched)
+			want := snap()
 			r, _, err := CompileFusedPacked(ks, sched)
 			if err != nil {
 				t.Fatalf("%s: compile packed: %v", name, err)
 			}
 			for rep := 0; rep < 3; rep++ {
 				stP := mustRun(r.Run(threads))
-				if e := sparse.RelErr(snap(), legacy); e > 1e-9 {
-					t.Fatalf("%s reuse %v rep %d: packed diverges from legacy by %v", name, reuse, rep, e)
+				got := snap()
+				if e := sparse.RelErr(got, want); e > 1e-9 || (!scatters(ks) && !bitsSame(got, want)) {
+					t.Fatalf("%s reuse %v rep %d: packed diverges from the walk by %v", name, reuse, rep, e)
 				}
-				if stP.Barriers != stL.Barriers {
-					t.Fatalf("%s reuse %v: %d barriers, legacy %d", name, reuse, stP.Barriers, stL.Barriers)
+				if stP.Barriers != sched.NumSPartitions() {
+					t.Fatalf("%s reuse %v: %d barriers, %d s-partitions", name, reuse, stP.Barriers, sched.NumSPartitions())
 				}
 			}
 		}

@@ -7,11 +7,10 @@ import (
 
 // Recorder is the hot-path execution profiler: per-s-partition spans and
 // per-worker busy/wait accumulators recorded into preallocated buffers behind
-// a single atomic enable flag. Unlike RunFusedTraced — which only instruments
-// the legacy executor and allocates per run — a Recorder attaches to a Runner
-// (SetRecorder) and profiles the compiled and packed paths too, with
-// near-zero cost when disabled: executors load the flag once per run, and a
-// disabled run touches nothing else.
+// a single atomic enable flag. A Recorder attaches to a Runner (SetRecorder)
+// and profiles the compiled and packed paths, with near-zero cost when
+// disabled: executors load the flag once per run, and a disabled run touches
+// nothing else.
 //
 // Recording itself happens on the caller goroutine right after each barrier,
 // where the per-w-partition durations are already gathered for Stats
@@ -46,6 +45,16 @@ type Recorder struct {
 	steals   int64
 	reseeds  int64
 	fold     time.Duration // host-side spill-slot folding between rounds
+}
+
+// Span records one worker slot's share of one s-partition, for timeline
+// visualization.
+type Span struct {
+	SPartition int           `json:"s"`
+	WPartition int           `json:"w"`
+	Start      time.Duration `json:"start_ns"`
+	Duration   time.Duration `json:"dur_ns"`
+	Iters      int           `json:"iters"`
 }
 
 // PartitionProfile aggregates one s-partition's barrier economics across
@@ -126,8 +135,7 @@ func (r *Recorder) beginRun() { r.runs++ }
 // it stole and durs already attributes stolen spans to the executing slot).
 // steals is the round's stolen-w-partition count (0 on the static path).
 // Worker slots — not global w-partition ids — key the spans and the
-// busy/wait accumulators, matching RunFusedTraced's convention and keeping
-// one row per worker on the timeline.
+// busy/wait accumulators, keeping one row per worker on the timeline.
 func (r *Recorder) record(si int, start time.Duration, durs []time.Duration, iters []int32, steals int64) {
 	var maxD time.Duration
 	for _, d := range durs {

@@ -4,9 +4,6 @@ import (
 	"context"
 	"fmt"
 	"time"
-
-	"sparsefusion/internal/core"
-	"sparsefusion/internal/kernels"
 )
 
 // Pool is a reusable spin-barrier worker set, the serving layer's unit of
@@ -90,57 +87,4 @@ func (r *Runner) RunOnContext(ctx context.Context, pl *Pool, threads int) (Stats
 		return Stats{}, fmt.Errorf("exec: program width %d exceeds pool width %d", w, pl.Width())
 	}
 	return r.runOnPool(ctx, pl.p, threads)
-}
-
-// RunFusedLegacyOn is RunFusedLegacy on a caller-supplied pool: the serving
-// layer's path for operations on the legacy rung. The same width and
-// exclusivity requirements as RunOn apply.
-func RunFusedLegacyOn(ks []kernels.Kernel, sched *core.Schedule, threads int, pl *Pool) (Stats, error) {
-	return RunFusedLegacyOnContext(context.Background(), ks, sched, threads, pl)
-}
-
-// RunFusedLegacyOnContext is RunFusedLegacyOn under cooperative cancellation.
-func RunFusedLegacyOnContext(ctx context.Context, ks []kernels.Kernel, sched *core.Schedule, threads int, pl *Pool) (Stats, error) {
-	if pl == nil {
-		return RunFusedLegacyContext(ctx, ks, sched, threads)
-	}
-	if w := sched.MaxWidth(); w > pl.Width() {
-		return Stats{}, fmt.Errorf("exec: schedule width %d exceeds pool width %d", w, pl.Width())
-	}
-	return runFusedLegacyOnPool(ctx, ks, sched, threads, pl.p)
-}
-
-// runFusedLegacyOnPool is RunFusedLegacy's body over a caller-supplied pool.
-func runFusedLegacyOnPool(ctx context.Context, ks []kernels.Kernel, sched *core.Schedule, threads int, pl *pool) (Stats, error) {
-	if err := ctx.Err(); err != nil {
-		return Stats{}, newCancelled(ctx)
-	}
-	watch := pl.watchCancel(ctx)
-	defer watch.finish(pl)
-	setAtomics(ks, pl.workers > 1 && sched.MaxWidth() > 1)
-	defer setAtomics(ks, false)
-	var st Stats
-	t0 := time.Now()
-	for _, k := range ks {
-		k.Prepare()
-	}
-	width := sched.MaxWidth()
-	if width < 1 {
-		width = 1
-	}
-	durs := make([]time.Duration, width)
-	for si, sp := range sched.S {
-		pl.run(len(sp), func(w int) {
-			for _, it := range sp[w] {
-				ks[it.Loop].Run(it.Idx)
-			}
-		}, durs[:len(sp)])
-		accumulate(&st, durs[:len(sp)], threads)
-		if f := pl.takeFault(); f != nil {
-			st.Elapsed = time.Since(t0)
-			return st, f.runError(si, -1)
-		}
-	}
-	st.Elapsed = time.Since(t0)
-	return st, nil
 }

@@ -7,7 +7,6 @@ import (
 	"sparsefusion/internal/dag"
 	"sparsefusion/internal/kernels"
 	"sparsefusion/internal/order"
-	"sparsefusion/internal/partition"
 	"sparsefusion/internal/relayout"
 	"sparsefusion/internal/sparse"
 )
@@ -191,10 +190,10 @@ func TestPackedScatterSurvivesReattach(t *testing.T) {
 }
 
 // TestScatterArmedFromPoolWidth is the regression test for a data race: the
-// compiled and legacy executors armed atomic scatter from the caller's
-// threads argument, but run a width-4 schedule on a width-4 pool whatever
-// that argument says, so threads=1 scattered through plain += from four
-// goroutines. Meaningful under -race; without it the run is merely checked.
+// compiled executor armed atomic scatter from the caller's threads argument,
+// but runs a width-4 schedule on a width-4 pool whatever that argument says,
+// so threads=1 scattered through plain += from four goroutines. Meaningful
+// under -race; without it the run is merely checked.
 func TestScatterArmedFromPoolWidth(t *testing.T) {
 	loops, ks, snap := scatterFixtures()["trsv-mv/powerlaw"]()
 	sched, err := core.ICO(loops, icoParams())
@@ -209,35 +208,10 @@ func TestScatterArmedFromPoolWidth(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	// Hand-built baselines over the same kernels: all TRSV rows on one
-	// w-partition, then the SpMV columns dealt over four.
-	n := ks[0].Iterations()
-	rows := make([]int, n)
-	cols := make([][]int, 4)
-	jointCols := make([][]int, 4)
-	for i := 0; i < n; i++ {
-		rows[i] = i
-		cols[i%4] = append(cols[i%4], i)
-		jointCols[i%4] = append(jointCols[i%4], n+i)
-	}
-	joint := &partition.Partitioning{S: [][][]int{{rows}, jointCols}}
-	columns := &partition.Partitioning{S: [][][]int{cols}}
-	runs := []struct {
-		name string
-		run  func() (Stats, error)
-	}{
-		{"compiled", func() (Stats, error) { return r.Run(1) }},
-		{"legacy", func() (Stats, error) { return RunFusedLegacy(ks, sched, 1) }},
-		{"traced", func() (Stats, error) { st, _, err := RunFusedTraced(ks, sched, 1); return st, err }},
-		{"joint-legacy", func() (Stats, error) { return RunJointLegacy(ks[0], ks[1], joint, 1) }},
-		{"partitioned-legacy", func() (Stats, error) { return RunPartitionedLegacy(ks[1], columns, 1) }},
-	}
-	for _, c := range runs {
-		for i := 0; i < 3; i++ {
-			mustRun(c.run())
-			if e := sparse.RelErr(snap(), want); e > 1e-9 {
-				t.Fatalf("%s at threads=1: diverges from sequential by %v", c.name, e)
-			}
+	for i := 0; i < 3; i++ {
+		mustRun(r.Run(1))
+		if e := sparse.RelErr(snap(), want); e > 1e-9 {
+			t.Fatalf("compiled at threads=1: diverges from sequential by %v", e)
 		}
 	}
 }

@@ -114,14 +114,6 @@ func (r *Runner) stealFor(plWorkers int) *stealState {
 	return r.steal
 }
 
-// Assignment returns the w-partition→slot assignment the stealing path would
-// seed for a pool of the given width, building and caching it. The relayout
-// first-touch mode uses this so stream pages are faulted in by the slot that
-// will consume them. Callers must have enabled stealing via Configure.
-func (r *Runner) Assignment(workers int) *core.Assignment {
-	return r.stealFor(workers).asn
-}
-
 // StealStats reports the cumulative steal and re-seed counts across all runs
 // of this runner (zero when stealing was never enabled).
 func (r *Runner) StealStats() (steals, reseeds int64) {

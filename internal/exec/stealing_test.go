@@ -100,43 +100,6 @@ func TestStealingPackedMatchesStaticBitIdentical(t *testing.T) {
 	}
 }
 
-// TestFirstTouchPackedMatchesStatic: the one-call first-touch pipeline —
-// steal-configured runner plus worker-filled layout — must agree bit for bit
-// with the static packed pipeline at every worker count.
-func TestFirstTouchPackedMatchesStatic(t *testing.T) {
-	loops, ks, snap := fusedTrsvTrsv(300, 13)
-	sched, err := core.ICO(loops, icoParams())
-	if err != nil {
-		t.Fatal(err)
-	}
-	static, staticLay, err := CompileFusedPacked(ks, sched)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if _, err := static.Run(threads); err != nil {
-		t.Fatal(err)
-	}
-	want := snap()
-	for _, workers := range []int{1, 2, 4, 8} {
-		r, lay, err := CompileFusedPackedFirstTouch(ks, sched, Config{}, workers)
-		if err != nil {
-			t.Fatalf("workers=%d: %v", workers, err)
-		}
-		if !r.Stealing() {
-			t.Fatalf("workers=%d: first-touch compile left stealing off", workers)
-		}
-		if lay.Sum != staticLay.Sum {
-			t.Fatalf("workers=%d: layout sum %#x, static %#x", workers, lay.Sum, staticLay.Sum)
-		}
-		if _, err := r.Run(workers); err != nil {
-			t.Fatalf("workers=%d: %v", workers, err)
-		}
-		if got := snap(); !bitsEqual(got, want) {
-			t.Fatalf("workers=%d: first-touch packed run changed the bits", workers)
-		}
-	}
-}
-
 // TestStealingNarrowPool proves the stealing path runs a schedule on a shared
 // pool narrower than the program's MaxWidth — the static path must keep
 // refusing that.
@@ -212,7 +175,7 @@ func stealProbeRunner(t *testing.T, body func(i int)) *Runner {
 	prog := b.Finish()
 	r := NewRunner([]kernels.Kernel{&stealProbe{n: idx, body: body}}, prog)
 	r.Configure(Config{Steal: true})
-	asn := r.Assignment(2)
+	asn := r.stealFor(2).asn
 	if q0, q1 := asn.Queue(0, 0), asn.Queue(0, 1); len(q0) != 2 || q0[0] != 0 || q0[1] != 2 || len(q1) != 1 || q1[0] != 1 {
 		t.Fatalf("unexpected seed: slot0=%v slot1=%v (want [0 2], [1])", q0, q1)
 	}

@@ -11,9 +11,9 @@ package kernels
 // packing step creates is realized in the memory system.
 //
 // The gather bodies replay the exact arithmetic of the Run/RunMany bodies in
-// the same order, so their packed outputs are bit-identical to the legacy and
-// compiled-unpacked executors (asserted by tests in this package and
-// internal/exec). The scatter bodies (SpMV-CSC, SpTRSV-CSC) never synchronize:
+// the same order, so their packed outputs are bit-identical to the
+// compiled-unpacked executor and the one-thread schedule walk (asserted by
+// tests in this package and internal/exec). The scatter bodies (SpMV-CSC, SpTRSV-CSC) never synchronize:
 // the re-layout proves which targets have one writer per s-partition and
 // redirects every other update into a private spill slot (SpillScatterer), so
 // their sums are reproducible run to run at any worker count, but associate

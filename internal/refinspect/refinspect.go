@@ -4,16 +4,12 @@
 // union-find grouping, no intra-inspector parallelism — kept verbatim except
 // for one documented canonicalization (the LPT tie-break, see packLPT).
 //
-// It serves two purposes:
+// It is the byte-identity oracle: core.ICO at any worker count must
+// serialize to exactly the bytes this package produces (asserted over the
+// fuzz corpus in this package's tests and in core's). It stays until a change
+// to the inspector's output replaces it with golden hashes.
 //
-//   - the byte-identity oracle: core.ICO at any worker count must serialize
-//     to exactly the bytes this package produces (asserted over the fuzz
-//     corpus in this package's tests and in core's);
-//   - the benchmark baseline: cmd/spbench's inspector suite measures the
-//     optimized pipeline's speedup against this code, not against itself
-//     with Workers=1, so allocation-level wins count.
-//
-// Nothing outside tests and benchmarks should import this package.
+// Nothing outside tests should import this package.
 package refinspect
 
 import (

@@ -101,13 +101,6 @@ func writtenValues(k kernels.Kernel) [][]float64 {
 // run, or when a stream outgrows the int32 cursors; callers keep the
 // compiled-unpacked executor as the fallback for those cases.
 func Build(prog *core.Program, ks []kernels.Kernel) (*Layout, error) {
-	return build(prog, ks, nil)
-}
-
-// build is the body of Build and BuildFirstTouch: size, allocate, fill — on
-// this goroutine, or with asn on one goroutine per owning worker slot — then
-// analyze the scatter loops on the filled streams.
-func build(prog *core.Program, ks []kernels.Kernel, asn *core.Assignment) (*Layout, error) {
 	packers, err := validateChain(prog, ks)
 	if err != nil {
 		return nil, err
@@ -116,14 +109,10 @@ func build(prog *core.Program, ks []kernels.Kernel, asn *core.Assignment) (*Layo
 	if err != nil {
 		return nil, err
 	}
-	if asn == nil {
-		for w := 0; w < prog.NumWPartitions(); w++ {
-			if err := fillWPartition(prog, packers, lay, segN, w); err != nil {
-				return nil, err
-			}
+	for w := 0; w < prog.NumWPartitions(); w++ {
+		if err := fillWPartition(prog, packers, lay, segN, w); err != nil {
+			return nil, err
 		}
-	} else if err := fillByOwner(prog, packers, lay, segN, asn); err != nil {
-		return nil, err
 	}
 	lay.Scatter = make([]*Scatter, prog.NumLoops)
 	for l, k := range ks[:prog.NumLoops] {
@@ -238,10 +227,9 @@ func fillWPartition(prog *core.Program, packers []kernels.StreamPacker, lay *Lay
 	return nil
 }
 
-// validateChain is the shared admission check of Build and BuildFirstTouch:
-// the chain must carry SegIter metadata, every kernel must support the packed
-// layout, and no fused kernel may overwrite another kernel's packed source
-// mid-run.
+// validateChain is Build's admission check: the chain must carry SegIter
+// metadata, every kernel must support the packed layout, and no fused kernel
+// may overwrite another kernel's packed source mid-run.
 func validateChain(prog *core.Program, ks []kernels.Kernel) ([]kernels.StreamPacker, error) {
 	if len(ks) < prog.NumLoops {
 		return nil, fmt.Errorf("relayout: %d kernels for a %d-loop program", len(ks), prog.NumLoops)

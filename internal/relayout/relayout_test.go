@@ -1,6 +1,7 @@
 package relayout
 
 import (
+	"reflect"
 	"strings"
 	"testing"
 
@@ -170,6 +171,53 @@ func TestBuildAlignment(t *testing.T) {
 			t.Fatalf("loop %d: walk ended at (%d,%d), stream has (%d,%d)",
 				loop, ent[loop], it[loop], s.Entries(), s.Occurrences())
 		}
+	}
+}
+
+// TestBuildPosStream: a packer that carries the Pos stream (DSCAL, whose
+// outputs land at matrix positions) gets one Pos slot per occurrence, and the
+// per-segment windows Build fills — here four w-partitions over two
+// s-partitions — hold exactly what appending the iterations to one stream in
+// execution order would.
+func TestBuildPosStream(t *testing.T) {
+	const n = 80
+	a := sparse.Must(sparse.RandomSPD(n, 5, 31))
+	k := kernels.NewDScalCSR(a, kernels.JacobiScaling(a), a.Clone())
+	pb, err := core.NewProgramBuilder(1)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for i := 0; i < n; i++ {
+		if i%(n/2) == 0 {
+			pb.StartS()
+		}
+		if i%(n/4) == 0 {
+			if err := pb.StartW(); err != nil {
+				t.Fatal(err)
+			}
+		}
+		if err := pb.Add(0, i); err != nil {
+			t.Fatal(err)
+		}
+	}
+	prog := pb.Finish()
+	if prog.NumWPartitions() != 4 {
+		t.Fatalf("fixture has %d w-partitions, want 4", prog.NumWPartitions())
+	}
+	lay, err := Build(prog, []kernels.Kernel{k})
+	if err != nil {
+		t.Fatal(err)
+	}
+	var want kernels.PackedStream
+	for i := 0; i < n; i++ {
+		k.AppendStream(i, &want)
+	}
+	if len(want.Pos) != n {
+		t.Fatalf("fixture kernel packs %d Pos slots for %d iterations; test is vacuous", len(want.Pos), n)
+	}
+	if got := lay.Streams[0]; !reflect.DeepEqual(got, &want) {
+		t.Fatalf("windowed build differs from one appended stream: %d/%d/%d/%d entries, want %d/%d/%d/%d",
+			len(got.Idx), len(got.Val), len(got.Len), len(got.Pos), len(want.Idx), len(want.Val), len(want.Len), len(want.Pos))
 	}
 }
 

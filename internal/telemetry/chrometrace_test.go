@@ -75,23 +75,3 @@ func TestTimelineGolden(t *testing.T) {
 		t.Fatalf("executor span = %+v", sp)
 	}
 }
-
-func TestRunMetaCollects(t *testing.T) {
-	m := CollectRunMeta()
-	if m.GoVersion == "" || m.GOOS == "" || m.NumCPU < 1 || m.Timestamp == "" {
-		t.Fatalf("incomplete RunMeta: %+v", m)
-	}
-	if m.CPUModel == "" || m.GitCommit == "" {
-		t.Fatalf("CPUModel/GitCommit must never be empty (use \"unknown\"): %+v", m)
-	}
-	top := m.Topology
-	if top.Cores < 1 || top.Sockets < 1 || top.CacheLineBytes < 1 {
-		t.Fatalf("topology must carry positive defaults on every platform: %+v", top)
-	}
-	if top.Cores != m.NumCPU {
-		t.Fatalf("topology cores %d != NumCPU %d", top.Cores, m.NumCPU)
-	}
-	if top.CacheLineBytes%8 != 0 {
-		t.Fatalf("implausible cache line size %d", top.CacheLineBytes)
-	}
-}

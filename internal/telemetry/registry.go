@@ -1,7 +1,6 @@
 // Package telemetry is the measurement substrate of the serving stack: a
 // lock-free metrics registry with Prometheus-text and expvar export, a
-// structured JSON event tracer, a Chrome trace_event timeline builder, and
-// the shared run-metadata stamp every BENCH_*.json carries.
+// structured JSON event tracer and a Chrome trace_event timeline builder.
 //
 // The package is a leaf — it imports only the standard library — so any
 // layer (exec, cache, serve, the facade, the CLIs) can feed it without

@@ -200,7 +200,7 @@ func TestTracerSeesRunFaultDemotions(t *testing.T) {
 		}
 	}
 	if demotes != 2 {
-		t.Fatalf("session.demote events = %d, want 2 (packed->compiled->legacy)", demotes)
+		t.Fatalf("session.demote events = %d, want 2 (packed->compiled->sequential)", demotes)
 	}
 }
 

@@ -22,11 +22,9 @@ type IC0Preconditioner struct {
 	n     int
 	r     []float64 // input slot shared with the forward kernel
 	z     []float64 // output of the backward kernel
-	ks    []kernels.Kernel
 	sched *core.Schedule
-	// run is the compiled apply; nil falls back to the legacy executor.
-	run *exec.Runner
-	th  int
+	run   *exec.Runner // the compiled apply
+	th    int
 }
 
 // NewIC0Preconditioner factors tril(A) with IC0 and inspects the fused
@@ -54,14 +52,14 @@ func NewIC0Preconditioner(m *Matrix, opts Options) (*IC0Preconditioner, error) {
 	y := make([]float64, n)
 	fwd := kernels.NewSpTRSVCSC(lc, p.r, y)
 	bwd := kernels.NewSpTRSVTransCSC(lc, y, p.z)
-	p.ks = []kernels.Kernel{fwd, bwd}
+	ks := []kernels.Kernel{fwd, bwd}
 
 	// F: backward iteration it (column j = n-1-it) reads y[j], produced by
 	// forward iteration j — the anti-diagonal handover shared with the chain
 	// builders.
 	f := core.FAntiDiagonal(n)
 	loops := &core.Loops{G: []*dag.Graph{fwd.DAG(), bwd.DAG()}, F: []*sparse.CSR{f}}
-	reuse := core.ReuseRatioChain(p.ks)
+	reuse := core.ReuseRatioChain(ks)
 	sched, err := core.ICO(loops, core.Params{Threads: p.th, ReuseRatio: reuse, LBC: opts.lbc()})
 	if err != nil {
 		return nil, err
@@ -70,7 +68,9 @@ func NewIC0Preconditioner(m *Matrix, opts Options) (*IC0Preconditioner, error) {
 		return nil, fmt.Errorf("sparsefusion: internal schedule error: %w", err)
 	}
 	p.sched = sched
-	p.run, _ = exec.CompileFused(p.ks, sched)
+	if p.run, err = exec.CompileFused(ks, sched); err != nil {
+		return nil, err
+	}
 	return p, nil
 }
 
@@ -83,13 +83,7 @@ func (p *IC0Preconditioner) Apply(r, z []float64) ([]float64, error) {
 		return nil, fmt.Errorf("sparsefusion: apply length %d, want %d", len(r), p.n)
 	}
 	copy(p.r, r)
-	var err error
-	if p.run != nil {
-		_, err = p.run.Run(p.th)
-	} else {
-		_, err = exec.RunFusedLegacy(p.ks, p.sched, p.th)
-	}
-	if err != nil {
+	if _, err := p.run.Run(p.th); err != nil {
 		var b *kernels.BreakdownError
 		if errors.As(err, &b) {
 			return nil, fmt.Errorf("sparsefusion: preconditioner apply broke down (%s, row %d): %w", b.Kernel, b.Row, err)

@@ -395,9 +395,9 @@ const (
 	// ModeCompiled executes the schedule compiled to flat programs, reading
 	// operands in matrix order.
 	ModeCompiled ExecMode = "compiled"
-	// ModeLegacy walks the three-level schedule directly — the slice-walking
-	// reference executor, the last rung of the ladder.
-	ModeLegacy ExecMode = "legacy"
+	// ModeSequential walks the schedule on the calling goroutine — one thread,
+	// no worker set, no barriers — the last rung of the ladder.
+	ModeSequential ExecMode = "sequential"
 )
 
 // Demotion records one step down the executor ladder: which rung was
@@ -428,7 +428,7 @@ type execState struct {
 	sched *core.Schedule
 	// prog is the compiled flat form, shared (immutably) with every session
 	// and cache consumer; nil when the schedule exceeds the compiled
-	// representation and the state runs the legacy executor.
+	// representation and the state walks it on one thread.
 	prog *core.Program
 	th   int
 	// steal, spin and watchdog are the executor tuning carried from Options
@@ -449,7 +449,7 @@ type execState struct {
 
 	mu sync.Mutex
 	// runner binds this state's kernels to prog (with packed streams attached
-	// while on the packed rung); nil once demoted to the legacy executor.
+	// while on the packed rung); nil once demoted to the sequential walk.
 	runner *exec.Runner
 	// layout is the packed re-layout the runner has attached; nil otherwise.
 	layout    *relayout.Layout
@@ -493,7 +493,7 @@ func (e *execState) emitDemotions(ds []Demotion) {
 //
 // Execution degrades along a ladder: the packed (schedule-order stream)
 // executor where the chain supports it, the compiled flat-program executor
-// otherwise, and the slice-walking legacy executor as the last resort. A rung
+// otherwise, and a one-thread walk of the schedule as the last resort. A rung
 // that fails to build — or faults at run time while the schedule itself still
 // validates — is abandoned for the next one; Health reports where the
 // operation currently stands.
@@ -697,7 +697,7 @@ func (e *execState) bindArtifacts(art cache.Artifacts, shared bool) {
 	if art.Program == nil {
 		e.demote(
 			Demotion{From: ModePacked, To: ModeCompiled, Reason: art.ProgramErr},
-			Demotion{From: ModeCompiled, To: ModeLegacy, Reason: art.ProgramErr})
+			Demotion{From: ModeCompiled, To: ModeSequential, Reason: art.ProgramErr})
 		return
 	}
 	e.prog = art.Program
@@ -733,7 +733,7 @@ func (e *execState) bindArtifacts(art cache.Artifacts, shared bool) {
 func (e *execState) modeLocked() ExecMode {
 	switch {
 	case e.runner == nil:
-		return ModeLegacy
+		return ModeSequential
 	case e.runner.Packed():
 		return ModePacked
 	default:
@@ -799,7 +799,7 @@ func (e *execState) Barriers() int { return e.sched.NumSPartitions() }
 // *ExecError — reach it with errors.As. A non-numerical executor fault
 // (a panic out of a worker body, e.g. from a corrupted compiled program)
 // demotes the operation one ladder rung — packed to compiled, compiled to
-// legacy — after re-validating the schedule, and retries; only a fault on the
+// sequential — after re-validating the schedule, and retries; only a fault on the
 // last rung, or a schedule that no longer validates, is returned. The
 // operation stays usable after any error.
 func (e *execState) Run() (Report, error) {
@@ -822,8 +822,10 @@ func (e *execState) RunContext(ctx context.Context) (Report, error) {
 // one of the server's worker sets, runs on it, and returns it. At most the
 // server's MaxConcurrent executions run at once across all operations and
 // sessions sharing the server. A schedule wider than the server's worker
-// sets still runs (on a private, per-call worker set) — the admission bound
-// holds either way. Returns ErrServerClosed after the server is closed.
+// sets still runs (on a private, per-call worker set), and an operation on
+// the sequential rung runs on the calling goroutine with the worker set it
+// was admitted on left idle — the admission bound holds either way. Returns
+// ErrServerClosed after the server is closed.
 func (e *execState) RunOn(sv *Server) (Report, error) {
 	return e.RunOnContext(nil, sv)
 }
@@ -880,10 +882,8 @@ func (e *execState) runLadder(ctx context.Context, pl *exec.Pool) (exec.Stats, e
 			st, err = r.RunOnContext(ctx, pl, e.th)
 		case r != nil:
 			st, err = r.RunContext(ctx, e.th)
-		case pl != nil && e.sched.MaxWidth() <= pl.Width():
-			st, err = exec.RunFusedLegacyOnContext(ctx, e.inst.Kernels, e.sched, e.th, pl)
 		default:
-			st, err = exec.RunFusedLegacyContext(ctx, e.inst.Kernels, e.sched, e.th)
+			st, err = exec.RunScheduleSequential(ctx, e.inst.Kernels, e.sched)
 		}
 		if err == nil {
 			return st, nil
@@ -926,7 +926,7 @@ func (e *execState) runLadder(ctx context.Context, pl *exec.Pool) (exec.Stats, e
 				taken = []Demotion{{From: ModePacked, To: ModeCompiled, Reason: err.Error()}}
 			} else {
 				e.runner = nil
-				taken = []Demotion{{From: ModeCompiled, To: ModeLegacy, Reason: err.Error()}}
+				taken = []Demotion{{From: ModeCompiled, To: ModeSequential, Reason: err.Error()}}
 			}
 			e.demotions = append(e.demotions, taken...)
 		}

@@ -239,6 +239,32 @@ func TestGaussSeidelEdgeCases(t *testing.T) {
 	}
 }
 
+// TestGaussSeidelClampsSweepsPerFusion: one fused schedule tags at most 16
+// loops, so a request for 12 sweeps per fusion runs 8; Solve iterates fused
+// runs, so the sweeps performed — and, the kernels being gathers, their bits —
+// are those of any other unrolling.
+func TestGaussSeidelClampsSweepsPerFusion(t *testing.T) {
+	m := mustReorder(t, Laplacian2D(20))
+	b := testInput(m.Rows())
+	solve := func(perFusion, effective int) []float64 {
+		gs, err := NewGaussSeidel(m, GSOptions{Options: Options{Threads: 2}, SweepsPerFusion: perFusion})
+		if err != nil {
+			t.Fatal(err)
+		}
+		if gs.SweepsPerFusion != effective {
+			t.Fatalf("SweepsPerFusion %d reports %d, want %d", perFusion, gs.SweepsPerFusion, effective)
+		}
+		x, sweeps, err := gs.Solve(b, 0, 24)
+		if err != nil || sweeps != 24 {
+			t.Fatalf("SweepsPerFusion %d: %d sweeps, err %v", perFusion, sweeps, err)
+		}
+		return x
+	}
+	if !bitsSame(solve(12, 8), solve(4, 4)) {
+		t.Fatal("24 sweeps unrolled 8 at a time differ from 24 sweeps unrolled 4 at a time")
+	}
+}
+
 func TestDefaultOptions(t *testing.T) {
 	var o Options
 	if o.threads() < 1 {
