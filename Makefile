@@ -38,6 +38,8 @@ bench:
 # orphans fails when a package under internal/ is imported, directly or not, by
 # no non-test file of the library, cmd/, examples/ or bench/: code nothing
 # ships is code nothing measures. The exceptions exist for their tests only.
+# TestNoOrphanExports (orphans_test.go, also part of `go test ./...`) asks the
+# same of every exported function and method; its allow-list carries reasons.
 #   refinspect  the frozen inspector its tests compare core.ICO's output against
 #   chaos       the fault injectors; the scenario matrix in its tests drives them
 ORPHANS_OK := sparsefusion/internal/refinspect sparsefusion/internal/chaos
@@ -49,3 +51,4 @@ orphans:
 		echo "$$used" | grep -qx "$$p" || bad="$$bad $$p"; \
 	done; \
 	if [ -n "$$bad" ]; then echo "imported by no non-test file:$$bad" >&2; exit 1; fi
+	$(GO) test -count=1 -run '^TestNoOrphanExports$$' .

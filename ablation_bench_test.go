@@ -37,9 +37,15 @@ func BenchmarkAblationPacking(b *testing.B) {
 			if err != nil {
 				b.Fatal(err)
 			}
+			r, err := exec.CompileFused(in.Kernels, sched)
+			if err != nil {
+				b.Fatal(err)
+			}
 			b.ResetTimer()
 			for i := 0; i < b.N; i++ {
-				exec.RunFused(in.Kernels, sched, th)
+				if _, err := r.Run(th); err != nil {
+					b.Fatal(err)
+				}
 			}
 		})
 	}
@@ -78,11 +84,14 @@ func benchPhases(b *testing.B, id combos.ID, set func(*core.Params, bool), phase
 			if err := in.Loops.Validate(sched); err != nil {
 				b.Fatal(err)
 			}
+			r, err := exec.CompileFused(in.Kernels, sched)
+			if err != nil {
+				b.Fatal(err)
+			}
 			b.ResetTimer()
 			var last exec.Stats
 			for i := 0; i < b.N; i++ {
-				var err error
-				if last, err = exec.RunFused(in.Kernels, sched, th); err != nil {
+				if last, err = r.Run(th); err != nil {
 					b.Fatal(err)
 				}
 			}

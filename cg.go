@@ -11,7 +11,9 @@ import (
 	"sparsefusion/internal/sparse"
 )
 
-// CGOptions configures the conjugate-gradient solver.
+// CGOptions configures the conjugate-gradient solver. The embedded Options
+// reach the IC0 preconditioner only (see NewIC0Preconditioner for which of
+// them apply); unpreconditioned CG has no fused schedule to tune.
 type CGOptions struct {
 	Options
 	// Tol is the relative-residual convergence threshold (default 1e-8).

@@ -191,7 +191,7 @@ func NewFusedCG(m *Matrix, opts FusedCGOptions) (*FusedCG, error) {
 	inst.Snapshot = func() []float64 { return append([]float64(nil), f.x...) }
 	inst.Output = f.x
 
-	f.execState = execState{inst: inst, th: opts.threads(), steal: opts.Steal, spin: opts.SpinBudget, watchdog: opts.Watchdog, id: nextStateID.Add(1), tr: opts.Tracer}
+	f.execState = execState{inst: inst, th: opts.threads(), spin: opts.SpinBudget, watchdog: opts.Watchdog, id: nextStateID.Add(1), tr: opts.Tracer}
 	f.fp = opts.chainFingerprint(m, chain, block)
 	// BuildChain has already built every kernel DAG (its Check needs them).
 	f.tr.raw().Emit("inspect.dag_build",

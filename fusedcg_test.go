@@ -84,9 +84,8 @@ func TestFusedCGSolves(t *testing.T) {
 }
 
 // TestFusedCGBitIdentical: the solution, iteration count, and barrier totals
-// are bit-identical at every worker count 1..8, with and without
-// work-stealing, and on a demoted (compiled, non-packed) executor — the
-// chain's reproducibility contract.
+// are bit-identical at every worker count 1..8 and on a demoted (compiled,
+// non-packed) executor — the chain's reproducibility contract.
 func TestFusedCGBitIdentical(t *testing.T) {
 	m := RandomSPD(700, 6, 42)
 	b := cgRHS(m.Rows())
@@ -94,29 +93,27 @@ func TestFusedCGBitIdentical(t *testing.T) {
 		var ref []float64
 		var refIt int
 		for _, th := range []int{1, 2, 3, 5, 8} {
-			for _, steal := range []bool{false, true} {
-				f, err := NewFusedCG(m, FusedCGOptions{
-					Options: Options{Threads: th, Steal: steal}, Precondition: pre, Tol: 1e-9,
-					BlockSize: 64,
-				})
-				if err != nil {
-					t.Fatal(err)
-				}
-				x, it, _, err := f.Solve(b)
-				if err != nil {
-					t.Fatalf("pre=%v th=%d steal=%v: %v", pre, th, steal, err)
-				}
-				if ref == nil {
-					ref, refIt = x, it
-					continue
-				}
-				if it != refIt {
-					t.Fatalf("pre=%v th=%d steal=%v: %d iterations, reference %d", pre, th, steal, it, refIt)
-				}
-				for i := range ref {
-					if x[i] != ref[i] {
-						t.Fatalf("pre=%v th=%d steal=%v: x[%d] = %x, reference %x", pre, th, steal, i, x[i], ref[i])
-					}
+			f, err := NewFusedCG(m, FusedCGOptions{
+				Options: Options{Threads: th}, Precondition: pre, Tol: 1e-9,
+				BlockSize: 64,
+			})
+			if err != nil {
+				t.Fatal(err)
+			}
+			x, it, _, err := f.Solve(b)
+			if err != nil {
+				t.Fatalf("pre=%v th=%d: %v", pre, th, err)
+			}
+			if ref == nil {
+				ref, refIt = x, it
+				continue
+			}
+			if it != refIt {
+				t.Fatalf("pre=%v th=%d: %d iterations, reference %d", pre, th, it, refIt)
+			}
+			for i := range ref {
+				if x[i] != ref[i] {
+					t.Fatalf("pre=%v th=%d: x[%d] = %x, reference %x", pre, th, i, x[i], ref[i])
 				}
 			}
 		}

@@ -30,7 +30,10 @@ type GaussSeidel struct {
 	SweepsPerFusion int
 }
 
-// GSOptions configures the solver.
+// GSOptions configures the solver. Of the embedded Options, Threads, the LBC
+// parameters, SpinBudget and Watchdog apply; the solver inspects privately —
+// Cache and Tracer are not consulted — and runs on the compiled (unpacked)
+// rung.
 type GSOptions struct {
 	Options
 	// SweepsPerFusion unrolls this many sweeps into one fused schedule
@@ -91,6 +94,7 @@ func NewGaussSeidel(m *Matrix, opts GSOptions) (*GaussSeidel, error) {
 	if g.run, err = exec.CompileFused(ks, sch); err != nil {
 		return nil, err
 	}
+	configureRunner(g.run, opts.SpinBudget, opts.Watchdog)
 	return g, nil
 }
 

@@ -139,40 +139,39 @@ func (c *Chain) Barriers(scheds []*core.Schedule) int {
 	return b
 }
 
-// SparseFusion inspects every group with ICO and compiles it; execution runs
+// SparseFusion inspects every group with ICO and compiles it onto the rung
+// the facade would serve it from (compileServed); execution runs
 // the groups back to back, summing executor statistics (Stats.Barriers is
 // the observed barriers-per-pass the chain benchmark reports).
 func (c *Chain) SparseFusion(threads int, lp lbc.Params) (*Impl, []*core.Schedule) {
 	scheds := make([]*core.Schedule, len(c.Groups))
-	runners := make([]*exec.Runner, len(c.Groups))
-	im := &Impl{
-		Name: "sparse-fusion-chain",
-		inspect: func() error {
-			for i, g := range c.Groups {
-				s, err := core.ICO(g.Loops, core.Params{Threads: threads, ReuseRatio: g.Reuse, LBC: lp})
-				if err != nil {
-					return err
-				}
-				scheds[i] = s
-				if runners[i], err = exec.CompileFused(g.Kernels, s); err != nil {
-					return err
-				}
+	im := &Impl{Name: "sparse-fusion-chain"}
+	im.inspect = func() error {
+		im.fused = make([]*exec.Runner, len(c.Groups))
+		for i, g := range c.Groups {
+			s, err := core.ICO(g.Loops, core.Params{Threads: threads, ReuseRatio: g.Reuse, LBC: lp})
+			if err != nil {
+				return err
 			}
-			return nil
-		},
-		execute: func() (exec.Stats, error) {
-			var tot exec.Stats
-			for _, r := range runners {
-				st, err := r.Run(threads)
-				tot.Elapsed += st.Elapsed
-				tot.Barriers += st.Barriers
-				tot.PotentialGain += st.PotentialGain
-				if err != nil {
-					return tot, err
-				}
+			scheds[i] = s
+			if im.fused[i], err = compileServed(g.Kernels, s); err != nil {
+				return err
 			}
-			return tot, nil
-		},
+		}
+		return nil
+	}
+	im.execute = func() (exec.Stats, error) {
+		var tot exec.Stats
+		for _, r := range im.fused {
+			st, err := r.Run(threads)
+			tot.Elapsed += st.Elapsed
+			tot.Barriers += st.Barriers
+			tot.PotentialGain += st.PotentialGain
+			if err != nil {
+				return tot, err
+			}
+		}
+		return tot, nil
 	}
 	return im, scheds
 }

@@ -2,6 +2,7 @@ package combos
 
 import (
 	"bytes"
+	"math"
 	"strings"
 	"testing"
 
@@ -215,6 +216,60 @@ func TestInspectSurfacesCompileLimit(t *testing.T) {
 	}
 }
 
+// TestSparseFusionOpensServedRung: the sparse-fusion Impl runs on the rung the
+// facade serves — packed wherever relayout accepts the chain, compiled for
+// the factorization combinations — and what it computes there is the
+// sequential result: bit for bit on gather chains, to rounding where a CSC
+// kernel scatters (its column order associates the sums differently).
+func TestSparseFusionOpensServedRung(t *testing.T) {
+	a := sparse.Must(sparse.Laplacian2D(20))
+	check := func(in *Instance, wantPacked bool) {
+		t.Helper()
+		if _, err := in.RunSequential(); err != nil {
+			t.Fatalf("%s: %v", in.Name, err)
+		}
+		want := in.Snapshot()
+		im := in.SparseFusion(threads, lp())
+		if _, err := im.Execute(); err != nil {
+			t.Fatalf("%s: %v", in.Name, err)
+		}
+		if got := im.fused[0].Packed(); got != wantPacked {
+			t.Fatalf("%s: sparse-fusion runner packed = %v, want %v", in.Name, got, wantPacked)
+		}
+		scatters := false
+		for _, k := range in.Kernels {
+			if _, ok := k.(kernels.SpillScatterer); ok {
+				scatters = true
+			}
+		}
+		got := in.Snapshot()
+		if scatters {
+			if e := sparse.RelErr(got, want); e > 1e-9 {
+				t.Fatalf("%s: diverges from the sequential run by %v", in.Name, e)
+			}
+			return
+		}
+		for i := range want {
+			if math.Float64bits(got[i]) != math.Float64bits(want[i]) {
+				t.Fatalf("%s: element %d = %x, sequential run %x", in.Name, i, got[i], want[i])
+			}
+		}
+	}
+	packs := map[ID]bool{TrsvTrsv: true, TrsvMv: true, MvMv: true}
+	for _, id := range append(append([]ID(nil), All...), MvMv) {
+		in, err := Build(id, a)
+		if err != nil {
+			t.Fatal(err)
+		}
+		check(in, packs[id])
+	}
+	gs, err := BuildGS(a, 2)
+	if err != nil {
+		t.Fatal(err)
+	}
+	check(gs, true)
+}
+
 func TestJointRejectsMultiLoop(t *testing.T) {
 	a := sparse.Must(sparse.RandomSPD(100, 4, 8))
 	in, err := BuildGS(a, 2)
@@ -223,26 +278,6 @@ func TestJointRejectsMultiLoop(t *testing.T) {
 	}
 	if err := in.JointWavefront(threads).Inspect(); err == nil {
 		t.Fatal("joint baseline accepted a 4-loop instance")
-	}
-}
-
-func TestHDaggImplsAgree(t *testing.T) {
-	a := sparse.Must(sparse.RandomSPD(250, 5, 44))
-	for _, id := range []ID{TrsvTrsv, Ic0Trsv, TrsvMv} {
-		in, err := Build(id, a)
-		if err != nil {
-			t.Fatal(err)
-		}
-		in.RunSequential()
-		want := in.Snapshot()
-		for _, im := range []*Impl{in.UnfusedHDagg(threads), in.JointHDagg(threads)} {
-			if _, err := im.Execute(); err != nil {
-				t.Fatalf("%s/%s: %v", in.Name, im.Name, err)
-			}
-			if got := in.Snapshot(); sparse.RelErr(got, want) > 1e-9 {
-				t.Fatalf("%s/%s: diverges", in.Name, im.Name)
-			}
-		}
 	}
 }
 

@@ -174,7 +174,7 @@ func TestICOFewerSyncsThanJointWavefront(t *testing.T) {
 	// The motivating claim (figure 1): the fused schedule has far fewer
 	// barriers than wavefront scheduling of the joint DAG.
 	loops := comboCDCD(11, 300)
-	joint, err := dag.Joint(loops.G[0], loops.G[1], loops.F[0])
+	joint, err := dag.JointChain([]*dag.Graph{loops.G[0], loops.G[1]}, []*sparse.CSR{loops.F[0]})
 	if err != nil {
 		t.Fatal(err)
 	}

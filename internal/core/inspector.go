@@ -61,7 +61,7 @@ func ReuseRatioChain(ks []kernels.Kernel) float64 {
 // (Table 1).
 //
 // Dependency matrices are consumed by pattern only (forEachPred/forEachSucc,
-// Validate, dag.Joint), so this and the other F builders allocate no value
+// Validate, dag.JointChain), so this and the other F builders allocate no value
 // arrays.
 func FDiagonal(n int) *sparse.CSR {
 	f := &sparse.CSR{Rows: n, Cols: n, P: make([]int, n+1), I: make([]int, n)}

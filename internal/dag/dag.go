@@ -303,66 +303,16 @@ func (g *Graph) SlackNumbers() ([]int, error) {
 	return toInts(sn), nil
 }
 
-// Joint builds the joint DAG of two kernels (paper section 1): vertices
-// 0..g1.N-1 are loop-1 iterations, g1.N..g1.N+g2.N-1 are loop-2 iterations,
-// and f contributes an edge j -> g1.N+i for every nonzero f[i][j]. This is
-// the input of the fused wavefront/LBC/DAGP baselines; sparse fusion itself
-// never materializes it.
+// JointChain builds the joint DAG of a k-kernel chain (paper section 1, k = 2):
+// vertex blocks are the loops' iteration spaces laid out in chain order, and
+// fs[k] (the dependency matrix between loop k and loop k+1, so len(fs) =
+// len(gs)-1) contributes an edge off[k]+j -> off[k+1]+i for every nonzero
+// fs[k][i][j]. This is the input of the fused wavefront/LBC/DAGP baselines;
+// sparse fusion itself never materializes it.
 //
-// The adjacency is assembled directly in CSR form by counting — no edge
-// list, no sort. Successor lists stay sorted because a loop-1 vertex's
-// intra-DAG successors all precede its F successors (which are offset by
-// g1.N) and both groups are emitted in ascending order; the output is
-// identical to building the graph through FromEdges.
-func Joint(g1, g2 *Graph, f *sparse.CSR) (*Graph, error) {
-	if f.Rows != g2.N || f.Cols != g1.N {
-		return nil, fmt.Errorf("dag: F is %dx%d, want %dx%d", f.Rows, f.Cols, g2.N, g1.N)
-	}
-	n := g1.N + g2.N
-	g := &Graph{N: n, P: make([]int, n+1), W: make([]int, n)}
-	for v := 0; v < g1.N; v++ {
-		g.P[v+1] = g1.P[v+1] - g1.P[v]
-		g.W[v] = g1.Weight(v)
-	}
-	for v := 0; v < g2.N; v++ {
-		g.P[g1.N+v+1] = g2.P[v+1] - g2.P[v]
-		g.W[g1.N+v] = g2.Weight(v)
-	}
-	for _, j := range f.I {
-		g.P[j+1]++
-	}
-	for v := 0; v < n; v++ {
-		g.P[v+1] += g.P[v]
-	}
-	g.I = make([]int, g.P[n])
-	next := make([]int, n)
-	copy(next, g.P[:n])
-	for v := 0; v < g1.N; v++ {
-		next[v] += copy(g.I[next[v]:], g1.Succ(v))
-	}
-	// Rows ascending keeps each source's F successors (g1.N+i) ascending,
-	// placed after its intra-DAG successors, which are all < g1.N.
-	for i := 0; i < f.Rows; i++ {
-		for k := f.P[i]; k < f.P[i+1]; k++ {
-			j := f.I[k]
-			g.I[next[j]] = g1.N + i
-			next[j]++
-		}
-	}
-	for v := 0; v < g2.N; v++ {
-		for _, s := range g2.Succ(v) {
-			g.I[next[g1.N+v]] = g1.N + s
-			next[g1.N+v]++
-		}
-	}
-	return g, nil
-}
-
-// JointChain generalizes Joint to a k-kernel chain: vertex blocks are the
-// loops' iteration spaces laid out in chain order, and fs[k] (the dependency
-// matrix between loop k and loop k+1, so len(fs) = len(gs)-1) contributes an
-// edge off[k]+j -> off[k+1]+i for every nonzero fs[k][i][j]. Same direct CSR
-// counting assembly as Joint, and Joint(g1, g2, f) ≡ JointChain([g1 g2], [f]).
+// The adjacency is assembled directly in CSR form by counting — no edge list,
+// no sort — and the output is identical to building the graph through
+// FromEdges.
 func JointChain(gs []*Graph, fs []*sparse.CSR) (*Graph, error) {
 	if len(gs) == 0 {
 		return nil, fmt.Errorf("dag: joint chain of zero loops")

@@ -310,7 +310,7 @@ func TestJointDAG(t *testing.T) {
 		ts = append(ts, sparse.Triplet{Row: i, Col: i, Val: 1})
 	}
 	f, _ := sparse.FromTriplets(11, 11, ts)
-	j, err := Joint(g1, g2, f)
+	j, err := JointChain([]*Graph{g1, g2}, []*sparse.CSR{f})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -335,7 +335,7 @@ func TestJointDAG(t *testing.T) {
 func TestJointDAGShapeMismatch(t *testing.T) {
 	g1, g2 := Parallel(3, nil), Parallel(4, nil)
 	f, _ := sparse.FromTriplets(3, 3, nil)
-	if _, err := Joint(g1, g2, f); err == nil {
+	if _, err := JointChain([]*Graph{g1, g2}, []*sparse.CSR{f}); err == nil {
 		t.Fatal("expected shape error")
 	}
 }

@@ -150,7 +150,7 @@ func TestJointMatchesEdgeListConstruction(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		got, err := Joint(g1, g2, f)
+		got, err := JointChain([]*Graph{g1, g2}, []*sparse.CSR{f})
 		if err != nil {
 			t.Fatal(err)
 		}

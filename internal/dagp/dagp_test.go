@@ -130,7 +130,7 @@ func TestScheduleOnJointDAG(t *testing.T) {
 		ts = append(ts, sparse.Triplet{Row: i, Col: i, Val: 1})
 	}
 	f, _ := sparse.FromTriplets(120, 120, ts)
-	joint, err := dag.Joint(g1, g2, f)
+	joint, err := dag.JointChain([]*dag.Graph{g1, g2}, []*sparse.CSR{f})
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -17,7 +17,7 @@ import (
 
 // The cancellation contract under test: a cancelled context turns a run into
 // a typed *CancelledError within one s-partition round — at any worker
-// count, with or without stealing, on private and shared pools — and never
+// count, on private and shared pools — and never
 // into a hang, an untyped error, or a corrupted fixture. Completed
 // s-partitions stay bit-identical to an uncancelled run, so a clean run
 // after any number of cancelled ones must reproduce the reference bits.
@@ -61,32 +61,29 @@ func bitsSame(a, b []float64) bool {
 
 func TestPreCancelledContextRefusesRun(t *testing.T) {
 	for _, th := range faultWorkerCounts {
-		for _, steal := range []bool{false, true} {
-			r, _, _, snap, ref := compileGather(t, th)
-			r.Configure(Config{Steal: steal})
-			ctx, cancel := context.WithCancel(context.Background())
-			cancel()
-			err := watchdog(t, 10*time.Second, func() error {
-				_, err := r.RunContext(ctx, th)
-				return err
-			})
-			var c *CancelledError
-			if !errors.As(err, &c) {
-				t.Fatalf("th=%d steal=%v: got %T (%v), want *CancelledError", th, steal, err, err)
-			}
-			if !errors.Is(err, context.Canceled) {
-				t.Fatalf("th=%d steal=%v: cancellation cause not reachable via errors.Is", th, steal)
-			}
-			if c.SPartition != -1 {
-				t.Fatalf("th=%d steal=%v: pre-run cancellation reports s-partition %d, want -1", th, steal, c.SPartition)
-			}
-			// The refused run must not have touched the fixture.
-			if _, err := r.Run(th); err != nil {
-				t.Fatal(err)
-			}
-			if !bitsSame(snap(), ref) {
-				t.Fatalf("th=%d steal=%v: run after refused run diverged", th, steal)
-			}
+		r, _, _, snap, ref := compileGather(t, th)
+		ctx, cancel := context.WithCancel(context.Background())
+		cancel()
+		err := watchdog(t, 10*time.Second, func() error {
+			_, err := r.RunContext(ctx, th)
+			return err
+		})
+		var c *CancelledError
+		if !errors.As(err, &c) {
+			t.Fatalf("th=%d: got %T (%v), want *CancelledError", th, err, err)
+		}
+		if !errors.Is(err, context.Canceled) {
+			t.Fatalf("th=%d: cancellation cause not reachable via errors.Is", th)
+		}
+		if c.SPartition != -1 {
+			t.Fatalf("th=%d: pre-run cancellation reports s-partition %d, want -1", th, c.SPartition)
+		}
+		// The refused run must not have touched the fixture.
+		if _, err := r.Run(th); err != nil {
+			t.Fatal(err)
+		}
+		if !bitsSame(snap(), ref) {
+			t.Fatalf("th=%d: run after refused run diverged", th)
 		}
 	}
 }
@@ -105,72 +102,66 @@ func (k *slowKernel) Run(i int) {
 
 func TestCancelMidRunTyped(t *testing.T) {
 	for _, th := range []int{2, 4, 8} {
-		for _, steal := range []bool{false, true} {
-			_, ks, sched, snap, ref := compileGather(t, th)
-			slow := []kernels.Kernel{&slowKernel{Kernel: ks[0], d: 200 * time.Microsecond}, ks[1]}
-			r, err := CompileFused(slow, sched)
-			if err != nil {
-				t.Fatal(err)
-			}
-			r.Configure(Config{Steal: steal})
-			ctx, cancel := context.WithCancel(context.Background())
-			go func() {
-				time.Sleep(2 * time.Millisecond)
-				cancel()
-			}()
-			err = watchdog(t, 10*time.Second, func() error {
-				_, err := r.RunContext(ctx, th)
-				return err
-			})
+		_, ks, sched, snap, ref := compileGather(t, th)
+		slow := []kernels.Kernel{&slowKernel{Kernel: ks[0], d: 200 * time.Microsecond}, ks[1]}
+		r, err := CompileFused(slow, sched)
+		if err != nil {
+			t.Fatal(err)
+		}
+		ctx, cancel := context.WithCancel(context.Background())
+		go func() {
+			time.Sleep(2 * time.Millisecond)
 			cancel()
-			var c *CancelledError
-			if !errors.As(err, &c) {
-				t.Fatalf("th=%d steal=%v: got %T (%v), want *CancelledError", th, steal, err, err)
-			}
-			if c.SPartition < 0 {
-				t.Fatalf("th=%d steal=%v: mid-run cancellation reports s-partition %d, want >= 0", th, steal, c.SPartition)
-			}
-			// The fixture survives: a clean runner over the same kernels
-			// reproduces the reference bits.
-			clean, err := CompileFused(ks, sched)
-			if err != nil {
-				t.Fatal(err)
-			}
-			if _, err := clean.Run(th); err != nil {
-				t.Fatal(err)
-			}
-			if !bitsSame(snap(), ref) {
-				t.Fatalf("th=%d steal=%v: clean run after cancellation diverged", th, steal)
-			}
+		}()
+		err = watchdog(t, 10*time.Second, func() error {
+			_, err := r.RunContext(ctx, th)
+			return err
+		})
+		cancel()
+		var c *CancelledError
+		if !errors.As(err, &c) {
+			t.Fatalf("th=%d: got %T (%v), want *CancelledError", th, err, err)
+		}
+		if c.SPartition < 0 {
+			t.Fatalf("th=%d: mid-run cancellation reports s-partition %d, want >= 0", th, c.SPartition)
+		}
+		// The fixture survives: a clean runner over the same kernels
+		// reproduces the reference bits.
+		clean, err := CompileFused(ks, sched)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if _, err := clean.Run(th); err != nil {
+			t.Fatal(err)
+		}
+		if !bitsSame(snap(), ref) {
+			t.Fatalf("th=%d: clean run after cancellation diverged", th)
 		}
 	}
 }
 
 func TestCancelStormBitIdentity(t *testing.T) {
 	for _, th := range faultWorkerCounts {
-		for _, steal := range []bool{false, true} {
-			r, _, _, snap, ref := compileGather(t, th)
-			r.Configure(Config{Steal: steal})
-			for i := 0; i < 16; i++ {
-				ctx, cancel := context.WithTimeout(context.Background(), time.Duration(i)*50*time.Microsecond)
-				err := watchdog(t, 10*time.Second, func() error {
-					_, err := r.RunContext(ctx, th)
-					return err
-				})
-				cancel()
-				if err != nil {
-					var c *CancelledError
-					if !errors.As(err, &c) {
-						t.Fatalf("th=%d steal=%v run %d: got %T (%v), want *CancelledError or nil", th, steal, i, err, err)
-					}
+		r, _, _, snap, ref := compileGather(t, th)
+		for i := 0; i < 16; i++ {
+			ctx, cancel := context.WithTimeout(context.Background(), time.Duration(i)*50*time.Microsecond)
+			err := watchdog(t, 10*time.Second, func() error {
+				_, err := r.RunContext(ctx, th)
+				return err
+			})
+			cancel()
+			if err != nil {
+				var c *CancelledError
+				if !errors.As(err, &c) {
+					t.Fatalf("th=%d run %d: got %T (%v), want *CancelledError or nil", th, i, err, err)
 				}
 			}
-			if _, err := r.RunContext(context.Background(), th); err != nil {
-				t.Fatal(err)
-			}
-			if !bitsSame(snap(), ref) {
-				t.Fatalf("th=%d steal=%v: clean run after storm diverged", th, steal)
-			}
+		}
+		if _, err := r.RunContext(context.Background(), th); err != nil {
+			t.Fatal(err)
+		}
+		if !bitsSame(snap(), ref) {
+			t.Fatalf("th=%d: clean run after storm diverged", th)
 		}
 	}
 }
@@ -296,7 +287,7 @@ func TestSequentialWalkCancelTyped(t *testing.T) {
 func TestSharedPoolCancelAndReuse(t *testing.T) {
 	th := 4
 	r, _, _, snap, ref := compileGather(t, th)
-	pl := NewPool(th)
+	pl := NewPool(th, 0, 0)
 	defer pl.Close()
 	ctx, cancel := context.WithCancel(context.Background())
 	cancel()
@@ -318,12 +309,36 @@ func TestSharedPoolCancelAndReuse(t *testing.T) {
 	}
 }
 
+// TestRunOnRefusesNarrowPool: a round gives every w-partition its own slot, so
+// a shared pool narrower than the program is an error, not a run — and the
+// refusal leaves pool, runner and fixture usable.
+func TestRunOnRefusesNarrowPool(t *testing.T) {
+	r, _, _, snap, ref := compileGather(t, 4)
+	width := r.Program().MaxWidth
+	if width < 2 {
+		t.Skipf("fixture too narrow (MaxWidth=%d) to exercise a narrow pool", width)
+	}
+	narrow := NewPool(width-1, 0, 0)
+	defer narrow.Close()
+	if _, err := r.RunOn(narrow, 4); err == nil {
+		t.Fatal("runner accepted a pool narrower than its program")
+	}
+	wide := NewPool(width, 0, 0)
+	defer wide.Close()
+	if _, err := r.RunOn(wide, 4); err != nil {
+		t.Fatal(err)
+	}
+	if !bitsSame(snap(), ref) {
+		t.Fatal("run after the refusal diverged")
+	}
+}
+
 func TestRunnerWatchdogTrips(t *testing.T) {
 	th := 4
 	_, ks, sched, _, _ := compileGather(t, th)
-	// Stall an iteration the schedule places on a non-calling slot: on the
-	// static path w-partition w of an s-partition runs on pool slot w, and
-	// slot 0 is the caller (which cannot time out on its own arrival).
+	// Stall an iteration the schedule places on a non-calling slot:
+	// w-partition w of an s-partition runs on pool slot w, and slot 0 is the
+	// caller (which cannot time out on its own arrival).
 	armedLoop, armedIter := -1, -1
 	for _, sp := range sched.S {
 		if len(sp) >= 2 && len(sp[1]) > 0 {
@@ -376,7 +391,7 @@ func (k *delayIter) Run(i int) {
 }
 
 func TestPoisonedPoolRefusesRuns(t *testing.T) {
-	p := newPoolCfg(4, 0, 20*time.Millisecond)
+	p := newPool(4, 0, 20*time.Millisecond)
 	defer p.close()
 	durs := make([]time.Duration, 4)
 	p.run(4, func(w int) {

@@ -15,9 +15,8 @@ import (
 
 // Chain-composition coverage: k-kernel chains (k = 3..5) must execute
 // bit-identically to the sequential kernel-by-kernel reference at every
-// worker count on every executor rung — compiled, packed, and packed with
-// work-stealing — because every output element is written by exactly one
-// iteration with a fixed interior order and every cross-loop read is ordered
+// worker count on every executor rung — compiled and packed — because every
+// output element is written by exactly one iteration with a fixed interior order and every cross-loop read is ordered
 // by the composed F chain.
 
 // chainFixture is a k-kernel chain plus the machinery the equivalence tests
@@ -175,8 +174,8 @@ func assertBitIdentical(t *testing.T, label string, got, want []float64) {
 
 // TestChainBitIdenticalAcrossExecutors: k = 3, 4, 5 TRSV chains plus the
 // mixed sparse/vector chain agree bit-for-bit with the sequential reference
-// at workers 1..8 on the compiled, packed, and stealing executors, as does
-// the one-thread walk of the same schedule.
+// at workers 1..8 on the compiled and packed rungs, as does the one-thread
+// walk of the same schedule.
 func TestChainBitIdenticalAcrossExecutors(t *testing.T) {
 	cases := map[string]*chainFixture{
 		"trsv-k3": trsvChain(t, 240, 3),
@@ -209,9 +208,6 @@ func TestChainBitIdenticalAcrossExecutors(t *testing.T) {
 				t.Fatalf("%s: packed runner did not attach its layout", name)
 			}
 			run("packed", func() (Stats, error) { return rp.Run(workers) })
-
-			rp.Configure(Config{Steal: true})
-			run("stealing", func() (Stats, error) { return rp.Run(workers) })
 
 			run("sequential", func() (Stats, error) { return RunScheduleSequential(context.Background(), fx.ks, sched) })
 		}

@@ -61,10 +61,8 @@ type Runner struct {
 	// built on first SetRecorder.
 	wIters []int32
 
-	// cfg tunes the parallel execution (Configure); steal is the cached
-	// work-stealing context, built lazily for the effective pool width.
-	cfg   Config
-	steal *stealState
+	// cfg tunes the private pool of Run and RunContext (Configure).
+	cfg Config
 }
 
 // NewRunner binds a compiled program to its kernels, choosing each segment's
@@ -164,9 +162,6 @@ func (r *Runner) SetRecorder(rec *Recorder) {
 	}
 }
 
-// Recorder returns the attached profiler, if any.
-func (r *Runner) Recorder() *Recorder { return r.rec }
-
 // Run executes the compiled schedule: Prepare in loop order, one barrier per
 // s-partition. On the compiled-unpacked path scatter kernels run in atomic
 // mode iff two w-partitions can actually run at once (pool and schedule both
@@ -189,18 +184,7 @@ func (r *Runner) Run(threads int) (Stats, error) {
 // (context.Background()) costs nothing; an armed one costs one watcher
 // goroutine per run and no extra branch in the round loop.
 func (r *Runner) RunContext(ctx context.Context, threads int) (Stats, error) {
-	poolWidth := r.prog.MaxWidth
-	if r.cfg.Steal && threads < poolWidth {
-		// Stealing multiplexes the schedule's w-partitions over the slots it
-		// has, so the pool is sized to the caller's thread budget, not the
-		// schedule's width — the whole point on machines narrower than the
-		// widest s-partition.
-		poolWidth = threads
-	}
-	if poolWidth < 1 {
-		poolWidth = 1
-	}
-	pl := newPoolCfg(poolWidth, r.cfg.SpinBudget, r.cfg.Watchdog)
+	pl := newPool(r.prog.MaxWidth, r.cfg.SpinBudget, r.cfg.Watchdog)
 	defer pl.close()
 	return r.runOnPool(ctx, pl, threads)
 }
@@ -227,20 +211,7 @@ func (r *Runner) runOnPool(ctx context.Context, pl *pool, threads int) (Stats, e
 	for _, k := range r.ks {
 		k.Prepare()
 	}
-	// sst is the stealing context, nil on the static path. Single-partition
-	// schedules stay static: there is nothing to steal.
-	var sst *stealState
-	if r.cfg.Steal && p.MaxWidth > 1 {
-		sst = r.stealFor(pl.workers)
-	}
-	durWidth := p.MaxWidth
-	if sst != nil {
-		durWidth = sst.asn.Workers
-	}
-	if durWidth < 1 {
-		durWidth = 1
-	}
-	durs := make([]time.Duration, durWidth)
+	durs := make([]time.Duration, p.MaxWidth)
 	runBody := r.runW
 	if r.packed != nil {
 		runBody = r.runWPacked
@@ -259,23 +230,12 @@ func (r *Runner) runOnPool(ctx context.Context, pl *pool, threads int) (Stats, e
 			accumulate(&st, durs[:0], threads)
 			continue
 		}
-		parts := width
-		if sst != nil && parts > sst.asn.Workers {
-			parts = sst.asn.Workers
-		}
 		var partStart time.Duration
 		if recording {
 			partStart = time.Since(t0)
 		}
-		var roundSteals int64
-		if sst != nil {
-			sst.beginRound(s, parts)
-			pl.run(parts, func(q int) { r.stealRound(sst, q, parts, runBody) }, durs[:parts])
-			roundSteals = sst.collectRound(parts)
-		} else {
-			pl.run(width, func(w int) { runBody(w0 + w) }, durs[:width])
-		}
-		accumulate(&st, durs[:parts], threads)
+		pl.run(width, func(w int) { runBody(w0 + w) }, durs[:width])
+		accumulate(&st, durs[:width], threads)
 		// Fold before looking at the fault: a cancelled round completed, and
 		// its outputs must be those of an uncancelled run; a faulted round's
 		// slots must not leak into the next run.
@@ -283,15 +243,7 @@ func (r *Runner) runOnPool(ctx context.Context, pl *pool, threads int) (Stats, e
 		st.Fold += fold
 		if recording {
 			rec.fold += fold
-			if sst != nil {
-				// Stolen spans belong to the slot that executed them: durs[q]
-				// is slot q's whole-round busy time, stolen w-partitions
-				// included. Iteration attribution per slot is unknown here
-				// (the slot↔w-partition map moved mid-round), so iters is nil.
-				rec.record(s, partStart, durs[:parts], nil, roundSteals)
-			} else {
-				rec.record(s, partStart, durs[:width], r.wIters[w0:w0+width], 0)
-			}
+			rec.record(s, partStart, durs[:width], r.wIters[w0:w0+width])
 		}
 		if f := pl.takeFault(); f != nil {
 			// Synthetic faults (cancellation, watchdog) carry worker -1 and
@@ -299,22 +251,10 @@ func (r *Runner) runOnPool(ctx context.Context, pl *pool, threads int) (Stats, e
 			wp := -1
 			if f.worker >= 0 {
 				wp = w0 + f.worker
-				if sst != nil {
-					wp = int(sst.curW[f.worker])
-				}
 			}
 			r.spillDirty = f.cancel == nil
 			st.Elapsed = time.Since(t0)
 			return st, f.runError(s, wp)
-		}
-	}
-	if sst != nil {
-		ra := r.cfg.ReseedAfter
-		if ra <= 0 {
-			ra = defaultReseedAfter
-		}
-		if sst.finishRun(p, ra) && recording {
-			rec.noteReseed()
 		}
 	}
 	st.Elapsed = time.Since(t0)
@@ -408,7 +348,7 @@ func CompileJoint(k1, k2 kernels.Kernel, p *partition.Partitioning) (*Runner, er
 // fresh pool and returns the mean cost per barrier: the ns_per_barrier term
 // of bench/'s run-time model.
 func BenchBarrier(workers, rounds int) time.Duration {
-	pl := newPool(workers)
+	pl := newPool(workers, 0, 0)
 	defer pl.close()
 	durs := make([]time.Duration, workers)
 	body := func(int) {}
@@ -421,8 +361,8 @@ func BenchBarrier(workers, rounds int) time.Duration {
 
 // RunChainCompiled executes kernels one after another, each under a
 // pre-compiled Runner. An entry with a nil runner runs its kernel
-// sequentially (the MKL-style baseline's factorizations), mirroring
-// RunChain's accounting.
+// sequentially (the MKL-style baseline's factorizations). The first kernel
+// error abandons the rest of the chain.
 func RunChainCompiled(ks []kernels.Kernel, rs []*Runner, threads int) (Stats, error) {
 	var st Stats
 	t0 := time.Now()
@@ -443,38 +383,4 @@ func RunChainCompiled(ks []kernels.Kernel, rs []*Runner, threads int) (Stats, er
 	}
 	st.Elapsed = time.Since(t0)
 	return st, nil
-}
-
-// RunFused executes the fused loops under a core.Schedule produced by ICO.
-// ks[l] is the kernel of loop l; each kernel's Prepare runs first, in loop
-// order. threads only affects the potential-gain normalization — the
-// schedule's own w-partition structure decides actual parallelism. The
-// schedule is compiled on every call; callers that rerun one schedule should
-// compile once via CompileFused and Run the Runner.
-func RunFused(ks []kernels.Kernel, sched *core.Schedule, threads int) (Stats, error) {
-	r, err := CompileFused(ks, sched)
-	if err != nil {
-		return Stats{}, err
-	}
-	return r.Run(threads)
-}
-
-// RunPartitioned executes one kernel under a baseline partitioning
-// (wavefront, LBC or DAGP schedule of the kernel's own DAG).
-func RunPartitioned(k kernels.Kernel, p *partition.Partitioning, threads int) (Stats, error) {
-	r, err := CompilePartitioned(k, p)
-	if err != nil {
-		return Stats{}, err
-	}
-	return r.Run(threads)
-}
-
-// RunJoint executes two kernels under a partitioning of their joint DAG:
-// the fused-wavefront / fused-LBC / fused-DAGP baselines.
-func RunJoint(k1, k2 kernels.Kernel, p *partition.Partitioning, threads int) (Stats, error) {
-	r, err := CompileJoint(k1, k2, p)
-	if err != nil {
-		return Stats{}, err
-	}
-	return r.Run(threads)
 }

@@ -136,7 +136,7 @@ func TestCompiledPartitionedMatchesSequentialWalk(t *testing.T) {
 	}
 	walk([]kernels.Kernel{k}, asSchedule(lb, k.Iterations()))
 	want := append([]float64(nil), x...)
-	stC := mustRun(RunPartitioned(k, lb, threads))
+	stC := mustRun(once(threads)(CompilePartitioned(k, lb)))
 	if !bitsSame(x, want) {
 		t.Fatal("partitioned run differs from the walk")
 	}
@@ -147,7 +147,7 @@ func TestCompiledPartitionedMatchesSequentialWalk(t *testing.T) {
 
 func TestCompiledJointMatchesSequentialWalk(t *testing.T) {
 	loops, ks, snap := fusedTrsvMv(350, 11)
-	joint, err := dag.Joint(loops.G[0], loops.G[1], loops.F[0])
+	joint, err := dag.JointChain([]*dag.Graph{loops.G[0], loops.G[1]}, []*sparse.CSR{loops.F[0]})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -157,7 +157,7 @@ func TestCompiledJointMatchesSequentialWalk(t *testing.T) {
 	}
 	walk(ks, asSchedule(wf, ks[0].Iterations()))
 	want := snap()
-	stC := mustRun(RunJoint(ks[0], ks[1], wf, threads))
+	stC := mustRun(once(threads)(CompileJoint(ks[0], ks[1], wf)))
 	if e := sparse.RelErr(snap(), want); e > 1e-9 {
 		t.Fatalf("joint compiled diverges from the walk by %v", e)
 	}
@@ -260,7 +260,7 @@ func BenchmarkFusedExecutor(b *testing.B) {
 func BenchmarkPoolBarrier(b *testing.B) {
 	for _, workers := range []int{2, 4, 8} {
 		b.Run("w"+string(rune('0'+workers)), func(b *testing.B) {
-			pl := newPool(workers)
+			pl := newPool(workers, 0, 0)
 			defer pl.close()
 			durs := make([]time.Duration, workers)
 			body := func(int) {}
@@ -269,6 +269,17 @@ func BenchmarkPoolBarrier(b *testing.B) {
 				pl.run(workers, body, durs)
 			}
 		})
+	}
+}
+
+// once runs a freshly compiled Runner one time at th threads; a compile error
+// comes back as the run's.
+func once(th int) func(*Runner, error) (Stats, error) {
+	return func(r *Runner, err error) (Stats, error) {
+		if err != nil {
+			return Stats{}, err
+		}
+		return r.Run(th)
 	}
 }
 

@@ -2,55 +2,25 @@ package exec
 
 import "time"
 
-// Config tunes a Runner's parallel execution. The zero value reproduces the
-// classic behavior: static w-partition→worker-slot assignment, env/default
-// spin budget, no barrier watchdog.
+// Config tunes the private pool a Runner creates for Run and RunContext. The
+// zero value is the env/default spin budget and no barrier watchdog.
 type Config struct {
-	// Steal enables bounded work-stealing inside s-partitions: worker slots
-	// drain per-slot deques seeded from a deterministic LPT assignment
-	// (core.AssignProgram), and idle slots steal whole w-partitions from the
-	// tail of the heaviest neighbor. Stealing never crosses an s-partition
-	// boundary — the barrier still separates dependent rounds — and a
-	// w-partition always executes whole on one goroutine, so per-w-partition
-	// arithmetic is bit-identical to the static path. With stealing on, a
-	// pool (or Run's private pool) may be narrower than the program's
-	// MaxWidth: Run sizes its pool min(threads, MaxWidth) and slots multiplex
-	// the schedule's w-partitions.
-	Steal bool
-
-	// SpinBudget overrides the barrier's spin-before-yield poll count for
-	// pools the Runner creates itself. <= 0 selects the process default
-	// (SPARSEFUSION_SPIN_BUDGET env, else 30000 polls, trimmed to 1 when
-	// oversubscribed).
+	// SpinBudget overrides the barrier's spin-before-yield poll count. <= 0
+	// selects the process default (SPARSEFUSION_SPIN_BUDGET env, else 30000
+	// polls, trimmed to 1 when oversubscribed).
 	SpinBudget int
 
-	// ReseedAfter is the number of consecutive heavy-steal runs (more than
-	// NumWPartitions/8 steals in one run) after which the seeded assignment
-	// is rebuilt from measured per-w-partition run times: persistent
-	// imbalance means the iteration-count proxy mis-weighted the partitions,
-	// and re-seeding restores affinity instead of paying steal traffic every
-	// run. <= 0 selects the default of 8.
-	ReseedAfter int
-
 	// Watchdog bounds how long the barrier waits for a worker to arrive at
-	// the end of an s-partition round on pools the Runner creates itself. A
-	// round that exceeds it returns an *ExecError with Watchdog set instead
-	// of hanging the caller behind a stuck worker body; the private pool is
-	// poisoned and torn down with the run. 0 disables the bound (waiting is
-	// unbounded, the classic behavior).
+	// the end of an s-partition round. A round that exceeds it returns an
+	// *ExecError with Watchdog set instead of hanging the caller behind a
+	// stuck worker body; the private pool is poisoned and torn down with the
+	// run. 0 disables the bound.
 	Watchdog time.Duration
 }
 
-const defaultReseedAfter = 8
-
-// Configure sets the runner's execution config. Changing the config drops any
-// cached steal assignment (the next run re-seeds); it does not affect a run
+// Configure sets the runner's execution config. It does not affect a run
 // already in flight — Runner is single-caller by contract.
-func (r *Runner) Configure(cfg Config) {
-	r.cfg = cfg
-	r.steal = nil
-}
+func (r *Runner) Configure(cfg Config) { r.cfg = cfg }
 
-// Stealing reports whether the runner will take the work-stealing path for
-// multi-partition schedules.
-func (r *Runner) Stealing() bool { return r.cfg.Steal }
+// Config returns what Configure last set (the zero Config before that).
+func (r *Runner) Config() Config { return r.cfg }

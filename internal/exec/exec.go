@@ -17,7 +17,6 @@ import (
 
 	"sparsefusion/internal/core"
 	"sparsefusion/internal/kernels"
-	"sparsefusion/internal/partition"
 )
 
 // Stats reports one execution.
@@ -112,31 +111,6 @@ func RunScheduleSequential(ctx context.Context, ks []kernels.Kernel, sched *core
 			wp++
 		}
 	}
-	return st, nil
-}
-
-// RunChain executes kernels one after another (unfused), each under its own
-// partitioning. Entries with a nil partitioning run sequentially. The first
-// kernel error abandons the rest of the chain.
-func RunChain(ks []kernels.Kernel, ps []*partition.Partitioning, threads int) (Stats, error) {
-	var st Stats
-	t0 := time.Now()
-	for i, k := range ks {
-		var s Stats
-		var err error
-		if ps[i] == nil {
-			s, err = RunSequentialKernel(k)
-		} else {
-			s, err = RunPartitioned(k, ps[i], threads)
-		}
-		st.Barriers += s.Barriers
-		st.PotentialGain += s.PotentialGain
-		if err != nil {
-			st.Elapsed = time.Since(t0)
-			return st, err
-		}
-	}
-	st.Elapsed = time.Since(t0)
 	return st, nil
 }
 

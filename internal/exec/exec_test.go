@@ -125,7 +125,7 @@ func TestRunFusedMatchesSequentialAllCombos(t *testing.T) {
 				t.Fatalf("%s: %v", name, err)
 			}
 			for rep := 0; rep < 3; rep++ { // replay to catch races / Prepare bugs
-				st := mustRun(RunFused(ks, sched, threads))
+				st := mustRun(once(threads)(CompileFused(ks, sched)))
 				if got := snap(); sparse.RelErr(got, want) > 1e-9 {
 					t.Fatalf("%s reuse %v rep %d: fused result diverges by %v",
 						name, reuse, rep, sparse.RelErr(snap(), want))
@@ -162,9 +162,9 @@ func TestRunPartitionedMatchesSequential(t *testing.T) {
 		name string
 		st   Stats
 	}{
-		{"wavefront", mustRun(RunPartitioned(k, wf, threads))},
-		{"lbc", mustRun(RunPartitioned(k, lb, threads))},
-		{"dagp", mustRun(RunPartitioned(k, dg, threads))},
+		{"wavefront", mustRun(once(threads)(CompilePartitioned(k, wf)))},
+		{"lbc", mustRun(once(threads)(CompilePartitioned(k, lb)))},
+		{"dagp", mustRun(once(threads)(CompilePartitioned(k, dg)))},
 	} {
 		if got := append([]float64(nil), x...); sparse.RelErr(got, want) > 1e-9 {
 			t.Fatalf("%s: diverges", tc.name)
@@ -178,7 +178,7 @@ func TestRunPartitionedMatchesSequential(t *testing.T) {
 func TestRunJointMatchesSequential(t *testing.T) {
 	loops, ks, snap := fusedTrsvMv(350, 11)
 	want := seqResult(ks, snap)
-	joint, err := dag.Joint(loops.G[0], loops.G[1], loops.F[0])
+	joint, err := dag.JointChain([]*dag.Graph{loops.G[0], loops.G[1]}, []*sparse.CSR{loops.F[0]})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -198,9 +198,9 @@ func TestRunJointMatchesSequential(t *testing.T) {
 		name string
 		st   Stats
 	}{
-		{"joint-wavefront", mustRun(RunJoint(ks[0], ks[1], wf, threads))},
-		{"joint-lbc", mustRun(RunJoint(ks[0], ks[1], lb, threads))},
-		{"joint-dagp", mustRun(RunJoint(ks[0], ks[1], dg, threads))},
+		{"joint-wavefront", mustRun(once(threads)(CompileJoint(ks[0], ks[1], wf)))},
+		{"joint-lbc", mustRun(once(threads)(CompileJoint(ks[0], ks[1], lb)))},
+		{"joint-dagp", mustRun(once(threads)(CompileJoint(ks[0], ks[1], dg)))},
 	} {
 		if got := snap(); sparse.RelErr(got, want) > 1e-9 {
 			t.Fatalf("%s: diverges by %v", tc.name, sparse.RelErr(snap(), want))
@@ -220,7 +220,15 @@ func TestRunChain(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	stats := mustRun(RunChain(ks, []*partition.Partitioning{p1, p2}, threads))
+	var rs []*Runner
+	for i, p := range []*partition.Partitioning{p1, p2} {
+		r, err := CompilePartitioned(ks[i], p)
+		if err != nil {
+			t.Fatal(err)
+		}
+		rs = append(rs, r)
+	}
+	stats := mustRun(RunChainCompiled(ks, rs, threads))
 	if got := snap(); sparse.RelErr(got, want) > 1e-9 {
 		t.Fatal("chained execution diverges")
 	}
@@ -249,7 +257,7 @@ func TestSingleThreadNoAtomics(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	RunFused(ks, sched, 1)
+	once(1)(CompileFused(ks, sched))
 	if got := snap(); sparse.RelErr(got, want) > 1e-9 {
 		t.Fatal("single-thread fused run diverges")
 	}

@@ -138,7 +138,7 @@ func TestFaultAbandonsRemainingRounds(t *testing.T) {
 		t.Skip("schedule has a single s-partition")
 	}
 	sched.S[0][0][0].Idx = 1 << 20
-	st, err := RunFused(ks, sched, threads)
+	st, err := once(threads)(CompileFused(ks, sched))
 	if err == nil {
 		t.Fatal("corrupt first round executed without error")
 	}
@@ -190,7 +190,7 @@ func TestBreakdownSurfacesThroughParallelExecutor(t *testing.T) {
 	}
 	ks := []kernels.Kernel{k}
 	for _, th := range faultWorkerCounts {
-		check(fmt.Sprintf("threads=%d", th), func() (Stats, error) { return RunFused(ks, sched, th) })
+		check(fmt.Sprintf("threads=%d", th), func() (Stats, error) { return once(th)(CompileFused(ks, sched)) })
 	}
 	// The one-thread walk recovers the same panic into the same typed error.
 	check("walk", func() (Stats, error) { return RunScheduleSequential(context.Background(), ks, sched) })
@@ -235,7 +235,7 @@ func (h hookedRunner) RunManyPacked(iters []int32, s *kernels.PackedStream, ent,
 // every s-partition in turn (the round completes and is folded, the rest never
 // start) and a worker is made to panic after its w-partition wrote its slots;
 // after each, a clean run must return the bits of a runner that never saw
-// either — with stealing on and off.
+// either.
 func TestPackedScatterCleanAfterCancelAndFault(t *testing.T) {
 	for name, mk := range scatterFixtures() {
 		loops, ks, snap := mk()
@@ -250,60 +250,57 @@ func TestPackedScatterCleanAfterCancelAndFault(t *testing.T) {
 		mustRun(fresh.Run(threads))
 		want := snap()
 
-		for _, steal := range []bool{false, true} {
-			r, _, err := CompileFusedPacked(ks, sched)
-			if err != nil {
-				t.Fatalf("%s: %v", name, err)
-			}
-			r.Configure(Config{Steal: steal})
-			prog := r.Program()
-			pl := NewPool(prog.MaxWidth)
-			clean := func(what string) {
-				t.Helper()
-				if _, err := r.RunOn(pl, threads); err != nil {
-					t.Fatalf("%s steal=%v: clean run after %s: %v", name, steal, what, err)
-				}
-				if !bitsSame(snap(), want) {
-					t.Fatalf("%s steal=%v: clean run after %s diverged from a fresh runner", name, steal, what)
-				}
-			}
-			for s := 0; s < prog.NumSPartitions(); s++ {
-				// The last w-partition of the round, so every other one has
-				// (most likely) already filled its slots.
-				g := r.wSeg[prog.SOff[s+1]-1]
-
-				ctx, cancel := context.WithCancel(context.Background())
-				undo := hookUnit(r, g, func() {
-					cancel()
-					for pl.p.fault.Load() == nil { // until the watcher installed it
-						runtime.Gosched()
-					}
-				}, nil)
-				_, err := r.RunOnContext(ctx, pl, threads)
-				undo()
-				var c *CancelledError
-				if !errors.As(err, &c) || c.SPartition != s {
-					t.Fatalf("%s steal=%v: cancel inside s-partition %d returned %v", name, steal, s, err)
-				}
-				clean("a cancel")
-
-				undo = hookUnit(r, g, nil, func() { panic("fault_test: injected panic") })
-				_, err = r.RunOn(pl, threads)
-				undo()
-				var ee *ExecError
-				if !errors.As(err, &ee) || ee.SPartition != s {
-					t.Fatalf("%s steal=%v: panic inside s-partition %d returned %v", name, steal, s, err)
-				}
-				for _, sp := range r.spill {
-					for i, v := range sp.slots {
-						if v != 0 {
-							t.Fatalf("%s steal=%v: slot %d = %v after the faulted round was folded", name, steal, i, v)
-						}
-					}
-				}
-				clean("a worker panic")
-			}
-			pl.Close()
+		r, _, err := CompileFusedPacked(ks, sched)
+		if err != nil {
+			t.Fatalf("%s: %v", name, err)
 		}
+		prog := r.Program()
+		pl := NewPool(prog.MaxWidth, 0, 0)
+		clean := func(what string) {
+			t.Helper()
+			if _, err := r.RunOn(pl, threads); err != nil {
+				t.Fatalf("%s: clean run after %s: %v", name, what, err)
+			}
+			if !bitsSame(snap(), want) {
+				t.Fatalf("%s: clean run after %s diverged from a fresh runner", name, what)
+			}
+		}
+		for s := 0; s < prog.NumSPartitions(); s++ {
+			// The last w-partition of the round, so every other one has
+			// (most likely) already filled its slots.
+			g := r.wSeg[prog.SOff[s+1]-1]
+
+			ctx, cancel := context.WithCancel(context.Background())
+			undo := hookUnit(r, g, func() {
+				cancel()
+				for pl.p.fault.Load() == nil { // until the watcher installed it
+					runtime.Gosched()
+				}
+			}, nil)
+			_, err := r.RunOnContext(ctx, pl, threads)
+			undo()
+			var c *CancelledError
+			if !errors.As(err, &c) || c.SPartition != s {
+				t.Fatalf("%s: cancel inside s-partition %d returned %v", name, s, err)
+			}
+			clean("a cancel")
+
+			undo = hookUnit(r, g, nil, func() { panic("fault_test: injected panic") })
+			_, err = r.RunOn(pl, threads)
+			undo()
+			var ee *ExecError
+			if !errors.As(err, &ee) || ee.SPartition != s {
+				t.Fatalf("%s: panic inside s-partition %d returned %v", name, s, err)
+			}
+			for _, sp := range r.spill {
+				for i, v := range sp.slots {
+					if v != 0 {
+						t.Fatalf("%s: slot %d = %v after the faulted round was folded", name, i, v)
+					}
+				}
+			}
+			clean("a worker panic")
+		}
+		pl.Close()
 	}
 }

@@ -21,7 +21,7 @@ import (
 // counter, so an uncontended barrier is two atomic operations per worker.
 //
 // Wakeup policy: waiters spin on the atomic for a short budget (trimmed to
-// almost nothing when GOMAXPROCS < workers, where spinning only steals time
+// almost nothing when GOMAXPROCS < workers, where spinning only takes time
 // from the goroutine being waited on), then yield with runtime.Gosched for a
 // few rounds, then park on a per-worker channel. Parking uses the classic
 // flag-then-recheck protocol so a wakeup can never be lost: a waiter raises
@@ -64,16 +64,6 @@ type pool struct {
 	// collect it with takeFault after each round.
 	fault atomic.Pointer[workerFault]
 
-	// tree is the combining-tree arrival path, allocated only for pools wider
-	// than treeBarrierThreshold. tree[l][j] collects the completions of its
-	// two children (at level 0: the arrivals of worker slots 2j and 2j+1);
-	// the last completer climbs to the parent. treeDepth is the number of
-	// levels active in the current round — written by the caller before the
-	// round word is published, so workers read it through the same
-	// happens-before edge as body and durs.
-	tree      [][]treeNode
-	treeDepth int
-
 	park []parkSlot // slot 0 is the caller, slots 1.. the workers
 	wg   sync.WaitGroup
 }
@@ -84,13 +74,6 @@ const (
 
 	yieldRounds = 128
 
-	// treeBarrierThreshold is the round width above which arrival switches
-	// from the single shared counter to the combining tree. Below it, one
-	// atomic on one line is cheaper than a tree walk; above it, the shared
-	// counter line bounces across every arriving core while the tree spreads
-	// arrivals over width/2 independent lines.
-	treeBarrierThreshold = 16
-
 	// defaultSpinBudget is how many times a waiter polls the round word
 	// before escalating to yield and then park. 30k polls measured ≈ 10–15 µs
 	// on the 2-vCPU reference box (ROADMAP items 1–2, finding ii): longer
@@ -98,27 +81,10 @@ const (
 	// wakeup — and shorter than the gap between two short rounds, so a
 	// worker is often already yielding when the next one is published.
 	// Override with SPARSEFUSION_SPIN_BUDGET (or ExecConfig) on
-	// oversubscribed machines, where any spinning just steals cycles from the
+	// oversubscribed machines, where any spinning just takes cycles from the
 	// producer.
 	defaultSpinBudget = 30_000
 )
-
-// treeNode is one combining node, padded to its own cache line so arrivals at
-// sibling nodes do not false-share. count accumulates arrivals monotonically
-// across rounds — it is never reset — and target is the cumulative count at
-// which the current round's node completes. Monotonic counts are what make
-// re-arming safe: a straggler from the previous round that reads target after
-// the next round armed holds a count value strictly below the new target, so
-// it can only conclude "not the completer" — never duplicate a climb. (All
-// Adds of a round happen before the root completes, so only the post-Add
-// target read can straggle.) Wraparound at 2^32 is harmless: a collision
-// would need two cumulative values 2^32 apart to meet in one round, and a
-// round adds at most 2 per node.
-type treeNode struct {
-	count  atomic.Uint32
-	target atomic.Uint32
-	_      [56]byte
-}
 
 var (
 	spinBudgetOnce sync.Once
@@ -170,23 +136,12 @@ type parkSlot struct {
 // newPool starts workers-1 goroutines (the caller's goroutine acts as
 // worker 0, saving one handoff per barrier). workers < 1 is clamped to 1:
 // empty schedules ask for a zero-width pool but still need the caller slot.
-func newPool(workers int) *pool {
-	return newPoolSpin(workers, 0)
-}
-
-// newPoolSpin is newPool with an explicit spin budget. spin <= 0 selects the
-// env/default budget, trimmed to 1 when the pool is wider than GOMAXPROCS
-// (oversubscribed: a spinning waiter occupies the CPU its producer needs, so
-// go straight to yielding). An explicit positive spin is used verbatim — a
-// caller that set it has already decided the trade.
-func newPoolSpin(workers, spin int) *pool {
-	return newPoolCfg(workers, spin, 0)
-}
-
-// newPoolCfg is the full constructor: spin budget plus the stuck-barrier
-// watchdog bound (0 disables the watchdog; waiting is then unbounded, the
-// pre-watchdog behavior).
-func newPoolCfg(workers, spin int, watchdog time.Duration) *pool {
+// spin <= 0 selects the env/default budget, trimmed to 1 when the pool is
+// wider than GOMAXPROCS (oversubscribed: a spinning waiter occupies the CPU
+// its producer needs, so go straight to yielding); an explicit positive spin
+// is used verbatim — a caller that set it has already decided the trade.
+// watchdog is the stuck-barrier bound; 0 disables it and waiting is unbounded.
+func newPool(workers, spin int, watchdog time.Duration) *pool {
 	if workers < 1 {
 		workers = 1
 	}
@@ -197,9 +152,6 @@ func newPoolCfg(workers, spin int, watchdog time.Duration) *pool {
 		if runtime.GOMAXPROCS(0) < workers {
 			p.spin = 1
 		}
-	}
-	if workers > treeBarrierThreshold {
-		p.tree = buildTree(workers)
 	}
 	p.park = make([]parkSlot, workers)
 	for i := range p.park {
@@ -237,10 +189,6 @@ func (p *pool) run(parts int, body func(w int), durs []time.Duration) {
 	p.body = body
 	p.arrived.Store(0)
 	want := int32(parts - 1)
-	if parts > treeBarrierThreshold {
-		p.armTree(parts)
-		want = 1 // the root completer signals arrival for everyone
-	}
 	epoch := p.word.Load() >> wordPartsBits
 	p.word.Store((epoch+1)<<wordPartsBits | uint64(parts))
 	for w := 1; w < parts; w++ {
@@ -266,72 +214,12 @@ func (p *pool) run(parts int, body func(w int), durs []time.Duration) {
 	copy(durs[1:parts], p.durs[1:parts])
 }
 
-// buildTree sizes the combining tree for a pool of workers slots: level 0
-// pairs worker slots, each further level pairs the nodes below, down to a
-// single root.
-func buildTree(workers int) [][]treeNode {
-	var tree [][]treeNode
-	for n := (workers + 1) / 2; ; n = (n + 1) / 2 {
-		tree = append(tree, make([]treeNode, n))
-		if n == 1 {
-			return tree
-		}
-	}
-}
-
-// armTree arms the tree for a parts-wide round: each active node's target
-// becomes its cumulative count plus the number of children that will report
-// into it this round. Slot 0 is the caller and never arrives, so level-0
-// node 0 expects one arrival (slot 1), not two. armTree runs before the
-// round word is published; every arrival of the previous round has already
-// been counted (the root completes only after all of them), so the count
-// loads here are exact.
-func (p *pool) armTree(parts int) {
-	active := parts // arrival positions at the current level; slot 0 inert
-	for l := range p.tree {
-		nodes := (active + 1) / 2
-		for j := 0; j < nodes; j++ {
-			n := &p.tree[l][j]
-			exp := uint32(2)
-			if rem := active - 2*j; rem < 2 {
-				exp = uint32(rem)
-			}
-			if l == 0 && j == 0 {
-				exp-- // the caller's position
-			}
-			n.target.Store(n.count.Load() + exp)
-		}
-		if nodes == 1 {
-			p.treeDepth = l + 1
-			return
-		}
-		active = nodes
-	}
-}
-
-// arrive signals that slot w finished a parts-wide round. Narrow rounds use
-// the flat counter; wide rounds climb the combining tree. Either way the last
+// arrive signals that a worker slot finished a parts-wide round; the last
 // finisher wakes the caller if it parked.
-func (p *pool) arrive(w, parts int) {
-	if parts <= treeBarrierThreshold {
-		if p.arrived.Add(1) == int32(parts-1) {
-			p.release(0)
-		}
-		return
+func (p *pool) arrive(parts int) {
+	if p.arrived.Add(1) == int32(parts-1) {
+		p.release(0)
 	}
-	node := w / 2
-	for l := 0; ; l++ {
-		n := &p.tree[l][node]
-		if n.count.Add(1) != n.target.Load() {
-			return // not the last child; the completer climbs for us
-		}
-		if l == p.treeDepth-1 {
-			break
-		}
-		node /= 2
-	}
-	p.arrived.Store(1)
-	p.release(0)
 }
 
 // invoke runs the current round's body for worker slot w under a recover
@@ -407,7 +295,7 @@ func (p *pool) worker(w int) {
 		t0 := time.Now()
 		p.invoke(w)
 		p.durs[w] = time.Since(t0)
-		p.arrive(w, parts)
+		p.arrive(parts)
 	}
 }
 

@@ -7,7 +7,7 @@ import (
 )
 
 func TestPoolRunsAllParts(t *testing.T) {
-	pl := newPool(4)
+	pl := newPool(4, 0, 0)
 	defer pl.close()
 	var count int64
 	durs := make([]time.Duration, 4)
@@ -25,7 +25,7 @@ func TestPoolRunsAllParts(t *testing.T) {
 }
 
 func TestPoolPartialWidth(t *testing.T) {
-	pl := newPool(8)
+	pl := newPool(8, 0, 0)
 	defer pl.close()
 	durs := make([]time.Duration, 8)
 	seen := make([]int64, 8)
@@ -40,7 +40,7 @@ func TestPoolPartialWidth(t *testing.T) {
 func TestPoolDistinctWorkersConcurrent(t *testing.T) {
 	// All parts of one barrier must be able to execute concurrently: if the
 	// pool serialized them, a rendezvous via channels would deadlock.
-	pl := newPool(2)
+	pl := newPool(2, 0, 0)
 	defer pl.close()
 	a, b := make(chan struct{}), make(chan struct{})
 	durs := make([]time.Duration, 2)
@@ -65,7 +65,7 @@ func TestPoolDistinctWorkersConcurrent(t *testing.T) {
 }
 
 func TestPoolTooManyPartsPanics(t *testing.T) {
-	pl := newPool(2)
+	pl := newPool(2, 0, 0)
 	defer pl.close()
 	durs := make([]time.Duration, 3)
 	defer func() {
@@ -80,7 +80,7 @@ func TestPoolTooManyPartsPanics(t *testing.T) {
 // the pool from MaxWidth, which can be zero, and the pool must still serve
 // width-1 rounds on the caller's goroutine.
 func TestPoolZeroWorkersClamps(t *testing.T) {
-	pl := newPool(0)
+	pl := newPool(0, 0, 0)
 	defer pl.close()
 	durs := make([]time.Duration, 1)
 	ran := false
@@ -91,99 +91,33 @@ func TestPoolZeroWorkersClamps(t *testing.T) {
 }
 
 // TestPoolManyRoundsVaryingWidth hammers the barrier with width changes so
-// idle workers repeatedly park across rounds they do not participate in.
+// idle workers repeatedly park across rounds they do not participate in; the
+// 24-wide pool takes the one arrival counter well past the widths any
+// schedule here produces.
 func TestPoolManyRoundsVaryingWidth(t *testing.T) {
-	pl := newPool(6)
-	defer pl.close()
-	durs := make([]time.Duration, 6)
-	var count int64
-	want := int64(0)
-	for round := 0; round < 500; round++ {
-		parts := 1 + round%6
-		want += int64(parts)
-		pl.run(parts, func(w int) { atomic.AddInt64(&count, 1) }, durs[:parts])
-	}
-	if count != want {
-		t.Fatalf("ran %d of %d parts", count, want)
-	}
-}
-
-// TestPoolTreeBarrierWide exercises the combining-tree arrival path: a pool
-// wider than treeBarrierThreshold, hammered with round widths on both sides
-// of the threshold so flat and tree rounds interleave on the same pool.
-func TestPoolTreeBarrierWide(t *testing.T) {
-	pl := newPool(33)
-	defer pl.close()
-	if pl.tree == nil {
-		t.Fatal("pool of 33 workers did not build a combining tree")
-	}
-	durs := make([]time.Duration, 33)
-	seen := make([]int64, 33)
-	var count int64
-	want := int64(0)
-	widths := []int{33, 17, 16, 1, 32, 2, 25, 33, 20, 5}
-	for round := 0; round < 300; round++ {
-		parts := widths[round%len(widths)]
-		want += int64(parts)
-		pl.run(parts, func(w int) {
-			atomic.AddInt64(&count, 1)
-			atomic.AddInt64(&seen[w], 1)
-		}, durs[:parts])
-	}
-	if count != want {
-		t.Fatalf("ran %d of %d parts", count, want)
-	}
-	for w := 0; w < 33; w++ {
-		var exp int64
-		for _, parts := range widths {
-			if w < parts {
-				exp += 30
+	for _, workers := range []int{6, 24} {
+		pl := newPool(workers, 0, 0)
+		durs := make([]time.Duration, workers)
+		seen := make([]int64, workers)
+		want := make([]int64, workers)
+		for round := 0; round < 500; round++ {
+			parts := 1 + round*5%workers
+			for w := 0; w < parts; w++ {
+				want[w]++
+			}
+			pl.run(parts, func(w int) { atomic.AddInt64(&seen[w], 1) }, durs[:parts])
+		}
+		pl.close()
+		for w := range seen {
+			if seen[w] != want[w] {
+				t.Fatalf("pool of %d: slot %d ran %d rounds, want %d", workers, w, seen[w], want[w])
 			}
 		}
-		if seen[w] != exp {
-			t.Fatalf("slot %d ran %d rounds, want %d", w, seen[w], exp)
-		}
-	}
-}
-
-// TestPoolTreeBarrierFault proves a panic inside a tree-width round still
-// arrives at the barrier (no hang) and surfaces through takeFault.
-func TestPoolTreeBarrierFault(t *testing.T) {
-	pl := newPool(24)
-	defer pl.close()
-	durs := make([]time.Duration, 24)
-	done := make(chan struct{})
-	go func() {
-		pl.run(24, func(w int) {
-			if w == 13 {
-				panic("tree fault")
-			}
-		}, durs)
-		close(done)
-	}()
-	select {
-	case <-done:
-	case <-time.After(10 * time.Second):
-		t.Fatal("tree-width round hung on a panicking part")
-	}
-	f := pl.takeFault()
-	if f == nil || f.worker != 13 {
-		t.Fatalf("fault = %+v, want worker 13", f)
-	}
-}
-
-// TestPoolNarrowHasNoTree confirms the tree is not allocated below the
-// threshold — narrow pools keep the two-atomic flat barrier untouched.
-func TestPoolNarrowHasNoTree(t *testing.T) {
-	pl := newPool(treeBarrierThreshold)
-	defer pl.close()
-	if pl.tree != nil {
-		t.Fatalf("pool of %d workers built a tree", treeBarrierThreshold)
 	}
 }
 
 func TestPoolSpinBudgetExplicit(t *testing.T) {
-	pl := newPoolSpin(2, 7)
+	pl := newPool(2, 7, 0)
 	defer pl.close()
 	if pl.spin != 7 {
 		t.Fatalf("spin = %d, want explicit 7", pl.spin)
@@ -197,7 +131,7 @@ func TestPoolSpinBudgetExplicit(t *testing.T) {
 }
 
 func TestPoolSingleWorker(t *testing.T) {
-	pl := newPool(1)
+	pl := newPool(1, 0, 0)
 	defer pl.close()
 	ran := false
 	durs := make([]time.Duration, 1)

@@ -42,8 +42,6 @@ type Recorder struct {
 
 	runs     int
 	barriers int64
-	steals   int64
-	reseeds  int64
 	fold     time.Duration // host-side spill-slot folding between rounds
 }
 
@@ -61,7 +59,7 @@ type Span struct {
 // recorded runs.
 type PartitionProfile struct {
 	// S is the s-partition index; Width its w-partition count; Iters the
-	// iterations per run (0 when the executor does not know it).
+	// iterations per run.
 	S, Width, Iters int
 	// Rounds counts how many recorded barriers this partition contributed.
 	Rounds int64
@@ -69,9 +67,6 @@ type PartitionProfile struct {
 	// (the critical path through this partition across runs); WaitNs sums
 	// all workers' barrier wait (round max minus own run time).
 	BusyNs, MaxNs, WaitNs int64
-	// Steals counts w-partitions of this s-partition executed by a slot
-	// other than their seeded owner (work-stealing path only).
-	Steals int64
 }
 
 // Imbalance is the partition's load-imbalance fraction: total worker wait
@@ -102,10 +97,9 @@ func NewRecorder(capSpans, width int) *Recorder {
 	}
 }
 
-// Enable turns recording on; Disable turns it off. Executors sample the flag
-// once at run start, so a flip lands on the next run, not mid-schedule.
-func (r *Recorder) Enable()  { r.on.Store(true) }
-func (r *Recorder) Disable() { r.on.Store(false) }
+// Enable turns recording on. Executors sample the flag once at run start, so
+// the flip lands on the next run, not mid-schedule.
+func (r *Recorder) Enable() { r.on.Store(true) }
 
 // Enabled reports the flag.
 func (r *Recorder) Enabled() bool { return r.on.Load() }
@@ -118,25 +112,18 @@ func (r *Recorder) Reset() {
 	}
 	r.parts = r.parts[:0]
 	r.runs, r.barriers = 0, 0
-	r.steals, r.reseeds = 0, 0
 	r.fold = 0
 }
-
-// noteReseed counts one steal-driven assignment re-seed.
-func (r *Recorder) noteReseed() { r.reseeds++ }
 
 // beginRun marks the start of one recorded execution.
 func (r *Recorder) beginRun() { r.runs++ }
 
 // record ingests one barrier round: s-partition si started at offset start
 // (from the run's t0); worker slot k ran its share of the round for durs[k],
-// covering iters[k] iterations (iters may be nil when unknown — notably on
-// the stealing path, where a slot's share is its seeded queue plus whatever
-// it stole and durs already attributes stolen spans to the executing slot).
-// steals is the round's stolen-w-partition count (0 on the static path).
-// Worker slots — not global w-partition ids — key the spans and the
-// busy/wait accumulators, keeping one row per worker on the timeline.
-func (r *Recorder) record(si int, start time.Duration, durs []time.Duration, iters []int32, steals int64) {
+// covering iters[k] iterations. Worker slots — not global w-partition ids —
+// key the spans and the busy/wait accumulators, keeping one row per worker on
+// the timeline.
+func (r *Recorder) record(si int, start time.Duration, durs []time.Duration, iters []int32) {
 	var maxD time.Duration
 	for _, d := range durs {
 		if d > maxD {
@@ -150,15 +137,10 @@ func (r *Recorder) record(si int, start time.Duration, durs []time.Duration, ite
 	p.Width = len(durs)
 	p.Rounds++
 	p.MaxNs += maxD.Nanoseconds()
-	p.Steals += steals
-	r.steals += steals
 	r.barriers++
 	var pIters int
 	for k, d := range durs {
-		it := 0
-		if iters != nil {
-			it = int(iters[k])
-		}
+		it := int(iters[k])
 		pIters += it
 		if r.wrapped {
 			r.dropped++ // overwriting the oldest span
@@ -175,9 +157,7 @@ func (r *Recorder) record(si int, start time.Duration, durs []time.Duration, ite
 		p.BusyNs += d.Nanoseconds()
 		p.WaitNs += (maxD - d).Nanoseconds()
 	}
-	if iters != nil {
-		p.Iters = pIters
-	}
+	p.Iters = pIters
 }
 
 // Spans returns the recorded spans oldest-first (a copy; the ring stays
@@ -191,15 +171,11 @@ func (r *Recorder) Spans() []Span {
 	return append(out, r.spans[:r.next]...)
 }
 
-// DroppedSpans counts spans overwritten by ring overflow.
-func (r *Recorder) DroppedSpans() int64 { return r.dropped }
-
 // Runs returns how many executions were recorded.
 func (r *Recorder) Runs() int { return r.runs }
 
 // Breakdown summarizes the recorded profile: per-s-partition barrier
-// economics plus per-worker busy/wait totals — the load-imbalance picture
-// ROADMAP's NUMA/work-stealing item needs as its baseline.
+// economics plus per-worker busy/wait totals.
 type Breakdown struct {
 	// Runs and Barriers recorded.
 	Runs     int
@@ -211,10 +187,10 @@ type Breakdown struct {
 	// TotalBusyNs/TotalWaitNs sum the workers; Imbalance is TotalWait over
 	// (TotalBusy+TotalWait) — the fraction of worker time lost at barriers.
 	TotalBusyNs, TotalWaitNs int64
-	// Steals counts w-partitions executed by a slot other than their seeded
-	// owner; Reseeds counts steal-driven assignment rebuilds. Both are zero
-	// on the static path.
-	Steals, Reseeds int64
+	// Steals is always zero: the executor has one worker loop and nothing
+	// moves a w-partition off its slot. The field stays only because
+	// bench/layers.go compiles against it (ROADMAP item 11 drops both).
+	Steals int64
 	// FoldNs is the calling goroutine's time between rounds spent folding the
 	// packed scatter loops' spill slots into their targets: host-side work no
 	// worker's busy or wait time contains.
@@ -240,8 +216,6 @@ func (r *Recorder) Breakdown() Breakdown {
 		Partitions:   append([]PartitionProfile(nil), r.parts...),
 		WorkerBusyNs: make([]int64, len(r.busy)),
 		WorkerWaitNs: make([]int64, len(r.wait)),
-		Steals:       r.steals,
-		Reseeds:      r.reseeds,
 		FoldNs:       r.fold.Nanoseconds(),
 		DroppedSpans: r.dropped,
 	}

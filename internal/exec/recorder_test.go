@@ -53,8 +53,8 @@ func TestRecorderCapturesCompiledRun(t *testing.T) {
 	if len(spans) != wantSpans {
 		t.Fatalf("spans = %d, want %d (one per w-partition)", len(spans), wantSpans)
 	}
-	if rec.Runs() != 1 || rec.DroppedSpans() != 0 {
-		t.Fatalf("runs=%d dropped=%d", rec.Runs(), rec.DroppedSpans())
+	if rec.Runs() != 1 || rec.Breakdown().DroppedSpans != 0 {
+		t.Fatalf("runs=%d dropped=%d", rec.Runs(), rec.Breakdown().DroppedSpans)
 	}
 	// Spans must label s-partitions in schedule order with true iteration
 	// counts, and starts must never decrease across barriers.
@@ -136,14 +136,14 @@ func TestRecorderRingOverflow(t *testing.T) {
 			t.Fatal(err)
 		}
 	}
-	if got := rec.DroppedSpans(); got != int64(perRun/2) {
+	if got := rec.Breakdown().DroppedSpans; got != int64(perRun/2) {
 		t.Fatalf("dropped = %d, want %d", got, perRun/2)
 	}
 	if got := len(rec.Spans()); got != perRun+perRun/2 {
 		t.Fatalf("surviving spans = %d, want the ring capacity %d", got, perRun+perRun/2)
 	}
 	rec.Reset()
-	if rec.Runs() != 0 || rec.DroppedSpans() != 0 || len(rec.Spans()) != 0 {
+	if rec.Runs() != 0 || rec.Breakdown().DroppedSpans != 0 || len(rec.Spans()) != 0 {
 		t.Fatal("Reset must clear runs, drops and spans")
 	}
 }

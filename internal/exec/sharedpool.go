@@ -26,23 +26,14 @@ type Pool struct {
 	p *pool
 }
 
-// NewPool starts a worker set of the given width (clamped to at least 1),
-// with the default spin budget and no barrier watchdog.
-// Close it when done; an unclosed pool leaks width-1 parked goroutines.
-func NewPool(width int) *Pool {
-	return NewPoolCfg(width, 0, 0)
-}
-
-// NewPoolCfg starts a worker set with an explicit spin budget (<= 0 selects
-// the process default) and barrier-watchdog bound (0 disables it). A pool
-// whose watchdog trips is poisoned: subsequent runs fail fast with a
-// watchdog *ExecError and Close waits only the watchdog bound for
-// stragglers before leaking them.
-func NewPoolCfg(width, spin int, watchdog time.Duration) *Pool {
-	if width < 1 {
-		width = 1
-	}
-	return &Pool{p: newPoolCfg(width, spin, watchdog)}
+// NewPool starts a worker set of the given width (clamped to at least 1)
+// with a spin budget (<= 0 selects the process default) and a
+// barrier-watchdog bound (0 disables it). A pool whose watchdog trips is
+// poisoned: subsequent runs fail fast with a watchdog *ExecError and Close
+// waits only the watchdog bound for stragglers before leaking them. Close it
+// when done; an unclosed pool leaks width-1 parked goroutines.
+func NewPool(width, spin int, watchdog time.Duration) *Pool {
+	return &Pool{p: newPool(width, spin, watchdog)}
 }
 
 // Width is the maximum schedule width the pool can execute.
@@ -66,11 +57,9 @@ func (p *Pool) Close() { p.p.close() }
 
 // RunOn executes the compiled schedule on a caller-supplied pool instead of a
 // private one, with semantics identical to Run. The pool must not be shared
-// with a concurrent run. Without stealing the pool must also be at least as
-// wide as the program — the static assignment gives every w-partition of a
-// round its own slot — and a pool that is too narrow is an error (the caller
-// falls back to Run, which sizes its own). A steal-enabled runner accepts any
-// pool width: its slots multiplex the schedule's w-partitions.
+// with a concurrent run and must be at least as wide as the program — every
+// w-partition of a round has its own slot — so a pool that is too narrow is
+// an error (the caller falls back to Run, which sizes its own).
 func (r *Runner) RunOn(pl *Pool, threads int) (Stats, error) {
 	return r.RunOnContext(context.Background(), pl, threads)
 }
@@ -83,7 +72,7 @@ func (r *Runner) RunOnContext(ctx context.Context, pl *Pool, threads int) (Stats
 	if pl == nil {
 		return r.RunContext(ctx, threads)
 	}
-	if w := r.prog.MaxWidth; w > pl.Width() && !(r.cfg.Steal && w > 1) {
+	if w := r.prog.MaxWidth; w > pl.Width() {
 		return Stats{}, fmt.Errorf("exec: program width %d exceeds pool width %d", w, pl.Width())
 	}
 	return r.runOnPool(ctx, pl.p, threads)

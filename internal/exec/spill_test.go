@@ -12,10 +12,10 @@ import (
 )
 
 // The no-atomics contract of the packed rung under test: for one layout the
-// scatter chains return the same bits on every run, on every pool width, with
-// stealing on or off — the updates two w-partitions of one s-partition would
-// contend on go to private slots that the caller folds in a fixed order — and
-// those bits agree with the sequential column-order sum to rounding.
+// scatter chains return the same bits on every run, on every pool width — the
+// updates two w-partitions of one s-partition would contend on go to private
+// slots that the caller folds in a fixed order — and those bits agree with
+// the sequential column-order sum to rounding.
 
 // scatterChain3 is a three-loop chain with two scatter loops, one of them the
 // triangular solve: y = L\b by rows, z = L\y by columns (SpTRSV-CSC scatters
@@ -112,31 +112,27 @@ func TestPackedScatterReproducible(t *testing.T) {
 						t.Fatalf("%s reuse %v: packed diverges from sequential by %v", name, reuse, e)
 					}
 				}
-				if !bitsEqual(got, first) {
+				if !bitsSame(got, first) {
 					t.Fatalf("%s reuse %v %s: bits differ from the first run", name, reuse, what)
 				}
 			}
-			for _, steal := range []bool{false, true} {
-				r.Configure(Config{Steal: steal})
-				// Private pools: static runs MaxWidth wide whatever threads
-				// says; stealing runs min(threads, MaxWidth) wide.
-				for _, th := range []int{1, 2, 4} {
-					for i := 0; i < runs; i++ {
-						mustRun(r.Run(th))
-						check("private pool")
-					}
+			// A private pool is MaxWidth wide whatever threads says.
+			for _, th := range []int{1, 2, 4} {
+				for i := 0; i < runs; i++ {
+					mustRun(r.Run(th))
+					check("private pool")
 				}
-				for _, width := range []int{1, 2, 4, 8} {
-					if !steal && width < r.Program().MaxWidth {
-						continue // the static path needs a slot per w-partition
-					}
-					pl := NewPool(width)
-					for i := 0; i < runs; i++ {
-						mustRun(r.RunOn(pl, threads))
-						check("shared pool")
-					}
-					pl.Close()
+			}
+			for _, width := range []int{1, 2, 4, 8} {
+				if width < r.Program().MaxWidth {
+					continue // a round needs a slot per w-partition
 				}
+				pl := NewPool(width, 0, 0)
+				for i := 0; i < runs; i++ {
+					mustRun(r.RunOn(pl, threads))
+					check("shared pool")
+				}
+				pl.Close()
 			}
 		}
 	}
@@ -171,7 +167,7 @@ func TestPackedScatterSurvivesReattach(t *testing.T) {
 	}
 	mustRun(other.Run(2))
 	mustRun(r.Run(threads))
-	if !bitsEqual(snap(), want) {
+	if !bitsSame(snap(), want) {
 		t.Fatal("another runner over the same kernels changed this runner's bits")
 	}
 
@@ -184,7 +180,7 @@ func TestPackedScatterSurvivesReattach(t *testing.T) {
 		t.Fatal(err)
 	}
 	mustRun(r.Run(threads))
-	if !bitsEqual(snap(), want) {
+	if !bitsSame(snap(), want) {
 		t.Fatal("re-attached layout changed the bits")
 	}
 }

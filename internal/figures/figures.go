@@ -200,8 +200,12 @@ func RunFig6(a *sparse.CSR, threads int) ([]Fig6Row, error) {
 		if err != nil {
 			return nil, err
 		}
+		fused, err := exec.CompileFused(in.Kernels, sched)
+		if err != nil {
+			return nil, err
+		}
 		gainSF, err := medianGain(func() (time.Duration, error) {
-			st, err := exec.RunFused(in.Kernels, sched, threads)
+			st, err := fused.Run(threads)
 			return st.PotentialGain, err
 		})
 		if err != nil {
@@ -210,19 +214,24 @@ func RunFig6(a *sparse.CSR, threads int) ([]Fig6Row, error) {
 
 		// Unfused ParSy: LBC per kernel.
 		var ps []*partition.Partitioning
+		var rs []*exec.Runner
 		for _, k := range in.Kernels {
 			p, err := lbc.Schedule(k.DAG(), threads, PaperLBC())
 			if err != nil {
 				return nil, err
 			}
-			ps = append(ps, p)
+			r, err := exec.CompilePartitioned(k, p)
+			if err != nil {
+				return nil, err
+			}
+			ps, rs = append(ps, p), append(rs, r)
 		}
 		latPS, err := cachesim.MeasureChain(in.Kernels, ps, threads, cfg)
 		if err != nil {
 			return nil, err
 		}
 		gainPS, err := medianGain(func() (time.Duration, error) {
-			st, err := exec.RunChain(in.Kernels, ps, threads)
+			st, err := exec.RunChainCompiled(in.Kernels, rs, threads)
 			return st.PotentialGain, err
 		})
 		if err != nil {
@@ -242,8 +251,12 @@ func RunFig6(a *sparse.CSR, threads int) ([]Fig6Row, error) {
 		if err != nil {
 			return nil, err
 		}
+		jointLBC, err := exec.CompileJoint(in.Kernels[0], in.Kernels[1], jp)
+		if err != nil {
+			return nil, err
+		}
 		gainJL, err := medianGain(func() (time.Duration, error) {
-			st, err := exec.RunJoint(in.Kernels[0], in.Kernels[1], jp, threads)
+			st, err := jointLBC.Run(threads)
 			return st.PotentialGain, err
 		})
 		if err != nil {
@@ -635,12 +648,17 @@ func RunReuseDist(a *sparse.CSR, threads int) ([]ReuseDistRow, error) {
 			return nil, err
 		}
 		var ps []*partition.Partitioning
+		var rs []*exec.Runner
 		for _, k := range in.Kernels {
 			p, err := lbc.Schedule(k.DAG(), threads, PaperLBC())
 			if err != nil {
 				return nil, err
 			}
-			ps = append(ps, p)
+			r, err := exec.CompilePartitioned(k, p)
+			if err != nil {
+				return nil, err
+			}
+			ps, rs = append(ps, p), append(rs, r)
 		}
 		parsy, err := locality.MeasureChain(in.Kernels, ps, threads, 64)
 		if err != nil {

@@ -105,12 +105,3 @@ func RunSeq(k Kernel) (err error) {
 	}
 	return nil
 }
-
-// TotalSize sums the footprint sizes of a kernel.
-func TotalSize(k Kernel) int {
-	t := 0
-	for _, v := range k.Footprint() {
-		t += v.Size
-	}
-	return t
-}

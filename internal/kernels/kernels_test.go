@@ -421,8 +421,10 @@ func TestKernelMetadata(t *testing.T) {
 		if len(k.Footprint()) == 0 {
 			t.Fatalf("%s: empty footprint", k.Name())
 		}
-		if TotalSize(k) <= 0 {
-			t.Fatalf("%s: zero footprint size", k.Name())
+		for _, v := range k.Footprint() {
+			if v.Size <= 0 {
+				t.Fatalf("%s: footprint variable %v has no size", k.Name(), v)
+			}
 		}
 	}
 }

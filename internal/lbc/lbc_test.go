@@ -219,7 +219,7 @@ func TestScheduleChordalOnJointDAG(t *testing.T) {
 		ts = append(ts, sparse.Triplet{Row: i, Col: i, Val: 1})
 	}
 	f, _ := sparse.FromTriplets(100, 100, ts)
-	joint, err := dag.Joint(g1, g2, f)
+	joint, err := dag.JointChain([]*dag.Graph{g1, g2}, []*sparse.CSR{f})
 	if err != nil {
 		t.Fatal(err)
 	}

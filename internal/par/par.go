@@ -3,7 +3,7 @@
 // tuned for hundreds of microsecond-scale rounds per run), inspector stages
 // run once per inspection and last tens of microseconds to milliseconds, so
 // plain goroutines with an atomic work counter are the right tool: no
-// persistent state, no spinning that would steal cycles on oversubscribed
+// persistent state, no spinning that would take cycles on oversubscribed
 // machines, and a serial fast path when only one worker is requested.
 //
 // Determinism contract: callers pass closures that write results only to

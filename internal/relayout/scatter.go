@@ -18,7 +18,7 @@ import (
 // w-partition, target); everything else keeps a plain +=. The executor adds
 // an s-partition's slots into their targets after its barrier, on one
 // goroutine and in a fixed order, so for a fixed layout every sum associates
-// the same way on every run, at every pool width, with or without stealing.
+// the same way on every run, at every pool width.
 
 // Scatter is the analysis result for one scatter loop: the counts it reports
 // and the fold table the executor replays between rounds.

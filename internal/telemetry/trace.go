@@ -53,7 +53,7 @@ func (t *Tracer) Err() error {
 // Field is one key/value pair of an event.
 type Field struct {
 	Key string
-	Val any // string, int, int64, float64, bool, or time.Duration
+	Val any // string, int, int64, bool, or time.Duration
 }
 
 // String builds a string field.
@@ -61,9 +61,6 @@ func String(k, v string) Field { return Field{k, v} }
 
 // Int builds an integer field.
 func Int(k string, v int64) Field { return Field{k, v} }
-
-// Float builds a float field.
-func Float(k string, v float64) Field { return Field{k, v} }
 
 // Bool builds a boolean field.
 func Bool(k string, v bool) Field { return Field{k, v} }
@@ -100,8 +97,6 @@ func (t *Tracer) Emit(ev string, fields ...Field) {
 			b = strconv.AppendInt(b, v, 10)
 		case time.Duration:
 			b = strconv.AppendInt(b, v.Nanoseconds(), 10)
-		case float64:
-			b = strconv.AppendFloat(b, v, 'g', -1, 64)
 		case bool:
 			b = strconv.AppendBool(b, v)
 		default:

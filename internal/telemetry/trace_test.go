@@ -24,11 +24,10 @@ func TestTracerGolden(t *testing.T) {
 		String("fp", "abc123"),
 		Dur("dur_ns", 1500*time.Microsecond),
 		Int("n", 42),
-		Float("ratio", 0.5),
 		Bool("ok", true))
 	tr.Emit("session.demote", String("reason", "fault: \"panic\"\n"))
 
-	const want = `{"ts":"2026-01-02T03:04:05Z","ev":"cache.miss","fp":"abc123","dur_ns":1500000,"n":42,"ratio":0.5,"ok":true}
+	const want = `{"ts":"2026-01-02T03:04:05Z","ev":"cache.miss","fp":"abc123","dur_ns":1500000,"n":42,"ok":true}
 {"ts":"2026-01-02T03:04:05Z","ev":"session.demote","reason":"fault: \"panic\"\n"}
 `
 	if got := sb.String(); got != want {

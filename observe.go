@@ -99,12 +99,6 @@ type Snapshot struct {
 	Solves      int64 `json:"solves"`
 	SolveErrors int64 `json:"solve_errors"`
 	Demotions   int64 `json:"demotions"`
-	// Steals and Reseeds aggregate the work-stealing executor's activity over
-	// served solves: w-partitions run off their seeded worker, and assignment
-	// re-seeds taken after persistent imbalance. Zero unless sessions run
-	// with Options.Steal.
-	Steals  int64 `json:"steals"`
-	Reseeds int64 `json:"reseeds"`
 	// SolveP50 / SolveP99 are latency estimates from the histogram buckets.
 	SolveP50 time.Duration `json:"solve_p50_ns"`
 	SolveP99 time.Duration `json:"solve_p99_ns"`
@@ -120,8 +114,6 @@ type serverObs struct {
 	solves    *telemetry.Counter
 	errors    *telemetry.Counter
 	demotions *telemetry.Counter
-	steals    *telemetry.Counter
-	reseeds   *telemetry.Counter
 	barriers  *telemetry.Counter
 	cancels   *telemetry.Counter
 	watchdogs *telemetry.Counter
@@ -144,8 +136,6 @@ func newServerObs(s *serve.Server, sc *ScheduleCache) *serverObs {
 		solves:    reg.Counter("spf_solves_total", "Fused executions served (RunOn)."),
 		errors:    reg.Counter("spf_solve_errors_total", "Served executions that returned an error."),
 		demotions: reg.Counter("spf_demotions_total", "Executor-ladder demotions observed on served operations and sessions."),
-		steals:    reg.Counter("spf_steals_total", "W-partitions executed off their seeded worker (work-stealing executor)."),
-		reseeds:   reg.Counter("spf_reseeds_total", "Work-stealing assignment re-seeds taken after persistent imbalance."),
 		barriers:  reg.Counter("spf_barriers_total", "Executor barriers (s-partition synchronizations) crossed by served solves — the quantity chain composition divides by ~k."),
 		cancels:   reg.Counter("spf_cancels_total", "Served runs cancelled in flight (returned *CancelledError at an s-partition boundary)."),
 		watchdogs: reg.Counter("spf_watchdog_trips_total", "Barrier-watchdog trips on served runs: a worker failed to arrive within the bound and the worker set was retired."),
@@ -219,27 +209,12 @@ func (sv *Server) observeSolve(e *execState, d time.Duration, rep Report, runErr
 		}
 	}
 	var fresh []Demotion
-	var dSteals, dReseeds int64
 	e.mu.Lock()
 	if n := len(e.demotions); n > e.demSeen {
 		fresh = append(fresh, e.demotions[e.demSeen:]...)
 		e.demSeen = n
 	}
-	if e.runner != nil {
-		// Harvest the runner's cumulative steal counters as deltas, demSeen
-		// style, so solves through any number of RunOn calls count each steal
-		// and re-seed exactly once.
-		steals, reseeds := e.runner.StealStats()
-		dSteals, dReseeds = steals-e.stealSeen, reseeds-e.reseedSeen
-		e.stealSeen, e.reseedSeen = steals, reseeds
-	}
 	e.mu.Unlock()
-	if dSteals > 0 {
-		o.steals.Add(dSteals)
-	}
-	if dReseeds > 0 {
-		o.reseeds.Add(dReseeds)
-	}
 	if len(fresh) == 0 {
 		return
 	}
@@ -271,8 +246,6 @@ func (sv *Server) Snapshot() Snapshot {
 		Solves:      o.solves.Value(),
 		SolveErrors: o.errors.Value(),
 		Demotions:   o.demotions.Value(),
-		Steals:      o.steals.Value(),
-		Reseeds:     o.reseeds.Value(),
 		SolveP50:    time.Duration(o.latency.Quantile(0.50) * 1e9),
 		SolveP99:    time.Duration(o.latency.Quantile(0.99) * 1e9),
 	}

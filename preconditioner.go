@@ -28,7 +28,9 @@ type IC0Preconditioner struct {
 }
 
 // NewIC0Preconditioner factors tril(A) with IC0 and inspects the fused
-// forward+backward apply.
+// forward+backward apply. Of opts, Threads, the LBC parameters, SpinBudget and
+// Watchdog apply; the preconditioner inspects privately — Cache and Tracer
+// are not consulted — and runs on the compiled (unpacked) rung.
 func NewIC0Preconditioner(m *Matrix, opts Options) (*IC0Preconditioner, error) {
 	a := m.csr
 	if a.Rows != a.Cols {
@@ -71,6 +73,7 @@ func NewIC0Preconditioner(m *Matrix, opts Options) (*IC0Preconditioner, error) {
 	if p.run, err = exec.CompileFused(ks, sched); err != nil {
 		return nil, err
 	}
+	configureRunner(p.run, opts.SpinBudget, opts.Watchdog)
 	return p, nil
 }
 

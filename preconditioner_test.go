@@ -3,7 +3,9 @@ package sparsefusion
 import (
 	"math/rand"
 	"testing"
+	"time"
 
+	"sparsefusion/internal/exec"
 	"sparsefusion/internal/kernels"
 	"sparsefusion/internal/sparse"
 )
@@ -112,5 +114,33 @@ func TestMulVec(t *testing.T) {
 	}
 	if _, err := m.MulVec(make([]float64, 7)); err == nil {
 		t.Fatal("wrong-length input accepted")
+	}
+}
+
+// TestPrivateSolversApplyExecConfig: NewGaussSeidel and NewIC0Preconditioner
+// inspect privately, but the executor tuning in their Options must reach the
+// runner they build — and zero values must leave its defaults alone.
+func TestPrivateSolversApplyExecConfig(t *testing.T) {
+	m := Laplacian2D(12)
+	opts := Options{Threads: 2, SpinBudget: 77, Watchdog: 3 * time.Second}
+	want := exec.Config{SpinBudget: 77, Watchdog: 3 * time.Second}
+	for _, tc := range []struct {
+		opts Options
+		want exec.Config
+	}{{opts, want}, {Options{Threads: 2}, exec.Config{}}} {
+		g, err := NewGaussSeidel(m, GSOptions{Options: tc.opts})
+		if err != nil {
+			t.Fatal(err)
+		}
+		if got := g.run.Config(); got != tc.want {
+			t.Errorf("GaussSeidel runner config = %+v, want %+v", got, tc.want)
+		}
+		p, err := NewIC0Preconditioner(m, tc.opts)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if got := p.run.Config(); got != tc.want {
+			t.Errorf("IC0Preconditioner runner config = %+v, want %+v", got, tc.want)
+		}
 	}
 }

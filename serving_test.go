@@ -3,6 +3,8 @@ package sparsefusion
 import (
 	"bytes"
 	"errors"
+	"fmt"
+	"runtime"
 	"sync"
 	"testing"
 	"time"
@@ -233,6 +235,108 @@ func concurrentSessions(t *testing.T, combo Combination, m *Matrix) {
 	}
 	if st := sc.Stats(); st.Misses != 1 {
 		t.Fatalf("sessions triggered extra inspections: %+v", st)
+	}
+}
+
+// TestWideScheduleOnNarrowServer: a schedule wider than the server's worker
+// sets cannot run on one — a round needs a slot per w-partition — so the
+// ladder runs it on a private, schedule-wide worker set while holding the
+// admission slot it was given. A Threads: 4 operation and its session on a
+// one-slot, width-2 server must return the bits of a cache-less private
+// operation, one execution at a time.
+func TestWideScheduleOnNarrowServer(t *testing.T) {
+	const runs = 6
+	m := RandomSPD(600, 5, 23)
+	x := make([]float64, m.Rows())
+	for i := range x {
+		x[i] = 1 + float64(i%11)/4
+	}
+	ref, err := NewOperation(TrsvTrsv, m, Options{Threads: 4})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := ref.SetInput(x); err != nil {
+		t.Fatal(err)
+	}
+	if _, err := ref.Run(); err != nil {
+		t.Fatal(err)
+	}
+	want := ref.Output()
+
+	sv := NewServer(ServerConfig{MaxConcurrent: 1, Width: 2})
+	defer sv.Close()
+	op, err := NewOperation(TrsvTrsv, m, Options{Threads: 4, Cache: NewScheduleCache(CacheConfig{})})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if w := op.prog.MaxWidth; w <= sv.Stats().Width {
+		t.Fatalf("schedule width %d fits the server's worker sets: the fixture tests nothing", w)
+	}
+	sess, err := op.NewSession()
+	if err != nil {
+		t.Fatal(err)
+	}
+	type client interface {
+		SetInput([]float64) error
+		RunOn(*Server) (Report, error)
+		Output() []float64
+	}
+	clients := []client{op, sess}
+
+	stop := make(chan struct{})
+	peak := make(chan int64, 1)
+	go func() {
+		var p int64
+		for {
+			select {
+			case <-stop:
+				peak <- p
+				return
+			default:
+				p = max(p, sv.Stats().Active)
+				runtime.Gosched()
+			}
+		}
+	}()
+	err = watchdog(t, 30*time.Second, func() error {
+		errs := make([]error, len(clients))
+		var wg sync.WaitGroup
+		for i, c := range clients {
+			wg.Add(1)
+			go func(i int, c client) {
+				defer wg.Done()
+				if errs[i] = c.SetInput(x); errs[i] != nil {
+					return
+				}
+				for r := 0; r < runs; r++ {
+					if _, err := c.RunOn(sv); err != nil {
+						errs[i] = fmt.Errorf("client %d run %d: %w", i, r, err)
+						return
+					}
+					if !bitsSame(c.Output(), want) {
+						errs[i] = fmt.Errorf("client %d run %d differs from the private reference", i, r)
+						return
+					}
+				}
+			}(i, c)
+		}
+		wg.Wait()
+		return errors.Join(errs...)
+	})
+	close(stop)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if p := <-peak; p > 1 {
+		t.Fatalf("%d executions in flight on a one-slot server", p)
+	}
+	if st := sv.Stats(); st.Admitted != 2*runs || st.Active != 0 {
+		t.Fatalf("server after %d runs: %+v", 2*runs, st)
+	}
+	for i, h := range []Health{op.Health(), sess.Health()} {
+		if h.Mode != ModePacked || len(h.Demotions) != 0 {
+			t.Fatalf("client %d: %+v, want packed with no demotions", i, h)
+		}
 	}
 }
 

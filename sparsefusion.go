@@ -215,15 +215,6 @@ type Options struct {
 	// of the operation and its sessions (creation, demotions with typed
 	// cause). Nil costs one pointer check per event site.
 	Tracer *Tracer
-	// Steal enables work-stealing execution: each s-partition's w-partitions
-	// are seeded onto worker queues by a load-balanced static assignment, and
-	// workers that drain their queue steal whole w-partitions from the
-	// heaviest neighbor. Results stay bit-identical to the static executor —
-	// per-w-partition arithmetic order is preserved — while tail latency on
-	// imbalanced partitions drops and schedules wider than the pool still run.
-	// Stealing does not change the schedule, so it shares cache entries with
-	// non-stealing options. DESIGN.md §14 documents the protocol.
-	Steal bool
 	// SpinBudget overrides the executor's barrier spin budget (iterations a
 	// worker spins before yielding, then parking). <= 0 keeps the default
 	// (30000, or the SPARSEFUSION_SPIN_BUDGET environment override).
@@ -377,8 +368,8 @@ type Report struct {
 	Barriers int
 	// BarrierWait is the load-imbalance cost summed over those barriers: for
 	// each s-partition, the gap between the slowest worker and the mean. It is
-	// the time the average worker spent waiting at barriers — the quantity
-	// work-stealing (Options.Steal) exists to shrink.
+	// the time the average worker spent waiting at barriers, which the
+	// inspector's balancing (LBC's bins, ICO's slack vertices) exists to shrink.
 	BarrierWait time.Duration
 	// GFlops is the achieved floating-point rate.
 	GFlops float64
@@ -431,11 +422,9 @@ type execState struct {
 	// representation and the state walks it on one thread.
 	prog *core.Program
 	th   int
-	// steal, spin and watchdog are the executor tuning carried from Options
-	// (Steal, SpinBudget, Watchdog), applied to every runner this state
-	// builds — including the rebuilt runner of a session bound to shared
-	// artifacts.
-	steal    bool
+	// spin and watchdog are the executor tuning carried from Options
+	// (SpinBudget, Watchdog), applied to every runner this state builds —
+	// including the rebuilt runner of a session bound to shared artifacts.
 	spin     int
 	watchdog time.Duration
 	// progErr and layErr record why prog or the packed layout is absent, for
@@ -457,9 +446,6 @@ type execState struct {
 	// demSeen is how many demotions a Server has already harvested into its
 	// log (guarded by mu alongside demotions).
 	demSeen int
-	// stealSeen/reseedSeen are the runner steal counters a Server has already
-	// harvested into its metrics (guarded by mu, like demSeen).
-	stealSeen, reseedSeen int64
 }
 
 // demote appends demotion records and emits their trace events. Caller must
@@ -517,7 +503,7 @@ func NewOperation(c Combination, m *Matrix, opts Options) (*Operation, error) {
 		return nil, err
 	}
 	op := &Operation{
-		execState: execState{inst: inst, th: opts.threads(), steal: opts.Steal, spin: opts.SpinBudget, watchdog: opts.Watchdog, id: nextStateID.Add(1), tr: opts.Tracer},
+		execState: execState{inst: inst, th: opts.threads(), spin: opts.SpinBudget, watchdog: opts.Watchdog, id: nextStateID.Add(1), tr: opts.Tracer},
 		fp:        opts.fingerprint(c, m),
 	}
 	if err := op.open(t0, opts, op.fp); err != nil {
@@ -702,9 +688,7 @@ func (e *execState) bindArtifacts(art cache.Artifacts, shared bool) {
 	}
 	e.prog = art.Program
 	e.runner = exec.NewRunner(e.inst.Kernels, art.Program)
-	if e.steal || e.spin > 0 || e.watchdog > 0 {
-		e.runner.Configure(exec.Config{Steal: e.steal, SpinBudget: e.spin, Watchdog: e.watchdog})
-	}
+	configureRunner(e.runner, e.spin, e.watchdog)
 	lay := art.Layout
 	if lay == nil {
 		e.demote(Demotion{From: ModePacked, To: ModeCompiled, Reason: art.LayoutErr})
@@ -727,6 +711,14 @@ func (e *execState) bindArtifacts(art cache.Artifacts, shared bool) {
 		return
 	}
 	e.layout = lay
+}
+
+// configureRunner applies Options.SpinBudget and Options.Watchdog to a runner;
+// with neither set the runner keeps its defaults.
+func configureRunner(r *exec.Runner, spin int, watchdog time.Duration) {
+	if spin > 0 || watchdog > 0 {
+		r.Configure(exec.Config{SpinBudget: spin, Watchdog: watchdog})
+	}
 }
 
 // modeLocked reads the current rung; e.mu must be held.
@@ -970,7 +962,7 @@ func (op *Operation) NewSession() (*Session, error) {
 		LayoutErr:  op.layErr,
 	}
 	op.mu.Unlock()
-	s := &Session{execState: execState{inst: clone, th: op.th, steal: op.steal, spin: op.spin, watchdog: op.watchdog, id: nextStateID.Add(1), tr: op.tr}}
+	s := &Session{execState: execState{inst: clone, th: op.th, spin: op.spin, watchdog: op.watchdog, id: nextStateID.Add(1), tr: op.tr}}
 	s.tr.raw().Emit("session.new",
 		telemetry.Int("session", s.id),
 		telemetry.Int("op", op.id),
@@ -1176,7 +1168,7 @@ func NewOperationFromSchedule(c Combination, m *Matrix, r io.Reader, opts Option
 		return nil, err
 	}
 	op := &Operation{
-		execState: execState{inst: inst, th: opts.threads(), steal: opts.Steal, spin: opts.SpinBudget, watchdog: opts.Watchdog, id: nextStateID.Add(1), tr: opts.Tracer},
+		execState: execState{inst: inst, th: opts.threads(), spin: opts.SpinBudget, watchdog: opts.Watchdog, id: nextStateID.Add(1), tr: opts.Tracer},
 		fp:        opts.fingerprint(c, m),
 	}
 	br := bufio.NewReader(r)
