@@ -122,12 +122,13 @@ func TestMulVec(t *testing.T) {
 // runner they build — and zero values must leave its defaults alone.
 func TestPrivateSolversApplyExecConfig(t *testing.T) {
 	m := Laplacian2D(12)
-	opts := Options{Threads: 2, SpinBudget: 77, Watchdog: 3 * time.Second}
-	want := exec.Config{SpinBudget: 77, Watchdog: 3 * time.Second}
 	for _, tc := range []struct {
 		opts Options
 		want exec.Config
-	}{{opts, want}, {Options{Threads: 2}, exec.Config{}}} {
+	}{
+		{Options{Threads: 2, SpinBudget: 77, Watchdog: 3 * time.Second}, exec.Config{SpinBudget: 77, Watchdog: 3 * time.Second}},
+		{Options{Threads: 2}, exec.Config{}},
+	} {
 		g, err := NewGaussSeidel(m, GSOptions{Options: tc.opts})
 		if err != nil {
 			t.Fatal(err)
