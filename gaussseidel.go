@@ -94,7 +94,7 @@ func NewGaussSeidel(m *Matrix, opts GSOptions) (*GaussSeidel, error) {
 	if g.run, err = exec.CompileFused(ks, sch); err != nil {
 		return nil, err
 	}
-	configureRunner(g.run, opts.SpinBudget, opts.Watchdog)
+	g.run.Configure(exec.Config{SpinBudget: opts.SpinBudget, Watchdog: opts.Watchdog})
 	return g, nil
 }
 

@@ -73,7 +73,7 @@ func NewIC0Preconditioner(m *Matrix, opts Options) (*IC0Preconditioner, error) {
 	if p.run, err = exec.CompileFused(ks, sched); err != nil {
 		return nil, err
 	}
-	configureRunner(p.run, opts.SpinBudget, opts.Watchdog)
+	p.run.Configure(exec.Config{SpinBudget: opts.SpinBudget, Watchdog: opts.Watchdog})
 	return p, nil
 }
 

@@ -3,7 +3,6 @@ package sparsefusion
 import (
 	"context"
 	"fmt"
-	"runtime"
 	"sync"
 	"testing"
 	"time"
@@ -144,21 +143,7 @@ func TestDemotedSessionServesBesidePackedOne(t *testing.T) {
 	sv := NewServer(ServerConfig{MaxConcurrent: 1, Width: 2})
 	defer sv.Close()
 
-	stop := make(chan struct{})
-	peak := make(chan int64, 1)
-	go func() {
-		var p int64
-		for {
-			select {
-			case <-stop:
-				peak <- p
-				return
-			default:
-				p = max(p, sv.Stats().Active)
-				runtime.Gosched()
-			}
-		}
-	}()
+	peak := watchPeakActive(sv)
 	err := watchdog(t, 30*time.Second, func() error {
 		errs := make([]error, len(sessions))
 		var wg sync.WaitGroup
@@ -183,11 +168,11 @@ func TestDemotedSessionServesBesidePackedOne(t *testing.T) {
 		}
 		return nil
 	})
-	close(stop)
+	p := peak()
 	if err != nil {
 		t.Fatal(err)
 	}
-	if p := <-peak; p > 1 {
+	if p > 1 {
 		t.Fatalf("%d executions in flight on a one-slot server", p)
 	}
 	h := sessions[0].Health()

@@ -238,6 +238,31 @@ func concurrentSessions(t *testing.T, combo Combination, m *Matrix) {
 	}
 }
 
+// watchPeakActive polls the server's in-flight gauge until the returned
+// function is called, which stops the poller and reports the highest value
+// it saw.
+func watchPeakActive(sv *Server) (stop func() int64) {
+	done := make(chan struct{})
+	peak := make(chan int64, 1)
+	go func() {
+		var p int64
+		for {
+			select {
+			case <-done:
+				peak <- p
+				return
+			default:
+				p = max(p, sv.Stats().Active)
+				runtime.Gosched()
+			}
+		}
+	}()
+	return func() int64 {
+		close(done)
+		return <-peak
+	}
+}
+
 // TestWideScheduleOnNarrowServer: a schedule wider than the server's worker
 // sets cannot run on one — a round needs a slot per w-partition — so the
 // ladder runs it on a private, schedule-wide worker set while holding the
@@ -283,21 +308,7 @@ func TestWideScheduleOnNarrowServer(t *testing.T) {
 	}
 	clients := []client{op, sess}
 
-	stop := make(chan struct{})
-	peak := make(chan int64, 1)
-	go func() {
-		var p int64
-		for {
-			select {
-			case <-stop:
-				peak <- p
-				return
-			default:
-				p = max(p, sv.Stats().Active)
-				runtime.Gosched()
-			}
-		}
-	}()
+	peak := watchPeakActive(sv)
 	err = watchdog(t, 30*time.Second, func() error {
 		errs := make([]error, len(clients))
 		var wg sync.WaitGroup
@@ -323,11 +334,11 @@ func TestWideScheduleOnNarrowServer(t *testing.T) {
 		wg.Wait()
 		return errors.Join(errs...)
 	})
-	close(stop)
+	p := peak()
 	if err != nil {
 		t.Fatal(err)
 	}
-	if p := <-peak; p > 1 {
+	if p > 1 {
 		t.Fatalf("%d executions in flight on a one-slot server", p)
 	}
 	if st := sv.Stats(); st.Admitted != 2*runs || st.Active != 0 {

@@ -688,7 +688,7 @@ func (e *execState) bindArtifacts(art cache.Artifacts, shared bool) {
 	}
 	e.prog = art.Program
 	e.runner = exec.NewRunner(e.inst.Kernels, art.Program)
-	configureRunner(e.runner, e.spin, e.watchdog)
+	e.runner.Configure(exec.Config{SpinBudget: e.spin, Watchdog: e.watchdog})
 	lay := art.Layout
 	if lay == nil {
 		e.demote(Demotion{From: ModePacked, To: ModeCompiled, Reason: art.LayoutErr})
@@ -711,14 +711,6 @@ func (e *execState) bindArtifacts(art cache.Artifacts, shared bool) {
 		return
 	}
 	e.layout = lay
-}
-
-// configureRunner applies Options.SpinBudget and Options.Watchdog to a runner;
-// with neither set the runner keeps its defaults.
-func configureRunner(r *exec.Runner, spin int, watchdog time.Duration) {
-	if spin > 0 || watchdog > 0 {
-		r.Configure(exec.Config{SpinBudget: spin, Watchdog: watchdog})
-	}
 }
 
 // modeLocked reads the current rung; e.mu must be held.
