@@ -13,12 +13,15 @@ test:
 
 # race also repeats the packed rung's determinism tests — a slot shared between
 # two w-partitions, or a fold that depends on who ran what, shows up as a race
-# or as differing bits only when the timing cooperates — and the concurrent
-# opens over one Matrix, whose memoized forms every operation shares.
+# or as differing bits only when the timing cooperates — the concurrent opens
+# over one Matrix, whose memoized forms every operation shares, and the
+# inspector's GOMAXPROCS sweeps, since every inspection fans out over
+# min(Threads, GOMAXPROCS) workers.
 race:
-	$(GO) test -race . ./internal/exec/... ./internal/core/... ./internal/dag/... ./internal/lbc/... ./internal/cache/... ./internal/combos/... ./internal/kernels/... ./internal/relayout/... ./internal/serve/... ./internal/telemetry/... ./internal/chaos/...
+	$(GO) test -race . ./internal/exec/... ./internal/core/... ./internal/dag/... ./internal/lbc/... ./internal/cache/... ./internal/combos/... ./internal/kernels/... ./internal/relayout/... ./internal/serve/... ./internal/telemetry/... ./internal/chaos/... ./internal/par/... ./internal/refinspect/...
 	$(GO) test -race -count=5 -run 'TestPackedScatter|TestScatterArmedFromPoolWidth' ./internal/exec/
 	$(GO) test -race -count=5 -run 'TestConcurrentSessionsMatchReference|TestScatterOperationCleanAfterCancelStorm|TestConcurrentOpensShareMatrixMemos' .
+	$(GO) test -race -count=5 -run 'TestICOWorkersDeterministic|TestScheduleWorkersDeterministic|TestReferenceMatchesOptimized' ./internal/core/ ./internal/lbc/ ./internal/refinspect/
 
 # fuzz smoke-runs the native Go fuzz targets on the two untrusted-input
 # parsers: the binary schedule loader and the Matrix Market reader. Each
@@ -39,7 +42,9 @@ bench:
 # no non-test file of the library, cmd/, examples/ or bench/: code nothing
 # ships is code nothing measures. The exceptions exist for their tests only.
 # TestNoOrphanExports (orphans_test.go, also part of `go test ./...`) asks the
-# same of every exported function and method; its allow-list carries reasons.
+# same of every exported function and method, and TestNoDeadConfiguration of
+# every exported struct field (set by no shipped code); their allow-lists carry
+# reasons.
 #   refinspect  the frozen inspector its tests compare core.ICO's output against
 #   chaos       the fault injectors; the scenario matrix in its tests drives them
 ORPHANS_OK := sparsefusion/internal/refinspect sparsefusion/internal/chaos
@@ -51,4 +56,4 @@ orphans:
 		echo "$$used" | grep -qx "$$p" || bad="$$bad $$p"; \
 	done; \
 	if [ -n "$$bad" ]; then echo "imported by no non-test file:$$bad" >&2; exit 1; fi
-	$(GO) test -count=1 -run '^TestNoOrphanExports$$' .
+	$(GO) test -count=1 -run '^(TestNoOrphanExports|TestNoDeadConfiguration)$$' .

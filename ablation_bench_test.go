@@ -7,6 +7,7 @@ package sparsefusion
 import (
 	"testing"
 
+	"sparsefusion/internal/cache"
 	"sparsefusion/internal/combos"
 	"sparsefusion/internal/core"
 	"sparsefusion/internal/exec"
@@ -37,7 +38,7 @@ func BenchmarkAblationPacking(b *testing.B) {
 			if err != nil {
 				b.Fatal(err)
 			}
-			r, err := exec.CompileFused(in.Kernels, sched)
+			r, err := exec.CompileFused(in.Kernels, &cache.Artifacts{Schedule: sched}, nil)
 			if err != nil {
 				b.Fatal(err)
 			}
@@ -84,7 +85,7 @@ func benchPhases(b *testing.B, id combos.ID, set func(*core.Params, bool), phase
 			if err := in.Loops.Validate(sched); err != nil {
 				b.Fatal(err)
 			}
-			r, err := exec.CompileFused(in.Kernels, sched)
+			r, err := exec.CompileFused(in.Kernels, &cache.Artifacts{Schedule: sched}, nil)
 			if err != nil {
 				b.Fatal(err)
 			}

@@ -20,12 +20,12 @@ import (
 	"strings"
 	"time"
 
+	"sparsefusion/internal/cache"
 	"sparsefusion/internal/combos"
 	"sparsefusion/internal/core"
 	"sparsefusion/internal/exec"
 	"sparsefusion/internal/figures"
 	"sparsefusion/internal/metrics"
-	"sparsefusion/internal/relayout"
 	"sparsefusion/internal/suite"
 	"sparsefusion/internal/telemetry"
 )
@@ -128,10 +128,10 @@ func main() {
 
 // writeTrace renders one fused solve as a Chrome trace: the inspector's stage
 // spans (ICOTimed) and the executor's per-w-partition spans from the hot-path
-// recorder (exec.Recorder on the compiled runner, and on the packed runner when
-// the chain supports re-layout) on one timeline, so both executor paths are
-// comparable in one view. Open the file in chrome://tracing or
-// https://ui.perfetto.dev.
+// recorder (exec.Recorder on the served runner, run once with its layout
+// detached and once — when the chain packs — attached) on one timeline, so
+// both executor paths are comparable in one view. Open the file in
+// chrome://tracing or https://ui.perfetto.dev.
 func writeTrace(path string, in *combos.Instance, threads int) error {
 	sched, tm, err := core.ICOTimed(in.Loops, core.Params{Threads: threads, ReuseRatio: in.Reuse, LBC: figures.PaperLBC()})
 	if err != nil {
@@ -170,13 +170,15 @@ func writeTrace(path string, in *combos.Instance, threads int) error {
 		cursor += elapsed
 	}
 
-	runner, err := exec.CompileFused(in.Kernels, sched)
+	art := cache.Artifacts{Schedule: sched}
+	runner, err := exec.CompileFused(in.Kernels, &art, nil)
 	if err != nil {
 		return err
 	}
 	rec := exec.NewRecorder(sched.NumSPartitions()*sched.MaxWidth()+1, sched.MaxWidth())
 	runner.SetRecorder(rec)
 	rec.Enable()
+	runner.DetachLayout() // the compiled lane first
 	stc, err := runner.Run(threads)
 	if err != nil {
 		return fmt.Errorf("compiled traced run: %w", err)
@@ -184,16 +186,16 @@ func writeTrace(path string, in *combos.Instance, threads int) error {
 	compiledSpans := rec.Spans()
 	addRun(2, "executor (compiled)", compiledSpans, stc.Elapsed)
 
-	if lay, lerr := relayout.Build(runner.Program(), in.Kernels); lerr == nil {
-		if aerr := runner.AttachLayout(lay); aerr == nil {
-			rec.Reset()
-			stp, perr := runner.Run(threads)
-			if perr != nil {
-				return fmt.Errorf("packed traced run: %w", perr)
-			}
-			addRun(3, "executor (packed)", rec.Spans(), stp.Elapsed)
-			runner.DetachLayout()
+	if art.Layout != nil {
+		if err := runner.AttachLayout(art.Layout); err != nil {
+			return err
 		}
+		rec.Reset()
+		stp, err := runner.Run(threads)
+		if err != nil {
+			return fmt.Errorf("packed traced run: %w", err)
+		}
+		addRun(3, "executor (packed)", rec.Spans(), stp.Elapsed)
 	}
 	runner.SetRecorder(nil)
 
@@ -218,9 +220,14 @@ func writeTrace(path string, in *combos.Instance, threads int) error {
 // into private slots and how many adds fold them back, then the share of one
 // warm packed run the calling goroutine spent folding.
 func dumpScatter(in *combos.Instance, sched *core.Schedule, threads int) error {
-	runner, lay, err := exec.CompileFusedPacked(in.Kernels, sched)
+	art := cache.Artifacts{Schedule: sched}
+	runner, err := exec.CompileFused(in.Kernels, &art, nil)
 	if err != nil {
-		fmt.Printf("packed scatter: chain does not pack (%v)\n\n", err)
+		return err
+	}
+	lay := art.Layout
+	if lay == nil {
+		fmt.Printf("packed scatter: chain does not pack (%s)\n\n", art.LayoutErr)
 		return nil
 	}
 	fmt.Println("packed scatter loops (updates per run, redirected to private slots, slots, fold adds per run):")

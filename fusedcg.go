@@ -12,9 +12,7 @@ import (
 	"sparsefusion/internal/core"
 	"sparsefusion/internal/exec"
 	"sparsefusion/internal/kernels"
-	"sparsefusion/internal/lbc"
 	"sparsefusion/internal/sparse"
-	"sparsefusion/internal/telemetry"
 )
 
 // This file is the chain-composition facade: a whole CG/PCG iteration —
@@ -179,10 +177,12 @@ func NewFusedCG(m *Matrix, opts FusedCGOptions) (*FusedCG, error) {
 	if opts.Precondition {
 		name = "pcg"
 	}
+	tb := time.Now()
 	chain, err := combos.BuildChain(combos.ChainSpec{Name: name, Links: links})
 	if err != nil {
 		return nil, err
 	}
+	built := time.Since(tb)
 	if !chain.Fused() {
 		return nil, fmt.Errorf("sparsefusion: internal error: solver chain did not compose into one group")
 	}
@@ -192,41 +192,18 @@ func NewFusedCG(m *Matrix, opts FusedCGOptions) (*FusedCG, error) {
 	inst.Output = f.x
 
 	f.execState = execState{inst: inst, th: opts.threads(), spin: opts.SpinBudget, watchdog: opts.Watchdog, id: nextStateID.Add(1), tr: opts.Tracer}
-	f.fp = opts.chainFingerprint(m, chain, block)
 	// BuildChain has already built every kernel DAG (its Check needs them).
-	f.tr.raw().Emit("inspect.dag_build",
-		telemetry.Int("op", f.id),
-		telemetry.String("combo", inst.Name),
-		telemetry.Int("n", int64(n)),
-		telemetry.Int("nnz", int64(m.NNZ())),
-		telemetry.Int("chain_len", int64(chain.NumKernels())))
+	f.traceDAGBuild(built)
+	// The key names the chain's ordered kernels and the vector block size,
+	// which shapes the blocked DAGs and every inter-reduction F.
+	f.fp = opts.fingerprint(m, cache.Params{
+		ChainLen:     chain.NumKernels(),
+		ChainKernels: append(chain.KernelIDs(), fmt.Sprintf("block=%d", block)),
+	})
 	if err := f.open(t0, opts.Options, f.fp); err != nil {
 		return nil, err
 	}
 	return f, nil
-}
-
-// chainFingerprint content-addresses a composed chain's artifact set: the
-// matrix pattern and scheduling options as usual, plus the chain length, the
-// ordered kernel ids, and the vector block size (which shapes the blocked
-// DAGs and every inter-reduction F).
-func (o FusedCGOptions) chainFingerprint(m *Matrix, c *combos.Chain, block int) cache.Key {
-	d := lbc.DefaultParams()
-	ic, agg := o.LBCInitialCut, o.LBCAgg
-	if ic <= 0 {
-		ic = d.InitialCut
-	}
-	if agg <= 0 {
-		agg = d.Agg
-	}
-	ids := append(c.KernelIDs(), fmt.Sprintf("block=%d", block))
-	return m.fingerprint(cache.Params{
-		Threads:       o.threads(),
-		LBCInitialCut: ic,
-		LBCAgg:        agg,
-		ChainLen:      c.NumKernels(),
-		ChainKernels:  ids,
-	})
 }
 
 // Fingerprint returns the chain's content address in hex.

@@ -5,8 +5,10 @@ import (
 	"errors"
 	"fmt"
 	"math"
+	"time"
 
-	"sparsefusion/internal/core"
+	"sparsefusion/internal/cache"
+	"sparsefusion/internal/combos"
 	"sparsefusion/internal/exec"
 	"sparsefusion/internal/kernels"
 	"sparsefusion/internal/sparse"
@@ -18,22 +20,20 @@ import (
 // that sparse fusion schedules as one fused partitioning, amortizing
 // barriers and reusing L and U across sweeps.
 type GaussSeidel struct {
-	a    *sparse.CSR
-	b    []float64 // solver-owned right-hand side, shared with the kernels
-	x0   []float64 // sweep-chain input, shared with the first SpMV
-	xEnd []float64 // sweep-chain output
-	sch  *core.Schedule
-	run  *exec.Runner // the compiled sweep chain
-	th   int
+	a *sparse.CSR
+	// state runs the sweep chain (combos.BuildGS) on the executor ladder
+	// every Operation runs on. Its instance's Input is the solver-owned
+	// right-hand side, GSX0 the chain's input and Output its result.
+	state execState
 	// SweepsPerFusion is how many sweeps one fused execution performs: the
 	// requested value after defaulting and clamping (GSOptions).
 	SweepsPerFusion int
 }
 
-// GSOptions configures the solver. Of the embedded Options, Threads, the LBC
-// parameters, SpinBudget and Watchdog apply; the solver inspects privately —
-// Cache and Tracer are not consulted — and runs on the compiled (unpacked)
-// rung.
+// GSOptions configures the solver. The embedded Options apply as they do to
+// an Operation: the sweep chain opens through the same cache lookup, tracing
+// and executor ladder — packed where the chain packs, which the Gauss-Seidel
+// chain does.
 type GSOptions struct {
 	Options
 	// SweepsPerFusion unrolls this many sweeps into one fused schedule
@@ -44,8 +44,11 @@ type GSOptions struct {
 	SweepsPerFusion int
 }
 
-// NewGaussSeidel inspects the fused sweep chain for the SPD matrix m.
+// NewGaussSeidel inspects the fused sweep chain for the SPD matrix m. With
+// Options.Cache set, inspection runs at most once per fingerprint; the key
+// names the chain's ordered kernels, so it never collides with an Operation's.
 func NewGaussSeidel(m *Matrix, opts GSOptions) (*GaussSeidel, error) {
+	t0 := time.Now()
 	a := m.csr
 	if a.Rows != a.Cols {
 		return nil, fmt.Errorf("sparsefusion: Gauss-Seidel needs a square matrix")
@@ -57,44 +60,22 @@ func NewGaussSeidel(m *Matrix, opts GSOptions) (*GaussSeidel, error) {
 	if sweeps > kernels.MaxLoops/2 {
 		sweeps = kernels.MaxLoops / 2
 	}
-	n := a.Rows
-	g := &GaussSeidel{
-		a: a, th: opts.threads(), SweepsPerFusion: sweeps,
-		b:  make([]float64, n),
-		x0: make([]float64, n),
-	}
-	l := a.Lower()
-	negU := a.StrictUpper()
-	for i := range negU.X {
-		negU.X[i] = -negU.X[i]
-	}
-	loops := &core.Loops{}
-	var ks []kernels.Kernel
-	x := g.x0
-	for s := 0; s < sweeps; s++ {
-		t := make([]float64, n)
-		xNext := make([]float64, n)
-		kmv := kernels.NewSpMVPlusCSR(negU, x, g.b, t)
-		ktr := kernels.NewSpTRSVCSR(l, t, xNext)
-		ks = append(ks, kmv, ktr)
-		loops.G = append(loops.G, kmv.DAG(), ktr.DAG())
-		if s > 0 {
-			loops.F = append(loops.F, core.FPattern(negU))
-		}
-		loops.F = append(loops.F, core.FDiagonal(n))
-		x = xNext
-	}
-	g.xEnd = x
-	reuse := core.ReuseRatioChain(ks)
-	sch, err := core.ICO(loops, core.Params{Threads: g.th, ReuseRatio: reuse, LBC: opts.lbc()})
+	inst, err := combos.BuildGS(a, sweeps)
 	if err != nil {
 		return nil, err
 	}
-	g.sch = sch
-	if g.run, err = exec.CompileFused(ks, sch); err != nil {
+	g := &GaussSeidel{a: a, SweepsPerFusion: sweeps}
+	g.state = execState{inst: inst, th: opts.threads(), spin: opts.SpinBudget, watchdog: opts.Watchdog, id: nextStateID.Add(1), tr: opts.Tracer}
+	// BuildGS has built every kernel DAG and F.
+	g.state.traceDAGBuild(time.Since(t0))
+	ids := make([]string, len(inst.Kernels))
+	for i, k := range inst.Kernels {
+		ids[i] = k.Name()
+	}
+	fp := opts.fingerprint(m, cache.Params{ChainLen: len(ids), ChainKernels: ids})
+	if err := g.state.open(t0, opts.Options, fp); err != nil {
 		return nil, err
 	}
-	g.run.Configure(exec.Config{SpinBudget: opts.SpinBudget, Watchdog: opts.Watchdog})
 	return g, nil
 }
 
@@ -115,9 +96,11 @@ func (g *GaussSeidel) SolveContext(ctx context.Context, b []float64, tol float64
 	if len(b) != n {
 		return nil, 0, fmt.Errorf("sparsefusion: rhs length %d, want %d", len(b), n)
 	}
-	copy(g.b, b)
-	for i := range g.x0 {
-		g.x0[i] = 0
+	inst := g.state.inst
+	x0 := inst.GSX0
+	copy(inst.Input, b)
+	for i := range x0 {
+		x0[i] = 0
 	}
 	normB := sparse.Norm2(b)
 	if normB == 0 {
@@ -128,12 +111,12 @@ func (g *GaussSeidel) SolveContext(ctx context.Context, b []float64, tol float64
 	for sweeps < maxSweeps {
 		if ctx != nil && ctx.Err() != nil {
 			out := make([]float64, n)
-			copy(out, g.x0)
+			copy(out, x0)
 			return out, sweeps, exec.Cancelled(ctx)
 		}
-		if _, err := g.run.RunContext(orBackground(ctx), g.th); err != nil {
+		if _, err := g.state.run(ctx, nil); err != nil {
 			out := make([]float64, n)
-			copy(out, g.x0)
+			copy(out, x0)
 			// A cancellation mid-chain leaves x0 at the last completed chain
 			// (the fused run's output commits only via the copy below); pass
 			// the typed error through untranslated.
@@ -151,12 +134,12 @@ func (g *GaussSeidel) SolveContext(ctx context.Context, b []float64, tol float64
 			return out, sweeps, fmt.Errorf("sparsefusion: Gauss-Seidel sweep failed: %w", err)
 		}
 		sweeps += g.SweepsPerFusion
-		copy(g.x0, g.xEnd)
+		copy(x0, inst.Output)
 		// Residual check.
 		for i := 0; i < n; i++ {
 			s := 0.0
 			for p := g.a.P[i]; p < g.a.P[i+1]; p++ {
-				s += g.a.X[p] * g.x0[g.a.I[p]]
+				s += g.a.X[p] * x0[g.a.I[p]]
 			}
 			ax[i] = s
 		}
@@ -165,7 +148,7 @@ func (g *GaussSeidel) SolveContext(ctx context.Context, b []float64, tol float64
 		}
 	}
 	out := make([]float64, n)
-	copy(out, g.x0)
+	copy(out, x0)
 	if res := sparse.Norm2(sparse.Sub(ax, b)) / normB; math.IsNaN(res) || math.IsInf(res, 0) {
 		return out, sweeps, fmt.Errorf("sparsefusion: Gauss-Seidel diverged")
 	}
@@ -173,4 +156,4 @@ func (g *GaussSeidel) SolveContext(ctx context.Context, b []float64, tol float64
 }
 
 // Barriers reports the synchronizations per fused sweep chain.
-func (g *GaussSeidel) Barriers() int { return g.sch.NumSPartitions() }
+func (g *GaussSeidel) Barriers() int { return g.state.Barriers() }

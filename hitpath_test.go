@@ -2,6 +2,7 @@ package sparsefusion
 
 import (
 	"bytes"
+	"context"
 	"errors"
 	"fmt"
 	"runtime"
@@ -10,6 +11,7 @@ import (
 	"time"
 
 	"sparsefusion/internal/combos"
+	"sparsefusion/internal/exec"
 	"sparsefusion/internal/kernels"
 	"sparsefusion/internal/sparse"
 )
@@ -478,6 +480,167 @@ func TestOperationDoesNotPinMatrix(t *testing.T) {
 		}
 		if _, err := ops[1].Run(); err != nil {
 			t.Fatal(err)
+		}
+	}
+}
+
+// TestGaussSeidelOpensThroughSharedPath: the sweep chain opens the way an
+// Operation does. Two solvers over one pattern and one cache inspect once (a
+// miss, then a hit that the tracer reports as op.open cache=hit), both run
+// packed, and their solutions are the bits of a cache-less solver and of the
+// one-thread walk of the same BuildGS schedule.
+func TestGaussSeidelOpensThroughSharedPath(t *testing.T) {
+	const sweeps, runs = 2, 5
+	m := mustReorder(t, Laplacian2D(20))
+	b := testInput(m.Rows())
+	var buf bytes.Buffer
+	sc := NewScheduleCache(CacheConfig{})
+	opts := GSOptions{Options: Options{Threads: 2, Cache: sc, Tracer: NewTracer(&buf)}, SweepsPerFusion: sweeps}
+	var gs []*GaussSeidel
+	for i := 0; i < 2; i++ {
+		g, err := NewGaussSeidel(m, opts)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if h := g.state.Health(); h.Mode != ModePacked {
+			t.Fatalf("solver %d runs on %s, want packed: %+v", i, h.Mode, h)
+		}
+		gs = append(gs, g)
+	}
+	if st := sc.Stats(); st.Misses != 1 || st.Hits != 1 {
+		t.Fatalf("cache after two solvers over one pattern: %+v, want one miss then one hit", st)
+	}
+	_, lines := traceEvents(t, &buf)
+	var opens []any
+	for _, l := range lines {
+		if l["ev"] == "op.open" {
+			opens = append(opens, l["cache"])
+		}
+	}
+	if len(opens) != 2 || opens[0] != "miss" || opens[1] != "hit" {
+		t.Fatalf("op.open cache outcomes %v, want [miss hit]", opens)
+	}
+
+	plain, err := NewGaussSeidel(m, GSOptions{Options: Options{Threads: 2}, SweepsPerFusion: sweeps})
+	if err != nil {
+		t.Fatal(err)
+	}
+	want, _, err := plain.Solve(b, 0, runs*sweeps)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for i, g := range gs {
+		x, n, err := g.Solve(b, 0, runs*sweeps)
+		if err != nil || n != runs*sweeps {
+			t.Fatalf("solver %d: %d sweeps, err %v", i, n, err)
+		}
+		if !bitsSame(x, want) {
+			t.Fatalf("solver %d over the cached schedule differs from the cache-less solver", i)
+		}
+	}
+	walk, err := combos.BuildGS(m.csr, sweeps)
+	if err != nil {
+		t.Fatal(err)
+	}
+	copy(walk.Input, b)
+	for r := 0; r < runs; r++ {
+		if _, err := exec.RunScheduleSequential(context.Background(), walk.Kernels, gs[0].state.sched); err != nil {
+			t.Fatal(err)
+		}
+		copy(walk.GSX0, walk.Output)
+	}
+	if !bitsSame(walk.GSX0, want) {
+		t.Fatal("solver differs from the one-thread walk of its schedule")
+	}
+}
+
+// TestEveryOpenTracesOneDAGBuildSchema: an Operation, a FusedCG and a
+// GaussSeidel report building their fusion input with one event shape.
+func TestEveryOpenTracesOneDAGBuildSchema(t *testing.T) {
+	var buf bytes.Buffer
+	m := Laplacian2D(12)
+	opts := Options{Threads: 2, Tracer: NewTracer(&buf)}
+	if _, err := NewOperation(TrsvMv, m, opts); err != nil {
+		t.Fatal(err)
+	}
+	if _, err := NewFusedCG(m, FusedCGOptions{Options: opts, Precondition: true}); err != nil {
+		t.Fatal(err)
+	}
+	if _, err := NewGaussSeidel(m, GSOptions{Options: opts}); err != nil {
+		t.Fatal(err)
+	}
+	_, lines := traceEvents(t, &buf)
+	var from []any
+	for _, l := range lines {
+		if l["ev"] != "inspect.dag_build" {
+			continue
+		}
+		from = append(from, l["combo"])
+		for _, f := range []string{"op", "combo", "n", "dag_edges", "dur_ns"} {
+			if _, ok := l[f]; !ok {
+				t.Fatalf("inspect.dag_build missing %q: %v", f, l)
+			}
+		}
+		if e, _ := l["dag_edges"].(float64); e <= 0 {
+			t.Fatalf("inspect.dag_build without edges: %v", l)
+		}
+	}
+	if len(from) != 3 {
+		t.Fatalf("inspect.dag_build from %v, want one per open", from)
+	}
+}
+
+// TestFingerprintKeysPinned: the cache keys of every combination and of the
+// CG/PCG chains are the bytes cache.Fingerprint produced before the option
+// resolution was shared, so disk tiers and saved schedules keep resolving;
+// spelled-out LBC defaults address the same entry as zero values.
+func TestFingerprintKeysPinned(t *testing.T) {
+	m := Laplacian2D(9)
+	defaults := []Options{{Threads: 2}, {Threads: 2, LBCInitialCut: 4, LBCAgg: 400}}
+	tuned := Options{Threads: 3, LBCInitialCut: 2, LBCAgg: 50}
+	for _, tc := range []struct {
+		c             Combination
+		paper, custom string
+	}{
+		{TrsvTrsv, "f22c8bf22bf537e1", "9ea76fc27f5c5f7d"},
+		{DscalIlu0, "5d7e919eb4782327", "7be975428e1b183a"},
+		{TrsvMv, "4be1ec13f0335bec", "8c016cdf64c237b4"},
+		{Ic0Trsv, "9b7c4532cfc4798e", "f3eee417d2efc7e6"},
+		{Ilu0Trsv, "d1b82a13094c0ffc", "7b7b72308f259a7b"},
+		{DscalIc0, "c592fa700a0cec9c", "f17f530b2876f508"},
+		{MvMv, "85084aaaf9b1c10b", "b9eae15fe717851d"},
+	} {
+		for _, o := range append(defaults, tuned) {
+			op, err := NewOperation(tc.c, m, o)
+			if err != nil {
+				t.Fatal(err)
+			}
+			want := tc.paper
+			if o == tuned {
+				want = tc.custom
+			}
+			if got := op.Fingerprint()[:16]; got != want {
+				t.Errorf("%s %+v: key %s, pinned %s", tc.c, o, got, want)
+			}
+		}
+	}
+	for _, tc := range []struct {
+		opts FusedCGOptions
+		want string
+	}{
+		{FusedCGOptions{Options: defaults[0]}, "551248ab2af496a5"},
+		{FusedCGOptions{Options: defaults[1]}, "551248ab2af496a5"},
+		{FusedCGOptions{Options: Options{Threads: 3, LBCAgg: 50}, BlockSize: 16}, "1bcacc6c38b959ca"},
+		{FusedCGOptions{Options: defaults[0], Precondition: true}, "44870a9b13b0d5ec"},
+		{FusedCGOptions{Options: defaults[1], Precondition: true}, "44870a9b13b0d5ec"},
+		{FusedCGOptions{Options: Options{Threads: 3, LBCAgg: 50}, Precondition: true, BlockSize: 16}, "d2d0090f90eb1d26"},
+	} {
+		f, err := NewFusedCG(m, tc.opts)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if got := f.Fingerprint()[:16]; got != tc.want {
+			t.Errorf("%+v: key %s, pinned %s", tc.opts, got, tc.want)
 		}
 	}
 }

@@ -9,7 +9,8 @@ import (
 	"sparsefusion/internal/relayout"
 )
 
-// Artifacts is the inspection product chain cached under one fingerprint.
+// Artifacts is the inspection product chain cached under one fingerprint;
+// exec.CompileFused builds the stages a chain lacks and binds a runner to it.
 // Every field is immutable after publication: the schedule and program are
 // never written post-build, and the layout's streams are read-only during
 // execution (relayout.Build refuses chains that overwrite packed sources).

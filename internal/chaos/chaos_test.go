@@ -73,7 +73,7 @@ func newSubject() (*subject, error) {
 	if err != nil {
 		return nil, err
 	}
-	if s.runner, err = exec.CompileFused(s.ks, s.sched); err != nil {
+	if s.runner, err = compiled(s.ks, s.sched); err != nil {
 		return nil, err
 	}
 	if _, err := s.runner.Run(threads); err != nil {
@@ -88,7 +88,16 @@ func newSubject() (*subject, error) {
 func (s *subject) armed(loop int, k kernels.Kernel) (*exec.Runner, error) {
 	ks := append([]kernels.Kernel(nil), s.ks...)
 	ks[loop] = k
-	return exec.CompileFused(ks, s.sched)
+	return compiled(ks, s.sched)
+}
+
+// compiled binds ks to sched on the compiled rung, the subject's rung.
+func compiled(ks []kernels.Kernel, sched *core.Schedule) (*exec.Runner, error) {
+	prog, err := core.CompileSchedule(sched, len(ks))
+	if err != nil {
+		return nil, err
+	}
+	return exec.NewRunner(ks, prog), nil
 }
 
 // rerunClean runs the clean runner again, over the kernel instances a fault

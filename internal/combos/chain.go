@@ -3,6 +3,7 @@ package combos
 import (
 	"fmt"
 
+	"sparsefusion/internal/cache"
 	"sparsefusion/internal/core"
 	"sparsefusion/internal/exec"
 	"sparsefusion/internal/kernels"
@@ -13,7 +14,7 @@ import (
 // BuildChain generalizes BuildGS from the fixed sweep chain to an arbitrary
 // k-kernel chain: the caller lists the kernels in program order with one
 // dependency matrix per adjacent pair, and the builder composes them into
-// fused groups driven by the reuse ratio of each adjacency. A group becomes
+// fused groups of at most MaxGroup kernels. A group becomes
 // one Instance — one ICO inspection, one fused schedule, one barrier per
 // s-partition spanning every loop in the group — so a fully-composed chain
 // pays k× fewer barrier sequences than pairwise fusion, and MaxGroup = 2
@@ -32,10 +33,6 @@ type ChainLink struct {
 type ChainSpec struct {
 	Name  string
 	Links []ChainLink
-	// MinReuse cuts the chain between two kernels whose reuse ratio falls
-	// below it — adjacencies that share too little data to be worth packing
-	// into one schedule. Zero or negative never cuts on reuse.
-	MinReuse float64
 	// MaxGroup caps the kernels per fused group; 0 composes as much of the
 	// chain as one schedule can tag (kernels.MaxLoops loops, cut there too),
 	// 2 reproduces pairwise fusion, 1 disables fusion.
@@ -43,8 +40,7 @@ type ChainSpec struct {
 }
 
 // Chain is a composed chain: consecutive fused groups, each an Instance
-// ready for inspection, plus the per-adjacency reuse ratios that drove the
-// composition.
+// ready for inspection, plus the reuse ratio of every adjacency.
 type Chain struct {
 	Spec   ChainSpec
 	Groups []*Instance
@@ -52,7 +48,7 @@ type Chain struct {
 	PairReuse []float64
 }
 
-// BuildChain composes the chain per the spec's reuse/size policy.
+// BuildChain composes the chain per the spec's size policy.
 func BuildChain(spec ChainSpec) (*Chain, error) {
 	if len(spec.Links) == 0 {
 		return nil, fmt.Errorf("combos: chain %q has no links", spec.Name)
@@ -72,8 +68,7 @@ func BuildChain(spec ChainSpec) (*Chain, error) {
 	lo := 0
 	for i := 1; i <= len(spec.Links); i++ {
 		cut := i == len(spec.Links) || i-lo >= kernels.MaxLoops ||
-			(spec.MaxGroup > 0 && i-lo >= spec.MaxGroup) ||
-			(spec.MinReuse > 0 && c.PairReuse[i-1] < spec.MinReuse)
+			(spec.MaxGroup > 0 && i-lo >= spec.MaxGroup)
 		if !cut {
 			continue
 		}
@@ -102,7 +97,7 @@ func BuildChain(spec ChainSpec) (*Chain, error) {
 
 // finishChain fills an instance's derived chain fields — per-kernel DAGs,
 // MKL-sequential flags, and the chain reuse ratio — from Kernels and the
-// already-set Loops.F. Shared by BuildChain groups and BuildGSWorkers, so the
+// already-set Loops.F. Shared by BuildChain groups and BuildGS, so the
 // GS chain is the k = 2·nSweeps special case of the general assembly.
 func finishChain(in *Instance) {
 	for _, k := range in.Kernels {
@@ -140,7 +135,7 @@ func (c *Chain) Barriers(scheds []*core.Schedule) int {
 }
 
 // SparseFusion inspects every group with ICO and compiles it onto the rung
-// the facade would serve it from (compileServed); execution runs
+// the facade would serve it from (exec.CompileFused); execution runs
 // the groups back to back, summing executor statistics (Stats.Barriers is
 // the observed barriers-per-pass the chain benchmark reports).
 func (c *Chain) SparseFusion(threads int, lp lbc.Params) (*Impl, []*core.Schedule) {
@@ -154,7 +149,7 @@ func (c *Chain) SparseFusion(threads int, lp lbc.Params) (*Impl, []*core.Schedul
 				return err
 			}
 			scheds[i] = s
-			if im.fused[i], err = compileServed(g.Kernels, s); err != nil {
+			if im.fused[i], err = exec.CompileFused(g.Kernels, &cache.Artifacts{Schedule: s}, nil); err != nil {
 				return err
 			}
 		}

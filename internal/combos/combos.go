@@ -21,13 +21,13 @@ import (
 	"sync"
 	"time"
 
+	"sparsefusion/internal/cache"
 	"sparsefusion/internal/core"
 	"sparsefusion/internal/dag"
 	"sparsefusion/internal/dagp"
 	"sparsefusion/internal/exec"
 	"sparsefusion/internal/kernels"
 	"sparsefusion/internal/lbc"
-	"sparsefusion/internal/par"
 	"sparsefusion/internal/partition"
 	"sparsefusion/internal/relayout"
 	"sparsefusion/internal/sparse"
@@ -135,15 +135,7 @@ func (in *Instance) FlopCount() int64 {
 // Build instantiates combination id over the SPD matrix a. Input vectors are
 // derived deterministically from the matrix size.
 func Build(id ID, a *sparse.CSR) (*Instance, error) {
-	return BuildWorkers(id, a, 1)
-}
-
-// BuildWorkers is Build with intra-build parallelism: the two kernel
-// constructors run concurrently, then the two iteration DAGs, the F matrix
-// and the reuse ratio. Every task only reads its shared inputs, so the result
-// is identical for any worker count.
-func BuildWorkers(id ID, a *sparse.CSR, workers int) (*Instance, error) {
-	in, err := assemble(id, sparse.NewForms(a), workers)
+	in, err := Assemble(id, sparse.NewForms(a))
 	if err != nil {
 		return nil, err
 	}
@@ -157,10 +149,6 @@ func BuildWorkers(id ID, a *sparse.CSR, workers int) (*Instance, error) {
 // pure combinations (the CloneForSession set) read src's shared forms; the
 // factorization combinations write matrix values and take private copies.
 func Assemble(id ID, src *sparse.Forms) (*Instance, error) {
-	return assemble(id, src, 1)
-}
-
-func assemble(id ID, src *sparse.Forms, workers int) (*Instance, error) {
 	a := src.A
 	if a.Rows != a.Cols {
 		return nil, fmt.Errorf("combos: matrix must be square, got %dx%d", a.Rows, a.Cols)
@@ -168,24 +156,17 @@ func assemble(id ID, src *sparse.Forms, workers int) (*Instance, error) {
 	n := a.Rows
 	in := &Instance{ID: id, Name: Names[id]}
 	vec := func(seed int64) []float64 { return sparse.RandomVec(n, seed) }
-	// Each combination provides its two constructor stages and F builder;
-	// finish runs after construction for wiring that needs the built kernels.
+	// Each combination builds its two kernels; F, which Derive builds, is the
+	// diagonal unless the combination names another builder.
 	var (
-		build1, build2 func() kernels.Kernel
-		buildF         func() *sparse.CSR
-		finish         func(k1, k2 kernels.Kernel)
-		// buildErr collects a constructor failure (e.g. SpILU0 on a matrix
-		// with a missing diagonal). At most one build stage per combination
-		// can fail, so a single slot needs no synchronization beyond par.Do.
-		buildErr error
+		k1, k2 kernels.Kernel
+		buildF = func() *sparse.CSR { return core.FDiagonal(n) }
 	)
 	switch id {
 	case TrsvTrsv:
 		l := src.Lower()
 		y, x, z := vec(1), make([]float64, n), make([]float64, n)
-		build1 = func() kernels.Kernel { return kernels.NewSpTRSVCSR(l, y, x) }
-		build2 = func() kernels.Kernel { return kernels.NewSpTRSVCSR(l, x, z) }
-		buildF = func() *sparse.CSR { return core.FDiagonal(n) }
+		k1, k2 = kernels.NewSpTRSVCSR(l, y, x), kernels.NewSpTRSVCSR(l, x, z)
 		lsum := src.LowerSum
 		in.sourceSum = func() uint64 { return sparse.FoldSums(lsum(), lsum()) }
 		in.Snapshot = snap(z)
@@ -193,23 +174,15 @@ func assemble(id ID, src *sparse.Forms, workers int) (*Instance, error) {
 		in.mklSeq = []bool{false, false}
 	case DscalIlu0:
 		work := a.Clone()
-		d := kernels.JacobiScaling(a)
-		build1 = func() kernels.Kernel { return kernels.NewDScalCSR(work, d, work) }
-		build2 = func() kernels.Kernel {
-			k, err := kernels.NewSpILU0CSR(work)
-			if err != nil {
-				buildErr = err
-				return nil
-			}
-			return k
+		ilu, err := kernels.NewSpILU0CSR(work)
+		if err != nil {
+			return nil, err
 		}
-		buildF = func() *sparse.CSR { return core.FDiagonal(n) }
-		finish = func(_, k2 kernels.Kernel) {
-			// DSCAL rewrites every entry of work on each run, so it owns the
-			// replay; the factor restoring its own snapshot would clobber the
-			// chain in kernel-at-a-time order.
-			k2.(*kernels.SpILU0CSR).DisableRestore()
-		}
+		// DSCAL rewrites every entry of work on each run, so it owns the
+		// replay; the factor restoring its own snapshot would clobber the
+		// chain in kernel-at-a-time order.
+		ilu.DisableRestore()
+		k1, k2 = kernels.NewDScalCSR(work, kernels.JacobiScaling(a), work), ilu
 		in.Snapshot = snap(work.X)
 		in.Output = work.X
 		in.mklSeq = []bool{false, true}
@@ -217,8 +190,7 @@ func assemble(id ID, src *sparse.Forms, workers int) (*Instance, error) {
 		l := src.Lower()
 		ac := src.CSC()
 		x, y, z := vec(1), make([]float64, n), make([]float64, n)
-		build1 = func() kernels.Kernel { return kernels.NewSpTRSVCSR(l, x, y) }
-		build2 = func() kernels.Kernel { return kernels.NewSpMVCSC(ac, y, z) }
+		k1, k2 = kernels.NewSpTRSVCSR(l, x, y), kernels.NewSpMVCSC(ac, y, z)
 		buildF = func() *sparse.CSR { return core.FTrsvToMVCSC(ac) }
 		lsum, csum := src.LowerSum, src.CSCSum
 		in.sourceSum = func() uint64 { return sparse.FoldSums(lsum(), csum()) }
@@ -228,44 +200,32 @@ func assemble(id ID, src *sparse.Forms, workers int) (*Instance, error) {
 	case Ic0Trsv:
 		lc := a.Lower().ToCSC()
 		x, y := vec(1), make([]float64, n)
-		build1 = func() kernels.Kernel { return kernels.NewSpIC0CSC(lc) }
-		build2 = func() kernels.Kernel { return kernels.NewSpTRSVCSC(lc, x, y) }
-		buildF = func() *sparse.CSR { return core.FDiagonal(n) }
+		k1, k2 = kernels.NewSpIC0CSC(lc), kernels.NewSpTRSVCSC(lc, x, y)
 		in.Snapshot = snap(y)
 		in.Input, in.Output = x, y
 		in.mklSeq = []bool{true, false}
 	case Ilu0Trsv:
 		work := a.Clone()
 		b, y := vec(1), make([]float64, n)
-		build1 = func() kernels.Kernel {
-			k, err := kernels.NewSpILU0CSR(work)
-			if err != nil {
-				buildErr = err
-				return nil
-			}
-			return k
+		ilu, err := kernels.NewSpILU0CSR(work)
+		if err != nil {
+			return nil, err
 		}
-		build2 = func() kernels.Kernel { return kernels.NewSpTRSVUnitLowerCSR(work, b, y) }
-		buildF = func() *sparse.CSR { return core.FDiagonal(n) }
+		k1, k2 = ilu, kernels.NewSpTRSVUnitLowerCSR(work, b, y)
 		in.Snapshot = snap(y)
 		in.Input, in.Output = b, y
 		in.mklSeq = []bool{true, false}
 	case DscalIc0:
 		lc := a.Lower().ToCSC()
-		d := kernels.JacobiScaling(a)
-		build1 = func() kernels.Kernel { return kernels.NewDScalCSC(lc, d, lc) }
-		build2 = func() kernels.Kernel { return kernels.NewSpIC0CSC(lc) }
-		buildF = func() *sparse.CSR { return core.FDiagonal(n) }
-		finish = func(_, k2 kernels.Kernel) {
-			k2.(*kernels.SpIC0CSC).DisableRestore() // DSCAL owns the replay, as in DscalIlu0
-		}
+		ic := kernels.NewSpIC0CSC(lc)
+		ic.DisableRestore() // DSCAL owns the replay, as in DscalIlu0
+		k1, k2 = kernels.NewDScalCSC(lc, kernels.JacobiScaling(a), lc), ic
 		in.Snapshot = snap(lc.X)
 		in.Output = lc.X
 		in.mklSeq = []bool{false, true}
 	case MvMv:
 		x, y, z := vec(1), make([]float64, n), make([]float64, n)
-		build1 = func() kernels.Kernel { return kernels.NewSpMVCSR(a, x, y) }
-		build2 = func() kernels.Kernel { return kernels.NewSpMVCSR(a, y, z) }
+		k1, k2 = kernels.NewSpMVCSR(a, x, y), kernels.NewSpMVCSR(a, y, z)
 		buildF = func() *sparse.CSR { return core.FPattern(a) }
 		sum := src.Sum
 		in.sourceSum = func() uint64 { return sparse.FoldSums(sum(), sum()) }
@@ -275,28 +235,10 @@ func assemble(id ID, src *sparse.Forms, workers int) (*Instance, error) {
 	default:
 		return nil, fmt.Errorf("combos: unknown combination %d", id)
 	}
-	var k1, k2 kernels.Kernel
-	par.Do(workers,
-		func() { k1 = build1() },
-		func() { k2 = build2() },
-	)
-	if buildErr != nil {
-		return nil, buildErr
-	}
 	in.Kernels = []kernels.Kernel{k1, k2}
-	if finish != nil {
-		finish(k1, k2)
-	}
 	in.derive = func() bool {
-		var g1, g2 *dag.Graph
-		var f *sparse.CSR
-		par.Do(workers,
-			func() { g1 = k1.DAG() },
-			func() { g2 = k2.DAG() },
-			func() { f = buildF() },
-			func() { in.Reuse = core.ReuseRatioChain(in.Kernels) },
-		)
-		in.Loops = &core.Loops{G: []*dag.Graph{g1, g2}, F: []*sparse.CSR{f}}
+		in.Loops = &core.Loops{G: []*dag.Graph{k1.DAG(), k2.DAG()}, F: []*sparse.CSR{buildF()}}
+		in.Reuse = core.ReuseRatioChain(in.Kernels)
 		return true
 	}
 	return in, nil
@@ -306,13 +248,6 @@ func assemble(id ID, src *sparse.Forms, workers int) (*Instance, error) {
 // nSweeps sweeps of x <- L \ (b - U*x), each sweep contributing an SpMV+b
 // loop and an SpTRSV loop (2*nSweeps fused loops total).
 func BuildGS(a *sparse.CSR, nSweeps int) (*Instance, error) {
-	return BuildGSWorkers(a, nSweeps, 1)
-}
-
-// BuildGSWorkers is BuildGS with the per-sweep kernel constructors and F
-// matrices built across workers; every stage writes only its own slot, so
-// the instance is identical for any worker count.
-func BuildGSWorkers(a *sparse.CSR, nSweeps, workers int) (*Instance, error) {
 	if nSweeps < 1 {
 		return nil, fmt.Errorf("combos: need at least one sweep")
 	}
@@ -326,40 +261,25 @@ func BuildGSWorkers(a *sparse.CSR, nSweeps, workers int) (*Instance, error) {
 	b := sparse.RandomVec(n, 3)
 	in := &Instance{ID: 0, Name: fmt.Sprintf("GS-%dsweeps", nSweeps)}
 	in.Loops = &core.Loops{}
-	// Allocate the sweep-chained vectors serially, then construct every
-	// kernel (2 per sweep, all DAG-building) concurrently.
-	xs := make([][]float64, nSweeps+1) // xs[s] feeds sweep s
-	ts := make([][]float64, nSweeps)
-	xs[0] = make([]float64, n) // x_0 = 0
+	x := make([]float64, n) // x_0 = 0
+	in.GSX0 = x
 	for s := 0; s < nSweeps; s++ {
-		ts[s] = make([]float64, n)
-		xs[s+1] = make([]float64, n)
+		t, xNext := make([]float64, n), make([]float64, n)
+		in.Kernels = append(in.Kernels,
+			kernels.NewSpMVPlusCSR(negU, x, b, t), // t = b - U*x
+			kernels.NewSpTRSVCSR(l, t, xNext))     // xNext = L \ t
+		// Per sweep s > 0 the SpMV reads x produced by the previous TRSV (row
+		// i needs x[j] for every nonzero U[i][j]); every TRSV reads t[i] from
+		// its own SpMV.
+		if s > 0 {
+			in.Loops.F = append(in.Loops.F, core.FPattern(u))
+		}
+		in.Loops.F = append(in.Loops.F, core.FDiagonal(n))
+		x = xNext
 	}
-	in.GSX0 = xs[0]
-	in.Kernels = make([]kernels.Kernel, 2*nSweeps)
-	par.ForEach(workers, 2*nSweeps, func(i int) {
-		s := i / 2
-		if i%2 == 0 {
-			in.Kernels[i] = kernels.NewSpMVPlusCSR(negU, xs[s], b, ts[s]) // t = b - U*x
-		} else {
-			in.Kernels[i] = kernels.NewSpTRSVCSR(l, ts[s], xs[s+1]) // xNext = L \ t
-		}
-	})
-	// F matrices: per sweep s > 0 the SpMV reads x produced by the previous
-	// TRSV (row i needs x[j] for every nonzero U[i][j]); every TRSV reads
-	// t[i] from its own SpMV.
-	in.Loops.F = make([]*sparse.CSR, 2*nSweeps-1)
-	par.ForEach(workers, 2*nSweeps-1, func(i int) {
-		if i%2 == 0 {
-			in.Loops.F[i] = core.FDiagonal(n)
-		} else {
-			in.Loops.F[i] = core.FPattern(u)
-		}
-	})
 	finishChain(in)
-	final := xs[nSweeps]
-	in.Snapshot = snap(final)
-	in.Input, in.Output = b, final
+	in.Snapshot = snap(x)
+	in.Input, in.Output = b, x
 	return in, nil
 }
 
@@ -464,23 +384,6 @@ func (im *Impl) Execute() (exec.Stats, error) {
 	return im.execute()
 }
 
-// compileServed compiles a fused schedule onto the rung the facade serves it
-// from: packed where the chain packs, compiled-unpacked where relayout.Build
-// refuses it (the factorization combinations, whose kernels rewrite a packed
-// source mid-run).
-func compileServed(ks []kernels.Kernel, sched *core.Schedule) (*exec.Runner, error) {
-	r, err := exec.CompileFused(ks, sched)
-	if err != nil {
-		return nil, err
-	}
-	if lay, err := relayout.Build(r.Program(), ks); err == nil {
-		// A refused attach leaves the runner on the compiled rung, which is
-		// where the facade's ladder would put it too.
-		_ = r.AttachLayout(lay)
-	}
-	return r, nil
-}
-
 // SparseFusion is the paper's contribution: ICO over the instance's DAGs.
 // Inspection compiles the schedule and re-lays the operands out in schedule
 // order — everything before the first run is charged to InspectTime, as the
@@ -492,7 +395,7 @@ func (in *Instance) SparseFusion(threads int, lp lbc.Params) *Impl {
 		if err != nil {
 			return err
 		}
-		r, err := compileServed(in.Kernels, sched)
+		r, err := exec.CompileFused(in.Kernels, &cache.Artifacts{Schedule: sched}, nil)
 		im.fused = []*exec.Runner{r}
 		return err
 	}

@@ -281,56 +281,6 @@ func TestJointRejectsMultiLoop(t *testing.T) {
 	}
 }
 
-// TestBuildWorkersDeterministic: parallel instance construction must be
-// observationally identical to serial — same DAGs, F matrices, reuse ratio,
-// and (through ICO) the same schedule bytes.
-func TestBuildWorkersDeterministic(t *testing.T) {
-	a := sparse.Must(sparse.RandomSPD(300, 5, 17))
-	for _, id := range append(append([]ID(nil), All...), MvMv) {
-		want, err := Build(id, a)
-		if err != nil {
-			t.Fatal(err)
-		}
-		got, err := BuildWorkers(id, a, 8)
-		if err != nil {
-			t.Fatal(err)
-		}
-		if got.Reuse != want.Reuse {
-			t.Fatalf("%s: reuse %v != %v", want.Name, got.Reuse, want.Reuse)
-		}
-		ws, err := core.ICO(want.Loops, core.Params{Threads: threads, ReuseRatio: want.Reuse})
-		if err != nil {
-			t.Fatal(err)
-		}
-		gs, err := core.ICO(got.Loops, core.Params{Threads: threads, Workers: 8, ReuseRatio: got.Reuse})
-		if err != nil {
-			t.Fatal(err)
-		}
-		if !bytes.Equal(gs.Bytes(), ws.Bytes()) {
-			t.Fatalf("%s: schedule from parallel build differs", want.Name)
-		}
-	}
-	wantGS, err := BuildGS(a, 3)
-	if err != nil {
-		t.Fatal(err)
-	}
-	gotGS, err := BuildGSWorkers(a, 3, 8)
-	if err != nil {
-		t.Fatal(err)
-	}
-	ws, err := core.ICO(wantGS.Loops, core.Params{Threads: threads, ReuseRatio: wantGS.Reuse})
-	if err != nil {
-		t.Fatal(err)
-	}
-	gs, err := core.ICO(gotGS.Loops, core.Params{Threads: threads, Workers: 8, ReuseRatio: gotGS.Reuse})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !bytes.Equal(gs.Bytes(), ws.Bytes()) {
-		t.Fatal("GS: schedule from parallel build differs")
-	}
-}
-
 // TestAssembleThenDerive: Assemble leaves the fusion input unbuilt, the first
 // Derive builds exactly what Build returns, a session clone derives through
 // the instance it was cloned from, and two instances over one Forms share the

@@ -3,6 +3,7 @@ package core
 import (
 	"bytes"
 	"math/rand"
+	"runtime"
 	"testing"
 
 	"sparsefusion/internal/dag"
@@ -171,10 +172,13 @@ func TestICOWideThreadCounts(t *testing.T) {
 }
 
 // TestICOWorkersDeterministic asserts the parallel inspector's core
-// guarantee: any Workers value serializes to byte-identical schedules.
-// (The cross-check against the frozen serial reference lives in
-// internal/refinspect, whose tests import this package.)
+// guarantee: it fans out over min(Threads, GOMAXPROCS) workers, and every
+// fan-out serializes to byte-identical schedules. GOMAXPROCS is swept over 1,
+// 2, 4 and 8 (and restored) at Threads >= 2, each run compared with the
+// GOMAXPROCS 1 run. (The cross-check against the frozen serial reference
+// lives in internal/refinspect, whose tests import this package.)
 func TestICOWorkersDeterministic(t *testing.T) {
+	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(0))
 	rng := rand.New(rand.NewSource(7))
 	trials := 30
 	if testing.Short() {
@@ -184,18 +188,18 @@ func TestICOWorkersDeterministic(t *testing.T) {
 		n := 20 + rng.Intn(120)
 		loops := randomLoops(rng, n)
 		p := Params{
-			Threads:      1 + rng.Intn(8),
+			Threads:      2 + rng.Intn(7),
 			ReuseRatio:   rng.Float64() * 2,
 			LBC:          lbc.Params{InitialCut: 1 + rng.Intn(5), Agg: 1 + rng.Intn(20)},
 			DisableMerge: rng.Intn(4) == 0,
 			DisableSlack: rng.Intn(4) == 0,
 		}
 		var want []byte
-		for _, workers := range []int{1, 2, 4, 8} {
-			p.Workers = workers
+		for _, procs := range []int{1, 2, 4, 8} {
+			runtime.GOMAXPROCS(procs)
 			sched, err := ICO(loops, p)
 			if err != nil {
-				t.Fatalf("trial %d workers=%d: %v", trial, workers, err)
+				t.Fatalf("trial %d GOMAXPROCS=%d: %v", trial, procs, err)
 			}
 			got := sched.Bytes()
 			if want == nil {
@@ -203,7 +207,7 @@ func TestICOWorkersDeterministic(t *testing.T) {
 				continue
 			}
 			if !bytes.Equal(got, want) {
-				t.Fatalf("trial %d: workers=%d produced a different schedule than workers=1", trial, workers)
+				t.Fatalf("trial %d: GOMAXPROCS=%d (Threads %d) produced a different schedule than GOMAXPROCS=1", trial, procs, p.Threads)
 			}
 		}
 	}

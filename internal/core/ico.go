@@ -13,14 +13,13 @@ import (
 
 // Params configures the ICO algorithm (paper Algorithm 1).
 type Params struct {
-	// Threads is r, the requested number of w-partitions per s-partition.
+	// Threads is r, the requested number of w-partitions per s-partition. It
+	// is also the inspector's own parallelism: DAG transposes, the head LBC
+	// partitioning and per-unit packing fan out over min(Threads, GOMAXPROCS)
+	// goroutines. The schedule is byte-identical at any fan-out — parallel
+	// stages write to indexed slots only — which the tests assert against the
+	// frozen serial reference (internal/refinspect) at GOMAXPROCS 1 to 8.
 	Threads int
-	// Workers parallelizes the inspector itself: DAG transposes, the head
-	// LBC partitioning, and per-unit packing run across this many
-	// goroutines. <= 1 runs serially. Any value produces a byte-identical
-	// schedule — parallel stages write to indexed slots only — which the
-	// fuzz corpus asserts against the serial reference.
-	Workers int
 	// ReuseRatio selects the packing strategy: interleaved when >= 1,
 	// separated when < 1 (paper section 3.2.3).
 	ReuseRatio float64
@@ -115,7 +114,7 @@ func icoReversed(loops *Loops, p Params) (*Schedule, InspectorTimings, error) {
 		G: make([]*dag.Graph, 2),
 		F: make([]*sparse.CSR, 1),
 	}
-	par.Do(p.Workers,
+	par.Do(p.Threads,
 		func() { rev.G[0] = loops.G[1].Transpose() },
 		func() { rev.G[1] = loops.G[0].Transpose() },
 		func() { rev.F[0] = loops.F[0].Transpose() },
@@ -185,7 +184,7 @@ func newState(loops *Loops, p Params) *state {
 	st.fcsc = make([]*sparse.CSC, len(loops.F))
 	// Transposes and CSC conversions are independent per loop: fan them out
 	// across the inspector workers (each writes only its own slot).
-	par.ForEach(p.Workers, len(loops.G)+len(loops.F), func(i int) {
+	par.ForEach(p.Threads, len(loops.G)+len(loops.F), func(i int) {
 		if i < len(loops.G) {
 			st.tg[i] = loops.G[i].Transpose()
 		} else {
@@ -280,10 +279,10 @@ func (st *state) recomputeCosts() {
 // predecessors span w-partitions is deferred to the following s-partition
 // (the paper's uncontained vertices, which "create synchronization").
 //
-// With Workers > 1, state setup, the head LBC run, and the tail loops' topo
-// orders (which pairing consumes but which only depend on the input DAGs)
-// all execute concurrently; the pairing scan itself is order-dependent and
-// stays sequential.
+// State setup, the head LBC run, and the tail loops' topo orders (which
+// pairing consumes but which only depend on the input DAGs) execute
+// concurrently; the pairing scan itself is order-dependent and stays
+// sequential.
 func place(loops *Loops, p Params, tm *InspectorTimings) (*state, error) {
 	t0 := time.Now()
 	var st *state
@@ -291,13 +290,11 @@ func place(loops *Loops, p Params, tm *InspectorTimings) (*state, error) {
 	var headErr error
 	orders := make([][]int32, len(loops.G))
 	orderErrs := make([]error, len(loops.G))
-	lp := p.LBC
-	lp.Workers = p.Workers
-	par.Do(p.Workers,
+	par.Do(p.Threads,
 		func() { st = newState(loops, p) },
-		func() { head, headErr = lbc.Schedule(loops.G[0], p.Threads, lp) },
+		func() { head, headErr = lbc.Schedule(loops.G[0], p.Threads, p.LBC) },
 		func() {
-			par.ForEachWorker(p.Workers, len(loops.G)-1, func(_, i int) {
+			par.ForEach(p.Threads, len(loops.G)-1, func(i int) {
 				k := i + 1
 				sc := dag.NewScratch()
 				order, err := sc.TopoOrder(loops.G[k])

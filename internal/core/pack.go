@@ -16,15 +16,15 @@ import (
 // respect every dependency among the partition's members; cross-partition
 // dependencies were discharged by placement, merging and slack assignment.
 //
-// Units are mutually independent, so with Workers > 1 they are ordered in
-// parallel — each unit writes its own (s, w) slot of the result, making the
-// schedule identical for every worker count.
+// Units are mutually independent, so they are ordered in parallel across
+// the inspector's workers (Params.Threads) — each unit writes its own (s, w)
+// slot of the result, making the schedule identical for every worker count.
 func (st *state) pack(reuse float64) (*Schedule, error) {
 	members := st.members()
 	sched := &Schedule{ReuseRatio: reuse, Interleaved: reuse >= 1}
 	lvl := make([][]int32, len(st.loops.G))
 	lvlErrs := make([]error, len(st.loops.G))
-	par.ForEach(st.p.Workers, len(st.loops.G), func(k int) {
+	par.ForEach(st.p.Threads, len(st.loops.G), func(k int) {
 		l, err := dag.NewScratch().Levels(st.loops.G[k])
 		if err != nil {
 			lvlErrs[k] = err
@@ -61,8 +61,8 @@ func (st *state) pack(reuse float64) (*Schedule, error) {
 		}
 	}
 	if sched.Interleaved {
-		scratch := make([]*packScratch, par.Workers(st.p.Workers, len(jobs)))
-		par.ForEachWorker(st.p.Workers, len(jobs), func(worker, i int) {
+		scratch := make([]*packScratch, par.Workers(st.p.Threads, len(jobs)))
+		par.ForEachWorker(st.p.Threads, len(jobs), func(worker, i int) {
 			ps := scratch[worker]
 			if ps == nil {
 				ps = newPackScratch(st.loops)
@@ -72,7 +72,7 @@ func (st *state) pack(reuse float64) (*Schedule, error) {
 			sched.S[j.s][j.w] = st.interleavedPack(j.unit, lvl, ps)
 		})
 	} else {
-		par.ForEach(st.p.Workers, len(jobs), func(i int) {
+		par.ForEach(st.p.Threads, len(jobs), func(i int) {
 			j := jobs[i]
 			sched.S[j.s][j.w] = separatedPack(j.unit, lvl)
 		})

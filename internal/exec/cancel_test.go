@@ -37,7 +37,7 @@ func compileGather(t testing.TB, th int) (*Runner, []kernels.Kernel, *core.Sched
 	if err != nil {
 		t.Fatal(err)
 	}
-	r, err := CompileFused(ks, sched)
+	r, err := compileUnpacked(ks, sched)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -104,7 +104,7 @@ func TestCancelMidRunTyped(t *testing.T) {
 	for _, th := range []int{2, 4, 8} {
 		_, ks, sched, snap, ref := compileGather(t, th)
 		slow := []kernels.Kernel{&slowKernel{Kernel: ks[0], d: 200 * time.Microsecond}, ks[1]}
-		r, err := CompileFused(slow, sched)
+		r, err := compileUnpacked(slow, sched)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -127,7 +127,7 @@ func TestCancelMidRunTyped(t *testing.T) {
 		}
 		// The fixture survives: a clean runner over the same kernels
 		// reproduces the reference bits.
-		clean, err := CompileFused(ks, sched)
+		clean, err := compileUnpacked(ks, sched)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -185,7 +185,7 @@ func TestCancelVsFaultRace(t *testing.T) {
 	for _, th := range []int{2, 8} {
 		_, ks, sched, _, _ := compileGather(t, th)
 		faulty := []kernels.Kernel{ks[0], &panicAt{Kernel: ks[1], iter: 300}}
-		r, err := CompileFused(faulty, sched)
+		r, err := compileUnpacked(faulty, sched)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -351,7 +351,7 @@ func TestRunnerWatchdogTrips(t *testing.T) {
 	}
 	faultyKs := append([]kernels.Kernel(nil), ks...)
 	faultyKs[armedLoop] = &delayIter{Kernel: ks[armedLoop], iter: armedIter, d: 300 * time.Millisecond}
-	r, err := CompileFused(faultyKs, sched)
+	r, err := compileUnpacked(faultyKs, sched)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -194,13 +194,13 @@ func TestChainBitIdenticalAcrossExecutors(t *testing.T) {
 				}
 				assertBitIdentical(t, fmt.Sprintf("%s %s w=%d", name, label, workers), fx.snap(), want)
 			}
-			r, err := CompileFused(fx.ks, sched)
+			r, err := compileUnpacked(fx.ks, sched)
 			if err != nil {
 				t.Fatalf("%s: compile: %v", name, err)
 			}
 			run("compiled", func() (Stats, error) { return r.Run(workers) })
 
-			rp, _, err := CompileFusedPacked(fx.ks, sched)
+			rp, _, err := compilePacked(fx.ks, sched)
 			if err != nil {
 				t.Fatalf("%s: pack: %v", name, err)
 			}
@@ -251,7 +251,7 @@ func TestChainMidKernelFaultAttribution(t *testing.T) {
 	if err != nil {
 		t.Fatalf("ICO: %v", err)
 	}
-	r, err := CompileFused(ks, sched)
+	r, err := compileUnpacked(ks, sched)
 	if err != nil {
 		t.Fatalf("compile: %v", err)
 	}

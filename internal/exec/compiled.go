@@ -2,11 +2,14 @@ package exec
 
 import (
 	"context"
+	"errors"
 	"time"
 
+	"sparsefusion/internal/cache"
 	"sparsefusion/internal/core"
 	"sparsefusion/internal/kernels"
 	"sparsefusion/internal/partition"
+	"sparsefusion/internal/relayout"
 )
 
 // This file is the compiled executor path. A core.Schedule (or baseline
@@ -280,16 +283,52 @@ func (r *Runner) runW(w int) {
 	}
 }
 
-// CompileFused compiles an ICO schedule for the fused chain ks. It fails
-// only when the schedule exceeds the packed representation (more than
-// kernels.MaxLoops loops or kernels.MaxIterations rows), which nothing the
-// library builds does.
-func CompileFused(ks []kernels.Kernel, sched *core.Schedule) (*Runner, error) {
-	prog, err := core.CompileSchedule(sched, len(ks))
-	if err != nil {
-		return nil, err
+// CompileFused is the one path from an inspected schedule to the runner it is
+// served from: compile → re-layout → bind. art holds what is already built —
+// at least the schedule; a cache entry also the program and the layout — and
+// CompileFused builds each missing stage in that order, calling stage (when
+// non-nil) with the stage's name ("compile", "relayout") and duration after
+// it ran. A stage that fails leaves its artifact nil and its reason in art; a
+// stage whose reason is already there is not retried. Without a program there
+// is no runner, and the error says why (the schedule exceeds the compiled
+// representation, which nothing the library builds does). Without a layout,
+// or with one that does not attach, the runner stays on the compiled rung:
+// the factorization chains, whose kernels rewrite a packed source mid-run,
+// run there.
+func CompileFused(ks []kernels.Kernel, art *cache.Artifacts, stage func(name string, d time.Duration)) (*Runner, error) {
+	if stage == nil {
+		stage = func(string, time.Duration) {}
 	}
-	return NewRunner(ks, prog), nil
+	if art.Program == nil {
+		if art.ProgramErr != "" {
+			return nil, errors.New(art.ProgramErr)
+		}
+		t0 := time.Now()
+		prog, err := core.CompileSchedule(art.Schedule, len(ks))
+		if err != nil {
+			art.ProgramErr = err.Error()
+			stage("compile", time.Since(t0))
+			return nil, err
+		}
+		art.Program = prog
+		stage("compile", time.Since(t0))
+	}
+	if art.Layout == nil && art.LayoutErr == "" {
+		t0 := time.Now()
+		if lay, err := relayout.Build(art.Program, ks); err != nil {
+			art.LayoutErr = err.Error()
+		} else {
+			art.Layout = lay
+		}
+		stage("relayout", time.Since(t0))
+	}
+	r := NewRunner(ks, art.Program)
+	if art.Layout != nil {
+		if err := r.AttachLayout(art.Layout); err != nil {
+			art.Layout, art.LayoutErr = nil, err.Error()
+		}
+	}
+	return r, nil
 }
 
 // CompilePartitioned compiles a baseline partitioning of a single kernel's

@@ -2,14 +2,17 @@ package exec
 
 import (
 	"context"
+	"errors"
 	"testing"
 	"time"
 
+	"sparsefusion/internal/cache"
 	"sparsefusion/internal/core"
 	"sparsefusion/internal/dag"
 	"sparsefusion/internal/kernels"
 	"sparsefusion/internal/lbc"
 	"sparsefusion/internal/partition"
+	"sparsefusion/internal/relayout"
 	"sparsefusion/internal/sparse"
 	"sparsefusion/internal/wavefront"
 )
@@ -72,7 +75,7 @@ func TestCompiledMatchesSequentialWalkBitIdentical(t *testing.T) {
 				t.Fatalf("%s reuse %v: the walk reports %d barriers", name, reuse, st.Barriers)
 			}
 			want := snap()
-			r, err := CompileFused(ks, sched)
+			r, err := compileUnpacked(ks, sched)
 			if err != nil {
 				t.Fatalf("%s: compile: %v", name, err)
 			}
@@ -103,7 +106,7 @@ func TestCompiledMatchesSequentialWalkParallel(t *testing.T) {
 			}
 			walk(ks, sched)
 			want := snap()
-			r, err := CompileFused(ks, sched)
+			r, err := compileUnpacked(ks, sched)
 			if err != nil {
 				t.Fatalf("%s: compile: %v", name, err)
 			}
@@ -180,7 +183,7 @@ func TestRunnerSegmentsPaired(t *testing.T) {
 	if !sched.Interleaved {
 		t.Skip("schedule not interleaved at this reuse ratio")
 	}
-	r, err := CompileFused(ks, sched)
+	r, err := compileUnpacked(ks, sched)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -238,7 +241,7 @@ func BenchmarkFusedExecutor(b *testing.B) {
 		{"interleaved", 1.5},
 	} {
 		ks, sched := benchFused(b, 40000, tc.reuse)
-		r, err := CompileFused(ks, sched)
+		r, err := compileUnpacked(ks, sched)
 		if err != nil {
 			b.Fatal(err)
 		}
@@ -291,4 +294,28 @@ func mustRun(st Stats, err error) Stats {
 		panic(err)
 	}
 	return st
+}
+
+// compileUnpacked binds ks to sched on the compiled-unpacked rung: the
+// runner CompileFused would serve a chain that does not pack.
+func compileUnpacked(ks []kernels.Kernel, sched *core.Schedule) (*Runner, error) {
+	prog, err := core.CompileSchedule(sched, len(ks))
+	if err != nil {
+		return nil, err
+	}
+	return NewRunner(ks, prog), nil
+}
+
+// compilePacked binds ks to sched through CompileFused and returns the
+// runner with the layout it attached; a chain that does not pack is an error.
+func compilePacked(ks []kernels.Kernel, sched *core.Schedule) (*Runner, *relayout.Layout, error) {
+	art := cache.Artifacts{Schedule: sched}
+	r, err := CompileFused(ks, &art, nil)
+	if err != nil {
+		return nil, nil, err
+	}
+	if art.Layout == nil {
+		return nil, nil, errors.New(art.LayoutErr)
+	}
+	return r, art.Layout, nil
 }

@@ -125,7 +125,7 @@ func TestRunFusedMatchesSequentialAllCombos(t *testing.T) {
 				t.Fatalf("%s: %v", name, err)
 			}
 			for rep := 0; rep < 3; rep++ { // replay to catch races / Prepare bugs
-				st := mustRun(once(threads)(CompileFused(ks, sched)))
+				st := mustRun(once(threads)(compileUnpacked(ks, sched)))
 				if got := snap(); sparse.RelErr(got, want) > 1e-9 {
 					t.Fatalf("%s reuse %v rep %d: fused result diverges by %v",
 						name, reuse, rep, sparse.RelErr(snap(), want))
@@ -257,7 +257,7 @@ func TestSingleThreadNoAtomics(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	once(1)(CompileFused(ks, sched))
+	once(1)(compileUnpacked(ks, sched))
 	if got := snap(); sparse.RelErr(got, want) > 1e-9 {
 		t.Fatal("single-thread fused run diverges")
 	}

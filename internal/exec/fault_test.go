@@ -94,7 +94,7 @@ func TestCompiledExecutorSurvivesCorruptProgram(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		r, err := CompileFused(ks, sched)
+		r, err := compileUnpacked(ks, sched)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -138,7 +138,7 @@ func TestFaultAbandonsRemainingRounds(t *testing.T) {
 		t.Skip("schedule has a single s-partition")
 	}
 	sched.S[0][0][0].Idx = 1 << 20
-	st, err := once(threads)(CompileFused(ks, sched))
+	st, err := once(threads)(compileUnpacked(ks, sched))
 	if err == nil {
 		t.Fatal("corrupt first round executed without error")
 	}
@@ -190,7 +190,7 @@ func TestBreakdownSurfacesThroughParallelExecutor(t *testing.T) {
 	}
 	ks := []kernels.Kernel{k}
 	for _, th := range faultWorkerCounts {
-		check(fmt.Sprintf("threads=%d", th), func() (Stats, error) { return once(th)(CompileFused(ks, sched)) })
+		check(fmt.Sprintf("threads=%d", th), func() (Stats, error) { return once(th)(compileUnpacked(ks, sched)) })
 	}
 	// The one-thread walk recovers the same panic into the same typed error.
 	check("walk", func() (Stats, error) { return RunScheduleSequential(context.Background(), ks, sched) })
@@ -243,14 +243,14 @@ func TestPackedScatterCleanAfterCancelAndFault(t *testing.T) {
 		if err != nil {
 			t.Fatalf("%s: %v", name, err)
 		}
-		fresh, _, err := CompileFusedPacked(ks, sched)
+		fresh, _, err := compilePacked(ks, sched)
 		if err != nil {
 			t.Fatalf("%s: %v", name, err)
 		}
 		mustRun(fresh.Run(threads))
 		want := snap()
 
-		r, _, err := CompileFusedPacked(ks, sched)
+		r, _, err := compilePacked(ks, sched)
 		if err != nil {
 			t.Fatalf("%s: %v", name, err)
 		}

@@ -4,7 +4,6 @@ import (
 	"fmt"
 	"time"
 
-	"sparsefusion/internal/core"
 	"sparsefusion/internal/kernels"
 	"sparsefusion/internal/relayout"
 )
@@ -165,26 +164,4 @@ func (r *Runner) runWPacked(w int) {
 			ps.run.RunManyPacked(iters, ps.s1, int(ps.ent1), int(ps.it1))
 		}
 	}
-}
-
-// CompileFusedPacked compiles an ICO schedule for the fused chain ks and
-// attaches a schedule-order re-layout: the full packed pipeline in one call.
-// The layout is returned alongside the runner so callers can report its
-// build cost and footprint. It fails when the schedule exceeds the packed
-// representation or when the chain does not support the packed layout
-// (kernels without stream support, or a kernel overwriting another's packed
-// source mid-run); callers fall back to CompileFused then.
-func CompileFusedPacked(ks []kernels.Kernel, sched *core.Schedule) (*Runner, *relayout.Layout, error) {
-	r, err := CompileFused(ks, sched)
-	if err != nil {
-		return nil, nil, err
-	}
-	lay, err := relayout.Build(r.Program(), ks)
-	if err != nil {
-		return nil, nil, err
-	}
-	if err := r.AttachLayout(lay); err != nil {
-		return nil, nil, err
-	}
-	return r, lay, nil
 }

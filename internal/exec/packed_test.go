@@ -3,6 +3,7 @@ package exec
 import (
 	"testing"
 
+	"sparsefusion/internal/cache"
 	"sparsefusion/internal/core"
 	"sparsefusion/internal/relayout"
 	"sparsefusion/internal/sparse"
@@ -11,7 +12,7 @@ import (
 // packableCombos are the fused chains whose kernels all support the packed
 // layout. ic0-trsv and dscal-ilu0 are excluded by design: the factor kernels
 // mutate their matrices mid-run (no stable stream to pack), which
-// CompileFusedPacked must reject (TestPackedFallbackForUnsupportedChains).
+// CompileFused must leave unpacked (TestPackedFallbackForUnsupportedChains).
 var packableCombos = []string{"trsv-mv", "trsv-trsv"}
 
 // TestPackedMatchesSequentialWalkBitIdentical: on width-1 schedules the walk,
@@ -29,7 +30,7 @@ func TestPackedMatchesSequentialWalkBitIdentical(t *testing.T) {
 			}
 			walk(ks, sched)
 			want := snap()
-			r, lay, err := CompileFusedPacked(ks, sched)
+			r, lay, err := compilePacked(ks, sched)
 			if err != nil {
 				t.Fatalf("%s: compile packed: %v", name, err)
 			}
@@ -77,7 +78,7 @@ func TestPackedMatchesSequentialWalkParallel(t *testing.T) {
 			}
 			walk(ks, sched)
 			want := snap()
-			r, _, err := CompileFusedPacked(ks, sched)
+			r, _, err := compilePacked(ks, sched)
 			if err != nil {
 				t.Fatalf("%s: compile packed: %v", name, err)
 			}
@@ -97,7 +98,8 @@ func TestPackedMatchesSequentialWalkParallel(t *testing.T) {
 
 // TestPackedFallbackForUnsupportedChains: chains containing factor kernels
 // (which mutate their matrices mid-run) must be rejected by the relayout
-// stage, leaving CompileFused as the fallback.
+// stage, and CompileFused then serves them on the compiled rung, the reason
+// recorded.
 func TestPackedFallbackForUnsupportedChains(t *testing.T) {
 	for _, name := range []string{"ic0-trsv", "dscal-ilu0"} {
 		loops, ks, _ := combos[name](200, 7)
@@ -105,11 +107,13 @@ func TestPackedFallbackForUnsupportedChains(t *testing.T) {
 		if err != nil {
 			t.Fatalf("%s: %v", name, err)
 		}
-		if _, _, err := CompileFusedPacked(ks, sched); err == nil {
-			t.Fatalf("%s: CompileFusedPacked accepted a chain with a mid-run matrix writer", name)
-		}
-		if _, err := CompileFused(ks, sched); err != nil {
+		art := cache.Artifacts{Schedule: sched}
+		r, err := CompileFused(ks, &art, nil)
+		if err != nil {
 			t.Fatalf("%s: unpacked fallback failed too: %v", name, err)
+		}
+		if r.Packed() || art.Layout != nil || art.LayoutErr == "" {
+			t.Fatalf("%s: CompileFused packed a chain with a mid-run matrix writer (layout error %q)", name, art.LayoutErr)
 		}
 	}
 }
@@ -123,11 +127,11 @@ func TestAttachLayoutRejectsForeignProgram(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	r1, err := CompileFused(ks, sched)
+	r1, err := compileUnpacked(ks, sched)
 	if err != nil {
 		t.Fatal(err)
 	}
-	r2, err := CompileFused(ks, sched)
+	r2, err := compileUnpacked(ks, sched)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -157,7 +161,7 @@ func BenchmarkPackedExecutor(b *testing.B) {
 		{"interleaved", 1.5},
 	} {
 		ks, sched := benchFused(b, 40000, tc.reuse)
-		r, err := CompileFused(ks, sched)
+		r, err := compileUnpacked(ks, sched)
 		if err != nil {
 			b.Fatal(err)
 		}

@@ -16,7 +16,7 @@ func compileFixture(t *testing.T, n int) (*Runner, *core.Schedule) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	r, err := CompileFused(ks, sched)
+	r, err := compileUnpacked(ks, sched)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -91,7 +91,7 @@ func TestPackedScatterReproducible(t *testing.T) {
 				t.Fatalf("%s: %v", name, err)
 			}
 			want := seqResult(ks, snap)
-			r, lay, err := CompileFusedPacked(ks, sched)
+			r, lay, err := compilePacked(ks, sched)
 			if err != nil {
 				t.Fatalf("%s: %v", name, err)
 			}
@@ -148,7 +148,7 @@ func TestPackedScatterSurvivesReattach(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	r, lay, err := CompileFusedPacked(ks, sched)
+	r, lay, err := compilePacked(ks, sched)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -161,7 +161,7 @@ func TestPackedScatterSurvivesReattach(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	other, _, err := CompileFusedPacked(ks, sched2)
+	other, _, err := compilePacked(ks, sched2)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -200,7 +200,7 @@ func TestScatterArmedFromPoolWidth(t *testing.T) {
 		t.Fatalf("schedule width %d: nothing runs concurrently", sched.MaxWidth())
 	}
 	want := seqResult(ks, snap)
-	r, err := CompileFused(ks, sched)
+	r, err := compileUnpacked(ks, sched)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -200,10 +200,12 @@ func RunFig6(a *sparse.CSR, threads int) ([]Fig6Row, error) {
 		if err != nil {
 			return nil, err
 		}
-		fused, err := exec.CompileFused(in.Kernels, sched)
+		// The gain is measured on the unpacked form latSF simulated.
+		prog, err := core.CompileSchedule(sched, len(in.Kernels))
 		if err != nil {
 			return nil, err
 		}
+		fused := exec.NewRunner(in.Kernels, prog)
 		gainSF, err := medianGain(func() (time.Duration, error) {
 			st, err := fused.Run(threads)
 			return st.PotentialGain, err

@@ -24,11 +24,6 @@ import (
 type Params struct {
 	InitialCut int // wavefronts in the first s-partition (paper: 4)
 	Agg        int // wavefronts per subsequent s-partition (paper: 400)
-	// Workers parallelizes window finalization (component extraction and
-	// bin packing) across goroutines. <= 1 runs serially; any value yields
-	// a byte-identical partitioning — window extents are chosen by a
-	// sequential scan, and each window's result is independent.
-	Workers int
 }
 
 // DefaultParams returns the tuning used throughout the paper's evaluation.
@@ -53,6 +48,10 @@ func (p Params) withDefaults() Params {
 // weakly-connected components in the induced subgraph — the independent
 // workloads the threads need. When no extent reaches r components the full
 // window is taken, trading unavailable parallelism for fewer barriers.
+//
+// The windows are finalized across min(r, GOMAXPROCS) goroutines; the result
+// is byte-identical at any fan-out — window extents are chosen by a
+// sequential scan, and each window's result is independent.
 func Schedule(g *dag.Graph, r int, params Params) (*partition.Partitioning, error) {
 	params = params.withDefaults()
 	if r < 1 {
@@ -171,9 +170,9 @@ func Schedule(g *dag.Graph, r int, params Params) (*partition.Partitioning, erro
 	// the worker count. Worker 0 reuses the phase-A union-find; extra
 	// workers lazily allocate their own.
 	p := &partition.Partitioning{S: make([][][]int, len(windows))}
-	ufs := make([]*unionFind, par.Workers(params.Workers, len(windows)))
+	ufs := make([]*unionFind, par.Workers(r, len(windows)))
 	ufs[0] = uf
-	par.ForEachWorker(params.Workers, len(windows), func(worker, i int) {
+	par.ForEachWorker(r, len(windows), func(worker, i int) {
 		u := ufs[worker]
 		if u == nil {
 			u = newUnionFind(g.N)

@@ -2,6 +2,7 @@ package lbc
 
 import (
 	"math/rand"
+	"runtime"
 	"testing"
 	"testing/quick"
 
@@ -270,39 +271,42 @@ func TestScheduleStressMatrixShapes(t *testing.T) {
 }
 
 // TestScheduleWorkersDeterministic asserts the parallel window finalization
-// is invisible in the output: any worker count yields the exact partitioning
-// of the serial run.
+// is invisible in the output: at r >= 2 it fans out over min(r, GOMAXPROCS)
+// workers, and GOMAXPROCS 2, 4 and 8 (restored after) yield the exact
+// partitioning of the GOMAXPROCS 1 run.
 func TestScheduleWorkersDeterministic(t *testing.T) {
+	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(0))
 	rng := rand.New(rand.NewSource(21))
 	for trial := 0; trial < 10; trial++ {
 		g := triangularDAG(rng.Int63(), 150+rng.Intn(200), 3+rng.Intn(5))
-		r := 1 + rng.Intn(8)
+		r := 2 + rng.Intn(7)
 		prm := Params{InitialCut: 1 + rng.Intn(4), Agg: 1 + rng.Intn(12)}
+		runtime.GOMAXPROCS(1)
 		want, err := Schedule(g, r, prm)
 		if err != nil {
 			t.Fatal(err)
 		}
-		for _, workers := range []int{2, 4, 8} {
-			prm.Workers = workers
+		for _, procs := range []int{2, 4, 8} {
+			runtime.GOMAXPROCS(procs)
 			got, err := Schedule(g, r, prm)
 			if err != nil {
 				t.Fatal(err)
 			}
 			if len(got.S) != len(want.S) {
-				t.Fatalf("trial %d workers=%d: %d s-partitions, want %d", trial, workers, len(got.S), len(want.S))
+				t.Fatalf("trial %d GOMAXPROCS=%d: %d s-partitions, want %d", trial, procs, len(got.S), len(want.S))
 			}
 			for s := range want.S {
 				if len(got.S[s]) != len(want.S[s]) {
-					t.Fatalf("trial %d workers=%d: s=%d width %d, want %d", trial, workers, s, len(got.S[s]), len(want.S[s]))
+					t.Fatalf("trial %d GOMAXPROCS=%d: s=%d width %d, want %d", trial, procs, s, len(got.S[s]), len(want.S[s]))
 				}
 				for w := range want.S[s] {
 					if len(got.S[s][w]) != len(want.S[s][w]) {
-						t.Fatalf("trial %d workers=%d: s=%d w=%d len mismatch", trial, workers, s, w)
+						t.Fatalf("trial %d GOMAXPROCS=%d: s=%d w=%d len mismatch", trial, procs, s, w)
 					}
 					for k := range want.S[s][w] {
 						if got.S[s][w][k] != want.S[s][w][k] {
-							t.Fatalf("trial %d workers=%d: s=%d w=%d k=%d vertex %d, want %d",
-								trial, workers, s, w, k, got.S[s][w][k], want.S[s][w][k])
+							t.Fatalf("trial %d GOMAXPROCS=%d: s=%d w=%d k=%d vertex %d, want %d",
+								trial, procs, s, w, k, got.S[s][w][k], want.S[s][w][k])
 						}
 					}
 				}

@@ -4,10 +4,10 @@
 // union-find grouping, no intra-inspector parallelism — kept verbatim except
 // for one documented canonicalization (the LPT tie-break, see packLPT).
 //
-// It is the byte-identity oracle: core.ICO at any worker count must
-// serialize to exactly the bytes this package produces (asserted over the
-// fuzz corpus in this package's tests and in core's). It stays until a change
-// to the inspector's output replaces it with golden hashes.
+// It is the byte-identity oracle: core.ICO at any fan-out must serialize to
+// exactly the bytes this package produces (asserted over the fuzz corpus in
+// this package's tests). It stays until a change to the inspector's output
+// replaces it with golden hashes.
 //
 // Nothing outside tests should import this package.
 package refinspect
@@ -29,8 +29,7 @@ type (
 	Params   = core.Params
 )
 
-// ICO is the seed revision's core.ICO. Params.Workers is ignored: this
-// pipeline is serial by definition.
+// ICO is the seed revision's core.ICO, serial by definition.
 func ICO(loops *Loops, p Params) (*Schedule, error) {
 	if err := loops.Check(); err != nil {
 		return nil, err

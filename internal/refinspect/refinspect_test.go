@@ -3,6 +3,7 @@ package refinspect
 import (
 	"bytes"
 	"math/rand"
+	"runtime"
 	"testing"
 
 	"sparsefusion/internal/core"
@@ -52,10 +53,12 @@ func randomLoops(rng *rand.Rand, n int) *Loops {
 }
 
 // TestReferenceMatchesOptimized is the central determinism guard: the
-// optimized inspector — serial or parallel — must serialize to exactly the
-// bytes the frozen reference produces, across a corpus of random fusion
-// problems and parameter draws.
+// optimized inspector — serial or fanned out over min(Threads, GOMAXPROCS)
+// workers — must serialize to exactly the bytes the frozen reference
+// produces, across a corpus of random fusion problems and parameter draws, at
+// GOMAXPROCS 1, 2, 4 and 8 (restored after).
 func TestReferenceMatchesOptimized(t *testing.T) {
+	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(0))
 	rng := rand.New(rand.NewSource(99))
 	trials := 40
 	if testing.Short() {
@@ -65,7 +68,7 @@ func TestReferenceMatchesOptimized(t *testing.T) {
 		n := 20 + rng.Intn(120)
 		loops := randomLoops(rng, n)
 		p := Params{
-			Threads:      1 + rng.Intn(8),
+			Threads:      2 + rng.Intn(7),
 			ReuseRatio:   rng.Float64() * 2,
 			LBC:          lbc.Params{InitialCut: 1 + rng.Intn(5), Agg: 1 + rng.Intn(20)},
 			DisableMerge: rng.Intn(4) == 0,
@@ -79,24 +82,25 @@ func TestReferenceMatchesOptimized(t *testing.T) {
 			t.Fatalf("trial %d: reference schedule invalid: %v", trial, err)
 		}
 		wantBytes := want.Bytes()
-		for _, workers := range []int{1, 2, 4, 8} {
-			op := p
-			op.Workers = workers
-			got, err := core.ICO(loops, op)
+		for _, procs := range []int{1, 2, 4, 8} {
+			runtime.GOMAXPROCS(procs)
+			got, err := core.ICO(loops, p)
 			if err != nil {
-				t.Fatalf("trial %d workers=%d: %v", trial, workers, err)
+				t.Fatalf("trial %d GOMAXPROCS=%d: %v", trial, procs, err)
 			}
 			if !bytes.Equal(got.Bytes(), wantBytes) {
-				t.Fatalf("trial %d: optimized inspector (workers=%d) diverged from the serial reference (n=%d, %d loops, r=%d, reuse=%.2f, merge=%v, slack=%v)",
-					trial, workers, n, len(loops.G), p.Threads, p.ReuseRatio, !p.DisableMerge, !p.DisableSlack)
+				t.Fatalf("trial %d: optimized inspector (GOMAXPROCS=%d) diverged from the serial reference (n=%d, %d loops, r=%d, reuse=%.2f, merge=%v, slack=%v)",
+					trial, procs, n, len(loops.G), p.Threads, p.ReuseRatio, !p.DisableMerge, !p.DisableSlack)
 			}
 		}
 	}
 }
 
 // TestReferenceMatchesOptimizedReversedHead pins the 2-loop reversed-head
-// path (G2 with edges), which the random corpus only sometimes draws.
+// path (G2 with edges), which the random corpus only sometimes draws, at
+// GOMAXPROCS 1, 2, 4 and 8.
 func TestReferenceMatchesOptimizedReversedHead(t *testing.T) {
+	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(0))
 	rng := rand.New(rand.NewSource(123))
 	for trial := 0; trial < 15; trial++ {
 		n := 30 + rng.Intn(100)
@@ -116,20 +120,19 @@ func TestReferenceMatchesOptimizedReversedHead(t *testing.T) {
 			t.Fatal(err)
 		}
 		loops := &Loops{G: []*dag.Graph{g1, g2}, F: []*sparse.CSR{f}}
-		p := Params{Threads: 1 + rng.Intn(8), ReuseRatio: rng.Float64() * 2}
+		p := Params{Threads: 2 + rng.Intn(7), ReuseRatio: rng.Float64() * 2}
 		want, err := ICO(loops, p)
 		if err != nil {
 			t.Fatal(err)
 		}
-		for _, workers := range []int{1, 8} {
-			op := p
-			op.Workers = workers
-			got, err := core.ICO(loops, op)
+		for _, procs := range []int{1, 2, 4, 8} {
+			runtime.GOMAXPROCS(procs)
+			got, err := core.ICO(loops, p)
 			if err != nil {
 				t.Fatal(err)
 			}
 			if !bytes.Equal(got.Bytes(), want.Bytes()) {
-				t.Fatalf("trial %d workers=%d: reversed-head schedules diverged", trial, workers)
+				t.Fatalf("trial %d GOMAXPROCS=%d: reversed-head schedules diverged", trial, procs)
 			}
 		}
 	}

@@ -31,6 +31,12 @@ type IC0Preconditioner struct {
 // forward+backward apply. Of opts, Threads, the LBC parameters, SpinBudget and
 // Watchdog apply; the preconditioner inspects privately — Cache and Tracer
 // are not consulted — and runs on the compiled (unpacked) rung.
+//
+// It is the one solver that does not open through the shared path
+// (execState.open): Matrix.SolveCG builds it inside every call, and that solve
+// is the unfused base the fused PCG chain is benchmarked against, so moving it
+// onto the cache and the packed rung would change what the comparison
+// measures.
 func NewIC0Preconditioner(m *Matrix, opts Options) (*IC0Preconditioner, error) {
 	a := m.csr
 	if a.Rows != a.Cols {
@@ -70,9 +76,11 @@ func NewIC0Preconditioner(m *Matrix, opts Options) (*IC0Preconditioner, error) {
 		return nil, fmt.Errorf("sparsefusion: internal schedule error: %w", err)
 	}
 	p.sched = sched
-	if p.run, err = exec.CompileFused(ks, sched); err != nil {
+	prog, err := core.CompileSchedule(sched, len(ks))
+	if err != nil {
 		return nil, err
 	}
+	p.run = exec.NewRunner(ks, prog)
 	p.run.Configure(exec.Config{SpinBudget: opts.SpinBudget, Watchdog: opts.Watchdog})
 	return p, nil
 }

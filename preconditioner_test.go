@@ -117,9 +117,10 @@ func TestMulVec(t *testing.T) {
 	}
 }
 
-// TestPrivateSolversApplyExecConfig: NewGaussSeidel and NewIC0Preconditioner
-// inspect privately, but the executor tuning in their Options must reach the
-// runner they build — and zero values must leave its defaults alone.
+// TestPrivateSolversApplyExecConfig: the executor tuning in the Options of
+// NewGaussSeidel (which opens through the shared path) and
+// NewIC0Preconditioner (which inspects privately) must reach the runner they
+// build — and zero values must leave its defaults alone.
 func TestPrivateSolversApplyExecConfig(t *testing.T) {
 	m := Laplacian2D(12)
 	for _, tc := range []struct {
@@ -133,7 +134,7 @@ func TestPrivateSolversApplyExecConfig(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		if got := g.run.Config(); got != tc.want {
+		if got := g.state.runner.Config(); got != tc.want {
 			t.Errorf("GaussSeidel runner config = %+v, want %+v", got, tc.want)
 		}
 		p, err := NewIC0Preconditioner(m, tc.opts)

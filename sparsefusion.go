@@ -248,25 +248,21 @@ func (o Options) lbc() lbc.Params {
 }
 
 // fingerprint computes the content address of the artifact chain these
-// options produce over m: the structural pattern (never values) plus every
-// option that shapes the schedule. LBC zero values are resolved to their
-// defaults first so Options{} and Options{LBCInitialCut: 4, LBCAgg: 400}
-// address the same entry.
-func (o Options) fingerprint(c Combination, m *Matrix) cache.Key {
+// options produce over m: the structural pattern (never values), every option
+// that shapes the schedule, and what p names of the chain — a Table 1
+// combination, or a composed chain's length and ordered kernel ids. LBC zero
+// values are resolved to their defaults first so Options{} and
+// Options{LBCInitialCut: 4, LBCAgg: 400} address the same entry.
+func (o Options) fingerprint(m *Matrix, p cache.Params) cache.Key {
 	d := lbc.DefaultParams()
-	ic, agg := o.LBCInitialCut, o.LBCAgg
-	if ic <= 0 {
-		ic = d.InitialCut
+	p.Threads, p.LBCInitialCut, p.LBCAgg = o.threads(), o.LBCInitialCut, o.LBCAgg
+	if p.LBCInitialCut <= 0 {
+		p.LBCInitialCut = d.InitialCut
 	}
-	if agg <= 0 {
-		agg = d.Agg
+	if p.LBCAgg <= 0 {
+		p.LBCAgg = d.Agg
 	}
-	return m.fingerprint(cache.Params{
-		Combo:         int(c),
-		Threads:       o.threads(),
-		LBCInitialCut: ic,
-		LBCAgg:        agg,
-	})
+	return m.fingerprint(p)
 }
 
 // CacheConfig tunes a ScheduleCache.
@@ -504,7 +500,7 @@ func NewOperation(c Combination, m *Matrix, opts Options) (*Operation, error) {
 	}
 	op := &Operation{
 		execState: execState{inst: inst, th: opts.threads(), spin: opts.SpinBudget, watchdog: opts.Watchdog, id: nextStateID.Add(1), tr: opts.Tracer},
-		fp:        opts.fingerprint(c, m),
+		fp:        opts.fingerprint(m, cache.Params{Combo: int(c)}),
 	}
 	if err := op.open(t0, opts, op.fp); err != nil {
 		return nil, err
@@ -514,18 +510,17 @@ func NewOperation(c Combination, m *Matrix, opts Options) (*Operation, error) {
 
 // open resolves this state's artifact chain and binds the executor ladder to
 // it. With a cache it looks up first: a hit binds the shared artifacts and
-// never asks for the fusion input; a miss derives it, inspects, and completes
-// the chain under the cache's singleflight. Without one it inspects. One
+// never asks for the fusion input; a miss derives it, inspects, and builds and
+// binds the chain under the cache's singleflight. Without one it inspects. One
 // op.open event says which it was and what the open cost since t0.
 func (e *execState) open(t0 time.Time, opts Options, fp cache.Key) error {
 	outcome := "off"
-	var art cache.Artifacts
 	if opts.Cache == nil {
 		sched, err := e.inspect(opts.lbc())
 		if err != nil {
 			return err
 		}
-		art = buildArtifacts(e.inst, sched, e.tr, e.id)
+		e.bindArtifacts(cache.Artifacts{Schedule: sched}, false)
 	} else {
 		outcome = "hit"
 		entry, err := opts.Cache.c.GetOrBuild(fp, cache.Builder{
@@ -533,15 +528,16 @@ func (e *execState) open(t0 time.Time, opts Options, fp cache.Key) error {
 			Validate: e.validate,
 			Complete: func(s *core.Schedule) (cache.Artifacts, error) {
 				outcome = "miss"
-				return buildArtifacts(e.inst, s, e.tr, e.id), nil
+				return e.bindArtifacts(cache.Artifacts{Schedule: s}, false), nil
 			},
 		})
 		if err != nil {
 			return err
 		}
-		art = entry.Artifacts
+		if outcome == "hit" {
+			e.bindArtifacts(entry.Artifacts, true)
+		}
 	}
-	e.bindArtifacts(art, opts.Cache != nil)
 	if t := e.tr.raw(); t != nil {
 		t.Emit("op.open",
 			telemetry.Int("op", e.id),
@@ -560,18 +556,29 @@ func (e *execState) open(t0 time.Time, opts Options, fp cache.Key) error {
 func (e *execState) fusion() (*core.Loops, float64) {
 	t0 := time.Now()
 	if e.inst.Derive() {
-		edges := 0
-		for _, g := range e.inst.Loops.G {
-			edges += g.NumEdges()
-		}
-		e.tr.raw().Emit("inspect.dag_build",
-			telemetry.Int("op", e.id),
-			telemetry.String("combo", e.inst.Name),
-			telemetry.Int("n", int64(e.inst.Loops.G[0].N)),
-			telemetry.Int("dag_edges", int64(edges)),
-			telemetry.Dur("dur_ns", time.Since(t0)))
+		e.traceDAGBuild(time.Since(t0))
 	}
 	return e.inst.Loops, e.inst.Reuse
+}
+
+// traceDAGBuild emits inspect.dag_build, the one event every open that built
+// the fusion input reports it with: the problem size, the edges of the
+// kernel DAGs and what building them took.
+func (e *execState) traceDAGBuild(d time.Duration) {
+	t := e.tr.raw()
+	if t == nil {
+		return
+	}
+	edges := 0
+	for _, g := range e.inst.Loops.G {
+		edges += g.NumEdges()
+	}
+	t.Emit("inspect.dag_build",
+		telemetry.Int("op", e.id),
+		telemetry.String("combo", e.inst.Name),
+		telemetry.Int("n", int64(e.inst.Loops.G[0].N)),
+		telemetry.Int("dag_edges", int64(edges)),
+		telemetry.Dur("dur_ns", d))
 }
 
 // validate checks a schedule this state did not inspect itself (disk tier,
@@ -614,103 +621,76 @@ func (e *execState) inspect(lp lbc.Params) (*core.Schedule, error) {
 // the cache and the saved-schedule container trustworthy.
 func (op *Operation) Fingerprint() string { return op.fp.String() }
 
-// buildArtifacts derives the full chain from a schedule: the compiled flat
-// program, then the schedule-order packed layout. A stage that does not fit
-// leaves its artifact nil with the reason recorded — the executor ladder
-// handles the gap, it is not an error. A non-nil tracer sees one event per
-// stage (inspect.compile, inspect.relayout) with duration and outcome.
-func buildArtifacts(inst *combos.Instance, sched *core.Schedule, tr *Tracer, id int64) cache.Artifacts {
-	t := tr.raw()
-	art := cache.Artifacts{Schedule: sched}
-	t0 := time.Now()
-	prog, err := core.CompileSchedule(sched, len(inst.Kernels))
-	if err != nil {
-		art.ProgramErr = err.Error()
-		t.Emit("inspect.compile",
-			telemetry.Int("op", id),
-			telemetry.Dur("dur_ns", time.Since(t0)),
-			telemetry.String("err", err.Error()))
-		return art
+// traceStages returns the stage hook exec.CompileFused reports the artifacts
+// this state builds to: one inspect.compile and one inspect.relayout event,
+// with duration and outcome read from art. Nil without a tracer.
+func (e *execState) traceStages(art *cache.Artifacts) func(string, time.Duration) {
+	t := e.tr.raw()
+	if t == nil {
+		return nil
 	}
-	art.Program = prog
-	t.Emit("inspect.compile",
-		telemetry.Int("op", id),
-		telemetry.Dur("dur_ns", time.Since(t0)),
-		telemetry.Int("iters", int64(len(prog.Iters))))
-	t0 = time.Now()
-	lay, err := relayout.Build(prog, inst.Kernels)
-	if err != nil {
-		art.LayoutErr = err.Error()
-		t.Emit("inspect.relayout",
-			telemetry.Int("op", id),
-			telemetry.Dur("dur_ns", time.Since(t0)),
-			telemetry.String("err", err.Error()))
-		return art
-	}
-	art.Layout = lay
-	if t != nil {
-		// What the no-atomics scatter costs: of the scatter updates per run,
-		// how many go to private slots, and how many adds fold them back.
-		var entries, redirected, slots, folds int
-		for _, sc := range lay.Scatter {
-			if sc != nil {
-				entries += sc.Entries
-				redirected += sc.Redirected
-				slots += sc.Slots
-				folds += len(sc.FoldTarget)
+	return func(stage string, d time.Duration) {
+		op, dur := telemetry.Int("op", e.id), telemetry.Dur("dur_ns", d)
+		switch {
+		case stage == "compile" && art.Program == nil:
+			t.Emit("inspect.compile", op, dur, telemetry.String("err", art.ProgramErr))
+		case stage == "compile":
+			t.Emit("inspect.compile", op, dur, telemetry.Int("iters", int64(len(art.Program.Iters))))
+		case art.Layout == nil:
+			t.Emit("inspect.relayout", op, dur, telemetry.String("err", art.LayoutErr))
+		default:
+			// What the no-atomics scatter costs: of the scatter updates per
+			// run, how many go to private slots, and how many adds fold them
+			// back.
+			var entries, redirected, slots, folds int
+			for _, sc := range art.Layout.Scatter {
+				if sc != nil {
+					entries += sc.Entries
+					redirected += sc.Redirected
+					slots += sc.Slots
+					folds += len(sc.FoldTarget)
+				}
 			}
+			t.Emit("inspect.relayout", op, dur,
+				telemetry.Int("scatter_entries", int64(entries)),
+				telemetry.Int("scatter_redirected", int64(redirected)),
+				telemetry.Int("scatter_slots", int64(slots)),
+				telemetry.Int("scatter_fold_entries", int64(folds)))
 		}
-		t.Emit("inspect.relayout",
-			telemetry.Int("op", id),
-			telemetry.Dur("dur_ns", time.Since(t0)),
-			telemetry.Int("scatter_entries", int64(entries)),
-			telemetry.Int("scatter_redirected", int64(redirected)),
-			telemetry.Int("scatter_slots", int64(slots)),
-			telemetry.Int("scatter_fold_entries", int64(folds)))
 	}
-	return art
 }
 
-// bindArtifacts builds this state's executor ladder from an artifact chain,
-// recording a demotion for every absent artifact. With shared set the chain
-// may come from another tenant (the cache, or a parent operation): the
-// schedule and program depend only on the sparsity pattern and are shared
-// as-is, but the packed layout baked in matrix values, so it is verified
-// against this state's kernels and rebuilt privately on a mismatch.
-func (e *execState) bindArtifacts(art cache.Artifacts, shared bool) {
+// bindArtifacts builds this state's executor ladder from an artifact chain —
+// exec.CompileFused builds the stages art lacks and binds the runner — and
+// records a demotion for every absent artifact. It returns the chain as bound.
+// With shared set the chain may come from another tenant (the cache, or a
+// parent operation): the schedule and program depend only on the sparsity
+// pattern and are shared as-is, but the packed layout baked in matrix values,
+// so it is verified against this state's kernels and rebuilt privately on a
+// mismatch.
+func (e *execState) bindArtifacts(art cache.Artifacts, shared bool) cache.Artifacts {
+	if shared && art.Layout != nil {
+		if sum, ok := e.inst.SourceSum(); !ok || art.Layout.VerifySum(sum) != nil {
+			art.Layout = nil
+		}
+	}
 	e.sched = art.Schedule
+	r, err := exec.CompileFused(e.inst.Kernels, &art, e.traceStages(&art))
 	e.progErr, e.layErr = art.ProgramErr, art.LayoutErr
-	if art.Program == nil {
+	if err != nil {
 		e.demote(
 			Demotion{From: ModePacked, To: ModeCompiled, Reason: art.ProgramErr},
 			Demotion{From: ModeCompiled, To: ModeSequential, Reason: art.ProgramErr})
-		return
+		return art
 	}
-	e.prog = art.Program
-	e.runner = exec.NewRunner(e.inst.Kernels, art.Program)
-	e.runner.Configure(exec.Config{SpinBudget: e.spin, Watchdog: e.watchdog})
-	lay := art.Layout
-	if lay == nil {
+	r.Configure(exec.Config{SpinBudget: e.spin, Watchdog: e.watchdog})
+	e.prog, e.runner = art.Program, r
+	if !r.Packed() {
 		e.demote(Demotion{From: ModePacked, To: ModeCompiled, Reason: art.LayoutErr})
-		return
+		return art
 	}
-	if shared {
-		if sum, ok := e.inst.SourceSum(); !ok || lay.VerifySum(sum) != nil {
-			fresh, ferr := relayout.Build(art.Program, e.inst.Kernels)
-			if ferr != nil {
-				e.layErr = ferr.Error()
-				e.demote(Demotion{From: ModePacked, To: ModeCompiled, Reason: ferr.Error()})
-				return
-			}
-			lay = fresh
-		}
-	}
-	if err := e.runner.AttachLayout(lay); err != nil {
-		e.layErr = err.Error()
-		e.demote(Demotion{From: ModePacked, To: ModeCompiled, Reason: err.Error()})
-		return
-	}
-	e.layout = lay
+	e.layout = art.Layout
+	return art
 }
 
 // modeLocked reads the current rung; e.mu must be held.
@@ -1161,7 +1141,7 @@ func NewOperationFromSchedule(c Combination, m *Matrix, r io.Reader, opts Option
 	}
 	op := &Operation{
 		execState: execState{inst: inst, th: opts.threads(), spin: opts.SpinBudget, watchdog: opts.Watchdog, id: nextStateID.Add(1), tr: opts.Tracer},
-		fp:        opts.fingerprint(c, m),
+		fp:        opts.fingerprint(m, cache.Params{Combo: int(c)}),
 	}
 	br := bufio.NewReader(r)
 	var sched *core.Schedule
@@ -1183,6 +1163,6 @@ func NewOperationFromSchedule(c Combination, m *Matrix, r io.Reader, opts Option
 	if err := op.validate(sched); err != nil {
 		return nil, fmt.Errorf("sparsefusion: saved schedule does not match this matrix: %w", err)
 	}
-	op.bindArtifacts(buildArtifacts(inst, sched, op.tr, op.id), false)
+	op.bindArtifacts(cache.Artifacts{Schedule: sched}, false)
 	return op, nil
 }
