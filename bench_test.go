@@ -23,7 +23,6 @@ import (
 
 	"sparsefusion/internal/cachesim"
 	"sparsefusion/internal/combos"
-	"sparsefusion/internal/core"
 	"sparsefusion/internal/dagp"
 	"sparsefusion/internal/exec"
 	"sparsefusion/internal/figures"
@@ -133,7 +132,8 @@ func BenchmarkFig5(b *testing.B) {
 }
 
 // BenchmarkFig6 measures the figure 6 instrumentation itself: the cache
-// simulation of the fused schedule and the potential-gain measurement.
+// simulation of the sparse-fusion implementation's steps and the
+// potential-gain measurement of executing them, as RunFig6 does.
 func BenchmarkFig6(b *testing.B) {
 	a := benchMatrix(b)
 	th := benchThreads()
@@ -141,13 +141,13 @@ func BenchmarkFig6(b *testing.B) {
 	if err != nil {
 		b.Fatal(err)
 	}
-	sched, err := core.ICO(in.Loops, core.Params{Threads: th, ReuseRatio: in.Reuse, LBC: figures.PaperLBC()})
-	if err != nil {
+	im := in.SparseFusion(th, figures.PaperLBC())
+	if err := im.Inspect(); err != nil {
 		b.Fatal(err)
 	}
 	b.Run("memory-latency", func(b *testing.B) {
 		for i := 0; i < b.N; i++ {
-			r, err := cachesim.MeasureFused(in.Kernels, sched, cachesim.Default())
+			r, err := cachesim.Simulate(im.Steps(), cachesim.Default())
 			if err != nil {
 				b.Fatal(err)
 			}
@@ -155,15 +155,8 @@ func BenchmarkFig6(b *testing.B) {
 		}
 	})
 	b.Run("potential-gain", func(b *testing.B) {
-		// On the unpacked form the memory-latency run simulated, as RunFig6.
-		prog, err := core.CompileSchedule(sched, len(in.Kernels))
-		if err != nil {
-			b.Fatal(err)
-		}
-		r := exec.NewRunner(in.Kernels, prog)
-		b.ResetTimer()
 		for i := 0; i < b.N; i++ {
-			st, err := r.Run(th)
+			st, err := im.Execute()
 			if err != nil {
 				b.Fatal(err)
 			}

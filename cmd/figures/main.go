@@ -5,7 +5,7 @@
 //
 //	figures [-threads N] [-scale small|standard] [-reps R] [-out DIR] TARGET...
 //
-// TARGET is one of: table1 fig1 fig5 fig6 fig7 fig8 fig9 fig10 all.
+// TARGET is one of: table1 fig1 fig5 fig6 fig7 fig8 fig9 fig10 reusedist all.
 package main
 
 import (
@@ -37,7 +37,7 @@ func main() {
 	flag.Parse()
 	targets := flag.Args()
 	if len(targets) == 0 {
-		log.Fatal("no target; choose from table1 fig1 fig5 fig6 fig7 fig8 fig9 fig10 all")
+		log.Fatal("no target; choose from table1 fig1 fig5 fig6 fig7 fig8 fig9 fig10 reusedist all")
 	}
 	if err := os.MkdirAll(*outDir, 0o755); err != nil {
 		log.Fatal(err)

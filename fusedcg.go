@@ -191,7 +191,7 @@ func NewFusedCG(m *Matrix, opts FusedCGOptions) (*FusedCG, error) {
 	inst.Snapshot = func() []float64 { return append([]float64(nil), f.x...) }
 	inst.Output = f.x
 
-	f.execState = execState{inst: inst, th: opts.threads(), spin: opts.SpinBudget, watchdog: opts.Watchdog, id: nextStateID.Add(1), tr: opts.Tracer}
+	f.execState = execState{inst: inst, th: opts.threads(), watchdog: opts.Watchdog, id: nextStateID.Add(1), tr: opts.Tracer}
 	// BuildChain has already built every kernel DAG (its Check needs them).
 	f.traceDAGBuild(built)
 	// The key names the chain's ordered kernels and the vector block size,

@@ -65,7 +65,7 @@ func NewGaussSeidel(m *Matrix, opts GSOptions) (*GaussSeidel, error) {
 		return nil, err
 	}
 	g := &GaussSeidel{a: a, SweepsPerFusion: sweeps}
-	g.state = execState{inst: inst, th: opts.threads(), spin: opts.SpinBudget, watchdog: opts.Watchdog, id: nextStateID.Add(1), tr: opts.Tracer}
+	g.state = execState{inst: inst, th: opts.threads(), watchdog: opts.Watchdog, id: nextStateID.Add(1), tr: opts.Tracer}
 	// BuildGS has built every kernel DAG and F.
 	g.state.traceDAGBuild(time.Since(t0))
 	ids := make([]string, len(inst.Kernels))

@@ -4,17 +4,20 @@
 // a shared last-level cache, LRU replacement, and the textbook
 // average-latency formula (Hennessy & Patterson).
 //
-// Kernels expose their per-iteration address streams through
-// kernels.Tracer; the Measure* functions replay a schedule's streams in
-// execution order, one simulated cache hierarchy per thread slot.
+// Kernels expose their per-iteration address streams through kernels.Tracer
+// (matrix-order arrays) and kernels.PackedTracer (schedule-order streams).
+// One walker replays the steps of a combos.Impl in execution order into one
+// of two sinks: Simulate's hierarchy per thread slot, or Profile's
+// stack-distance analyzer per thread slot (internal/locality).
 package cachesim
 
 import (
 	"fmt"
 
+	"sparsefusion/internal/combos"
 	"sparsefusion/internal/core"
 	"sparsefusion/internal/kernels"
-	"sparsefusion/internal/partition"
+	"sparsefusion/internal/locality"
 	"sparsefusion/internal/relayout"
 )
 
@@ -139,156 +142,118 @@ func (r Result) AvgLatency() float64 {
 	return r.Cycles / float64(r.Accesses)
 }
 
-func (r *Result) add(t *thread) {
-	r.Accesses += t.accesses
-	r.Cycles += t.cycles
-}
-
-// sim holds the shared LLC and one hierarchy per thread slot.
-type sim struct {
-	cfg     Config
-	llc     *cache
-	threads []*thread
-}
-
-func newSim(cfg Config, width int) *sim {
-	if width < 1 {
-		width = 1
+// Simulate replays steps, in order, through one hierarchy per thread slot
+// over a shared LLC: the memory-latency proxy of what those steps execute.
+func Simulate(steps []combos.Step, cfg Config) (Result, error) {
+	llc := newCache(cfg.LLCSize, cfg.LLCAssoc, cfg.LineSize)
+	threads := make([]*thread, width(steps))
+	emit := make([]func(uintptr), len(threads))
+	for w := range threads {
+		threads[w] = newThread(&cfg, llc)
+		emit[w] = threads[w].access
 	}
-	s := &sim{cfg: cfg, llc: newCache(cfg.LLCSize, cfg.LLCAssoc, cfg.LineSize)}
-	s.threads = make([]*thread, width)
-	for i := range s.threads {
-		s.threads[i] = newThread(&cfg, s.llc)
+	if err := walk(steps, emit); err != nil {
+		return Result{}, err
 	}
-	return s
-}
-
-func (s *sim) result() Result {
 	var r Result
-	for _, t := range s.threads {
-		r.add(t)
+	for _, t := range threads {
+		r.Accesses += t.accesses
+		r.Cycles += t.cycles
 	}
-	return r
+	return r, nil
 }
 
-func tracer(k kernels.Kernel) (kernels.Tracer, error) {
-	t, ok := k.(kernels.Tracer)
-	if !ok {
-		return nil, fmt.Errorf("cachesim: kernel %s does not support tracing", k.Name())
+// Profile replays steps, in order, through one stack-distance analyzer per
+// thread slot (one thread's locality each) and sums the slot profiles.
+func Profile(steps []combos.Step, lineSize int) (locality.Profile, error) {
+	ans := make([]*locality.Analyzer, width(steps))
+	emit := make([]func(uintptr), len(ans))
+	for w := range ans {
+		ans[w] = locality.NewAnalyzer(lineSize)
+		emit[w] = ans[w].Access
 	}
-	return t, nil
-}
-
-// MeasureFused replays a fused schedule: w-partition w of every s-partition
-// runs on thread slot w.
-func MeasureFused(ks []kernels.Kernel, sched *core.Schedule, cfg Config) (Result, error) {
-	trs := make([]kernels.Tracer, len(ks))
-	for i, k := range ks {
-		t, err := tracer(k)
-		if err != nil {
-			return Result{}, err
+	if err := walk(steps, emit); err != nil {
+		return locality.Profile{}, err
+	}
+	var total locality.Profile
+	for _, an := range ans {
+		p := an.Profile()
+		for b, c := range p.Buckets {
+			total.Buckets[b] += c
 		}
-		trs[i] = t
+		total.Cold += p.Cold
+		total.Accesses += p.Accesses
 	}
-	s := newSim(cfg, sched.MaxWidth())
-	for _, sp := range sched.S {
-		for w, part := range sp {
-			th := s.threads[w]
-			for _, it := range part {
-				trs[it.Loop].Trace(it.Idx, th.access)
+	return total, nil
+}
+
+// width is the number of thread slots steps occupy: the widest s-partition of
+// any step's program, at least 1.
+func width(steps []combos.Step) int {
+	w := 1
+	for _, s := range steps {
+		if s.Runner != nil {
+			w = max(w, s.Runner.Program().MaxWidth)
+		}
+	}
+	return w
+}
+
+// walk replays steps in execution order, sending thread slot w's accesses to
+// emit[w]. A step without a runner runs its kernels one after another on slot
+// 0; otherwise slot w of s-partition s runs w-partition SOff[s]+w of the
+// runner's program, reading the packed streams (kernels.PackedTracer) when the
+// runner has a layout attached and the matrix-order arrays (kernels.Tracer)
+// when it has not.
+func walk(steps []combos.Step, emit []func(uintptr)) error {
+	for _, st := range steps {
+		var prog *core.Program
+		var lay *relayout.Layout
+		if st.Runner != nil {
+			prog, lay = st.Runner.Program(), st.Runner.Layout()
+		}
+		trs := make([]kernels.Tracer, len(st.Kernels))
+		ptrs := make([]kernels.PackedTracer, len(st.Kernels))
+		for i, k := range st.Kernels {
+			var ok bool
+			if lay == nil {
+				trs[i], ok = k.(kernels.Tracer)
+			} else {
+				ptrs[i], ok = k.(kernels.PackedTracer)
+			}
+			if !ok {
+				return fmt.Errorf("cachesim: kernel %s does not support tracing (packed: %v)", k.Name(), lay != nil)
 			}
 		}
-	}
-	return s.result(), nil
-}
-
-// MeasurePacked replays a compiled schedule against its schedule-order
-// re-layout: w-partition w of s-partition s runs on thread slot w-SOff[s]
-// (matching MeasureFused's slot assignment), and each run segment reads its
-// loop's packed stream through the layout's entry/occurrence cursors instead
-// of pointer-chasing the matrix-order arrays. The delta against MeasureFused
-// on the same schedule is the locality the re-layout buys.
-func MeasurePacked(ks []kernels.Kernel, lay *relayout.Layout, cfg Config) (Result, error) {
-	prog := lay.Program()
-	trs := make([]kernels.PackedTracer, len(ks))
-	for i, k := range ks {
-		t, ok := k.(kernels.PackedTracer)
-		if !ok {
-			return Result{}, fmt.Errorf("cachesim: kernel %s does not support packed tracing", k.Name())
-		}
-		trs[i] = t
-	}
-	s := newSim(cfg, prog.MaxWidth)
-	for sp := 0; sp < prog.NumSPartitions(); sp++ {
-		w0 := int(prog.SOff[sp])
-		for w := w0; w < int(prog.SOff[sp+1]); w++ {
-			th := s.threads[w-w0]
-			for g := prog.WSeg[w]; g < prog.WSeg[w+1]; g++ {
-				loop := int(prog.SegLoop[g])
-				stream := lay.Streams[loop]
-				ent := int(lay.SegEnt[g])
-				it := int(prog.SegIter[g])
-				for _, v := range prog.Iters[prog.SegOff[g]:prog.SegOff[g+1]] {
-					ent = trs[loop].TracePacked(int(v&kernels.IterMask), stream, ent, it, th.access)
-					it++
+		if prog == nil {
+			for i, k := range st.Kernels {
+				for it := 0; it < k.Iterations(); it++ {
+					trs[i].Trace(it, emit[0])
 				}
-			}
-		}
-	}
-	return s.result(), nil
-}
-
-// MeasureChain replays kernels back to back, each under its own
-// partitioning (nil partitioning: sequential on thread 0).
-func MeasureChain(ks []kernels.Kernel, ps []*partition.Partitioning, width int, cfg Config) (Result, error) {
-	s := newSim(cfg, width)
-	for i, k := range ks {
-		tr, err := tracer(k)
-		if err != nil {
-			return Result{}, err
-		}
-		if ps[i] == nil {
-			th := s.threads[0]
-			for it := 0; it < k.Iterations(); it++ {
-				tr.Trace(it, th.access)
 			}
 			continue
 		}
-		for _, sp := range ps[i].S {
-			for w, part := range sp {
-				th := s.threads[w%len(s.threads)]
-				for _, v := range part {
-					tr.Trace(v, th.access)
+		for s := 0; s < prog.NumSPartitions(); s++ {
+			w0 := int(prog.SOff[s])
+			for w := w0; w < int(prog.SOff[s+1]); w++ {
+				e := emit[w-w0]
+				for g := prog.WSeg[w]; g < prog.WSeg[w+1]; g++ {
+					loop := int(prog.SegLoop[g])
+					iters := prog.Iters[prog.SegOff[g]:prog.SegOff[g+1]]
+					if lay == nil {
+						for _, v := range iters {
+							trs[loop].Trace(int(v&kernels.IterMask), e)
+						}
+						continue
+					}
+					stream, ent, it := lay.Streams[loop], int(lay.SegEnt[g]), int(prog.SegIter[g])
+					for _, v := range iters {
+						ent = ptrs[loop].TracePacked(int(v&kernels.IterMask), stream, ent, it, e)
+						it++
+					}
 				}
 			}
 		}
 	}
-	return s.result(), nil
-}
-
-// MeasureJoint replays a joint-DAG partitioning over two kernels.
-func MeasureJoint(k1, k2 kernels.Kernel, p *partition.Partitioning, width int, cfg Config) (Result, error) {
-	t1, err := tracer(k1)
-	if err != nil {
-		return Result{}, err
-	}
-	t2, err := tracer(k2)
-	if err != nil {
-		return Result{}, err
-	}
-	n1 := k1.Iterations()
-	s := newSim(cfg, width)
-	for _, sp := range p.S {
-		for w, part := range sp {
-			th := s.threads[w%len(s.threads)]
-			for _, v := range part {
-				if v < n1 {
-					t1.Trace(v, th.access)
-				} else {
-					t2.Trace(v-n1, th.access)
-				}
-			}
-		}
-	}
-	return s.result(), nil
+	return nil
 }

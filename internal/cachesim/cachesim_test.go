@@ -4,11 +4,9 @@ import (
 	"testing"
 
 	"sparsefusion/internal/combos"
-	"sparsefusion/internal/core"
+	"sparsefusion/internal/exec"
 	"sparsefusion/internal/lbc"
-	"sparsefusion/internal/partition"
 	"sparsefusion/internal/sparse"
-	"sparsefusion/internal/wavefront"
 )
 
 func TestCacheBasics(t *testing.T) {
@@ -73,6 +71,28 @@ func TestRepeatedSmallWorkingSetApproachesL1(t *testing.T) {
 	}
 }
 
+// unpacked returns steps with every runner replaced by an unpacked one over
+// the same program: the schedule read through the matrix-order arrays.
+func unpacked(steps []combos.Step) []combos.Step {
+	out := make([]combos.Step, len(steps))
+	for i, s := range steps {
+		out[i] = s
+		if s.Runner != nil {
+			out[i].Runner = exec.NewRunner(s.Kernels, s.Runner.Program())
+		}
+	}
+	return out
+}
+
+// inspected returns im's steps after a successful Inspect.
+func inspected(t *testing.T, im *combos.Impl) []combos.Step {
+	t.Helper()
+	if err := im.Inspect(); err != nil {
+		t.Fatalf("%s: %v", im.Name, err)
+	}
+	return im.Steps()
+}
+
 func TestMeasureFusedVsUnfusedLocality(t *testing.T) {
 	// The figure 6 claim: for a combination with reuse >= 1 (TRSV-TRSV
 	// sharing L), the fused interleaved schedule has lower average memory
@@ -83,26 +103,12 @@ func TestMeasureFusedVsUnfusedLocality(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	sched, err := core.ICO(in.Loops, core.Params{
-		Threads: 4, ReuseRatio: in.Reuse, LBC: lbc.Params{InitialCut: 4, Agg: 400},
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	fused, err := MeasureFused(in.Kernels, sched, Default())
+	fused, err := Simulate(unpacked(inspected(t, in.SparseFusion(4, lbc.Params{InitialCut: 4, Agg: 400}))), Default())
 	if err != nil {
 		t.Fatal(err)
 	}
 	// Unfused: each kernel wavefront-scheduled, run back to back.
-	p1, err := wavefront.Schedule(in.Kernels[0].DAG(), 4)
-	if err != nil {
-		t.Fatal(err)
-	}
-	p2, err := wavefront.Schedule(in.Kernels[1].DAG(), 4)
-	if err != nil {
-		t.Fatal(err)
-	}
-	unfused, err := MeasureChain(in.Kernels, []*partition.Partitioning{p1, p2}, 4, Default())
+	unfused, err := Simulate(inspected(t, in.UnfusedMKL(4)), Default())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -118,15 +124,7 @@ func TestMeasureJointRuns(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	joint, err := in.JointGraph()
-	if err != nil {
-		t.Fatal(err)
-	}
-	p, err := wavefront.Schedule(joint, 4)
-	if err != nil {
-		t.Fatal(err)
-	}
-	r, err := MeasureJoint(in.Kernels[0], in.Kernels[1], p, 4, Default())
+	r, err := Simulate(inspected(t, in.JointWavefront(4)), Default())
 	if err != nil {
 		t.Fatal(err)
 	}

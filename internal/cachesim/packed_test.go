@@ -4,18 +4,17 @@ import (
 	"testing"
 
 	"sparsefusion/internal/combos"
-	"sparsefusion/internal/core"
 	"sparsefusion/internal/kernels"
 	"sparsefusion/internal/lbc"
-	"sparsefusion/internal/relayout"
 	"sparsefusion/internal/sparse"
 )
 
 // TestMeasurePackedImprovesLocality validates the packed executor's whole
-// reason to exist: on working sets that exceed L1, replaying the same
-// schedule against the schedule-order re-layout must produce both a lower
-// average memory latency and fewer total cycles than the matrix-order
-// replay, in both packing modes. The re-layout wins by streaming Idx/Val
+// reason to exist: on working sets that exceed L1, replaying the steps the
+// sparse-fusion Impl executes — its schedule against the schedule-order
+// re-layout — must produce both a lower average memory latency and fewer
+// total cycles than the matrix-order replay of that schedule, in both
+// packing modes. The re-layout wins by streaming Idx/Val
 // sequentially in execution order with half-width indices; the matrix-order
 // replay pays for pointer-chasing P[i] into arrays laid out in a different
 // order than the schedule visits them.
@@ -34,25 +33,16 @@ func TestMeasurePackedImprovesLocality(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		sched, err := core.ICO(in.Loops, core.Params{
-			Threads: 4, ReuseRatio: tc.reuse, LBC: lbc.Params{InitialCut: 4, Agg: 400},
-		})
+		in.Reuse = tc.reuse // selects the packing mode the case names
+		steps := inspected(t, in.SparseFusion(4, lbc.Params{InitialCut: 4, Agg: 400}))
+		if steps[0].Runner.Layout() == nil {
+			t.Fatalf("%s: the sparse-fusion runner is not packed", tc.name)
+		}
+		fused, err := Simulate(unpacked(steps), Default())
 		if err != nil {
 			t.Fatalf("%s: %v", tc.name, err)
 		}
-		fused, err := MeasureFused(in.Kernels, sched, Default())
-		if err != nil {
-			t.Fatalf("%s: %v", tc.name, err)
-		}
-		prog, err := core.CompileSchedule(sched, len(in.Kernels))
-		if err != nil {
-			t.Fatalf("%s: %v", tc.name, err)
-		}
-		lay, err := relayout.Build(prog, in.Kernels)
-		if err != nil {
-			t.Fatalf("%s: %v", tc.name, err)
-		}
-		packed, err := MeasurePacked(in.Kernels, lay, Default())
+		packed, err := Simulate(steps, Default())
 		if err != nil {
 			t.Fatalf("%s: %v", tc.name, err)
 		}
@@ -82,22 +72,10 @@ func TestMeasurePackedRejectsUntraceableKernel(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	sched, err := core.ICO(in.Loops, core.Params{
-		Threads: 4, ReuseRatio: 0.2, LBC: lbc.Params{InitialCut: 3, Agg: 8},
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	prog, err := core.CompileSchedule(sched, len(in.Kernels))
-	if err != nil {
-		t.Fatal(err)
-	}
-	lay, err := relayout.Build(prog, in.Kernels)
-	if err != nil {
-		t.Fatal(err)
-	}
+	steps := inspected(t, in.SparseFusion(4, lbc.Params{InitialCut: 3, Agg: 8}))
 	ic0 := kernels.NewSpIC0CSC(a.Lower().ToCSC())
-	if _, err := MeasurePacked([]kernels.Kernel{ic0, in.Kernels[1]}, lay, Default()); err == nil {
-		t.Fatal("MeasurePacked accepted a kernel without packed tracing")
+	steps[0].Kernels = []kernels.Kernel{ic0, in.Kernels[1]}
+	if _, err := Simulate(steps, Default()); err == nil {
+		t.Fatal("a packed step with a kernel without packed tracing was replayed")
 	}
 }

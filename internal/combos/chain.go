@@ -3,9 +3,7 @@ package combos
 import (
 	"fmt"
 
-	"sparsefusion/internal/cache"
 	"sparsefusion/internal/core"
-	"sparsefusion/internal/exec"
 	"sparsefusion/internal/kernels"
 	"sparsefusion/internal/lbc"
 	"sparsefusion/internal/sparse"
@@ -123,52 +121,20 @@ func (c *Chain) KernelIDs() []string {
 	return ids
 }
 
-// Barriers sums the groups' s-partition counts after inspection — the
-// barrier sequences one pass over the chain pays (each group runs one fused
-// schedule; crossing from one group to the next is one more join).
-func (c *Chain) Barriers(scheds []*core.Schedule) int {
-	b := 0
-	for _, s := range scheds {
-		b += s.NumSPartitions()
-	}
-	return b
-}
-
-// SparseFusion inspects every group with ICO and compiles it onto the rung
-// the facade would serve it from (exec.CompileFused); execution runs
-// the groups back to back, summing executor statistics (Stats.Barriers is
-// the observed barriers-per-pass the chain benchmark reports).
-func (c *Chain) SparseFusion(threads int, lp lbc.Params) (*Impl, []*core.Schedule) {
-	scheds := make([]*core.Schedule, len(c.Groups))
-	im := &Impl{Name: "sparse-fusion-chain"}
-	im.inspect = func() error {
-		im.fused = make([]*exec.Runner, len(c.Groups))
+// SparseFusion inspects every group as Instance.SparseFusion does, one step
+// per group; execution runs the groups back to back (Stats.Barriers is the
+// barriers one pass over the chain pays: each group's s-partitions).
+func (c *Chain) SparseFusion(threads int, lp lbc.Params) *Impl {
+	return &Impl{Name: "sparse-fusion-chain", threads: threads, inspect: func() ([]Step, error) {
+		steps := make([]Step, len(c.Groups))
 		for i, g := range c.Groups {
-			s, err := core.ICO(g.Loops, core.Params{Threads: threads, ReuseRatio: g.Reuse, LBC: lp})
-			if err != nil {
-				return err
-			}
-			scheds[i] = s
-			if im.fused[i], err = exec.CompileFused(g.Kernels, &cache.Artifacts{Schedule: s}, nil); err != nil {
-				return err
+			var err error
+			if steps[i], err = g.fuse(threads, lp); err != nil {
+				return nil, err
 			}
 		}
-		return nil
-	}
-	im.execute = func() (exec.Stats, error) {
-		var tot exec.Stats
-		for _, r := range im.fused {
-			st, err := r.Run(threads)
-			tot.Elapsed += st.Elapsed
-			tot.Barriers += st.Barriers
-			tot.PotentialGain += st.PotentialGain
-			if err != nil {
-				return tot, err
-			}
-		}
-		return tot, nil
-	}
-	return im, scheds
+		return steps, nil
+	}}
 }
 
 // RunSequential executes every kernel of the chain back to back,

@@ -152,7 +152,7 @@ func TestChainFusedMatchesSequential(t *testing.T) {
 
 		lp := lbc.Params{InitialCut: 3, Agg: 8}
 		for _, threads := range []int{1, 2, 4, 8} {
-			im, scheds := c.SparseFusion(threads, lp)
+			im := c.SparseFusion(threads, lp)
 			if err := im.Inspect(); err != nil {
 				t.Fatalf("k=%d threads=%d inspect: %v", k, threads, err)
 			}
@@ -166,7 +166,7 @@ func TestChainFusedMatchesSequential(t *testing.T) {
 					t.Fatalf("k=%d threads=%d: element %d = %x, reference %x", k, threads, i, got[i], want[i])
 				}
 			}
-			if b := c.Barriers(scheds); b <= 0 {
+			if b := sPartitions(im); b <= 0 {
 				t.Fatalf("k=%d: non-positive barrier count %d", k, b)
 			}
 		}
@@ -178,15 +178,15 @@ func TestChainFusedMatchesSequential(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		imF, fusedScheds := c.SparseFusion(4, lp)
+		imF := c.SparseFusion(4, lp)
 		if err := imF.Inspect(); err != nil {
 			t.Fatal(err)
 		}
-		imP, pairScheds := pw.SparseFusion(4, lp)
+		imP := pw.SparseFusion(4, lp)
 		if err := imP.Inspect(); err != nil {
 			t.Fatal(err)
 		}
-		if fb, pb := c.Barriers(fusedScheds), pw.Barriers(pairScheds); fb > pb {
+		if fb, pb := sPartitions(imF), sPartitions(imP); fb > pb {
 			t.Fatalf("k=%d: composed chain uses %d barriers, pairwise %d", k, fb, pb)
 		}
 	}

@@ -11,8 +11,9 @@
 //	fused LBC            — chordalize + LBC on the joint DAG
 //	fused DAGP           — multilevel acyclic partitioning of the joint DAG
 //
-// Each implementation reports its inspection time and executor statistics,
-// which cmd/figures and the root benchmarks turn into the paper's figures.
+// Each implementation is the steps (compiled runners) its inspector builds;
+// it reports its inspection time and executor statistics, which cmd/figures
+// and the root benchmarks turn into the paper's figures.
 package combos
 
 import (
@@ -352,36 +353,82 @@ func (in *Instance) RunSequential() (time.Duration, error) {
 	return time.Since(t0), nil
 }
 
-// Impl is one schedulable implementation of an instance. Inspect must be
-// called once before Execute; Execute may be repeated.
+// Step is one step of an implementation: Runner executes Kernels under the
+// schedule it was compiled from or, when Runner is nil, Kernels run one after
+// another on the calling goroutine.
+type Step struct {
+	Kernels []kernels.Kernel
+	Runner  *exec.Runner
+}
+
+// Impl is one schedulable implementation of an instance: the steps its
+// inspector compiles, executed in order. Inspect must be called once before
+// Execute; Execute may be repeated.
 type Impl struct {
 	Name        string
 	InspectTime time.Duration
-	inspect     func() error
-	execute     func() (exec.Stats, error)
-	inspected   bool
-	// fused holds a sparse-fusion Impl's runners after Inspect, one per fused
-	// group (one for an Instance).
-	fused []*exec.Runner
+	threads     int
+	inspect     func() ([]Step, error)
+	steps       []Step // nil until Inspect succeeds
 }
 
 // Inspect runs (and times) the implementation's inspector.
 func (im *Impl) Inspect() error {
 	t0 := time.Now()
-	err := im.inspect()
+	steps, err := im.inspect()
 	im.InspectTime = time.Since(t0)
-	im.inspected = err == nil
+	if err != nil {
+		steps = nil
+	}
+	im.steps = steps
 	return err
 }
 
-// Execute runs the executor; Inspect must have succeeded.
-func (im *Impl) Execute() (exec.Stats, error) {
-	if !im.inspected {
+// Steps returns what Execute runs, in order; nil until Inspect succeeds.
+func (im *Impl) Steps() []Step { return im.steps }
+
+// Execute runs the steps in order, inspecting first if Inspect has not
+// succeeded. Elapsed is the wall-clock time of all steps; Barriers,
+// PotentialGain and Fold are the runners' sums. The first error abandons the
+// remaining steps.
+func (im *Impl) Execute() (st exec.Stats, err error) {
+	if im.steps == nil {
 		if err := im.Inspect(); err != nil {
 			return exec.Stats{}, err
 		}
 	}
-	return im.execute()
+	t0 := time.Now()
+	defer func() { st.Elapsed = time.Since(t0) }()
+	for _, s := range im.steps {
+		if s.Runner == nil {
+			for _, k := range s.Kernels {
+				if err := kernels.RunSeq(k); err != nil {
+					return st, err
+				}
+			}
+			continue
+		}
+		rs, err := s.Runner.Run(im.threads)
+		st.Barriers += rs.Barriers
+		st.PotentialGain += rs.PotentialGain
+		st.Fold += rs.Fold
+		if err != nil {
+			return st, err
+		}
+	}
+	return st, nil
+}
+
+// fuse inspects the instance with ICO and compiles the schedule onto the rung
+// the facade would serve it from (exec.CompileFused): packed where the chain
+// re-lays out, compiled otherwise.
+func (in *Instance) fuse(threads int, lp lbc.Params) (Step, error) {
+	sched, err := core.ICO(in.Loops, core.Params{Threads: threads, ReuseRatio: in.Reuse, LBC: lp})
+	if err != nil {
+		return Step{}, err
+	}
+	r, err := exec.CompileFused(in.Kernels, &cache.Artifacts{Schedule: sched}, nil)
+	return Step{Kernels: in.Kernels, Runner: r}, err
 }
 
 // SparseFusion is the paper's contribution: ICO over the instance's DAGs.
@@ -389,18 +436,10 @@ func (im *Impl) Execute() (exec.Stats, error) {
 // order — everything before the first run is charged to InspectTime, as the
 // paper charges it — so Execute times the rung library users are served from.
 func (in *Instance) SparseFusion(threads int, lp lbc.Params) *Impl {
-	im := &Impl{Name: "sparse-fusion"}
-	im.inspect = func() error {
-		sched, err := core.ICO(in.Loops, core.Params{Threads: threads, ReuseRatio: in.Reuse, LBC: lp})
-		if err != nil {
-			return err
-		}
-		r, err := exec.CompileFused(in.Kernels, &cache.Artifacts{Schedule: sched}, nil)
-		im.fused = []*exec.Runner{r}
-		return err
-	}
-	im.execute = func() (exec.Stats, error) { return im.fused[0].Run(threads) }
-	return im
+	return &Impl{Name: "sparse-fusion", threads: threads, inspect: func() ([]Step, error) {
+		s, err := in.fuse(threads, lp)
+		return []Step{s}, err
+	}}
 }
 
 // UnfusedParSy schedules every kernel's own DAG with LBC (wavefront
@@ -412,30 +451,27 @@ func (in *Instance) UnfusedParSy(threads int, lp lbc.Params) *Impl {
 }
 
 // unfusedImpl wraps a per-kernel scheduler into an Impl: inspection schedules
-// and compiles every kernel's own DAG, execution runs the kernels back to
-// back. A nil partitioning means the kernel runs sequentially.
+// and compiles every kernel's own DAG into a step of its own, so execution
+// runs the kernels back to back. A nil partitioning means the kernel runs
+// sequentially.
 func (in *Instance) unfusedImpl(name string, threads int, schedule func(i int, k kernels.Kernel) (*partition.Partitioning, error)) *Impl {
-	var rs []*exec.Runner
-	return &Impl{
-		Name: name,
-		inspect: func() error {
-			rs = make([]*exec.Runner, len(in.Kernels))
-			for i, k := range in.Kernels {
-				p, err := schedule(i, k)
-				if err != nil {
-					return err
-				}
-				if p == nil {
-					continue
-				}
-				if rs[i], err = exec.CompilePartitioned(k, p); err != nil {
-					return err
-				}
+	return &Impl{Name: name, threads: threads, inspect: func() ([]Step, error) {
+		steps := make([]Step, len(in.Kernels))
+		for i, k := range in.Kernels {
+			steps[i].Kernels = in.Kernels[i : i+1]
+			p, err := schedule(i, k)
+			if err != nil {
+				return nil, err
 			}
-			return nil
-		},
-		execute: func() (exec.Stats, error) { return exec.RunChainCompiled(in.Kernels, rs, threads) },
-	}
+			if p == nil {
+				continue
+			}
+			if steps[i].Runner, err = exec.CompilePartitioned(k, p); err != nil {
+				return nil, err
+			}
+		}
+		return steps, nil
+	}}
 }
 
 // UnfusedMKL mimics MKL's inspector-executor routines: level-set TRSV,
@@ -464,26 +500,21 @@ func (in *Instance) joint() (*dag.Graph, error) {
 // compiled form. The joint executors dispatch exactly two kernels, so longer
 // chains are rejected.
 func (in *Instance) jointImpl(name string, threads int, schedule func(*dag.Graph) (*partition.Partitioning, error)) *Impl {
-	var r *exec.Runner
-	return &Impl{
-		Name: name,
-		inspect: func() error {
-			if len(in.Kernels) != 2 {
-				return fmt.Errorf("combos: joint-DAG baselines support exactly 2 kernels, got %d", len(in.Kernels))
-			}
-			j, err := in.joint()
-			if err != nil {
-				return err
-			}
-			p, err := schedule(j)
-			if err != nil {
-				return err
-			}
-			r, err = exec.CompileJoint(in.Kernels[0], in.Kernels[1], p)
-			return err
-		},
-		execute: func() (exec.Stats, error) { return r.Run(threads) },
-	}
+	return &Impl{Name: name, threads: threads, inspect: func() ([]Step, error) {
+		if len(in.Kernels) != 2 {
+			return nil, fmt.Errorf("combos: joint-DAG baselines support exactly 2 kernels, got %d", len(in.Kernels))
+		}
+		j, err := in.joint()
+		if err != nil {
+			return nil, err
+		}
+		p, err := schedule(j)
+		if err != nil {
+			return nil, err
+		}
+		r, err := exec.CompileJoint(in.Kernels[0], in.Kernels[1], p)
+		return []Step{{Kernels: in.Kernels, Runner: r}}, err
+	}}
 }
 
 // JointWavefront is the fused-wavefront baseline: topological wavefronts of

@@ -2,6 +2,7 @@ package combos
 
 import (
 	"bytes"
+	"fmt"
 	"math"
 	"strings"
 	"testing"
@@ -233,7 +234,7 @@ func TestSparseFusionOpensServedRung(t *testing.T) {
 		if _, err := im.Execute(); err != nil {
 			t.Fatalf("%s: %v", in.Name, err)
 		}
-		if got := im.fused[0].Packed(); got != wantPacked {
+		if got := im.Steps()[0].Runner.Layout() != nil; got != wantPacked {
 			t.Fatalf("%s: sparse-fusion runner packed = %v, want %v", in.Name, got, wantPacked)
 		}
 		scatters := false
@@ -268,6 +269,116 @@ func TestSparseFusionOpensServedRung(t *testing.T) {
 		t.Fatal(err)
 	}
 	check(gs, true)
+}
+
+// sPartitions is the s-partition count of an implementation's steps: the
+// barriers one Execute pays.
+func sPartitions(im *Impl) int {
+	n := 0
+	for _, s := range im.Steps() {
+		if s.Runner != nil {
+			n += s.Runner.Program().NumSPartitions()
+		}
+	}
+	return n
+}
+
+// TestImplStepsExecute: for every Impl constructor, the inspected steps cover
+// the instance's kernels once each, in program order; Execute pays one
+// barrier per s-partition of those steps (none for a sequential step); and
+// what it computes is the sequential result — bit for bit on gather chains,
+// to 1e-9 where a kernel scatters.
+func TestImplStepsExecute(t *testing.T) {
+	check := func(name string, ks []kernels.Kernel, im *Impl, seq func() error, snap func() []float64) {
+		t.Helper()
+		if err := seq(); err != nil {
+			t.Fatalf("%s: %v", name, err)
+		}
+		want := snap()
+		if err := im.Inspect(); err != nil {
+			t.Fatalf("%s: inspect: %v", name, err)
+		}
+		var covered []kernels.Kernel
+		for _, s := range im.Steps() {
+			covered = append(covered, s.Kernels...)
+		}
+		if len(covered) != len(ks) {
+			t.Fatalf("%s: steps cover %d kernels, the instance has %d", name, len(covered), len(ks))
+		}
+		scatters := false
+		for i, k := range ks {
+			if covered[i] != k {
+				t.Fatalf("%s: step kernel %d is %s, program order has %s", name, i, covered[i].Name(), k.Name())
+			}
+			if _, ok := k.(kernels.SpillScatterer); ok {
+				scatters = true
+			}
+		}
+		st, err := im.Execute()
+		if err != nil {
+			t.Fatalf("%s: %v", name, err)
+		}
+		if st.Barriers != sPartitions(im) {
+			t.Fatalf("%s: %d barriers, the steps have %d s-partitions", name, st.Barriers, sPartitions(im))
+		}
+		got := snap()
+		if scatters {
+			if e := sparse.RelErr(got, want); e > 1e-9 {
+				t.Fatalf("%s: diverges from the sequential run by %v", name, e)
+			}
+			return
+		}
+		for i := range want {
+			if math.Float64bits(got[i]) != math.Float64bits(want[i]) {
+				t.Fatalf("%s: element %d = %x, sequential run %x", name, i, got[i], want[i])
+			}
+		}
+	}
+	a := sparse.Must(sparse.Laplacian2D(20))
+	for _, id := range append(append([]ID(nil), All...), MvMv) {
+		in, err := Build(id, a)
+		if err != nil {
+			t.Fatal(err)
+		}
+		seq := func() error { _, err := in.RunSequential(); return err }
+		for _, im := range allImpls(in) {
+			check(in.Name+"/"+im.Name, in.Kernels, im, seq, in.Snapshot)
+		}
+	}
+	for _, maxGroup := range []int{0, 2} {
+		spec, snap, _ := trsvChainSpec(t, 200, 5)
+		spec.MaxGroup = maxGroup
+		c, err := BuildChain(spec)
+		if err != nil {
+			t.Fatal(err)
+		}
+		var ks []kernels.Kernel
+		for _, ln := range spec.Links {
+			ks = append(ks, ln.K)
+		}
+		check(fmt.Sprintf("chain/MaxGroup=%d", maxGroup), ks, c.SparseFusion(threads, lp()), c.RunSequential, snap)
+	}
+}
+
+// TestExecuteAllocatesOnlyInRunners: Execute's loop over the steps allocates
+// nothing of its own — an unfused execution costs what its per-kernel runs
+// cost.
+func TestExecuteAllocatesOnlyInRunners(t *testing.T) {
+	in, err := Build(TrsvMv, sparse.Must(sparse.Laplacian2D(20)))
+	if err != nil {
+		t.Fatal(err)
+	}
+	im := in.UnfusedParSy(threads, lp())
+	if err := im.Inspect(); err != nil {
+		t.Fatal(err)
+	}
+	var runs float64
+	for _, s := range im.Steps() {
+		runs += testing.AllocsPerRun(20, func() { s.Runner.Run(threads) })
+	}
+	if got := testing.AllocsPerRun(20, func() { im.Execute() }); got != runs {
+		t.Fatalf("Execute allocates %v per call, its runners %v", got, runs)
+	}
 }
 
 func TestJointRejectsMultiLoop(t *testing.T) {

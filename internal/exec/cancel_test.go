@@ -1,12 +1,9 @@
 package exec
 
 import (
-	"bytes"
 	"context"
 	"errors"
-	"log"
 	"math"
-	"strings"
 	"sync"
 	"testing"
 	"time"
@@ -287,7 +284,7 @@ func TestSequentialWalkCancelTyped(t *testing.T) {
 func TestSharedPoolCancelAndReuse(t *testing.T) {
 	th := 4
 	r, _, _, snap, ref := compileGather(t, th)
-	pl := NewPool(th, 0, 0)
+	pl := NewPool(th, 0)
 	defer pl.Close()
 	ctx, cancel := context.WithCancel(context.Background())
 	cancel()
@@ -318,12 +315,12 @@ func TestRunOnRefusesNarrowPool(t *testing.T) {
 	if width < 2 {
 		t.Skipf("fixture too narrow (MaxWidth=%d) to exercise a narrow pool", width)
 	}
-	narrow := NewPool(width-1, 0, 0)
+	narrow := NewPool(width-1, 0)
 	defer narrow.Close()
 	if _, err := r.RunOn(narrow, 4); err == nil {
 		t.Fatal("runner accepted a pool narrower than its program")
 	}
-	wide := NewPool(width, 0, 0)
+	wide := NewPool(width, 0)
 	defer wide.Close()
 	if _, err := r.RunOn(wide, 4); err != nil {
 		t.Fatal(err)
@@ -391,7 +388,7 @@ func (k *delayIter) Run(i int) {
 }
 
 func TestPoisonedPoolRefusesRuns(t *testing.T) {
-	p := newPool(4, 0, 20*time.Millisecond)
+	p := newPool(4, 20*time.Millisecond)
 	defer p.close()
 	durs := make([]time.Duration, 4)
 	p.run(4, func(w int) {
@@ -435,34 +432,5 @@ func BenchmarkRunContext(b *testing.B) {
 				}
 			}
 		})
-	}
-}
-
-func TestParseSpinBudgetStrict(t *testing.T) {
-	cases := []struct {
-		in   string
-		want int
-		warn bool
-	}{
-		{"", defaultSpinBudget, false},
-		{"0", 0, false},
-		{"12345", 12345, false},
-		{"-1", defaultSpinBudget, true},
-		{"3e4", defaultSpinBudget, true},
-		{"lots", defaultSpinBudget, true},
-		{"30000extra", defaultSpinBudget, true},
-	}
-	prev := log.Writer()
-	defer log.SetOutput(prev)
-	for _, c := range cases {
-		var buf bytes.Buffer
-		log.SetOutput(&buf)
-		got := parseSpinBudget(c.in)
-		if got != c.want {
-			t.Errorf("parseSpinBudget(%q) = %d, want %d", c.in, got, c.want)
-		}
-		if warned := strings.Contains(buf.String(), "SPARSEFUSION_SPIN_BUDGET"); warned != c.warn {
-			t.Errorf("parseSpinBudget(%q): warned=%v, want %v (log: %q)", c.in, warned, c.warn, buf.String())
-		}
 	}
 }

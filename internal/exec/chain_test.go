@@ -204,7 +204,7 @@ func TestChainBitIdenticalAcrossExecutors(t *testing.T) {
 			if err != nil {
 				t.Fatalf("%s: pack: %v", name, err)
 			}
-			if !rp.Packed() {
+			if rp.Layout() == nil {
 				t.Fatalf("%s: packed runner did not attach its layout", name)
 			}
 			run("packed", func() (Stats, error) { return rp.Run(workers) })

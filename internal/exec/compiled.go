@@ -48,9 +48,10 @@ type Runner struct {
 	wSeg []int32 // segs[wSeg[w]:wSeg[w+1]] belong to w-partition w
 
 	// packed, when non-nil, holds the schedule-order stream bindings of every
-	// dispatch unit (parallel to segs) and switches Run to the packed path.
-	// Set by AttachLayout (exec/packed.go).
+	// dispatch unit (parallel to segs) into lay and switches Run to the packed
+	// path. Set by AttachLayout (exec/packed.go).
 	packed []packedSeg
+	lay    *relayout.Layout
 	// spill holds the packed path's scatter loops and their runner-private
 	// slot scratch; spillDirty asks the next run to zero the slots first.
 	spill      []spillLoop
@@ -187,7 +188,7 @@ func (r *Runner) Run(threads int) (Stats, error) {
 // (context.Background()) costs nothing; an armed one costs one watcher
 // goroutine per run and no extra branch in the round loop.
 func (r *Runner) RunContext(ctx context.Context, threads int) (Stats, error) {
-	pl := newPool(r.prog.MaxWidth, r.cfg.SpinBudget, r.cfg.Watchdog)
+	pl := newPool(r.prog.MaxWidth, r.cfg.Watchdog)
 	defer pl.close()
 	return r.runOnPool(ctx, pl, threads)
 }
@@ -387,7 +388,7 @@ func CompileJoint(k1, k2 kernels.Kernel, p *partition.Partitioning) (*Runner, er
 // fresh pool and returns the mean cost per barrier: the ns_per_barrier term
 // of bench/'s run-time model.
 func BenchBarrier(workers, rounds int) time.Duration {
-	pl := newPool(workers, 0, 0)
+	pl := newPool(workers, 0)
 	defer pl.close()
 	durs := make([]time.Duration, workers)
 	body := func(int) {}
@@ -396,30 +397,4 @@ func BenchBarrier(workers, rounds int) time.Duration {
 		pl.run(workers, body, durs)
 	}
 	return time.Since(t0) / time.Duration(rounds)
-}
-
-// RunChainCompiled executes kernels one after another, each under a
-// pre-compiled Runner. An entry with a nil runner runs its kernel
-// sequentially (the MKL-style baseline's factorizations). The first kernel
-// error abandons the rest of the chain.
-func RunChainCompiled(ks []kernels.Kernel, rs []*Runner, threads int) (Stats, error) {
-	var st Stats
-	t0 := time.Now()
-	for i, k := range ks {
-		var s Stats
-		var err error
-		if rs[i] != nil {
-			s, err = rs[i].Run(threads)
-		} else {
-			s, err = RunSequentialKernel(k)
-		}
-		st.Barriers += s.Barriers
-		st.PotentialGain += s.PotentialGain
-		if err != nil {
-			st.Elapsed = time.Since(t0)
-			return st, err
-		}
-	}
-	st.Elapsed = time.Since(t0)
-	return st, nil
 }

@@ -263,7 +263,7 @@ func BenchmarkFusedExecutor(b *testing.B) {
 func BenchmarkPoolBarrier(b *testing.B) {
 	for _, workers := range []int{2, 4, 8} {
 		b.Run("w"+string(rune('0'+workers)), func(b *testing.B) {
-			pl := newPool(workers, 0, 0)
+			pl := newPool(workers, 0)
 			defer pl.close()
 			durs := make([]time.Duration, workers)
 			body := func(int) {}

@@ -3,13 +3,8 @@ package exec
 import "time"
 
 // Config tunes the private pool a Runner creates for Run and RunContext. The
-// zero value is the env/default spin budget and no barrier watchdog.
+// zero value is no barrier watchdog.
 type Config struct {
-	// SpinBudget overrides the barrier's spin-before-yield poll count. <= 0
-	// selects the process default (SPARSEFUSION_SPIN_BUDGET env, else 30000
-	// polls, trimmed to 1 when oversubscribed).
-	SpinBudget int
-
 	// Watchdog bounds how long the barrier waits for a worker to arrive at
 	// the end of an s-partition round. A round that exceeds it returns an
 	// *ExecError with Watchdog set instead of hanging the caller behind a

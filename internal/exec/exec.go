@@ -113,13 +113,3 @@ func RunScheduleSequential(ctx context.Context, ks []kernels.Kernel, sched *core
 	}
 	return st, nil
 }
-
-// RunSequentialKernel runs a kernel in plain iteration order, the baseline
-// the paper's amortization metric divides by (figure 7). A numerical
-// breakdown is returned as the *kernels.BreakdownError itself (there is no
-// worker to attribute).
-func RunSequentialKernel(k kernels.Kernel) (Stats, error) {
-	t0 := time.Now()
-	err := kernels.RunSeq(k)
-	return Stats{Elapsed: time.Since(t0)}, err
-}

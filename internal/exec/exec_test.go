@@ -8,7 +8,6 @@ import (
 	"sparsefusion/internal/dagp"
 	"sparsefusion/internal/kernels"
 	"sparsefusion/internal/lbc"
-	"sparsefusion/internal/partition"
 	"sparsefusion/internal/sparse"
 	"sparsefusion/internal/wavefront"
 )
@@ -206,47 +205,6 @@ func TestRunJointMatchesSequential(t *testing.T) {
 			t.Fatalf("%s: diverges by %v", tc.name, sparse.RelErr(snap(), want))
 		}
 		_ = tc.st
-	}
-}
-
-func TestRunChain(t *testing.T) {
-	loops, ks, snap := fusedTrsvTrsv(300, 13)
-	want := seqResult(ks, snap)
-	p1, err := lbc.Schedule(loops.G[0], threads, lbc.Params{InitialCut: 3, Agg: 10})
-	if err != nil {
-		t.Fatal(err)
-	}
-	p2, err := lbc.Schedule(loops.G[1], threads, lbc.Params{InitialCut: 3, Agg: 10})
-	if err != nil {
-		t.Fatal(err)
-	}
-	var rs []*Runner
-	for i, p := range []*partition.Partitioning{p1, p2} {
-		r, err := CompilePartitioned(ks[i], p)
-		if err != nil {
-			t.Fatal(err)
-		}
-		rs = append(rs, r)
-	}
-	stats := mustRun(RunChainCompiled(ks, rs, threads))
-	if got := snap(); sparse.RelErr(got, want) > 1e-9 {
-		t.Fatal("chained execution diverges")
-	}
-	if stats.Barriers != len(p1.S)+len(p2.S) {
-		t.Fatalf("barriers = %d, want %d", stats.Barriers, len(p1.S)+len(p2.S))
-	}
-}
-
-func TestRunSequentialKernel(t *testing.T) {
-	a := sparse.Must(sparse.RandomSPD(100, 4, 15))
-	x, y := sparse.RandomVec(100, 16), make([]float64, 100)
-	k := kernels.NewSpMVCSR(a, x, y)
-	st := mustRun(RunSequentialKernel(k))
-	if st.Elapsed <= 0 {
-		t.Fatal("no elapsed time")
-	}
-	if st.Barriers != 0 {
-		t.Fatal("sequential run should report no barriers")
 	}
 }
 

@@ -255,7 +255,7 @@ func TestPackedScatterCleanAfterCancelAndFault(t *testing.T) {
 			t.Fatalf("%s: %v", name, err)
 		}
 		prog := r.Program()
-		pl := NewPool(prog.MaxWidth, 0, 0)
+		pl := NewPool(prog.MaxWidth, 0)
 		clean := func(what string) {
 			t.Helper()
 			if _, err := r.RunOn(pl, threads); err != nil {

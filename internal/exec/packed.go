@@ -101,16 +101,17 @@ func (r *Runner) AttachLayout(lay *relayout.Layout) error {
 			it1:  prog.SegIter[g0],
 		}
 	}
-	r.packed, r.spill = packed, spill
+	r.packed, r.spill, r.lay = packed, spill, lay
 	return nil
 }
 
-// Packed reports whether a layout is attached (Run takes the packed path).
-func (r *Runner) Packed() bool { return r.packed != nil }
+// Layout returns the attached layout: nil on the compiled-unpacked path,
+// non-nil when Run takes the packed path.
+func (r *Runner) Layout() *relayout.Layout { return r.lay }
 
 // DetachLayout drops the stream bindings, returning Run to the
 // compiled-unpacked path.
-func (r *Runner) DetachLayout() { r.packed, r.spill = nil, nil }
+func (r *Runner) DetachLayout() { r.packed, r.spill, r.lay = nil, nil, nil }
 
 // bindSpill points every scatter kernel's packed body at this runner's slots.
 // Done per run, not per attach: kernels may be shared with another runner

@@ -34,7 +34,7 @@ func TestPackedMatchesSequentialWalkBitIdentical(t *testing.T) {
 			if err != nil {
 				t.Fatalf("%s: compile packed: %v", name, err)
 			}
-			if !r.Packed() {
+			if r.Layout() == nil {
 				t.Fatalf("%s: runner did not take the packed path", name)
 			}
 			if lay.Words() == 0 {
@@ -50,7 +50,7 @@ func TestPackedMatchesSequentialWalkBitIdentical(t *testing.T) {
 			// Detaching returns the runner to the compiled-unpacked path,
 			// still bit-identical.
 			r.DetachLayout()
-			if r.Packed() {
+			if r.Layout() != nil {
 				t.Fatalf("%s: detach did not clear the packed path", name)
 			}
 			r.Run(1)
@@ -112,7 +112,7 @@ func TestPackedFallbackForUnsupportedChains(t *testing.T) {
 		if err != nil {
 			t.Fatalf("%s: unpacked fallback failed too: %v", name, err)
 		}
-		if r.Packed() || art.Layout != nil || art.LayoutErr == "" {
+		if r.Layout() != nil || art.Layout != nil || art.LayoutErr == "" {
 			t.Fatalf("%s: CompileFused packed a chain with a mid-run matrix writer (layout error %q)", name, art.LayoutErr)
 		}
 	}
@@ -142,7 +142,7 @@ func TestAttachLayoutRejectsForeignProgram(t *testing.T) {
 	if err := r1.AttachLayout(lay); err == nil {
 		t.Fatal("AttachLayout accepted a layout built for a different program")
 	}
-	if r1.Packed() {
+	if r1.Layout() != nil {
 		t.Fatal("failed attach left the runner packed")
 	}
 }

@@ -2,11 +2,8 @@ package exec
 
 import (
 	"fmt"
-	"log"
-	"os"
 	"runtime"
 	"runtime/debug"
-	"strconv"
 	"sync"
 	"sync/atomic"
 	"time"
@@ -79,51 +76,10 @@ const (
 	// on the 2-vCPU reference box (ROADMAP items 1–2, finding ii): longer
 	// than an uncontended barrier round-trip, shorter than a scheduler
 	// wakeup — and shorter than the gap between two short rounds, so a
-	// worker is often already yielding when the next one is published.
-	// Override with SPARSEFUSION_SPIN_BUDGET (or ExecConfig) on
-	// oversubscribed machines, where any spinning just takes cycles from the
-	// producer.
+	// worker is often already yielding when the next one is published. A
+	// pool wider than GOMAXPROCS trims it to one poll (newPool).
 	defaultSpinBudget = 30_000
 )
-
-var (
-	spinBudgetOnce sync.Once
-	spinBudgetEnv  int
-)
-
-// envSpinBudget returns the process-wide spin budget: the value of
-// SPARSEFUSION_SPIN_BUDGET if set to a non-negative integer, else
-// defaultSpinBudget. A malformed or negative value is rejected loudly — a
-// logged warning and the default — rather than silently ignored: a deployment
-// that typo'd its spin budget should find out from the log, not from a
-// mysteriously mis-tuned barrier. Read once; the env var is a deployment
-// knob, not a per-pool one.
-func envSpinBudget() int {
-	spinBudgetOnce.Do(func() {
-		spinBudgetEnv = parseSpinBudget(os.Getenv("SPARSEFUSION_SPIN_BUDGET"))
-	})
-	return spinBudgetEnv
-}
-
-// parseSpinBudget is envSpinBudget's strict parser, separated so tests can
-// exercise every rejection branch without fighting the process-wide Once.
-// An unset variable selects the default silently; anything set but not a
-// non-negative integer is rejected with a logged warning.
-func parseSpinBudget(v string) int {
-	if v == "" {
-		return defaultSpinBudget
-	}
-	n, err := strconv.Atoi(v)
-	switch {
-	case err != nil:
-		log.Printf("sparsefusion: SPARSEFUSION_SPIN_BUDGET=%q is not an integer; using default %d", v, defaultSpinBudget)
-		return defaultSpinBudget
-	case n < 0:
-		log.Printf("sparsefusion: SPARSEFUSION_SPIN_BUDGET=%q is negative; using default %d", v, defaultSpinBudget)
-		return defaultSpinBudget
-	}
-	return n
-}
 
 // parkSlot is the per-goroutine parking space, padded out to its own cache
 // line so a releaser testing one flag does not bounce its neighbors.
@@ -136,22 +92,18 @@ type parkSlot struct {
 // newPool starts workers-1 goroutines (the caller's goroutine acts as
 // worker 0, saving one handoff per barrier). workers < 1 is clamped to 1:
 // empty schedules ask for a zero-width pool but still need the caller slot.
-// spin <= 0 selects the env/default budget, trimmed to 1 when the pool is
-// wider than GOMAXPROCS (oversubscribed: a spinning waiter occupies the CPU
-// its producer needs, so go straight to yielding); an explicit positive spin
-// is used verbatim — a caller that set it has already decided the trade.
-// watchdog is the stuck-barrier bound; 0 disables it and waiting is unbounded.
-func newPool(workers, spin int, watchdog time.Duration) *pool {
+// Waiters spin defaultSpinBudget polls, trimmed to 1 when the pool is wider
+// than GOMAXPROCS (oversubscribed: a spinning waiter occupies the CPU its
+// producer needs, so go straight to yielding). watchdog is the stuck-barrier
+// bound; 0 disables it and waiting is unbounded.
+func newPool(workers int, watchdog time.Duration) *pool {
 	if workers < 1 {
 		workers = 1
 	}
-	p := &pool{workers: workers, spin: spin, watchdog: watchdog,
+	p := &pool{workers: workers, spin: defaultSpinBudget, watchdog: watchdog,
 		durs: make([]time.Duration, workers)}
-	if spin <= 0 {
-		p.spin = envSpinBudget()
-		if runtime.GOMAXPROCS(0) < workers {
-			p.spin = 1
-		}
+	if runtime.GOMAXPROCS(0) < workers {
+		p.spin = 1
 	}
 	p.park = make([]parkSlot, workers)
 	for i := range p.park {

@@ -7,7 +7,7 @@ import (
 )
 
 func TestPoolRunsAllParts(t *testing.T) {
-	pl := newPool(4, 0, 0)
+	pl := newPool(4, 0)
 	defer pl.close()
 	var count int64
 	durs := make([]time.Duration, 4)
@@ -25,7 +25,7 @@ func TestPoolRunsAllParts(t *testing.T) {
 }
 
 func TestPoolPartialWidth(t *testing.T) {
-	pl := newPool(8, 0, 0)
+	pl := newPool(8, 0)
 	defer pl.close()
 	durs := make([]time.Duration, 8)
 	seen := make([]int64, 8)
@@ -40,7 +40,7 @@ func TestPoolPartialWidth(t *testing.T) {
 func TestPoolDistinctWorkersConcurrent(t *testing.T) {
 	// All parts of one barrier must be able to execute concurrently: if the
 	// pool serialized them, a rendezvous via channels would deadlock.
-	pl := newPool(2, 0, 0)
+	pl := newPool(2, 0)
 	defer pl.close()
 	a, b := make(chan struct{}), make(chan struct{})
 	durs := make([]time.Duration, 2)
@@ -65,7 +65,7 @@ func TestPoolDistinctWorkersConcurrent(t *testing.T) {
 }
 
 func TestPoolTooManyPartsPanics(t *testing.T) {
-	pl := newPool(2, 0, 0)
+	pl := newPool(2, 0)
 	defer pl.close()
 	durs := make([]time.Duration, 3)
 	defer func() {
@@ -80,7 +80,7 @@ func TestPoolTooManyPartsPanics(t *testing.T) {
 // the pool from MaxWidth, which can be zero, and the pool must still serve
 // width-1 rounds on the caller's goroutine.
 func TestPoolZeroWorkersClamps(t *testing.T) {
-	pl := newPool(0, 0, 0)
+	pl := newPool(0, 0)
 	defer pl.close()
 	durs := make([]time.Duration, 1)
 	ran := false
@@ -96,7 +96,7 @@ func TestPoolZeroWorkersClamps(t *testing.T) {
 // schedule here produces.
 func TestPoolManyRoundsVaryingWidth(t *testing.T) {
 	for _, workers := range []int{6, 24} {
-		pl := newPool(workers, 0, 0)
+		pl := newPool(workers, 0)
 		durs := make([]time.Duration, workers)
 		seen := make([]int64, workers)
 		want := make([]int64, workers)
@@ -116,22 +116,8 @@ func TestPoolManyRoundsVaryingWidth(t *testing.T) {
 	}
 }
 
-func TestPoolSpinBudgetExplicit(t *testing.T) {
-	pl := newPool(2, 7, 0)
-	defer pl.close()
-	if pl.spin != 7 {
-		t.Fatalf("spin = %d, want explicit 7", pl.spin)
-	}
-	durs := make([]time.Duration, 2)
-	var count int64
-	pl.run(2, func(w int) { atomic.AddInt64(&count, 1) }, durs)
-	if count != 2 {
-		t.Fatalf("ran %d of 2 parts", count)
-	}
-}
-
 func TestPoolSingleWorker(t *testing.T) {
-	pl := newPool(1, 0, 0)
+	pl := newPool(1, 0)
 	defer pl.close()
 	ran := false
 	durs := make([]time.Duration, 1)

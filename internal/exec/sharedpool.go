@@ -27,13 +27,12 @@ type Pool struct {
 }
 
 // NewPool starts a worker set of the given width (clamped to at least 1)
-// with a spin budget (<= 0 selects the process default) and a
-// barrier-watchdog bound (0 disables it). A pool whose watchdog trips is
-// poisoned: subsequent runs fail fast with a watchdog *ExecError and Close
+// with a barrier-watchdog bound (0 disables it). A pool whose watchdog trips
+// is poisoned: subsequent runs fail fast with a watchdog *ExecError and Close
 // waits only the watchdog bound for stragglers before leaking them. Close it
 // when done; an unclosed pool leaks width-1 parked goroutines.
-func NewPool(width, spin int, watchdog time.Duration) *Pool {
-	return &Pool{p: newPool(width, spin, watchdog)}
+func NewPool(width int, watchdog time.Duration) *Pool {
+	return &Pool{p: newPool(width, watchdog)}
 }
 
 // Width is the maximum schedule width the pool can execute.

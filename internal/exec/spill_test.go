@@ -127,7 +127,7 @@ func TestPackedScatterReproducible(t *testing.T) {
 				if width < r.Program().MaxWidth {
 					continue // a round needs a slot per w-partition
 				}
-				pl := NewPool(width, 0, 0)
+				pl := NewPool(width, 0)
 				for i := 0; i < runs; i++ {
 					mustRun(r.RunOn(pl, threads))
 					check("shared pool")

@@ -15,14 +15,11 @@ import (
 
 	"sparsefusion/internal/cachesim"
 	"sparsefusion/internal/combos"
-	"sparsefusion/internal/core"
 	"sparsefusion/internal/dag"
 	"sparsefusion/internal/dagp"
-	"sparsefusion/internal/exec"
 	"sparsefusion/internal/lbc"
 	"sparsefusion/internal/locality"
 	"sparsefusion/internal/metrics"
-	"sparsefusion/internal/partition"
 	"sparsefusion/internal/sparse"
 	"sparsefusion/internal/suite"
 )
@@ -182,7 +179,10 @@ type Fig6Row struct {
 }
 
 // RunFig6 evaluates all six combinations on one matrix (the paper uses
-// bone010; suite.Bone010Standin substitutes).
+// bone010; suite.Bone010Standin substitutes). Each implementation is
+// inspected once; its latency is the simulation of the steps it executes —
+// sparse fusion on the rung it is served from, packed where the chain packs —
+// and its gain the median over five of its executions.
 func RunFig6(a *sparse.CSR, threads int) ([]Fig6Row, error) {
 	cfg := cachesim.Default()
 	var rows []Fig6Row
@@ -191,82 +191,28 @@ func RunFig6(a *sparse.CSR, threads int) ([]Fig6Row, error) {
 		if err != nil {
 			return nil, err
 		}
-		// Sparse fusion.
-		sched, err := core.ICO(in.Loops, core.Params{Threads: threads, ReuseRatio: in.Reuse, LBC: PaperLBC()})
-		if err != nil {
-			return nil, err
-		}
-		latSF, err := cachesim.MeasureFused(in.Kernels, sched, cfg)
-		if err != nil {
-			return nil, err
-		}
-		// The gain is measured on the unpacked form latSF simulated.
-		prog, err := core.CompileSchedule(sched, len(in.Kernels))
-		if err != nil {
-			return nil, err
-		}
-		fused := exec.NewRunner(in.Kernels, prog)
-		gainSF, err := medianGain(func() (time.Duration, error) {
-			st, err := fused.Run(threads)
-			return st.PotentialGain, err
-		})
-		if err != nil {
-			return nil, err
-		}
-
-		// Unfused ParSy: LBC per kernel.
-		var ps []*partition.Partitioning
-		var rs []*exec.Runner
-		for _, k := range in.Kernels {
-			p, err := lbc.Schedule(k.DAG(), threads, PaperLBC())
+		// Sparse fusion, fused LBC on the joint DAG, and unfused ParSy (LBC
+		// per kernel), the normalization base.
+		var lat [3]float64
+		var gain [3]time.Duration
+		for i, im := range []*combos.Impl{
+			in.SparseFusion(threads, PaperLBC()),
+			in.JointLBC(threads, PaperLBC()),
+			in.UnfusedParSy(threads, PaperLBC()),
+		} {
+			if err := im.Inspect(); err != nil {
+				return nil, err
+			}
+			r, err := cachesim.Simulate(im.Steps(), cfg)
 			if err != nil {
 				return nil, err
 			}
-			r, err := exec.CompilePartitioned(k, p)
-			if err != nil {
+			lat[i] = r.AvgLatency()
+			if gain[i], err = medianGain(im); err != nil {
 				return nil, err
 			}
-			ps, rs = append(ps, p), append(rs, r)
 		}
-		latPS, err := cachesim.MeasureChain(in.Kernels, ps, threads, cfg)
-		if err != nil {
-			return nil, err
-		}
-		gainPS, err := medianGain(func() (time.Duration, error) {
-			st, err := exec.RunChainCompiled(in.Kernels, rs, threads)
-			return st.PotentialGain, err
-		})
-		if err != nil {
-			return nil, err
-		}
-
-		// Fused LBC on the joint DAG.
-		joint, err := in.JointGraph()
-		if err != nil {
-			return nil, err
-		}
-		jp, err := lbc.ScheduleChordal(joint, threads, PaperLBC())
-		if err != nil {
-			return nil, err
-		}
-		latJL, err := cachesim.MeasureJoint(in.Kernels[0], in.Kernels[1], jp, threads, cfg)
-		if err != nil {
-			return nil, err
-		}
-		jointLBC, err := exec.CompileJoint(in.Kernels[0], in.Kernels[1], jp)
-		if err != nil {
-			return nil, err
-		}
-		gainJL, err := medianGain(func() (time.Duration, error) {
-			st, err := jointLBC.Run(threads)
-			return st.PotentialGain, err
-		})
-		if err != nil {
-			return nil, err
-		}
-
-		base := latPS.AvgLatency()
-		gBase := gainPS
+		base, gBase := lat[2], gain[2]
 		norm := func(v float64) float64 {
 			if base == 0 {
 				return 0
@@ -281,11 +227,11 @@ func RunFig6(a *sparse.CSR, threads int) ([]Fig6Row, error) {
 		}
 		rows = append(rows, Fig6Row{
 			Combo:        in.Name,
-			LatFusion:    norm(latSF.AvgLatency()),
-			LatFusedLBC:  norm(latJL.AvgLatency()),
+			LatFusion:    norm(lat[0]),
+			LatFusedLBC:  norm(lat[1]),
 			LatParSy:     1,
-			GainFusion:   gnorm(gainSF),
-			GainFusedLBC: gnorm(gainJL),
+			GainFusion:   gnorm(gain[0]),
+			GainFusedLBC: gnorm(gain[1]),
 			GainParSy:    1,
 			RawLatParSy:  base,
 			RawGainParSy: gBase,
@@ -295,15 +241,15 @@ func RunFig6(a *sparse.CSR, threads int) ([]Fig6Row, error) {
 }
 
 // medianGain reduces scheduler noise in the potential-gain measurement by
-// taking the median of five runs; the first executor error aborts.
-func medianGain(run func() (time.Duration, error)) (time.Duration, error) {
+// taking the median of five executions; the first executor error aborts.
+func medianGain(im *combos.Impl) (time.Duration, error) {
 	var ds []time.Duration
 	for i := 0; i < 5; i++ {
-		d, err := run()
+		st, err := im.Execute()
 		if err != nil {
 			return 0, err
 		}
-		ds = append(ds, d)
+		ds = append(ds, st.PotentialGain)
 	}
 	sort.Slice(ds, func(i, j int) bool { return ds[i] < ds[j] })
 	return ds[2], nil
@@ -623,9 +569,10 @@ func RunTable1(a *sparse.CSR) ([]Table1Row, error) {
 // ------------------------------------------------- reuse-distance extension
 
 // ReuseDistRow is this reproduction's machine-independent companion to
-// figure 6: mean LRU stack distance (in 64-byte lines) of the fused schedule
-// versus the unfused ParSy execution, plus the hit ratio a 32 KiB L1 would
-// see. Smaller distance / higher hit ratio = better locality.
+// figure 6: mean LRU stack distance (in 64-byte lines) of the sparse-fusion
+// implementation's steps (packed where the chain packs) versus unfused
+// ParSy's, plus the hit ratio a 32 KiB L1 would see. Smaller distance /
+// higher hit ratio = better locality.
 type ReuseDistRow struct {
 	Combo                  string
 	MeanFused, MeanParSy   float64
@@ -641,37 +588,21 @@ func RunReuseDist(a *sparse.CSR, threads int) ([]ReuseDistRow, error) {
 		if err != nil {
 			return nil, err
 		}
-		sched, err := core.ICO(in.Loops, core.Params{Threads: threads, ReuseRatio: in.Reuse, LBC: PaperLBC()})
-		if err != nil {
-			return nil, err
-		}
-		fused, err := locality.MeasureFused(in.Kernels, sched, 64)
-		if err != nil {
-			return nil, err
-		}
-		var ps []*partition.Partitioning
-		var rs []*exec.Runner
-		for _, k := range in.Kernels {
-			p, err := lbc.Schedule(k.DAG(), threads, PaperLBC())
-			if err != nil {
+		var prof [2]locality.Profile
+		for i, im := range []*combos.Impl{in.SparseFusion(threads, PaperLBC()), in.UnfusedParSy(threads, PaperLBC())} {
+			if err := im.Inspect(); err != nil {
 				return nil, err
 			}
-			r, err := exec.CompilePartitioned(k, p)
-			if err != nil {
+			if prof[i], err = cachesim.Profile(im.Steps(), 64); err != nil {
 				return nil, err
 			}
-			ps, rs = append(ps, p), append(rs, r)
-		}
-		parsy, err := locality.MeasureChain(in.Kernels, ps, threads, 64)
-		if err != nil {
-			return nil, err
 		}
 		rows = append(rows, ReuseDistRow{
 			Combo:      in.Name,
-			MeanFused:  fused.MeanDistance(),
-			MeanParSy:  parsy.MeanDistance(),
-			L1HitFused: fused.HitRatio(l1Lines),
-			L1HitParSy: parsy.HitRatio(l1Lines),
+			MeanFused:  prof[0].MeanDistance(),
+			MeanParSy:  prof[1].MeanDistance(),
+			L1HitFused: prof[0].HitRatio(l1Lines),
+			L1HitParSy: prof[1].HitRatio(l1Lines),
 		})
 		progress("reusedist %s done", in.Name)
 	}

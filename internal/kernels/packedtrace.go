@@ -6,8 +6,9 @@ import "reflect"
 // TracePacked replays the memory accesses of one packed iteration — the
 // occurrence's Len slot, the sequential int32 index and float64 value
 // entries, and the same vector traffic as the matrix-order body — and
-// returns the advanced entry cursor. The cache simulator uses these to
-// quantify the locality the re-layout buys (internal/cachesim.MeasurePacked).
+// returns the advanced entry cursor. The cache simulator replays a packed
+// runner's steps through these to quantify the locality the re-layout buys
+// (internal/cachesim).
 
 const int32Size = 4
 

@@ -9,15 +9,12 @@
 // every access, the stack distance is the number of *distinct* cache lines
 // touched since that line's previous access. A hit in a cache of capacity C
 // lines (fully associative, LRU) is exactly distance < C.
+//
+// cachesim.Profile feeds an implementation's steps through one Analyzer per
+// thread slot, with the same walker that drives the cache simulator.
 package locality
 
-import (
-	"math/bits"
-
-	"sparsefusion/internal/core"
-	"sparsefusion/internal/kernels"
-	"sparsefusion/internal/partition"
-)
+import "math/bits"
 
 // Profile is a reuse-distance histogram in power-of-two buckets:
 // Buckets[k] counts accesses with stack distance in [2^k, 2^(k+1)) lines
@@ -38,15 +35,6 @@ func bucket(d int64) int {
 		b = len(Profile{}.Buckets) - 1
 	}
 	return b
-}
-
-// add merges another profile into p.
-func (p *Profile) add(q Profile) {
-	for i := range p.Buckets {
-		p.Buckets[i] += q.Buckets[i]
-	}
-	p.Cold += q.Cold
-	p.Accesses += q.Accesses
 }
 
 // HitRatio returns the fraction of accesses whose stack distance is below
@@ -164,83 +152,4 @@ func (f *fenwick) sum(i int64) int64 {
 		s += f.t[i-1]
 	}
 	return s
-}
-
-// MeasureFused profiles a fused schedule: each w-partition slot is one
-// access stream (one thread's locality), and the slot profiles are summed.
-func MeasureFused(ks []kernels.Kernel, sched *core.Schedule, lineSize int) (Profile, error) {
-	trs := make([]kernels.Tracer, len(ks))
-	for i, k := range ks {
-		t, ok := k.(kernels.Tracer)
-		if !ok {
-			return Profile{}, errNotTraceable(k.Name())
-		}
-		trs[i] = t
-	}
-	width := sched.MaxWidth()
-	if width < 1 {
-		width = 1
-	}
-	analyzers := make([]*Analyzer, width)
-	for i := range analyzers {
-		analyzers[i] = NewAnalyzer(lineSize)
-	}
-	for _, sp := range sched.S {
-		for w, part := range sp {
-			an := analyzers[w]
-			for _, it := range part {
-				trs[it.Loop].Trace(it.Idx, an.Access)
-			}
-		}
-	}
-	var total Profile
-	for _, an := range analyzers {
-		total.add(an.Profile())
-	}
-	return total, nil
-}
-
-type errNotTraceable string
-
-func (e errNotTraceable) Error() string {
-	return "locality: kernel " + string(e) + " does not support tracing"
-}
-
-// MeasureChain profiles kernels executed back to back, each under its own
-// partitioning (nil: sequential on slot 0) — the unfused baselines'
-// locality.
-func MeasureChain(ks []kernels.Kernel, ps []*partition.Partitioning, width, lineSize int) (Profile, error) {
-	if width < 1 {
-		width = 1
-	}
-	analyzers := make([]*Analyzer, width)
-	for i := range analyzers {
-		analyzers[i] = NewAnalyzer(lineSize)
-	}
-	for i, k := range ks {
-		tr, ok := k.(kernels.Tracer)
-		if !ok {
-			return Profile{}, errNotTraceable(k.Name())
-		}
-		if ps[i] == nil {
-			an := analyzers[0]
-			for it := 0; it < k.Iterations(); it++ {
-				tr.Trace(it, an.Access)
-			}
-			continue
-		}
-		for _, sp := range ps[i].S {
-			for w, part := range sp {
-				an := analyzers[w%len(analyzers)]
-				for _, v := range part {
-					tr.Trace(v, an.Access)
-				}
-			}
-		}
-	}
-	var total Profile
-	for _, an := range analyzers {
-		total.add(an.Profile())
-	}
-	return total, nil
 }

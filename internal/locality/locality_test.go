@@ -1,14 +1,6 @@
 package locality
 
-import (
-	"testing"
-
-	"sparsefusion/internal/combos"
-	"sparsefusion/internal/core"
-	"sparsefusion/internal/kernels"
-	"sparsefusion/internal/lbc"
-	"sparsefusion/internal/sparse"
-)
+import "testing"
 
 func TestAnalyzerExactDistances(t *testing.T) {
 	a := NewAnalyzer(64)
@@ -89,47 +81,5 @@ func TestMeanDistanceOrdering(t *testing.T) {
 	}
 	if tight.Profile().MeanDistance() >= scan.Profile().MeanDistance() {
 		t.Fatal("tight loop should have smaller mean reuse distance")
-	}
-}
-
-func TestInterleavedPackingImprovesReuseDistance(t *testing.T) {
-	// The locality claim behind figure 6, in machine-independent form: for
-	// TRSV-TRSV (reuse ratio >= 1, shared factor L), interleaved packing
-	// yields a smaller mean reuse distance than separated packing.
-	a := sparse.Must(sparse.Laplacian2D(48))
-	in, err := combos.Build(combos.TrsvTrsv, a)
-	if err != nil {
-		t.Fatal(err)
-	}
-	mk := func(reuse float64) Profile {
-		sched, err := core.ICO(in.Loops, core.Params{
-			Threads: 4, ReuseRatio: reuse, LBC: lbc.Params{InitialCut: 4, Agg: 400},
-		})
-		if err != nil {
-			t.Fatal(err)
-		}
-		p, err := MeasureFused(in.Kernels, sched, 64)
-		if err != nil {
-			t.Fatal(err)
-		}
-		return p
-	}
-	inter := mk(1.5)
-	sep := mk(0.5)
-	if inter.MeanDistance() >= sep.MeanDistance() {
-		t.Fatalf("interleaved mean distance %.0f not below separated %.0f",
-			inter.MeanDistance(), sep.MeanDistance())
-	}
-}
-
-// stubKernel satisfies kernels.Kernel without implementing Tracer.
-type stubKernel struct{ kernels.Kernel }
-
-func (stubKernel) Name() string { return "stub" }
-
-func TestMeasureFusedRejectsUntraceable(t *testing.T) {
-	sched := &core.Schedule{S: [][][]core.Iter{{{{Loop: 0, Idx: 0}}}}}
-	if _, err := MeasureFused([]kernels.Kernel{stubKernel{}}, sched, 64); err == nil {
-		t.Fatal("untraceable kernel accepted")
 	}
 }

@@ -176,7 +176,7 @@ func NewCfg(maxConcurrent, width int, cfg Config) *Server {
 		s.maxQueue = int64(cfg.MaxQueue)
 	}
 	for i := 0; i < maxConcurrent; i++ {
-		s.pools <- exec.NewPool(width, 0, cfg.Watchdog)
+		s.pools <- exec.NewPool(width, cfg.Watchdog)
 	}
 	return s
 }
@@ -256,7 +256,7 @@ func (s *Server) checkIn(pl *exec.Pool) *exec.Pool {
 	// Close in the background: it may wait up to the watchdog bound for the
 	// straggler, and the next request should not pay that.
 	go pl.Close()
-	return exec.NewPool(s.width, 0, s.watchdog)
+	return exec.NewPool(s.width, s.watchdog)
 }
 
 // Stats snapshots the admission counters.

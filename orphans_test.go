@@ -50,7 +50,6 @@ var orphansAllowed = map[string]string{
 	// what was deleted instead).
 	"atomicf.Load":                     "read half of the atomic float; the package goes whole with ROADMAP item 4(a)",
 	"atomicf.Store":                    "write half of the atomic float; the package goes whole with ROADMAP item 4(a)",
-	"cachesim.MeasurePacked":           "the only locality measurement of the packed rung, which the sparse-fusion Impl now runs on; Figure 6 switches to it with ROADMAP item 8",
 	"metrics.GeoMean":                  "the paper's summary statistic (geometric-mean speed-up over the suite); ROADMAP item 8(e)'s report generator is its caller",
 	"metrics.Speedup":                  "the ratio GeoMean averages; same verdict",
 	"partition.Partitioning.WaitWork":  "potential gain in work units (paper figure 6's definition): how ROADMAP item 8(d) prices a baseline partitioning without running it",

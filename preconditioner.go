@@ -28,7 +28,7 @@ type IC0Preconditioner struct {
 }
 
 // NewIC0Preconditioner factors tril(A) with IC0 and inspects the fused
-// forward+backward apply. Of opts, Threads, the LBC parameters, SpinBudget and
+// forward+backward apply. Of opts, Threads, the LBC parameters and
 // Watchdog apply; the preconditioner inspects privately — Cache and Tracer
 // are not consulted — and runs on the compiled (unpacked) rung.
 //
@@ -81,7 +81,7 @@ func NewIC0Preconditioner(m *Matrix, opts Options) (*IC0Preconditioner, error) {
 		return nil, err
 	}
 	p.run = exec.NewRunner(ks, prog)
-	p.run.Configure(exec.Config{SpinBudget: opts.SpinBudget, Watchdog: opts.Watchdog})
+	p.run.Configure(exec.Config{Watchdog: opts.Watchdog})
 	return p, nil
 }
 

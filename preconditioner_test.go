@@ -127,7 +127,7 @@ func TestPrivateSolversApplyExecConfig(t *testing.T) {
 		opts Options
 		want exec.Config
 	}{
-		{Options{Threads: 2, SpinBudget: 77, Watchdog: 3 * time.Second}, exec.Config{SpinBudget: 77, Watchdog: 3 * time.Second}},
+		{Options{Threads: 2, Watchdog: 3 * time.Second}, exec.Config{Watchdog: 3 * time.Second}},
 		{Options{Threads: 2}, exec.Config{}},
 	} {
 		g, err := NewGaussSeidel(m, GSOptions{Options: tc.opts})

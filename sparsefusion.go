@@ -215,10 +215,6 @@ type Options struct {
 	// of the operation and its sessions (creation, demotions with typed
 	// cause). Nil costs one pointer check per event site.
 	Tracer *Tracer
-	// SpinBudget overrides the executor's barrier spin budget (iterations a
-	// worker spins before yielding, then parking). <= 0 keeps the default
-	// (30000, or the SPARSEFUSION_SPIN_BUDGET environment override).
-	SpinBudget int
 	// Watchdog bounds how long the executor waits for a worker to arrive at
 	// an s-partition barrier before giving up on the round: a stuck worker
 	// body (a livelocked kernel, a scheduling pathology on an oversubscribed
@@ -418,10 +414,9 @@ type execState struct {
 	// representation and the state walks it on one thread.
 	prog *core.Program
 	th   int
-	// spin and watchdog are the executor tuning carried from Options
-	// (SpinBudget, Watchdog), applied to every runner this state builds —
-	// including the rebuilt runner of a session bound to shared artifacts.
-	spin     int
+	// watchdog is the executor tuning carried from Options, applied to every
+	// runner this state builds — including the rebuilt runner of a session
+	// bound to shared artifacts.
 	watchdog time.Duration
 	// progErr and layErr record why prog or the packed layout is absent, for
 	// demotion records of sessions derived from this state.
@@ -499,7 +494,7 @@ func NewOperation(c Combination, m *Matrix, opts Options) (*Operation, error) {
 		return nil, err
 	}
 	op := &Operation{
-		execState: execState{inst: inst, th: opts.threads(), spin: opts.SpinBudget, watchdog: opts.Watchdog, id: nextStateID.Add(1), tr: opts.Tracer},
+		execState: execState{inst: inst, th: opts.threads(), watchdog: opts.Watchdog, id: nextStateID.Add(1), tr: opts.Tracer},
 		fp:        opts.fingerprint(m, cache.Params{Combo: int(c)}),
 	}
 	if err := op.open(t0, opts, op.fp); err != nil {
@@ -683,9 +678,9 @@ func (e *execState) bindArtifacts(art cache.Artifacts, shared bool) cache.Artifa
 			Demotion{From: ModeCompiled, To: ModeSequential, Reason: art.ProgramErr})
 		return art
 	}
-	r.Configure(exec.Config{SpinBudget: e.spin, Watchdog: e.watchdog})
+	r.Configure(exec.Config{Watchdog: e.watchdog})
 	e.prog, e.runner = art.Program, r
-	if !r.Packed() {
+	if r.Layout() == nil {
 		e.demote(Demotion{From: ModePacked, To: ModeCompiled, Reason: art.LayoutErr})
 		return art
 	}
@@ -698,7 +693,7 @@ func (e *execState) modeLocked() ExecMode {
 	switch {
 	case e.runner == nil:
 		return ModeSequential
-	case e.runner.Packed():
+	case e.runner.Layout() != nil:
 		return ModePacked
 	default:
 		return ModeCompiled
@@ -883,7 +878,7 @@ func (e *execState) runLadder(ctx context.Context, pl *exec.Pool) (exec.Stats, e
 		var taken []Demotion
 		e.mu.Lock()
 		if e.runner == r {
-			if r.Packed() {
+			if r.Layout() != nil {
 				r.DetachLayout()
 				e.layout = nil
 				e.layErr = err.Error()
@@ -934,7 +929,7 @@ func (op *Operation) NewSession() (*Session, error) {
 		LayoutErr:  op.layErr,
 	}
 	op.mu.Unlock()
-	s := &Session{execState: execState{inst: clone, th: op.th, spin: op.spin, watchdog: op.watchdog, id: nextStateID.Add(1), tr: op.tr}}
+	s := &Session{execState: execState{inst: clone, th: op.th, watchdog: op.watchdog, id: nextStateID.Add(1), tr: op.tr}}
 	s.tr.raw().Emit("session.new",
 		telemetry.Int("session", s.id),
 		telemetry.Int("op", op.id),
@@ -1140,7 +1135,7 @@ func NewOperationFromSchedule(c Combination, m *Matrix, r io.Reader, opts Option
 		return nil, err
 	}
 	op := &Operation{
-		execState: execState{inst: inst, th: opts.threads(), spin: opts.SpinBudget, watchdog: opts.Watchdog, id: nextStateID.Add(1), tr: opts.Tracer},
+		execState: execState{inst: inst, th: opts.threads(), watchdog: opts.Watchdog, id: nextStateID.Add(1), tr: opts.Tracer},
 		fp:        opts.fingerprint(m, cache.Params{Combo: int(c)}),
 	}
 	br := bufio.NewReader(r)
