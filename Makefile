@@ -23,13 +23,15 @@ race:
 	$(GO) test -race -count=5 -run 'TestConcurrentSessionsMatchReference|TestScatterOperationCleanAfterCancelStorm|TestConcurrentOpensShareMatrixMemos' .
 	$(GO) test -race -count=5 -run 'TestICOWorkersDeterministic|TestScheduleWorkersDeterministic|TestReferenceMatchesOptimized' ./internal/core/ ./internal/lbc/ ./internal/refinspect/
 
-# fuzz smoke-runs the native Go fuzz targets on the two untrusted-input
-# parsers: the binary schedule loader and the Matrix Market reader. Each
-# target gets FUZZTIME of coverage-guided input generation on top of its
-# committed seed corpus.
+# fuzz smoke-runs the native Go fuzz targets: the two untrusted-input parsers
+# (the binary schedule loader and the Matrix Market reader) and the re-layout
+# (random packable chains over random patterns: Build, CheckExclusive and the
+# packed runner against the one-thread walk). Each target gets FUZZTIME of
+# coverage-guided input generation on top of its committed seed corpus.
 fuzz:
 	$(GO) test -run '^$$' -fuzz '^FuzzReadSchedule$$' -fuzztime $(FUZZTIME) ./internal/core
 	$(GO) test -run '^$$' -fuzz '^FuzzReadMatrixMarket$$' -fuzztime $(FUZZTIME) ./internal/sparse
+	$(GO) test -run '^$$' -fuzz '^FuzzRelayout$$' -fuzztime $(FUZZTIME) ./internal/relayout
 
 # bench runs the four BENCHMARK.json workloads once (bench/README.md), one
 # JSON line each. To compare two commits, run each side several times into one

@@ -23,12 +23,17 @@ type shapeReplay struct {
 	slots []func(uintptr)
 }
 
+// trace replays iteration i of k reading the matrix-order arrays.
+func trace(k kernels.Kernel, i int, emit func(uintptr)) {
+	k.(kernels.Tracer).Trace(i, kernels.MatrixView(k, i), emit)
+}
+
 // fused replays a fused schedule: w-partition w of every s-partition on slot w.
 func (r shapeReplay) fused(ks []kernels.Kernel, sched *core.Schedule) {
 	for _, sp := range sched.S {
 		for w, part := range sp {
 			for _, it := range part {
-				ks[it.Loop].(kernels.Tracer).Trace(it.Idx, r.slots[w])
+				trace(ks[it.Loop], it.Idx, r.slots[w])
 			}
 		}
 	}
@@ -38,17 +43,16 @@ func (r shapeReplay) fused(ks []kernels.Kernel, sched *core.Schedule) {
 // sequential on slot 0), w-partition w on slot w % width.
 func (r shapeReplay) chain(ks []kernels.Kernel, ps []*partition.Partitioning) {
 	for i, k := range ks {
-		tr := k.(kernels.Tracer)
 		if ps[i] == nil {
 			for it := 0; it < k.Iterations(); it++ {
-				tr.Trace(it, r.slots[0])
+				trace(k, it, r.slots[0])
 			}
 			continue
 		}
 		for _, sp := range ps[i].S {
 			for w, part := range sp {
 				for _, v := range part {
-					tr.Trace(v, r.slots[w%len(r.slots)])
+					trace(k, v, r.slots[w%len(r.slots)])
 				}
 			}
 		}
@@ -63,9 +67,9 @@ func (r shapeReplay) joint(k1, k2 kernels.Kernel, p *partition.Partitioning) {
 		for w, part := range sp {
 			for _, v := range part {
 				if v < n1 {
-					k1.(kernels.Tracer).Trace(v, r.slots[w%len(r.slots)])
+					trace(k1, v, r.slots[w%len(r.slots)])
 				} else {
-					k2.(kernels.Tracer).Trace(v-n1, r.slots[w%len(r.slots)])
+					trace(k2, v-n1, r.slots[w%len(r.slots)])
 				}
 			}
 		}

@@ -63,7 +63,7 @@ func (r *Rng) CancelAfter(parent context.Context, window time.Duration) (context
 
 // Kernel fault injectors. Each wrapper implements kernels.Kernel by
 // delegation and arms one outer-loop iteration; because the wrapper's method
-// set deliberately omits the BatchRunner/PackedRunner fast-path interfaces,
+// set deliberately omits the BatchRunner/PackedKernel fast-path interfaces,
 // the executor falls back to per-iteration Run dispatch and the armed
 // iteration is guaranteed to be observed, on whichever worker the schedule
 // assigns it to.

@@ -452,8 +452,8 @@ func TestAssembleThenDerive(t *testing.T) {
 		}
 		shared := true
 		for l := range in.Kernels {
-			p, isPacker := in.Kernels[l].(kernels.StreamPacker)
-			q, _ := other.Kernels[l].(kernels.StreamPacker)
+			p, isPacker := in.Kernels[l].(kernels.PackedKernel)
+			q, _ := other.Kernels[l].(kernels.PackedKernel)
 			if !isPacker || &p.PackedSource()[0] != &q.PackedSource()[0] {
 				shared = false
 			}

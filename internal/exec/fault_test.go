@@ -219,13 +219,13 @@ func hookUnit(r *Runner, g int32, before, after func()) (undo func()) {
 }
 
 type hookedRunner struct {
-	kernels.PackedRunner
+	kernels.PackedKernel
 	before, after func()
 }
 
 func (h hookedRunner) RunManyPacked(iters []int32, s *kernels.PackedStream, ent, it int) {
 	h.before()
-	h.PackedRunner.RunManyPacked(iters, s, ent, it)
+	h.PackedKernel.RunManyPacked(iters, s, ent, it)
 	h.after()
 }
 

@@ -21,7 +21,7 @@ import (
 // Parallel to Runner.segs.
 type packedSeg struct {
 	pair kernels.PackedPairRunner // fused two-kernel body for shredded spans
-	run  kernels.PackedRunner     // single-kernel batch body
+	run  kernels.PackedKernel     // single-kernel batch body
 	s1   *kernels.PackedStream    // stream of the unit's (first) loop
 	s2   *kernels.PackedStream    // stream of the pair's second loop
 	ent1 int32                    // first operand-entry slot in s1
@@ -90,7 +90,7 @@ func (r *Runner) AttachLayout(lay *relayout.Layout) error {
 			}
 			continue
 		}
-		pk, ok := r.ks[sg.loop].(kernels.PackedRunner)
+		pk, ok := r.ks[sg.loop].(kernels.PackedKernel)
 		if !ok {
 			return fmt.Errorf("exec: kernel %s does not support packed execution", r.ks[sg.loop].Name())
 		}

@@ -43,30 +43,28 @@ type PackedStream struct {
 // Entries returns the total number of packed operand entries.
 func (s *PackedStream) Entries() int { return len(s.Idx) }
 
-// Occurrences returns the number of scheduled iterations packed so far.
+// Occurrences returns the number of scheduled iterations packed.
 func (s *PackedStream) Occurrences() int { return len(s.Len) }
 
-// StreamPacker is implemented by kernels the packed executor supports.
-// AppendStream appends iteration i's operand entries to s in the exact order
-// RunManyPacked consumes them, growing Len (and Pos where used) by one
-// occurrence. StreamEntries reports how many Idx/Val entries AppendStream(i)
-// would append — the sizing contract the parallel first-touch relayout
-// preallocates with, so it must agree with AppendStream exactly.
-// PackedSource exposes the value array the stream snapshots, so the relayout
-// stage can refuse layouts whose source another fused kernel overwrites
-// during the run (the snapshot would go stale mid-execution).
-type StreamPacker interface {
-	AppendStream(i int, s *PackedStream)
-	StreamEntries(i int) int
+// PackedKernel is implemented by the kernels the packed executor supports.
+type PackedKernel interface {
+	// Operands is iteration i's operand run: the sparse entries its body
+	// reads, in the order it reads them — parallel index and value slices of
+	// the kernel's matrix — and, for bodies that write matrix values at their
+	// original positions (DSCAL), the run's position in those arrays; -1 for
+	// every other kernel. The one description of what an iteration touches:
+	// the re-layout packs it (relayout.Build) and the matrix-order trace
+	// reads it in place (MatrixView).
+	Operands(i int) (idx []int, val []float64, pos int)
+	// PackedSource is the value array Operands reads, so the relayout stage
+	// can refuse layouts whose source another fused kernel overwrites during
+	// the run (the packed copy would go stale mid-execution).
 	PackedSource() []float64
-}
-
-// PackedRunner executes a whole run segment of packed entries against a
-// schedule-order operand stream: ent is the segment's first operand-entry
-// slot and it its first occurrence slot in s (relayout.Layout.SegEnt and
-// core.Program.SegIter). The dependency contract is the same as Run's,
-// applied elementwise in stream order.
-type PackedRunner interface {
+	// RunManyPacked executes a whole run segment of packed entries against a
+	// schedule-order operand stream: ent is the segment's first operand-entry
+	// slot and it its first occurrence slot in s (relayout.Layout.SegEnt and
+	// core.Program.SegIter). The dependency contract is the same as Run's,
+	// applied elementwise in stream order.
 	RunManyPacked(iters []int32, s *PackedStream, ent, it int)
 }
 
@@ -74,13 +72,6 @@ type PackedRunner interface {
 // stream against the two loops' operand streams, advancing an entry cursor
 // and an occurrence cursor per stream — the packed analogue of PairRunner.
 type PackedPairRunner func(iters []int32, s1, s2 *PackedStream, ent1, it1, ent2, it2 int)
-
-// PackedTracer replays the memory accesses of one packed iteration for the
-// cache simulator (occurrence it at entry cursor ent) and returns the
-// advanced entry cursor. The packed counterpart of Tracer.
-type PackedTracer interface {
-	TracePacked(i int, s *PackedStream, ent, it int, emit func(uintptr)) int
-}
 
 // SpillScatterer is implemented by the packed kernels whose iterations
 // accumulate into entries of a shared vector (the loops figure 2a of the paper
@@ -113,22 +104,17 @@ func foldSpill(dst, slots []float64, tgt []int32) {
 	}
 }
 
-// appendCSR appends row/column i of a matrix-order (p, idx, val) triple to
-// the stream: the shared body of most AppendStream implementations.
-func (s *PackedStream) appendCSR(p []int, idx []int, val []float64, i int) {
+// csrRun is row/column i of a matrix-order (p, idx, val) triple: the operand
+// run of most kernels.
+func csrRun(p, idx []int, val []float64, i int) ([]int, []float64, int) {
 	lo, hi := p[i], p[i+1]
-	for q := lo; q < hi; q++ {
-		s.Idx = append(s.Idx, int32(idx[q]))
-	}
-	s.Val = append(s.Val, val[lo:hi]...)
-	s.Len = append(s.Len, int32(hi-lo))
+	return idx[lo:hi], val[lo:hi], -1
 }
 
 // ---- SpMV-CSR ----
 
-func (k *SpMVCSR) AppendStream(i int, s *PackedStream) { s.appendCSR(k.A.P, k.A.I, k.A.X, i) }
-func (k *SpMVCSR) PackedSource() []float64             { return k.A.X }
-func (k *SpMVCSR) StreamEntries(i int) int             { return k.A.P[i+1] - k.A.P[i] }
+func (k *SpMVCSR) Operands(i int) ([]int, []float64, int) { return csrRun(k.A.P, k.A.I, k.A.X, i) }
+func (k *SpMVCSR) PackedSource() []float64                { return k.A.X }
 
 // RunManyPacked computes Y[i] = A[i][:]*X from the packed stream.
 func (k *SpMVCSR) RunManyPacked(iters []int32, s *PackedStream, ent, it int) {
@@ -147,9 +133,8 @@ func (k *SpMVCSR) RunManyPacked(iters []int32, s *PackedStream, ent, it int) {
 
 // ---- SpMV-CSC ----
 
-func (k *SpMVCSC) AppendStream(j int, s *PackedStream) { s.appendCSR(k.A.P, k.A.I, k.A.X, j) }
-func (k *SpMVCSC) PackedSource() []float64             { return k.A.X }
-func (k *SpMVCSC) StreamEntries(j int) int             { return k.A.P[j+1] - k.A.P[j] }
+func (k *SpMVCSC) Operands(j int) ([]int, []float64, int) { return csrRun(k.A.P, k.A.I, k.A.X, j) }
+func (k *SpMVCSC) PackedSource() []float64                { return k.A.X }
 
 func (k *SpMVCSC) ScatterShape() (targets, skip int) { return k.A.Rows, 0 }
 func (k *SpMVCSC) BindSpill(slots []float64)         { k.spill = slots }
@@ -179,9 +164,8 @@ func (k *SpMVCSC) RunManyPacked(iters []int32, s *PackedStream, ent, it int) {
 
 // ---- SpMV+b-CSR ----
 
-func (k *SpMVPlusCSR) AppendStream(i int, s *PackedStream) { s.appendCSR(k.A.P, k.A.I, k.A.X, i) }
-func (k *SpMVPlusCSR) PackedSource() []float64             { return k.A.X }
-func (k *SpMVPlusCSR) StreamEntries(i int) int             { return k.A.P[i+1] - k.A.P[i] }
+func (k *SpMVPlusCSR) Operands(i int) ([]int, []float64, int) { return csrRun(k.A.P, k.A.I, k.A.X, i) }
+func (k *SpMVPlusCSR) PackedSource() []float64                { return k.A.X }
 
 // packedIter computes one packed row; shared with the fused pair bodies.
 func (k *SpMVPlusCSR) packedIter(i int, s *PackedStream, ent, it int) int {
@@ -212,9 +196,8 @@ func (k *SpMVPlusCSR) RunManyPacked(iters []int32, s *PackedStream, ent, it int)
 
 // ---- SpTRSV-CSR ----
 
-func (k *SpTRSVCSR) AppendStream(i int, s *PackedStream) { s.appendCSR(k.L.P, k.L.I, k.L.X, i) }
-func (k *SpTRSVCSR) PackedSource() []float64             { return k.L.X }
-func (k *SpTRSVCSR) StreamEntries(i int) int             { return k.L.P[i+1] - k.L.P[i] }
+func (k *SpTRSVCSR) Operands(i int) ([]int, []float64, int) { return csrRun(k.L.P, k.L.I, k.L.X, i) }
+func (k *SpTRSVCSR) PackedSource() []float64                { return k.L.X }
 
 // packedIter solves one packed row (diagonal last); shared with the fused
 // pair bodies.
@@ -254,9 +237,8 @@ func (k *SpTRSVCSR) RunManyPacked(iters []int32, s *PackedStream, ent, it int) {
 
 // ---- SpTRSV-CSC ----
 
-func (k *SpTRSVCSC) AppendStream(j int, s *PackedStream) { s.appendCSR(k.L.P, k.L.I, k.L.X, j) }
-func (k *SpTRSVCSC) PackedSource() []float64             { return k.L.X }
-func (k *SpTRSVCSC) StreamEntries(j int) int             { return k.L.P[j+1] - k.L.P[j] }
+func (k *SpTRSVCSC) Operands(j int) ([]int, []float64, int) { return csrRun(k.L.P, k.L.I, k.L.X, j) }
+func (k *SpTRSVCSC) PackedSource() []float64                { return k.L.X }
 
 func (k *SpTRSVCSC) ScatterShape() (targets, skip int) { return k.L.Rows, 1 }
 func (k *SpTRSVCSC) BindSpill(slots []float64)         { k.spill = slots }
@@ -291,17 +273,11 @@ func (k *SpTRSVCSC) RunManyPacked(iters []int32, s *PackedStream, ent, it int) {
 
 // ---- SpTRSV-trans-CSC ----
 
-// AppendStream packs column j = Cols-1-i, the column iteration i solves.
-func (k *SpTRSVTransCSC) AppendStream(i int, s *PackedStream) {
-	s.appendCSR(k.L.P, k.L.I, k.L.X, k.L.Cols-1-i)
+// Operands is column j = Cols-1-i, the column iteration i solves.
+func (k *SpTRSVTransCSC) Operands(i int) ([]int, []float64, int) {
+	return csrRun(k.L.P, k.L.I, k.L.X, k.L.Cols-1-i)
 }
 func (k *SpTRSVTransCSC) PackedSource() []float64 { return k.L.X }
-
-// StreamEntries counts column j = Cols-1-i, mirroring AppendStream's flip.
-func (k *SpTRSVTransCSC) StreamEntries(i int) int {
-	j := k.L.Cols - 1 - i
-	return k.L.P[j+1] - k.L.P[j]
-}
 
 // packedIter solves one packed column of L' (diagonal first); shared with
 // the fused pair bodies.
@@ -343,33 +319,17 @@ func (k *SpTRSVTransCSC) RunManyPacked(iters []int32, s *PackedStream, ent, it i
 
 // ---- SpTRSV-unitL-CSR ----
 
-// AppendStream packs only the strictly-lower prefix of row i — the entries
-// Run actually reads — so the packed stream is denser than the source row.
-func (k *SpTRSVUnitLowerCSR) AppendStream(i int, s *PackedStream) {
-	lu := k.LU
-	lo := lu.P[i]
-	hi := lo
-	for hi < lu.P[i+1] && lu.I[hi] < i {
-		hi++
-	}
-	for q := lo; q < hi; q++ {
-		s.Idx = append(s.Idx, int32(lu.I[q]))
-	}
-	s.Val = append(s.Val, lu.X[lo:hi]...)
-	s.Len = append(s.Len, int32(hi-lo))
-}
-func (k *SpTRSVUnitLowerCSR) PackedSource() []float64 { return k.LU.X }
-
-// StreamEntries counts the strictly-lower prefix of row i, mirroring
-// AppendStream's densification.
-func (k *SpTRSVUnitLowerCSR) StreamEntries(i int) int {
+// Operands is only the strictly-lower prefix of row i — the entries Run
+// actually reads — so the packed stream is denser than the source row.
+func (k *SpTRSVUnitLowerCSR) Operands(i int) ([]int, []float64, int) {
 	lu := k.LU
 	lo, hi := lu.P[i], lu.P[i]
 	for hi < lu.P[i+1] && lu.I[hi] < i {
 		hi++
 	}
-	return hi - lo
+	return lu.I[lo:hi], lu.X[lo:hi], -1
 }
+func (k *SpTRSVUnitLowerCSR) PackedSource() []float64 { return k.LU.X }
 
 // RunManyPacked solves the packed unit-lower rows in stream order.
 func (k *SpTRSVUnitLowerCSR) RunManyPacked(iters []int32, s *PackedStream, ent, it int) {
@@ -391,15 +351,14 @@ func (k *SpTRSVUnitLowerCSR) RunManyPacked(iters []int32, s *PackedStream, ent, 
 
 // ---- DSCAL ----
 
-// AppendStream packs row i of the replayable input values (the a0 snapshot —
-// A.X itself may hold a previous run's in-place output until Prepare restores
-// it) plus the row's original value position for the Out.X writes.
-func (k *DScalCSR) AppendStream(i int, s *PackedStream) {
-	s.appendCSR(k.A.P, k.A.I, k.a0, i)
-	s.Pos = append(s.Pos, int32(k.A.P[i]))
+// Operands is row i of the replayable input values (the a0 snapshot — A.X
+// itself may hold a previous run's in-place output until Prepare restores it)
+// plus the row's original value position for the Out.X writes.
+func (k *DScalCSR) Operands(i int) ([]int, []float64, int) {
+	idx, val, _ := csrRun(k.A.P, k.A.I, k.a0, i)
+	return idx, val, k.A.P[i]
 }
 func (k *DScalCSR) PackedSource() []float64 { return k.a0 }
-func (k *DScalCSR) StreamEntries(i int) int { return k.A.P[i+1] - k.A.P[i] }
 
 // RunManyPacked scales the packed rows, writing Out.X at the original matrix
 // positions.
@@ -421,14 +380,13 @@ func (k *DScalCSR) RunManyPacked(iters []int32, s *PackedStream, ent, it int) {
 	}
 }
 
-// AppendStream packs column j of the replayable input values plus the
-// column's original value position.
-func (k *DScalCSC) AppendStream(j int, s *PackedStream) {
-	s.appendCSR(k.A.P, k.A.I, k.a0, j)
-	s.Pos = append(s.Pos, int32(k.A.P[j]))
+// Operands is column j of the replayable input values plus the column's
+// original value position.
+func (k *DScalCSC) Operands(j int) ([]int, []float64, int) {
+	idx, val, _ := csrRun(k.A.P, k.A.I, k.a0, j)
+	return idx, val, k.A.P[j]
 }
 func (k *DScalCSC) PackedSource() []float64 { return k.a0 }
-func (k *DScalCSC) StreamEntries(j int) int { return k.A.P[j+1] - k.A.P[j] }
 
 // RunManyPacked scales the packed columns, writing Out.X at the original
 // matrix positions.
@@ -538,25 +496,15 @@ func FusePackedPair(k1, k2 Kernel, loop1, loop2 int) (fn PackedPairRunner, ok bo
 // Compile-time checks that every batchable kernel also supports the packed
 // layout end to end.
 var (
-	_ StreamPacker = (*SpMVCSR)(nil)
-	_ StreamPacker = (*SpMVCSC)(nil)
-	_ StreamPacker = (*SpMVPlusCSR)(nil)
-	_ StreamPacker = (*SpTRSVCSR)(nil)
-	_ StreamPacker = (*SpTRSVCSC)(nil)
-	_ StreamPacker = (*SpTRSVTransCSC)(nil)
-	_ StreamPacker = (*SpTRSVUnitLowerCSR)(nil)
-	_ StreamPacker = (*DScalCSR)(nil)
-	_ StreamPacker = (*DScalCSC)(nil)
-
-	_ PackedRunner = (*SpMVCSR)(nil)
-	_ PackedRunner = (*SpMVCSC)(nil)
-	_ PackedRunner = (*SpMVPlusCSR)(nil)
-	_ PackedRunner = (*SpTRSVCSR)(nil)
-	_ PackedRunner = (*SpTRSVCSC)(nil)
-	_ PackedRunner = (*SpTRSVTransCSC)(nil)
-	_ PackedRunner = (*SpTRSVUnitLowerCSR)(nil)
-	_ PackedRunner = (*DScalCSR)(nil)
-	_ PackedRunner = (*DScalCSC)(nil)
+	_ PackedKernel = (*SpMVCSR)(nil)
+	_ PackedKernel = (*SpMVCSC)(nil)
+	_ PackedKernel = (*SpMVPlusCSR)(nil)
+	_ PackedKernel = (*SpTRSVCSR)(nil)
+	_ PackedKernel = (*SpTRSVCSC)(nil)
+	_ PackedKernel = (*SpTRSVTransCSC)(nil)
+	_ PackedKernel = (*SpTRSVUnitLowerCSR)(nil)
+	_ PackedKernel = (*DScalCSR)(nil)
+	_ PackedKernel = (*DScalCSC)(nil)
 
 	_ SpillScatterer = (*SpMVCSC)(nil)
 	_ SpillScatterer = (*SpTRSVCSC)(nil)

@@ -6,12 +6,26 @@ import (
 	"sparsefusion/internal/sparse"
 )
 
-// packStream appends iterations [0,n) of a StreamPacker in order, the way
-// relayout.Build packs a single-segment schedule.
-func packStream(p StreamPacker, n int) *PackedStream {
+// appendRun appends iteration i's operand run to s as one occurrence, the
+// way relayout.Build fills a stream in execution order.
+func appendRun(s *PackedStream, k PackedKernel, i int) {
+	idx, val, pos := k.Operands(i)
+	for _, x := range idx {
+		s.Idx = append(s.Idx, int32(x))
+	}
+	s.Val = append(s.Val, val...)
+	s.Len = append(s.Len, int32(len(idx)))
+	if pos >= 0 {
+		s.Pos = append(s.Pos, int32(pos))
+	}
+}
+
+// packStream packs iterations [0,n) in order, the way relayout.Build packs a
+// single-segment schedule.
+func packStream(k PackedKernel, n int) *PackedStream {
 	s := &PackedStream{}
 	for i := 0; i < n; i++ {
-		p.AppendStream(i, s)
+		appendRun(s, k, i)
 	}
 	return s
 }
@@ -80,7 +94,7 @@ func packedKernelCases(n int, seed int64) []struct {
 	}
 }
 
-// TestRunManyPackedMatchesRun drives every PackedRunner against a stream
+// TestRunManyPackedMatchesRun drives every PackedKernel against a stream
 // packed in execution order and asserts bit-identical results vs the
 // per-iteration Run path; the stream is consumed in two batches to exercise
 // the mid-stream entry/occurrence cursors.
@@ -91,12 +105,11 @@ func TestRunManyPackedMatchesRun(t *testing.T) {
 		RunSeq(k)
 		want := snap()
 
-		sp, ok := k.(StreamPacker)
+		pr, ok := k.(PackedKernel)
 		if !ok {
-			t.Fatalf("%s: kernel does not implement StreamPacker", tc.name)
+			t.Fatalf("%s: kernel does not implement PackedKernel", tc.name)
 		}
-		pr := k.(PackedRunner)
-		s := packStream(sp, n)
+		s := packStream(pr, n)
 		if s.Occurrences() != n {
 			t.Fatalf("%s: packed %d occurrences, want %d", tc.name, s.Occurrences(), n)
 		}
@@ -229,13 +242,12 @@ func TestFusePackedPairMatchesFusePair(t *testing.T) {
 		// Streams are packed per loop in the order the mixed stream visits
 		// that loop's iterations, exactly as relayout.Build would.
 		s1, s2 := &PackedStream{}, &PackedStream{}
-		sp1, sp2 := p.k1.(StreamPacker), p.k2.(StreamPacker)
 		for _, v := range stream {
 			loop, idx := UnpackIter(v)
 			if loop == 2 {
-				sp1.AppendStream(idx, s1)
+				appendRun(s1, p.k1.(PackedKernel), idx)
 			} else {
-				sp2.AppendStream(idx, s2)
+				appendRun(s2, p.k2.(PackedKernel), idx)
 			}
 		}
 
@@ -366,14 +378,12 @@ func TestFusePairAllCombos(t *testing.T) {
 
 			// Packed fused: same stream against per-loop packed streams.
 			s1, s2 := &PackedStream{}, &PackedStream{}
-			sp1 := k1.(StreamPacker)
-			sp2 := k2.(StreamPacker)
 			for _, v := range stream {
 				loop, idx := UnpackIter(v)
 				if loop == 0 {
-					sp1.AppendStream(idx, s1)
+					appendRun(s1, k1.(PackedKernel), idx)
 				} else {
-					sp2.AppendStream(idx, s2)
+					appendRun(s2, k2.(PackedKernel), idx)
 				}
 			}
 			k1.Prepare()

@@ -94,17 +94,3 @@ func (k *SpTRSVTransCSC) Footprint() []Var {
 }
 
 func (k *SpTRSVTransCSC) Flops() int64 { return 2 * int64(k.L.NNZ()) }
-
-// Trace replays the memory accesses of iteration it for the cache simulator.
-func (k *SpTRSVTransCSC) Trace(it int, emit func(uintptr)) {
-	l := k.L
-	j := l.Cols - 1 - it
-	bx, bi := base(l.X), baseInt(l.I)
-	vx := base(k.X)
-	emit(base(k.B) + uintptr(j)*wordSize)
-	for p := l.P[j]; p < l.P[j+1]; p++ {
-		emit(bi + uintptr(p)*wordSize)
-		emit(bx + uintptr(p)*wordSize)
-		emit(vx + uintptr(l.I[p])*wordSize)
-	}
-}

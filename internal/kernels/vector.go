@@ -245,18 +245,13 @@ func (k *VecXpayDot) RunMany(iters []int32) {
 }
 
 // Packed ABI: vector kernels index nothing indirectly — their operands are
-// dense contiguous ranges — so the packed stream carries a zero-length record
-// per iteration (AppendStream keeps the one-Len-per-iteration contract the
-// relayout builder and its first-touch variant size against) and packed
-// execution falls through to the batch body untouched.
+// dense contiguous ranges — so every operand run is empty (the packed stream
+// still carries one zero Len per iteration) and packed execution falls
+// through to the batch body untouched.
 
-func (k *VecDot) AppendStream(i int, s *PackedStream)     { s.Len = append(s.Len, 0) }
-func (k *VecAxpyDot) AppendStream(i int, s *PackedStream) { s.Len = append(s.Len, 0) }
-func (k *VecXpayDot) AppendStream(i int, s *PackedStream) { s.Len = append(s.Len, 0) }
-
-func (k *VecDot) StreamEntries(i int) int     { return 0 }
-func (k *VecAxpyDot) StreamEntries(i int) int { return 0 }
-func (k *VecXpayDot) StreamEntries(i int) int { return 0 }
+func (k *VecDot) Operands(i int) ([]int, []float64, int)     { return nil, nil, -1 }
+func (k *VecAxpyDot) Operands(i int) ([]int, []float64, int) { return nil, nil, -1 }
+func (k *VecXpayDot) Operands(i int) ([]int, []float64, int) { return nil, nil, -1 }
 
 func (k *VecDot) PackedSource() []float64     { return nil }
 func (k *VecAxpyDot) PackedSource() []float64 { return nil }
@@ -269,16 +264,13 @@ func (k *VecXpayDot) RunManyPacked(iters []int32, s *PackedStream, ent, it int) 
 var (
 	_ Kernel       = (*VecDot)(nil)
 	_ BatchRunner  = (*VecDot)(nil)
-	_ StreamPacker = (*VecDot)(nil)
-	_ PackedRunner = (*VecDot)(nil)
+	_ PackedKernel = (*VecDot)(nil)
 
 	_ Kernel       = (*VecAxpyDot)(nil)
 	_ BatchRunner  = (*VecAxpyDot)(nil)
-	_ StreamPacker = (*VecAxpyDot)(nil)
-	_ PackedRunner = (*VecAxpyDot)(nil)
+	_ PackedKernel = (*VecAxpyDot)(nil)
 
 	_ Kernel       = (*VecXpayDot)(nil)
 	_ BatchRunner  = (*VecXpayDot)(nil)
-	_ StreamPacker = (*VecXpayDot)(nil)
-	_ PackedRunner = (*VecXpayDot)(nil)
+	_ PackedKernel = (*VecXpayDot)(nil)
 )

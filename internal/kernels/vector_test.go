@@ -172,12 +172,11 @@ func TestVectorKernelsBatchAndPackedDelegate(t *testing.T) {
 		}
 	}
 
-	var s PackedStream
+	s := packStream(k, nb)
 	for i := 0; i < nb; i++ {
-		if k.StreamEntries(i) != 0 {
-			t.Fatalf("vector kernel advertises %d stream entries", k.StreamEntries(i))
+		if idx, val, pos := k.Operands(i); len(idx) != 0 || len(val) != 0 || pos != -1 {
+			t.Fatalf("vector kernel iteration %d reads %d/%d operand entries at position %d", i, len(idx), len(val), pos)
 		}
-		k.AppendStream(i, &s)
 	}
 	if len(s.Len) != nb {
 		t.Fatalf("stream carries %d per-iteration records, want %d", len(s.Len), nb)
@@ -193,7 +192,7 @@ func TestVectorKernelsBatchAndPackedDelegate(t *testing.T) {
 	for i := range part {
 		part[i] = 0
 	}
-	k.RunManyPacked(iters, &s, 0, 0)
+	k.RunManyPacked(iters, s, 0, 0)
 	for i := range want {
 		if part[i] != want[i] {
 			t.Fatalf("RunManyPacked part[%d] = %v, want %v", i, part[i], want[i])

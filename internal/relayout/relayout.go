@@ -93,26 +93,20 @@ func writtenValues(k kernels.Kernel) [][]float64 {
 }
 
 // Build constructs the packed layout for a compiled program: every
-// iteration's operand entries are copied into its loop's stream in global
-// (execution) order, each segment starting at the entry cursor recorded for
-// it, and the scatter loops' shared targets are redirected into spill slots
-// (scatter.go). It fails when a kernel does not support the packed layout,
-// when a fused kernel overwrites another kernel's packed source during the
-// run, or when a stream outgrows the int32 cursors; callers keep the
-// compiled-unpacked executor as the fallback for those cases.
+// iteration's operand run (kernels.PackedKernel.Operands) is copied into its
+// loop's stream in execution order, and the scatter loops' shared targets are
+// redirected into spill slots (scatter.go). It fails when a kernel does not
+// support the packed layout, when a fused kernel overwrites another kernel's
+// packed source during the run, or when a stream outgrows the int32 cursors;
+// callers keep the compiled-unpacked executor as the fallback for those cases.
 func Build(prog *core.Program, ks []kernels.Kernel) (*Layout, error) {
 	packers, err := validateChain(prog, ks)
 	if err != nil {
 		return nil, err
 	}
-	lay, segN, err := allocate(prog, packers)
+	lay, err := pack(prog, packers)
 	if err != nil {
 		return nil, err
-	}
-	for w := 0; w < prog.NumWPartitions(); w++ {
-		if err := fillWPartition(prog, packers, lay, segN, w); err != nil {
-			return nil, err
-		}
 	}
 	lay.Scatter = make([]*Scatter, prog.NumLoops)
 	for l, k := range ks[:prog.NumLoops] {
@@ -124,122 +118,84 @@ func Build(prog *core.Program, ks []kernels.Kernel) (*Layout, error) {
 	return lay, nil
 }
 
-// allocate sizes every stream with one counting pass over the program
-// (StreamPacker.StreamEntries must agree with AppendStream exactly) and
-// allocates each array once at its final length, so filling never grows or
-// moves one. It returns the per-segment entry counts the fill pass windows
-// the arrays with, and performs the occurrence-cursor cross-check against
-// Program.SegIter on the way.
-func allocate(prog *core.Program, packers []kernels.StreamPacker) (*Layout, []int32, error) {
+// pack fills the streams in one ordered pass over the segments, g ascending:
+// that is execution order, and each loop's occurrence order, because the
+// w-partitions own consecutive segment ranges (Program.WSeg). A counting pass
+// over the same operand runs comes first. It sets every segment's entry
+// cursor (SegEnt), cross-checks the occurrence cursors against
+// Program.SegIter, and sizes each array, which is then allocated once at its
+// final length: the fill writes in place and never grows or moves one.
+func pack(prog *core.Program, packers []kernels.PackedKernel) (*Layout, error) {
 	lay := &Layout{
 		Streams: make([]*kernels.PackedStream, prog.NumLoops),
 		SegEnt:  make([]int32, prog.NumSegments()),
 		prog:    prog,
 	}
-	segN := make([]int32, prog.NumSegments())
-	entTotal := make([]int, prog.NumLoops)
-	occTotal := make([]int, prog.NumLoops)
-	for g := 0; g < prog.NumSegments(); g++ {
-		l := int(prog.SegLoop[g])
-		if entTotal[l] > math.MaxInt32 {
-			return nil, nil, fmt.Errorf("relayout: loop %d stream exceeds int32 entry cursors", l)
-		}
-		lay.SegEnt[g] = int32(entTotal[l])
-		if int32(occTotal[l]) != prog.SegIter[g] {
-			return nil, nil, fmt.Errorf("relayout: segment %d occurrence cursor %d does not match SegIter %d",
-				g, occTotal[l], prog.SegIter[g])
-		}
-		n := 0
-		for _, v := range prog.Iters[prog.SegOff[g]:prog.SegOff[g+1]] {
-			n += packers[l].StreamEntries(int(v & kernels.IterMask))
-		}
-		segN[g] = int32(n)
-		entTotal[l] += n
-		occTotal[l] += int(prog.SegOff[g+1] - prog.SegOff[g])
-	}
-	for l, n := range entTotal {
-		if n > math.MaxInt32 {
-			return nil, nil, fmt.Errorf("relayout: loop %d stream exceeds int32 entry cursors", l)
-		}
-	}
-
-	// Whether a loop's packer appends Pos is probed with one scratch append of
-	// the loop's first scheduled iteration — the behavior is per kernel type,
-	// not per iteration.
+	ents := make([]int, prog.NumLoops)
+	occs := make([]int, prog.NumLoops)
 	usesPos := make([]bool, prog.NumLoops)
-	probed := make([]bool, prog.NumLoops)
 	for g := 0; g < prog.NumSegments(); g++ {
 		l := int(prog.SegLoop[g])
-		if probed[l] || prog.SegOff[g] == prog.SegOff[g+1] {
-			continue
+		if int32(occs[l]) != prog.SegIter[g] {
+			return nil, fmt.Errorf("relayout: segment %d occurrence cursor %d does not match SegIter %d",
+				g, occs[l], prog.SegIter[g])
 		}
-		probed[l] = true
-		var scratch kernels.PackedStream
-		packers[l].AppendStream(int(prog.Iters[prog.SegOff[g]]&kernels.IterMask), &scratch)
-		usesPos[l] = len(scratch.Pos) > 0
+		lay.SegEnt[g] = int32(ents[l])
+		for _, v := range prog.Iters[prog.SegOff[g]:prog.SegOff[g+1]] {
+			idx, _, pos := packers[l].Operands(int(v & kernels.IterMask))
+			ents[l] += len(idx)
+			usesPos[l] = usesPos[l] || pos >= 0
+		}
+		occs[l] += int(prog.SegOff[g+1] - prog.SegOff[g])
+		if ents[l] > math.MaxInt32 {
+			return nil, fmt.Errorf("relayout: loop %d stream exceeds int32 entry cursors", l)
+		}
 	}
 	for l := range lay.Streams {
 		s := &kernels.PackedStream{
-			Idx: make([]int32, entTotal[l]),
-			Val: make([]float64, entTotal[l]),
-			Len: make([]int32, occTotal[l]),
+			Idx: make([]int32, ents[l]),
+			Val: make([]float64, ents[l]),
+			Len: make([]int32, occs[l]),
 		}
 		if usesPos[l] {
-			s.Pos = make([]int32, occTotal[l])
+			s.Pos = make([]int32, occs[l])
 		}
 		lay.Streams[l] = s
 	}
-	return lay, segN, nil
-}
-
-// fillWPartition packs all segments of w-partition w into their windows of
-// the preallocated arrays: capacity-clamped sub-slices, so the packers'
-// appends write in place and can never reallocate or spill into a neighbor.
-func fillWPartition(prog *core.Program, packers []kernels.StreamPacker, lay *Layout, segN []int32, w int) error {
-	for g := int(prog.WSeg[w]); g < int(prog.WSeg[w+1]); g++ {
+	for g := 0; g < prog.NumSegments(); g++ {
 		l := int(prog.SegLoop[g])
-		full := lay.Streams[l]
-		e0, n := int(lay.SegEnt[g]), int(segN[g])
-		o0, m := int(prog.SegIter[g]), int(prog.SegOff[g+1]-prog.SegOff[g])
-		win := kernels.PackedStream{
-			Idx: full.Idx[e0 : e0 : e0+n],
-			Val: full.Val[e0 : e0 : e0+n],
-			Len: full.Len[o0 : o0 : o0+m],
-		}
-		if full.Pos != nil {
-			win.Pos = full.Pos[o0 : o0 : o0+m]
-		}
+		s := lay.Streams[l]
+		e, o := int(lay.SegEnt[g]), int(prog.SegIter[g])
 		for _, v := range prog.Iters[prog.SegOff[g]:prog.SegOff[g+1]] {
-			packers[l].AppendStream(int(v&kernels.IterMask), &win)
-		}
-		// A packer whose AppendStream disagrees with its StreamEntries either
-		// under-fills the window or overflows it (append then reallocates and
-		// the entries never reach the shared arrays). Both are sizing-contract
-		// violations, not recoverable layout states.
-		if len(win.Idx) != n || len(win.Val) != n || len(win.Len) != m {
-			return fmt.Errorf("relayout: kernel %d segment %d packed %d entries / %d occurrences, sized for %d / %d",
-				l, g, len(win.Idx), len(win.Len), n, m)
-		}
-		if full.Pos != nil && len(win.Pos) != m {
-			return fmt.Errorf("relayout: kernel %d segment %d packed %d Pos slots, sized for %d", l, g, len(win.Pos), m)
+			idx, val, pos := packers[l].Operands(int(v & kernels.IterMask))
+			for c, x := range idx {
+				s.Idx[e+c] = int32(x)
+			}
+			copy(s.Val[e:], val)
+			s.Len[o] = int32(len(idx))
+			if s.Pos != nil {
+				s.Pos[o] = int32(pos)
+			}
+			e += len(idx)
+			o++
 		}
 	}
-	return nil
+	return lay, nil
 }
 
 // validateChain is Build's admission check: the chain must carry SegIter
 // metadata, every kernel must support the packed layout, and no fused kernel
 // may overwrite another kernel's packed source mid-run.
-func validateChain(prog *core.Program, ks []kernels.Kernel) ([]kernels.StreamPacker, error) {
+func validateChain(prog *core.Program, ks []kernels.Kernel) ([]kernels.PackedKernel, error) {
 	if len(ks) < prog.NumLoops {
 		return nil, fmt.Errorf("relayout: %d kernels for a %d-loop program", len(ks), prog.NumLoops)
 	}
 	if len(prog.SegIter) != prog.NumSegments() {
 		return nil, fmt.Errorf("relayout: program lacks SegIter stream-offset metadata")
 	}
-	packers := make([]kernels.StreamPacker, prog.NumLoops)
+	packers := make([]kernels.PackedKernel, prog.NumLoops)
 	for l := 0; l < prog.NumLoops; l++ {
-		p, ok := ks[l].(kernels.StreamPacker)
+		p, ok := ks[l].(kernels.PackedKernel)
 		if !ok {
 			return nil, fmt.Errorf("relayout: kernel %s does not support the packed layout", ks[l].Name())
 		}
@@ -274,7 +230,7 @@ func SourceSum(ks []kernels.Kernel, nLoops int) (sum uint64, ok bool) {
 	}
 	sums := make([]uint64, nLoops)
 	for l := range sums {
-		p, isPacker := ks[l].(kernels.StreamPacker)
+		p, isPacker := ks[l].(kernels.PackedKernel)
 		if !isPacker {
 			return 0, false
 		}

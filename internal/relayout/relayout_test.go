@@ -174,11 +174,10 @@ func TestBuildAlignment(t *testing.T) {
 	}
 }
 
-// TestBuildPosStream: a packer that carries the Pos stream (DSCAL, whose
-// outputs land at matrix positions) gets one Pos slot per occurrence, and the
-// per-segment windows Build fills — here four w-partitions over two
-// s-partitions — hold exactly what appending the iterations to one stream in
-// execution order would.
+// TestBuildPosStream: a kernel whose operand runs carry a position (DSCAL,
+// whose outputs land at matrix positions) gets one Pos slot per occurrence,
+// and the segments Build fills — here four w-partitions over two
+// s-partitions — hold exactly the matrix rows in order.
 func TestBuildPosStream(t *testing.T) {
 	const n = 80
 	a := sparse.Must(sparse.RandomSPD(n, 5, 31))
@@ -208,21 +207,21 @@ func TestBuildPosStream(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	var want kernels.PackedStream
-	for i := 0; i < n; i++ {
-		k.AppendStream(i, &want)
+	want := kernels.PackedStream{Val: a.X, Len: make([]int32, n), Pos: make([]int32, n)}
+	for _, x := range a.I {
+		want.Idx = append(want.Idx, int32(x))
 	}
-	if len(want.Pos) != n {
-		t.Fatalf("fixture kernel packs %d Pos slots for %d iterations; test is vacuous", len(want.Pos), n)
+	for i := 0; i < n; i++ {
+		want.Len[i], want.Pos[i] = int32(a.P[i+1]-a.P[i]), int32(a.P[i])
 	}
 	if got := lay.Streams[0]; !reflect.DeepEqual(got, &want) {
-		t.Fatalf("windowed build differs from one appended stream: %d/%d/%d/%d entries, want %d/%d/%d/%d",
+		t.Fatalf("build differs from the matrix rows in order: %d/%d/%d/%d entries, want %d/%d/%d/%d",
 			len(got.Idx), len(got.Val), len(got.Len), len(got.Pos), len(want.Idx), len(want.Val), len(want.Len), len(want.Pos))
 	}
 }
 
 // TestBuildRejectsUnsupportedKernel: factor kernels have no stable stream to
-// pack (they mutate their matrix mid-run) and do not implement StreamPacker.
+// pack (they mutate their matrix mid-run) and do not implement PackedKernel.
 func TestBuildRejectsUnsupportedKernel(t *testing.T) {
 	const n = 60
 	a := sparse.Must(sparse.RandomSPD(n, 4, 19))

@@ -19,41 +19,18 @@ import (
 	"sync/atomic"
 )
 
-// counterShards stripes hot counters across cache lines so concurrent
-// workers do not serialize on one word. Shard selection is by caller-supplied
-// key (executor workers use their worker id); the plain Add path uses shard 0.
-const counterShards = 8
-
-// padded is an atomic int64 on its own cache line.
-type padded struct {
-	v atomic.Int64
-	_ [56]byte
-}
-
 // Counter is a monotonically increasing value. The increment path is
 // lock-free and allocation-free.
 type Counter struct {
 	name, help string
-	shards     [counterShards]padded
+	v          atomic.Int64
 }
 
-// Add increments the counter by n on shard 0.
-func (c *Counter) Add(n int64) { c.shards[0].v.Add(n) }
+// Add increments the counter by n.
+func (c *Counter) Add(n int64) { c.v.Add(n) }
 
-// AddShard increments on the shard selected by key — the contention-free
-// path for per-worker hot loops (key is typically the worker index).
-func (c *Counter) AddShard(key int, n int64) {
-	c.shards[uint(key)%counterShards].v.Add(n)
-}
-
-// Value sums the shards.
-func (c *Counter) Value() int64 {
-	var t int64
-	for i := range c.shards {
-		t += c.shards[i].v.Load()
-	}
-	return t
-}
+// Value loads the counter.
+func (c *Counter) Value() int64 { return c.v.Load() }
 
 // Gauge is a value that can go up and down. Set/Add are lock-free.
 type Gauge struct {

@@ -6,12 +6,11 @@ import (
 	"testing"
 )
 
-func TestCounterShardedSum(t *testing.T) {
+func TestCounterSum(t *testing.T) {
 	var c Counter
 	c.Add(3)
-	c.AddShard(0, 2)
-	c.AddShard(7, 5)
-	c.AddShard(100, 1) // keys beyond the shard count wrap, not panic
+	c.Add(2)
+	c.Add(6)
 	if got := c.Value(); got != 11 {
 		t.Fatalf("Value = %d, want 11", got)
 	}
@@ -23,12 +22,12 @@ func TestCounterConcurrent(t *testing.T) {
 	var wg sync.WaitGroup
 	for w := 0; w < workers; w++ {
 		wg.Add(1)
-		go func(w int) {
+		go func() {
 			defer wg.Done()
 			for i := 0; i < per; i++ {
-				c.AddShard(w, 1)
+				c.Add(1)
 			}
-		}(w)
+		}()
 	}
 	wg.Wait()
 	if got := c.Value(); got != workers*per {

@@ -56,7 +56,6 @@ var orphansAllowed = map[string]string{
 	"partition.Partitioning.FlatOrder": "sequential replay order of a partitioning; pins S/W ordering in partition's tests",
 	"sparse.CSR.StrictLower":           "mirror of the shipped StrictUpper; the disjoint-cover test needs both",
 	"sparse.CSR.Upper":                 "mirror of the shipped Lower, built and allocation-tested by the same code",
-	"telemetry.Counter.AddShard":       "the sharded increment the Counter's padded layout exists for; hammered under -race; goes with the shards if ROADMAP item 6 does not adopt it",
 }
 
 // shippedFile is one parsed non-test Go file of the library, cmd/, examples/
