@@ -16,13 +16,15 @@ test:
 # or as differing bits only when the timing cooperates — the held pool and the
 # worker set a solve keeps (one per solve, held, closed however it ends), the
 # concurrent opens over one Matrix, whose memoized forms every operation
-# shares, and the inspector's GOMAXPROCS sweeps, since every inspection fans
-# out over min(Threads, GOMAXPROCS) workers.
+# shares, the inspector's GOMAXPROCS sweeps, since every inspection fans out
+# over min(Threads, GOMAXPROCS) workers, and the admission queue's bound under
+# callers that arrive together.
 race:
-	$(GO) test -race . ./internal/exec/... ./internal/core/... ./internal/dag/... ./internal/lbc/... ./internal/cache/... ./internal/combos/... ./internal/kernels/... ./internal/relayout/... ./internal/serve/... ./internal/telemetry/... ./internal/chaos/... ./internal/par/... ./internal/refinspect/...
+	$(GO) test -race . ./internal/exec/... ./internal/core/... ./internal/dag/... ./internal/lbc/... ./internal/cache/... ./internal/combos/... ./internal/kernels/... ./internal/relayout/... ./internal/serve/... ./internal/telemetry/... ./internal/chaos/... ./internal/par/...
 	$(GO) test -race -count=5 -run 'TestPackedScatter|TestScatterArmedFromPoolWidth|TestHeld' ./internal/exec/
 	$(GO) test -race -count=5 -run 'TestConcurrentSessionsMatchReference|TestScatterOperationCleanAfterCancelStorm|TestConcurrentOpensShareMatrixMemos|TestRunsLeaveNoWorkers|TestSolveKeepsOneWorkerSet|TestSolveClosesItsWorkerSet|TestIdleWorkerSetsPinNothing' .
-	$(GO) test -race -count=5 -run 'TestICOWorkersDeterministic|TestScheduleWorkersDeterministic|TestReferenceMatchesOptimized' ./internal/core/ ./internal/lbc/ ./internal/refinspect/
+	$(GO) test -race -count=5 -run 'TestICOWorkersDeterministic|TestScheduleWorkersDeterministic|TestICOMatchesSeedCorpus' ./internal/core/ ./internal/lbc/
+	$(GO) test -race -count=5 -run 'TestDoContextQueueBoundHoldsUnderConcurrentArrival' ./internal/serve/
 
 # fuzz smoke-runs the native Go fuzz targets: the two untrusted-input parsers
 # (the binary schedule loader and the Matrix Market reader) and the re-layout
@@ -43,14 +45,13 @@ bench:
 
 # orphans fails when a package under internal/ is imported, directly or not, by
 # no non-test file of the library, cmd/, examples/ or bench/: code nothing
-# ships is code nothing measures. The exceptions exist for their tests only.
+# ships is code nothing measures. The one exception exists for its tests only:
+#   chaos       the fault injectors; the scenario matrix in its tests drives them
 # TestNoOrphanExports (orphans_test.go, also part of `go test ./...`) asks the
 # same of every exported function and method, and TestNoDeadConfiguration of
 # every exported struct field (set by no shipped code); their allow-lists carry
 # reasons.
-#   refinspect  the frozen inspector its tests compare core.ICO's output against
-#   chaos       the fault injectors; the scenario matrix in its tests drives them
-ORPHANS_OK := sparsefusion/internal/refinspect sparsefusion/internal/chaos
+ORPHANS_OK := sparsefusion/internal/chaos
 orphans:
 	@used=$$( { $(GO) list -deps . ./cmd/... ./examples/... && (cd bench && $(GO) list -deps .); } | sort -u); \
 	bad=; \

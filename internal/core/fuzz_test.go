@@ -175,8 +175,8 @@ func TestICOWideThreadCounts(t *testing.T) {
 // guarantee: it fans out over min(Threads, GOMAXPROCS) workers, and every
 // fan-out serializes to byte-identical schedules. GOMAXPROCS is swept over 1,
 // 2, 4 and 8 (and restored) at Threads >= 2, each run compared with the
-// GOMAXPROCS 1 run. (The cross-check against the frozen serial reference
-// lives in internal/refinspect, whose tests import this package.)
+// GOMAXPROCS 1 run. (The cross-check against the seed's serial inspector is
+// TestICOMatchesSeedCorpus.)
 func TestICOWorkersDeterministic(t *testing.T) {
 	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(0))
 	rng := rand.New(rand.NewSource(7))

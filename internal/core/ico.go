@@ -17,8 +17,8 @@ type Params struct {
 	// is also the inspector's own parallelism: DAG transposes, the head LBC
 	// partitioning and per-unit packing fan out over min(Threads, GOMAXPROCS)
 	// goroutines. The schedule is byte-identical at any fan-out — parallel
-	// stages write to indexed slots only — which the tests assert against the
-	// frozen serial reference (internal/refinspect) at GOMAXPROCS 1 to 8.
+	// stages write to indexed slots only — which the tests assert at
+	// GOMAXPROCS 1 to 8 against the seed serial inspector's pinned output.
 	Threads int
 	// ReuseRatio selects the packing strategy: interleaved when >= 1,
 	// separated when < 1 (paper section 3.2.3).

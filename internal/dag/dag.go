@@ -198,15 +198,6 @@ func (g *Graph) Transpose() *Graph {
 	return t
 }
 
-// InDegrees returns the in-degree of every vertex.
-func (g *Graph) InDegrees() []int {
-	deg := make([]int, g.N)
-	for _, dst := range g.I {
-		deg[dst]++
-	}
-	return deg
-}
-
 // TopoOrder returns a topological ordering, or an error when the graph has a
 // cycle. Kahn's algorithm with a FIFO queue, so independent vertices appear
 // in index order. Allocating convenience form of Scratch.TopoOrder, which

@@ -373,14 +373,3 @@ func TestWeightDefaults(t *testing.T) {
 		t.Fatal("unit weight default wrong")
 	}
 }
-
-func TestInDegrees(t *testing.T) {
-	g := paperGraph(t)
-	deg := g.InDegrees()
-	if deg[9] != 2 { // vertex 10 has preds 6 and 9
-		t.Fatalf("indeg(10) = %d, want 2", deg[9])
-	}
-	if deg[0] != 0 || deg[4] != 0 || deg[6] != 0 {
-		t.Fatal("sources must have in-degree 0")
-	}
-}

@@ -55,14 +55,6 @@ func GeoMean(vs []float64) float64 {
 	return math.Exp(sum / float64(n))
 }
 
-// Speedup returns base/new as a factor (>1 means new is faster).
-func Speedup(base, new time.Duration) float64 {
-	if new <= 0 {
-		return 0
-	}
-	return float64(base) / float64(new)
-}
-
 // MinDuration returns the smallest positive duration, mirroring the paper's
 // "best of" aggregation over baselines.
 func MinDuration(ds ...time.Duration) time.Duration {

@@ -51,13 +51,7 @@ func TestGeoMean(t *testing.T) {
 	}
 }
 
-func TestSpeedupAndMinDuration(t *testing.T) {
-	if s := Speedup(4*time.Second, 2*time.Second); s != 2 {
-		t.Fatalf("speedup = %v", s)
-	}
-	if Speedup(time.Second, 0) != 0 {
-		t.Fatal("zero new time should give 0")
-	}
+func TestMinDuration(t *testing.T) {
 	if m := MinDuration(3*time.Second, 0, time.Second, 2*time.Second); m != time.Second {
 		t.Fatalf("min = %v", m)
 	}

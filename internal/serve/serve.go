@@ -213,12 +213,11 @@ func (s *Server) DoContext(ctx context.Context, fn func(*exec.Pool) error) error
 	case <-s.done:
 		return ErrClosed
 	default:
-		if max := s.maxQueue; max > 0 && s.waiting.Load() >= max {
+		if !s.enqueue() {
 			s.shed.Add(1)
 			return ErrOverloaded
 		}
 		s.queued.Add(1)
-		s.waiting.Add(1)
 		t0 := time.Now()
 		select {
 		case pl = <-s.pools:
@@ -243,6 +242,26 @@ func (s *Server) DoContext(ctx context.Context, fn func(*exec.Pool) error) error
 		s.pools <- s.checkIn(pl)
 	}()
 	return fn(pl)
+}
+
+// enqueue takes a place in the queue, unless the queue is bounded and full.
+// The bound's check and the take are one compare-and-swap, so requests that
+// arrive together at a full server cannot all pass the check and overfill it.
+func (s *Server) enqueue() bool {
+	max := s.maxQueue
+	if max <= 0 {
+		s.waiting.Add(1)
+		return true
+	}
+	for {
+		n := s.waiting.Load()
+		if n >= max {
+			return false
+		}
+		if s.waiting.CompareAndSwap(n, n+1) {
+			return true
+		}
+	}
 }
 
 // checkIn vets a pool coming back from a run: a pool poisoned by a

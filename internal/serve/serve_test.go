@@ -247,6 +247,51 @@ func TestDoContextShedsAtQueueBound(t *testing.T) {
 	}
 }
 
+// TestDoContextQueueBoundHoldsUnderConcurrentArrival: callers that reach a
+// full server together never overfill the queue. Exactly MaxQueue of them
+// wait and every other one is shed.
+func TestDoContextQueueBoundHoldsUnderConcurrentArrival(t *testing.T) {
+	defer watchdog(t, 10*time.Second)()
+	const maxQueue, callers = 2, 64
+	s := NewCfg(1, 1, Config{MaxQueue: maxQueue})
+	defer s.Close()
+
+	release := make(chan struct{})
+	var busy sync.WaitGroup
+	busy.Add(1)
+	go func() {
+		defer busy.Done()
+		s.Do(func(*exec.Pool) error { <-release; return nil })
+	}()
+	for s.Stats().Active == 0 {
+		time.Sleep(time.Millisecond)
+	}
+
+	ctx, cancel := context.WithCancel(context.Background())
+	start := make(chan struct{})
+	var wg sync.WaitGroup
+	for i := 0; i < callers; i++ {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			<-start
+			s.DoContext(ctx, func(*exec.Pool) error { return nil })
+		}()
+	}
+	close(start)
+	st := s.Stats()
+	for ; st.Shed+st.Waiting != callers; st = s.Stats() {
+		time.Sleep(time.Millisecond)
+	}
+	if st.Waiting != maxQueue || st.Shed != callers-maxQueue {
+		t.Errorf("Waiting = %d, Shed = %d; want %d and %d", st.Waiting, st.Shed, maxQueue, callers-maxQueue)
+	}
+	cancel() // the waiters drain
+	wg.Wait()
+	close(release)
+	busy.Wait()
+}
+
 func TestExpiredContextRejectedBeforeQueueing(t *testing.T) {
 	defer watchdog(t, 10*time.Second)()
 	s := NewCfg(1, 1, Config{})

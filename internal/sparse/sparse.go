@@ -223,53 +223,6 @@ func (a *CSR) Lower() *CSR {
 	return l
 }
 
-// Upper returns the upper-triangular part of a (including the diagonal) in
-// CSR form, inserting unit diagonal entries when absent. Counted first and
-// allocated once, like Lower.
-func (a *CSR) Upper() *CSR {
-	u := &CSR{Rows: a.Rows, Cols: a.Cols, P: make([]int, a.Rows+1)}
-	for r := 0; r < a.Rows; r++ {
-		k := a.P[r]
-		for k < a.P[r+1] && a.I[k] < r {
-			k++
-		}
-		n := a.P[r+1] - k
-		if n == 0 || a.I[k] != r {
-			n++ // the inserted diagonal
-		}
-		u.P[r+1] = u.P[r] + n
-	}
-	u.I = make([]int, u.P[a.Rows])
-	u.X = make([]float64, u.P[a.Rows])
-	for r := 0; r < a.Rows; r++ {
-		dst, end := u.P[r], u.P[r+1]
-		// With a stored diagonal the row is a's last end-dst entries and the
-		// first of them is the diagonal; otherwise that slot takes the insert.
-		src := a.P[r+1] - (end - dst)
-		if src < a.P[r] || a.I[src] != r {
-			u.I[dst], u.X[dst] = r, 1
-			dst++
-			src++
-		}
-		copy(u.I[dst:end], a.I[src:])
-		copy(u.X[dst:end], a.X[src:])
-	}
-	return u
-}
-
-// StrictLower returns the strictly lower-triangular part of a in CSR form.
-func (a *CSR) StrictLower() *CSR {
-	l := &CSR{Rows: a.Rows, Cols: a.Cols, P: make([]int, a.Rows+1)}
-	for r := 0; r < a.Rows; r++ {
-		for k := a.P[r]; k < a.P[r+1] && a.I[k] < r; k++ {
-			l.I = append(l.I, a.I[k])
-			l.X = append(l.X, a.X[k])
-		}
-		l.P[r+1] = len(l.I)
-	}
-	return l
-}
-
 // StrictUpper returns the strictly upper-triangular part of a in CSR form.
 func (a *CSR) StrictUpper() *CSR {
 	u := &CSR{Rows: a.Rows, Cols: a.Cols, P: make([]int, a.Rows+1)}

@@ -119,7 +119,7 @@ func TestTransposeValues(t *testing.T) {
 func TestLowerUpperSplit(t *testing.T) {
 	rng := rand.New(rand.NewSource(7))
 	a := randomCSR(rng, 15, 15, 80)
-	l, u := a.Lower(), a.Upper()
+	l, u := a.Lower(), a.StrictUpper()
 	if !l.IsLowerTriangular() {
 		t.Fatal("Lower() not lower triangular")
 	}
@@ -146,19 +146,20 @@ func TestLowerInsertsUnitDiagonal(t *testing.T) {
 	}
 }
 
+// TestStrictPartsDisjointCover: Lower and StrictUpper split a between them,
+// each entry in exactly one, with Lower's unit diagonal where a stores none.
 func TestStrictPartsDisjointCover(t *testing.T) {
 	rng := rand.New(rand.NewSource(9))
 	a := randomCSR(rng, 12, 12, 60)
-	sl, su, d := a.StrictLower(), a.StrictUpper(), a.Diag()
+	l, su := a.Lower(), a.StrictUpper()
 	for r := 0; r < 12; r++ {
 		for c := 0; c < 12; c++ {
 			want := a.At(r, c)
-			got := sl.At(r, c) + su.At(r, c)
-			if r == c {
-				got += d[r]
+			if r == c && want == 0 {
+				want = 1
 			}
-			if got != want {
-				t.Fatalf("(%d,%d): strict parts + diag = %v, want %v", r, c, got, want)
+			if got := l.At(r, c) + su.At(r, c); got != want {
+				t.Fatalf("(%d,%d): Lower + StrictUpper = %v, want %v", r, c, got, want)
 			}
 		}
 	}
@@ -494,8 +495,8 @@ func TestCloneIndependent(t *testing.T) {
 	}
 }
 
-// lowerAppend and upperAppend are the per-entry append constructions Lower
-// and Upper replaced, kept as the entry-for-entry reference.
+// lowerAppend is the per-entry append construction Lower replaced, kept as
+// the entry-for-entry reference.
 func lowerAppend(a *CSR) *CSR {
 	l := &CSR{Rows: a.Rows, Cols: a.Cols, P: make([]int, a.Rows+1)}
 	for r := 0; r < a.Rows; r++ {
@@ -512,24 +513,6 @@ func lowerAppend(a *CSR) *CSR {
 		l.P[r+1] = len(l.I)
 	}
 	return l
-}
-
-func upperAppend(a *CSR) *CSR {
-	u := &CSR{Rows: a.Rows, Cols: a.Cols, P: make([]int, a.Rows+1)}
-	for r := 0; r < a.Rows; r++ {
-		start := a.P[r]
-		for start < a.P[r+1] && a.I[start] < r {
-			start++
-		}
-		if start == a.P[r+1] || a.I[start] != r {
-			u.I = append(u.I, r)
-			u.X = append(u.X, 1)
-		}
-		u.I = append(u.I, a.I[start:a.P[r+1]]...)
-		u.X = append(u.X, a.X[start:a.P[r+1]]...)
-		u.P[r+1] = len(u.I)
-	}
-	return u
 }
 
 // holeyPattern is a random square pattern in which some rows have no diagonal,
@@ -556,38 +539,28 @@ func holeyPattern(t *testing.T, n int, seed int64) *CSR {
 	return a
 }
 
-// TestLowerUpperCountThenFill: the triangles are allocated once at their
+// TestLowerUpperCountThenFill: the lower triangle is allocated once at its
 // final length — no append slack kept alive, a handful of allocations however
-// large the matrix — and equal the old per-entry construction entry for entry,
-// inserted diagonals included.
+// large the matrix — and equals the old per-entry construction entry for
+// entry, inserted diagonals included.
 func TestLowerUpperCountThenFill(t *testing.T) {
 	for seed := int64(0); seed < 20; seed++ {
 		a := holeyPattern(t, 40+int(seed)*13, seed)
-		for _, tc := range []struct {
-			name      string
-			got, want *CSR
-		}{
-			{"Lower", a.Lower(), lowerAppend(a)},
-			{"Upper", a.Upper(), upperAppend(a)},
-		} {
-			if !reflect.DeepEqual(tc.got.P, tc.want.P) || !reflect.DeepEqual(tc.got.I, tc.want.I) || !reflect.DeepEqual(tc.got.X, tc.want.X) {
-				t.Fatalf("seed %d: %s differs from the append construction", seed, tc.name)
-			}
-			if cap(tc.got.I) != len(tc.got.I) || cap(tc.got.X) != len(tc.got.X) {
-				t.Fatalf("seed %d: %s keeps slack: I %d/%d, X %d/%d", seed, tc.name,
-					len(tc.got.I), cap(tc.got.I), len(tc.got.X), cap(tc.got.X))
-			}
-			if err := tc.got.Validate(); err != nil {
-				t.Fatalf("seed %d: %s: %v", seed, tc.name, err)
-			}
+		got, want := a.Lower(), lowerAppend(a)
+		if !reflect.DeepEqual(got.P, want.P) || !reflect.DeepEqual(got.I, want.I) || !reflect.DeepEqual(got.X, want.X) {
+			t.Fatalf("seed %d: Lower differs from the append construction", seed)
+		}
+		if cap(got.I) != len(got.I) || cap(got.X) != len(got.X) {
+			t.Fatalf("seed %d: Lower keeps slack: I %d/%d, X %d/%d", seed,
+				len(got.I), cap(got.I), len(got.X), cap(got.X))
+		}
+		if err := got.Validate(); err != nil {
+			t.Fatalf("seed %d: Lower: %v", seed, err)
 		}
 	}
 	a := holeyPattern(t, 3000, 99)
 	if n := testing.AllocsPerRun(5, func() { a.Lower() }); n > 4 {
 		t.Errorf("Lower: %.0f allocations, want <= 4 (struct, P, I, X)", n)
-	}
-	if n := testing.AllocsPerRun(5, func() { a.Upper() }); n > 4 {
-		t.Errorf("Upper: %.0f allocations, want <= 4 (struct, P, I, X)", n)
 	}
 }
 

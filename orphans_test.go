@@ -29,7 +29,6 @@ var orphansAllowed = map[string]string{
 	"partition.Partitioning.NumVertices": "coverage oracle of the lbc and dagp tests",
 	"kernels.PackedStream.Occurrences":   "stream-length oracle of the relayout and packed-kernel tests",
 	"kernels.SpILU0CSR.SplitILU":         "splits the in-place factor so the tests can check L*U against A",
-	"refinspect.ICO":                     "the frozen inspector core.ICO's output is compared against (make orphans names the package)",
 	// Fixtures and injectors shared by tests of several packages.
 	"sparse.Ones":               "right-hand-side fixture of the facade, cg and kernel tests",
 	"chaos.Rng.CancelAfter":     "cancel-storm injector of the chaos scenario matrix",
@@ -48,14 +47,10 @@ var orphansAllowed = map[string]string{
 	"exec.CancelledError.Deadline": "public API: the facade re-exports the type as sparsefusion.CancelledError",
 	// Verdicts of ISSUE 22, kept with the reason (CHANGES.md has the list of
 	// what was deleted instead).
-	"atomicf.Load":                     "read half of the atomic float; the package goes whole with ROADMAP item 4(a)",
-	"atomicf.Store":                    "write half of the atomic float; the package goes whole with ROADMAP item 4(a)",
-	"metrics.GeoMean":                  "the paper's summary statistic (geometric-mean speed-up over the suite); ROADMAP item 8(e)'s report generator is its caller",
-	"metrics.Speedup":                  "the ratio GeoMean averages; same verdict",
-	"partition.Partitioning.WaitWork":  "potential gain in work units (paper figure 6's definition): how ROADMAP item 8(d) prices a baseline partitioning without running it",
-	"partition.Partitioning.FlatOrder": "sequential replay order of a partitioning; pins S/W ordering in partition's tests",
-	"sparse.CSR.StrictLower":           "mirror of the shipped StrictUpper; the disjoint-cover test needs both",
-	"sparse.CSR.Upper":                 "mirror of the shipped Lower, built and allocation-tested by the same code",
+	"atomicf.Load":                    "read half of the atomic float; the package goes whole with ROADMAP item 4(a)",
+	"atomicf.Store":                   "write half of the atomic float; the package goes whole with ROADMAP item 4(a)",
+	"metrics.GeoMean":                 "the paper's summary statistic (geometric-mean speed-up over the suite); ROADMAP item 8(e)'s report generator is its caller",
+	"partition.Partitioning.WaitWork": "potential gain in work units (paper figure 6's definition): how ROADMAP item 8(d) prices a baseline partitioning without running it",
 }
 
 // shippedFile is one parsed non-test Go file of the library, cmd/, examples/
