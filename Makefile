@@ -27,14 +27,17 @@ race:
 	$(GO) test -race -count=5 -run 'TestDoContextQueueBoundHoldsUnderConcurrentArrival' ./internal/serve/
 
 # fuzz smoke-runs the native Go fuzz targets: the two untrusted-input parsers
-# (the binary schedule loader and the Matrix Market reader) and the re-layout
+# (the binary schedule loader and the Matrix Market reader), the re-layout
 # (random packable chains over random patterns: Build, CheckExclusive and the
-# packed runner against the one-thread walk). Each target gets FUZZTIME of
-# coverage-guided input generation on top of its committed seed corpus.
+# packed runner against the one-thread walk) and the factorizations (IC0 and
+# ILU0 over random patterns with hubs against merge-only bodies, bit for bit).
+# Each target gets FUZZTIME of coverage-guided input generation on top of its
+# committed seed corpus.
 fuzz:
 	$(GO) test -run '^$$' -fuzz '^FuzzReadSchedule$$' -fuzztime $(FUZZTIME) ./internal/core
 	$(GO) test -run '^$$' -fuzz '^FuzzReadMatrixMarket$$' -fuzztime $(FUZZTIME) ./internal/sparse
 	$(GO) test -run '^$$' -fuzz '^FuzzRelayout$$' -fuzztime $(FUZZTIME) ./internal/relayout
+	$(GO) test -run '^$$' -fuzz '^FuzzFactor$$' -fuzztime $(FUZZTIME) ./internal/kernels
 
 # bench runs the four BENCHMARK.json workloads once (bench/README.md), one
 # JSON line each. To compare two commits, run each side several times into one

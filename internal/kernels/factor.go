@@ -3,6 +3,7 @@ package kernels
 import (
 	"fmt"
 	"math"
+	"math/bits"
 
 	"sparsefusion/internal/dag"
 	"sparsefusion/internal/sparse"
@@ -119,6 +120,11 @@ func (k *SpIC0CSC) Run(j int) {
 		kp := ref.idx // l.I[ref.idx] == j, start of the overlap
 		jp := jStart
 		kEnd := l.P[ref.col+1]
+		if kEnd-kp+jEnd-jp > 32 {
+			if intersectSkewed(l.I, l.X, kp, kEnd, jp, jEnd, ljk) {
+				continue
+			}
+		}
 		for kp < kEnd && jp < jEnd {
 			ri, rj := l.I[kp], l.I[jp]
 			switch {
@@ -148,11 +154,15 @@ func (k *SpIC0CSC) Run(j int) {
 	}
 }
 
+// countFlops bounds the multiply-adds of a factorization by the shorter of
+// the two runs each pivot intersects (the body performs one per shared row,
+// and finding them costs no flops), plus the sqrt and the scaling.
 func (k *SpIC0CSC) countFlops() int64 {
 	var f int64
 	for j := 0; j < k.L.Cols; j++ {
+		nt := k.L.P[j+1] - k.L.P[j]
 		for _, ref := range k.rowEntries[j] {
-			f += 2 * int64(k.L.P[ref.col+1]-ref.idx)
+			f += 2 * int64(min(k.L.P[ref.col+1]-ref.idx, nt))
 		}
 		f += int64(k.L.P[j+1]-k.L.P[j]) + 1 // sqrt + scale
 	}
@@ -258,6 +268,11 @@ func (k *SpILU0CSR) Run(i int) {
 		kp := k.diag[kk] + 1
 		ip := p + 1
 		kEnd := a.P[kk+1]
+		if kEnd-kp+iEnd-ip > 32 {
+			if intersectSkewed(a.I, a.X, kp, kEnd, ip, iEnd, lik) {
+				continue
+			}
+		}
 		for kp < kEnd && ip < iEnd {
 			ck, ci := a.I[kp], a.I[ip]
 			switch {
@@ -274,12 +289,16 @@ func (k *SpILU0CSR) Run(i int) {
 	}
 }
 
+// countFlops bounds the flops of a factorization: per pivot one division and
+// a multiply-add for each column the pivot row shares with row i, of which
+// there are at most as many as the shorter of the two runs.
 func (k *SpILU0CSR) countFlops() int64 {
 	var f int64
 	for i := 0; i < k.A.Rows; i++ {
-		for p := k.A.P[i]; p < k.A.P[i+1] && k.A.I[p] < i; p++ {
+		iEnd := k.A.P[i+1]
+		for p := k.A.P[i]; p < iEnd && k.A.I[p] < i; p++ {
 			kk := k.A.I[p]
-			f += 1 + 2*int64(k.A.P[kk+1]-k.diag[kk]-1)
+			f += 1 + 2*int64(min(k.A.P[kk+1]-k.diag[kk]-1, iEnd-p-1))
 		}
 	}
 	return f
@@ -313,4 +332,51 @@ func (k *SpILU0CSR) SplitILU() (l, u *sparse.CSR) {
 		u.P[i+1] = len(u.I)
 	}
 	return l, u
+}
+
+// intersectSkewed applies x[t] -= x[s]*m to every source position s in
+// [s0, s1) and target position t in [t0, t1) that hold the same index, when
+// one run is so much shorter than the other that searching each of its
+// entries in the longer one beats walking both: nt·bits.Len(ns) < ns searches
+// the target's entries in the source, ns·bits.Len(nt) < nt the source's in
+// the target. When neither holds it touches nothing and returns false, and
+// the caller merges. Both runs ascend in idx and their values lie in
+// different rows (columns), so each target gets at most one update and the
+// order the updates come in cannot change a bit.
+func intersectSkewed(idx []int, x []float64, s0, s1, t0, t1 int, m float64) bool {
+	ns, nt := s1-s0, t1-t0
+	switch {
+	case nt*bits.Len(uint(ns)) < ns:
+		for t := t0; t < t1 && s0 < s1; t++ {
+			s0 = searchIdx(idx, s0, s1, idx[t])
+			if s0 < s1 && idx[s0] == idx[t] {
+				x[t] -= x[s0] * m
+				s0++
+			}
+		}
+	case ns*bits.Len(uint(nt)) < nt:
+		for s := s0; s < s1 && t0 < t1; s++ {
+			t0 = searchIdx(idx, t0, t1, idx[s])
+			if t0 < t1 && idx[t0] == idx[s] {
+				x[t0] -= x[s] * m
+				t0++
+			}
+		}
+	default:
+		return false
+	}
+	return true
+}
+
+// searchIdx returns the first position p in [lo, hi) with idx[p] >= v, or hi.
+func searchIdx(idx []int, lo, hi, v int) int {
+	for lo < hi {
+		mid := int(uint(lo+hi) >> 1)
+		if idx[mid] < v {
+			lo = mid + 1
+		} else {
+			hi = mid
+		}
+	}
+	return lo
 }
