@@ -154,7 +154,6 @@ func TestHeldPoolFaultsTyped(t *testing.T) {
 		clean := compile(ks)
 		width := clean.Program().MaxWidth
 		panics := compile([]kernels.Kernel{ks[0], &panicAt{Kernel: ks[1], iter: 300}})
-		slow := compile([]kernels.Kernel{&slowKernel{Kernel: ks[0], d: 200 * time.Microsecond}, ks[1]})
 		stalledKs := append([]kernels.Kernel(nil), ks...)
 		stalledKs[armedLoop] = &delayIter{Kernel: ks[armedLoop], iter: armedIter, d: 300 * time.Millisecond}
 		stalled := compile(stalledKs)
@@ -186,9 +185,14 @@ func TestHeldPoolFaultsTyped(t *testing.T) {
 				}
 			}
 
+			// The slow run cancels itself from inside s-partition 0, so the
+			// cancel lands mid-run however late the run's goroutine is
+			// scheduled beside a held pool's spinning workers.
 			ctx, cancel := context.WithCancel(context.Background())
-			time.AfterFunc(2*time.Millisecond, cancel)
-			err := run(slow, pl, ctx)
+			first := sched.S[0][0][0]
+			slowKs := []kernels.Kernel{&slowKernel{Kernel: ks[0], d: 200 * time.Microsecond}, ks[1]}
+			slowKs[first.Loop] = &cancelAt{Kernel: slowKs[first.Loop], iter: first.Idx, cancel: cancel}
+			err := run(compile(slowKs), pl, ctx)
 			cancel()
 			var c *CancelledError
 			if !errors.As(err, &c) || c.SPartition < 0 {
