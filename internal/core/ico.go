@@ -77,7 +77,7 @@ func icoRun(loops *Loops, p Params) (*Schedule, InspectorTimings, error) {
 	if len(loops.G) == 2 && loops.G[1].NumEdges() > 0 {
 		return icoReversed(loops, p)
 	}
-	st, err := place(loops, p, &tm)
+	st, err := place(loops, p, &tm, nil, nil)
 	if err != nil {
 		return nil, tm, err
 	}
@@ -107,6 +107,10 @@ func (st *state) runPhases(tm *InspectorTimings) {
 // second loop as the head, then mirrors the s-partition order back. Within-
 // partition ordering is produced by packing on the original orientation, so
 // only s/w placement needs mirroring.
+//
+// The mirror is three conversions, and both states reuse them: a DAG's
+// transpose is the other orientation's predecessor lists, and F's CSR arrays
+// read as a CSC are the successor lists of F's transpose (and vice versa).
 func icoReversed(loops *Loops, p Params) (*Schedule, InspectorTimings, error) {
 	var tm InspectorTimings
 	t0 := time.Now()
@@ -120,7 +124,7 @@ func icoReversed(loops *Loops, p Params) (*Schedule, InspectorTimings, error) {
 		func() { rev.F[0] = loops.F[0].Transpose() },
 	)
 	tm.Setup = time.Since(t0)
-	st, err := place(rev, p, &tm)
+	st, err := place(rev, p, &tm, []*dag.Graph{loops.G[1], loops.G[0]}, []*sparse.CSC{csrAsCSC(loops.F[0])})
 	if err != nil {
 		return nil, tm, err
 	}
@@ -129,7 +133,7 @@ func icoReversed(loops *Loops, p Params) (*Schedule, InspectorTimings, error) {
 	// order reverses.
 	t0 = time.Now()
 	b := st.numS()
-	orig := newState(loops, p)
+	orig := newState(loops, p, []*dag.Graph{rev.G[1], rev.G[0]}, []*sparse.CSC{csrAsCSC(rev.F[0])})
 	orig.ensureS(b - 1)
 	for i := 0; i < loops.G[1].N; i++ {
 		orig.posS[1][i] = b - 1 - st.posS[0][i]
@@ -178,19 +182,28 @@ func (st *state) assignFree(it Iter, s int) {
 	st.stickLeft--
 }
 
-func newState(loops *Loops, p Params) *state {
-	st := &state{loops: loops, p: p}
-	st.tg = make([]*dag.Graph, len(loops.G))
-	st.fcsc = make([]*sparse.CSC, len(loops.F))
-	// Transposes and CSC conversions are independent per loop: fan them out
-	// across the inspector workers (each writes only its own slot).
-	par.ForEach(p.Threads, len(loops.G)+len(loops.F), func(i int) {
-		if i < len(loops.G) {
-			st.tg[i] = loops.G[i].Transpose()
-		} else {
-			st.fcsc[i-len(loops.G)] = loops.F[i-len(loops.G)].ToCSC()
-		}
-	})
+// csrAsCSC reads a CSR's arrays as the CSC of its transpose, sharing them.
+func csrAsCSC(a *sparse.CSR) *sparse.CSC {
+	return &sparse.CSC{Rows: a.Cols, Cols: a.Rows, P: a.P, I: a.I, X: a.X}
+}
+
+// newState allocates the placement over loops. tg and fcsc are the transposed
+// DAGs and F's CSC forms when the caller already holds them; nil derives them.
+func newState(loops *Loops, p Params, tg []*dag.Graph, fcsc []*sparse.CSC) *state {
+	st := &state{loops: loops, p: p, tg: tg, fcsc: fcsc}
+	if tg == nil {
+		st.tg = make([]*dag.Graph, len(loops.G))
+		st.fcsc = make([]*sparse.CSC, len(loops.F))
+		// Transposes and CSC conversions are independent per loop: fan them
+		// out across the inspector workers (each writes only its own slot).
+		par.ForEach(p.Threads, len(loops.G)+len(loops.F), func(i int) {
+			if i < len(loops.G) {
+				st.tg[i] = loops.G[i].Transpose()
+			} else {
+				st.fcsc[i-len(loops.G)] = loops.F[i-len(loops.G)].ToCSC()
+			}
+		})
+	}
 	st.posS = make([][]int, len(loops.G))
 	st.posW = make([][]int, len(loops.G))
 	for k, g := range loops.G {
@@ -282,8 +295,8 @@ func (st *state) recomputeCosts() {
 // State setup, the head LBC run, and the tail loops' topo orders (which
 // pairing consumes but which only depend on the input DAGs) execute
 // concurrently; the pairing scan itself is order-dependent and stays
-// sequential.
-func place(loops *Loops, p Params, tm *InspectorTimings) (*state, error) {
+// sequential. tg and fcsc go to newState.
+func place(loops *Loops, p Params, tm *InspectorTimings, tg []*dag.Graph, fcsc []*sparse.CSC) (*state, error) {
 	t0 := time.Now()
 	var st *state
 	var head *partition.Partitioning
@@ -291,7 +304,7 @@ func place(loops *Loops, p Params, tm *InspectorTimings) (*state, error) {
 	orders := make([][]int32, len(loops.G))
 	orderErrs := make([]error, len(loops.G))
 	par.Do(p.Threads,
-		func() { st = newState(loops, p) },
+		func() { st = newState(loops, p, tg, fcsc) },
 		func() { head, headErr = lbc.Schedule(loops.G[0], p.Threads, p.LBC) },
 		func() {
 			par.ForEach(p.Threads, len(loops.G)-1, func(i int) {

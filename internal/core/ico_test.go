@@ -407,7 +407,7 @@ func TestMergeReducesBarriers(t *testing.T) {
 		G: []*dag.Graph{loops.G[1].Transpose(), loops.G[0].Transpose()},
 		F: []*sparse.CSR{loops.F[0].Transpose()},
 	}
-	st, err := place(rev, testParams(4), &InspectorTimings{})
+	st, err := place(rev, testParams(4), &InspectorTimings{}, nil, nil)
 	if err != nil {
 		t.Fatal(err)
 	}

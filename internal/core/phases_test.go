@@ -12,7 +12,7 @@ import (
 // buildState places a two-loop problem and returns the state before step (ii).
 func buildState(t *testing.T, loops *Loops, r int) *state {
 	t.Helper()
-	st, err := place(loops, Params{Threads: r, LBC: lbc.Params{InitialCut: 2, Agg: 4}}, &InspectorTimings{})
+	st, err := place(loops, Params{Threads: r, LBC: lbc.Params{InitialCut: 2, Agg: 4}}, &InspectorTimings{}, nil, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -118,7 +118,7 @@ func TestPackProducesAllIterations(t *testing.T) {
 func TestAssignFreeContiguity(t *testing.T) {
 	// Consecutive free placements must stay in one slot per granule.
 	loops := chainPair(t, 4)
-	st := newState(loops, Params{Threads: 4})
+	st := newState(loops, Params{Threads: 4}, nil, nil)
 	st.ensureS(0)
 	for i := 0; i < stickyGranule; i++ {
 		st.assignFree(Iter{1, i % 4}, 0)
