@@ -85,7 +85,7 @@ func TestCorruptSavedScheduleRejected(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		if _, err := exec.RunScheduleSequential(context.Background(), ref.inst.Kernels, ref.sched); err != nil {
+		if _, err := exec.RunScheduleSequential(context.Background(), ref.inst.Kernels, ref.schedule()); err != nil {
 			t.Fatal(err)
 		}
 		got, want := good.Output(), ref.inst.Snapshot()
@@ -138,7 +138,7 @@ func TestRunFaultDemotesDownTheLadder(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		if _, err := exec.RunScheduleSequential(context.Background(), ref.inst.Kernels, ref.sched); err != nil {
+		if _, err := exec.RunScheduleSequential(context.Background(), ref.inst.Kernels, ref.schedule()); err != nil {
 			t.Fatal(err)
 		}
 		got, want := op.Output(), ref.inst.Snapshot()

@@ -191,9 +191,9 @@ func NewFusedCG(m *Matrix, opts FusedCGOptions) (*FusedCG, error) {
 	inst.Snapshot = func() []float64 { return append([]float64(nil), f.x...) }
 	inst.Output = f.x
 
-	f.execState = execState{inst: inst, th: opts.threads(), watchdog: opts.Watchdog, id: nextStateID.Add(1), tr: opts.Tracer}
+	f.execState = newExecState(inst, opts.Options)
 	// BuildChain has already built every kernel DAG (its Check needs them).
-	f.traceDAGBuild(built)
+	f.traceDAGBuild(inst.Loops, built)
 	// The key names the chain's ordered kernels and the vector block size,
 	// which shapes the blocked DAGs and every inter-reduction F.
 	f.fp = opts.fingerprint(m, cache.Params{

@@ -65,9 +65,9 @@ func NewGaussSeidel(m *Matrix, opts GSOptions) (*GaussSeidel, error) {
 		return nil, err
 	}
 	g := &GaussSeidel{a: a, SweepsPerFusion: sweeps}
-	g.state = execState{inst: inst, th: opts.threads(), watchdog: opts.Watchdog, id: nextStateID.Add(1), tr: opts.Tracer}
+	g.state = newExecState(inst, opts.Options)
 	// BuildGS has built every kernel DAG and F.
-	g.state.traceDAGBuild(time.Since(t0))
+	g.state.traceDAGBuild(inst.Loops, time.Since(t0))
 	ids := make([]string, len(inst.Kernels))
 	for i, k := range inst.Kernels {
 		ids[i] = k.Name()

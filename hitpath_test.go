@@ -83,7 +83,7 @@ func TestHitOpenMatchesPopulator(t *testing.T) {
 				if st := sc.Stats(); st.Misses != 1 || st.Hits != 1 {
 					t.Fatalf("%s: want one miss then one hit, got %+v", name, st)
 				}
-				if hit.sched != first.sched || hit.prog != first.prog || hit.layout != first.layout {
+				if hit.prog != first.prog || hit.layout != first.layout {
 					t.Fatalf("%s: hit does not share the populator's artifacts", name)
 				}
 				want := runWith(t, &first.execState, x)
@@ -158,7 +158,7 @@ func TestHitWithOtherValuesPacksItsOwnLayout(t *testing.T) {
 		if st := sc.Stats(); st.Misses != 1 || st.Hits != 2 {
 			t.Fatalf("%s: want one miss and two hits, got %+v", c, st)
 		}
-		if op2.sched != op1.sched || op2.prog != op1.prog {
+		if op2.prog != op1.prog {
 			t.Fatalf("%s: same pattern, different values: schedule and program must be shared", c)
 		}
 		if op2.layout == nil || op2.layout == op1.layout || op2.Mode() != ModePacked {
@@ -212,7 +212,7 @@ func TestCachedFactorOperationsArePrivate(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if op2.sched != op1.sched {
+	if op2.prog != op1.prog {
 		t.Fatal("second operation did not open on the cached schedule")
 	}
 	if _, err := op1.Run(); err != nil {
@@ -237,9 +237,9 @@ func TestCachedFactorOperationsArePrivate(t *testing.T) {
 }
 
 // TestHitOperationDerivesOnDemand: what a hit skipped is built when — and only
-// when — something needs it: ReuseRatio, and the re-validation after an
-// executor fault (from the operation or from one of its sessions).
-// SaveSchedule needs none of it.
+// when — something needs it: the re-validation after an executor fault (from
+// the operation or from one of its sessions), which keeps none of it.
+// SaveSchedule and ReuseRatio, which read the program, need none of it.
 func TestHitOperationDerivesOnDemand(t *testing.T) {
 	m := mustReorder(t, PowerLawSPD(4000, 6, 35))
 	x := testInput(m.Rows())
@@ -283,7 +283,7 @@ func TestHitOperationDerivesOnDemand(t *testing.T) {
 	if err != nil {
 		t.Fatalf("schedule saved by a hit operation does not load: %v", err)
 	}
-	if !bytes.Equal(loaded.sched.Bytes(), first.sched.Bytes()) {
+	if !bytes.Equal(loaded.schedule().Bytes(), first.schedule().Bytes()) {
 		t.Fatal("schedule saved by a hit operation differs from the inspected one")
 	}
 	if n := dagBuilds(); n != 1 {
@@ -294,8 +294,8 @@ func TestHitOperationDerivesOnDemand(t *testing.T) {
 	if r := asker.ReuseRatio(); r != first.ReuseRatio() || r <= 0 {
 		t.Fatalf("ReuseRatio on a hit operation = %v, populator's %v", r, first.ReuseRatio())
 	}
-	if n := dagBuilds(); n != 2 {
-		t.Fatalf("%d inspect.dag_build events after ReuseRatio on a hit operation, want 2", n)
+	if n := dagBuilds(); n != 1 {
+		t.Fatalf("%d inspect.dag_build events after ReuseRatio on a hit operation, want 1", n)
 	}
 
 	// Corrupt the shared compiled program last: every rung above sequential
@@ -313,6 +313,7 @@ func TestHitOperationDerivesOnDemand(t *testing.T) {
 		if err := e.SetInput(x); err != nil {
 			t.Fatal(err)
 		}
+		before := dagBuilds()
 		if err := watchdog(t, 10*time.Second, func() error { _, err := e.Run(); return err }); err != nil {
 			t.Fatalf("%s: ladder did not absorb the fault: %v", name, err)
 		}
@@ -320,15 +321,15 @@ func TestHitOperationDerivesOnDemand(t *testing.T) {
 		if h := e.Health(); h.Mode != ModeSequential || len(h.Demotions) != 2 {
 			t.Fatalf("%s: %+v after a faulting program, want two demotions down to sequential", name, h)
 		}
-		if e.inst.Loops == nil {
+		if dagBuilds() == before {
 			t.Fatalf("%s: demoted without validating the schedule", name)
+		}
+		if e.inst.Loops != nil {
+			t.Fatalf("%s: kept the fusion input it validated with", name)
 		}
 		if e := sparse.RelErr(got, want); e > 1e-9 {
 			t.Fatalf("%s: sequential rung after demotion is off by %g", name, e)
 		}
-	}
-	if sess.inst.Loops != faultySess.inst.Loops {
-		t.Fatal("session derived a fusion input of its own instead of its operation's")
 	}
 }
 
@@ -544,7 +545,7 @@ func TestGaussSeidelOpensThroughSharedPath(t *testing.T) {
 	}
 	copy(walk.Input, b)
 	for r := 0; r < runs; r++ {
-		if _, err := exec.RunScheduleSequential(context.Background(), walk.Kernels, gs[0].state.sched); err != nil {
+		if _, err := exec.RunScheduleSequential(context.Background(), walk.Kernels, gs[0].state.schedule()); err != nil {
 			t.Fatal(err)
 		}
 		copy(walk.GSX0, walk.Output)

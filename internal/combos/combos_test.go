@@ -392,16 +392,20 @@ func TestJointRejectsMultiLoop(t *testing.T) {
 	}
 }
 
-// TestAssembleThenDerive: Assemble leaves the fusion input unbuilt, the first
-// Derive builds exactly what Build returns, a session clone derives through
-// the instance it was cloned from, and two instances over one Forms share the
-// matrix forms for the pure combinations only — the factorization
+// TestAssembleThenDerive: Assemble leaves the fusion input unbuilt, and every
+// Fusion call on it — or on a session clone of it — builds a fresh input whose
+// ICO schedule is Build's and keeps none of it; two instances over one Forms
+// share the matrix forms for the pure combinations only — the factorization
 // combinations write matrix values and keep private copies.
 func TestAssembleThenDerive(t *testing.T) {
 	a := sparse.Must(sparse.RandomSPD(300, 5, 19))
 	src := sparse.NewForms(a)
 	for _, id := range append(append([]ID(nil), All...), MvMv) {
 		want, err := Build(id, a)
+		if err != nil {
+			t.Fatal(err)
+		}
+		ws, err := core.ICO(want.Loops, core.Params{Threads: threads, ReuseRatio: want.Reuse})
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -412,31 +416,28 @@ func TestAssembleThenDerive(t *testing.T) {
 		if in.Loops != nil {
 			t.Fatalf("%s: Assemble built the fusion input", in.Name)
 		}
+		derivers := []*Instance{in, in}
 		clone, cerr := in.CloneForSession()
 		if cerr == nil {
-			// The clone first: it must pull the derivation through in.
-			if !clone.Derive() || clone.Loops == nil || clone.Loops != in.Loops || clone.Reuse != in.Reuse {
-				t.Fatalf("%s: clone did not derive through its instance", in.Name)
+			derivers = append(derivers, clone)
+		}
+		var prev *core.Loops
+		for _, d := range derivers {
+			loops, reuse, built := d.Fusion()
+			if !built || loops == prev || d.Loops != nil {
+				t.Fatalf("%s: Fusion must build a fresh input each call and keep none", in.Name)
 			}
-			if in.Derive() {
-				t.Fatalf("%s: derived twice", in.Name)
+			prev = loops
+			if reuse != want.Reuse {
+				t.Fatalf("%s: reuse %v, Build's %v", in.Name, reuse, want.Reuse)
 			}
-		} else if !in.Derive() || in.Derive() {
-			t.Fatalf("%s: Derive must build exactly once", in.Name)
-		}
-		if in.Reuse != want.Reuse {
-			t.Fatalf("%s: reuse %v, Build's %v", in.Name, in.Reuse, want.Reuse)
-		}
-		gs, err := core.ICO(in.Loops, core.Params{Threads: threads, ReuseRatio: in.Reuse})
-		if err != nil {
-			t.Fatal(err)
-		}
-		ws, err := core.ICO(want.Loops, core.Params{Threads: threads, ReuseRatio: want.Reuse})
-		if err != nil {
-			t.Fatal(err)
-		}
-		if !bytes.Equal(gs.Bytes(), ws.Bytes()) {
-			t.Fatalf("%s: schedule from Assemble+Derive differs from Build's", in.Name)
+			gs, err := core.ICO(loops, core.Params{Threads: threads, ReuseRatio: reuse})
+			if err != nil {
+				t.Fatal(err)
+			}
+			if !bytes.Equal(gs.Bytes(), ws.Bytes()) {
+				t.Fatalf("%s: schedule from Assemble+Fusion differs from Build's", in.Name)
+			}
 		}
 
 		// The memoized checksum is the one a layout of these kernels carries.

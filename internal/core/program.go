@@ -41,8 +41,11 @@ type Program struct {
 	NumLoops int
 	// MaxWidth is the maximum number of w-partitions in any s-partition.
 	MaxWidth int
-	// Interleaved records the packing variant of the source schedule.
+	// Interleaved and ReuseRatio record the source schedule's packing
+	// variant and the locality metric that chose it, so Decompile rebuilds
+	// the schedule exactly (same Schedule.Bytes).
 	Interleaved bool
+	ReuseRatio  float64
 }
 
 // NumSPartitions returns the number of barriers.
@@ -186,14 +189,15 @@ func CompileSchedule(s *Schedule, numLoops int) (*Program, error) {
 		}
 	}
 	p := b.Finish()
-	p.Interleaved = s.Interleaved
+	p.Interleaved, p.ReuseRatio = s.Interleaved, s.ReuseRatio
 	return p, nil
 }
 
-// Decompile expands the program back into the three-level schedule shape,
-// for cross-checking the compiled representation against its source.
+// Decompile expands the program back into the schedule it was compiled from,
+// byte for byte: the tree form for the callers that need one (a saved file,
+// validation, the one-thread walk), which a program's holder need not keep.
 func (p *Program) Decompile() *Schedule {
-	s := &Schedule{Interleaved: p.Interleaved}
+	s := &Schedule{Interleaved: p.Interleaved, ReuseRatio: p.ReuseRatio}
 	for si := 0; si < p.NumSPartitions(); si++ {
 		var sp [][]Iter
 		for w := p.SOff[si]; w < p.SOff[si+1]; w++ {

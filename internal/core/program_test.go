@@ -1,6 +1,7 @@
 package core
 
 import (
+	"bytes"
 	"reflect"
 	"testing"
 
@@ -54,6 +55,9 @@ func TestCompileScheduleRoundTrip(t *testing.T) {
 		back := prog.Decompile()
 		if !reflect.DeepEqual(back.S, sched.S) {
 			t.Fatalf("reuse %v: decompiled schedule differs from source", reuse)
+		}
+		if !bytes.Equal(back.Bytes(), sched.Bytes()) {
+			t.Fatalf("reuse %v: decompiled schedule serializes differently", reuse)
 		}
 	}
 }

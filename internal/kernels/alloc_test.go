@@ -16,8 +16,8 @@ import (
 // so only a regression back to per-element allocation trips them. Note the
 // weight slices themselves are retained by the DAG (dag.Parallel keeps w),
 // so they rightly count as one allocation, not workspace. The DAG is built on
-// first demand, so every case asks for it: construction plus DAG() is what an
-// inspection pays.
+// each DAG() call, so every case asks for it: construction plus DAG() is what
+// an inspection pays.
 func TestConstructorAllocsBounded(t *testing.T) {
 	const n = 2000
 	a := sparse.Must(sparse.RandomSPD(n, 8, 5))

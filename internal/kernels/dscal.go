@@ -19,12 +19,11 @@ type DScalCSR struct {
 	Out *sparse.CSR
 
 	a0 []float64
-	g  *lazyDAG
 }
 
 // NewDScalCSR builds the kernel. Out must share A's pattern (same P and I).
 func NewDScalCSR(a *sparse.CSR, d []float64, out *sparse.CSR) *DScalCSR {
-	return &DScalCSR{A: a, D: d, Out: out, a0: append([]float64(nil), a.X...), g: newLazyDAG(func() *dag.Graph { return dag.ParallelCSR(a.P, 0) })}
+	return &DScalCSR{A: a, D: d, Out: out, a0: append([]float64(nil), a.X...)}
 }
 
 // JacobiScaling returns d with d[i] = 1/sqrt(A[i][i]).
@@ -42,7 +41,7 @@ func JacobiScaling(a *sparse.CSR) []float64 {
 
 func (k *DScalCSR) Name() string    { return "DSCAL-CSR" }
 func (k *DScalCSR) Iterations() int { return k.A.Rows }
-func (k *DScalCSR) DAG() *dag.Graph { return k.g.get() }
+func (k *DScalCSR) DAG() *dag.Graph { return dag.ParallelCSR(k.A.P, 0) }
 
 // Prepare restores A's original values (relevant when scaling in place).
 func (k *DScalCSR) Prepare() { copy(k.A.X, k.a0) }
@@ -79,17 +78,16 @@ type DScalCSC struct {
 	Out *sparse.CSC
 
 	a0 []float64
-	g  *lazyDAG
 }
 
 // NewDScalCSC builds the kernel. Out must share A's pattern.
 func NewDScalCSC(a *sparse.CSC, d []float64, out *sparse.CSC) *DScalCSC {
-	return &DScalCSC{A: a, D: d, Out: out, a0: append([]float64(nil), a.X...), g: newLazyDAG(func() *dag.Graph { return dag.ParallelCSR(a.P, 0) })}
+	return &DScalCSC{A: a, D: d, Out: out, a0: append([]float64(nil), a.X...)}
 }
 
 func (k *DScalCSC) Name() string    { return "DSCAL-CSC" }
 func (k *DScalCSC) Iterations() int { return k.A.Cols }
-func (k *DScalCSC) DAG() *dag.Graph { return k.g.get() }
+func (k *DScalCSC) DAG() *dag.Graph { return dag.ParallelCSR(k.A.P, 0) }
 
 // Prepare restores A's original values.
 func (k *DScalCSC) Prepare() { copy(k.A.X, k.a0) }

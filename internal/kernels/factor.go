@@ -24,7 +24,6 @@ type SpIC0CSC struct {
 	// noRestore disables Prepare's value restore (DisableRestore).
 	noRestore bool
 
-	g *lazyDAG
 	// rowEntries[j] lists (column k < j, value index p) of every entry
 	// L[j][k]: the columns iteration j must read.
 	rowEntries [][]rowRef
@@ -36,9 +35,9 @@ type rowRef struct{ col, idx int }
 // NewSpIC0CSC builds the kernel from the lower-triangular CSC pattern l
 // (typically tril(A) of an SPD matrix). The values of l are copied as the
 // replayable input. The per-row read lists are carved out of one flat backing
-// array instead of n append-grown slices; the DAG (on first demand, like every
-// kernel's) takes its adjacency straight from the strictly-lower column
-// pattern (dag.FromLowerCSC — no edge list, no sort).
+// array instead of n append-grown slices; DAG takes its adjacency straight
+// from the strictly-lower column pattern (dag.FromLowerCSC — no edge list, no
+// sort).
 func NewSpIC0CSC(l *sparse.CSC) *SpIC0CSC {
 	n := l.Cols
 	k := &SpIC0CSC{L: l, A0: append([]float64(nil), l.X...)}
@@ -72,24 +71,26 @@ func NewSpIC0CSC(l *sparse.CSC) *SpIC0CSC {
 			}
 		}
 	}
-	k.g = newLazyDAG(func() *dag.Graph {
-		g := dag.FromLowerCSC(l)
-		// Weight grows with the update work: column length (set by
-		// FromLowerCSC) plus the lengths of the columns the iteration reads.
-		for j := 0; j < n; j++ {
-			for _, ref := range k.rowEntries[j] {
-				g.W[j] += l.P[ref.col+1] - l.P[ref.col]
-			}
-		}
-		return g
-	})
 	k.flops = k.countFlops()
 	return k
 }
 
 func (k *SpIC0CSC) Name() string    { return "SpIC0-CSC" }
 func (k *SpIC0CSC) Iterations() int { return k.L.Cols }
-func (k *SpIC0CSC) DAG() *dag.Graph { return k.g.get() }
+
+// DAG builds the dependence DAG from the strictly-lower column pattern. The
+// weight grows with the update work: column length (set by FromLowerCSC)
+// plus the lengths of the columns the iteration reads.
+func (k *SpIC0CSC) DAG() *dag.Graph {
+	l := k.L
+	g := dag.FromLowerCSC(l)
+	for j := range k.rowEntries {
+		for _, ref := range k.rowEntries[j] {
+			g.W[j] += l.P[ref.col+1] - l.P[ref.col]
+		}
+	}
+	return g
+}
 
 // Prepare restores the original tril(A) values into L, unless an upstream
 // kernel owns the replay (DisableRestore).
@@ -188,7 +189,6 @@ type SpILU0CSR struct {
 	// noRestore disables Prepare's value restore (DisableRestore).
 	noRestore bool
 
-	g     *lazyDAG
 	diag  []int // index of the diagonal entry in each row
 	flops int64
 }
@@ -196,10 +196,10 @@ type SpILU0CSR struct {
 // NewSpILU0CSR builds the kernel from a square matrix with a full diagonal;
 // a missing diagonal entry is reported as an error rather than a panic (the
 // matrix is caller input, not a programming invariant). The strictly-lower
-// entries of A are exactly the dependence edges, so the DAG (on first demand)
-// comes from dag.FromLowerCSR directly (no edge list, no sort); the base
-// row-length weights it assigns are then augmented with the lengths of the
-// rows each iteration reads.
+// entries of A are exactly the dependence edges, so DAG builds from
+// dag.FromLowerCSR directly (no edge list, no sort); the base row-length
+// weights it assigns are then augmented with the lengths of the rows each
+// iteration reads.
 func NewSpILU0CSR(a *sparse.CSR) (*SpILU0CSR, error) {
 	n := a.Rows
 	k := &SpILU0CSR{A: a, A0: append([]float64(nil), a.X...), diag: make([]int, n)}
@@ -214,23 +214,26 @@ func NewSpILU0CSR(a *sparse.CSR) (*SpILU0CSR, error) {
 			return nil, fmt.Errorf("kernels: SpILU0 requires a full diagonal, row %d has none", i)
 		}
 	}
-	k.g = newLazyDAG(func() *dag.Graph {
-		g := dag.FromLowerCSR(a)
-		for i := 0; i < n; i++ {
-			for p := a.P[i]; p < a.P[i+1] && a.I[p] < i; p++ {
-				j := a.I[p]
-				g.W[i] += a.P[j+1] - a.P[j]
-			}
-		}
-		return g
-	})
 	k.flops = k.countFlops()
 	return k, nil
 }
 
 func (k *SpILU0CSR) Name() string    { return "SpILU0-CSR" }
 func (k *SpILU0CSR) Iterations() int { return k.A.Rows }
-func (k *SpILU0CSR) DAG() *dag.Graph { return k.g.get() }
+
+// DAG builds the dependence DAG from the strictly-lower pattern; each row's
+// weight is its length plus the lengths of the rows it reads.
+func (k *SpILU0CSR) DAG() *dag.Graph {
+	a := k.A
+	g := dag.FromLowerCSR(a)
+	for i := 0; i < a.Rows; i++ {
+		for p := a.P[i]; p < a.P[i+1] && a.I[p] < i; p++ {
+			j := a.I[p]
+			g.W[i] += a.P[j+1] - a.P[j]
+		}
+	}
+	return g
+}
 
 // Prepare restores the original matrix values, unless an upstream kernel
 // owns the replay (DisableRestore).

@@ -17,7 +17,6 @@ package kernels
 
 import (
 	"reflect"
-	"sync"
 
 	"sparsefusion/internal/dag"
 )
@@ -53,8 +52,9 @@ type Kernel interface {
 	Name() string
 	// Iterations returns the trip count of the outer (fusable) loop.
 	Iterations() int
-	// DAG returns the intra-kernel dependency DAG; an edge-free DAG means the
-	// loop is fully parallel.
+	// DAG builds the intra-kernel dependency DAG; an edge-free DAG means the
+	// loop is fully parallel. It is inspection input: the kernel builds it on
+	// every call and keeps none of it, so the caller that asked owns it.
 	DAG() *dag.Graph
 	// Prepare resets the kernel's outputs so Run can be replayed; it must be
 	// called before each full execution.
@@ -67,24 +67,6 @@ type Kernel interface {
 	// Flops returns the floating-point operations of one full execution,
 	// used for the GFLOP/s reporting of figure 5.
 	Flops() int64
-}
-
-// lazyDAG defers a kernel's iteration-DAG construction to the first DAG()
-// call. The DAG is inspection input: an operation opened on a cached schedule
-// runs without ever asking for it, and builds it only if it must validate or
-// re-inspect. Kernels hold it by pointer, so WithVectors clones share their
-// base kernel's one graph; get is safe for concurrent use.
-type lazyDAG struct {
-	once  sync.Once
-	build func() *dag.Graph
-	g     *dag.Graph
-}
-
-func newLazyDAG(build func() *dag.Graph) *lazyDAG { return &lazyDAG{build: build} }
-
-func (l *lazyDAG) get() *dag.Graph {
-	l.once.Do(func() { l.g, l.build = l.build(), nil })
-	return l.g
 }
 
 // RunSeq executes a kernel sequentially in iteration order (the baseline

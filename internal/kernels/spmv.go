@@ -12,17 +12,15 @@ type SpMVCSR struct {
 	A *sparse.CSR
 	X []float64
 	Y []float64
-
-	g *lazyDAG
 }
 
 // NewSpMVCSR builds the kernel. X and Y must have length A.Cols and A.Rows.
 func NewSpMVCSR(a *sparse.CSR, x, y []float64) *SpMVCSR {
-	return &SpMVCSR{A: a, X: x, Y: y, g: newLazyDAG(func() *dag.Graph { return dag.ParallelCSR(a.P, 0) })}
+	return &SpMVCSR{A: a, X: x, Y: y}
 }
 
 // WithVectors returns a copy of the kernel bound to fresh x/y vectors,
-// sharing the matrix and its iteration DAG (per-session clone).
+// sharing the matrix (per-session clone).
 func (k *SpMVCSR) WithVectors(x, y []float64) *SpMVCSR {
 	c := *k
 	c.X, c.Y = x, y
@@ -31,7 +29,7 @@ func (k *SpMVCSR) WithVectors(x, y []float64) *SpMVCSR {
 
 func (k *SpMVCSR) Name() string    { return "SpMV-CSR" }
 func (k *SpMVCSR) Iterations() int { return k.A.Rows }
-func (k *SpMVCSR) DAG() *dag.Graph { return k.g.get() }
+func (k *SpMVCSR) DAG() *dag.Graph { return dag.ParallelCSR(k.A.P, 0) }
 
 // Prepare zeroes Y.
 func (k *SpMVCSR) Prepare() {
@@ -70,17 +68,15 @@ type SpMVCSC struct {
 
 	// spill is the runner-owned slot scratch of the packed body (BindSpill).
 	spill []float64
-
-	g *lazyDAG
 }
 
 // NewSpMVCSC builds the kernel. X and Y must have length A.Cols and A.Rows.
 func NewSpMVCSC(a *sparse.CSC, x, y []float64) *SpMVCSC {
-	return &SpMVCSC{A: a, X: x, Y: y, g: newLazyDAG(func() *dag.Graph { return dag.ParallelCSR(a.P, 0) })}
+	return &SpMVCSC{A: a, X: x, Y: y}
 }
 
 // WithVectors returns a copy of the kernel bound to fresh x/y vectors,
-// sharing the matrix and its iteration DAG (per-session clone). Atomic mode
+// sharing the matrix (per-session clone). Atomic mode
 // and the spill binding reset: the executor re-arms both per run.
 func (k *SpMVCSC) WithVectors(x, y []float64) *SpMVCSC {
 	c := *k
@@ -92,7 +88,7 @@ func (k *SpMVCSC) WithVectors(x, y []float64) *SpMVCSC {
 
 func (k *SpMVCSC) Name() string    { return "SpMV-CSC" }
 func (k *SpMVCSC) Iterations() int { return k.A.Cols }
-func (k *SpMVCSC) DAG() *dag.Graph { return k.g.get() }
+func (k *SpMVCSC) DAG() *dag.Graph { return dag.ParallelCSR(k.A.P, 0) }
 
 // Prepare zeroes Y.
 func (k *SpMVCSC) Prepare() {
@@ -129,17 +125,15 @@ type SpMVPlusCSR struct {
 	X []float64
 	B []float64
 	Y []float64
-
-	g *lazyDAG
 }
 
 // NewSpMVPlusCSR builds the kernel; all vectors have length A.Rows (= Cols).
 func NewSpMVPlusCSR(a *sparse.CSR, x, b, y []float64) *SpMVPlusCSR {
-	return &SpMVPlusCSR{A: a, X: x, B: b, Y: y, g: newLazyDAG(func() *dag.Graph { return dag.ParallelCSR(a.P, 1) })}
+	return &SpMVPlusCSR{A: a, X: x, B: b, Y: y}
 }
 
 // WithVectors returns a copy of the kernel bound to fresh x/b/y vectors,
-// sharing the matrix and its iteration DAG (per-session clone).
+// sharing the matrix (per-session clone).
 func (k *SpMVPlusCSR) WithVectors(x, b, y []float64) *SpMVPlusCSR {
 	c := *k
 	c.X, c.B, c.Y = x, b, y
@@ -148,7 +142,7 @@ func (k *SpMVPlusCSR) WithVectors(x, b, y []float64) *SpMVPlusCSR {
 
 func (k *SpMVPlusCSR) Name() string    { return "SpMV+b-CSR" }
 func (k *SpMVPlusCSR) Iterations() int { return k.A.Rows }
-func (k *SpMVPlusCSR) DAG() *dag.Graph { return k.g.get() }
+func (k *SpMVPlusCSR) DAG() *dag.Graph { return dag.ParallelCSR(k.A.P, 1) }
 func (k *SpMVPlusCSR) Prepare()        {}
 
 // Run computes Y[i] = B[i] + sum_j A[i][j]*X[j].

@@ -13,19 +13,17 @@ type SpTRSVCSR struct {
 	L *sparse.CSR
 	B []float64
 	X []float64
-
-	g *lazyDAG
 }
 
 // NewSpTRSVCSR builds the kernel. L must be lower triangular with a full
 // diagonal (sparse.CSR.Lower guarantees this); B and X have length L.Rows
 // (aliasing them solves in place).
 func NewSpTRSVCSR(l *sparse.CSR, b, x []float64) *SpTRSVCSR {
-	return &SpTRSVCSR{L: l, B: b, X: x, g: newLazyDAG(func() *dag.Graph { return dag.FromLowerCSR(l) })}
+	return &SpTRSVCSR{L: l, B: b, X: x}
 }
 
 // WithVectors returns a copy of the kernel bound to fresh b/x vectors while
-// sharing the matrix and its iteration DAG — the per-session clone the
+// sharing the matrix — the per-session clone the
 // serving layer uses to split shared immutable inspection state from
 // per-client mutable storage.
 func (k *SpTRSVCSR) WithVectors(b, x []float64) *SpTRSVCSR {
@@ -36,7 +34,7 @@ func (k *SpTRSVCSR) WithVectors(b, x []float64) *SpTRSVCSR {
 
 func (k *SpTRSVCSR) Name() string    { return "SpTRSV-CSR" }
 func (k *SpTRSVCSR) Iterations() int { return k.L.Rows }
-func (k *SpTRSVCSR) DAG() *dag.Graph { return k.g.get() }
+func (k *SpTRSVCSR) DAG() *dag.Graph { return dag.FromLowerCSR(k.L) }
 
 // Prepare is a no-op: every X entry is fully produced by its own iteration.
 func (k *SpTRSVCSR) Prepare() {}
@@ -80,8 +78,6 @@ type SpTRSVCSC struct {
 
 	// spill is the runner-owned slot scratch of the packed body (BindSpill).
 	spill []float64
-
-	g *lazyDAG
 }
 
 // NewSpTRSVCSC builds the kernel. L must be lower triangular with a full
@@ -91,12 +87,12 @@ func NewSpTRSVCSC(l *sparse.CSC, b, x []float64) *SpTRSVCSC {
 	// The dependence pattern of CSC TRSV is the lower-triangular pattern
 	// itself: edge j -> i for every sub-diagonal entry of column j, with
 	// weight = column length — exactly dag.FromLowerCSC.
-	return &SpTRSVCSC{L: l, B: b, X: x, g: newLazyDAG(func() *dag.Graph { return dag.FromLowerCSC(l) })}
+	return &SpTRSVCSC{L: l, B: b, X: x}
 }
 
 func (k *SpTRSVCSC) Name() string    { return "SpTRSV-CSC" }
 func (k *SpTRSVCSC) Iterations() int { return k.L.Cols }
-func (k *SpTRSVCSC) DAG() *dag.Graph { return k.g.get() }
+func (k *SpTRSVCSC) DAG() *dag.Graph { return dag.FromLowerCSC(k.L) }
 
 // Prepare zeroes X, which accumulates the scatter updates during the solve.
 func (k *SpTRSVCSC) Prepare() {

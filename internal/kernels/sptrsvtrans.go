@@ -17,15 +17,13 @@ type SpTRSVTransCSC struct {
 	L *sparse.CSC
 	B []float64
 	X []float64
-
-	g *lazyDAG
 }
 
 // NewSpTRSVTransCSC builds the kernel. L must be lower triangular with the
 // diagonal first in every column; B and X have length L.Cols and must not
 // alias.
 func NewSpTRSVTransCSC(l *sparse.CSC, b, x []float64) *SpTRSVTransCSC {
-	return &SpTRSVTransCSC{L: l, B: b, X: x, g: newLazyDAG(func() *dag.Graph { return transSolveDAG(l) })}
+	return &SpTRSVTransCSC{L: l, B: b, X: x}
 }
 
 // transSolveDAG builds the iteration DAG of SpTRSVTransCSC over l.
@@ -68,7 +66,7 @@ func transSolveDAG(l *sparse.CSC) *dag.Graph {
 
 func (k *SpTRSVTransCSC) Name() string    { return "SpTRSV-trans-CSC" }
 func (k *SpTRSVTransCSC) Iterations() int { return k.L.Cols }
-func (k *SpTRSVTransCSC) DAG() *dag.Graph { return k.g.get() }
+func (k *SpTRSVTransCSC) DAG() *dag.Graph { return transSolveDAG(k.L) }
 func (k *SpTRSVTransCSC) Prepare()        {}
 
 // Run processes iteration it (column j = n-1-it):

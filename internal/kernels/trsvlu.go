@@ -14,8 +14,6 @@ type SpTRSVUnitLowerCSR struct {
 	LU *sparse.CSR
 	B  []float64
 	X  []float64
-
-	g *lazyDAG
 }
 
 // NewSpTRSVUnitLowerCSR builds the kernel over the combined factor pattern.
@@ -24,23 +22,25 @@ type SpTRSVUnitLowerCSR struct {
 // reads just the L prefix of each row, so w[i] = 1 + #strictly-lower entries
 // rather than the full row length.
 func NewSpTRSVUnitLowerCSR(lu *sparse.CSR, b, x []float64) *SpTRSVUnitLowerCSR {
-	return &SpTRSVUnitLowerCSR{LU: lu, B: b, X: x, g: newLazyDAG(func() *dag.Graph {
-		g := dag.FromLowerCSR(lu)
-		for i := 0; i < lu.Rows; i++ {
-			c := 1
-			for p := lu.P[i]; p < lu.P[i+1] && lu.I[p] < i; p++ {
-				c++
-			}
-			g.W[i] = c
-		}
-		return g
-	})}
+	return &SpTRSVUnitLowerCSR{LU: lu, B: b, X: x}
 }
 
 func (k *SpTRSVUnitLowerCSR) Name() string    { return "SpTRSV-unitL-CSR" }
 func (k *SpTRSVUnitLowerCSR) Iterations() int { return k.LU.Rows }
-func (k *SpTRSVUnitLowerCSR) DAG() *dag.Graph { return k.g.get() }
 func (k *SpTRSVUnitLowerCSR) Prepare()        {}
+
+func (k *SpTRSVUnitLowerCSR) DAG() *dag.Graph {
+	lu := k.LU
+	g := dag.FromLowerCSR(lu)
+	for i := 0; i < lu.Rows; i++ {
+		c := 1
+		for p := lu.P[i]; p < lu.P[i+1] && lu.I[p] < i; p++ {
+			c++
+		}
+		g.W[i] = c
+	}
+	return g
+}
 
 // Run solves row i with the implicit unit diagonal:
 // X[i] = B[i] - sum_{j<i} LU[i][j]*X[j].

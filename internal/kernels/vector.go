@@ -58,13 +58,12 @@ type VecDot struct {
 	Part2  []float64
 
 	block int
-	g     *lazyDAG
 }
 
 // NewVecDot builds the kernel over blocks of block elements;
 // len(part) = ceil(len(x)/block).
 func NewVecDot(x, y, part []float64, block int) *VecDot {
-	return &VecDot{X: x, Y: y, Part: part, block: block, g: newLazyDAG(func() *dag.Graph { return vecBlockDAG(len(x), block, 0) })}
+	return &VecDot{X: x, Y: y, Part: part, block: block}
 }
 
 // NewVecDotDual additionally accumulates x2·y2 into part2 in the same pass.
@@ -81,7 +80,7 @@ func (k *VecDot) Name() string {
 	return "VecDot"
 }
 func (k *VecDot) Iterations() int { return len(k.Part) }
-func (k *VecDot) DAG() *dag.Graph { return k.g.get() }
+func (k *VecDot) DAG() *dag.Graph { return vecBlockDAG(len(k.X), k.block, 0) }
 func (k *VecDot) Prepare()        {}
 
 func (k *VecDot) Run(i int) {
@@ -131,7 +130,6 @@ type VecAxpyDot struct {
 	CheckPositive bool
 
 	block int
-	g     *lazyDAG
 }
 
 // NewVecAxpyDot builds the kernel; num is a one-element cell and
@@ -139,13 +137,13 @@ type VecAxpyDot struct {
 func NewVecAxpyDot(x, y, num, part []float64, sign float64, block int, checkPositive bool) *VecAxpyDot {
 	return &VecAxpyDot{
 		X: x, Y: y, Num: num, Part: part, Sign: sign, CheckPositive: checkPositive,
-		block: block, g: newLazyDAG(func() *dag.Graph { return vecBlockDAG(len(x), block, len(part)) }),
+		block: block,
 	}
 }
 
 func (k *VecAxpyDot) Name() string    { return "VecAxpyDot" }
 func (k *VecAxpyDot) Iterations() int { return len(k.Part) }
-func (k *VecAxpyDot) DAG() *dag.Graph { return k.g.get() }
+func (k *VecAxpyDot) DAG() *dag.Graph { return vecBlockDAG(len(k.X), k.block, len(k.Part)) }
 func (k *VecAxpyDot) Prepare()        {}
 
 func (k *VecAxpyDot) Run(i int) {
@@ -182,7 +180,6 @@ type VecXpayDot struct {
 	Part []float64
 
 	block int
-	g     *lazyDAG
 }
 
 // NewVecXpayDot builds the kernel; den is a one-element cell and
@@ -190,13 +187,13 @@ type VecXpayDot struct {
 func NewVecXpayDot(x, y, den, part []float64, block int) *VecXpayDot {
 	return &VecXpayDot{
 		X: x, Y: y, Den: den, Part: part,
-		block: block, g: newLazyDAG(func() *dag.Graph { return vecBlockDAG(len(x), block, len(part)) }),
+		block: block,
 	}
 }
 
 func (k *VecXpayDot) Name() string    { return "VecXpayDot" }
 func (k *VecXpayDot) Iterations() int { return len(k.Part) }
-func (k *VecXpayDot) DAG() *dag.Graph { return k.g.get() }
+func (k *VecXpayDot) DAG() *dag.Graph { return vecBlockDAG(len(k.X), k.block, len(k.Part)) }
 func (k *VecXpayDot) Prepare()        {}
 
 func (k *VecXpayDot) Run(i int) {

@@ -19,12 +19,11 @@ import (
 // non-diagonal inter-DAG matrix that goes beyond the paper's Table 1 —
 // the "arbitrary sparse operations" direction its conclusion points at.
 type IC0Preconditioner struct {
-	n     int
-	r     []float64 // input slot shared with the forward kernel
-	z     []float64 // output of the backward kernel
-	sched *core.Schedule
-	run   *exec.Runner // the compiled apply
-	th    int
+	n   int
+	r   []float64    // input slot shared with the forward kernel
+	z   []float64    // output of the backward kernel
+	run *exec.Runner // the compiled apply
+	th  int
 }
 
 // NewIC0Preconditioner factors tril(A) with IC0 and inspects the fused
@@ -75,7 +74,6 @@ func NewIC0Preconditioner(m *Matrix, opts Options) (*IC0Preconditioner, error) {
 	if err := loops.Validate(sched); err != nil {
 		return nil, fmt.Errorf("sparsefusion: internal schedule error: %w", err)
 	}
-	p.sched = sched
 	prog, err := core.CompileSchedule(sched, len(ks))
 	if err != nil {
 		return nil, err
@@ -109,7 +107,7 @@ func (p *IC0Preconditioner) Apply(r, z []float64) ([]float64, error) {
 }
 
 // Barriers reports the synchronizations per apply.
-func (p *IC0Preconditioner) Barriers() int { return p.sched.NumSPartitions() }
+func (p *IC0Preconditioner) Barriers() int { return p.run.Program().NumSPartitions() }
 
 // MulVec computes A*x with a row-parallel sparse matrix-vector product and
 // returns the result, a convenience for building iterative methods around

@@ -19,7 +19,7 @@ import (
 // its own kernels and returns the output.
 func walkOutput(t *testing.T, e *execState) []float64 {
 	t.Helper()
-	if _, err := exec.RunScheduleSequential(context.Background(), e.inst.Kernels, e.sched); err != nil {
+	if _, err := exec.RunScheduleSequential(context.Background(), e.inst.Kernels, e.schedule()); err != nil {
 		t.Fatal(err)
 	}
 	return e.Output()
@@ -82,7 +82,7 @@ func TestRungsMatchSequentialWalk(t *testing.T) {
 				}
 				switch rung {
 				case ModeSequential:
-					cg.runner = nil
+					cg.runner, cg.seq = nil, cg.schedule()
 				case ModeCompiled:
 					cg.runner.DetachLayout()
 				}

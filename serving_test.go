@@ -61,9 +61,6 @@ func TestCacheHerdInspectsOnce(t *testing.T) {
 		t.Fatalf("hit rate %.3f, want > 0.9", hr)
 	}
 	for i, op := range ops {
-		if op.sched != ops[0].sched {
-			t.Fatalf("tenant %d got a different schedule pointer — artifacts not shared", i)
-		}
 		if op.prog != ops[0].prog {
 			t.Fatalf("tenant %d got a different compiled program — artifacts not shared", i)
 		}
@@ -91,7 +88,7 @@ func TestCachedArtifactsBitIdentical(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if !bytes.Equal(fresh.sched.Bytes(), warm.sched.Bytes()) {
+	if !bytes.Equal(fresh.schedule().Bytes(), warm.schedule().Bytes()) {
 		t.Fatal("cache-built schedule differs from freshly inspected schedule")
 	}
 
@@ -106,7 +103,7 @@ func TestCachedArtifactsBitIdentical(t *testing.T) {
 	if st := sc2.Stats(); st.DiskHits != 1 {
 		t.Fatalf("disk tier not used: %+v", st)
 	}
-	if !bytes.Equal(fresh.sched.Bytes(), reloaded.sched.Bytes()) {
+	if !bytes.Equal(fresh.schedule().Bytes(), reloaded.schedule().Bytes()) {
 		t.Fatal("disk-reloaded schedule differs from freshly inspected schedule")
 	}
 
@@ -159,11 +156,11 @@ func concurrentSessions(t *testing.T, combo Combination, m *Matrix) {
 		t.Fatal(err)
 	}
 	if combo == TrsvMv {
-		if sc := op.layout.Scatter[1]; op.sched.MaxWidth() < 2 || sc == nil || sc.Redirected == 0 {
-			t.Fatalf("width %d, scatter %+v: the fixture redirects nothing", op.sched.MaxWidth(), sc)
+		if sc := op.layout.Scatter[1]; op.prog.MaxWidth < 2 || sc == nil || sc.Redirected == 0 {
+			t.Fatalf("width %d, scatter %+v: the fixture redirects nothing", op.prog.MaxWidth, sc)
 		}
 	}
-	sv := NewServer(ServerConfig{MaxConcurrent: 3, Width: op.sched.MaxWidth()})
+	sv := NewServer(ServerConfig{MaxConcurrent: 3, Width: op.prog.MaxWidth})
 	defer sv.Close()
 
 	inputs := make([][]float64, clients)

@@ -50,7 +50,7 @@ func requireGoroutines(t *testing.T, base int, after string) {
 // a wide s-partition, so that a worker goroutine, never the caller, runs it.
 func wideSlot(t *testing.T, f *FusedCG) (loop, iter int) {
 	t.Helper()
-	for _, sp := range f.sched.S {
+	for _, sp := range f.schedule().S {
 		if len(sp) >= 2 && len(sp[1]) > 0 {
 			return sp[1][0].Loop, sp[1][0].Idx
 		}

@@ -400,20 +400,25 @@ type Health struct {
 
 // execState is the executor half shared by Operation and Session: the kernel
 // instance holding the mutable vectors, the immutable inspection artifacts
-// (schedule, compiled program, packed layout), and the mutable ladder state.
+// (compiled program, packed layout), and the mutable ladder state. The
+// program is the one run-time form of the schedule: the fusion input the
+// inspector read and the tree schedule it wrote are built when something asks
+// for them and dropped again.
 //
 // mu guards the ladder state (runner, layout, demotions) so Health may be
 // polled from a monitoring goroutine while Run executes; Run itself must not
 // be called concurrently on one execState — concurrency comes from multiple
 // Sessions, each with its own state.
 type execState struct {
-	inst  *combos.Instance
-	sched *core.Schedule
+	inst *combos.Instance
 	// prog is the compiled flat form, shared (immutably) with every session
 	// and cache consumer; nil when the schedule exceeds the compiled
 	// representation and the state walks it on one thread.
 	prog *core.Program
 	th   int
+	// lp is the head partitioner's tuning, for every inspection this state
+	// runs: at open, and after an executor fault.
+	lp lbc.Params
 	// watchdog is the executor tuning carried from Options, applied to every
 	// runner this state builds — including the rebuilt runner of a session
 	// bound to shared artifacts — and to the worker set a solve starts.
@@ -432,7 +437,11 @@ type execState struct {
 	// while on the packed rung); nil once demoted to the sequential walk.
 	runner *exec.Runner
 	// layout is the packed re-layout the runner has attached; nil otherwise.
-	layout    *relayout.Layout
+	layout *relayout.Layout
+	// seq is the tree schedule the sequential rung walks: the one the state
+	// was given when there is no program, or the one its demotion validated.
+	// Nil while a runner is bound.
+	seq       *core.Schedule
 	demotions []Demotion
 	// demSeen is how many demotions a Server has already harvested into its
 	// log (guarded by mu alongside demotions).
@@ -466,7 +475,10 @@ func (e *execState) emitDemotions(ds []Demotion) {
 // dependency-matrix construction plus ICO scheduling) happens once in
 // NewOperation — or not at all on a cache hit — and Run executes the fused
 // code repeatedly; the schedule stays valid while the sparsity pattern is
-// unchanged, exactly as in the paper's inspector-executor model.
+// unchanged, exactly as in the paper's inspector-executor model. What the
+// inspector read (the DAGs and F) and the tree form of what it wrote go when
+// NewOperation returns: the operation keeps the compiled program, its packed
+// layout and runner, its vectors and the matrix forms its kernels read.
 //
 // Execution degrades along a ladder: the packed (schedule-order stream)
 // executor where the chain supports it, the compiled flat-program executor
@@ -494,7 +506,7 @@ func NewOperation(c Combination, m *Matrix, opts Options) (*Operation, error) {
 		return nil, err
 	}
 	op := &Operation{
-		execState: execState{inst: inst, th: opts.threads(), watchdog: opts.Watchdog, id: nextStateID.Add(1), tr: opts.Tracer},
+		execState: newExecState(inst, opts),
 		fp:        opts.fingerprint(m, cache.Params{Combo: int(c)}),
 	}
 	if err := op.open(t0, opts, op.fp); err != nil {
@@ -503,15 +515,32 @@ func NewOperation(c Combination, m *Matrix, opts Options) (*Operation, error) {
 	return op, nil
 }
 
+// newExecState is the state of a new operation or solver over inst, tuned by
+// opts, before anything is bound.
+func newExecState(inst *combos.Instance, opts Options) execState {
+	return execState{inst: inst, th: opts.threads(), lp: opts.lbc(), watchdog: opts.Watchdog, id: nextStateID.Add(1), tr: opts.Tracer}
+}
+
 // open resolves this state's artifact chain and binds the executor ladder to
 // it. With a cache it looks up first: a hit binds the shared artifacts and
-// never asks for the fusion input; a miss derives it, inspects, and builds and
-// binds the chain under the cache's singleflight. Without one it inspects. One
-// op.open event says which it was and what the open cost since t0.
+// never asks for the fusion input; a miss builds it, inspects, and builds and
+// binds the chain under the cache's singleflight. Without one it inspects. The
+// fusion input is built at most once, for whichever of inspection and the disk
+// tier's validation asks first, and dropped when open returns. One op.open
+// event says which it was and what the open cost since t0.
 func (e *execState) open(t0 time.Time, opts Options, fp cache.Key) error {
+	var loops *core.Loops
+	var reuse float64
+	input := func() (*core.Loops, float64) {
+		if loops == nil {
+			loops, reuse = e.fusion()
+		}
+		return loops, reuse
+	}
+	inspect := func() (*core.Schedule, error) { return e.inspect(input()) }
 	outcome := "off"
 	if opts.Cache == nil {
-		sched, err := e.inspect(opts.lbc())
+		sched, err := inspect()
 		if err != nil {
 			return err
 		}
@@ -519,8 +548,11 @@ func (e *execState) open(t0 time.Time, opts Options, fp cache.Key) error {
 	} else {
 		outcome = "hit"
 		entry, err := opts.Cache.c.GetOrBuild(fp, cache.Builder{
-			Inspect:  func() (*core.Schedule, error) { return e.inspect(opts.lbc()) },
-			Validate: e.validate,
+			Inspect: inspect,
+			Validate: func(s *core.Schedule) error {
+				l, _ := input()
+				return l.Validate(s)
+			},
 			Complete: func(s *core.Schedule) (cache.Artifacts, error) {
 				outcome = "miss"
 				return e.bindArtifacts(cache.Artifacts{Schedule: s}, false), nil
@@ -545,48 +577,42 @@ func (e *execState) open(t0 time.Time, opts Options, fp cache.Key) error {
 }
 
 // fusion returns the inspector's input over this state's kernels — the
-// per-kernel DAGs and F (Loops) and the reuse ratio — deriving it on first
-// demand; a session derives through its operation. Only a derivation that
+// per-kernel DAGs and F (Loops) and the reuse ratio. The state keeps none of
+// it: an operation's instance builds it afresh for each caller, while the
+// solver chains return the Loops they were built with. Only a build that
 // actually ran is traced.
 func (e *execState) fusion() (*core.Loops, float64) {
 	t0 := time.Now()
-	if e.inst.Derive() {
-		e.traceDAGBuild(time.Since(t0))
+	loops, reuse, built := e.inst.Fusion()
+	if built {
+		e.traceDAGBuild(loops, time.Since(t0))
 	}
-	return e.inst.Loops, e.inst.Reuse
+	return loops, reuse
 }
 
-// traceDAGBuild emits inspect.dag_build, the one event every open that built
-// the fusion input reports it with: the problem size, the edges of the
-// kernel DAGs and what building them took.
-func (e *execState) traceDAGBuild(d time.Duration) {
+// traceDAGBuild emits inspect.dag_build, the one event every build of the
+// fusion input reports it with: the problem size, the edges of the kernel
+// DAGs and what building them took.
+func (e *execState) traceDAGBuild(loops *core.Loops, d time.Duration) {
 	t := e.tr.raw()
 	if t == nil {
 		return
 	}
 	edges := 0
-	for _, g := range e.inst.Loops.G {
+	for _, g := range loops.G {
 		edges += g.NumEdges()
 	}
 	t.Emit("inspect.dag_build",
 		telemetry.Int("op", e.id),
 		telemetry.String("combo", e.inst.Name),
-		telemetry.Int("n", int64(e.inst.Loops.G[0].N)),
+		telemetry.Int("n", int64(loops.G[0].N)),
 		telemetry.Int("dag_edges", int64(edges)),
 		telemetry.Dur("dur_ns", d))
 }
 
-// validate checks a schedule this state did not inspect itself (disk tier,
-// saved file, or its own after an executor fault) against the fusion input.
-func (e *execState) validate(s *core.Schedule) error {
-	loops, _ := e.fusion()
-	return loops.Validate(s)
-}
-
 // inspect runs ICO over the fusion input; a tracer sees the stage breakdown.
-func (e *execState) inspect(lp lbc.Params) (*core.Schedule, error) {
-	loops, reuse := e.fusion()
-	params := core.Params{Threads: e.th, ReuseRatio: reuse, LBC: lp}
+func (e *execState) inspect(loops *core.Loops, reuse float64) (*core.Schedule, error) {
+	params := core.Params{Threads: e.th, ReuseRatio: reuse, LBC: e.lp}
 	if e.tr == nil {
 		return core.ICO(loops, params)
 	}
@@ -669,10 +695,10 @@ func (e *execState) bindArtifacts(art cache.Artifacts, shared bool) cache.Artifa
 			art.Layout = nil
 		}
 	}
-	e.sched = art.Schedule
 	r, err := exec.CompileFused(e.inst.Kernels, &art, e.traceStages(&art))
 	e.progErr, e.layErr = art.ProgramErr, art.LayoutErr
 	if err != nil {
+		e.seq = art.Schedule // the one form of the schedule left
 		e.demote(
 			Demotion{From: ModePacked, To: ModeCompiled, Reason: art.ProgramErr},
 			Demotion{From: ModeCompiled, To: ModeSequential, Reason: art.ProgramErr})
@@ -739,17 +765,42 @@ func (e *execState) SetInput(x []float64) error {
 // values for factor-only combinations).
 func (e *execState) Output() []float64 { return e.inst.Snapshot() }
 
-// ReuseRatio reports the inspector's locality metric (paper section 2.2).
+// ReuseRatio reports the inspector's locality metric (paper section 2.2), as
+// the schedule recorded it.
 func (e *execState) ReuseRatio() float64 {
-	_, reuse := e.fusion()
-	return reuse
+	if e.prog == nil {
+		return e.seq.ReuseRatio
+	}
+	return e.prog.ReuseRatio
 }
 
 // Interleaved reports the packing variant the reuse ratio selected.
-func (e *execState) Interleaved() bool { return e.sched.Interleaved }
+func (e *execState) Interleaved() bool {
+	if e.prog == nil {
+		return e.seq.Interleaved
+	}
+	return e.prog.Interleaved
+}
 
 // Barriers returns the number of synchronizations per execution.
-func (e *execState) Barriers() int { return e.sched.NumSPartitions() }
+func (e *execState) Barriers() int {
+	if e.prog == nil {
+		return e.seq.NumSPartitions()
+	}
+	return e.prog.NumSPartitions()
+}
+
+// schedule returns the state's schedule in tree form: the one the sequential
+// rung walks, else the program's rebuilt exactly.
+func (e *execState) schedule() *core.Schedule {
+	e.mu.Lock()
+	s := e.seq
+	e.mu.Unlock()
+	if s != nil {
+		return s
+	}
+	return e.prog.Decompile()
+}
 
 // Run executes the fused schedule once.
 //
@@ -833,7 +884,7 @@ func (e *execState) runLadder(ctx context.Context, pl *exec.Pool) (exec.Stats, e
 	}
 	for {
 		e.mu.Lock()
-		r := e.runner
+		r, seq := e.runner, e.seq
 		e.mu.Unlock()
 		var st exec.Stats
 		var err error
@@ -843,7 +894,7 @@ func (e *execState) runLadder(ctx context.Context, pl *exec.Pool) (exec.Stats, e
 		case r != nil:
 			st, err = r.RunContext(ctx, e.th)
 		default:
-			st, err = exec.RunScheduleSequential(ctx, e.inst.Kernels, e.sched)
+			st, err = exec.RunScheduleSequential(ctx, e.inst.Kernels, seq)
 		}
 		if err == nil {
 			return st, nil
@@ -870,10 +921,11 @@ func (e *execState) runLadder(ctx context.Context, pl *exec.Pool) (exec.Stats, e
 		if r == nil {
 			return st, err // already on the last rung
 		}
-		// The fault came from the packed or compiled artifacts. If the
-		// schedule itself no longer validates, no rung can run it — report
-		// both facts instead of retrying.
-		if verr := e.validate(e.sched); verr != nil {
+		// The fault came from the packed or compiled artifacts. If no
+		// schedule validates, no rung can run it — report both facts instead
+		// of retrying.
+		sched, verr := e.faultSchedule()
+		if verr != nil {
 			return st, fmt.Errorf("sparsefusion: executor fault (%v) and schedule invalid: %w", err, verr)
 		}
 		var taken []Demotion
@@ -885,7 +937,7 @@ func (e *execState) runLadder(ctx context.Context, pl *exec.Pool) (exec.Stats, e
 				e.layErr = err.Error()
 				taken = []Demotion{{From: ModePacked, To: ModeCompiled, Reason: err.Error()}}
 			} else {
-				e.runner = nil
+				e.runner, e.seq = nil, sched
 				taken = []Demotion{{From: ModeCompiled, To: ModeSequential, Reason: err.Error()}}
 			}
 			e.demotions = append(e.demotions, taken...)
@@ -895,10 +947,28 @@ func (e *execState) runLadder(ctx context.Context, pl *exec.Pool) (exec.Stats, e
 	}
 }
 
+// faultSchedule builds, after an executor fault, the fusion input and a
+// schedule validated against it: the program's own, when it still
+// validates, else a new inspection, which is deterministic and so gives the
+// schedule the program was compiled from. Both are dropped unless the state
+// demotes to the sequential walk, which keeps the schedule. Rare and untimed.
+func (e *execState) faultSchedule() (*core.Schedule, error) {
+	loops, reuse := e.fusion()
+	s := e.prog.Decompile()
+	if loops.Validate(s) == nil {
+		return s, nil
+	}
+	s, err := e.inspect(loops, reuse)
+	if err != nil {
+		return nil, err
+	}
+	return s, loops.Validate(s)
+}
+
 // Session is one client's private handle on a shared operation: its own
 // input, output, and intermediate vectors (and its own executor ladder) over
-// the operation's immutable inspection artifacts — matrices, DAGs, schedule,
-// compiled program, packed streams. Any number of sessions may Run
+// the operation's immutable inspection artifacts — matrices, compiled
+// program, packed streams. Any number of sessions may Run
 // concurrently with each other and with the parent operation; none of them
 // may be used concurrently with itself.
 type Session struct {
@@ -922,15 +992,17 @@ func (op *Operation) NewSession() (*Session, error) {
 		return nil, err
 	}
 	op.mu.Lock()
+	// The program and layout carry the schedule; a tree form goes along
+	// only where the operation keeps one.
 	art := cache.Artifacts{
-		Schedule:   op.sched,
+		Schedule:   op.seq,
 		Program:    op.prog,
 		ProgramErr: op.progErr,
 		Layout:     op.layout,
 		LayoutErr:  op.layErr,
 	}
 	op.mu.Unlock()
-	s := &Session{execState: execState{inst: clone, th: op.th, watchdog: op.watchdog, id: nextStateID.Add(1), tr: op.tr}}
+	s := &Session{execState: execState{inst: clone, th: op.th, lp: op.lp, watchdog: op.watchdog, id: nextStateID.Add(1), tr: op.tr}}
 	s.tr.raw().Emit("session.new",
 		telemetry.Int("session", s.id),
 		telemetry.Int("op", op.id),
@@ -1108,7 +1180,7 @@ func (sv *Server) Stats() ServerStats {
 // fingerprint; NewOperationFromSchedule verifies it before trusting the
 // payload.
 func (op *Operation) SaveSchedule(w io.Writer) error {
-	return cache.WriteScheduleFile(w, op.fp, op.sched)
+	return cache.WriteScheduleFile(w, op.fp, op.schedule())
 }
 
 // ScheduleMismatchError reports a saved schedule rejected because the
@@ -1139,7 +1211,7 @@ func NewOperationFromSchedule(c Combination, m *Matrix, r io.Reader, opts Option
 		return nil, err
 	}
 	op := &Operation{
-		execState: execState{inst: inst, th: opts.threads(), watchdog: opts.Watchdog, id: nextStateID.Add(1), tr: opts.Tracer},
+		execState: newExecState(inst, opts),
 		fp:        opts.fingerprint(m, cache.Params{Combo: int(c)}),
 	}
 	br := bufio.NewReader(r)
@@ -1159,7 +1231,8 @@ func NewOperationFromSchedule(c Combination, m *Matrix, r io.Reader, opts Option
 			return nil, err
 		}
 	}
-	if err := op.validate(sched); err != nil {
+	loops, _ := op.fusion()
+	if err := loops.Validate(sched); err != nil {
 		return nil, fmt.Errorf("sparsefusion: saved schedule does not match this matrix: %w", err)
 	}
 	op.bindArtifacts(cache.Artifacts{Schedule: sched}, false)
