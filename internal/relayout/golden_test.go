@@ -250,18 +250,12 @@ var goldenSchedules = map[string]string{
 	"pow:4000:6/TRSV-TRSV/threads=4": "b5adae95eae937643fe8d5afd101a40dce80ad4f5f11690a98a462444965c8bf",
 }
 
-// TestScheduleGolden pins the schedules ICO produces for the shipped chains:
-// all seven combinations on two nested-dissection-ordered patterns at two
-// widths, the one- and three-sweep Gauss-Seidel chains, and the CG and
-// preconditioned CG solver chains. A change to the inspector's output re-pins
-// them on purpose.
-func TestScheduleGolden(t *testing.T) {
-	got := map[string]string{}
-	pin := func(name string, in *combos.Instance, threads int) {
-		sched, _ := inspect(t, in.Loops, in.Reuse, len(in.Kernels), threads)
-		sum := sha256.Sum256(sched.Bytes())
-		got[name] = hex.EncodeToString(sum[:])
-	}
+// scheduleFixtures calls fn with every fixture TestScheduleGolden pins: all
+// seven combinations on two nested-dissection-ordered patterns at two widths,
+// the one- and three-sweep Gauss-Seidel chains, and the CG and preconditioned
+// CG solver chains.
+func scheduleFixtures(t *testing.T, fn func(name string, in *combos.Instance, threads int)) {
+	t.Helper()
 	for _, spec := range []string{"lap2d:40", "pow:4000:6"} {
 		a, err := suite.Parse(spec, true)
 		if err != nil {
@@ -273,7 +267,7 @@ func TestScheduleGolden(t *testing.T) {
 				t.Fatal(err)
 			}
 			for _, th := range []int{2, 4} {
-				pin(fmt.Sprintf("%s/%s/threads=%d", spec, in.Name, th), in, th)
+				fn(fmt.Sprintf("%s/%s/threads=%d", spec, in.Name, th), in, th)
 			}
 		}
 	}
@@ -287,7 +281,7 @@ func TestScheduleGolden(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		pin("lap2d:40/"+gs.Name+"/threads=4", gs, 4)
+		fn("lap2d:40/"+gs.Name+"/threads=4", gs, 4)
 	}
 	for name, links := range map[string][]combos.ChainLink{"cg": cgLinks(a, 64), "pcg": pcgLinks(t, a, 64)} {
 		chain, err := combos.BuildChain(combos.ChainSpec{Name: name, Links: links})
@@ -297,8 +291,20 @@ func TestScheduleGolden(t *testing.T) {
 		if !chain.Fused() {
 			t.Fatalf("%s: chain did not compose into one group", name)
 		}
-		pin("lap2d:40/"+name+"/threads=4", chain.Groups[0], 4)
+		fn("lap2d:40/"+name+"/threads=4", chain.Groups[0], 4)
 	}
+}
+
+// TestScheduleGolden pins the schedules ICO produces for the shipped chains
+// (scheduleFixtures). A change to the inspector's output re-pins them on
+// purpose.
+func TestScheduleGolden(t *testing.T) {
+	got := map[string]string{}
+	scheduleFixtures(t, func(name string, in *combos.Instance, threads int) {
+		sched, _ := inspect(t, in.Loops, in.Reuse, len(in.Kernels), threads)
+		sum := sha256.Sum256(sched.Bytes())
+		got[name] = hex.EncodeToString(sum[:])
+	})
 
 	for key, sum := range got {
 		if want, ok := goldenSchedules[key]; !ok || sum != want {
@@ -308,6 +314,102 @@ func TestScheduleGolden(t *testing.T) {
 	for key := range goldenSchedules {
 		if _, ok := got[key]; !ok {
 			t.Errorf("%s: golden schedule no longer built", key)
+		}
+	}
+}
+
+// unitsHash is the SHA-256 of a runner's dispatch units in execution order:
+// per unit its first and end program segment and whether a fused pair body
+// runs it.
+func unitsHash(r *exec.Runner) string {
+	h := sha256.New()
+	r.Units(func(_, g, end int, pair bool) {
+		u := [3]int32{int32(g), int32(end), 0}
+		if pair {
+			u[2] = 1
+		}
+		if err := binary.Write(h, binary.LittleEndian, u); err != nil {
+			panic(err)
+		}
+	})
+	return hex.EncodeToString(h.Sum(nil))
+}
+
+// goldenUnits are unitsHash of every fixture of TestDispatchUnitsGolden.
+var goldenUnits = map[string]string{
+	"lap2d:40/DAD-IC0/threads=2":     "68769d35560ecf0926fce2d8cb62aad3e6da13e26c5e6ceaab0a5f049f427136",
+	"lap2d:40/DAD-IC0/threads=4":     "68769d35560ecf0926fce2d8cb62aad3e6da13e26c5e6ceaab0a5f049f427136",
+	"lap2d:40/DAD-ILU0/threads=2":    "68769d35560ecf0926fce2d8cb62aad3e6da13e26c5e6ceaab0a5f049f427136",
+	"lap2d:40/DAD-ILU0/threads=4":    "68769d35560ecf0926fce2d8cb62aad3e6da13e26c5e6ceaab0a5f049f427136",
+	"lap2d:40/GS-1sweeps/threads=4":  "6753998d35e8fec0d94dfd5ed2d3a0a36446a96f16d52ef0602cd3cd44f41930",
+	"lap2d:40/GS-3sweeps/threads=4":  "922546a489a72c3960021ccf2426d799cd4d838da0f17b0ad6e391fa91c8e5ce",
+	"lap2d:40/IC0-TRSV/threads=2":    "68769d35560ecf0926fce2d8cb62aad3e6da13e26c5e6ceaab0a5f049f427136",
+	"lap2d:40/IC0-TRSV/threads=4":    "68769d35560ecf0926fce2d8cb62aad3e6da13e26c5e6ceaab0a5f049f427136",
+	"lap2d:40/ILU0-TRSV/threads=2":   "68769d35560ecf0926fce2d8cb62aad3e6da13e26c5e6ceaab0a5f049f427136",
+	"lap2d:40/ILU0-TRSV/threads=4":   "68769d35560ecf0926fce2d8cb62aad3e6da13e26c5e6ceaab0a5f049f427136",
+	"lap2d:40/MV-MV/threads=2":       "f980e3a7109a42b5bb6ad52a7052b3a49e7873da4116fa50557be9b4985c5e92",
+	"lap2d:40/MV-MV/threads=4":       "ce7610aca544fa0a44a804083b212dcddf5feabfefec545f9758bdef130c7836",
+	"lap2d:40/TRSV-MV/threads=2":     "1fb54de8e7b1966a264ee3fc2dd041c804db558c796abf9f1aa5fb338ebc306b",
+	"lap2d:40/TRSV-MV/threads=4":     "40c6b007b563f55016cdb886d271d6d0702faed248c61631133afaec7ac4f4ca",
+	"lap2d:40/TRSV-TRSV/threads=2":   "56901042ae46071e8faf5f9193cdbff9931d4e2e2cca46786f029adaa5bd4605",
+	"lap2d:40/TRSV-TRSV/threads=4":   "6e4542af94d91fbacae74a08ee42855ceff5f603bdfa8e5a4781fb81d544800d",
+	"lap2d:40/cg/threads=4":          "8bcd87e289cc764a9e811010a587f220cc9ef1272847ab0a240a961df09510b2",
+	"lap2d:40/pcg/threads=4":         "79342225c7abad25f2ef5fdf8b927f0f098876350563492ff6fae81fe93a14fb",
+	"pow:4000:6/DAD-IC0/threads=2":   "23bf73c43ce905443fc9d643e1032b21e13fa261b46c0ed72eee6ca4c7004c2c",
+	"pow:4000:6/DAD-IC0/threads=4":   "23bf73c43ce905443fc9d643e1032b21e13fa261b46c0ed72eee6ca4c7004c2c",
+	"pow:4000:6/DAD-ILU0/threads=2":  "23bf73c43ce905443fc9d643e1032b21e13fa261b46c0ed72eee6ca4c7004c2c",
+	"pow:4000:6/DAD-ILU0/threads=4":  "23bf73c43ce905443fc9d643e1032b21e13fa261b46c0ed72eee6ca4c7004c2c",
+	"pow:4000:6/IC0-TRSV/threads=2":  "23bf73c43ce905443fc9d643e1032b21e13fa261b46c0ed72eee6ca4c7004c2c",
+	"pow:4000:6/IC0-TRSV/threads=4":  "23bf73c43ce905443fc9d643e1032b21e13fa261b46c0ed72eee6ca4c7004c2c",
+	"pow:4000:6/ILU0-TRSV/threads=2": "23bf73c43ce905443fc9d643e1032b21e13fa261b46c0ed72eee6ca4c7004c2c",
+	"pow:4000:6/ILU0-TRSV/threads=4": "23bf73c43ce905443fc9d643e1032b21e13fa261b46c0ed72eee6ca4c7004c2c",
+	"pow:4000:6/MV-MV/threads=2":     "aba55291caaa59d17b3bb6ca65bb567748fb49404f1175677f4d20165f59f4e0",
+	"pow:4000:6/MV-MV/threads=4":     "fc129fde9598b121750212d2436e8d9e794d9073bd13ddecf72406cb55acea9f",
+	"pow:4000:6/TRSV-MV/threads=2":   "c53837d913f96f08bde80bcb8d0c5a21fb3c252852be26cd437f203e5550507b",
+	"pow:4000:6/TRSV-MV/threads=4":   "25bb11f6643fbbfb8b485758ba51583ca703b7ab2e34b91195a7e74e2fdabe2b",
+	"pow:4000:6/TRSV-TRSV/threads=2": "3753a78ba67a612ff2614bca6a5074ca94b48b0189a65cebb0a01da04f901a81",
+	"pow:4000:6/TRSV-TRSV/threads=4": "23910805530690090b83e79400c87f25793d5727fef9d1bcd9c95248c3bfa04c",
+	"pow:8000:6/DAD-IC0/threads=2":   "21ea40513efb590e5855206b9cd1e556ba1fc99c508c5987fa6a9f14401bf9b5",
+	"pow:8000:6/DAD-ILU0/threads=2":  "21ea40513efb590e5855206b9cd1e556ba1fc99c508c5987fa6a9f14401bf9b5",
+	"pow:8000:6/IC0-TRSV/threads=2":  "21ea40513efb590e5855206b9cd1e556ba1fc99c508c5987fa6a9f14401bf9b5",
+	"pow:8000:6/ILU0-TRSV/threads=2": "21ea40513efb590e5855206b9cd1e556ba1fc99c508c5987fa6a9f14401bf9b5",
+	"pow:8000:6/MV-MV/threads=2":     "3b08bd46970ac5244e9eb87ad1e884e4e56bdda991644422843570ca9567dca2",
+	"pow:8000:6/TRSV-MV/threads=2":   "38e1a3357402c9a89b4c5ec5b49ead34832c5e9654088138fe0b75cefdef381f",
+	"pow:8000:6/TRSV-TRSV/threads=2": "29975a10e6050ecc46566dc4c0dddba44d102dafb3e2c0584b974bad065556aa",
+}
+
+// TestDispatchUnitsGolden pins how exec.NewRunner splits each program into
+// dispatch units — which spans run through a fused pair body and which as one
+// single-loop batch — on every TestScheduleGolden fixture and on the seven
+// combinations over the nested-dissection-ordered pow:8000:6 the churn
+// benchmark opens. A change to the runner's representation keeps them.
+func TestDispatchUnitsGolden(t *testing.T) {
+	got := map[string]string{}
+	pin := func(name string, in *combos.Instance, threads int) {
+		prog := fusedProgram(t, in.Loops, in.Reuse, len(in.Kernels), threads)
+		got[name] = unitsHash(exec.NewRunner(in.Kernels, prog))
+	}
+	scheduleFixtures(t, pin)
+	a, err := suite.Parse("pow:8000:6", true)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for id := range combos.Names {
+		in, err := combos.Build(id, a)
+		if err != nil {
+			t.Fatal(err)
+		}
+		pin("pow:8000:6/"+in.Name+"/threads=2", in, 2)
+	}
+
+	for key, sum := range got {
+		if want, ok := goldenUnits[key]; !ok || sum != want {
+			t.Errorf("%s: dispatch units %s, golden %q", key, sum, want)
+		}
+	}
+	for key := range goldenUnits {
+		if _, ok := got[key]; !ok {
+			t.Errorf("%s: golden dispatch units no longer built", key)
 		}
 	}
 }
