@@ -58,12 +58,12 @@ type FusedCG struct {
 	execState
 	fp cache.Key
 
-	chain   *combos.Chain
-	n       int
-	block   int
-	tol     float64
-	maxIter int
-	precond bool
+	chainLen int
+	n        int
+	block    int
+	tol      float64
+	maxIter  int
+	precond  bool
 
 	// Solver state. x/r/p/z/q/y are the CG vectors wired into the chain's
 	// kernels; the part arrays are the per-block reduction partials; rzCell is
@@ -116,21 +116,21 @@ func NewFusedCG(m *Matrix, opts FusedCGOptions) (*FusedCG, error) {
 	}
 
 	// The chain, in program order. Each link names the dependency matrix F
-	// from the previous kernel's iteration space to its own; WAR hazards
-	// (this iteration's p is read by the SpMV and overwritten by the last
-	// loop) are covered transitively — every reader of a vector precedes its
-	// writer through the F chain, which Loops.Check/Validate verify.
+	// from the previous kernel's iteration space to its own (cgDeps); WAR
+	// hazards (this iteration's p is read by the SpMV and overwritten by the
+	// last loop) are covered transitively — every reader of a vector precedes
+	// its writer through the F chain, which Loops.Check/Validate verify.
+	deps := func() []*sparse.CSR { return cgDeps(n, block, opts.Precondition) }
+	fs := deps()
 	links := []combos.ChainLink{
 		// L0: q = A*p (Prepare re-zeroes q every run).
 		{K: kernels.NewSpMVCSR(a, f.p, f.q)},
 		// L1: partPQ[i] = p·q over block i.
-		{K: kernels.NewVecDot(f.p, f.q, f.partPQ, block), F: core.FBlockAgg(nb, n, block)},
-		// L2: x += (rz/Σ partPQ)·p, with the SPD curvature check. Dense F:
-		// every block re-sums all partials.
-		{K: kernels.NewVecAxpyDot(f.p, f.x, f.rzCell, f.partPQ, +1, block, true), F: core.FDense(nb, nb)},
-		// L3: r -= (rz/Σ partPQ)·q; block i only needs block i of L2 to have
-		// re-summed first (the dense hop to L1 is already behind L2).
-		{K: kernels.NewVecAxpyDot(f.q, f.r, f.rzCell, f.partPQ, -1, block, false), F: core.FDiagonal(nb)},
+		{K: kernels.NewVecDot(f.p, f.q, f.partPQ, block), F: fs[0]},
+		// L2: x += (rz/Σ partPQ)·p, with the SPD curvature check.
+		{K: kernels.NewVecAxpyDot(f.p, f.x, f.rzCell, f.partPQ, +1, block, true), F: fs[1]},
+		// L3: r -= (rz/Σ partPQ)·q.
+		{K: kernels.NewVecAxpyDot(f.q, f.r, f.rzCell, f.partPQ, -1, block, false), F: fs[2]},
 	}
 	if opts.Precondition {
 		lc := a.Lower().ToCSC()
@@ -150,26 +150,24 @@ func NewFusedCG(m *Matrix, opts FusedCGOptions) (*FusedCG, error) {
 		dot := kernels.NewVecDotDual(f.r, f.z, f.partRZ, f.r, f.r, f.partRR, block)
 		f.fwd, f.bwd, f.dotK = fwd, bwd, dot
 		links = append(links,
-			// L4: y = L \ r; row j reads exactly r[j], produced by block
-			// j/block of L3.
-			combos.ChainLink{K: fwd, F: core.FBlockExpand(n, nb, block)},
-			// L5: z = L' \ y; iteration it finalizes element n-1-it.
-			combos.ChainLink{K: bwd, F: core.FAntiDiagonal(n)},
-			// L6: partRZ = r·z and partRR = r·r in one pass; the producer
-			// iterates in reversed order, so the aggregation F is flipped.
-			combos.ChainLink{K: dot, F: core.FBlockAggFlip(nb, n, block)},
+			// L4: y = L \ r.
+			combos.ChainLink{K: fwd, F: fs[3]},
+			// L5: z = L' \ y.
+			combos.ChainLink{K: bwd, F: fs[4]},
+			// L6: partRZ = r·z and partRR = r·r in one pass.
+			combos.ChainLink{K: dot, F: fs[5]},
 			// L7: p = z + (Σ partRZ / rz)·p.
-			combos.ChainLink{K: kernels.NewVecXpayDot(f.z, f.p, f.rzCell, f.partRZ, block), F: core.FDense(nb, nb)},
+			combos.ChainLink{K: kernels.NewVecXpayDot(f.z, f.p, f.rzCell, f.partRZ, block), F: fs[6]},
 		)
 	} else {
 		// Unpreconditioned: z is r, rz is r·r.
 		dot := kernels.NewVecDot(f.r, f.r, f.partRR, block)
 		f.dotK = dot
 		links = append(links,
-			// L4: partRR[i] = r·r over block i; needs only block i of L3.
-			combos.ChainLink{K: dot, F: core.FDiagonal(nb)},
+			// L4: partRR[i] = r·r over block i.
+			combos.ChainLink{K: dot, F: fs[3]},
 			// L5: p = r + (Σ partRR / rz)·p.
-			combos.ChainLink{K: kernels.NewVecXpayDot(f.r, f.p, f.rzCell, f.partRR, block), F: core.FDense(nb, nb)},
+			combos.ChainLink{K: kernels.NewVecXpayDot(f.r, f.p, f.rzCell, f.partRR, block), F: fs[4]},
 		)
 	}
 
@@ -186,7 +184,7 @@ func NewFusedCG(m *Matrix, opts FusedCGOptions) (*FusedCG, error) {
 	if !chain.Fused() {
 		return nil, fmt.Errorf("sparsefusion: internal error: solver chain did not compose into one group")
 	}
-	f.chain = chain
+	f.chainLen = chain.NumKernels()
 	inst := chain.Groups[0]
 	inst.Snapshot = func() []float64 { return append([]float64(nil), f.x...) }
 	inst.Output = f.x
@@ -203,7 +201,43 @@ func NewFusedCG(m *Matrix, opts FusedCGOptions) (*FusedCG, error) {
 	if err := f.open(t0, opts.Options, f.fp); err != nil {
 		return nil, err
 	}
+	// Running needs the program alone; a re-validation after a fault builds
+	// the fusion input again.
+	inst.Release(deps)
 	return f, nil
+}
+
+// cgDeps builds the dependency matrices F of the CG chain's links after the
+// first, in link order, over n elements in blocks of block.
+func cgDeps(n, block int, precond bool) []*sparse.CSR {
+	nb := (n + block - 1) / block
+	fs := []*sparse.CSR{
+		// L1 <- L0: block i of p·q reads q over block i.
+		core.FBlockAgg(nb, n, block),
+		// L2 <- L1: every block re-sums all partials.
+		core.FDense(nb, nb),
+		// L3 <- L2: block i only needs block i of L2 to have re-summed first
+		// (the dense hop to L1 is already behind L2).
+		core.FDiagonal(nb),
+	}
+	if !precond {
+		return append(fs,
+			// L4 <- L3: r·r over block i needs only block i of r.
+			core.FDiagonal(nb),
+			// L5 <- L4: every block re-sums all partials.
+			core.FDense(nb, nb))
+	}
+	return append(fs,
+		// L4 <- L3: row j of L \ r reads exactly r[j], produced by block
+		// j/block of L3.
+		core.FBlockExpand(n, nb, block),
+		// L5 <- L4: iteration it of L' \ y finalizes element n-1-it.
+		core.FAntiDiagonal(n),
+		// L6 <- L5: the producer iterates in reversed order, so the
+		// aggregation is flipped.
+		core.FBlockAggFlip(nb, n, block),
+		// L7 <- L6: every block re-sums all partials.
+		core.FDense(nb, nb))
 }
 
 // Fingerprint returns the chain's content address in hex.
@@ -211,7 +245,7 @@ func (f *FusedCG) Fingerprint() string { return f.fp.String() }
 
 // ChainLength is the number of kernels composed into the fused schedule
 // (8 preconditioned, 6 unpreconditioned).
-func (f *FusedCG) ChainLength() int { return f.chain.NumKernels() }
+func (f *FusedCG) ChainLength() int { return f.chainLen }
 
 // Preconditioned reports whether the chain embeds the IC0 solves.
 func (f *FusedCG) Preconditioned() bool { return f.precond }

@@ -76,6 +76,9 @@ func NewGaussSeidel(m *Matrix, opts GSOptions) (*GaussSeidel, error) {
 	if err := g.state.open(t0, opts.Options, fp); err != nil {
 		return nil, err
 	}
+	// Running needs the program alone; a re-validation after a fault builds
+	// the fusion input again.
+	inst.Release(nil)
 	return g, nil
 }
 

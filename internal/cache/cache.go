@@ -15,7 +15,9 @@ import (
 // never written post-build, and the layout's streams are read-only during
 // execution (relayout.Build refuses chains that overwrite packed sources).
 type Artifacts struct {
-	// Schedule is the fused ICO schedule; never nil in a published entry.
+	// Schedule is the fused ICO schedule. A published entry keeps it only
+	// when it has no program: a program rebuilds it byte for byte
+	// (core.Program.Decompile).
 	Schedule *core.Schedule
 	// Program is the schedule compiled to the flat executor form; nil when
 	// the schedule exceeds the compiled representation (ProgramErr says why),
@@ -118,9 +120,8 @@ func (c *Cache) emit(kind EventKind, key Key, dur time.Duration, errStr string) 
 }
 
 // DefaultMaxEntries is the in-memory bound when Config.MaxEntries is unset.
-// An entry is roughly the schedule plus program plus packed streams —
-// pattern-sized — so the default assumes a universe of at most a few hundred
-// live patterns.
+// An entry is roughly the program plus packed streams — pattern-sized — so
+// the default assumes a universe of at most a few hundred live patterns.
 const DefaultMaxEntries = 128
 
 // Cache is the content-addressed artifact store. The zero value is not
@@ -237,7 +238,8 @@ func (c *Cache) GetOrBuild(key Key, b Builder) (*Entry, error) {
 
 // build runs one miss: disk tier (when enabled and the file verifies), then
 // the builder's Inspect, then Complete. Freshly inspected schedules are
-// written back to the disk tier best-effort.
+// written back to the disk tier best-effort; the entry then keeps the tree
+// schedule only if there is no program to rebuild it from.
 func (c *Cache) build(key Key, b Builder) (*Entry, error) {
 	c.misses.Add(1)
 	tBuild := time.Now()
@@ -283,8 +285,6 @@ func (c *Cache) build(key Key, b Builder) (*Entry, error) {
 	if art.Schedule == nil {
 		art.Schedule = sched
 	}
-	e := &Entry{Key: key, Artifacts: art, FromDisk: fromDisk}
-	e.lastUse.Store(c.clock.Add(1))
 	if c.dir != "" && !fromDisk {
 		if err := c.saveDisk(key, art.Schedule); err != nil {
 			c.diskErrors.Add(1)
@@ -293,6 +293,11 @@ func (c *Cache) build(key Key, b Builder) (*Entry, error) {
 			c.emit(EventDiskSave, key, 0, "")
 		}
 	}
+	if art.Program != nil {
+		art.Schedule = nil
+	}
+	e := &Entry{Key: key, Artifacts: art, FromDisk: fromDisk}
+	e.lastUse.Store(c.clock.Add(1))
 	c.emit(EventMiss, key, time.Since(tBuild), "")
 	return e, nil
 }

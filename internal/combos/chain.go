@@ -82,8 +82,12 @@ func BuildChain(spec ChainSpec) (*Chain, error) {
 			Name:    fmt.Sprintf("%s[%d:%d]", spec.Name, lo, i),
 			Kernels: ks,
 			Loops:   &core.Loops{F: fs},
+			mklSeq:  make([]bool, len(ks)),
+			Reuse:   core.ReuseRatioChain(ks),
 		}
-		finishChain(g)
+		for _, k := range ks {
+			g.Loops.G = append(g.Loops.G, k.DAG())
+		}
 		if err := g.Loops.Check(); err != nil {
 			return nil, fmt.Errorf("combos: chain %q group [%d:%d): %w", spec.Name, lo, i, err)
 		}
@@ -91,18 +95,6 @@ func BuildChain(spec ChainSpec) (*Chain, error) {
 		lo = i
 	}
 	return c, nil
-}
-
-// finishChain fills an instance's derived chain fields — per-kernel DAGs,
-// MKL-sequential flags, and the chain reuse ratio — from Kernels and the
-// already-set Loops.F. Shared by BuildChain groups and BuildGS, so the
-// GS chain is the k = 2·nSweeps special case of the general assembly.
-func finishChain(in *Instance) {
-	for _, k := range in.Kernels {
-		in.Loops.G = append(in.Loops.G, k.DAG())
-		in.mklSeq = append(in.mklSeq, false)
-	}
-	in.Reuse = core.ReuseRatioChain(in.Kernels)
 }
 
 // Fused reports whether the whole chain composed into a single fused group.

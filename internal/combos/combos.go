@@ -70,9 +70,9 @@ type Instance struct {
 	Kernels []kernels.Kernel
 	// Loops and Reuse are the inspector's input, derived from the kernels:
 	// filled when Build, BuildGS or BuildChain returns, for the callers that
-	// read them. An instance from Assemble or CloneForSession leaves them
-	// unset and builds the input afresh on every Fusion call, keeping none of
-	// it. Running the kernels needs neither.
+	// read them, until Release drops them. An instance from Assemble or
+	// CloneForSession leaves them unset and builds the input afresh on every
+	// Fusion call, keeping none of it. Running the kernels needs neither.
 	Loops *core.Loops
 	Reuse float64
 	// Snapshot copies the observable output (the last kernel's result).
@@ -88,9 +88,9 @@ type Instance struct {
 	// it between executions to iterate the solver); nil otherwise.
 	GSX0 []float64
 
-	// buildF builds the dependency matrix F of an Assemble instance's pair
-	// for Fusion.
-	buildF func() *sparse.CSR
+	// buildF builds the dependency matrices F between adjacent loops for
+	// Fusion, in loop order.
+	buildF func() []*sparse.CSR
 	// sourceSum, when set, is relayout.SourceSum of Kernels from checksums
 	// the matrix memoizes (the pure combinations, whose packed sources are
 	// the shared sparse.Forms arrays). It captures the Forms' checksum funcs,
@@ -113,7 +113,19 @@ func (in *Instance) Fusion() (loops *core.Loops, reuse float64, built bool) {
 	for i, k := range in.Kernels {
 		g[i] = k.DAG()
 	}
-	return &core.Loops{G: g, F: []*sparse.CSR{in.buildF()}}, core.ReuseRatioChain(in.Kernels), true
+	return &core.Loops{G: g, F: in.buildF()}, core.ReuseRatioChain(in.Kernels), true
+}
+
+// Release drops the fusion input the instance's constructor filled in, for a
+// holder that keeps the instance past inspection: later Fusion calls build it
+// afresh, the kernel DAGs from the kernels and F with buildF. A nil buildF
+// keeps the builder the constructor installed (Build, BuildGS); a BuildChain
+// group has none, and its holder supplies one.
+func (in *Instance) Release(buildF func() []*sparse.CSR) {
+	in.Loops = nil
+	if buildF != nil {
+		in.buildF = buildF
+	}
 }
 
 // SourceSum is relayout.SourceSum over the instance's kernels: the checksum a
@@ -163,7 +175,7 @@ func Assemble(id ID, src *sparse.Forms) (*Instance, error) {
 	// Each combination builds its two kernels; F, which Fusion builds, is the
 	// diagonal unless the combination names another builder.
 	var k1, k2 kernels.Kernel
-	in.buildF = func() *sparse.CSR { return core.FDiagonal(n) }
+	in.buildF = func() []*sparse.CSR { return []*sparse.CSR{core.FDiagonal(n)} }
 	switch id {
 	case TrsvTrsv:
 		l := src.Lower()
@@ -193,7 +205,7 @@ func Assemble(id ID, src *sparse.Forms) (*Instance, error) {
 		ac := src.CSC()
 		x, y, z := vec(1), make([]float64, n), make([]float64, n)
 		k1, k2 = kernels.NewSpTRSVCSR(l, x, y), kernels.NewSpMVCSC(ac, y, z)
-		in.buildF = func() *sparse.CSR { return core.FTrsvToMVCSC(ac) }
+		in.buildF = func() []*sparse.CSR { return []*sparse.CSR{core.FTrsvToMVCSC(ac)} }
 		lsum, csum := src.LowerSum, src.CSCSum
 		in.sourceSum = func() uint64 { return sparse.FoldSums(lsum(), csum()) }
 		in.Snapshot = snap(z)
@@ -228,7 +240,7 @@ func Assemble(id ID, src *sparse.Forms) (*Instance, error) {
 	case MvMv:
 		x, y, z := vec(1), make([]float64, n), make([]float64, n)
 		k1, k2 = kernels.NewSpMVCSR(a, x, y), kernels.NewSpMVCSR(a, y, z)
-		in.buildF = func() *sparse.CSR { return core.FPattern(a) }
+		in.buildF = func() []*sparse.CSR { return []*sparse.CSR{core.FPattern(a)} }
 		sum := src.Sum
 		in.sourceSum = func() uint64 { return sparse.FoldSums(sum(), sum()) }
 		in.Snapshot = snap(z)
@@ -257,7 +269,6 @@ func BuildGS(a *sparse.CSR, nSweeps int) (*Instance, error) {
 	}
 	b := sparse.RandomVec(n, 3)
 	in := &Instance{ID: 0, Name: fmt.Sprintf("GS-%dsweeps", nSweeps)}
-	in.Loops = &core.Loops{}
 	x := make([]float64, n) // x_0 = 0
 	in.GSX0 = x
 	for s := 0; s < nSweeps; s++ {
@@ -265,16 +276,23 @@ func BuildGS(a *sparse.CSR, nSweeps int) (*Instance, error) {
 		in.Kernels = append(in.Kernels,
 			kernels.NewSpMVPlusCSR(negU, x, b, t), // t = b - U*x
 			kernels.NewSpTRSVCSR(l, t, xNext))     // xNext = L \ t
-		// Per sweep s > 0 the SpMV reads x produced by the previous TRSV (row
-		// i needs x[j] for every nonzero U[i][j]); every TRSV reads t[i] from
-		// its own SpMV.
-		if s > 0 {
-			in.Loops.F = append(in.Loops.F, core.FPattern(u))
-		}
-		in.Loops.F = append(in.Loops.F, core.FDiagonal(n))
+		in.mklSeq = append(in.mklSeq, false, false)
 		x = xNext
 	}
-	finishChain(in)
+	// Per sweep s > 0 the SpMV reads x produced by the previous TRSV (row i
+	// needs x[j] for every nonzero U[i][j]); every TRSV reads t[i] from its
+	// own SpMV.
+	in.buildF = func() []*sparse.CSR {
+		fs := make([]*sparse.CSR, 0, 2*nSweeps-1)
+		for s := 0; s < nSweeps; s++ {
+			if s > 0 {
+				fs = append(fs, core.FPattern(u))
+			}
+			fs = append(fs, core.FDiagonal(n))
+		}
+		return fs
+	}
+	in.Loops, in.Reuse, _ = in.Fusion()
 	in.Snapshot = snap(x)
 	in.Input, in.Output = b, x
 	return in, nil

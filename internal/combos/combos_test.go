@@ -203,11 +203,12 @@ func TestInspectSurfacesCompileLimit(t *testing.T) {
 	in := &Instance{Name: "too-long", Loops: &core.Loops{}}
 	for i, ln := range spec.Links {
 		in.Kernels = append(in.Kernels, ln.K)
+		in.Loops.G = append(in.Loops.G, ln.K.DAG())
 		if i > 0 {
 			in.Loops.F = append(in.Loops.F, ln.F)
 		}
 	}
-	finishChain(in)
+	in.Reuse = core.ReuseRatioChain(in.Kernels)
 	im := in.SparseFusion(threads, lp())
 	if err := im.Inspect(); err == nil || !strings.Contains(err.Error(), "cannot compile") {
 		t.Fatalf("Inspect of %d loops returned %v, want the compile limit", len(in.Kernels), err)

@@ -9,21 +9,18 @@ import (
 	"sparsefusion/internal/kernels"
 )
 
-// dispatchUnit is what NewRunner decides per dispatch unit, with the bodies
-// reduced to whether the unit is a coalesced pair.
+// dispatchUnit is what NewRunner decides per dispatch unit: the w-partition,
+// the program segments it runs, and whether a fused pair body runs them.
 type dispatchUnit struct {
-	lo, hi int32
-	loop   uint8
-	g0     int32
-	pair   bool
+	w, g, end int
+	pair      bool
 }
 
 // quadraticDispatchTable is the pair-coalescing scan NewRunner started with,
 // kept as the reference for the linear one: from every segment it walks to
 // the end of the alternating two-loop span again, O(segments²) per
 // w-partition when the spans fail the pairRunLimit test.
-func quadraticDispatchTable(ks []kernels.Kernel, prog *core.Program) (units []dispatchUnit, wSeg []int32) {
-	wSeg = []int32{0}
+func quadraticDispatchTable(ks []kernels.Kernel, prog *core.Program) (units []dispatchUnit) {
 	for w := 0; w < prog.NumWPartitions(); w++ {
 		g1 := int(prog.WSeg[w+1])
 		for g := int(prog.WSeg[w]); g < g1; {
@@ -36,40 +33,36 @@ func quadraticDispatchTable(ks []kernels.Kernel, prog *core.Program) (units []di
 				iters := int(prog.SegOff[end] - prog.SegOff[g])
 				if iters < (end-g)*pairRunLimit {
 					if fn, _ := kernels.FusePair(ks[l1], ks[l2], int(l1), int(l2)); fn != nil {
-						units = append(units, dispatchUnit{lo: prog.SegOff[g], hi: prog.SegOff[end], g0: int32(g), pair: true})
+						units = append(units, dispatchUnit{w, g, end, true})
 						g = end
 						continue
 					}
 				}
 			}
-			units = append(units, dispatchUnit{lo: prog.SegOff[g], hi: prog.SegOff[g+1], loop: prog.SegLoop[g], g0: int32(g)})
+			units = append(units, dispatchUnit{w, g, g + 1, false})
 			g++
 		}
-		wSeg = append(wSeg, int32(len(units)))
 	}
-	return units, wSeg
+	return units
 }
 
 func assertSameDispatchTable(t *testing.T, label string, ks []kernels.Kernel, prog *core.Program) (pairs int) {
 	t.Helper()
-	want, wantW := quadraticDispatchTable(ks, prog)
+	want := quadraticDispatchTable(ks, prog)
 	r := NewRunner(ks, prog)
-	got := make([]dispatchUnit, len(r.segs))
-	for i, sg := range r.segs {
-		got[i] = dispatchUnit{sg.lo, sg.hi, sg.loop, sg.g0, sg.pair != nil}
-		if sg.pair == nil && sg.batch == nil && sg.k == nil {
-			t.Fatalf("%s: dispatch unit %d has no body", label, i)
-		}
-		if sg.pair != nil {
+	var got []dispatchUnit
+	r.Units(func(w, g, end int, pair bool) {
+		got = append(got, dispatchUnit{w, g, end, pair})
+		if pair {
 			pairs++
 		}
-	}
-	if !slices.Equal(got, want) || !slices.Equal(r.wSeg, wantW) {
+	})
+	if !slices.Equal(got, want) {
 		t.Fatalf("%s: dispatch table differs from the quadratic scan's (%d vs %d units over %d segments)",
 			label, len(got), len(want), prog.NumSegments())
 	}
-	if cap(r.segs) != len(r.segs) {
-		t.Fatalf("%s: segs presized to %d for %d units", label, cap(r.segs), len(r.segs))
+	if cap(r.pairAt) != pairs {
+		t.Fatalf("%s: pairAt presized to %d for %d coalesced spans", label, cap(r.pairAt), pairs)
 	}
 	return pairs
 }

@@ -187,14 +187,15 @@ func TestRunnerSegmentsPaired(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	var paired int
-	for _, sg := range r.segs {
-		if sg.pair != nil {
-			paired += int(sg.hi - sg.lo)
+	var paired, units int
+	r.Units(func(_, g, end int, pair bool) {
+		units++
+		if pair {
+			paired += int(r.prog.SegOff[end] - r.prog.SegOff[g])
 		}
-	}
-	if len(r.segs) >= r.prog.NumSegments() {
-		t.Fatalf("no coalescing: %d dispatch segments for %d raw segments", len(r.segs), r.prog.NumSegments())
+	})
+	if units >= r.prog.NumSegments() {
+		t.Fatalf("no coalescing: %d dispatch units for %d raw segments", units, r.prog.NumSegments())
 	}
 	if paired == 0 {
 		t.Fatal("interleaved trsv-trsv compiled without any fused pair segment")

@@ -5,6 +5,7 @@ import (
 	"errors"
 	"fmt"
 	"runtime"
+	"slices"
 	"testing"
 	"time"
 
@@ -196,37 +197,43 @@ func TestBreakdownSurfacesThroughParallelExecutor(t *testing.T) {
 	check("walk", func() (Stats, error) { return RunScheduleSequential(context.Background(), ks, sched) })
 }
 
-// hookUnit wraps the packed body of dispatch unit g so that before runs ahead
-// of it and after behind it (either may be nil), and returns the undo.
-func hookUnit(r *Runner, g int32, before, after func()) (undo func()) {
-	saved := r.packed[g]
-	call := func(f func()) {
-		if f != nil {
+// hookUnit wraps the packed bodies so that before runs ahead of the first
+// dispatch unit of w-partition w and after behind it (either may be nil), and
+// returns the undo.
+func hookUnit(r *Runner, w int32, before, after func()) (undo func()) {
+	first := &r.prog.Iters[r.prog.WOff[w]]
+	call := func(iters []int32, f func()) {
+		if f != nil && &iters[0] == first {
 			f()
 		}
 	}
-	ps := &r.packed[g]
-	if pair := saved.pair; pair != nil {
-		ps.pair = func(iters []int32, s1, s2 *kernels.PackedStream, e1, i1, e2, i2 int) {
-			call(before)
-			pair(iters, s1, s2, e1, i1, e2, i2)
-			call(after)
+	savedRun, savedPair := slices.Clone(r.packedRun), slices.Clone(r.packedPair)
+	for i, pair := range r.packedPair {
+		if pair != nil {
+			r.packedPair[i] = func(iters []int32, s1, s2 *kernels.PackedStream, e1, i1, e2, i2 int) {
+				call(iters, before)
+				pair(iters, s1, s2, e1, i1, e2, i2)
+				call(iters, after)
+			}
 		}
-	} else {
-		ps.run = hookedRunner{saved.run, func() { call(before) }, func() { call(after) }}
 	}
-	return func() { r.packed[g] = saved }
+	for l, run := range r.packedRun {
+		if run != nil {
+			r.packedRun[l] = hookedRunner{run, func(iters []int32) { call(iters, before) }, func(iters []int32) { call(iters, after) }}
+		}
+	}
+	return func() { copy(r.packedRun, savedRun); copy(r.packedPair, savedPair) }
 }
 
 type hookedRunner struct {
 	kernels.PackedKernel
-	before, after func()
+	before, after func([]int32)
 }
 
 func (h hookedRunner) RunManyPacked(iters []int32, s *kernels.PackedStream, ent, it int) {
-	h.before()
+	h.before(iters)
 	h.PackedKernel.RunManyPacked(iters, s, ent, it)
-	h.after()
+	h.after(iters)
 }
 
 // TestPackedScatterCleanAfterCancelAndFault: the spill slots of the packed
@@ -268,10 +275,10 @@ func TestPackedScatterCleanAfterCancelAndFault(t *testing.T) {
 		for s := 0; s < prog.NumSPartitions(); s++ {
 			// The last w-partition of the round, so every other one has
 			// (most likely) already filled its slots.
-			g := r.wSeg[prog.SOff[s+1]-1]
+			w := prog.SOff[s+1] - 1
 
 			ctx, cancel := context.WithCancel(context.Background())
-			undo := hookUnit(r, g, func() {
+			undo := hookUnit(r, w, func() {
 				cancel()
 				for pl.p.fault.Load() == nil { // until the watcher installed it
 					runtime.Gosched()
@@ -285,7 +292,7 @@ func TestPackedScatterCleanAfterCancelAndFault(t *testing.T) {
 			}
 			clean("a cancel")
 
-			undo = hookUnit(r, g, nil, func() { panic("fault_test: injected panic") })
+			undo = hookUnit(r, w, nil, func() { panic("fault_test: injected panic") })
 			_, err = r.RunOn(pl, threads)
 			undo()
 			var ee *ExecError

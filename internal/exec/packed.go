@@ -2,33 +2,21 @@ package exec
 
 import (
 	"fmt"
+	"slices"
 	"time"
 
 	"sparsefusion/internal/kernels"
 	"sparsefusion/internal/relayout"
 )
 
-// This file is the packed executor path: a Runner whose dispatch units have
-// been bound, once at inspection time, to the schedule-order operand streams
-// of a relayout.Layout. The hot loop then reads compact int32 indices and
-// float64 values with a single advancing cursor per stream instead of
-// pointer-chasing P[i] into matrix-order arrays. The compiled-unpacked path
-// (runW) and the one-thread schedule walk are what the packed path is tested
-// against.
-
-// packedSeg is one dispatch unit's stream binding: the packed body plus the
-// entry/occurrence cursors at which the unit's data starts in each stream.
-// Parallel to Runner.segs.
-type packedSeg struct {
-	pair kernels.PackedPairRunner // fused two-kernel body for shredded spans
-	run  kernels.PackedKernel     // single-kernel batch body
-	s1   *kernels.PackedStream    // stream of the unit's (first) loop
-	s2   *kernels.PackedStream    // stream of the pair's second loop
-	ent1 int32                    // first operand-entry slot in s1
-	it1  int32                    // first occurrence slot in s1
-	ent2 int32                    // first operand-entry slot in s2 (pair only)
-	it2  int32                    // first occurrence slot in s2 (pair only)
-}
+// This file is the packed executor path: a Runner whose loops have been bound,
+// once at inspection time, to packed bodies reading the schedule-order operand
+// streams of a relayout.Layout, each dispatch unit from the cursors the layout
+// and the program record for its first segments (SegEnt, SegIter). The hot
+// loop then reads compact int32 indices and float64 values with a single
+// advancing cursor per stream instead of pointer-chasing P[i] into
+// matrix-order arrays. The compiled-unpacked path (runW) and the one-thread
+// schedule walk are what the packed path is tested against.
 
 // spillLoop is one scatter loop's share of the packed path: the kernel whose
 // packed body writes the slots, the runner-private slot scratch, and the
@@ -62,46 +50,36 @@ func (r *Runner) AttachLayout(lay *relayout.Layout) error {
 		}
 		spill = append(spill, spillLoop{k: k, slots: make([]float64, sc.Slots), sc: sc})
 	}
-	packed := make([]packedSeg, len(r.segs))
-	for i := range r.segs {
-		sg := &r.segs[i]
-		g0 := int(sg.g0)
-		if sg.pair != nil {
-			// A pair span coalesces consecutive program segments alternating
-			// between two loops; consecutive segments of one w-partition always
-			// differ in loop, so the span's loops are those of its first two
-			// segments. Each loop's entries are contiguous in its own stream
-			// across the whole span (streams are laid out in global segment
-			// order and the other loop's entries land in the other stream), so
-			// one cursor pair per loop covers the span.
-			l1, l2 := prog.SegLoop[g0], prog.SegLoop[g0+1]
-			fn, ok := kernels.FusePackedPair(r.ks[l1], r.ks[l2], int(l1), int(l2))
-			if !ok {
-				return fmt.Errorf("exec: no packed pair body for %s+%s", r.ks[l1].Name(), r.ks[l2].Name())
-			}
-			packed[i] = packedSeg{
-				pair: fn,
-				s1:   lay.Streams[l1],
-				s2:   lay.Streams[l2],
-				ent1: lay.SegEnt[g0],
-				it1:  prog.SegIter[g0],
-				ent2: lay.SegEnt[g0+1],
-				it2:  prog.SegIter[g0+1],
-			}
+	// A coalesced span's loops are those of its first two segments, and each
+	// loop's entries are contiguous in its own stream across the whole span
+	// (streams are laid out in global segment order and the other loop's
+	// entries land in the other stream), so one cursor pair per loop, read
+	// from SegEnt and SegIter at the span's first two segments, covers it.
+	k := len(r.ks)
+	packedPair := make([]kernels.PackedPairRunner, len(r.pair))
+	for i, fn := range r.pair {
+		if fn == nil {
 			continue
 		}
-		pk, ok := r.ks[sg.loop].(kernels.PackedKernel)
+		l1, l2 := i/k, i%k
+		pfn, ok := kernels.FusePackedPair(r.ks[l1], r.ks[l2], l1, l2)
 		if !ok {
-			return fmt.Errorf("exec: kernel %s does not support packed execution", r.ks[sg.loop].Name())
+			return fmt.Errorf("exec: no packed pair body for %s+%s", r.ks[l1].Name(), r.ks[l2].Name())
 		}
-		packed[i] = packedSeg{
-			run:  pk,
-			s1:   lay.Streams[sg.loop],
-			ent1: lay.SegEnt[g0],
-			it1:  prog.SegIter[g0],
-		}
+		packedPair[i] = pfn
 	}
-	r.packed, r.spill, r.lay = packed, spill, lay
+	packedRun := make([]kernels.PackedKernel, k)
+	for l, kn := range r.ks {
+		if r.single&(1<<l) == 0 {
+			continue
+		}
+		pk, ok := kn.(kernels.PackedKernel)
+		if !ok {
+			return fmt.Errorf("exec: kernel %s does not support packed execution", kn.Name())
+		}
+		packedRun[l] = pk
+	}
+	r.packedRun, r.packedPair, r.spill, r.lay = packedRun, packedPair, spill, lay
 	return nil
 }
 
@@ -109,9 +87,9 @@ func (r *Runner) AttachLayout(lay *relayout.Layout) error {
 // non-nil when Run takes the packed path.
 func (r *Runner) Layout() *relayout.Layout { return r.lay }
 
-// DetachLayout drops the stream bindings, returning Run to the
+// DetachLayout drops the packed bodies and the layout, returning Run to the
 // compiled-unpacked path.
-func (r *Runner) DetachLayout() { r.packed, r.spill, r.lay = nil, nil, nil }
+func (r *Runner) DetachLayout() { r.packedRun, r.packedPair, r.spill, r.lay = nil, nil, nil, nil }
 
 // bindSpill points every scatter kernel's packed body at this runner's slots.
 // Done per run, not per attach: kernels may be shared with another runner
@@ -153,16 +131,23 @@ func (r *Runner) foldSpill(s int) time.Duration {
 }
 
 // runWPacked executes one w-partition against the packed streams, one
-// dispatch per segment.
+// dispatch per unit.
 func (r *Runner) runWPacked(w int) {
-	for g := r.wSeg[w]; g < r.wSeg[w+1]; g++ {
-		sg := &r.segs[g]
-		ps := &r.packed[g]
-		iters := r.prog.Iters[sg.lo:sg.hi]
-		if ps.pair != nil {
-			ps.pair(iters, ps.s1, ps.s2, int(ps.ent1), int(ps.it1), int(ps.ent2), int(ps.it2))
-		} else {
-			ps.run.RunManyPacked(iters, ps.s1, int(ps.ent1), int(ps.it1))
+	p, lay := r.prog, r.lay
+	g, g1 := p.WSeg[w], p.WSeg[w+1]
+	next, _ := slices.BinarySearch(r.pairAt, g)
+	for g < g1 {
+		l := p.SegLoop[g]
+		if next < len(r.pairAt) && r.pairAt[next] == g {
+			l2 := p.SegLoop[g+1]
+			end := spanEnd(p, g, g1)
+			r.packedPair[int(l)*len(r.ks)+int(l2)](p.Iters[p.SegOff[g]:p.SegOff[end]],
+				lay.Streams[l], lay.Streams[l2],
+				int(lay.SegEnt[g]), int(p.SegIter[g]), int(lay.SegEnt[g+1]), int(p.SegIter[g+1]))
+			g, next = end, next+1
+			continue
 		}
+		r.packedRun[l].RunManyPacked(p.Iters[p.SegOff[g]:p.SegOff[g+1]], lay.Streams[l], int(lay.SegEnt[g]), int(p.SegIter[g]))
+		g++
 	}
 }

@@ -120,10 +120,11 @@ func (r *Recorder) beginRun() { r.runs++ }
 
 // record ingests one barrier round: s-partition si started at offset start
 // (from the run's t0); worker slot k ran its share of the round for durs[k],
-// covering iters[k] iterations. Worker slots — not global w-partition ids —
+// covering the woff[k+1]-woff[k] iterations of its w-partition
+// (core.Program.WOff). Worker slots — not global w-partition ids —
 // key the spans and the busy/wait accumulators, keeping one row per worker on
 // the timeline.
-func (r *Recorder) record(si int, start time.Duration, durs []time.Duration, iters []int32) {
+func (r *Recorder) record(si int, start time.Duration, durs []time.Duration, woff []int32) {
 	var maxD time.Duration
 	for _, d := range durs {
 		if d > maxD {
@@ -140,7 +141,7 @@ func (r *Recorder) record(si int, start time.Duration, durs []time.Duration, ite
 	r.barriers++
 	var pIters int
 	for k, d := range durs {
-		it := int(iters[k])
+		it := int(woff[k+1] - woff[k])
 		pIters += it
 		if r.wrapped {
 			r.dropped++ // overwriting the oldest span

@@ -19,10 +19,9 @@ type SpIC0CSC struct {
 	// last Run. Row indices ascend within a column, so the diagonal comes
 	// first.
 	L *sparse.CSC
-	// A0 keeps the original tril(A) values so the kernel can be replayed.
+	// A0 keeps the original tril(A) values so the kernel can be replayed;
+	// nil once DisableRestore hands the replay to an upstream kernel.
 	A0 []float64
-	// noRestore disables Prepare's value restore (DisableRestore).
-	noRestore bool
 
 	// rowEntries[j] lists (column k < j, value index p) of every entry
 	// L[j][k]: the columns iteration j must read.
@@ -95,15 +94,15 @@ func (k *SpIC0CSC) DAG() *dag.Graph {
 // Prepare restores the original tril(A) values into L, unless an upstream
 // kernel owns the replay (DisableRestore).
 func (k *SpIC0CSC) Prepare() {
-	if !k.noRestore {
+	if k.A0 != nil {
 		copy(k.L.X, k.A0)
 	}
 }
 
-// DisableRestore makes Prepare a no-op: used when a fused upstream kernel
-// (e.g. DSCAL writing in place) fully rewrites this kernel's input on every
-// run, so restoring here would clobber the chain.
-func (k *SpIC0CSC) DisableRestore() { k.noRestore = true }
+// DisableRestore makes Prepare a no-op and releases the snapshot: used when
+// a fused upstream kernel (e.g. DSCAL writing in place) fully rewrites this
+// kernel's input on every run, so restoring here would clobber the chain.
+func (k *SpIC0CSC) DisableRestore() { k.A0 = nil }
 
 // Run factors column j:
 //
@@ -184,10 +183,10 @@ type SpILU0CSR struct {
 	// A holds the input values on entry to Prepare and the combined LU
 	// factor (unit-diagonal L strictly below, U on and above) after the
 	// last Run.
-	A  *sparse.CSR
+	A *sparse.CSR
+	// A0 keeps the original values so the kernel can be replayed; nil once
+	// DisableRestore hands the replay to an upstream kernel.
 	A0 []float64
-	// noRestore disables Prepare's value restore (DisableRestore).
-	noRestore bool
 
 	diag  []int // index of the diagonal entry in each row
 	flops int64
@@ -238,14 +237,14 @@ func (k *SpILU0CSR) DAG() *dag.Graph {
 // Prepare restores the original matrix values, unless an upstream kernel
 // owns the replay (DisableRestore).
 func (k *SpILU0CSR) Prepare() {
-	if !k.noRestore {
+	if k.A0 != nil {
 		copy(k.A.X, k.A0)
 	}
 }
 
-// DisableRestore makes Prepare a no-op: used when a fused upstream kernel
-// fully rewrites this kernel's input on every run.
-func (k *SpILU0CSR) DisableRestore() { k.noRestore = true }
+// DisableRestore makes Prepare a no-op and releases the snapshot: used when
+// a fused upstream kernel fully rewrites this kernel's input on every run.
+func (k *SpILU0CSR) DisableRestore() { k.A0 = nil }
 
 // Run factors row i (IKJ): for each k < i in row i's pattern (ascending),
 // A[i][k] /= A[k][k], then A[i][j] -= A[i][k]*A[k][j] for every j > k

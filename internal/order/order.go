@@ -46,17 +46,30 @@ func mergeRow(dst []int32, x, y []int, r int) int {
 // graph: the neighbours of v are adj[ptr[v]:ptr[v+1]], ascending. Rows of a
 // and of its transpose are sorted (the sparse package's invariant), so each
 // neighbour list is a merge, counted first so that adj is allocated exactly.
+// A symmetric pattern is its own transpose: its rows, less the diagonal, are
+// the lists, and no transpose is built.
 func adjacency(a *sparse.CSR) (ptr []int, adj []int32) {
 	n := a.Rows
-	t := (&sparse.CSR{Rows: n, Cols: n, P: a.P, I: a.I}).Transpose() // pattern only: no value copy
-	row := func(m *sparse.CSR, r int) []int { return m.I[m.P[r]:m.P[r+1]] }
 	ptr = make([]int, n+1)
+	var t *sparse.CSR
+	if !a.PatternSymmetric(ptr[1:]) { // ptr[1:] is the check's scratch until counted
+		t = (&sparse.CSR{Rows: n, Cols: n, P: a.P, I: a.I}).Transpose() // pattern only: no value copy
+	}
+	rows := func(r int) (x, y []int) {
+		x = a.I[a.P[r]:a.P[r+1]]
+		if t != nil {
+			y = t.I[t.P[r]:t.P[r+1]]
+		}
+		return x, y
+	}
 	for r := 0; r < n; r++ {
-		ptr[r+1] = ptr[r] + mergeRow(nil, row(a, r), row(t, r), r)
+		x, y := rows(r)
+		ptr[r+1] = ptr[r] + mergeRow(nil, x, y, r)
 	}
 	adj = make([]int32, ptr[n])
 	for r := 0; r < n; r++ {
-		mergeRow(adj[ptr[r]:ptr[r+1]], row(a, r), row(t, r), r)
+		x, y := rows(r)
+		mergeRow(adj[ptr[r]:ptr[r+1]], x, y, r)
 	}
 	return ptr, adj
 }

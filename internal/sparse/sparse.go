@@ -273,21 +273,24 @@ func (a *CSR) IsLowerTriangular() bool {
 
 // IsSymmetricPattern reports whether the sparsity pattern of a is symmetric.
 func (a *CSR) IsSymmetricPattern() bool {
-	if a.Rows != a.Cols {
-		return false
-	}
-	t := a.Transpose()
-	if len(t.I) != len(a.I) {
-		return false
-	}
-	for r := 0; r <= a.Rows; r++ {
-		if t.P[r] != a.P[r] {
-			return false
-		}
-	}
-	for k := range a.I {
-		if t.I[k] != a.I[k] {
-			return false
+	return a.Rows == a.Cols && a.PatternSymmetric(make([]int, a.Rows))
+}
+
+// PatternSymmetric reports whether the sparsity pattern of the square matrix
+// a is symmetric, in one pass that builds no transpose: cursor (at least
+// a.Rows ints, overwritten) walks every row in place as a column of the
+// transpose, so visiting rows in order, entry (r, c) must be the next
+// unvisited entry of row c. Every entry then pairs with one of the
+// transpose's, and with the counts equal none is left over.
+func (a *CSR) PatternSymmetric(cursor []int) bool {
+	cur := cursor[:a.Rows]
+	copy(cur, a.P)
+	for r := 0; r < a.Rows; r++ {
+		for _, c := range a.I[a.P[r]:a.P[r+1]] {
+			if cur[c] == a.P[c+1] || a.I[cur[c]] != r {
+				return false
+			}
+			cur[c]++
 		}
 	}
 	return true

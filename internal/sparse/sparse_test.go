@@ -588,3 +588,48 @@ func TestFormsDeriveOnceOnFirstUse(t *testing.T) {
 		t.Fatal("ValueSum ignores length")
 	}
 }
+
+// TestPatternSymmetricMatchesTranspose: the in-place cursor check agrees with
+// comparing the pattern against its transpose, on symmetric patterns and on
+// each with one entry added or dropped.
+func TestPatternSymmetricMatchesTranspose(t *testing.T) {
+	viaTranspose := func(a *CSR) bool {
+		tr := a.Transpose()
+		return slices.Equal(tr.P, a.P) && slices.Equal(tr.I, a.I)
+	}
+	rng := rand.New(rand.NewSource(5))
+	seen := map[bool]bool{}
+	for _, base := range []*CSR{
+		Must(Laplacian2D(7)), Must(RandomSPD(60, 4, 2)), Must(PowerLawSPD(80, 3, 3)),
+	} {
+		variants := []*CSR{base}
+		for i := 0; i < 20; i++ {
+			var ts []Triplet
+			for r := 0; r < base.Rows; r++ {
+				for p := base.P[r]; p < base.P[r+1]; p++ {
+					ts = append(ts, Triplet{Row: r, Col: base.I[p], Val: 1})
+				}
+			}
+			if i%2 == 0 {
+				ts = append(ts, Triplet{Row: rng.Intn(base.Rows), Col: rng.Intn(base.Rows), Val: 1})
+			} else {
+				k := rng.Intn(len(ts))
+				ts = append(ts[:k], ts[k+1:]...)
+			}
+			variants = append(variants, Must(FromTriplets(base.Rows, base.Cols, ts)))
+		}
+		for i, a := range variants {
+			if got, want := a.PatternSymmetric(make([]int, a.Rows)), viaTranspose(a); got != want {
+				t.Fatalf("variant %d of %d rows: PatternSymmetric %v, the transpose says %v", i, a.Rows, got, want)
+			} else {
+				seen[got] = true
+			}
+			if a.IsSymmetricPattern() != viaTranspose(a) {
+				t.Fatalf("variant %d: IsSymmetricPattern disagrees with the transpose", i)
+			}
+		}
+	}
+	if !seen[true] || !seen[false] {
+		t.Fatalf("the variants cover only symmetric = %v", seen)
+	}
+}

@@ -13,6 +13,7 @@ import (
 
 	"sparsefusion/internal/core"
 	"sparsefusion/internal/dag"
+	"sparsefusion/internal/exec"
 	"sparsefusion/internal/kernels"
 	"sparsefusion/internal/sparse"
 )
@@ -314,5 +315,220 @@ func TestTimedPathsBuildNothing(t *testing.T) {
 	}
 	if n != 1 {
 		t.Fatalf("%d inspect.dag_build events, want the miss's one", n)
+	}
+}
+
+// TestSolversKeepNoFusionInput: an open FusedCG or GaussSeidel reaches no
+// kernel DAG, fusion input or tree schedule, opened uncached or on a cache
+// miss or hit. After its program faults it builds the fusion input again to
+// re-validate, demotes to the one-thread walk and solves to the bits it
+// solved to before.
+func TestSolversKeepNoFusionInput(t *testing.T) {
+	m := mustReorder(t, Laplacian2D(40))
+	b := testInput(m.Rows())
+	type solver struct {
+		name  string
+		open  func(Options) (any, *execState, error)
+		solve func(any) ([]float64, error)
+	}
+	for _, sv := range []solver{
+		{"pcg",
+			func(o Options) (any, *execState, error) {
+				f, err := NewFusedCG(m, FusedCGOptions{Options: o, Precondition: true, Tol: 1e-9})
+				if err != nil {
+					return nil, nil, err
+				}
+				return f, &f.execState, nil
+			},
+			func(s any) ([]float64, error) { x, _, _, err := s.(*FusedCG).Solve(b); return x, err }},
+		{"cg",
+			func(o Options) (any, *execState, error) {
+				f, err := NewFusedCG(m, FusedCGOptions{Options: o, Tol: 1e-9})
+				if err != nil {
+					return nil, nil, err
+				}
+				return f, &f.execState, nil
+			},
+			func(s any) ([]float64, error) { x, _, _, err := s.(*FusedCG).Solve(b); return x, err }},
+		{"gauss-seidel",
+			func(o Options) (any, *execState, error) {
+				g, err := NewGaussSeidel(m, GSOptions{Options: o, SweepsPerFusion: 2})
+				if err != nil {
+					return nil, nil, err
+				}
+				return g, &g.state, nil
+			},
+			func(s any) ([]float64, error) { x, _, err := s.(*GaussSeidel).Solve(b, 1e-6, 40); return x, err }},
+	} {
+		sc := NewScheduleCache(CacheConfig{})
+		var want []float64
+		for _, side := range []struct {
+			name string
+			opts Options
+		}{
+			{"uncached", Options{Threads: 2}},
+			{"miss", Options{Threads: 2, Cache: sc}},
+			{"hit", Options{Threads: 2, Cache: sc}},
+		} {
+			s, _, err := sv.open(side.opts)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if forms := inspectionForms(s); len(forms) > 0 {
+				t.Fatalf("%s %s: an open solver keeps %v", sv.name, side.name, forms)
+			}
+			x, err := sv.solve(s)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if want == nil {
+				want = x
+			} else if !bitsSame(x, want) {
+				t.Fatalf("%s %s: the solution differs from the uncached solver's", sv.name, side.name)
+			}
+			if forms := inspectionForms(s); len(forms) > 0 {
+				t.Fatalf("%s %s: a solver keeps %v after solving", sv.name, side.name, forms)
+			}
+		}
+
+		s, e, err := sv.open(Options{Threads: 2})
+		if err != nil {
+			t.Fatal(err)
+		}
+		// The last loop-0 iteration (a sparse kernel; the vector kernels'
+		// blocks clamp to their vectors) goes out of range.
+		for i := len(e.prog.Iters) - 1; ; i-- {
+			if loop, _ := kernels.UnpackIter(e.prog.Iters[i]); loop == 0 {
+				e.prog.Iters[i] = kernels.PackIter(0, 1<<20)
+				break
+			}
+		}
+		var x []float64
+		if err := watchdog(t, 30*time.Second, func() error {
+			var err error
+			x, err = sv.solve(s)
+			return err
+		}); err != nil {
+			t.Fatalf("%s: ladder did not absorb the fault: %v", sv.name, err)
+		}
+		if h := e.Health(); h.Mode != ModeSequential || len(h.Demotions) != 2 {
+			t.Fatalf("%s: %+v after a faulting program, want two demotions down to sequential", sv.name, h)
+		}
+		if !bitsSame(x, want) {
+			t.Fatalf("%s: the demoted solver computes different bits", sv.name)
+		}
+	}
+}
+
+// TestCacheEntriesKeepNoTreeSchedule: a published cache entry with a program
+// keeps no tree schedule, whether the disk tier is off or saved it, and an
+// operation that hits it still saves the schedule the miss inspected.
+func TestCacheEntriesKeepNoTreeSchedule(t *testing.T) {
+	m := mustReorder(t, PowerLawSPD(3000, 6, 41))
+	for _, dir := range []string{"", t.TempDir()} {
+		sc := NewScheduleCache(CacheConfig{Dir: dir})
+		for _, c := range []Combination{TrsvTrsv, TrsvMv, DscalIc0} {
+			var saved [2]bytes.Buffer
+			for i := range saved {
+				op, err := NewOperation(c, m, Options{Threads: 2, Cache: sc})
+				if err != nil {
+					t.Fatal(err)
+				}
+				if err := op.SaveSchedule(&saved[i]); err != nil {
+					t.Fatal(err)
+				}
+				e, ok := sc.c.Get(op.fp)
+				if !ok || e.Program == nil {
+					t.Fatalf("%s: no published entry with a program", c)
+				}
+				if forms := inspectionForms(e); len(forms) > 0 {
+					t.Fatalf("%s dir=%q: a published entry keeps %v", c, dir, forms)
+				}
+			}
+			if !bytes.Equal(saved[0].Bytes(), saved[1].Bytes()) {
+				t.Fatalf("%s: the hit saves a different schedule than the miss", c)
+			}
+		}
+		if st := sc.Stats(); st.Misses != 3 {
+			t.Fatalf("dir=%q: %+v, want one miss per combination", dir, st)
+		}
+	}
+}
+
+// runnerSliceBytes is what the runner's own slices hold: the backing arrays
+// of its slice fields, not what their elements point to (kernels, streams,
+// spill slots).
+func runnerSliceBytes(r *exec.Runner) int {
+	v := reflect.ValueOf(r).Elem()
+	n := 0
+	for i := 0; i < v.NumField(); i++ {
+		if f := v.Field(i); f.Kind() == reflect.Slice {
+			n += f.Cap() * int(f.Type().Elem().Size())
+		}
+	}
+	return n
+}
+
+// TestRunnerKeepsNoDispatchTable: past its bodies — per loop and per loop
+// pair, 64 B per loop pair of allowance — an operation's runner keeps at most
+// 4 B per dispatch unit: the program holds each unit's loops, range and
+// stream cursors.
+func TestRunnerKeepsNoDispatchTable(t *testing.T) {
+	m := mustReorder(t, PowerLawSPD(3000, 6, 41))
+	check := func(name string, e *execState) {
+		t.Helper()
+		units := 0
+		e.runner.Units(func(int, int, int, bool) { units++ })
+		k := e.prog.NumLoops
+		if got, max := runnerSliceBytes(e.runner), 4*units+64*k*k; got > max {
+			t.Fatalf("%s: the runner's slices hold %d B for %d dispatch units over %d loops, want <= %d", name, got, units, k, max)
+		}
+	}
+	for _, c := range []Combination{TrsvTrsv, DscalIlu0, TrsvMv, Ic0Trsv, Ilu0Trsv, DscalIc0, MvMv} {
+		op, err := NewOperation(c, m, Options{Threads: 2})
+		if err != nil {
+			t.Fatal(err)
+		}
+		check(c.String(), &op.execState)
+	}
+	f, err := NewFusedCG(mustReorder(t, Laplacian2D(40)), FusedCGOptions{Options: Options{Threads: 2}, Precondition: true})
+	if err != nil {
+		t.Fatal(err)
+	}
+	check("pcg", &f.execState)
+}
+
+// TestDscalReplaysWithoutFactorSnapshot: in the DSCAL chains the scaling
+// rewrites the factor's input on every run, so the factor keeps no snapshot
+// of its own, and two consecutive runs return the same bits.
+func TestDscalReplaysWithoutFactorSnapshot(t *testing.T) {
+	m := mustReorder(t, PowerLawSPD(3000, 6, 41))
+	for _, c := range []Combination{DscalIc0, DscalIlu0} {
+		op, err := NewOperation(c, m, Options{Threads: 2})
+		if err != nil {
+			t.Fatal(err)
+		}
+		switch k := op.inst.Kernels[1].(type) {
+		case *kernels.SpIC0CSC:
+			if k.A0 != nil {
+				t.Fatalf("%s: the factor keeps a %d-value snapshot", c, len(k.A0))
+			}
+		case *kernels.SpILU0CSR:
+			if k.A0 != nil {
+				t.Fatalf("%s: the factor keeps a %d-value snapshot", c, len(k.A0))
+			}
+		default:
+			t.Fatalf("%s: second kernel %T is not a factorization", c, k)
+		}
+		var outs [2][]float64
+		for i := range outs {
+			if _, err := op.Run(); err != nil {
+				t.Fatal(err)
+			}
+			outs[i] = op.Output()
+		}
+		if !bitsSame(outs[0], outs[1]) {
+			t.Fatalf("%s: a second run computes different bits", c)
+		}
 	}
 }

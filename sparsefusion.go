@@ -578,9 +578,10 @@ func (e *execState) open(t0 time.Time, opts Options, fp cache.Key) error {
 
 // fusion returns the inspector's input over this state's kernels — the
 // per-kernel DAGs and F (Loops) and the reuse ratio. The state keeps none of
-// it: an operation's instance builds it afresh for each caller, while the
-// solver chains return the Loops they were built with. Only a build that
-// actually ran is traced.
+// it: an operation's instance builds it afresh for each caller, and so does a
+// solver chain's once it is open (combos.Instance.Release); until then it
+// returns the Loops it was built with. Only a build that actually ran is
+// traced.
 func (e *execState) fusion() (*core.Loops, float64) {
 	t0 := time.Now()
 	loops, reuse, built := e.inst.Fusion()
