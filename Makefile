@@ -16,15 +16,17 @@ test:
 # or as differing bits only when the timing cooperates — the held pool and the
 # worker set a solve keeps (one per solve, held, closed however it ends), the
 # concurrent opens over one Matrix, whose memoized forms every operation
-# shares, sessions that re-validate at once after their shared program faults
-# (each builds its own fusion input and schedule), what an operation, a
-# solver, a cache entry and a runner let go once open, the inspector's GOMAXPROCS sweeps, since every inspection
-# fans out over min(Threads, GOMAXPROCS) workers, and the admission queue's
-# bound under callers that arrive together.
+# shares, sessions that demote at once after their shared program faults
+# (each on its own ladder, down to the kernels in program order), what an
+# operation, a solver, a cache entry and a runner let go once open, the
+# inspector's GOMAXPROCS sweeps, since every inspection fans out over
+# min(Threads, GOMAXPROCS) workers, and the admission queue's bound under
+# callers that arrive together. TestMakeRaceNamesExist (makefile_test.go)
+# fails when a -run pattern below names no test.
 race:
 	$(GO) test -race . ./internal/exec/... ./internal/core/... ./internal/dag/... ./internal/lbc/... ./internal/cache/... ./internal/combos/... ./internal/kernels/... ./internal/relayout/... ./internal/serve/... ./internal/telemetry/... ./internal/chaos/... ./internal/par/...
 	$(GO) test -race -count=5 -run 'TestPackedScatter|TestScatterArmedFromPoolWidth|TestHeld' ./internal/exec/
-	$(GO) test -race -count=5 -run 'TestConcurrentSessionsMatchReference|TestScatterOperationCleanAfterCancelStorm|TestConcurrentOpensShareMatrixMemos|TestRunsLeaveNoWorkers|TestSolveKeepsOneWorkerSet|TestSolveClosesItsWorkerSet|TestIdleWorkerSetsPinNothing|TestSessionsRevalidateConcurrently|TestOperationKeepsNoFusionInput|TestSolversKeepNoFusionInput|TestCacheEntriesKeepNoTreeSchedule|TestRunnerKeepsNoDispatchTable' .
+	$(GO) test -race -count=5 -run 'TestConcurrentSessionsMatchReference|TestScatterOperationCleanAfterCancelStorm|TestConcurrentOpensShareMatrixMemos|TestRunsLeaveNoWorkers|TestSolveKeepsOneWorkerSet|TestSolveClosesItsWorkerSet|TestIdleWorkerSetsPinNothing|TestSessionsDemoteConcurrently|TestOperationKeepsNoFusionInput|TestSolversKeepNoFusionInput|TestCacheEntriesKeepNoTreeSchedule|TestRunnerKeepsNoDispatchTable' .
 	$(GO) test -race -count=5 -run 'TestICOWorkersDeterministic|TestScheduleWorkersDeterministic|TestICOMatchesSeedCorpus' ./internal/core/ ./internal/lbc/
 	$(GO) test -race -count=5 -run 'TestDoContextQueueBoundHoldsUnderConcurrentArrival' ./internal/serve/
 

@@ -27,9 +27,9 @@ import (
 	"sparsefusion/internal/exec"
 	"sparsefusion/internal/figures"
 	"sparsefusion/internal/lbc"
-	"sparsefusion/internal/metrics"
 	"sparsefusion/internal/sparse"
 	"sparsefusion/internal/suite"
+	"sparsefusion/internal/telemetry"
 	"sparsefusion/internal/wavefront"
 )
 
@@ -124,7 +124,7 @@ func BenchmarkFig5(b *testing.B) {
 					}
 					last = st
 				}
-				b.ReportMetric(metrics.GFlops(in.FlopCount(), last.Elapsed), "GFLOP/s")
+				b.ReportMetric(telemetry.GFlops(in.FlopCount(), last.Elapsed), "GFLOP/s")
 				b.ReportMetric(float64(last.Barriers), "barriers")
 			})
 		}
@@ -315,7 +315,7 @@ func BenchmarkFig10(b *testing.B) {
 				}
 				last = st
 			}
-			b.ReportMetric(metrics.GFlops(in.FlopCount(), last.Elapsed), "GFLOP/s")
+			b.ReportMetric(telemetry.GFlops(in.FlopCount(), last.Elapsed), "GFLOP/s")
 		})
 	}
 }

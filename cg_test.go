@@ -135,3 +135,23 @@ func TestScheduleLoadRejectsGarbage(t *testing.T) {
 		t.Fatal("empty stream accepted")
 	}
 }
+
+// TestScheduleLoadRejectsBareSchedule: the loader reads only SaveSchedule's
+// fingerprinted container. The bare serialization of a valid schedule, which
+// carries no fingerprint to check, is refused with an error before the
+// loader builds the fusion input or anything runs.
+func TestScheduleLoadRejectsBareSchedule(t *testing.T) {
+	m := RandomSPD(200, 5, 7)
+	op, err := NewOperation(TrsvTrsv, m, Options{Threads: 2})
+	if err != nil {
+		t.Fatal(err)
+	}
+	var events bytes.Buffer
+	loaded, err := NewOperationFromSchedule(TrsvTrsv, m, bytes.NewReader(op.schedule().Bytes()), Options{Threads: 2, Tracer: NewTracer(&events)})
+	if err == nil || loaded != nil {
+		t.Fatal("a bare schedule without a fingerprint was accepted")
+	}
+	if events.Len() != 0 {
+		t.Fatalf("the refused load traced events:\n%s", events.String())
+	}
+}

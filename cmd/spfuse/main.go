@@ -25,7 +25,6 @@ import (
 	"sparsefusion/internal/core"
 	"sparsefusion/internal/exec"
 	"sparsefusion/internal/figures"
-	"sparsefusion/internal/metrics"
 	"sparsefusion/internal/suite"
 	"sparsefusion/internal/telemetry"
 )
@@ -93,7 +92,7 @@ func main() {
 	}
 	fmt.Printf("%-18s %12s %12s %9s %9s\n", "implementation", "inspect", "execute", "gflops", "barriers")
 	fmt.Printf("%-18s %12s %12v %9.3f %9s\n", "sequential", "-", seq,
-		metrics.GFlops(in.FlopCount(), seq), "-")
+		telemetry.GFlops(in.FlopCount(), seq), "-")
 
 	impls := []*combos.Impl{
 		in.SparseFusion(*threads, figures.PaperLBC()),
@@ -122,7 +121,7 @@ func main() {
 		}
 		fmt.Printf("%-18s %12v %12v %9.3f %9d\n",
 			im.Name, im.InspectTime.Round(time.Microsecond), best,
-			metrics.GFlops(in.FlopCount(), best), barriers)
+			telemetry.GFlops(in.FlopCount(), best), barriers)
 	}
 }
 

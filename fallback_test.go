@@ -8,14 +8,16 @@ import (
 	"time"
 
 	"sparsefusion/internal/cache"
+	"sparsefusion/internal/combos"
 	"sparsefusion/internal/exec"
 	"sparsefusion/internal/kernels"
+	"sparsefusion/internal/sparse"
 )
 
 // The degradation ladder under test: construction-time attach failures and
 // run-time executor faults demote an Operation packed -> compiled ->
-// sequential, each step re-validating the schedule, leaving the operation
-// usable and its results bit-identical to the one-thread oracle. Numerical
+// sequential, leaving the operation usable and its results bit-identical to
+// the one-thread oracle. Numerical
 // breakdowns, by contrast, never demote — they are a property of the data, not
 // the rung.
 
@@ -108,9 +110,9 @@ func TestRunFaultDemotesDownTheLadder(t *testing.T) {
 			t.Fatalf("threads=%d: TrsvTrsv starts on %s, want packed", th, op.Mode())
 		}
 		// Corrupt the compiled program shared by the packed and compiled
-		// rungs. The schedule itself stays valid, so the ladder demotes twice
-		// and the sequential rung — which walks the schedule, not the program
-		// — completes the run.
+		// rungs: the ladder demotes twice and the sequential rung — which
+		// runs the kernels in program order, reading no program — completes
+		// the run.
 		prog := op.runner.Program()
 		prog.Iters[len(prog.Iters)-1] = kernels.PackIter(0, 1<<20)
 		err = watchdog(t, 10*time.Second, func() error { _, err := op.Run(); return err })
@@ -195,6 +197,14 @@ func TestBreakdownDoesNotDemote(t *testing.T) {
 	if after.Mode != before.Mode || len(after.Demotions) != len(before.Demotions) {
 		t.Fatalf("breakdown changed health %+v -> %+v", before, after)
 	}
+	// On the last rung too: the kernels in program order break down alike.
+	op.runner = nil
+	if _, err := op.Run(); !errors.As(err, &bd) {
+		t.Fatalf("sequential rung: error %T does not unwrap to a BreakdownError: %v", err, err)
+	}
+	if h := op.Health(); h.Mode != ModeSequential || len(h.Demotions) != len(before.Demotions) {
+		t.Fatalf("breakdown on the sequential rung changed health to %+v", h)
+	}
 }
 
 func TestPreconditionerTranslatesBreakdown(t *testing.T) {
@@ -213,5 +223,98 @@ func TestPreconditionerTranslatesBreakdown(t *testing.T) {
 	var bd *kernels.BreakdownError
 	if !errors.As(err, &bd) {
 		t.Fatalf("setup error %T hides the BreakdownError: %v", err, err)
+	}
+}
+
+// TestDemotedRunsMatchRunSequential: an operation of every combination whose
+// program faults on every rung it starts on finishes on the sequential rung
+// with combos.Instance.RunSequential's output, bit for bit: the rung runs the
+// same loops in the same order, the two chains with a CSC scatter included
+// (their atomic adds, if armed, add in that order too). A Gauss-Seidel solver
+// demoted the same way sweeps to the bits of its chain run by RunSequential,
+// and a demoted PCG solver solves to the bits of a healthy one.
+func TestDemotedRunsMatchRunSequential(t *testing.T) {
+	m := mustReorder(t, Laplacian2D(40))
+	x := testInput(m.Rows())
+	for _, c := range []Combination{TrsvTrsv, DscalIlu0, TrsvMv, Ic0Trsv, Ilu0Trsv, DscalIc0, MvMv} {
+		ref, err := combos.Assemble(combos.ID(c), m.forms)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if ref.Input != nil {
+			copy(ref.Input, x)
+		}
+		if _, err := ref.RunSequential(); err != nil {
+			t.Fatal(err)
+		}
+		want := ref.Snapshot()
+
+		op, err := NewOperation(c, m, Options{Threads: 2})
+		if err != nil {
+			t.Fatal(err)
+		}
+		if op.inst.Input != nil {
+			if err := op.SetInput(x); err != nil {
+				t.Fatal(err)
+			}
+		}
+		corruptLoop0(op.prog)
+		if err := watchdog(t, 10*time.Second, func() error { _, err := op.Run(); return err }); err != nil {
+			t.Fatalf("%s: ladder did not absorb the fault: %v", c, err)
+		}
+		got := op.Output()
+		if h := op.Health(); h.Mode != ModeSequential || len(h.Demotions) != 2 {
+			t.Fatalf("%s: %+v, want two demotions down to sequential", c, h)
+		}
+		if !bitsSame(got, want) {
+			t.Fatalf("%s: the demoted operation differs from RunSequential by %g", c, sparse.RelErr(got, want))
+		}
+	}
+
+	const sweeps, runs = 2, 5
+	gs, err := NewGaussSeidel(m, GSOptions{Options: Options{Threads: 2}, SweepsPerFusion: sweeps})
+	if err != nil {
+		t.Fatal(err)
+	}
+	corruptLoop0(gs.state.prog)
+	gotX, n, err := gs.Solve(x, 0, runs*sweeps)
+	if err != nil || n != runs*sweeps || gs.state.Mode() != ModeSequential {
+		t.Fatalf("gauss-seidel: %d sweeps on %s, err %v", n, gs.state.Mode(), err)
+	}
+	chain, err := combos.BuildGS(m.csr, sweeps)
+	if err != nil {
+		t.Fatal(err)
+	}
+	copy(chain.Input, x)
+	for r := 0; r < runs; r++ {
+		if _, err := chain.RunSequential(); err != nil {
+			t.Fatal(err)
+		}
+		copy(chain.GSX0, chain.Output)
+	}
+	if !bitsSame(gotX, chain.GSX0) {
+		t.Fatal("gauss-seidel: the demoted solver differs from its chain run by RunSequential")
+	}
+
+	b := cgRHS(m.Rows())
+	var want []float64
+	var wantIters int
+	for _, demote := range []bool{false, true} {
+		cg, err := NewFusedCG(m, FusedCGOptions{Options: Options{Threads: 2}, Precondition: true, Tol: 1e-9})
+		if err != nil {
+			t.Fatal(err)
+		}
+		if demote {
+			corruptLoop0(cg.prog)
+		}
+		got, iters, _, err := cg.Solve(b)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if !demote {
+			want, wantIters = got, iters
+		} else if cg.Mode() != ModeSequential || iters != wantIters || !bitsSame(got, want) {
+			t.Fatalf("pcg: on %s, %d iterations to a different x than the healthy solver's %d", cg.Mode(), iters, wantIters)
+		}
 	}
 }

@@ -120,8 +120,7 @@ func NewFusedCG(m *Matrix, opts FusedCGOptions) (*FusedCG, error) {
 	// hazards (this iteration's p is read by the SpMV and overwritten by the
 	// last loop) are covered transitively — every reader of a vector precedes
 	// its writer through the F chain, which Loops.Check/Validate verify.
-	deps := func() []*sparse.CSR { return cgDeps(n, block, opts.Precondition) }
-	fs := deps()
+	fs := cgDeps(n, block, opts.Precondition)
 	links := []combos.ChainLink{
 		// L0: q = A*p (Prepare re-zeroes q every run).
 		{K: kernels.NewSpMVCSR(a, f.p, f.q)},
@@ -201,9 +200,8 @@ func NewFusedCG(m *Matrix, opts FusedCGOptions) (*FusedCG, error) {
 	if err := f.open(t0, opts.Options, f.fp); err != nil {
 		return nil, err
 	}
-	// Running needs the program alone; a re-validation after a fault builds
-	// the fusion input again.
-	inst.Release(deps)
+	// Running needs the program and the kernels alone.
+	inst.Release()
 	return f, nil
 }
 

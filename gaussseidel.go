@@ -25,9 +25,6 @@ type GaussSeidel struct {
 	// every Operation runs on. Its instance's Input is the solver-owned
 	// right-hand side, GSX0 the chain's input and Output its result.
 	state execState
-	// SweepsPerFusion is how many sweeps one fused execution performs: the
-	// requested value after defaulting and clamping (GSOptions).
-	SweepsPerFusion int
 }
 
 // GSOptions configures the solver. The embedded Options apply as they do to
@@ -64,7 +61,7 @@ func NewGaussSeidel(m *Matrix, opts GSOptions) (*GaussSeidel, error) {
 	if err != nil {
 		return nil, err
 	}
-	g := &GaussSeidel{a: a, SweepsPerFusion: sweeps}
+	g := &GaussSeidel{a: a}
 	g.state = newExecState(inst, opts.Options)
 	// BuildGS has built every kernel DAG and F.
 	g.state.traceDAGBuild(inst.Loops, time.Since(t0))
@@ -76,9 +73,8 @@ func NewGaussSeidel(m *Matrix, opts GSOptions) (*GaussSeidel, error) {
 	if err := g.state.open(t0, opts.Options, fp); err != nil {
 		return nil, err
 	}
-	// Running needs the program alone; a re-validation after a fault builds
-	// the fusion input again.
-	inst.Release(nil)
+	// Running needs the program and the kernels alone.
+	inst.Release()
 	return g, nil
 }
 
@@ -136,7 +132,7 @@ func (g *GaussSeidel) SolveContext(ctx context.Context, b []float64, tol float64
 			}
 			return out, sweeps, fmt.Errorf("sparsefusion: Gauss-Seidel sweep failed: %w", err)
 		}
-		sweeps += g.SweepsPerFusion
+		sweeps += g.SweepsPerFusion()
 		copy(x0, inst.Output)
 		// Residual check.
 		for i := 0; i < n; i++ {
@@ -157,6 +153,11 @@ func (g *GaussSeidel) SolveContext(ctx context.Context, b []float64, tol float64
 	}
 	return out, sweeps, nil
 }
+
+// SweepsPerFusion is how many sweeps one fused execution performs: the
+// requested GSOptions.SweepsPerFusion after defaulting and clamping, read
+// from the chain opened with it (two loops per sweep).
+func (g *GaussSeidel) SweepsPerFusion() int { return len(g.state.inst.Kernels) / 2 }
 
 // Barriers reports the synchronizations per fused sweep chain.
 func (g *GaussSeidel) Barriers() int { return g.state.Barriers() }

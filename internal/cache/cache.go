@@ -21,7 +21,7 @@ type Artifacts struct {
 	Schedule *core.Schedule
 	// Program is the schedule compiled to the flat executor form; nil when
 	// the schedule exceeds the compiled representation (ProgramErr says why),
-	// in which case consumers walk the schedule on one thread.
+	// in which case the facade refuses to open it.
 	Program    *core.Program
 	ProgramErr string
 	// Layout is the schedule-order packed re-layout; nil when the chain does

@@ -315,16 +315,13 @@ func TestFingerprintComponents(t *testing.T) {
 }
 
 // TestContainerRoundTrip pins the envelope format: write, read, key match,
-// payload bit-identical; bare core files are distinguishable.
+// payload bit-identical; a bare core file is refused.
 func TestContainerRoundTrip(t *testing.T) {
 	sched := testSchedule(3)
 	key := testKey(42)
 	var buf bytes.Buffer
 	if err := WriteScheduleFile(&buf, key, sched); err != nil {
 		t.Fatal(err)
-	}
-	if !IsContainer(buf.Bytes()) {
-		t.Fatal("container not recognized by IsContainer")
 	}
 	gotKey, got, err := ReadScheduleFile(bytes.NewReader(buf.Bytes()))
 	if err != nil {
@@ -336,8 +333,8 @@ func TestContainerRoundTrip(t *testing.T) {
 	if !bytes.Equal(got.Bytes(), sched.Bytes()) {
 		t.Fatal("schedule payload not bit-identical after container round-trip")
 	}
-	if IsContainer(sched.Bytes()) {
-		t.Fatal("bare schedule misdetected as container")
+	if _, _, err := ReadScheduleFile(bytes.NewReader(sched.Bytes())); err == nil {
+		t.Fatal("bare schedule read as a container")
 	}
 }
 

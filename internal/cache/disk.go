@@ -82,12 +82,6 @@ func ReadScheduleFile(r io.Reader) (Key, *core.Schedule, error) {
 	return key, s, nil
 }
 
-// IsContainer reports whether the 8 bytes in hdr open a fingerprinted
-// container (as opposed to the bare core schedule serialization).
-func IsContainer(hdr []byte) bool {
-	return len(hdr) >= 8 && binary.LittleEndian.Uint64(hdr) == containerMagic
-}
-
 // path is the tier file for a key.
 func (c *Cache) path(key Key) string {
 	return filepath.Join(c.dir, key.String()+".sched")

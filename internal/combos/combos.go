@@ -70,9 +70,10 @@ type Instance struct {
 	Kernels []kernels.Kernel
 	// Loops and Reuse are the inspector's input, derived from the kernels:
 	// filled when Build, BuildGS or BuildChain returns, for the callers that
-	// read them, until Release drops them. An instance from Assemble or
-	// CloneForSession leaves them unset and builds the input afresh on every
-	// Fusion call, keeping none of it. Running the kernels needs neither.
+	// read them, until Release drops them. An instance from Assemble leaves
+	// them unset and builds the input afresh on every Fusion call, keeping
+	// none of it; one from CloneForSession has no input at all. Running the
+	// kernels needs neither.
 	Loops *core.Loops
 	Reuse float64
 	// Snapshot copies the observable output (the last kernel's result).
@@ -89,7 +90,7 @@ type Instance struct {
 	GSX0 []float64
 
 	// buildF builds the dependency matrices F between adjacent loops for
-	// Fusion, in loop order.
+	// Fusion, in loop order; nil once released.
 	buildF func() []*sparse.CSR
 	// sourceSum, when set, is relayout.SourceSum of Kernels from checksums
 	// the matrix memoizes (the pure combinations, whose packed sources are
@@ -102,9 +103,10 @@ type Instance struct {
 // Fusion returns the inspector's input over the instance's kernels — kernel
 // DAGs, F and the reuse ratio, the expensive half of instantiating a
 // combination — and reports whether this call built it. An instance whose
-// constructor filled Loops returns them; any other builds a fresh input that
-// it keeps no reference to, so the input lives only while the caller holds
-// it. Safe for concurrent use.
+// constructor filled Loops returns them; one from Assemble builds a fresh
+// input that it keeps no reference to, so the input lives only while the
+// caller holds it. A released instance, or a session clone, has no input to
+// give and must not be asked. Safe for concurrent use.
 func (in *Instance) Fusion() (loops *core.Loops, reuse float64, built bool) {
 	if in.Loops != nil {
 		return in.Loops, in.Reuse, false
@@ -116,16 +118,11 @@ func (in *Instance) Fusion() (loops *core.Loops, reuse float64, built bool) {
 	return &core.Loops{G: g, F: in.buildF()}, core.ReuseRatioChain(in.Kernels), true
 }
 
-// Release drops the fusion input the instance's constructor filled in, for a
-// holder that keeps the instance past inspection: later Fusion calls build it
-// afresh, the kernel DAGs from the kernels and F with buildF. A nil buildF
-// keeps the builder the constructor installed (Build, BuildGS); a BuildChain
-// group has none, and its holder supplies one.
-func (in *Instance) Release(buildF func() []*sparse.CSR) {
-	in.Loops = nil
-	if buildF != nil {
-		in.buildF = buildF
-	}
+// Release drops the fusion input the instance's constructor filled in and
+// the builder of its F, for a holder that keeps the instance past inspection
+// to run its kernels: the instance can no longer answer Fusion.
+func (in *Instance) Release() {
+	in.Loops, in.buildF = nil, nil
 }
 
 // SourceSum is relayout.SourceSum over the instance's kernels: the checksum a
@@ -309,8 +306,8 @@ func snap(v []float64) func() []float64 {
 var ErrNotCloneable = errors.New("combos: combination writes matrix values and cannot be cloned for concurrent sessions")
 
 // CloneForSession returns a copy of the instance with fresh input, output,
-// and intermediate vectors but the same matrices and fusion input: this
-// instance's Loops when it keeps them, else the means to build them. The
+// and intermediate vectors over the same matrices, and no fusion input: a
+// clone runs a schedule inspected for its base, never inspects one. The
 // clone is what a serving client solves on: the matrices and the schedule it
 // runs are shared, the per-run storage is private, so any number of clones
 // may execute the same cached schedule concurrently.
@@ -320,8 +317,7 @@ var ErrNotCloneable = errors.New("combos: combination writes matrix values and c
 // The clone's Input starts as a copy of the base instance's input, so an
 // unmodified clone computes the base result (the bit-identity oracle).
 func (in *Instance) CloneForSession() (*Instance, error) {
-	c := &Instance{ID: in.ID, Name: in.Name, Loops: in.Loops, Reuse: in.Reuse,
-		mklSeq: in.mklSeq, buildF: in.buildF, sourceSum: in.sourceSum}
+	c := &Instance{ID: in.ID, Name: in.Name, mklSeq: in.mklSeq, sourceSum: in.sourceSum}
 	n := len(in.Output)
 	mid := make([]float64, n)
 	out := make([]float64, n)

@@ -394,8 +394,9 @@ func TestJointRejectsMultiLoop(t *testing.T) {
 }
 
 // TestAssembleThenDerive: Assemble leaves the fusion input unbuilt, and every
-// Fusion call on it — or on a session clone of it — builds a fresh input whose
-// ICO schedule is Build's and keeps none of it; two instances over one Forms
+// Fusion call on it builds a fresh input whose ICO schedule is Build's and
+// keeps none of it; a session clone carries no input and no F builder; two
+// instances over one Forms
 // share the matrix forms for the pure combinations only — the factorization
 // combinations write matrix values and keep private copies.
 func TestAssembleThenDerive(t *testing.T) {
@@ -417,13 +418,12 @@ func TestAssembleThenDerive(t *testing.T) {
 		if in.Loops != nil {
 			t.Fatalf("%s: Assemble built the fusion input", in.Name)
 		}
-		derivers := []*Instance{in, in}
 		clone, cerr := in.CloneForSession()
-		if cerr == nil {
-			derivers = append(derivers, clone)
+		if cerr == nil && (clone.Loops != nil || clone.buildF != nil) {
+			t.Fatalf("%s: a session clone carries the fusion input or its F builder", in.Name)
 		}
 		var prev *core.Loops
-		for _, d := range derivers {
+		for _, d := range []*Instance{in, in} {
 			loops, reuse, built := d.Fusion()
 			if !built || loops == prev || d.Loops != nil {
 				t.Fatalf("%s: Fusion must build a fresh input each call and keep none", in.Name)

@@ -168,8 +168,8 @@ func (b *ProgramBuilder) Finish() *Program {
 
 // CompileSchedule flattens an ICO schedule for a chain of numLoops kernels
 // into a Program. It fails only when the schedule's shape exceeds the packed
-// representation (too many loops, or a trip count beyond the index bits);
-// callers keep the slice-walking executor as the fallback for that case.
+// representation (too many loops, or a trip count beyond the index bits), a
+// schedule too large to fit in memory; the facade refuses to open one.
 func CompileSchedule(s *Schedule, numLoops int) (*Program, error) {
 	b, err := NewProgramBuilder(numLoops)
 	if err != nil {
@@ -195,7 +195,7 @@ func CompileSchedule(s *Schedule, numLoops int) (*Program, error) {
 
 // Decompile expands the program back into the schedule it was compiled from,
 // byte for byte: the tree form for the callers that need one (a saved file,
-// validation, the one-thread walk), which a program's holder need not keep.
+// the tests' one-thread walk), which a program's holder need not keep.
 func (p *Program) Decompile() *Schedule {
 	s := &Schedule{Interleaved: p.Interleaved, ReuseRatio: p.ReuseRatio}
 	for si := 0; si < p.NumSPartitions(); si++ {

@@ -28,7 +28,8 @@ import (
 // the barrier — is immediately reusable for the next request.
 type CancelledError struct {
 	// SPartition is the barrier round at which the cancellation was observed;
-	// -1 when the context was already dead before the first round.
+	// -1 when the context was already dead before the first round, and on
+	// the sequential rung (RunInOrder), which has no rounds.
 	SPartition int
 	// Reason is the cancellation cause: the context's cause string
 	// (context.Cause), e.g. "context canceled" or "context deadline exceeded".

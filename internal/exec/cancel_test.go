@@ -215,7 +215,7 @@ func TestCancelVsFaultRace(t *testing.T) {
 }
 
 // cancelAt fires cancel when the armed iteration runs: a cancel that lands at
-// a known point of a walk, with no timing involved.
+// a known point of a run, with no timing involved.
 type cancelAt struct {
 	kernels.Kernel
 	iter   int
@@ -229,54 +229,103 @@ func (k *cancelAt) Run(i int) {
 	k.Kernel.Run(i)
 }
 
-// TestSequentialWalkCancelTyped: the walk observes its context before the run
-// and before every s-partition. A dead context refuses the run untouched; one
-// that fires inside s-partition s stops the walk before s+1, with everything
-// written so far the bits of an uncancelled walk of the first s+1
-// s-partitions.
-func TestSequentialWalkCancelTyped(t *testing.T) {
-	for _, th := range faultWorkerCounts {
-		_, ks, sched, snap, ref := compileGather(t, th)
-		ctx, cancel := context.WithCancel(context.Background())
-		cancel()
-		_, err := RunScheduleSequential(ctx, ks, sched)
-		var c *CancelledError
-		if !errors.As(err, &c) || c.SPartition != -1 || !errors.Is(err, context.Canceled) {
-			t.Fatalf("th=%d: dead context returned %T (%v), want *CancelledError at -1", th, err, err)
+// inOrderRef runs a twin of the TRSV-TRSV fixture kernel by kernel through
+// kernels.RunSeq and returns both kernels' outputs: the bits RunInOrder must
+// reproduce.
+func inOrderRef(t *testing.T, seed int64) (x, z []float64) {
+	t.Helper()
+	_, ks, _ := fusedTrsvTrsv(600, seed)
+	for _, k := range ks {
+		if err := kernels.RunSeq(k); err != nil {
+			t.Fatal(err)
 		}
-		if !bitsSame(snap(), ref) {
-			t.Fatalf("th=%d: refused walk touched the fixture", th)
-		}
+	}
+	return ks[0].(*kernels.SpTRSVCSR).X, ks[1].(*kernels.SpTRSVCSR).X
+}
 
-		// TRSV's Prepare clears nothing, so each walk starts from zeroed
-		// solution vectors: what a cancelled walk did not write stays zero.
-		zeroed := func(ks []kernels.Kernel) [][]float64 {
-			xs := [][]float64{ks[0].(*kernels.SpTRSVCSR).X, ks[1].(*kernels.SpTRSVCSR).X}
-			for _, x := range xs {
-				clear(x)
-			}
-			return xs
-		}
-		// A twin fixture (compileGather is deterministic in th) walks the
-		// uncancelled prefixes.
-		_, twinKs, _, _, _ := compileGather(t, th)
-		for s := 0; s+1 < len(sched.S); s++ {
-			want := zeroed(twinKs)
-			walk(twinKs, &core.Schedule{S: sched.S[:s+1]})
+// TestInOrderCancelTyped: the in-order rung observes its context before every
+// kernel. A dead context refuses the run untouched; one that fires inside the
+// first kernel lets that kernel finish with its RunSeq bits and stops the run
+// before the second, whose output stays as it was.
+func TestInOrderCancelTyped(t *testing.T) {
+	wantX, wantZ := inOrderRef(t, 5)
+	_, ks, snap := fusedTrsvTrsv(600, 5)
+	ctx, cancel := context.WithCancel(context.Background())
+	cancel()
+	_, err := RunInOrder(ctx, ks)
+	var c *CancelledError
+	if !errors.As(err, &c) || c.SPartition != -1 || !errors.Is(err, context.Canceled) {
+		t.Fatalf("dead context returned %T (%v), want *CancelledError at -1", err, err)
+	}
+	if !bitsSame(snap(), make([]float64, len(wantZ))) {
+		t.Fatal("refused run touched the fixture")
+	}
 
-			got := zeroed(ks)
-			first := sched.S[s][0][0]
-			ctx, cancel := context.WithCancel(context.Background())
-			armed := append([]kernels.Kernel(nil), ks...)
-			armed[first.Loop] = &cancelAt{Kernel: ks[first.Loop], iter: first.Idx, cancel: cancel}
-			_, err := RunScheduleSequential(ctx, armed, sched)
-			cancel()
-			if !errors.As(err, &c) || c.SPartition != s+1 {
-				t.Fatalf("th=%d: cancel inside s-partition %d returned %v, want *CancelledError at %d", th, s, err, s+1)
-			}
-			if !bitsSame(got[0], want[0]) || !bitsSame(got[1], want[1]) {
-				t.Fatalf("th=%d: walk cancelled after s-partition %d differs from an uncancelled prefix", th, s)
-			}
+	ctx, cancel = context.WithCancel(context.Background())
+	defer cancel()
+	armed := []kernels.Kernel{&cancelAt{Kernel: ks[0], iter: ks[0].Iterations() - 1, cancel: cancel}, ks[1]}
+	if _, err := RunInOrder(ctx, armed); !errors.As(err, &c) {
+		t.Fatalf("cancel inside the first kernel returned %T (%v), want *CancelledError", err, err)
+	}
+	if !bitsSame(ks[0].(*kernels.SpTRSVCSR).X, wantX) {
+		t.Fatal("the kernel the cancel landed in did not finish with its RunSeq bits")
+	}
+	if !bitsSame(snap(), make([]float64, len(wantZ))) {
+		t.Fatal("the kernel after the cancel ran")
+	}
+	if _, err := RunInOrder(context.Background(), ks); err != nil {
+		t.Fatal(err)
+	}
+	if !bitsSame(snap(), wantZ) {
+		t.Fatal("a clean run after the cancel differs from RunSeq's bits")
+	}
+}
+
+// breakdownAt raises a typed numerical breakdown on one armed iteration.
+type breakdownAt struct {
+	kernels.Kernel
+	iter int
+}
+
+func (k *breakdownAt) Run(i int) {
+	if i == k.iter {
+		panic(&kernels.BreakdownError{Kernel: k.Name(), Row: i, Reason: "test: injected breakdown"})
+	}
+	k.Kernel.Run(i)
+}
+
+// TestInOrderFaultTyped: a panic out of a kernel body comes back as the
+// *ExecError the pool produces — with a stack, naming no s- or w-partition —
+// and a breakdown stays reachable through errors.As. Either way the kernels
+// run cleanly, to RunSeq's bits, on the next call.
+func TestInOrderFaultTyped(t *testing.T) {
+	_, wantZ := inOrderRef(t, 6)
+	_, ks, snap := fusedTrsvTrsv(600, 6)
+	for _, tc := range []struct {
+		name      string
+		armed     kernels.Kernel
+		breakdown bool
+	}{
+		{"panic", &panicAt{Kernel: ks[1], iter: 7}, false},
+		{"breakdown", &breakdownAt{Kernel: ks[1], iter: 7}, true},
+	} {
+		_, err := RunInOrder(context.Background(), []kernels.Kernel{ks[0], tc.armed})
+		var ee *ExecError
+		if !errors.As(err, &ee) {
+			t.Fatalf("%s: returned %T (%v), want *ExecError", tc.name, err, err)
+		}
+		if ee.Worker != 0 || ee.SPartition != -1 || ee.WPartition != -1 || ee.Watchdog || len(ee.Stack) == 0 {
+			t.Fatalf("%s: %+v, want worker 0, s and w -1, a stack and no watchdog", tc.name, ee)
+		}
+		var b *kernels.BreakdownError
+		if got := errors.As(err, &b); got != tc.breakdown || (ee.Breakdown() != nil) != tc.breakdown {
+			t.Fatalf("%s: errors.As reaches a breakdown = %v, want %v", tc.name, got, tc.breakdown)
+		}
+		if _, err := RunInOrder(context.Background(), ks); err != nil {
+			t.Fatal(err)
+		}
+		if !bitsSame(snap(), wantZ) {
+			t.Fatalf("%s: a clean run after the fault differs from RunSeq's bits", tc.name)
 		}
 	}
 }

@@ -73,11 +73,41 @@ func accumulate(st *Stats, durs []time.Duration, threads int) {
 	}
 }
 
+// RunInOrder runs the kernels one after another on the calling goroutine, in
+// program order: each kernel's Prepare, then its loop in iteration order —
+// the arithmetic of combos.Instance.RunSequential, with no schedule, pool or
+// barrier (Stats.Barriers is 0). Program order respects every kernel DAG and
+// F, so this is the facade ladder's last rung: it needs nothing the inspector
+// built. ctx is observed before every kernel: a fired context returns a
+// *CancelledError with every earlier kernel complete. A panic out of a kernel
+// body abandons the rest and returns as the *ExecError the pool would
+// produce, so errors.As still reaches a *kernels.BreakdownError. The rung has
+// no s- or w-partitions, so both errors name -1 for them.
+func RunInOrder(ctx context.Context, ks []kernels.Kernel) (st Stats, err error) {
+	t0 := time.Now()
+	defer func() {
+		if rec := recover(); rec != nil {
+			err = (&workerFault{recovered: rec, stack: debug.Stack()}).execError(-1, -1)
+		}
+		st.Elapsed = time.Since(t0)
+	}()
+	for _, k := range ks {
+		if ctx.Err() != nil {
+			return st, newCancelled(ctx)
+		}
+		k.Prepare()
+		for i, n := 0, k.Iterations(); i < n; i++ {
+			k.Run(i)
+		}
+	}
+	return st, nil
+}
+
 // RunScheduleSequential walks a fused schedule on the calling goroutine:
 // Prepare in loop order, then s-partitions, w-partitions and iterations in
 // schedule order — no pool, no atomics, no barriers (Stats.Barriers is 0). It
-// runs a schedule whose compiled program cannot be used (the facade ladder's
-// last rung) and is the deterministic oracle the Runner is tested against.
+// is the test oracle of a schedule's arithmetic order, which the Runner's
+// rungs are checked against; nothing shipped runs it.
 // ctx is observed before every s-partition: a fired context returns a
 // *CancelledError naming the first s-partition that did not run (-1 when
 // none did), every earlier one complete. A panic out of a kernel body — a

@@ -46,10 +46,12 @@ type workerFault struct {
 type ExecError struct {
 	// Worker is the pool worker slot (0 = the calling goroutine).
 	Worker int
-	// SPartition is the barrier round in which the fault was recovered.
+	// SPartition is the barrier round in which the fault was recovered; -1
+	// on the sequential rung (RunInOrder), which has none.
 	SPartition int
 	// WPartition is the global w-partition index the slot was executing,
-	// or -1 when there is none to attribute (cancellation, watchdog).
+	// or -1 when there is none to attribute (cancellation, watchdog, the
+	// sequential rung).
 	WPartition int
 	// Recovered is the value the worker body panicked with.
 	Recovered any

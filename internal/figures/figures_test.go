@@ -203,3 +203,33 @@ func TestRunGSUnknownVariant(t *testing.T) {
 		t.Fatal("unknown variant accepted")
 	}
 }
+
+func TestNER(t *testing.T) {
+	// Inspector 100ms, baseline 10ms, executor 5ms: 20 runs amortize.
+	if n := ner(100*time.Millisecond, 10*time.Millisecond, 5*time.Millisecond); n != 20 {
+		t.Fatalf("NER = %v", n)
+	}
+	// Executor slower than baseline: negative (never amortized).
+	if n := ner(time.Millisecond, time.Millisecond, 2*time.Millisecond); n >= 0 {
+		t.Fatalf("NER = %v, want negative", n)
+	}
+	// Equal baseline and executor: +Inf, not a crash.
+	if n := ner(time.Millisecond, time.Millisecond, time.Millisecond); !math.IsInf(n, 1) {
+		t.Fatalf("NER = %v, want +Inf", n)
+	}
+}
+
+func TestClip(t *testing.T) {
+	if clip(50, -10, 30) != 30 || clip(-20, -10, 30) != -10 || clip(5, -10, 30) != 5 {
+		t.Fatal("clip wrong")
+	}
+}
+
+func TestMinDuration(t *testing.T) {
+	if m := minDuration(3*time.Second, 0, time.Second, 2*time.Second); m != time.Second {
+		t.Fatalf("min = %v", m)
+	}
+	if minDuration(0, 0) != 0 {
+		t.Fatal("all-zero min should be 0")
+	}
+}

@@ -17,6 +17,7 @@ import (
 	"strconv"
 	"sync"
 	"sync/atomic"
+	"time"
 )
 
 // Counter is a monotonically increasing value. The increment path is
@@ -300,4 +301,12 @@ func formatFloat(v float64) string {
 		return strconv.FormatInt(int64(v), 10)
 	}
 	return strconv.FormatFloat(v, 'g', -1, 64)
+}
+
+// GFlops converts an operation count and duration to GFLOP/s.
+func GFlops(flops int64, d time.Duration) float64 {
+	if d <= 0 {
+		return 0
+	}
+	return float64(flops) / d.Seconds() / 1e9
 }

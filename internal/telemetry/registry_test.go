@@ -4,6 +4,7 @@ import (
 	"strings"
 	"sync"
 	"testing"
+	"time"
 )
 
 func TestCounterSum(t *testing.T) {
@@ -146,4 +147,16 @@ func TestPublishExpvarNoDuplicatePanic(t *testing.T) {
 	r2.Counter("dup_total", "x").Add(5)
 	// Re-publishing the same name must swap the registry, not panic.
 	PublishExpvar("telemetry_test_dup", r2)
+}
+
+func TestGFlops(t *testing.T) {
+	if g := GFlops(2e9, time.Second); g != 2 {
+		t.Fatalf("gflops = %v", g)
+	}
+	if g := GFlops(100, 0); g != 0 {
+		t.Fatal("zero duration must give 0")
+	}
+	if g := GFlops(1e6, time.Millisecond); g != 1 {
+		t.Fatalf("gflops = %v", g)
+	}
 }

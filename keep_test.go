@@ -145,8 +145,8 @@ func collected(freed ...chan struct{}) bool {
 // DAG, fusion input or tree schedule once it is open, and the F matrix and
 // kernel DAGs it builds go with the next collection. It still runs, saves the
 // schedule it was inspected with and opens a session; after an executor fault
-// it re-validates, demotes to the one-thread walk and returns the bits it
-// returned before.
+// it demotes to the kernels in program order, returns the bits it returned
+// before and still keeps no tree schedule.
 func TestOperationKeepsNoFusionInput(t *testing.T) {
 	m := mustReorder(t, PowerLawSPD(3000, 6, 41))
 	x := testInput(m.Rows())
@@ -210,16 +210,16 @@ func TestOperationKeepsNoFusionInput(t *testing.T) {
 	if !bitsSame(got, want) {
 		t.Fatal("the demoted operation computes different bits")
 	}
-	if forms := inspectionForms(op); len(forms) != 1 || forms[0] != "tree schedule" {
-		t.Fatalf("the demoted operation keeps %v, want only the schedule it walks", forms)
+	if forms := inspectionForms(op); len(forms) > 0 {
+		t.Fatalf("the demoted operation keeps %v", forms)
 	}
 }
 
-// TestSessionsRevalidateConcurrently: eight sessions of one operation whose
-// shared program faults re-validate at once — each builds its own fusion
-// input and schedule, demotes on its own ladder — and every one returns the
-// operation's bits.
-func TestSessionsRevalidateConcurrently(t *testing.T) {
+// TestSessionsDemoteConcurrently: eight sessions of one operation whose
+// shared program faults demote at once, each on its own ladder, and every one
+// returns the operation's bits and keeps no kernel DAG, fusion input or tree
+// schedule.
+func TestSessionsDemoteConcurrently(t *testing.T) {
 	const sessions = 8
 	m := mustReorder(t, Laplacian2D(30))
 	x := testInput(m.Rows())
@@ -261,6 +261,9 @@ func TestSessionsRevalidateConcurrently(t *testing.T) {
 		}
 		if !bitsSame(outs[i], want) {
 			t.Fatalf("session %d: bits differ from the operation's", i)
+		}
+		if forms := inspectionForms(s); len(forms) > 0 {
+			t.Fatalf("session %d: the demoted session keeps %v", i, forms)
 		}
 	}
 }
@@ -320,9 +323,8 @@ func TestTimedPathsBuildNothing(t *testing.T) {
 
 // TestSolversKeepNoFusionInput: an open FusedCG or GaussSeidel reaches no
 // kernel DAG, fusion input or tree schedule, opened uncached or on a cache
-// miss or hit. After its program faults it builds the fusion input again to
-// re-validate, demotes to the one-thread walk and solves to the bits it
-// solved to before.
+// miss or hit. After its program faults it demotes to the kernels in program
+// order, solves to the bits it solved to before and still keeps none of them.
 func TestSolversKeepNoFusionInput(t *testing.T) {
 	m := mustReorder(t, Laplacian2D(40))
 	b := testInput(m.Rows())
@@ -395,14 +397,7 @@ func TestSolversKeepNoFusionInput(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		// The last loop-0 iteration (a sparse kernel; the vector kernels'
-		// blocks clamp to their vectors) goes out of range.
-		for i := len(e.prog.Iters) - 1; ; i-- {
-			if loop, _ := kernels.UnpackIter(e.prog.Iters[i]); loop == 0 {
-				e.prog.Iters[i] = kernels.PackIter(0, 1<<20)
-				break
-			}
-		}
+		corruptLoop0(e.prog)
 		var x []float64
 		if err := watchdog(t, 30*time.Second, func() error {
 			var err error
@@ -416,6 +411,9 @@ func TestSolversKeepNoFusionInput(t *testing.T) {
 		}
 		if !bitsSame(x, want) {
 			t.Fatalf("%s: the demoted solver computes different bits", sv.name)
+		}
+		if forms := inspectionForms(s); len(forms) > 0 {
+			t.Fatalf("%s: the demoted solver keeps %v", sv.name, forms)
 		}
 	}
 }
@@ -530,5 +528,81 @@ func TestDscalReplaysWithoutFactorSnapshot(t *testing.T) {
 		if !bitsSame(outs[0], outs[1]) {
 			t.Fatalf("%s: a second run computes different bits", c)
 		}
+	}
+}
+
+// corruptLoop0 sends the program's last loop-0 iteration (a sparse kernel's;
+// the vector kernels' blocks clamp to their vectors) out of range, so every
+// rung that reads the program faults in its last s-partition.
+func corruptLoop0(p *core.Program) {
+	for i := len(p.Iters) - 1; ; i-- {
+		if loop, _ := kernels.UnpackIter(p.Iters[i]); loop == 0 {
+			p.Iters[i] = kernels.PackIter(0, 1<<20)
+			return
+		}
+	}
+}
+
+// TestDemotionBuildsNothing: an Operation, a Session of it, a PCG FusedCG and
+// a GaussSeidel whose programs fault demote twice, down to the kernels in
+// program order, without building a kernel DAG or F (no inspect.dag_build
+// event after they open), and keep none of the inspector's forms.
+func TestDemotionBuildsNothing(t *testing.T) {
+	m := mustReorder(t, Laplacian2D(40))
+	b := testInput(m.Rows())
+	var events bytes.Buffer
+	opts := Options{Threads: 2, Tracer: NewTracer(&events)}
+	dagBuilds := func() (n int) {
+		names, _ := traceEvents(t, &events)
+		for _, ev := range names {
+			if ev == "inspect.dag_build" {
+				n++
+			}
+		}
+		return n
+	}
+	op, err := NewOperation(TrsvTrsv, m, opts)
+	if err != nil {
+		t.Fatal(err)
+	}
+	sess, err := op.NewSession()
+	if err != nil {
+		t.Fatal(err)
+	}
+	cg, err := NewFusedCG(m, FusedCGOptions{Options: opts, Precondition: true, Tol: 1e-9})
+	if err != nil {
+		t.Fatal(err)
+	}
+	gs, err := NewGaussSeidel(m, GSOptions{Options: opts, SweepsPerFusion: 2})
+	if err != nil {
+		t.Fatal(err)
+	}
+	opened := dagBuilds()
+	corruptLoop0(op.prog) // shared with the session
+	corruptLoop0(cg.prog)
+	corruptLoop0(gs.state.prog)
+	for _, tc := range []struct {
+		name   string
+		holder any
+		e      *execState
+		run    func() error
+	}{
+		{"operation", op, &op.execState, func() error { _, err := op.Run(); return err }},
+		{"session", sess, &sess.execState, func() error { _, err := sess.Run(); return err }},
+		{"pcg", cg, &cg.execState, func() error { _, _, _, err := cg.Solve(b); return err }},
+		{"gauss-seidel", gs, &gs.state, func() error { _, _, err := gs.Solve(b, 1e-6, 10); return err }},
+	} {
+		if err := watchdog(t, 30*time.Second, tc.run); err != nil {
+			t.Fatalf("%s: ladder did not absorb the fault: %v", tc.name, err)
+		}
+		if h := tc.e.Health(); h.Mode != ModeSequential || len(h.Demotions) != 2 {
+			t.Fatalf("%s: %+v after a faulting program, want two demotions down to sequential", tc.name, h)
+		}
+		if forms := inspectionForms(tc.holder); len(forms) > 0 {
+			t.Fatalf("%s: the demoted state keeps %v", tc.name, forms)
+		}
+	}
+	if n := dagBuilds(); n != opened {
+		t.Fatalf("%d inspect.dag_build events after the demotions, %d after the opens", n, opened)
 	}
 }

@@ -18,6 +18,7 @@ import (
 var orphansAllowed = map[string]string{
 	// Test oracles: independent checks the tests assert with.
 	"relayout.CheckExclusive":            "independent oracle for the packed rung's redirect and fold tables",
+	"exec.RunScheduleSequential":         "one-thread walk of a schedule: the oracle of its arithmetic order that every rung is checked against",
 	"sparse.CSR.Dense":                   "dense reference form the kernel and factorization tests compare against",
 	"sparse.CSR.At":                      "element lookup of the same dense-reference tests",
 	"sparse.CSR.IsLowerTriangular":       "shape oracle of the triangle-extraction and ILU-split tests",
@@ -48,7 +49,6 @@ var orphansAllowed = map[string]string{
 	// what was deleted instead).
 	"atomicf.Load":                    "read half of the atomic float; the package goes whole with ROADMAP item 4(a)",
 	"atomicf.Store":                   "write half of the atomic float; the package goes whole with ROADMAP item 4(a)",
-	"metrics.GeoMean":                 "the paper's summary statistic (geometric-mean speed-up over the suite); ROADMAP item 8(e)'s report generator is its caller",
 	"partition.Partitioning.WaitWork": "potential gain in work units (paper figure 6's definition): how ROADMAP item 8(d) prices a baseline partitioning without running it",
 }
 

@@ -40,7 +40,6 @@ import (
 	"sparsefusion/internal/exec"
 	"sparsefusion/internal/kernels"
 	"sparsefusion/internal/lbc"
-	"sparsefusion/internal/metrics"
 	"sparsefusion/internal/order"
 	"sparsefusion/internal/relayout"
 	"sparsefusion/internal/serve"
@@ -378,8 +377,9 @@ const (
 	// ModeCompiled executes the schedule compiled to flat programs, reading
 	// operands in matrix order.
 	ModeCompiled ExecMode = "compiled"
-	// ModeSequential walks the schedule on the calling goroutine — one thread,
-	// no worker set, no barriers — the last rung of the ladder.
+	// ModeSequential runs the kernels one after another in program order on
+	// the calling goroutine — one thread, no worker set, no barriers, no
+	// schedule — the last rung of the ladder.
 	ModeSequential ExecMode = "sequential"
 )
 
@@ -391,8 +391,8 @@ type Demotion struct {
 }
 
 // Health describes the executor state of an Operation or Session: the rung
-// it currently runs on and every demotion taken since construction (at
-// attach/compile time or after a run-time executor fault).
+// it currently runs on and every demotion taken since construction (at open,
+// when there is no packed layout, or after a run-time executor fault).
 type Health struct {
 	Mode      ExecMode
 	Demotions []Demotion
@@ -401,9 +401,9 @@ type Health struct {
 // execState is the executor half shared by Operation and Session: the kernel
 // instance holding the mutable vectors, the immutable inspection artifacts
 // (compiled program, packed layout), and the mutable ladder state. The
-// program is the one run-time form of the schedule: the fusion input the
-// inspector read and the tree schedule it wrote are built when something asks
-// for them and dropped again.
+// program is the one run-time form of the schedule, and the last rung needs
+// not even that: nothing the state runs asks for the fusion input the
+// inspector read or the tree schedule it wrote.
 //
 // mu guards the ladder state (runner, layout, demotions) so Health may be
 // polled from a monitoring goroutine while Run executes; Run itself must not
@@ -412,20 +412,16 @@ type Health struct {
 type execState struct {
 	inst *combos.Instance
 	// prog is the compiled flat form, shared (immutably) with every session
-	// and cache consumer; nil when the schedule exceeds the compiled
-	// representation and the state walks it on one thread.
+	// and cache consumer.
 	prog *core.Program
 	th   int
-	// lp is the head partitioner's tuning, for every inspection this state
-	// runs: at open, and after an executor fault.
-	lp lbc.Params
 	// watchdog is the executor tuning carried from Options, applied to every
 	// runner this state builds — including the rebuilt runner of a session
 	// bound to shared artifacts — and to the worker set a solve starts.
 	watchdog time.Duration
-	// progErr and layErr record why prog or the packed layout is absent, for
-	// demotion records of sessions derived from this state.
-	progErr, layErr string
+	// layErr records why the packed layout is absent, for demotion records
+	// of sessions derived from this state.
+	layErr string
 
 	// id is the process-unique identity demotion records and lifecycle
 	// events carry; tr is the attached tracer (nil-safe).
@@ -434,14 +430,10 @@ type execState struct {
 
 	mu sync.Mutex
 	// runner binds this state's kernels to prog (with packed streams attached
-	// while on the packed rung); nil once demoted to the sequential walk.
+	// while on the packed rung); nil once demoted to the sequential rung.
 	runner *exec.Runner
 	// layout is the packed re-layout the runner has attached; nil otherwise.
-	layout *relayout.Layout
-	// seq is the tree schedule the sequential rung walks: the one the state
-	// was given when there is no program, or the one its demotion validated.
-	// Nil while a runner is bound.
-	seq       *core.Schedule
+	layout    *relayout.Layout
 	demotions []Demotion
 	// demSeen is how many demotions a Server has already harvested into its
 	// log (guarded by mu alongside demotions).
@@ -482,10 +474,10 @@ func (e *execState) emitDemotions(ds []Demotion) {
 //
 // Execution degrades along a ladder: the packed (schedule-order stream)
 // executor where the chain supports it, the compiled flat-program executor
-// otherwise, and a one-thread walk of the schedule as the last resort. A rung
-// that fails to build — or faults at run time while the schedule itself still
-// validates — is abandoned for the next one; Health reports where the
-// operation currently stands.
+// otherwise, and the kernels run one after another in program order, on one
+// thread, as the last resort. A packed layout that fails to build, or a rung
+// that faults at run time, is abandoned for the next rung; Health reports
+// where the operation currently stands.
 //
 // An Operation serves one client at a time; NewSession clones it into
 // independent concurrent clients sharing the inspection artifacts.
@@ -518,7 +510,7 @@ func NewOperation(c Combination, m *Matrix, opts Options) (*Operation, error) {
 // newExecState is the state of a new operation or solver over inst, tuned by
 // opts, before anything is bound.
 func newExecState(inst *combos.Instance, opts Options) execState {
-	return execState{inst: inst, th: opts.threads(), lp: opts.lbc(), watchdog: opts.Watchdog, id: nextStateID.Add(1), tr: opts.Tracer}
+	return execState{inst: inst, th: opts.threads(), watchdog: opts.Watchdog, id: nextStateID.Add(1), tr: opts.Tracer}
 }
 
 // open resolves this state's artifact chain and binds the executor ladder to
@@ -537,14 +529,19 @@ func (e *execState) open(t0 time.Time, opts Options, fp cache.Key) error {
 		}
 		return loops, reuse
 	}
-	inspect := func() (*core.Schedule, error) { return e.inspect(input()) }
+	inspect := func() (*core.Schedule, error) {
+		loops, reuse := input()
+		return e.inspect(loops, reuse, opts.lbc())
+	}
 	outcome := "off"
 	if opts.Cache == nil {
 		sched, err := inspect()
 		if err != nil {
 			return err
 		}
-		e.bindArtifacts(cache.Artifacts{Schedule: sched}, false)
+		if _, err := e.bindArtifacts(cache.Artifacts{Schedule: sched}, false); err != nil {
+			return err
+		}
 	} else {
 		outcome = "hit"
 		entry, err := opts.Cache.c.GetOrBuild(fp, cache.Builder{
@@ -555,14 +552,16 @@ func (e *execState) open(t0 time.Time, opts Options, fp cache.Key) error {
 			},
 			Complete: func(s *core.Schedule) (cache.Artifacts, error) {
 				outcome = "miss"
-				return e.bindArtifacts(cache.Artifacts{Schedule: s}, false), nil
+				return e.bindArtifacts(cache.Artifacts{Schedule: s}, false)
 			},
 		})
 		if err != nil {
 			return err
 		}
 		if outcome == "hit" {
-			e.bindArtifacts(entry.Artifacts, true)
+			if _, err := e.bindArtifacts(entry.Artifacts, true); err != nil {
+				return err
+			}
 		}
 	}
 	if t := e.tr.raw(); t != nil {
@@ -578,10 +577,9 @@ func (e *execState) open(t0 time.Time, opts Options, fp cache.Key) error {
 
 // fusion returns the inspector's input over this state's kernels — the
 // per-kernel DAGs and F (Loops) and the reuse ratio. The state keeps none of
-// it: an operation's instance builds it afresh for each caller, and so does a
-// solver chain's once it is open (combos.Instance.Release); until then it
-// returns the Loops it was built with. Only a build that actually ran is
-// traced.
+// it: an operation's instance builds it afresh for each caller, and a solver
+// chain's returns the Loops it was built with until open releases them
+// (combos.Instance.Release). Only a build that actually ran is traced.
 func (e *execState) fusion() (*core.Loops, float64) {
 	t0 := time.Now()
 	loops, reuse, built := e.inst.Fusion()
@@ -611,9 +609,10 @@ func (e *execState) traceDAGBuild(loops *core.Loops, d time.Duration) {
 		telemetry.Dur("dur_ns", d))
 }
 
-// inspect runs ICO over the fusion input; a tracer sees the stage breakdown.
-func (e *execState) inspect(loops *core.Loops, reuse float64) (*core.Schedule, error) {
-	params := core.Params{Threads: e.th, ReuseRatio: reuse, LBC: e.lp}
+// inspect runs ICO over the fusion input with the head partitioner tuned by
+// lp; a tracer sees the stage breakdown.
+func (e *execState) inspect(loops *core.Loops, reuse float64, lp lbc.Params) (*core.Schedule, error) {
+	params := core.Params{Threads: e.th, ReuseRatio: reuse, LBC: lp}
 	if e.tr == nil {
 		return core.ICO(loops, params)
 	}
@@ -684,35 +683,32 @@ func (e *execState) traceStages(art *cache.Artifacts) func(string, time.Duration
 
 // bindArtifacts builds this state's executor ladder from an artifact chain —
 // exec.CompileFused builds the stages art lacks and binds the runner — and
-// records a demotion for every absent artifact. It returns the chain as bound.
+// records a demotion when there is no packed layout. It returns the chain as
+// bound, or the error of a schedule the compiled representation refuses
+// (one with 2^27 or more iterations per loop, which does not fit in memory).
 // With shared set the chain may come from another tenant (the cache, or a
 // parent operation): the schedule and program depend only on the sparsity
 // pattern and are shared as-is, but the packed layout baked in matrix values,
 // so it is verified against this state's kernels and rebuilt privately on a
 // mismatch.
-func (e *execState) bindArtifacts(art cache.Artifacts, shared bool) cache.Artifacts {
+func (e *execState) bindArtifacts(art cache.Artifacts, shared bool) (cache.Artifacts, error) {
 	if shared && art.Layout != nil {
 		if sum, ok := e.inst.SourceSum(); !ok || art.Layout.VerifySum(sum) != nil {
 			art.Layout = nil
 		}
 	}
 	r, err := exec.CompileFused(e.inst.Kernels, &art, e.traceStages(&art))
-	e.progErr, e.layErr = art.ProgramErr, art.LayoutErr
 	if err != nil {
-		e.seq = art.Schedule // the one form of the schedule left
-		e.demote(
-			Demotion{From: ModePacked, To: ModeCompiled, Reason: art.ProgramErr},
-			Demotion{From: ModeCompiled, To: ModeSequential, Reason: art.ProgramErr})
-		return art
+		return art, err
 	}
 	r.Configure(exec.Config{Watchdog: e.watchdog})
-	e.prog, e.runner = art.Program, r
+	e.prog, e.runner, e.layErr = art.Program, r, art.LayoutErr
 	if r.Layout() == nil {
 		e.demote(Demotion{From: ModePacked, To: ModeCompiled, Reason: art.LayoutErr})
-		return art
+		return art, nil
 	}
 	e.layout = art.Layout
-	return art
+	return art, nil
 }
 
 // modeLocked reads the current rung; e.mu must be held.
@@ -768,40 +764,18 @@ func (e *execState) Output() []float64 { return e.inst.Snapshot() }
 
 // ReuseRatio reports the inspector's locality metric (paper section 2.2), as
 // the schedule recorded it.
-func (e *execState) ReuseRatio() float64 {
-	if e.prog == nil {
-		return e.seq.ReuseRatio
-	}
-	return e.prog.ReuseRatio
-}
+func (e *execState) ReuseRatio() float64 { return e.prog.ReuseRatio }
 
 // Interleaved reports the packing variant the reuse ratio selected.
-func (e *execState) Interleaved() bool {
-	if e.prog == nil {
-		return e.seq.Interleaved
-	}
-	return e.prog.Interleaved
-}
+func (e *execState) Interleaved() bool { return e.prog.Interleaved }
 
-// Barriers returns the number of synchronizations per execution.
-func (e *execState) Barriers() int {
-	if e.prog == nil {
-		return e.seq.NumSPartitions()
-	}
-	return e.prog.NumSPartitions()
-}
+// Barriers returns the number of synchronizations per execution of the fused
+// schedule.
+func (e *execState) Barriers() int { return e.prog.NumSPartitions() }
 
-// schedule returns the state's schedule in tree form: the one the sequential
-// rung walks, else the program's rebuilt exactly.
-func (e *execState) schedule() *core.Schedule {
-	e.mu.Lock()
-	s := e.seq
-	e.mu.Unlock()
-	if s != nil {
-		return s
-	}
-	return e.prog.Decompile()
-}
+// schedule returns the state's schedule in tree form, rebuilt exactly from
+// the program.
+func (e *execState) schedule() *core.Schedule { return e.prog.Decompile() }
 
 // Run executes the fused schedule once.
 //
@@ -810,9 +784,8 @@ func (e *execState) schedule() *core.Schedule {
 // *ExecError — reach it with errors.As. A non-numerical executor fault
 // (a panic out of a worker body, e.g. from a corrupted compiled program)
 // demotes the operation one ladder rung — packed to compiled, compiled to
-// sequential — after re-validating the schedule, and retries; only a fault on the
-// last rung, or a schedule that no longer validates, is returned. The
-// operation stays usable after any error.
+// sequential — and retries; only a fault on the last rung, which reads no
+// schedule, is returned. The operation stays usable after any error.
 func (e *execState) Run() (Report, error) {
 	return e.run(nil, nil)
 }
@@ -822,9 +795,11 @@ func (e *execState) Run() (Report, error) {
 // next s-partition boundary and returns a *CancelledError naming it; all
 // s-partitions completed before that boundary are bit-identical to an
 // uncancelled run's, every worker is parked at the barrier, and the operation
-// (or session) is immediately reusable. Cancellation is observed within one
-// s-partition round and never demotes the executor ladder: it says nothing
-// about the artifacts, only about the caller's patience.
+// (or session) is immediately reusable. On the sequential rung the run stops
+// at the next kernel boundary instead, and SPartition is -1. Cancellation is
+// observed within one s-partition round, or one kernel, and never demotes
+// the executor ladder: it says nothing about the artifacts, only about the
+// caller's patience.
 func (e *execState) RunContext(ctx context.Context) (Report, error) {
 	return e.run(ctx, nil)
 }
@@ -871,7 +846,7 @@ func (e *execState) run(ctx context.Context, pl *exec.Pool) (Report, error) {
 		Time:        st.Elapsed,
 		Barriers:    st.Barriers,
 		BarrierWait: st.PotentialGain,
-		GFlops:      metrics.GFlops(e.inst.FlopCount(), st.Elapsed),
+		GFlops:      telemetry.GFlops(e.inst.FlopCount(), st.Elapsed),
 	}, err
 }
 
@@ -885,7 +860,7 @@ func (e *execState) runLadder(ctx context.Context, pl *exec.Pool) (exec.Stats, e
 	}
 	for {
 		e.mu.Lock()
-		r, seq := e.runner, e.seq
+		r := e.runner
 		e.mu.Unlock()
 		var st exec.Stats
 		var err error
@@ -895,7 +870,7 @@ func (e *execState) runLadder(ctx context.Context, pl *exec.Pool) (exec.Stats, e
 		case r != nil:
 			st, err = r.RunContext(ctx, e.th)
 		default:
-			st, err = exec.RunScheduleSequential(ctx, e.inst.Kernels, seq)
+			st, err = exec.RunInOrder(ctx, e.inst.Kernels)
 		}
 		if err == nil {
 			return st, nil
@@ -922,13 +897,8 @@ func (e *execState) runLadder(ctx context.Context, pl *exec.Pool) (exec.Stats, e
 		if r == nil {
 			return st, err // already on the last rung
 		}
-		// The fault came from the packed or compiled artifacts. If no
-		// schedule validates, no rung can run it — report both facts instead
-		// of retrying.
-		sched, verr := e.faultSchedule()
-		if verr != nil {
-			return st, fmt.Errorf("sparsefusion: executor fault (%v) and schedule invalid: %w", err, verr)
-		}
+		// The fault came from the packed or compiled artifacts: drop the
+		// layout, or the runner and with it the program's order.
 		var taken []Demotion
 		e.mu.Lock()
 		if e.runner == r {
@@ -938,7 +908,7 @@ func (e *execState) runLadder(ctx context.Context, pl *exec.Pool) (exec.Stats, e
 				e.layErr = err.Error()
 				taken = []Demotion{{From: ModePacked, To: ModeCompiled, Reason: err.Error()}}
 			} else {
-				e.runner, e.seq = nil, sched
+				e.runner = nil
 				taken = []Demotion{{From: ModeCompiled, To: ModeSequential, Reason: err.Error()}}
 			}
 			e.demotions = append(e.demotions, taken...)
@@ -946,24 +916,6 @@ func (e *execState) runLadder(ctx context.Context, pl *exec.Pool) (exec.Stats, e
 		e.mu.Unlock()
 		e.emitDemotions(taken)
 	}
-}
-
-// faultSchedule builds, after an executor fault, the fusion input and a
-// schedule validated against it: the program's own, when it still
-// validates, else a new inspection, which is deterministic and so gives the
-// schedule the program was compiled from. Both are dropped unless the state
-// demotes to the sequential walk, which keeps the schedule. Rare and untimed.
-func (e *execState) faultSchedule() (*core.Schedule, error) {
-	loops, reuse := e.fusion()
-	s := e.prog.Decompile()
-	if loops.Validate(s) == nil {
-		return s, nil
-	}
-	s, err := e.inspect(loops, reuse)
-	if err != nil {
-		return nil, err
-	}
-	return s, loops.Validate(s)
 }
 
 // Session is one client's private handle on a shared operation: its own
@@ -993,22 +945,16 @@ func (op *Operation) NewSession() (*Session, error) {
 		return nil, err
 	}
 	op.mu.Lock()
-	// The program and layout carry the schedule; a tree form goes along
-	// only where the operation keeps one.
-	art := cache.Artifacts{
-		Schedule:   op.seq,
-		Program:    op.prog,
-		ProgramErr: op.progErr,
-		Layout:     op.layout,
-		LayoutErr:  op.layErr,
-	}
+	art := cache.Artifacts{Program: op.prog, Layout: op.layout, LayoutErr: op.layErr}
 	op.mu.Unlock()
-	s := &Session{execState: execState{inst: clone, th: op.th, lp: op.lp, watchdog: op.watchdog, id: nextStateID.Add(1), tr: op.tr}}
+	s := &Session{execState: execState{inst: clone, th: op.th, watchdog: op.watchdog, id: nextStateID.Add(1), tr: op.tr}}
 	s.tr.raw().Emit("session.new",
 		telemetry.Int("session", s.id),
 		telemetry.Int("op", op.id),
 		telemetry.String("combo", clone.Name))
-	s.bindArtifacts(art, true)
+	if _, err := s.bindArtifacts(art, true); err != nil {
+		return nil, err
+	}
 	return s, nil
 }
 
@@ -1199,13 +1145,13 @@ func (e *ScheduleMismatchError) Error() string {
 }
 
 // NewOperationFromSchedule builds the operation's kernels for matrix m and
-// loads a previously saved schedule instead of running ICO. Fingerprinted
-// files (SaveSchedule's format) are verified against the fingerprint of m
-// and opts — a file saved for a different pattern or options fails with a
-// *ScheduleMismatchError before the payload is even considered. Bare
-// pre-fingerprint files are still accepted. Either way the schedule is then
-// validated against the matrix's dependency structure, so a corrupt or
-// stale file is rejected rather than executed.
+// loads a schedule SaveSchedule wrote instead of running ICO. The file's
+// fingerprint is verified against the fingerprint of m and opts — a file
+// saved for a different pattern or options fails with a
+// *ScheduleMismatchError before the payload is even considered, and a file
+// that is not SaveSchedule's container fails to read. The schedule is then
+// validated against the matrix's dependency structure, so a corrupt or stale
+// file is rejected rather than executed.
 func NewOperationFromSchedule(c Combination, m *Matrix, r io.Reader, opts Options) (*Operation, error) {
 	inst, err := combos.Assemble(combos.ID(c), m.forms)
 	if err != nil {
@@ -1215,27 +1161,19 @@ func NewOperationFromSchedule(c Combination, m *Matrix, r io.Reader, opts Option
 		execState: newExecState(inst, opts),
 		fp:        opts.fingerprint(m, cache.Params{Combo: int(c)}),
 	}
-	br := bufio.NewReader(r)
-	var sched *core.Schedule
-	if hdr, perr := br.Peek(8); perr == nil && cache.IsContainer(hdr) {
-		key, s, err := cache.ReadScheduleFile(br)
-		if err != nil {
-			return nil, err
-		}
-		if key != op.fp {
-			return nil, &ScheduleMismatchError{Want: op.fp.String(), Got: key.String()}
-		}
-		sched = s
-	} else {
-		sched, err = core.ReadSchedule(br)
-		if err != nil {
-			return nil, err
-		}
+	key, sched, err := cache.ReadScheduleFile(bufio.NewReader(r))
+	if err != nil {
+		return nil, err
+	}
+	if key != op.fp {
+		return nil, &ScheduleMismatchError{Want: op.fp.String(), Got: key.String()}
 	}
 	loops, _ := op.fusion()
 	if err := loops.Validate(sched); err != nil {
 		return nil, fmt.Errorf("sparsefusion: saved schedule does not match this matrix: %w", err)
 	}
-	op.bindArtifacts(cache.Artifacts{Schedule: sched}, false)
+	if _, err := op.bindArtifacts(cache.Artifacts{Schedule: sched}, false); err != nil {
+		return nil, err
+	}
 	return op, nil
 }

@@ -251,8 +251,8 @@ func TestGaussSeidelClampsSweepsPerFusion(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		if gs.SweepsPerFusion != effective {
-			t.Fatalf("SweepsPerFusion %d reports %d, want %d", perFusion, gs.SweepsPerFusion, effective)
+		if got := gs.SweepsPerFusion(); got != effective {
+			t.Fatalf("SweepsPerFusion %d reports %d, want %d", perFusion, got, effective)
 		}
 		x, sweeps, err := gs.Solve(b, 0, 24)
 		if err != nil || sweeps != 24 {
