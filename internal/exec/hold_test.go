@@ -154,9 +154,15 @@ func TestHeldPoolFaultsTyped(t *testing.T) {
 		clean := compile(ks)
 		width := clean.Program().MaxWidth
 		panics := compile([]kernels.Kernel{ks[0], &panicAt{Kernel: ks[1], iter: 300}})
-		stalledKs := append([]kernels.Kernel(nil), ks...)
-		stalledKs[armedLoop] = &delayIter{Kernel: ks[armedLoop], iter: armedIter, d: 300 * time.Millisecond}
-		stalled := compile(stalledKs)
+		// The watchdog abandons the stalled run's straggler, which still
+		// writes its kernels' vectors once the delay ends. Each pass stalls a
+		// twin fixture of its own (compileGather is deterministic in th), so
+		// no later run shares memory with a straggler.
+		stalled := func() *Runner {
+			_, twin, _, _, _ := compileGather(t, th)
+			twin[armedLoop] = &delayIter{Kernel: twin[armedLoop], iter: armedIter, d: 300 * time.Millisecond}
+			return compile(twin)
+		}
 
 		// panicked is where each pass's panic was attributed.
 		var panicked [2]struct{ worker, sPart, wPart int }
@@ -212,7 +218,7 @@ func TestHeldPoolFaultsTyped(t *testing.T) {
 
 			wd := NewPool(width, 30*time.Millisecond)
 			release = hold(wd)
-			err = run(stalled, wd, context.Background())
+			err = run(stalled(), wd, context.Background())
 			if !errors.As(err, &xe) || !xe.Watchdog || !wd.Poisoned() {
 				t.Fatalf("held=%v: stall returned %T (%v), want a watchdog *ExecError and a poisoned pool", held, err, err)
 			}
