@@ -20,14 +20,15 @@ test:
 # (each on its own ladder, down to the kernels in program order), what an
 # operation, a solver, a cache entry and a runner let go once open, the
 # inspector's GOMAXPROCS sweeps, since every inspection fans out over
-# min(Threads, GOMAXPROCS) workers, and the admission queue's bound under
+# min(Threads, GOMAXPROCS) workers, the inspector's pinned output at the
+# sizes inspect-churn inspects, and the admission queue's bound under
 # callers that arrive together. TestMakeRaceNamesExist (makefile_test.go)
 # fails when a -run pattern below names no test.
 race:
 	$(GO) test -race . ./internal/exec/... ./internal/core/... ./internal/dag/... ./internal/lbc/... ./internal/cache/... ./internal/combos/... ./internal/kernels/... ./internal/relayout/... ./internal/serve/... ./internal/telemetry/... ./internal/chaos/... ./internal/par/...
 	$(GO) test -race -count=5 -run 'TestPackedScatter|TestScatterArmedFromPoolWidth|TestHeld' ./internal/exec/
 	$(GO) test -race -count=5 -run 'TestConcurrentSessionsMatchReference|TestScatterOperationCleanAfterCancelStorm|TestConcurrentOpensShareMatrixMemos|TestRunsLeaveNoWorkers|TestSolveKeepsOneWorkerSet|TestSolveClosesItsWorkerSet|TestIdleWorkerSetsPinNothing|TestSessionsDemoteConcurrently|TestOperationKeepsNoFusionInput|TestSolversKeepNoFusionInput|TestCacheEntriesKeepNoTreeSchedule|TestRunnerKeepsNoDispatchTable' .
-	$(GO) test -race -count=5 -run 'TestICOWorkersDeterministic|TestScheduleWorkersDeterministic|TestICOMatchesSeedCorpus' ./internal/core/ ./internal/lbc/
+	$(GO) test -race -count=5 -run 'TestICOWorkersDeterministic|TestScheduleWorkersDeterministic|TestICOMatchesSeedCorpus|TestICOChurnGolden' ./internal/core/ ./internal/lbc/
 	$(GO) test -race -count=5 -run 'TestDoContextQueueBoundHoldsUnderConcurrentArrival' ./internal/serve/
 
 # fuzz smoke-runs the native Go fuzz targets: the two untrusted-input parsers

@@ -11,12 +11,16 @@ import (
 	"sparsefusion/internal/sparse"
 )
 
-// randomLoops builds a random fusion problem: 2-5 loops, each either
+// randomLoops builds a random fusion problem of 2-5 loops (randomChain).
+func randomLoops(rng *rand.Rand, n int) *Loops {
+	return randomChain(rng, n, 2+rng.Intn(4))
+}
+
+// randomChain builds a random fusion problem of nLoops loops, each either
 // parallel or a random triangular DAG, coupled by random F matrices of
 // varying density (including empty rows: iterations with no cross
 // dependence).
-func randomLoops(rng *rand.Rand, n int) *Loops {
-	nLoops := 2 + rng.Intn(4)
+func randomChain(rng *rand.Rand, n, nLoops int) *Loops {
 	loops := &Loops{}
 	for k := 0; k < nLoops; k++ {
 		if rng.Intn(3) == 0 {
