@@ -403,11 +403,7 @@ func TestMergeReducesBarriers(t *testing.T) {
 	// Disable merging indirectly by comparing s-partition counts against
 	// raw placement: run the pipeline pieces by hand.
 	loops := comboCDCD(31, 200)
-	rev := &Loops{
-		G: []*dag.Graph{loops.G[1].Transpose(), loops.G[0].Transpose()},
-		F: []*sparse.CSR{loops.F[0].Transpose()},
-	}
-	st, err := place(rev, testParams(4), &InspectorTimings{}, nil, nil)
+	st, err := place(loops, testParams(4), true, &InspectorTimings{})
 	if err != nil {
 		t.Fatal(err)
 	}

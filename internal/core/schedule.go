@@ -91,36 +91,6 @@ func (l *Loops) TotalIterations() int {
 	return n
 }
 
-// forEachPred invokes fn for every fused predecessor of iteration it: its
-// intra-DAG predecessors and, when it belongs to loop k > 0, the loop-(k-1)
-// iterations F[k-1] lists for it. tg caches the transposed DAGs.
-func (l *Loops) forEachPred(tg []*dag.Graph, it Iter, fn func(Iter)) {
-	for _, p := range tg[it.Loop].Succ(it.Idx) {
-		fn(Iter{it.Loop, p})
-	}
-	if it.Loop > 0 {
-		f := l.F[it.Loop-1]
-		for p := f.P[it.Idx]; p < f.P[it.Idx+1]; p++ {
-			fn(Iter{it.Loop - 1, f.I[p]})
-		}
-	}
-}
-
-// forEachSucc invokes fn for every fused successor of iteration it. fcsc
-// caches the CSC forms of the F matrices (column j of F[k] lists the loop-
-// (k+1) iterations depending on iteration j of loop k).
-func (l *Loops) forEachSucc(fcsc []*sparse.CSC, it Iter, fn func(Iter)) {
-	for _, s := range l.G[it.Loop].Succ(it.Idx) {
-		fn(Iter{it.Loop, s})
-	}
-	if it.Loop < len(l.G)-1 {
-		f := fcsc[it.Loop]
-		for p := f.P[it.Idx]; p < f.P[it.Idx+1]; p++ {
-			fn(Iter{it.Loop + 1, f.I[p]})
-		}
-	}
-}
-
 // Validate checks that sched is a correct parallel schedule of the fused
 // loops: every iteration appears exactly once and every dependency —
 // intra-DAG edges of each loop and every F nonzero — is satisfied by an

@@ -179,20 +179,21 @@ func FromLowerCSC(l *sparse.CSC) *Graph {
 
 // Transpose returns the graph with all edges reversed (predecessor lists).
 func (g *Graph) Transpose() *Graph {
-	t := &Graph{N: g.N, P: make([]int, g.N+1), I: make([]int, len(g.I)), W: g.W}
+	// Count vertex v's in-edges into P[v+2]; after the prefix sum P[v+1] is
+	// v's first slot, and filling advances it to v's end, which is v+1's
+	// first: the pointers finish in place, with no cursor array.
+	p := make([]int, g.N+2)
 	for _, dst := range g.I {
-		t.P[dst+1]++
+		p[dst+2]++
 	}
-	for v := 0; v < g.N; v++ {
-		t.P[v+1] += t.P[v]
+	for v := 2; v < len(p); v++ {
+		p[v] += p[v-1]
 	}
-	next := make([]int, g.N)
-	copy(next, t.P[:g.N])
+	t := &Graph{N: g.N, P: p[:g.N+1], I: make([]int, len(g.I)), W: g.W}
 	for src := 0; src < g.N; src++ {
-		for k := g.P[src]; k < g.P[src+1]; k++ {
-			dst := g.I[k]
-			t.I[next[dst]] = src
-			next[dst]++
+		for _, dst := range g.Succ(src) {
+			t.I[p[dst+1]] = src
+			p[dst+1]++
 		}
 	}
 	return t

@@ -6,11 +6,10 @@ import (
 )
 
 // Scratch is the inspector's reusable work area for DAG traversals: flat
-// int32 buffers for queues, degrees, levels and heights, plus an
-// epoch-stamped visited set, all sized to the largest graph seen so far and
-// reused across calls. The per-call maps and slices the traversals used to
-// allocate dominated inspection time on large fused problems; with a Scratch
-// every traversal after the first is allocation-free.
+// int32 buffers for the queue, degrees and heights, plus an epoch-stamped
+// visited set, each sized to the largest graph it has served and reused
+// across calls. A buffer is allocated only by the first traversal that needs
+// it: a topological order or a level pass allocates two, heights a third.
 //
 // A Scratch is not safe for concurrent use; parallel inspector stages hold
 // one per worker. Slices returned by Scratch methods alias its buffers and
@@ -19,43 +18,41 @@ type Scratch struct {
 	stamp []int32 // visited epoch per vertex (Reach)
 	epoch int32
 
-	queue []int32 // BFS / Kahn FIFO
-	deg   []int32 // in-degrees
-	order []int32 // topological order
-	lvl   []int32 // wavefront numbers
-	h     []int32 // heights
+	// queue is the BFS / Kahn FIFO. Kahn's algorithm pops vertices in the
+	// order it pushed them, so once a pass is done the queue is the
+	// topological order.
+	queue []int32
+	// deg holds in-degrees during a Kahn pass. A complete pass leaves every
+	// entry zero, so the level sweep that follows writes the levels here.
+	deg []int32
+	h   []int32 // heights
 }
 
 // NewScratch returns an empty scratch; buffers grow on first use.
 func NewScratch() *Scratch { return &Scratch{} }
 
-// grow ensures every buffer holds n entries, preserving stamp contents (the
-// epoch protocol needs stale stamps to stay below the current epoch, and
-// fresh zero entries always are: epochs start at 1).
-func (sc *Scratch) grow(n int) {
+// sized returns b resliced to n entries, reallocated when it holds fewer.
+// Contents are not preserved.
+func sized(b []int32, n int) []int32 {
+	if cap(b) < n {
+		return make([]int32, n)
+	}
+	return b[:n]
+}
+
+// visitEpoch starts a new visited-set generation over n vertices: O(1)
+// except on the (practically unreachable) epoch wraparound. A grown stamp
+// buffer keeps its old entries: the epoch protocol needs stale stamps to
+// stay below the current epoch, and fresh zero entries always are (epochs
+// start at 1).
+func (sc *Scratch) visitEpoch(n int) {
 	if cap(sc.stamp) < n {
 		stamp := make([]int32, n)
 		copy(stamp, sc.stamp)
 		sc.stamp = stamp
-		sc.queue = make([]int32, n)
-		sc.deg = make([]int32, n)
-		sc.order = make([]int32, n)
-		sc.lvl = make([]int32, n)
-		sc.h = make([]int32, n)
-		return
 	}
 	sc.stamp = sc.stamp[:n]
-	sc.queue = sc.queue[:n]
-	sc.deg = sc.deg[:n]
-	sc.order = sc.order[:n]
-	sc.lvl = sc.lvl[:n]
-	sc.h = sc.h[:n]
-}
-
-// visitEpoch starts a new visited-set generation over n vertices: O(1)
-// except on the (practically unreachable) epoch wraparound.
-func (sc *Scratch) visitEpoch(n int) {
-	sc.grow(n)
+	sc.queue = sized(sc.queue, n)
 	sc.epoch++
 	if sc.epoch <= 0 { // wrapped: hard reset
 		for i := range sc.stamp {
@@ -95,33 +92,30 @@ func (sc *Scratch) Reach(g *Graph, seeds []int, dst []int32) []int32 {
 	return dst
 }
 
-// TopoOrder returns a topological ordering in the scratch order buffer, or
+// TopoOrder returns a topological ordering in the scratch queue buffer, or
 // an error when the graph has a cycle. Kahn's algorithm with a FIFO queue,
 // so independent vertices appear in index order — identical to
 // Graph.TopoOrder.
 func (sc *Scratch) TopoOrder(g *Graph) ([]int32, error) {
-	sc.grow(g.N)
+	sc.queue = sized(sc.queue, g.N)
+	sc.deg = sized(sc.deg, g.N)
 	deg := sc.deg
-	for i := 0; i < g.N; i++ {
+	for i := range deg {
 		deg[i] = 0
 	}
 	for _, dst := range g.I {
 		deg[dst]++
 	}
-	order := sc.order[:0]
 	queue := sc.queue
-	head, tail := 0, 0
+	tail := 0
 	for v := 0; v < g.N; v++ {
 		if deg[v] == 0 {
 			queue[tail] = int32(v)
 			tail++
 		}
 	}
-	for head < tail {
-		v := queue[head]
-		head++
-		order = append(order, v)
-		for _, s := range g.Succ(int(v)) {
+	for head := 0; head < tail; head++ {
+		for _, s := range g.Succ(int(queue[head])) {
 			deg[s]--
 			if deg[s] == 0 {
 				queue[tail] = int32(s)
@@ -129,32 +123,36 @@ func (sc *Scratch) TopoOrder(g *Graph) ([]int32, error) {
 			}
 		}
 	}
-	if len(order) != g.N {
-		return nil, fmt.Errorf("dag: graph has a cycle (%d of %d vertices ordered)", len(order), g.N)
+	if tail != g.N {
+		return nil, fmt.Errorf("dag: graph has a cycle (%d of %d vertices ordered)", tail, g.N)
 	}
-	return order, nil
+	return queue, nil
 }
 
 // Levels returns the wavefront number l(v) of every vertex in the scratch
-// level buffer. Identical values to Graph.Levels.
+// degree buffer. Identical values to Graph.Levels.
 func (sc *Scratch) Levels(g *Graph) ([]int32, error) {
-	order, err := sc.TopoOrder(g)
+	_, lvl, err := sc.TopoLevels(g)
+	return lvl, err
+}
+
+// TopoLevels is TopoOrder and Levels from one Kahn pass: the order in the
+// queue buffer, the levels in the degree buffer.
+func (sc *Scratch) TopoLevels(g *Graph) (order, lvl []int32, err error) {
+	order, err = sc.TopoOrder(g)
 	if err != nil {
-		return nil, err
+		return nil, nil, err
 	}
-	lvl := sc.lvl
-	for i := 0; i < g.N; i++ {
-		lvl[i] = 0
-	}
+	lvl = sc.deg // all zero after a complete Kahn pass
 	for _, v := range order {
-		lv := lvl[v]
+		lv := lvl[v] + 1
 		for _, s := range g.Succ(int(v)) {
-			if lv+1 > lvl[s] {
-				lvl[s] = lv + 1
+			if lv > lvl[s] {
+				lvl[s] = lv
 			}
 		}
 	}
-	return lvl, nil
+	return order, lvl, nil
 }
 
 // Heights returns height(v) — the longest path (in edges) from v to any
@@ -164,35 +162,39 @@ func (sc *Scratch) Heights(g *Graph) ([]int32, error) {
 	if err != nil {
 		return nil, err
 	}
-	h := sc.h
-	for i := 0; i < g.N; i++ {
-		h[i] = 0
-	}
-	for i := len(order) - 1; i >= 0; i-- {
-		v := order[i]
-		for _, s := range g.Succ(int(v)) {
-			if h[s]+1 > h[v] {
-				h[v] = h[s] + 1
-			}
-		}
-	}
-	return h, nil
+	return sc.HeightsAlong(g, order), nil
 }
 
-// SlackNumbers returns SN(v) = PG - l(v) - height(v) for every vertex,
-// reusing the level and height buffers; the result is written into (and
-// aliases) the level buffer. Identical values to Graph.SlackNumbers.
+// HeightsAlong is Heights over a topological order of g the caller already
+// holds (order may be this scratch's own queue buffer). The height of a
+// vertex in g is its level in g's transpose, so a caller holding the
+// transpose's order gets the transpose's levels without a Kahn pass of its
+// own.
+func (sc *Scratch) HeightsAlong(g *Graph, order []int32) []int32 {
+	sc.h = sized(sc.h, g.N)
+	h := sc.h
+	for i := len(order) - 1; i >= 0; i-- {
+		v := order[i]
+		var hv int32
+		for _, s := range g.Succ(int(v)) {
+			if h[s]+1 > hv {
+				hv = h[s] + 1
+			}
+		}
+		h[v] = hv
+	}
+	return h
+}
+
+// SlackNumbers returns SN(v) = PG - l(v) - height(v) for every vertex from
+// one Kahn pass; the result is written into (and aliases) the level buffer.
+// Identical values to Graph.SlackNumbers.
 func (sc *Scratch) SlackNumbers(g *Graph) ([]int32, error) {
-	// Heights first: it shares the topo order buffer with Levels, and both
-	// leave their result in distinct buffers.
-	h, err := sc.Heights(g)
+	order, lvl, err := sc.TopoLevels(g)
 	if err != nil {
 		return nil, err
 	}
-	lvl, err := sc.Levels(g)
-	if err != nil {
-		return nil, err
-	}
+	h := sc.HeightsAlong(g, order)
 	var pg int32
 	for i := 0; i < g.N; i++ {
 		if lvl[i] > pg {

@@ -25,7 +25,6 @@ var orphansAllowed = map[string]string{
 	"sparse.CSR.IsSymmetricPattern":      "asserts every generator in sparse and suite yields a symmetric pattern",
 	"dagp.EdgeCut":                       "objective the refinement test requires not to rise",
 	"dagp.QuotientAcyclic":               "validity oracle of every dagp partition the tests build",
-	"core.Loops.TotalIterations":         "coverage oracle: ICO schedules every iteration exactly once",
 	"partition.Partitioning.NumVertices": "coverage oracle of the lbc and dagp tests",
 	"kernels.PackedStream.Occurrences":   "stream-length oracle of the relayout and packed-kernel tests",
 	"kernels.SpILU0CSR.SplitILU":         "splits the in-place factor so the tests can check L*U against A",
