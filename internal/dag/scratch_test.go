@@ -55,6 +55,21 @@ func TestScratchMatchesAllocatingForms(t *testing.T) {
 		}
 		eqInt32(t, "slack", gotSN, wantSN)
 
+		// One Kahn pass gives the order and the levels; the transpose's
+		// heights along its own order are the graph's levels.
+		order, lvl, err := sc.TopoLevels(g)
+		if err != nil {
+			t.Fatal(err)
+		}
+		eqInt32(t, "TopoLevels order", order, wantOrder)
+		eqInt32(t, "TopoLevels levels", lvl, wantLvl)
+		tg := g.Transpose()
+		tOrder, err := sc.TopoOrder(tg)
+		if err != nil {
+			t.Fatal(err)
+		}
+		eqInt32(t, "transpose heights", sc.HeightsAlong(tg, tOrder), wantLvl)
+
 		seeds := []int{rng.Intn(n), rng.Intn(n)}
 		wantReach := reachRef(g, seeds)
 		gotReach := sc.Reach(g, seeds, nil)
