@@ -60,9 +60,9 @@ func ReuseRatioChain(ks []kernels.Kernel) float64 {
 // results: TRSV-TRSV, DSCAL-ILU0, IC0-TRSV, ILU0-TRSV and DSCAL-IC0
 // (Table 1).
 //
-// Dependency matrices are consumed by pattern only (forEachPred/forEachSucc,
-// Validate, dag.JointChain), so this and the other F builders allocate no value
-// arrays.
+// Dependency matrices are consumed by pattern only (ICO's dependence walks,
+// Validate, dag.JointChain), so this and the other F builders allocate no
+// value arrays.
 func FDiagonal(n int) *sparse.CSR {
 	f := &sparse.CSR{Rows: n, Cols: n, P: make([]int, n+1), I: make([]int, n)}
 	for i := 0; i < n; i++ {
