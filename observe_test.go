@@ -5,6 +5,7 @@ import (
 	"encoding/json"
 	"io"
 	"net/http/httptest"
+	"sort"
 	"strings"
 	"sync"
 	"testing"
@@ -296,6 +297,53 @@ func TestHealthzAndPprofEndpoints(t *testing.T) {
 		res.Body.Close()
 		if res.StatusCode != 200 {
 			t.Fatalf("%s status %d", path, res.StatusCode)
+		}
+	}
+}
+
+// TestHealthzKeysPinned pins the JSON keys /healthz serves at the top level
+// and in its serve and cache sections: decoding into Snapshot would drop a
+// renamed key without a word, and monitoring reads these names.
+func TestHealthzKeysPinned(t *testing.T) {
+	sv, _ := newServedFixture(t, 1)
+	srv := httptest.NewServer(sv.Handler())
+	defer srv.Close()
+	res, err := srv.Client().Get(srv.URL + "/healthz")
+	if err != nil {
+		t.Fatal(err)
+	}
+	var doc map[string]any
+	err = json.NewDecoder(res.Body).Decode(&doc)
+	res.Body.Close()
+	if err != nil {
+		t.Fatal(err)
+	}
+	keys := func(m map[string]any) string {
+		ks := make([]string, 0, len(m))
+		for k := range m {
+			ks = append(ks, k)
+		}
+		sort.Strings(ks)
+		return strings.Join(ks, " ")
+	}
+	section := func(name string) map[string]any {
+		m, ok := doc[name].(map[string]any)
+		if !ok {
+			t.Fatalf("/healthz %q is %T, want an object", name, doc[name])
+		}
+		return m
+	}
+	for _, c := range []struct {
+		name string
+		got  map[string]any
+		want string
+	}{
+		{"top level", doc, "cache demotions serve solve_errors solve_p50_ns solve_p99_ns solves status"},
+		{"serve", section("serve"), "active admitted deadline_exceeded effective_width max_concurrent max_queue pools_replaced queued shed waiting width"},
+		{"cache", section("cache"), "DiskErrors DiskHits DiskQuarantines Entries Evictions Hits Inflight InflightPeak MaxEntries Misses Waits"},
+	} {
+		if got := keys(c.got); got != c.want {
+			t.Errorf("/healthz %s keys:\n got %s\nwant %s", c.name, got, c.want)
 		}
 	}
 }
