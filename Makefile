@@ -1,6 +1,6 @@
 GO ?= go
 
-.PHONY: build test race fuzz bench orphans
+.PHONY: build test race fuzz bench orphans inline
 
 # FUZZTIME bounds each fuzz target's wall-clock budget (go test -fuzztime).
 FUZZTIME ?= 15s
@@ -69,3 +69,16 @@ orphans:
 	done; \
 	if [ -n "$$bad" ]; then echo "imported by no non-test file:$$bad" >&2; exit 1; fi
 	$(GO) test -count=1 -run '^(TestNoOrphanExports|TestNoDeadConfiguration)$$' .
+
+# inline fails when the compiler stops inlining a body that a batch loop calls
+# once per entry: SpMVCSR.RunMany and SpMVPlusCSR.RunMany loop over Run, and
+# the SpMV-CSC and SpMV+b packed batch and pair bodies over packedIter. Each
+# name must end a "can inline" line of the compiler's -m report.
+INLINED := '(*SpMVCSR).Run' '(*SpMVPlusCSR).Run' '(*SpMVCSC).packedIter' '(*SpMVPlusCSR).packedIter'
+inline:
+	@out=$$($(GO) build -gcflags=-m ./internal/kernels 2>&1 | sed 's/$$/|/'); \
+	bad=; \
+	for f in $(INLINED); do \
+		echo "$$out" | grep -qF "can inline $$f|" || bad="$$bad $$f"; \
+	done; \
+	if [ -n "$$bad" ]; then echo "no longer inlined:$$bad" >&2; exit 1; fi

@@ -32,7 +32,7 @@ func quadraticDispatchTable(ks []kernels.Kernel, prog *core.Program) (units []di
 				}
 				iters := int(prog.SegOff[end] - prog.SegOff[g])
 				if iters < (end-g)*pairRunLimit {
-					if fn, _ := kernels.FusePair(ks[l1], ks[l2], int(l1), int(l2)); fn != nil {
+					if _, _, ok := kernels.FusePair(ks[l1], ks[l2], int(l1)); ok {
 						units = append(units, dispatchUnit{w, g, end, true})
 						g = end
 						continue

@@ -43,9 +43,10 @@ type Runner struct {
 	// batch[l] is loop l's single-kernel batch body; nil sends each of the
 	// loop's iterations through ks[l].Run.
 	batch []kernels.BatchRunner
-	// pair[l1*len(ks)+l2] is the fused body of spans alternating loops l1
-	// and l2, set for the loop pairs some coalesced span runs.
-	pair []kernels.PairRunner
+	// pair[l1*len(ks)+l2] holds both rungs' fused bodies of spans
+	// alternating loops l1 and l2, set for the loop pairs some coalesced span
+	// runs.
+	pair []pairBody
 	// pairAt holds, ascending, the first program segment of every coalesced
 	// span. Every other dispatch unit is one segment.
 	pairAt []int32
@@ -53,11 +54,10 @@ type Runner struct {
 	single uint32
 
 	// lay, when non-nil, switches Run to the packed path (AttachLayout,
-	// exec/packed.go): packedRun[l] and packedPair[l1*len(ks)+l2] are the
-	// packed bodies matching batch and pair, reading lay's streams.
-	lay        *relayout.Layout
-	packedRun  []kernels.PackedKernel
-	packedPair []kernels.PackedPairRunner
+	// exec/packed.go): packedRun[l] is the packed body matching batch[l], and
+	// the spans run pair's packed bodies, both reading lay's streams.
+	lay       *relayout.Layout
+	packedRun []kernels.PackedKernel
 	// spill holds the packed path's scatter loops and their runner-private
 	// slot scratch; spillDirty asks the next run to zero the slots first.
 	spill      []spillLoop
@@ -70,6 +70,12 @@ type Runner struct {
 
 	// cfg tunes the private pool of Run and RunContext (Configure).
 	cfg Config
+}
+
+// pairBody is one loop pair's fused span body on each rung (kernels.FusePair).
+type pairBody struct {
+	run    kernels.PairRunner
+	packed kernels.PackedPairRunner
 }
 
 // spanEnd is where the span alternating between the loops of segments g and
@@ -94,18 +100,18 @@ func spanEnd(p *core.Program, g, g1 int32) int32 {
 // loop pair has a fused body.
 func NewRunner(ks []kernels.Kernel, prog *core.Program) *Runner {
 	k := len(ks)
-	r := &Runner{prog: prog, ks: ks, batch: make([]kernels.BatchRunner, k), pair: make([]kernels.PairRunner, k*k)}
+	r := &Runner{prog: prog, ks: ks, batch: make([]kernels.BatchRunner, k), pair: make([]pairBody, k*k)}
 	for i, kn := range ks {
 		if b, ok := kn.(kernels.BatchRunner); ok {
 			r.batch[i] = b
 		}
 	}
-	pairFor := func(a, b uint8) kernels.PairRunner {
-		i := int(a)*k + int(b)
-		if r.pair[i] == nil { // a pair without a body asks again: a type switch, no allocation
-			r.pair[i], _ = kernels.FusePair(ks[a], ks[b], int(a), int(b))
+	hasPair := func(a, b uint8) bool {
+		p := &r.pair[int(a)*k+int(b)]
+		if p.run == nil { // a pair without a body asks again: a type switch, no allocation
+			p.run, p.packed, _ = kernels.FusePair(ks[a], ks[b], int(a))
 		}
-		return r.pair[i]
+		return p.run != nil
 	}
 	// ends[g] is spanEnd(prog, g, g1), one right-to-left pass per
 	// w-partition, so that rejecting a span does not rescan it from g+1.
@@ -116,7 +122,7 @@ func NewRunner(ks []kernels.Kernel, prog *core.Program) *Runner {
 		if g+1 < g1 {
 			end := int(ends[g])
 			if iters := int(prog.SegOff[end] - prog.SegOff[g]); iters < (end-g)*pairRunLimit {
-				if pairFor(prog.SegLoop[g], prog.SegLoop[g+1]) != nil {
+				if hasPair(prog.SegLoop[g], prog.SegLoop[g+1]) {
 					return end, true
 				}
 			}
@@ -296,7 +302,7 @@ func (r *Runner) runW(w int) {
 		l := p.SegLoop[g]
 		if next < len(r.pairAt) && r.pairAt[next] == g {
 			end := spanEnd(p, g, g1)
-			r.pair[int(l)*len(r.ks)+int(p.SegLoop[g+1])](p.Iters[p.SegOff[g]:p.SegOff[end]])
+			r.pair[int(l)*len(r.ks)+int(p.SegLoop[g+1])].run(p.Iters[p.SegOff[g]:p.SegOff[end]])
 			g, next = end, next+1
 			continue
 		}

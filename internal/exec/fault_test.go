@@ -207,10 +207,10 @@ func hookUnit(r *Runner, w int32, before, after func()) (undo func()) {
 			f()
 		}
 	}
-	savedRun, savedPair := slices.Clone(r.packedRun), slices.Clone(r.packedPair)
-	for i, pair := range r.packedPair {
-		if pair != nil {
-			r.packedPair[i] = func(iters []int32, s1, s2 *kernels.PackedStream, e1, i1, e2, i2 int) {
+	savedRun, savedPair := slices.Clone(r.packedRun), slices.Clone(r.pair)
+	for i, pb := range r.pair {
+		if pair := pb.packed; pair != nil {
+			r.pair[i].packed = func(iters []int32, s1, s2 *kernels.PackedStream, e1, i1, e2, i2 int) {
 				call(iters, before)
 				pair(iters, s1, s2, e1, i1, e2, i2)
 				call(iters, after)
@@ -222,7 +222,7 @@ func hookUnit(r *Runner, w int32, before, after func()) (undo func()) {
 			r.packedRun[l] = hookedRunner{run, func(iters []int32) { call(iters, before) }, func(iters []int32) { call(iters, after) }}
 		}
 	}
-	return func() { copy(r.packedRun, savedRun); copy(r.packedPair, savedPair) }
+	return func() { copy(r.packedRun, savedRun); copy(r.pair, savedPair) }
 }
 
 type hookedRunner struct {

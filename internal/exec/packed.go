@@ -29,11 +29,12 @@ type spillLoop struct {
 
 // AttachLayout binds a schedule-order re-layout to the runner and switches
 // Run to the packed path. The layout must have been built for this runner's
-// program; every kernel must support packed batch execution, and every
-// coalesced pair span must have a packed pair specialization. The layout
-// itself stays immutable and shareable: the spill slots its scatter loops
-// redirect into are allocated here, per runner. On error the runner is left
-// unchanged (still running the compiled-unpacked path).
+// program, and every kernel that runs a single-loop segment must support
+// packed batch execution; a coalesced span runs its pair's packed body, which
+// kernels.FusePair returned with the compiled one. The layout itself stays
+// immutable and shareable: the spill slots its scatter loops redirect into
+// are allocated here, per runner. On error the runner is left unchanged
+// (still running the compiled-unpacked path).
 func (r *Runner) AttachLayout(lay *relayout.Layout) error {
 	prog := r.prog
 	if lay.Program() != prog {
@@ -50,25 +51,7 @@ func (r *Runner) AttachLayout(lay *relayout.Layout) error {
 		}
 		spill = append(spill, spillLoop{k: k, slots: make([]float64, sc.Slots), sc: sc})
 	}
-	// A coalesced span's loops are those of its first two segments, and each
-	// loop's entries are contiguous in its own stream across the whole span
-	// (streams are laid out in global segment order and the other loop's
-	// entries land in the other stream), so one cursor pair per loop, read
-	// from SegEnt and SegIter at the span's first two segments, covers it.
-	k := len(r.ks)
-	packedPair := make([]kernels.PackedPairRunner, len(r.pair))
-	for i, fn := range r.pair {
-		if fn == nil {
-			continue
-		}
-		l1, l2 := i/k, i%k
-		pfn, ok := kernels.FusePackedPair(r.ks[l1], r.ks[l2], l1, l2)
-		if !ok {
-			return fmt.Errorf("exec: no packed pair body for %s+%s", r.ks[l1].Name(), r.ks[l2].Name())
-		}
-		packedPair[i] = pfn
-	}
-	packedRun := make([]kernels.PackedKernel, k)
+	packedRun := make([]kernels.PackedKernel, len(r.ks))
 	for l, kn := range r.ks {
 		if r.single&(1<<l) == 0 {
 			continue
@@ -79,7 +62,7 @@ func (r *Runner) AttachLayout(lay *relayout.Layout) error {
 		}
 		packedRun[l] = pk
 	}
-	r.packedRun, r.packedPair, r.spill, r.lay = packedRun, packedPair, spill, lay
+	r.packedRun, r.spill, r.lay = packedRun, spill, lay
 	return nil
 }
 
@@ -89,7 +72,7 @@ func (r *Runner) Layout() *relayout.Layout { return r.lay }
 
 // DetachLayout drops the packed bodies and the layout, returning Run to the
 // compiled-unpacked path.
-func (r *Runner) DetachLayout() { r.packedRun, r.packedPair, r.spill, r.lay = nil, nil, nil, nil }
+func (r *Runner) DetachLayout() { r.packedRun, r.spill, r.lay = nil, nil, nil }
 
 // bindSpill points every scatter kernel's packed body at this runner's slots.
 // Done per run, not per attach: kernels may be shared with another runner
@@ -139,9 +122,15 @@ func (r *Runner) runWPacked(w int) {
 	for g < g1 {
 		l := p.SegLoop[g]
 		if next < len(r.pairAt) && r.pairAt[next] == g {
+			// A coalesced span's loops are those of its first two segments,
+			// and each loop's entries are contiguous in its own stream across
+			// the whole span (streams are laid out in global segment order
+			// and the other loop's entries land in the other stream), so one
+			// cursor pair per loop, read from SegEnt and SegIter at the span's
+			// first two segments, covers it.
 			l2 := p.SegLoop[g+1]
 			end := spanEnd(p, g, g1)
-			r.packedPair[int(l)*len(r.ks)+int(l2)](p.Iters[p.SegOff[g]:p.SegOff[end]],
+			r.pair[int(l)*len(r.ks)+int(l2)].packed(p.Iters[p.SegOff[g]:p.SegOff[end]],
 				lay.Streams[l], lay.Streams[l2],
 				int(lay.SegEnt[g]), int(p.SegIter[g]), int(lay.SegEnt[g+1]), int(p.SegIter[g+1]))
 			g, next = end, next+1

@@ -64,93 +64,126 @@ type BatchRunner interface {
 // shreds single-loop run segments down to a handful of entries and would turn
 // batch dispatch back into per-iteration dispatch. A PairRunner is
 // specialized to the two concrete kernel types, so the per-entry branch is a
-// tag compare plus a direct (devirtualized) call.
+// tag compare plus a call to the tagged kernel's body.
 type PairRunner func(iters []int32)
 
-// FusePair returns a specialized mixed-segment body for the hot
-// producer-consumer pairs of the paper's Table 1 and the Gauss-Seidel/PCG
-// solvers, or ok=false when the pair has no specialization. loop1 and loop2
-// are the stream tags of k1 and k2.
-func FusePair(k1, k2 Kernel, loop1, loop2 int) (fn PairRunner, ok bool) {
+// PackedPairRunner executes one mixed two-loop span of a packed iteration
+// stream against the two loops' operand streams, advancing an entry cursor
+// and an occurrence cursor per stream — the packed analogue of PairRunner.
+type PackedPairRunner func(iters []int32, s1, s2 *PackedStream, ent1, it1, ent2, it2 int)
+
+// FusePair returns a fused body for each rung — run reading the operands in
+// matrix order, packed reading each loop's schedule-order stream through its
+// own entry and occurrence cursors — for the hot producer-consumer pairs of
+// the paper's Table 1 and the Gauss-Seidel/PCG solvers. A pair has both
+// bodies or neither (ok=false), and a span of a pair without them is never
+// coalesced: its segments run through their loops' batch bodies on either
+// rung. loop1 is k1's stream tag.
+//
+// The packed bodies stay concrete closures. Written generic like pairRun,
+// the packed TRSV-TRSV span measured no faster on lap2d:100 (205 µs
+// concrete, 205.5 µs generic; spfuse's minimum over 300 runs, 10
+// alternations, on a 2-vCPU VM) and slower on lap2d:80 (141.5 against
+// 156.5 µs, generic slower in 7 of 10 alternations).
+func FusePair(k1, k2 Kernel, loop1 int) (run PairRunner, packed PackedPairRunner, ok bool) {
 	t1 := int32(loop1) << LoopShift
-	tagMask := ^IterMask
 	switch a := k1.(type) {
 	case *SpTRSVCSR:
 		switch b := k2.(type) {
 		case *SpMVCSC: // TRSV-MV (Table 1 row 3), PCG matvec feed
-			return func(iters []int32) {
+			return pairRun(a, b, t1), func(iters []int32, s1, s2 *PackedStream, e1, i1, e2, i2 int) {
 				for _, v := range iters {
 					i := int(v & IterMask)
-					if v&tagMask == t1 {
-						a.Run(i)
+					if v&^IterMask == t1 {
+						e1 = a.packedIter(i, s1, e1, i1)
+						i1++
 					} else {
-						b.Run(i)
+						e2 = b.packedIter(i, s2, e2, i2)
+						i2++
 					}
 				}
 			}, true
 		case *SpMVPlusCSR: // sweep s TRSV -> sweep s+1 SpMV+b (Gauss-Seidel)
-			return func(iters []int32) {
+			return pairRun(a, b, t1), func(iters []int32, s1, s2 *PackedStream, e1, i1, e2, i2 int) {
 				for _, v := range iters {
 					i := int(v & IterMask)
-					if v&tagMask == t1 {
-						a.Run(i)
+					if v&^IterMask == t1 {
+						e1 = a.packedIter(i, s1, e1, i1)
+						i1++
 					} else {
-						b.Run(i)
+						e2 = b.packedIter(i, s2, e2, i2)
+						i2++
 					}
 				}
 			}, true
 		case *SpTRSVCSR: // TRSV-TRSV (Table 1 row 1)
-			return func(iters []int32) {
+			return pairRun(a, b, t1), func(iters []int32, s1, s2 *PackedStream, e1, i1, e2, i2 int) {
 				for _, v := range iters {
 					i := int(v & IterMask)
-					if v&tagMask == t1 {
-						a.Run(i)
+					if v&^IterMask == t1 {
+						e1 = a.packedIter(i, s1, e1, i1)
+						i1++
 					} else {
-						b.Run(i)
+						e2 = b.packedIter(i, s2, e2, i2)
+						i2++
 					}
 				}
 			}, true
 		}
 	case *SpMVPlusCSR: // SpMV+b -> TRSV inside one Gauss-Seidel sweep
 		if b, ok := k2.(*SpTRSVCSR); ok {
-			return func(iters []int32) {
+			return pairRun(a, b, t1), func(iters []int32, s1, s2 *PackedStream, e1, i1, e2, i2 int) {
 				for _, v := range iters {
 					i := int(v & IterMask)
-					if v&tagMask == t1 {
-						a.Run(i)
+					if v&^IterMask == t1 {
+						e1 = a.packedIter(i, s1, e1, i1)
+						i1++
 					} else {
-						b.Run(i)
+						e2 = b.packedIter(i, s2, e2, i2)
+						i2++
 					}
 				}
 			}, true
 		}
 	case *SpTRSVCSC: // forward solve -> backward solve (IC0 preconditioner)
 		if b, ok := k2.(*SpTRSVTransCSC); ok {
-			return func(iters []int32) {
+			return pairRun(a, b, t1), func(iters []int32, s1, s2 *PackedStream, e1, i1, e2, i2 int) {
 				for _, v := range iters {
 					i := int(v & IterMask)
-					if v&tagMask == t1 {
-						a.Run(i)
+					if v&^IterMask == t1 {
+						e1 = a.packedIter(i, s1, e1, i1)
+						i1++
 					} else {
-						b.Run(i)
+						e2 = b.packedIter(i, s2, e2, i2)
+						i2++
 					}
 				}
 			}, true
 		}
 	}
-	return nil, false
+	return nil, nil, false
 }
 
-// RunMany computes Y[i] = A[i][:]*X for each packed entry.
-func (k *SpMVCSR) RunMany(iters []int32) {
-	a := k.A
-	for _, v := range iters {
-		i := int(v & IterMask)
-		s := 0.0
-		for p := a.P[i]; p < a.P[i+1]; p++ {
-			s += a.X[p] * k.X[a.I[p]]
+// pairRun is FusePair's matrix-order body: each entry runs through the Run of
+// the kernel its tag names.
+func pairRun[A, B interface{ Run(int) }](a A, b B, t1 int32) PairRunner {
+	return func(iters []int32) {
+		for _, v := range iters {
+			i := int(v & IterMask)
+			if v&^IterMask == t1 {
+				a.Run(i)
+			} else {
+				b.Run(i)
+			}
 		}
-		k.Y[i] = s
+	}
+}
+
+// RunMany computes Y[i] = A[i][:]*X for each packed entry, through Run, which
+// the compiler inlines (make inline).
+func (k *SpMVCSR) RunMany(iters []int32) {
+	for _, v := range iters {
+		k.Run(int(v & IterMask))
 	}
 }
 
@@ -177,16 +210,11 @@ func (k *SpMVCSC) RunMany(iters []int32) {
 	}
 }
 
-// RunMany computes Y[i] = B[i] + A[i][:]*X for each packed entry.
+// RunMany computes Y[i] = B[i] + A[i][:]*X for each packed entry, through
+// Run, which the compiler inlines (make inline).
 func (k *SpMVPlusCSR) RunMany(iters []int32) {
-	a := k.A
 	for _, v := range iters {
-		i := int(v & IterMask)
-		s := k.B[i]
-		for p := a.P[i]; p < a.P[i+1]; p++ {
-			s += a.X[p] * k.X[a.I[p]]
-		}
-		k.Y[i] = s
+		k.Run(int(v & IterMask))
 	}
 }
 

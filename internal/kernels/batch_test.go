@@ -153,7 +153,7 @@ func TestFusePair(t *testing.T) {
 	}
 
 	for _, p := range mkPairs() {
-		fn, ok := FusePair(p.k1, p.k2, 2, 3)
+		fn, _, ok := FusePair(p.k1, p.k2, 2)
 		if !ok {
 			t.Fatalf("%s: FusePair returned no body", p.name)
 		}
@@ -200,7 +200,7 @@ func TestFusePair(t *testing.T) {
 
 	// A pair with no specialization reports ok=false.
 	y := make([]float64, n)
-	if _, ok := FusePair(NewSpIC0CSC(lc.Clone()), NewSpTRSVCSC(lc, b, y), 0, 1); ok {
+	if _, _, ok := FusePair(NewSpIC0CSC(lc.Clone()), NewSpTRSVCSC(lc, b, y), 0); ok {
 		t.Fatal("FusePair specialized an unexpected pair")
 	}
 }

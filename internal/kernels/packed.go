@@ -68,11 +68,6 @@ type PackedKernel interface {
 	RunManyPacked(iters []int32, s *PackedStream, ent, it int)
 }
 
-// PackedPairRunner executes one mixed two-loop span of a packed iteration
-// stream against the two loops' operand streams, advancing an entry cursor
-// and an occurrence cursor per stream — the packed analogue of PairRunner.
-type PackedPairRunner func(iters []int32, s1, s2 *PackedStream, ent1, it1, ent2, it2 int)
-
 // SpillScatterer is implemented by the packed kernels whose iterations
 // accumulate into entries of a shared vector (the loops figure 2a of the paper
 // annotates as atomic). Instead of atomics, the re-layout decides per
@@ -182,15 +177,7 @@ func (k *SpMVPlusCSR) packedIter(i int, s *PackedStream, ent, it int) int {
 // RunManyPacked computes Y[i] = B[i] + A[i][:]*X from the packed stream.
 func (k *SpMVPlusCSR) RunManyPacked(iters []int32, s *PackedStream, ent, it int) {
 	for o, v := range iters {
-		i := int(v & IterMask)
-		n := int(s.Len[it+o])
-		vs, is := s.Val[ent:ent+n], s.Idx[ent:ent+n]
-		ent += n
-		sum := k.B[i]
-		for c := 0; c < n; c++ {
-			sum += vs[c] * k.X[is[c]]
-		}
-		k.Y[i] = sum
+		ent = k.packedIter(int(v&IterMask), s, ent, it+o)
 	}
 }
 
@@ -406,91 +393,6 @@ func (k *DScalCSC) RunManyPacked(iters []int32, s *PackedStream, ent, it int) {
 			out[c] = k.D[is[c]] * vs[c] * dj
 		}
 	}
-}
-
-// FusePackedPair returns the packed-stream body for a fused two-kernel span:
-// the same producer-consumer specializations as FusePair, but with each
-// kernel's per-iteration body reading the schedule-order streams through its
-// own entry/occurrence cursor pair. ok=false when the pair has no
-// specialization; callers fall back to the unpacked pair body then.
-func FusePackedPair(k1, k2 Kernel, loop1, loop2 int) (fn PackedPairRunner, ok bool) {
-	t1 := int32(loop1) << LoopShift
-	tagMask := ^IterMask
-	switch a := k1.(type) {
-	case *SpTRSVCSR:
-		switch b := k2.(type) {
-		case *SpMVCSC: // TRSV-MV (Table 1 row 3), PCG matvec feed
-			return func(iters []int32, s1, s2 *PackedStream, e1, i1, e2, i2 int) {
-				for _, v := range iters {
-					i := int(v & IterMask)
-					if v&tagMask == t1 {
-						e1 = a.packedIter(i, s1, e1, i1)
-						i1++
-					} else {
-						e2 = b.packedIter(i, s2, e2, i2)
-						i2++
-					}
-				}
-			}, true
-		case *SpMVPlusCSR: // sweep s TRSV -> sweep s+1 SpMV+b (Gauss-Seidel)
-			return func(iters []int32, s1, s2 *PackedStream, e1, i1, e2, i2 int) {
-				for _, v := range iters {
-					i := int(v & IterMask)
-					if v&tagMask == t1 {
-						e1 = a.packedIter(i, s1, e1, i1)
-						i1++
-					} else {
-						e2 = b.packedIter(i, s2, e2, i2)
-						i2++
-					}
-				}
-			}, true
-		case *SpTRSVCSR: // TRSV-TRSV (Table 1 row 1)
-			return func(iters []int32, s1, s2 *PackedStream, e1, i1, e2, i2 int) {
-				for _, v := range iters {
-					i := int(v & IterMask)
-					if v&tagMask == t1 {
-						e1 = a.packedIter(i, s1, e1, i1)
-						i1++
-					} else {
-						e2 = b.packedIter(i, s2, e2, i2)
-						i2++
-					}
-				}
-			}, true
-		}
-	case *SpMVPlusCSR: // SpMV+b -> TRSV inside one Gauss-Seidel sweep
-		if b, ok := k2.(*SpTRSVCSR); ok {
-			return func(iters []int32, s1, s2 *PackedStream, e1, i1, e2, i2 int) {
-				for _, v := range iters {
-					i := int(v & IterMask)
-					if v&tagMask == t1 {
-						e1 = a.packedIter(i, s1, e1, i1)
-						i1++
-					} else {
-						e2 = b.packedIter(i, s2, e2, i2)
-						i2++
-					}
-				}
-			}, true
-		}
-	case *SpTRSVCSC: // forward solve -> backward solve (IC0 preconditioner)
-		if b, ok := k2.(*SpTRSVTransCSC); ok {
-			return func(iters []int32, s1, s2 *PackedStream, e1, i1, e2, i2 int) {
-				for _, v := range iters {
-					i := int(v & IterMask)
-					if v&tagMask == t1 {
-						e1 = a.packedIter(i, s1, e1, i1)
-						i1++
-					} else {
-						e2 = b.packedIter(i, s2, e2, i2)
-						i2++
-					}
-				}
-			}, true
-		}
-	}
-	return nil, false
 }
 
 // Compile-time checks that every batchable kernel also supports the packed

@@ -209,10 +209,9 @@ func TestFusePackedPairMatchesFusePair(t *testing.T) {
 	}
 
 	for _, p := range mkPairs() {
-		unpacked, ok1 := FusePair(p.k1, p.k2, 2, 3)
-		fn, ok2 := FusePackedPair(p.k1, p.k2, 2, 3)
-		if !ok1 || !ok2 {
-			t.Fatalf("%s: missing pair body (unpacked %v, packed %v)", p.name, ok1, ok2)
+		unpacked, fn, ok := FusePair(p.k1, p.k2, 2)
+		if !ok {
+			t.Fatalf("%s: missing pair body", p.name)
 		}
 
 		// Dependency-safe mixed stream (all producers of a half before its
@@ -268,11 +267,10 @@ func TestFusePackedPairMatchesFusePair(t *testing.T) {
 	}
 }
 
-// TestFusePairAllCombos drives FusePair (and FusePackedPair) across the full
+// TestFusePairAllCombos drives both of FusePair's bodies across the full
 // cross product of batchable kernel types with independent operands: every
-// specialized combination must match running the two kernels unfused, every
-// other combination must report ok=false, and both fused paths must agree on
-// which pairs are specialized.
+// specialized combination must match running the two kernels unfused on
+// either rung, and every other combination must report ok=false.
 func TestFusePairAllCombos(t *testing.T) {
 	const n = 120
 	a1 := sparse.Must(sparse.RandomSPD(n, 4, 81))
@@ -341,14 +339,10 @@ func TestFusePairAllCombos(t *testing.T) {
 			name := e1.name + "+" + e2.name
 			k1, snap1 := e1.mk(91)
 			k2, snap2 := e2.mk(93)
-			fn, ok := FusePair(k1, k2, 0, 1)
-			pfn, pok := FusePackedPair(k1, k2, 0, 1)
+			fn, pfn, ok := FusePair(k1, k2, 0)
 			wantOK := specialized[[2]string{e1.name, e2.name}]
 			if ok != wantOK {
 				t.Fatalf("%s: FusePair ok=%v, want %v", name, ok, wantOK)
-			}
-			if pok != wantOK {
-				t.Fatalf("%s: FusePackedPair ok=%v, want %v", name, pok, wantOK)
 			}
 			if !ok {
 				continue
