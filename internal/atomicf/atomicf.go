@@ -21,13 +21,3 @@ func Add(addr *float64, delta float64) {
 		}
 	}
 }
-
-// Load atomically reads *addr.
-func Load(addr *float64) float64 {
-	return math.Float64frombits(atomic.LoadUint64((*uint64)(unsafe.Pointer(addr))))
-}
-
-// Store atomically writes v to *addr.
-func Store(addr *float64, v float64) {
-	atomic.StoreUint64((*uint64)(unsafe.Pointer(addr)), math.Float64bits(v))
-}

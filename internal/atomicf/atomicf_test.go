@@ -1,7 +1,6 @@
 package atomicf
 
 import (
-	"math"
 	"sync"
 	"testing"
 )
@@ -30,17 +29,5 @@ func TestAddNegativeAndFractional(t *testing.T) {
 	Add(&x, -2.5)
 	if x != 7.5 {
 		t.Fatalf("x = %v", x)
-	}
-}
-
-func TestLoadStore(t *testing.T) {
-	var x float64
-	Store(&x, math.Pi)
-	if Load(&x) != math.Pi {
-		t.Fatal("load/store round trip failed")
-	}
-	Store(&x, math.Inf(-1))
-	if !math.IsInf(Load(&x), -1) {
-		t.Fatal("infinity round trip failed")
 	}
 }

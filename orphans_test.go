@@ -46,8 +46,6 @@ var orphansAllowed = map[string]string{
 	"exec.CancelledError.Deadline": "public API: the facade re-exports the type as sparsefusion.CancelledError",
 	// Verdicts of ISSUE 22, kept with the reason (CHANGES.md has the list of
 	// what was deleted instead).
-	"atomicf.Load":                    "read half of the atomic float; the package goes whole with ROADMAP item 4(a)",
-	"atomicf.Store":                   "write half of the atomic float; the package goes whole with ROADMAP item 4(a)",
 	"partition.Partitioning.WaitWork": "potential gain in work units (paper figure 6's definition): how ROADMAP item 8(d) prices a baseline partitioning without running it",
 }
 
