@@ -352,7 +352,8 @@ type Stats struct {
 	// Entries and Inflight are current gauges; InflightPeak is the high-water
 	// concurrent-build mark.
 	Entries, Inflight, InflightPeak int
-	MaxEntries                      int
+	// MaxEntries is the configured in-memory bound.
+	MaxEntries int
 }
 
 // HitRate is the fraction of requests served without running an inspection

@@ -103,36 +103,36 @@ func (s *Server) Observe(fn func(AdmitInfo)) {
 // Stats is a snapshot of the server's admission counters.
 type Stats struct {
 	// MaxConcurrent is the pool-fleet size K (the admission bound).
-	MaxConcurrent int
+	MaxConcurrent int `json:"max_concurrent"`
 	// MaxQueue is the admission-queue bound (0 = unbounded).
-	MaxQueue int
+	MaxQueue int `json:"max_queue"`
 	// Width is each pool's configured worker width.
-	Width int
+	Width int `json:"width"`
 	// EffectiveWidth is the parallelism a pool actually achieves right now:
 	// min(Width, GOMAXPROCS). A fleet configured wider than the machine (or
 	// narrowed by a runtime GOMAXPROCS change) still runs correctly — the
 	// extra workers just time-share cores — but capacity planning should read
 	// this, not Width.
-	EffectiveWidth int
+	EffectiveWidth int `json:"effective_width"`
 	// Admitted counts executions that checked out a pool.
-	Admitted int64
+	Admitted int64 `json:"admitted"`
 	// Queued counts admissions that had to wait because all K pools were
 	// checked out at the moment of arrival.
-	Queued int64
+	Queued int64 `json:"queued"`
 	// Active is the number of executions in flight right now.
-	Active int64
+	Active int64 `json:"active"`
 	// Waiting is the number of requests blocked for a pool right now — the
 	// live queue depth, as opposed to the cumulative Queued.
-	Waiting int64
+	Waiting int64 `json:"waiting"`
 	// Shed counts requests rejected with ErrOverloaded because the queue was
 	// at its bound.
-	Shed int64
+	Shed int64 `json:"shed"`
 	// DeadlineExceeded counts requests whose context fired while they were
 	// still queued (returned ErrDeadlineExceeded; the work never started).
-	DeadlineExceeded int64
+	DeadlineExceeded int64 `json:"deadline_exceeded"`
 	// PoolsReplaced counts poisoned pools (barrier-watchdog trips) the server
 	// retired and replaced with fresh ones.
-	PoolsReplaced int64
+	PoolsReplaced int64 `json:"pools_replaced"`
 }
 
 // Config tunes a Server beyond the fleet size and width.
