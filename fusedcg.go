@@ -185,23 +185,19 @@ func NewFusedCG(m *Matrix, opts FusedCGOptions) (*FusedCG, error) {
 	}
 	f.chainLen = chain.NumKernels()
 	inst := chain.Groups[0]
-	inst.Snapshot = func() []float64 { return append([]float64(nil), f.x...) }
 	inst.Output = f.x
 
 	f.execState = newExecState(inst, opts.Options)
-	// BuildChain has already built every kernel DAG (its Check needs them).
-	f.traceDAGBuild(inst.Loops, built)
 	// The key names the chain's ordered kernels and the vector block size,
 	// which shapes the blocked DAGs and every inter-reduction F.
 	f.fp = opts.fingerprint(m, cache.Params{
 		ChainLen:     chain.NumKernels(),
 		ChainKernels: append(chain.KernelIDs(), fmt.Sprintf("block=%d", block)),
 	})
-	if err := f.open(t0, opts.Options, f.fp); err != nil {
+	// BuildChain has already built every kernel DAG (its Check needs them).
+	if err := f.openBuilt(t0, built, opts.Options, f.fp); err != nil {
 		return nil, err
 	}
-	// Running needs the program and the kernels alone.
-	inst.Release()
 	return f, nil
 }
 

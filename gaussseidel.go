@@ -61,20 +61,18 @@ func NewGaussSeidel(m *Matrix, opts GSOptions) (*GaussSeidel, error) {
 	if err != nil {
 		return nil, err
 	}
+	built := time.Since(t0)
 	g := &GaussSeidel{a: a}
 	g.state = newExecState(inst, opts.Options)
-	// BuildGS has built every kernel DAG and F.
-	g.state.traceDAGBuild(inst.Loops, time.Since(t0))
 	ids := make([]string, len(inst.Kernels))
 	for i, k := range inst.Kernels {
 		ids[i] = k.Name()
 	}
 	fp := opts.fingerprint(m, cache.Params{ChainLen: len(ids), ChainKernels: ids})
-	if err := g.state.open(t0, opts.Options, fp); err != nil {
+	// BuildGS has built every kernel DAG and F.
+	if err := g.state.openBuilt(t0, built, opts.Options, fp); err != nil {
 		return nil, err
 	}
-	// Running needs the program and the kernels alone.
-	inst.Release()
 	return g, nil
 }
 

@@ -82,7 +82,6 @@ func BuildChain(spec ChainSpec) (*Chain, error) {
 			Name:    fmt.Sprintf("%s[%d:%d]", spec.Name, lo, i),
 			Kernels: ks,
 			Loops:   &core.Loops{F: fs},
-			mklSeq:  make([]bool, len(ks)),
 			Reuse:   core.ReuseRatioChain(ks),
 		}
 		for _, k := range ks {

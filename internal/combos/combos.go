@@ -76,15 +76,11 @@ type Instance struct {
 	// kernels needs neither.
 	Loops *core.Loops
 	Reuse float64
-	// Snapshot copies the observable output (the last kernel's result).
-	Snapshot func() []float64
 	// Input is the combination's input vector (nil for matrix-only
 	// combinations such as DSCAL->factor); callers may overwrite it between
-	// runs. Output aliases the storage Snapshot copies.
+	// runs. Output is the observable result (the last kernel's), the storage
+	// Snapshot copies.
 	Input, Output []float64
-	// mklSeq flags kernels that the MKL baseline runs sequentially
-	// (factorizations, per section 4.2).
-	mklSeq []bool
 	// GSX0 is the sweep-chain input of a BuildGS instance (copy Output into
 	// it between executions to iterate the solver); nil otherwise.
 	GSX0 []float64
@@ -99,6 +95,9 @@ type Instance struct {
 	// kernels do not read.
 	sourceSum func() uint64
 }
+
+// Snapshot returns a copy of Output.
+func (in *Instance) Snapshot() []float64 { return append([]float64(nil), in.Output...) }
 
 // Fusion returns the inspector's input over the instance's kernels — kernel
 // DAGs, F and the reuse ratio, the expensive half of instantiating a
@@ -180,9 +179,7 @@ func Assemble(id ID, src *sparse.Forms) (*Instance, error) {
 		k1, k2 = kernels.NewSpTRSVCSR(l, y, x), kernels.NewSpTRSVCSR(l, x, z)
 		lsum := src.LowerSum
 		in.sourceSum = func() uint64 { return sparse.FoldSums(lsum(), lsum()) }
-		in.Snapshot = snap(z)
 		in.Input, in.Output = y, z
-		in.mklSeq = []bool{false, false}
 	case DscalIlu0:
 		work := a.Clone()
 		ilu, err := kernels.NewSpILU0CSR(work)
@@ -194,9 +191,7 @@ func Assemble(id ID, src *sparse.Forms) (*Instance, error) {
 		// chain in kernel-at-a-time order.
 		ilu.DisableRestore()
 		k1, k2 = kernels.NewDScalCSR(work, kernels.JacobiScaling(a), work), ilu
-		in.Snapshot = snap(work.X)
 		in.Output = work.X
-		in.mklSeq = []bool{false, true}
 	case TrsvMv:
 		l := src.Lower()
 		ac := src.CSC()
@@ -205,16 +200,12 @@ func Assemble(id ID, src *sparse.Forms) (*Instance, error) {
 		in.buildF = func() []*sparse.CSR { return []*sparse.CSR{core.FTrsvToMVCSC(ac)} }
 		lsum, csum := src.LowerSum, src.CSCSum
 		in.sourceSum = func() uint64 { return sparse.FoldSums(lsum(), csum()) }
-		in.Snapshot = snap(z)
 		in.Input, in.Output = x, z
-		in.mklSeq = []bool{false, false}
 	case Ic0Trsv:
 		lc := a.Lower().ToCSC()
 		x, y := vec(1), make([]float64, n)
 		k1, k2 = kernels.NewSpIC0CSC(lc), kernels.NewSpTRSVCSC(lc, x, y)
-		in.Snapshot = snap(y)
 		in.Input, in.Output = x, y
-		in.mklSeq = []bool{true, false}
 	case Ilu0Trsv:
 		work := a.Clone()
 		b, y := vec(1), make([]float64, n)
@@ -223,26 +214,20 @@ func Assemble(id ID, src *sparse.Forms) (*Instance, error) {
 			return nil, err
 		}
 		k1, k2 = ilu, kernels.NewSpTRSVUnitLowerCSR(work, b, y)
-		in.Snapshot = snap(y)
 		in.Input, in.Output = b, y
-		in.mklSeq = []bool{true, false}
 	case DscalIc0:
 		lc := a.Lower().ToCSC()
 		ic := kernels.NewSpIC0CSC(lc)
 		ic.DisableRestore() // DSCAL owns the replay, as in DscalIlu0
 		k1, k2 = kernels.NewDScalCSC(lc, kernels.JacobiScaling(a), lc), ic
-		in.Snapshot = snap(lc.X)
 		in.Output = lc.X
-		in.mklSeq = []bool{false, true}
 	case MvMv:
 		x, y, z := vec(1), make([]float64, n), make([]float64, n)
 		k1, k2 = kernels.NewSpMVCSR(a, x, y), kernels.NewSpMVCSR(a, y, z)
 		in.buildF = func() []*sparse.CSR { return []*sparse.CSR{core.FPattern(a)} }
 		sum := src.Sum
 		in.sourceSum = func() uint64 { return sparse.FoldSums(sum(), sum()) }
-		in.Snapshot = snap(z)
 		in.Input, in.Output = x, z
-		in.mklSeq = []bool{false, false}
 	default:
 		return nil, fmt.Errorf("combos: unknown combination %d", id)
 	}
@@ -273,7 +258,6 @@ func BuildGS(a *sparse.CSR, nSweeps int) (*Instance, error) {
 		in.Kernels = append(in.Kernels,
 			kernels.NewSpMVPlusCSR(negU, x, b, t), // t = b - U*x
 			kernels.NewSpTRSVCSR(l, t, xNext))     // xNext = L \ t
-		in.mklSeq = append(in.mklSeq, false, false)
 		x = xNext
 	}
 	// Per sweep s > 0 the SpMV reads x produced by the previous TRSV (row i
@@ -290,13 +274,8 @@ func BuildGS(a *sparse.CSR, nSweeps int) (*Instance, error) {
 		return fs
 	}
 	in.Loops, in.Reuse, _ = in.Fusion()
-	in.Snapshot = snap(x)
 	in.Input, in.Output = b, x
 	return in, nil
-}
-
-func snap(v []float64) func() []float64 {
-	return func() []float64 { return append([]float64(nil), v...) }
 }
 
 // ErrNotCloneable reports a combination whose kernels overwrite matrix values
@@ -317,7 +296,7 @@ var ErrNotCloneable = errors.New("combos: combination writes matrix values and c
 // The clone's Input starts as a copy of the base instance's input, so an
 // unmodified clone computes the base result (the bit-identity oracle).
 func (in *Instance) CloneForSession() (*Instance, error) {
-	c := &Instance{ID: in.ID, Name: in.Name, mklSeq: in.mklSeq, sourceSum: in.sourceSum}
+	c := &Instance{ID: in.ID, Name: in.Name, sourceSum: in.sourceSum}
 	n := len(in.Output)
 	mid := make([]float64, n)
 	out := make([]float64, n)
@@ -342,7 +321,6 @@ func (in *Instance) CloneForSession() (*Instance, error) {
 		return nil, ErrNotCloneable
 	}
 	c.Input, c.Output = input, out
-	c.Snapshot = snap(out)
 	return c, nil
 }
 
@@ -451,7 +429,7 @@ func (in *Instance) SparseFusion(threads int, lp lbc.Params) *Impl {
 // UnfusedParSy schedules every kernel's own DAG with LBC (wavefront
 // parallelism for edge-free loops) and runs the kernels back to back.
 func (in *Instance) UnfusedParSy(threads int, lp lbc.Params) *Impl {
-	return in.unfusedImpl("unfused-parsy", threads, func(_ int, k kernels.Kernel) (*partition.Partitioning, error) {
+	return in.unfusedImpl("unfused-parsy", threads, func(k kernels.Kernel) (*partition.Partitioning, error) {
 		return lbc.Schedule(k.DAG(), threads, lp)
 	})
 }
@@ -460,12 +438,12 @@ func (in *Instance) UnfusedParSy(threads int, lp lbc.Params) *Impl {
 // and compiles every kernel's own DAG into a step of its own, so execution
 // runs the kernels back to back. A nil partitioning means the kernel runs
 // sequentially.
-func (in *Instance) unfusedImpl(name string, threads int, schedule func(i int, k kernels.Kernel) (*partition.Partitioning, error)) *Impl {
+func (in *Instance) unfusedImpl(name string, threads int, schedule func(k kernels.Kernel) (*partition.Partitioning, error)) *Impl {
 	return &Impl{Name: name, threads: threads, inspect: func() ([]Step, error) {
 		steps := make([]Step, len(in.Kernels))
 		for i, k := range in.Kernels {
 			steps[i].Kernels = in.Kernels[i : i+1]
-			p, err := schedule(i, k)
+			p, err := schedule(k)
 			if err != nil {
 				return nil, err
 			}
@@ -483,8 +461,9 @@ func (in *Instance) unfusedImpl(name string, threads int, schedule func(i int, k
 // UnfusedMKL mimics MKL's inspector-executor routines: level-set TRSV,
 // single-barrier chunked parallel loops, and sequential factorizations.
 func (in *Instance) UnfusedMKL(threads int) *Impl {
-	return in.unfusedImpl("unfused-mkl", threads, func(i int, k kernels.Kernel) (*partition.Partitioning, error) {
-		if in.mklSeq[i] {
+	return in.unfusedImpl("unfused-mkl", threads, func(k kernels.Kernel) (*partition.Partitioning, error) {
+		switch k.(type) {
+		case *kernels.SpILU0CSR, *kernels.SpIC0CSC:
 			return nil, nil // sequential (MKL's dcsrilu0)
 		}
 		return wavefront.Schedule(k.DAG(), threads)
