@@ -8,7 +8,10 @@
 //
 // SPEC is a generator spec (lap2d:300, lap3d:40, rand:50000:8, band:N:W,
 // pow:N:D) or a Matrix Market path. NAME is one of trsv-trsv, dad-ilu0,
-// trsv-mv, ic0-trsv, ilu0-trsv, dad-ic0, mv-mv.
+// trsv-mv, ic0-trsv, ilu0-trsv, dad-ic0, mv-mv, or cg / pcg: one iteration
+// of the fused CG or IC0-preconditioned CG solver (combos.CGChain, 6 or 8
+// loops, blocks of combos.CGBlock elements), whose joint-DAG baselines are
+// infeasible.
 package main
 
 import (
@@ -25,6 +28,7 @@ import (
 	"sparsefusion/internal/core"
 	"sparsefusion/internal/exec"
 	"sparsefusion/internal/figures"
+	"sparsefusion/internal/sparse"
 	"sparsefusion/internal/suite"
 	"sparsefusion/internal/telemetry"
 )
@@ -53,15 +57,11 @@ func main() {
 	)
 	flag.Parse()
 
-	id, ok := comboByFlag[strings.ToLower(*combo)]
-	if !ok {
-		log.Fatalf("unknown combo %q; choose from %v", *combo, keys())
-	}
 	a, err := suite.Parse(*matrix, *reorder)
 	if err != nil {
 		log.Fatal(err)
 	}
-	in, err := combos.Build(id, a)
+	in, reset, err := build(strings.ToLower(*combo), a)
 	if err != nil {
 		log.Fatal(err)
 	}
@@ -86,6 +86,7 @@ func main() {
 			log.Fatal(err)
 		}
 	}
+	reset()
 	seq, err := in.RunSequential()
 	if err != nil {
 		log.Fatal(err)
@@ -110,6 +111,7 @@ func main() {
 		best := time.Duration(0)
 		barriers := 0
 		for r := 0; r < *runs; r++ {
+			reset()
 			st, err := im.Execute()
 			if err != nil {
 				log.Fatalf("%s: %v", im.Name, err)
@@ -123,6 +125,42 @@ func main() {
 			im.Name, im.InspectTime.Round(time.Microsecond), best,
 			telemetry.GFlops(in.FlopCount(), best), barriers)
 	}
+}
+
+// build instantiates the named combination over a: a pairwise combination,
+// or the CG/PCG solver chain as one fused group. reset restores the state a
+// run starts from. A solver chain's pass feeds the next one's, and with the
+// host's scalar update left out its vectors grow until the curvature check
+// trips, so every timed run starts from the same random r and p with rz = 1.
+func build(combo string, a *sparse.CSR) (in *combos.Instance, reset func(), err error) {
+	if combo != "cg" && combo != "pcg" {
+		id, ok := comboByFlag[combo]
+		if !ok {
+			return nil, nil, fmt.Errorf("unknown combo %q; choose from %v", combo, keys())
+		}
+		in, err := combos.Build(id, a)
+		return in, func() {}, err
+	}
+	precond := combo == "pcg"
+	n := a.Rows
+	v := combos.NewCGVectors(n, combos.CGBlock, precond)
+	spec, err := combos.CGChain(a, v, precond, combos.CGBlock)
+	if err != nil {
+		return nil, nil, err
+	}
+	chain, err := combos.BuildChain(spec)
+	if err != nil {
+		return nil, nil, err
+	}
+	r0, p0 := sparse.RandomVec(n, 1), sparse.RandomVec(n, 2)
+	reset = func() {
+		clear(v.X)
+		copy(v.R, r0)
+		copy(v.P, p0)
+		v.RZ[0] = 1
+	}
+	reset()
+	return chain.Groups[0], reset, nil
 }
 
 // writeTrace renders one fused solve as a Chrome trace: the inspector's stage
@@ -277,7 +315,7 @@ func loopIters(sp [][]core.Iter, loops int) []string {
 }
 
 func keys() []string {
-	var ks []string
+	ks := []string{"cg", "pcg"}
 	for k := range comboByFlag {
 		ks = append(ks, k)
 	}

@@ -9,7 +9,6 @@ import (
 
 	"sparsefusion/internal/cache"
 	"sparsefusion/internal/combos"
-	"sparsefusion/internal/core"
 	"sparsefusion/internal/exec"
 	"sparsefusion/internal/kernels"
 	"sparsefusion/internal/sparse"
@@ -24,13 +23,8 @@ import (
 // the host (alpha = rz/p·Ap, beta = rz'/rz) stay inside the schedule: the dot
 // kernels materialize per-block partials and every consumer block re-sums
 // them in fixed index order (see internal/kernels/vector.go), which keeps the
-// arithmetic bit-identical at every worker count on every executor.
-
-// fusedCGBlock is the default element count per vector-kernel iteration.
-// Large enough that the dense inter-reduction F matrices stay negligible
-// (ceil(n/block)^2 entries), small enough that the blocks spread across
-// workers.
-const fusedCGBlock = 512
+// arithmetic bit-identical at every worker count on every executor. The
+// chain itself is combos.CGChain.
 
 // FusedCGOptions configures the chain-fused conjugate-gradient solver.
 type FusedCGOptions struct {
@@ -42,8 +36,9 @@ type FusedCGOptions struct {
 	// Precondition fuses the IC0 preconditioner's forward and backward
 	// triangular solves into the same schedule, making it an 8-loop chain.
 	Precondition bool
-	// BlockSize overrides the vector-kernel block size (default 512). It is
-	// part of the schedule's structural fingerprint.
+	// BlockSize overrides the vector-kernel block size (default
+	// combos.CGBlock, 512). It is part of the schedule's structural
+	// fingerprint.
 	BlockSize int
 }
 
@@ -65,12 +60,10 @@ type FusedCG struct {
 	maxIter  int
 	precond  bool
 
-	// Solver state. x/r/p/z/q/y are the CG vectors wired into the chain's
-	// kernels; the part arrays are the per-block reduction partials; rzCell is
-	// the host-owned scalar cell (previous r·z) the update kernels read.
-	x, r, p, z, q, y       []float64
-	partPQ, partRZ, partRR []float64
-	rzCell                 []float64
+	// v is the solver state wired into the chain's kernels: the CG vectors,
+	// the per-block reduction partials and the host-owned scalar cell
+	// (previous r·z) the update kernels read.
+	v *combos.CGVectors
 
 	// Setup kernels for the initial z = (LL')^{-1} r (nil unpreconditioned)
 	// and the chain's own dot kernel, reused to seed the first rz.
@@ -103,79 +96,27 @@ func NewFusedCG(m *Matrix, opts FusedCGOptions) (*FusedCG, error) {
 	}
 	block := opts.BlockSize
 	if block <= 0 {
-		block = fusedCGBlock
+		block = combos.CGBlock
 	}
-	nb := (n + block - 1) / block
 
 	f := &FusedCG{
 		n: n, block: block, tol: opts.Tol, maxIter: opts.MaxIter, precond: opts.Precondition,
-		x: make([]float64, n), r: make([]float64, n), p: make([]float64, n),
-		q:      make([]float64, n),
-		partPQ: make([]float64, nb), partRR: make([]float64, nb),
-		rzCell: []float64{1},
+		v: combos.NewCGVectors(n, block, opts.Precondition),
 	}
-
-	// The chain, in program order. Each link names the dependency matrix F
-	// from the previous kernel's iteration space to its own (cgDeps); WAR
-	// hazards (this iteration's p is read by the SpMV and overwritten by the
-	// last loop) are covered transitively — every reader of a vector precedes
-	// its writer through the F chain, which Loops.Check/Validate verify.
-	fs := cgDeps(n, block, opts.Precondition)
-	links := []combos.ChainLink{
-		// L0: q = A*p (Prepare re-zeroes q every run).
-		{K: kernels.NewSpMVCSR(a, f.p, f.q)},
-		// L1: partPQ[i] = p·q over block i.
-		{K: kernels.NewVecDot(f.p, f.q, f.partPQ, block), F: fs[0]},
-		// L2: x += (rz/Σ partPQ)·p, with the SPD curvature check.
-		{K: kernels.NewVecAxpyDot(f.p, f.x, f.rzCell, f.partPQ, +1, block, true), F: fs[1]},
-		// L3: r -= (rz/Σ partPQ)·q.
-		{K: kernels.NewVecAxpyDot(f.q, f.r, f.rzCell, f.partPQ, -1, block, false), F: fs[2]},
+	spec, err := combos.CGChain(a, f.v, opts.Precondition, block)
+	if err != nil {
+		return nil, fmt.Errorf("sparsefusion: %w", err)
 	}
+	// The set-up before the first pass runs the preconditioner's solves and
+	// the kernel writing the scalar handover's partials: L4-L6 preconditioned,
+	// L4 (r·r) unpreconditioned.
 	if opts.Precondition {
-		lc := a.Lower().ToCSC()
-		if err := kernels.RunSeq(kernels.NewSpIC0CSC(lc)); err != nil {
-			return nil, fmt.Errorf("sparsefusion: IC0 factorization failed: %w", err)
-		}
-		// The forward solve gathers row-wise from the CSR form of the factor;
-		// both solves are gather-only (one writer per element, fixed interior
-		// order), which is what keeps the whole chain bit-reproducible —
-		// unlike the scatter/atomic CSC forward solve.
-		lcsr := lc.ToCSR()
-		f.y = make([]float64, n)
-		f.z = make([]float64, n)
-		f.partRZ = make([]float64, nb)
-		fwd := kernels.NewSpTRSVCSR(lcsr, f.r, f.y)
-		bwd := kernels.NewSpTRSVTransCSC(lc, f.y, f.z)
-		dot := kernels.NewVecDotDual(f.r, f.z, f.partRZ, f.r, f.r, f.partRR, block)
-		f.fwd, f.bwd, f.dotK = fwd, bwd, dot
-		links = append(links,
-			// L4: y = L \ r.
-			combos.ChainLink{K: fwd, F: fs[3]},
-			// L5: z = L' \ y.
-			combos.ChainLink{K: bwd, F: fs[4]},
-			// L6: partRZ = r·z and partRR = r·r in one pass.
-			combos.ChainLink{K: dot, F: fs[5]},
-			// L7: p = z + (Σ partRZ / rz)·p.
-			combos.ChainLink{K: kernels.NewVecXpayDot(f.z, f.p, f.rzCell, f.partRZ, block), F: fs[6]},
-		)
+		f.fwd, f.bwd, f.dotK = spec.Links[4].K, spec.Links[5].K, spec.Links[6].K
 	} else {
-		// Unpreconditioned: z is r, rz is r·r.
-		dot := kernels.NewVecDot(f.r, f.r, f.partRR, block)
-		f.dotK = dot
-		links = append(links,
-			// L4: partRR[i] = r·r over block i.
-			combos.ChainLink{K: dot, F: fs[3]},
-			// L5: p = r + (Σ partRR / rz)·p.
-			combos.ChainLink{K: kernels.NewVecXpayDot(f.r, f.p, f.rzCell, f.partRR, block), F: fs[4]},
-		)
-	}
-
-	name := "cg"
-	if opts.Precondition {
-		name = "pcg"
+		f.dotK = spec.Links[4].K
 	}
 	tb := time.Now()
-	chain, err := combos.BuildChain(combos.ChainSpec{Name: name, Links: links})
+	chain, err := combos.BuildChain(spec)
 	if err != nil {
 		return nil, err
 	}
@@ -185,7 +126,7 @@ func NewFusedCG(m *Matrix, opts FusedCGOptions) (*FusedCG, error) {
 	}
 	f.chainLen = chain.NumKernels()
 	inst := chain.Groups[0]
-	inst.Output = f.x
+	inst.Output = f.v.X
 
 	f.execState = newExecState(inst, opts.Options)
 	// The key names the chain's ordered kernels and the vector block size,
@@ -199,39 +140,6 @@ func NewFusedCG(m *Matrix, opts FusedCGOptions) (*FusedCG, error) {
 		return nil, err
 	}
 	return f, nil
-}
-
-// cgDeps builds the dependency matrices F of the CG chain's links after the
-// first, in link order, over n elements in blocks of block.
-func cgDeps(n, block int, precond bool) []*sparse.CSR {
-	nb := (n + block - 1) / block
-	fs := []*sparse.CSR{
-		// L1 <- L0: block i of p·q reads q over block i.
-		core.FBlockAgg(nb, n, block),
-		// L2 <- L1: every block re-sums all partials.
-		core.FDense(nb, nb),
-		// L3 <- L2: block i only needs block i of L2 to have re-summed first
-		// (the dense hop to L1 is already behind L2).
-		core.FDiagonal(nb),
-	}
-	if !precond {
-		return append(fs,
-			// L4 <- L3: r·r over block i needs only block i of r.
-			core.FDiagonal(nb),
-			// L5 <- L4: every block re-sums all partials.
-			core.FDense(nb, nb))
-	}
-	return append(fs,
-		// L4 <- L3: row j of L \ r reads exactly r[j], produced by block
-		// j/block of L3.
-		core.FBlockExpand(n, nb, block),
-		// L5 <- L4: iteration it of L' \ y finalizes element n-1-it.
-		core.FAntiDiagonal(n),
-		// L6 <- L5: the producer iterates in reversed order, so the
-		// aggregation is flipped.
-		core.FBlockAggFlip(nb, n, block),
-		// L7 <- L6: every block re-sums all partials.
-		core.FDense(nb, nb))
 }
 
 // Fingerprint returns the chain's content address in hex.
@@ -301,10 +209,10 @@ func (f *FusedCG) solve(ctx context.Context, b []float64, sv *Server) ([]float64
 	// Setup: x = 0, r = b, z = (LL')^{-1} r (or r), p = z, rz = r·z. The
 	// initial solves and dot run sequentially — they are one-time setup; the
 	// per-iteration chain is what fusion amortizes.
-	for i := range f.x {
-		f.x[i] = 0
+	for i := range f.v.X {
+		f.v.X[i] = 0
 	}
-	copy(f.r, b)
+	copy(f.v.R, b)
 	if f.precond {
 		if err := kernels.RunSeq(f.fwd); err != nil {
 			return nil, 0, total, diag(0, err)
@@ -312,18 +220,18 @@ func (f *FusedCG) solve(ctx context.Context, b []float64, sv *Server) ([]float64
 		if err := kernels.RunSeq(f.bwd); err != nil {
 			return nil, 0, total, diag(0, err)
 		}
-		copy(f.p, f.z)
+		copy(f.v.P, f.v.Z)
 	} else {
-		copy(f.p, f.r)
+		copy(f.v.P, f.v.R)
 	}
 	if err := kernels.RunSeq(f.dotK); err != nil {
 		return nil, 0, total, diag(0, err)
 	}
 	rz := sumInOrder(f.partRZIfPrecond())
-	f.rzCell[0] = rz
+	f.v.RZ[0] = rz
 	normB := sparse.Norm2(b)
 	if normB == 0 {
-		return append([]float64(nil), f.x...), 0, total, nil
+		return append([]float64(nil), f.v.X...), 0, total, nil
 	}
 	// The chain passes below follow each other within microseconds: run them
 	// all on one worker set, kept spinning between them, and close it when
@@ -353,26 +261,26 @@ func (f *FusedCG) solve(ctx context.Context, b []float64, sv *Server) ([]float64
 		if err != nil {
 			return nil, it, total, diag(it, err)
 		}
-		rr := sumInOrder(f.partRR)
+		rr := sumInOrder(f.v.PartRR)
 		if math.Sqrt(rr)/normB < f.tol {
-			return append([]float64(nil), f.x...), it, total, nil
+			return append([]float64(nil), f.v.X...), it, total, nil
 		}
 		rz = sumInOrder(f.partRZIfPrecond())
 		if rz == 0 || math.IsNaN(rz) {
 			return nil, it, total, fmt.Errorf("sparsefusion: fused CG broke down at iteration %d (r·z = %v); is the matrix SPD?", it, rz)
 		}
-		f.rzCell[0] = rz
+		f.v.RZ[0] = rz
 	}
-	return append([]float64(nil), f.x...), f.maxIter, total, nil
+	return append([]float64(nil), f.v.X...), f.maxIter, total, nil
 }
 
 // partRZIfPrecond is the scalar-handover partial array: r·z preconditioned,
 // r·r otherwise (z = r).
 func (f *FusedCG) partRZIfPrecond() []float64 {
 	if f.precond {
-		return f.partRZ
+		return f.v.PartRZ
 	}
-	return f.partRR
+	return f.v.PartRR
 }
 
 // sumInOrder reduces partials in ascending index order — the one order every
