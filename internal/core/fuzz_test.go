@@ -2,6 +2,7 @@ package core
 
 import (
 	"bytes"
+	"fmt"
 	"math/rand"
 	"runtime"
 	"testing"
@@ -179,8 +180,10 @@ func TestICOWideThreadCounts(t *testing.T) {
 // guarantee: it fans out over min(Threads, GOMAXPROCS) workers, and every
 // fan-out serializes to byte-identical schedules. GOMAXPROCS is swept over 1,
 // 2, 4 and 8 (and restored) at Threads >= 2, each run compared with the
-// GOMAXPROCS 1 run. (The cross-check against the seed's serial inspector is
-// TestICOMatchesSeedCorpus.)
+// GOMAXPROCS 1 run and checked against its loops. Half the chains are cut:
+// one random link of a 3-6 loop chain is made all-to-all (FDense), so ICO
+// schedules the chain as segments. (The cross-check against the seed's serial
+// inspector is TestICOMatchesSeedCorpus.)
 func TestICOWorkersDeterministic(t *testing.T) {
 	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(0))
 	rng := rand.New(rand.NewSource(7))
@@ -188,31 +191,46 @@ func TestICOWorkersDeterministic(t *testing.T) {
 	if testing.Short() {
 		trials = 8
 	}
-	for trial := 0; trial < trials; trial++ {
-		n := 20 + rng.Intn(120)
-		loops := randomLoops(rng, n)
-		p := Params{
+	params := func() Params {
+		return Params{
 			Threads:      2 + rng.Intn(7),
 			ReuseRatio:   rng.Float64() * 2,
 			LBC:          lbc.Params{InitialCut: 1 + rng.Intn(5), Agg: 1 + rng.Intn(20)},
 			DisableMerge: rng.Intn(4) == 0,
 			DisableSlack: rng.Intn(4) == 0,
 		}
+	}
+	check := func(name string, loops *Loops, p Params) {
+		t.Helper()
 		var want []byte
 		for _, procs := range []int{1, 2, 4, 8} {
 			runtime.GOMAXPROCS(procs)
 			sched, err := ICO(loops, p)
 			if err != nil {
-				t.Fatalf("trial %d GOMAXPROCS=%d: %v", trial, procs, err)
+				t.Fatalf("%s GOMAXPROCS=%d: %v", name, procs, err)
 			}
 			got := sched.Bytes()
 			if want == nil {
+				if err := loops.Validate(sched); err != nil {
+					t.Fatalf("%s (Threads %d): %v", name, p.Threads, err)
+				}
 				want = got
 				continue
 			}
 			if !bytes.Equal(got, want) {
-				t.Fatalf("trial %d: GOMAXPROCS=%d (Threads %d) produced a different schedule than GOMAXPROCS=1", trial, procs, p.Threads)
+				t.Fatalf("%s: GOMAXPROCS=%d (Threads %d) produced a different schedule than GOMAXPROCS=1", name, procs, p.Threads)
 			}
 		}
+	}
+	for trial := 0; trial < trials; trial++ {
+		n := 20 + rng.Intn(120)
+		loops := randomLoops(rng, n)
+		check(fmt.Sprintf("trial %d", trial), loops, params())
+	}
+	for trial := 0; trial < trials; trial++ {
+		n := 20 + rng.Intn(120)
+		loops := randomChain(rng, n, 3+rng.Intn(4))
+		loops.F[rng.Intn(len(loops.F))] = FDense(n, n)
+		check(fmt.Sprintf("cut trial %d", trial), loops, params())
 	}
 }

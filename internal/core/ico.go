@@ -68,10 +68,13 @@ func ICOTimed(loops *Loops, p Params) (*Schedule, InspectorTimings, error) {
 	return icoRun(loops, p)
 }
 
-// icoRun is the pipeline. Head = G2 (Algorithm 1 line 1) mirrors the
-// problem — both DAGs transposed, F flipped — so the forward pipeline runs
-// with the original second loop as the head; the placement is mirrored back
-// before packing, which orders every unit on the original orientation.
+// icoRun is the pipeline's entry. It cuts the chain after every loop whose
+// outgoing F is all-to-all (allToAll), runs icoSegment on each segment in
+// program order, and concatenates the segments' s-partitions, offsetting
+// their loop indices. F links only adjacent loops, so placing all of one
+// segment before all of the next orders every dependence the chain has. An
+// uncut chain is one segment, scheduled as it always was. The phases of tm
+// sum over the segments.
 func icoRun(loops *Loops, p Params) (*Schedule, InspectorTimings, error) {
 	var tm InspectorTimings
 	if err := loops.Check(); err != nil {
@@ -80,19 +83,64 @@ func icoRun(loops *Loops, p Params) (*Schedule, InspectorTimings, error) {
 	if p.Threads < 1 {
 		p.Threads = 1
 	}
-	reversed := len(loops.G) == 2 && loops.G[1].NumEdges() > 0
-	st, err := place(loops, p, reversed, &tm)
-	if err != nil {
-		return nil, tm, err
+	var sched *Schedule
+	lo := 0
+	for hi := 1; hi <= len(loops.G); hi++ {
+		if hi < len(loops.G) && !allToAll(loops.F[hi-1], p.Threads) {
+			continue
+		}
+		seg, err := icoSegment(&Loops{G: loops.G[lo:hi], F: loops.F[lo : hi-1]}, p, &tm)
+		if err != nil {
+			return nil, tm, err
+		}
+		if sched == nil {
+			sched = seg
+		} else {
+			for _, sp := range seg.S {
+				for _, w := range sp {
+					for i := range w {
+						w[i].Loop += lo
+					}
+				}
+			}
+			sched.S = append(sched.S, seg.S...)
+		}
+		lo = hi
 	}
-	st.runPhases(&tm)
+	return sched, tm, nil
+}
+
+// allToAll reports whether ICO cuts the chain at link f: every iteration of
+// the consumer reads what every iteration of the producer wrote (a dense F,
+// such as the one a reduction's consumers have on its partials), more than
+// one of each, and more than one w-partition to spread them over. Pairing
+// can keep no consumer next to a producer spread over more than one
+// w-partition, so a barrier there is forced anyway; without the cut, one
+// producer iteration deferred past that barrier pulls every consumer, and
+// everything downstream of them, into its one w-partition.
+func allToAll(f *sparse.CSR, threads int) bool {
+	return threads > 1 && f.Rows > 1 && f.Cols > 1 && f.P[f.Rows] == f.Rows*f.Cols
+}
+
+// icoSegment is the pipeline over one segment of the chain. Head = G2
+// (Algorithm 1 line 1) mirrors the problem — both DAGs transposed, F
+// flipped — so the forward pipeline runs with the original second loop as
+// the head; the placement is mirrored back before packing, which orders
+// every unit on the original orientation.
+func icoSegment(loops *Loops, p Params, tm *InspectorTimings) (*Schedule, error) {
+	reversed := len(loops.G) == 2 && loops.G[1].NumEdges() > 0
+	st, err := place(loops, p, reversed, tm)
+	if err != nil {
+		return nil, err
+	}
+	st.runPhases(tm)
 	t0 := time.Now()
 	if reversed {
 		st.mirror(loops)
 	}
 	sched := st.pack(p.ReuseRatio)
-	tm.Pack = time.Since(t0)
-	return sched, tm, nil
+	tm.Pack += time.Since(t0)
+	return sched, nil
 }
 
 // runPhases applies ICO step (ii) honoring the ablation knobs.
@@ -101,12 +149,12 @@ func (st *state) runPhases(tm *InspectorTimings) {
 	if !st.p.DisableMerge {
 		st.merge()
 	}
-	tm.Merge = time.Since(t0)
+	tm.Merge += time.Since(t0)
 	t0 = time.Now()
 	if !st.p.DisableSlack {
 		st.slackBalance()
 	}
-	tm.Slack = time.Since(t0)
+	tm.Slack += time.Since(t0)
 }
 
 // state carries the mutable fused placement: for every iteration, its
@@ -394,7 +442,7 @@ func place(in *Loops, p Params, reversed bool, tm *InspectorTimings) (*state, er
 	}
 	st.orient(loops, tg, fcsc)
 	st.lvl = lvl
-	tm.Head = headDur
+	tm.Head += headDur
 	tm.Setup += time.Since(t0) - headDur
 
 	t0 = time.Now()
@@ -433,7 +481,7 @@ func place(in *Loops, p Params, reversed bool, tm *InspectorTimings) (*state, er
 			}
 		}
 	}
-	tm.Pairing = time.Since(t0)
+	tm.Pairing += time.Since(t0)
 	return st, nil
 }
 
