@@ -11,7 +11,6 @@ import (
 	"sparsefusion/internal/combos"
 	"sparsefusion/internal/core"
 	"sparsefusion/internal/exec"
-	"sparsefusion/internal/figures"
 )
 
 // BenchmarkAblationPacking compares the two packing variants on a reuse>=1
@@ -32,9 +31,7 @@ func BenchmarkAblationPacking(b *testing.B) {
 	} {
 		cfg := cfg
 		b.Run(cfg.name, func(b *testing.B) {
-			sched, err := core.ICO(in.Loops, core.Params{
-				Threads: th, ReuseRatio: cfg.reuse, LBC: figures.PaperLBC(),
-			})
+			sched, err := core.ICO(in.Loops, core.Params{Threads: th, ReuseRatio: cfg.reuse})
 			if err != nil {
 				b.Fatal(err)
 			}
@@ -76,7 +73,7 @@ func benchPhases(b *testing.B, id combos.ID, set func(*core.Params, bool), phase
 		}
 		on := on
 		b.Run(name, func(b *testing.B) {
-			p := core.Params{Threads: th, ReuseRatio: in.Reuse, LBC: figures.PaperLBC()}
+			p := core.Params{Threads: th, ReuseRatio: in.Reuse}
 			set(&p, on)
 			sched, err := core.ICO(in.Loops, p)
 			if err != nil {
@@ -124,7 +121,7 @@ func BenchmarkAblationReorder(b *testing.B) {
 			if err != nil {
 				b.Fatal(err)
 			}
-			im := in.SparseFusion(th, figures.PaperLBC())
+			im := in.SparseFusion(th)
 			if err := im.Inspect(); err != nil {
 				b.Fatal(err)
 			}

@@ -102,11 +102,11 @@ func BenchmarkFig5(b *testing.B) {
 			b.Fatal(err)
 		}
 		impls := []*combos.Impl{
-			in.SparseFusion(th, figures.PaperLBC()),
-			in.UnfusedParSy(th, figures.PaperLBC()),
+			in.SparseFusion(th),
+			in.UnfusedParSy(th, lbc.Params{}),
 			in.UnfusedMKL(th),
 			in.JointWavefront(th),
-			in.JointLBC(th, figures.PaperLBC()),
+			in.JointLBC(th),
 			in.JointDAGP(th),
 		}
 		for _, im := range impls {
@@ -141,7 +141,7 @@ func BenchmarkFig6(b *testing.B) {
 	if err != nil {
 		b.Fatal(err)
 	}
-	im := in.SparseFusion(th, figures.PaperLBC())
+	im := in.SparseFusion(th)
 	if err := im.Inspect(); err != nil {
 		b.Fatal(err)
 	}
@@ -179,11 +179,11 @@ func BenchmarkFig7(b *testing.B) {
 			name string
 			mk   func() *combos.Impl
 		}{
-			{"sparse-fusion", func() *combos.Impl { return in.SparseFusion(th, figures.PaperLBC()) }},
-			{"unfused-parsy", func() *combos.Impl { return in.UnfusedParSy(th, figures.PaperLBC()) }},
+			{"sparse-fusion", func() *combos.Impl { return in.SparseFusion(th) }},
+			{"unfused-parsy", func() *combos.Impl { return in.UnfusedParSy(th, lbc.Params{}) }},
 			{"unfused-mkl", func() *combos.Impl { return in.UnfusedMKL(th) }},
 			{"fused-wavefront", func() *combos.Impl { return in.JointWavefront(th) }},
-			{"fused-lbc", func() *combos.Impl { return in.JointLBC(th, figures.PaperLBC()) }},
+			{"fused-lbc", func() *combos.Impl { return in.JointLBC(th) }},
 			{"fused-dagp", func() *combos.Impl { return in.JointDAGP(th) }},
 		} {
 			mk := mk
@@ -214,14 +214,14 @@ func BenchmarkFig8(b *testing.B) {
 	}
 	b.Run("lbc-one", func(b *testing.B) {
 		for i := 0; i < b.N; i++ {
-			if _, err := lbc.Schedule(one, th, figures.PaperLBC()); err != nil {
+			if _, err := lbc.Schedule(one, th, lbc.Params{}); err != nil {
 				b.Fatal(err)
 			}
 		}
 	})
 	b.Run("lbc-joint-chordal", func(b *testing.B) {
 		for i := 0; i < b.N; i++ {
-			if _, err := lbc.ScheduleChordal(joint, th, figures.PaperLBC()); err != nil {
+			if _, err := lbc.ScheduleChordal(joint, th, lbc.Params{}); err != nil {
 				b.Fatal(err)
 			}
 		}
@@ -259,9 +259,9 @@ func BenchmarkFig9(b *testing.B) {
 		sweeps int
 		mk     func(in *combos.Instance) *combos.Impl
 	}{
-		{"fusion-2loops", 1, func(in *combos.Instance) *combos.Impl { return in.SparseFusion(th, figures.PaperLBC()) }},
-		{"fusion-6loops", 3, func(in *combos.Instance) *combos.Impl { return in.SparseFusion(th, figures.PaperLBC()) }},
-		{"parsy-6loops", 3, func(in *combos.Instance) *combos.Impl { return in.UnfusedParSy(th, figures.PaperLBC()) }},
+		{"fusion-2loops", 1, func(in *combos.Instance) *combos.Impl { return in.SparseFusion(th) }},
+		{"fusion-6loops", 3, func(in *combos.Instance) *combos.Impl { return in.SparseFusion(th) }},
+		{"parsy-6loops", 3, func(in *combos.Instance) *combos.Impl { return in.UnfusedParSy(th, lbc.Params{}) }},
 		{"joint-wavefront-2loops", 1, func(in *combos.Instance) *combos.Impl { return in.JointWavefront(th) }},
 	} {
 		cfg := cfg
@@ -298,7 +298,7 @@ func BenchmarkFig10(b *testing.B) {
 		name string
 		im   *combos.Impl
 	}{
-		{"fusion", in.SparseFusion(th, figures.PaperLBC())},
+		{"fusion", in.SparseFusion(th)},
 		{"unfused-mkl", in.UnfusedMKL(th)},
 	} {
 		mk := mk

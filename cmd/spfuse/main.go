@@ -27,7 +27,7 @@ import (
 	"sparsefusion/internal/combos"
 	"sparsefusion/internal/core"
 	"sparsefusion/internal/exec"
-	"sparsefusion/internal/figures"
+	"sparsefusion/internal/lbc"
 	"sparsefusion/internal/sparse"
 	"sparsefusion/internal/suite"
 	"sparsefusion/internal/telemetry"
@@ -68,7 +68,7 @@ func main() {
 	fmt.Printf("%s on %s: n=%d nnz=%d reuse=%.3f threads=%d\n\n",
 		in.Name, *matrix, a.Rows, a.NNZ(), in.Reuse, *threads)
 	if *dump {
-		sched, err := core.ICO(in.Loops, core.Params{Threads: *threads, ReuseRatio: in.Reuse, LBC: figures.PaperLBC()})
+		sched, err := core.ICO(in.Loops, core.Params{Threads: *threads, ReuseRatio: in.Reuse})
 		if err != nil {
 			log.Fatal(err)
 		}
@@ -96,11 +96,11 @@ func main() {
 		telemetry.GFlops(in.FlopCount(), seq), "-")
 
 	impls := []*combos.Impl{
-		in.SparseFusion(*threads, figures.PaperLBC()),
-		in.UnfusedParSy(*threads, figures.PaperLBC()),
+		in.SparseFusion(*threads),
+		in.UnfusedParSy(*threads, lbc.Params{}),
 		in.UnfusedMKL(*threads),
 		in.JointWavefront(*threads),
-		in.JointLBC(*threads, figures.PaperLBC()),
+		in.JointLBC(*threads),
 		in.JointDAGP(*threads),
 	}
 	for _, im := range impls {
@@ -170,7 +170,7 @@ func build(combo string, a *sparse.CSR) (in *combos.Instance, reset func(), err 
 // both executor paths are comparable in one view. Open the file in
 // chrome://tracing or https://ui.perfetto.dev.
 func writeTrace(path string, in *combos.Instance, threads int) error {
-	sched, tm, err := core.ICOTimed(in.Loops, core.Params{Threads: threads, ReuseRatio: in.Reuse, LBC: figures.PaperLBC()})
+	sched, tm, err := core.ICOTimed(in.Loops, core.Params{Threads: threads, ReuseRatio: in.Reuse})
 	if err != nil {
 		return err
 	}

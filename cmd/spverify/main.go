@@ -19,7 +19,7 @@ import (
 	"runtime"
 
 	"sparsefusion/internal/combos"
-	"sparsefusion/internal/figures"
+	"sparsefusion/internal/lbc"
 	"sparsefusion/internal/sparse"
 	"sparsefusion/internal/suite"
 )
@@ -73,11 +73,11 @@ func main() {
 			log.Fatal(err)
 		}
 		check(in, []*combos.Impl{
-			in.SparseFusion(*threads, figures.PaperLBC()),
-			in.UnfusedParSy(*threads, figures.PaperLBC()),
+			in.SparseFusion(*threads),
+			in.UnfusedParSy(*threads, lbc.Params{}),
 			in.UnfusedMKL(*threads),
 			in.JointWavefront(*threads),
-			in.JointLBC(*threads, figures.PaperLBC()),
+			in.JointLBC(*threads),
 			in.JointDAGP(*threads),
 		})
 	}
@@ -87,8 +87,8 @@ func main() {
 			log.Fatal(err)
 		}
 		check(in, []*combos.Impl{
-			in.SparseFusion(*threads, figures.PaperLBC()),
-			in.UnfusedParSy(*threads, figures.PaperLBC()),
+			in.SparseFusion(*threads),
+			in.UnfusedParSy(*threads, lbc.Params{}),
 			in.UnfusedMKL(*threads),
 		})
 	}

@@ -36,10 +36,6 @@ type FusedCGOptions struct {
 	// Precondition fuses the IC0 preconditioner's forward and backward
 	// triangular solves into the same schedule, making it an 8-loop chain.
 	Precondition bool
-	// BlockSize overrides the vector-kernel block size (default
-	// combos.CGBlock, 512). It is part of the schedule's structural
-	// fingerprint.
-	BlockSize int
 }
 
 // FusedCG is an inspected chain-fused CG/PCG solver: NewFusedCG composes the
@@ -55,7 +51,6 @@ type FusedCG struct {
 
 	chainLen int
 	n        int
-	block    int
 	tol      float64
 	maxIter  int
 	precond  bool
@@ -94,16 +89,12 @@ func NewFusedCG(m *Matrix, opts FusedCGOptions) (*FusedCG, error) {
 	if opts.MaxIter <= 0 {
 		opts.MaxIter = 10 * n
 	}
-	block := opts.BlockSize
-	if block <= 0 {
-		block = combos.CGBlock
-	}
 
 	f := &FusedCG{
-		n: n, block: block, tol: opts.Tol, maxIter: opts.MaxIter, precond: opts.Precondition,
-		v: combos.NewCGVectors(n, block, opts.Precondition),
+		n: n, tol: opts.Tol, maxIter: opts.MaxIter, precond: opts.Precondition,
+		v: combos.NewCGVectors(n, combos.CGBlock, opts.Precondition),
 	}
-	spec, err := combos.CGChain(a, f.v, opts.Precondition, block)
+	spec, err := combos.CGChain(a, f.v, opts.Precondition, combos.CGBlock)
 	if err != nil {
 		return nil, fmt.Errorf("sparsefusion: %w", err)
 	}
@@ -133,7 +124,7 @@ func NewFusedCG(m *Matrix, opts FusedCGOptions) (*FusedCG, error) {
 	// which shapes the blocked DAGs and every inter-reduction F.
 	f.fp = opts.fingerprint(m, cache.Params{
 		ChainLen:     chain.NumKernels(),
-		ChainKernels: append(chain.KernelIDs(), fmt.Sprintf("block=%d", block)),
+		ChainKernels: append(chain.KernelIDs(), fmt.Sprintf("block=%d", combos.CGBlock)),
 	})
 	// BuildChain has already built every kernel DAG (its Check needs them).
 	if err := f.openBuilt(t0, built, opts.Options, f.fp); err != nil {

@@ -5,7 +5,6 @@ import (
 
 	"sparsefusion/internal/combos"
 	"sparsefusion/internal/exec"
-	"sparsefusion/internal/lbc"
 	"sparsefusion/internal/sparse"
 )
 
@@ -103,7 +102,7 @@ func TestMeasureFusedVsUnfusedLocality(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	fused, err := Simulate(unpacked(inspected(t, in.SparseFusion(4, lbc.Params{InitialCut: 4, Agg: 400}))), Default())
+	fused, err := Simulate(unpacked(inspected(t, in.SparseFusion(4))), Default())
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -181,8 +181,8 @@ func TestWalkerMatchesShapeReplays(t *testing.T) {
 				}{
 					{inspected(t, in.UnfusedParSy(th, lp)), th, func(r shapeReplay) { r.chain(ks, parsy) }},
 					{inspected(t, in.UnfusedMKL(th)), th, func(r shapeReplay) { r.chain(ks, mkl) }},
-					{inspected(t, in.JointLBC(th, lp)), th, func(r shapeReplay) { r.joint(ks[0], ks[1], jp) }},
-					{unpacked(inspected(t, in.SparseFusion(th, lp))), max(1, sched.MaxWidth()), func(r shapeReplay) { r.fused(ks, sched) }},
+					{inspected(t, in.JointLBC(th)), th, func(r shapeReplay) { r.joint(ks[0], ks[1], jp) }},
+					{unpacked(inspected(t, in.SparseFusion(th))), max(1, sched.MaxWidth()), func(r shapeReplay) { r.fused(ks, sched) }},
 				} {
 					name := fx.spec + "/" + in.Name
 					got, err := Simulate(c.steps, Default())

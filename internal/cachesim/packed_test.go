@@ -5,7 +5,6 @@ import (
 
 	"sparsefusion/internal/combos"
 	"sparsefusion/internal/kernels"
-	"sparsefusion/internal/lbc"
 	"sparsefusion/internal/sparse"
 )
 
@@ -34,7 +33,7 @@ func TestMeasurePackedImprovesLocality(t *testing.T) {
 			t.Fatal(err)
 		}
 		in.Reuse = tc.reuse // selects the packing mode the case names
-		steps := inspected(t, in.SparseFusion(4, lbc.Params{InitialCut: 4, Agg: 400}))
+		steps := inspected(t, in.SparseFusion(4))
 		if steps[0].Runner.Layout() == nil {
 			t.Fatalf("%s: the sparse-fusion runner is not packed", tc.name)
 		}
@@ -72,7 +71,7 @@ func TestMeasurePackedRejectsUntraceableKernel(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	steps := inspected(t, in.SparseFusion(4, lbc.Params{InitialCut: 3, Agg: 8}))
+	steps := inspected(t, in.SparseFusion(4))
 	ic0 := kernels.NewSpIC0CSC(a.Lower().ToCSC())
 	steps[0].Kernels = []kernels.Kernel{ic0, in.Kernels[1]}
 	if _, err := Simulate(steps, Default()); err == nil {

@@ -281,7 +281,7 @@ func diskCacheDefects(dir string) error {
 	m := sf.Laplacian2D(side)
 	input := sparse.RandomVec(m.Rows(), 7)
 	solve := func(sc *sf.ScheduleCache) ([]float64, error) {
-		op, err := sf.NewOperation(sf.TrsvTrsv, m, sf.Options{Threads: threads, LBCInitialCut: 3, LBCAgg: 8, Cache: sc})
+		op, err := sf.NewOperation(sf.TrsvTrsv, m, sf.Options{Threads: threads, Cache: sc})
 		if err != nil {
 			return nil, err
 		}
@@ -337,7 +337,7 @@ func diskCacheDefects(dir string) error {
 // Every failure must be typed — ErrServerOverloaded at the queue bound,
 // ErrDeadlineExceeded while queued, *CancelledError once in flight.
 func overloadDeadline() error {
-	op, err := sf.NewOperation(sf.TrsvTrsv, sf.Laplacian2D(side), sf.Options{Threads: threads, LBCInitialCut: 3, LBCAgg: 8})
+	op, err := sf.NewOperation(sf.TrsvTrsv, sf.Laplacian2D(side), sf.Options{Threads: threads})
 	if err != nil {
 		return err
 	}

@@ -5,7 +5,6 @@ import (
 
 	"sparsefusion/internal/core"
 	"sparsefusion/internal/kernels"
-	"sparsefusion/internal/lbc"
 	"sparsefusion/internal/sparse"
 )
 
@@ -115,12 +114,12 @@ func (c *Chain) KernelIDs() []string {
 // SparseFusion inspects every group as Instance.SparseFusion does, one step
 // per group; execution runs the groups back to back (Stats.Barriers is the
 // barriers one pass over the chain pays: each group's s-partitions).
-func (c *Chain) SparseFusion(threads int, lp lbc.Params) *Impl {
+func (c *Chain) SparseFusion(threads int) *Impl {
 	return &Impl{Name: "sparse-fusion-chain", threads: threads, inspect: func() ([]Step, error) {
 		steps := make([]Step, len(c.Groups))
 		for i, g := range c.Groups {
 			var err error
-			if steps[i], err = g.fuse(threads, lp); err != nil {
+			if steps[i], err = g.fuse(threads); err != nil {
 				return nil, err
 			}
 		}

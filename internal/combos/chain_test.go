@@ -6,7 +6,6 @@ import (
 
 	"sparsefusion/internal/core"
 	"sparsefusion/internal/kernels"
-	"sparsefusion/internal/lbc"
 	"sparsefusion/internal/sparse"
 )
 
@@ -150,9 +149,8 @@ func TestChainFusedMatchesSequential(t *testing.T) {
 		}
 		want := snap()
 
-		lp := lbc.Params{InitialCut: 3, Agg: 8}
 		for _, threads := range []int{1, 2, 4, 8} {
-			im := c.SparseFusion(threads, lp)
+			im := c.SparseFusion(threads)
 			if err := im.Inspect(); err != nil {
 				t.Fatalf("k=%d threads=%d inspect: %v", k, threads, err)
 			}
@@ -178,11 +176,11 @@ func TestChainFusedMatchesSequential(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		imF := c.SparseFusion(4, lp)
+		imF := c.SparseFusion(4)
 		if err := imF.Inspect(); err != nil {
 			t.Fatal(err)
 		}
-		imP := pw.SparseFusion(4, lp)
+		imP := pw.SparseFusion(4)
 		if err := imP.Inspect(); err != nil {
 			t.Fatal(err)
 		}

@@ -22,14 +22,14 @@ func lp() lbc.Params { return lbc.Params{InitialCut: 3, Agg: 10} }
 // for two-kernel instances).
 func allImpls(in *Instance) []*Impl {
 	impls := []*Impl{
-		in.SparseFusion(threads, lp()),
+		in.SparseFusion(threads),
 		in.UnfusedParSy(threads, lp()),
 		in.UnfusedMKL(threads),
 	}
 	if len(in.Kernels) == 2 {
 		impls = append(impls,
 			in.JointWavefront(threads),
-			in.JointLBC(threads, lp()),
+			in.JointLBC(threads),
 			in.JointDAGP(threads),
 		)
 	}
@@ -96,7 +96,7 @@ func TestGSChainAgrees(t *testing.T) {
 		in.RunSequential()
 		want := in.Snapshot()
 		for _, im := range []*Impl{
-			in.SparseFusion(threads, lp()),
+			in.SparseFusion(threads),
 			in.UnfusedParSy(threads, lp()),
 			in.UnfusedMKL(threads),
 		} {
@@ -119,7 +119,7 @@ func TestGSConverges(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	im := in.SparseFusion(threads, lp())
+	im := in.SparseFusion(threads)
 	if _, err := im.Execute(); err != nil {
 		t.Fatal(err)
 	}
@@ -186,7 +186,7 @@ func TestInspectTimesRecorded(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	im := in.SparseFusion(threads, lp())
+	im := in.SparseFusion(threads)
 	if err := im.Inspect(); err != nil {
 		t.Fatal(err)
 	}
@@ -209,7 +209,7 @@ func TestInspectSurfacesCompileLimit(t *testing.T) {
 		}
 	}
 	in.Reuse = core.ReuseRatioChain(in.Kernels)
-	im := in.SparseFusion(threads, lp())
+	im := in.SparseFusion(threads)
 	if err := im.Inspect(); err == nil || !strings.Contains(err.Error(), "cannot compile") {
 		t.Fatalf("Inspect of %d loops returned %v, want the compile limit", len(in.Kernels), err)
 	}
@@ -231,7 +231,7 @@ func TestSparseFusionOpensServedRung(t *testing.T) {
 			t.Fatalf("%s: %v", in.Name, err)
 		}
 		want := in.Snapshot()
-		im := in.SparseFusion(threads, lp())
+		im := in.SparseFusion(threads)
 		if _, err := im.Execute(); err != nil {
 			t.Fatalf("%s: %v", in.Name, err)
 		}
@@ -357,7 +357,7 @@ func TestImplStepsExecute(t *testing.T) {
 		for _, ln := range spec.Links {
 			ks = append(ks, ln.K)
 		}
-		check(fmt.Sprintf("chain/MaxGroup=%d", maxGroup), ks, c.SparseFusion(threads, lp()), c.RunSequential, snap)
+		check(fmt.Sprintf("chain/MaxGroup=%d", maxGroup), ks, c.SparseFusion(threads), c.RunSequential, snap)
 	}
 }
 

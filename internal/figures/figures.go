@@ -25,9 +25,6 @@ import (
 	"sparsefusion/internal/telemetry"
 )
 
-// PaperLBC returns the paper's LBC tuning (section 4.1).
-func PaperLBC() lbc.Params { return lbc.DefaultParams() }
-
 // Progress, when non-nil, receives one line per completed measurement so
 // long-running sweeps (the standard suite) show liveness.
 var Progress func(string)
@@ -111,11 +108,11 @@ func RunFig5(entries []suite.Entry, ids []combos.ID, threads, reps int) ([]Fig5R
 			}
 			flops := in.FlopCount()
 			t := func(im *combos.Impl) (time.Duration, error) { return bestOf(im, reps) }
-			sf, err := t(in.SparseFusion(threads, PaperLBC()))
+			sf, err := t(in.SparseFusion(threads))
 			if err != nil {
 				return nil, err
 			}
-			parsy, err := t(in.UnfusedParSy(threads, PaperLBC()))
+			parsy, err := t(in.UnfusedParSy(threads, lbc.Params{}))
 			if err != nil {
 				return nil, err
 			}
@@ -127,7 +124,7 @@ func RunFig5(entries []suite.Entry, ids []combos.ID, threads, reps int) ([]Fig5R
 			if err != nil {
 				return nil, err
 			}
-			jl, err := t(in.JointLBC(threads, PaperLBC()))
+			jl, err := t(in.JointLBC(threads))
 			if err != nil {
 				return nil, err
 			}
@@ -197,9 +194,9 @@ func RunFig6(a *sparse.CSR, threads int) ([]Fig6Row, error) {
 		var lat [3]float64
 		var gain [3]time.Duration
 		for i, im := range []*combos.Impl{
-			in.SparseFusion(threads, PaperLBC()),
-			in.JointLBC(threads, PaperLBC()),
-			in.UnfusedParSy(threads, PaperLBC()),
+			in.SparseFusion(threads),
+			in.JointLBC(threads),
+			in.UnfusedParSy(threads, lbc.Params{}),
 		} {
 			if err := im.Inspect(); err != nil {
 				return nil, err
@@ -283,11 +280,11 @@ func RunFig7(entries []suite.Entry, threads int) ([]Fig7Row, error) {
 				return nil, err
 			}
 			impls := []*combos.Impl{
-				in.SparseFusion(threads, PaperLBC()),
-				in.UnfusedParSy(threads, PaperLBC()),
+				in.SparseFusion(threads),
+				in.UnfusedParSy(threads, lbc.Params{}),
 				in.UnfusedMKL(threads),
 				in.JointWavefront(threads),
-				in.JointLBC(threads, PaperLBC()),
+				in.JointLBC(threads),
 				in.JointDAGP(threads),
 			}
 			for _, im := range impls {
@@ -352,11 +349,11 @@ func RunFig8(entries []suite.Entry, threads int) ([]Fig8Row, error) {
 		}
 		row := Fig8Row{Matrix: e.Name, Edges: one.NumEdges()}
 		row.LBCOne = timeIt(func() error {
-			_, err := lbc.Schedule(one, threads, PaperLBC())
+			_, err := lbc.Schedule(one, threads, lbc.Params{})
 			return err
 		})
 		row.LBCJoint = timeIt(func() error {
-			_, err := lbc.ScheduleChordal(joint, threads, PaperLBC())
+			_, err := lbc.ScheduleChordal(joint, threads, lbc.Params{})
 			return err
 		})
 		row.DAGPOne = timeIt(func() error {
@@ -443,13 +440,13 @@ func runGS(a *sparse.CSR, threads int, tol float64, maxSweeps, sweepsPerChain in
 	var im *combos.Impl
 	switch variant {
 	case "fusion":
-		im = in.SparseFusion(threads, PaperLBC())
+		im = in.SparseFusion(threads)
 	case "parsy":
-		im = in.UnfusedParSy(threads, PaperLBC())
+		im = in.UnfusedParSy(threads, lbc.Params{})
 	case "joint-wavefront":
 		im = in.JointWavefront(threads)
 	case "joint-lbc":
-		im = in.JointLBC(threads, PaperLBC())
+		im = in.JointLBC(threads)
 	case "joint-dagp":
 		im = in.JointDAGP(threads)
 	default:
@@ -509,7 +506,7 @@ func RunFig10(entries []suite.Entry, threads, reps int) ([]Fig10Row, error) {
 			return nil, err
 		}
 		flops := in.FlopCount()
-		sf, err := bestOf(in.SparseFusion(threads, PaperLBC()), reps)
+		sf, err := bestOf(in.SparseFusion(threads), reps)
 		if err != nil {
 			return nil, err
 		}
@@ -589,7 +586,7 @@ func RunReuseDist(a *sparse.CSR, threads int) ([]ReuseDistRow, error) {
 			return nil, err
 		}
 		var prof [2]locality.Profile
-		for i, im := range []*combos.Impl{in.SparseFusion(threads, PaperLBC()), in.UnfusedParSy(threads, PaperLBC())} {
+		for i, im := range []*combos.Impl{in.SparseFusion(threads), in.UnfusedParSy(threads, lbc.Params{})} {
 			if err := im.Inspect(); err != nil {
 				return nil, err
 			}

@@ -120,8 +120,8 @@ func TestFig7InspectionOrdering(t *testing.T) {
 	}
 	var sf, jl time.Duration
 	for rep := 0; rep < 3; rep++ {
-		inspect(in.SparseFusion(threads, PaperLBC()), &sf)
-		inspect(in.JointLBC(threads, PaperLBC()), &jl)
+		inspect(in.SparseFusion(threads), &sf)
+		inspect(in.JointLBC(threads), &jl)
 	}
 	if sf >= jl {
 		t.Fatalf("sparse fusion inspection %v not below fused-LBC %v", sf, jl)

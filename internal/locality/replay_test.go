@@ -7,7 +7,6 @@ import (
 	"sparsefusion/internal/combos"
 	"sparsefusion/internal/exec"
 	"sparsefusion/internal/kernels"
-	"sparsefusion/internal/lbc"
 	"sparsefusion/internal/locality"
 	"sparsefusion/internal/sparse"
 )
@@ -18,7 +17,7 @@ import (
 func fusedSteps(t *testing.T, in *combos.Instance, reuse float64) []combos.Step {
 	t.Helper()
 	in.Reuse = reuse
-	im := in.SparseFusion(4, lbc.Params{InitialCut: 4, Agg: 400})
+	im := in.SparseFusion(4)
 	if err := im.Inspect(); err != nil {
 		t.Fatal(err)
 	}

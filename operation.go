@@ -145,8 +145,8 @@ func (op *Operation) SaveSchedule(w io.Writer) error {
 
 // ScheduleMismatchError reports a saved schedule rejected because the
 // fingerprint it was saved under does not match the matrix, combination, and
-// options it is being loaded for — a file for a different pattern, thread
-// count, or LBC tuning.
+// options it is being loaded for — a file for a different pattern or thread
+// count.
 type ScheduleMismatchError struct {
 	// Want is the fingerprint computed from the loader's matrix and options;
 	// Got is the one embedded in the file. Both hex-encoded.

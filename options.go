@@ -8,13 +8,12 @@ import (
 	"sparsefusion/internal/lbc"
 )
 
-// Options tunes fusion. The zero value is usable: GOMAXPROCS threads, the
-// paper's LBC parameters (initial cut 4, coarsening factor 400), no cache.
+// Options tunes fusion. The zero value is usable: GOMAXPROCS threads, no
+// cache. The head-DAG partitioner always runs at the paper's LBC tuning
+// (initial cut 4, coarsening factor 400).
 type Options struct {
 	// Threads is r, the parallelism the schedule targets.
 	Threads int
-	// LBCInitialCut and LBCAgg tune the head-DAG partitioner.
-	LBCInitialCut, LBCAgg int
 	// Cache, when non-nil, routes inspection through a content-addressed
 	// schedule cache: NewOperation computes a structural fingerprint of the
 	// matrix pattern and these options, and reuses the cached schedule,
@@ -41,25 +40,14 @@ func (o Options) threads() int {
 	return runtime.GOMAXPROCS(0)
 }
 
-func (o Options) lbc() lbc.Params {
-	return lbc.Params{InitialCut: o.LBCInitialCut, Agg: o.LBCAgg}
-}
-
 // fingerprint computes the content address of the artifact chain these
-// options produce over m: the structural pattern (never values), every option
-// that shapes the schedule, and what p names of the chain — a Table 1
-// combination, or a composed chain's length and ordered kernel ids. LBC zero
-// values are resolved to their defaults first so Options{} and
-// Options{LBCInitialCut: 4, LBCAgg: 400} address the same entry.
+// options produce over m: the structural pattern (never values), the thread
+// count, the paper's LBC constants (hashed so every key keeps its bytes), and
+// what p names of the chain — a Table 1 combination, or a composed chain's
+// length and ordered kernel ids.
 func (o Options) fingerprint(m *Matrix, p cache.Params) cache.Key {
 	d := lbc.DefaultParams()
-	p.Threads, p.LBCInitialCut, p.LBCAgg = o.threads(), o.LBCInitialCut, o.LBCAgg
-	if p.LBCInitialCut <= 0 {
-		p.LBCInitialCut = d.InitialCut
-	}
-	if p.LBCAgg <= 0 {
-		p.LBCAgg = d.Agg
-	}
+	p.Threads, p.LBCInitialCut, p.LBCAgg = o.threads(), d.InitialCut, d.Agg
 	return m.fingerprint(p)
 }
 

@@ -27,9 +27,9 @@ type IC0Preconditioner struct {
 }
 
 // NewIC0Preconditioner factors tril(A) with IC0 and inspects the fused
-// forward+backward apply. Of opts, Threads, the LBC parameters and
-// Watchdog apply; the preconditioner inspects privately — Cache and Tracer
-// are not consulted — and runs on the compiled (unpacked) rung.
+// forward+backward apply. Of opts, Threads and Watchdog apply; the
+// preconditioner inspects privately — Cache and Tracer are not consulted —
+// and runs on the compiled (unpacked) rung.
 //
 // It is the one solver that does not open through the shared path
 // (execState.open): Matrix.SolveCG builds it inside every call, and that solve
@@ -67,7 +67,7 @@ func NewIC0Preconditioner(m *Matrix, opts Options) (*IC0Preconditioner, error) {
 	f := core.FAntiDiagonal(n)
 	loops := &core.Loops{G: []*dag.Graph{fwd.DAG(), bwd.DAG()}, F: []*sparse.CSR{f}}
 	reuse := core.ReuseRatioChain(ks)
-	sched, err := core.ICO(loops, core.Params{Threads: p.th, ReuseRatio: reuse, LBC: opts.lbc()})
+	sched, err := core.ICO(loops, core.Params{Threads: p.th, ReuseRatio: reuse})
 	if err != nil {
 		return nil, err
 	}

@@ -46,11 +46,12 @@ type Matrix struct {
 	keys map[keyParams]cache.Key
 }
 
-// keyParams is cache.Params in comparable form (the chain's kernel ids
-// joined), the index of Matrix.keys.
+// keyParams is what varies of cache.Params in comparable form (the chain's
+// kernel ids joined), the index of Matrix.keys. The LBC fields are always the
+// paper's constants.
 type keyParams struct {
-	combo, threads, lbcInitialCut, lbcAgg, chainLen int
-	chainKernels                                    string
+	combo, threads, chainLen int
+	chainKernels             string
 }
 
 func newMatrix(csr *sparse.CSR) *Matrix {
@@ -62,7 +63,7 @@ func newMatrix(csr *sparse.CSR) *Matrix {
 // remembered: the SHA-256 walks the whole pattern, a price every open of a
 // cached schedule would otherwise pay before it can look anything up.
 func (m *Matrix) fingerprint(p cache.Params) cache.Key {
-	id := keyParams{p.Combo, p.Threads, p.LBCInitialCut, p.LBCAgg, p.ChainLen, strings.Join(p.ChainKernels, "\x00")}
+	id := keyParams{p.Combo, p.Threads, p.ChainLen, strings.Join(p.ChainKernels, "\x00")}
 	m.mu.Lock()
 	defer m.mu.Unlock()
 	k, ok := m.keys[id]

@@ -270,9 +270,6 @@ func TestDefaultOptions(t *testing.T) {
 	if o.threads() < 1 {
 		t.Fatal("default threads invalid")
 	}
-	if o.lbc().InitialCut != 0 {
-		t.Fatal("zero options should defer LBC defaults to the partitioner")
-	}
 	if Combination(TrsvMv).String() != "TRSV-MV" {
 		t.Fatal("combination label wrong")
 	}
