@@ -86,8 +86,9 @@ const demLogCap = 256
 // demotion records observed on served solves — the payload behind /healthz
 // and the single struct monitoring should poll instead of three accessors.
 type Snapshot struct {
-	// Status is "ok", or "degraded" once any served session demoted or any
-	// served solve errored.
+	// Status is "ok", or "degraded" once any served run demoted its session
+	// or errored. A session that opened on a lower rung (the factor chains
+	// cannot pack) is not degraded: that demotion is in its Health only.
 	Status string `json:"status"`
 	// Serve is the admission state.
 	Serve ServerStats `json:"serve"`
@@ -95,7 +96,7 @@ type Snapshot struct {
 	// was built without ServerConfig.Cache.
 	Cache *CacheStats `json:"cache,omitempty"`
 	// Solves / SolveErrors count served executions; Demotions counts ladder
-	// steps observed on served operations and sessions.
+	// steps served runs took.
 	Solves      int64 `json:"solves"`
 	SolveErrors int64 `json:"solve_errors"`
 	Demotions   int64 `json:"demotions"`
@@ -135,7 +136,7 @@ func newServerObs(s *serve.Server, sc *ScheduleCache) *serverObs {
 		reg:       reg,
 		solves:    reg.Counter("spf_solves_total", "Fused executions served (RunOn)."),
 		errors:    reg.Counter("spf_solve_errors_total", "Served executions that returned an error."),
-		demotions: reg.Counter("spf_demotions_total", "Executor-ladder demotions observed on served operations and sessions."),
+		demotions: reg.Counter("spf_demotions_total", "Executor-ladder demotions taken by served runs."),
 		barriers:  reg.Counter("spf_barriers_total", "Executor barriers (s-partition synchronizations) crossed by served solves — the quantity chain composition divides by ~k."),
 		cancels:   reg.Counter("spf_cancels_total", "Served runs cancelled in flight (returned *CancelledError at an s-partition boundary)."),
 		watchdogs: reg.Counter("spf_watchdog_trips_total", "Barrier-watchdog trips on served runs: a worker failed to arrive within the bound and the worker set was retired."),
@@ -188,8 +189,8 @@ func newServerObs(s *serve.Server, sc *ScheduleCache) *serverObs {
 	return o
 }
 
-// observeSolve records one served execution and harvests any demotions the
-// run took (or construction-time demotions not yet reported).
+// observeSolve records one served execution and harvests the demotions runs
+// took since the last harvest. Open-time demotions stay in Health only.
 func (sv *Server) observeSolve(e *execState, d time.Duration, rep Report, runErr error) {
 	o := sv.obs
 	o.solves.Add(1)

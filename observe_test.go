@@ -381,6 +381,30 @@ func TestSnapshotHarvestsDemotions(t *testing.T) {
 	}
 }
 
+// TestFactorCombosServeHealthy: the factor combinations cannot pack, so each
+// opens on the compiled rung with one open-time demotion in its Health. A
+// served run takes no demotion, so the server stays "ok" and counts none.
+func TestFactorCombosServeHealthy(t *testing.T) {
+	for _, c := range []Combination{DscalIlu0, Ic0Trsv, Ilu0Trsv, DscalIc0} {
+		op, err := NewOperation(c, Laplacian2D(20), Options{Threads: 2})
+		if err != nil {
+			t.Fatal(err)
+		}
+		if h := op.Health(); h.Mode != ModeCompiled || len(h.Demotions) != 1 {
+			t.Fatalf("%s: opened as %+v, want compiled with its open-time demotion", c, h)
+		}
+		sv := NewServer(ServerConfig{MaxConcurrent: 1, Width: 2})
+		if _, err := op.RunOn(sv); err != nil {
+			t.Fatalf("%s: %v", c, err)
+		}
+		snap := sv.Snapshot()
+		sv.Close()
+		if snap.Status != "ok" || snap.Demotions != 0 || len(snap.Demoted) != 0 {
+			t.Fatalf("%s: status %q, %d demotions %v after a healthy run", c, snap.Status, snap.Demotions, snap.Demoted)
+		}
+	}
+}
+
 // TestRegistryRaceUnderServing is the -race stress: worker-width goroutines
 // hammer counters, gauges and histograms while fused solves run
 // through the server and concurrent scrapes read /metrics and Snapshot.
