@@ -146,16 +146,12 @@ type Config struct {
 	Watchdog time.Duration
 }
 
-// New starts a server with maxConcurrent pools of the given worker width.
-// Width is clamped to at least 1. maxConcurrent <= 0 sizes the fleet from the
+// NewCfg starts a server with maxConcurrent pools of the given worker width,
+// admission and watchdog configured by cfg (Config{} is usable). Width is
+// clamped to at least 1. maxConcurrent <= 0 sizes the fleet from the
 // machine: GOMAXPROCS/width pools (at least 1), so the fleet's spinning
 // workers roughly cover the cores without oversubscribing them. The fleet
 // spins up eagerly so the first request does not pay pool-spawn latency.
-func New(maxConcurrent, width int) *Server {
-	return NewCfg(maxConcurrent, width, Config{})
-}
-
-// NewCfg is New with explicit admission and watchdog configuration.
 func NewCfg(maxConcurrent, width int, cfg Config) *Server {
 	if width < 1 {
 		width = 1

@@ -33,7 +33,7 @@ func watchdog(t *testing.T, d time.Duration) func() {
 func TestAdmissionBound(t *testing.T) {
 	defer watchdog(t, 10*time.Second)()
 	const k, reqs = 3, 12
-	s := New(k, 2)
+	s := NewCfg(k, 2, Config{})
 	defer s.Close()
 
 	var active, peak atomic.Int64
@@ -83,7 +83,7 @@ func TestAdmissionBound(t *testing.T) {
 // and still returns the pool to the fleet.
 func TestErrorPropagatesAndPoolReturns(t *testing.T) {
 	defer watchdog(t, 10*time.Second)()
-	s := New(1, 1)
+	s := NewCfg(1, 1, Config{})
 	defer s.Close()
 
 	want := ErrClosed // any sentinel works; reuse one we have
@@ -101,7 +101,7 @@ func TestErrorPropagatesAndPoolReturns(t *testing.T) {
 // subsequent Do calls fail fast with ErrClosed.
 func TestCloseRejectsAndWaits(t *testing.T) {
 	defer watchdog(t, 10*time.Second)()
-	s := New(2, 1)
+	s := NewCfg(2, 1, Config{})
 
 	started := make(chan struct{})
 	release := make(chan struct{})
@@ -133,7 +133,7 @@ func TestCloseRejectsAndWaits(t *testing.T) {
 
 func TestDefaultFleetSizedFromMachine(t *testing.T) {
 	np := runtime.GOMAXPROCS(0)
-	s := New(0, 0)
+	s := NewCfg(0, 0, Config{})
 	defer s.Close()
 	st := s.Stats()
 	if st.Width != 1 {
@@ -142,7 +142,7 @@ func TestDefaultFleetSizedFromMachine(t *testing.T) {
 	if want := np; st.MaxConcurrent != want {
 		t.Fatalf("default fleet size = %d, want GOMAXPROCS/width = %d", st.MaxConcurrent, want)
 	}
-	wide := New(0, 2*np)
+	wide := NewCfg(0, 2*np, Config{})
 	defer wide.Close()
 	if got := wide.Stats().MaxConcurrent; got != 1 {
 		t.Fatalf("fleet for width > GOMAXPROCS = %d, want 1", got)
@@ -151,7 +151,7 @@ func TestDefaultFleetSizedFromMachine(t *testing.T) {
 
 func TestStatsEffectiveWidth(t *testing.T) {
 	np := runtime.GOMAXPROCS(0)
-	s := New(1, 2*np)
+	s := NewCfg(1, 2*np, Config{})
 	defer s.Close()
 	st := s.Stats()
 	if st.Width != 2*np {
@@ -160,7 +160,7 @@ func TestStatsEffectiveWidth(t *testing.T) {
 	if st.EffectiveWidth != np {
 		t.Fatalf("effective width = %d, want GOMAXPROCS = %d", st.EffectiveWidth, np)
 	}
-	narrow := New(1, 1)
+	narrow := NewCfg(1, 1, Config{})
 	defer narrow.Close()
 	if got := narrow.Stats().EffectiveWidth; got != 1 {
 		t.Fatalf("effective width of a 1-wide fleet = %d, want 1", got)
