@@ -367,10 +367,16 @@ func CompileFused(ks []kernels.Kernel, art *cache.Artifacts, stage func(name str
 	return r, nil
 }
 
-// CompilePartitioned compiles a baseline partitioning of a single kernel's
-// DAG (everything is loop 0).
-func CompilePartitioned(k kernels.Kernel, p *partition.Partitioning) (*Runner, error) {
-	b, err := core.NewProgramBuilder(1)
+// CompilePartitioned compiles a baseline partitioning of the joint DAG of
+// the kernels ks, whose vertex ids number loop 0's iterations first, then
+// loop 1's, and so on; a single kernel's own DAG is the one-loop case. Each
+// vertex's (loop, index) is resolved once here instead of per run.
+func CompilePartitioned(ks []kernels.Kernel, p *partition.Partitioning) (*Runner, error) {
+	off := make([]int, len(ks)+1) // loop l's vertex ids are off[l] .. off[l+1]-1
+	for l, k := range ks {
+		off[l+1] = off[l] + k.Iterations()
+	}
+	b, err := core.NewProgramBuilder(len(ks))
 	if err != nil {
 		return nil, err
 	}
@@ -381,42 +387,17 @@ func CompilePartitioned(k kernels.Kernel, p *partition.Partitioning) (*Runner, e
 				return nil, err
 			}
 			for _, v := range wp {
-				if err := b.Add(0, v); err != nil {
+				loop := 0
+				for loop < len(ks)-1 && v >= off[loop+1] {
+					loop++
+				}
+				if err := b.Add(loop, v-off[loop]); err != nil {
 					return nil, err
 				}
 			}
 		}
 	}
-	return NewRunner([]kernels.Kernel{k}, b.Finish()), nil
-}
-
-// CompileJoint compiles a partitioning of the joint DAG of two kernels
-// (vertices 0..n1-1 are loop-1 iterations, n1.. are loop-2 iterations),
-// resolving the v < n1 split once instead of per iteration per run.
-func CompileJoint(k1, k2 kernels.Kernel, p *partition.Partitioning) (*Runner, error) {
-	n1 := k1.Iterations()
-	b, err := core.NewProgramBuilder(2)
-	if err != nil {
-		return nil, err
-	}
-	for _, sp := range p.S {
-		b.StartS()
-		for _, wp := range sp {
-			if err := b.StartW(); err != nil {
-				return nil, err
-			}
-			for _, v := range wp {
-				loop, idx := 0, v
-				if v >= n1 {
-					loop, idx = 1, v-n1
-				}
-				if err := b.Add(loop, idx); err != nil {
-					return nil, err
-				}
-			}
-		}
-	}
-	return NewRunner([]kernels.Kernel{k1, k2}, b.Finish()), nil
+	return NewRunner(ks, b.Finish()), nil
 }
 
 // BenchBarrier runs rounds empty barrier rounds of the given width on a

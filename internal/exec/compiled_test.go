@@ -139,7 +139,7 @@ func TestCompiledPartitionedMatchesSequentialWalk(t *testing.T) {
 	}
 	walk([]kernels.Kernel{k}, asSchedule(lb, k.Iterations()))
 	want := append([]float64(nil), x...)
-	stC := mustRun(once(threads)(CompilePartitioned(k, lb)))
+	stC := mustRun(once(threads)(CompilePartitioned([]kernels.Kernel{k}, lb)))
 	if !bitsSame(x, want) {
 		t.Fatal("partitioned run differs from the walk")
 	}
@@ -160,7 +160,7 @@ func TestCompiledJointMatchesSequentialWalk(t *testing.T) {
 	}
 	walk(ks, asSchedule(wf, ks[0].Iterations()))
 	want := snap()
-	stC := mustRun(once(threads)(CompileJoint(ks[0], ks[1], wf)))
+	stC := mustRun(once(threads)(CompilePartitioned(ks, wf)))
 	if e := sparse.RelErr(snap(), want); e > 1e-9 {
 		t.Fatalf("joint compiled diverges from the walk by %v", e)
 	}

@@ -161,9 +161,9 @@ func TestRunPartitionedMatchesSequential(t *testing.T) {
 		name string
 		st   Stats
 	}{
-		{"wavefront", mustRun(once(threads)(CompilePartitioned(k, wf)))},
-		{"lbc", mustRun(once(threads)(CompilePartitioned(k, lb)))},
-		{"dagp", mustRun(once(threads)(CompilePartitioned(k, dg)))},
+		{"wavefront", mustRun(once(threads)(CompilePartitioned([]kernels.Kernel{k}, wf)))},
+		{"lbc", mustRun(once(threads)(CompilePartitioned([]kernels.Kernel{k}, lb)))},
+		{"dagp", mustRun(once(threads)(CompilePartitioned([]kernels.Kernel{k}, dg)))},
 	} {
 		if got := append([]float64(nil), x...); sparse.RelErr(got, want) > 1e-9 {
 			t.Fatalf("%s: diverges", tc.name)
@@ -197,9 +197,9 @@ func TestRunJointMatchesSequential(t *testing.T) {
 		name string
 		st   Stats
 	}{
-		{"joint-wavefront", mustRun(once(threads)(CompileJoint(ks[0], ks[1], wf)))},
-		{"joint-lbc", mustRun(once(threads)(CompileJoint(ks[0], ks[1], lb)))},
-		{"joint-dagp", mustRun(once(threads)(CompileJoint(ks[0], ks[1], dg)))},
+		{"joint-wavefront", mustRun(once(threads)(CompilePartitioned(ks, wf)))},
+		{"joint-lbc", mustRun(once(threads)(CompilePartitioned(ks, lb)))},
+		{"joint-dagp", mustRun(once(threads)(CompilePartitioned(ks, dg)))},
 	} {
 		if got := snap(); sparse.RelErr(got, want) > 1e-9 {
 			t.Fatalf("%s: diverges by %v", tc.name, sparse.RelErr(snap(), want))

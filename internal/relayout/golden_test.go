@@ -167,7 +167,7 @@ func TestLayoutGolden(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	r, err := exec.CompilePartitioned(dscal, p)
+	r, err := exec.CompilePartitioned([]kernels.Kernel{dscal}, p)
 	if err != nil {
 		t.Fatal(err)
 	}
