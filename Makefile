@@ -11,23 +11,24 @@ build:
 test:
 	$(GO) test ./...
 
-# race also repeats the packed rung's determinism tests — a slot shared between
-# two w-partitions, or a fold that depends on who ran what, shows up as a race
-# or as differing bits only when the timing cooperates — the held pool and the
-# worker set a solve keeps (one per solve, held, closed however it ends), the
-# concurrent opens over one Matrix, whose memoized forms every operation
-# shares, sessions that demote at once after their shared program faults
-# (each on its own ladder, down to the kernels in program order), what an
-# operation, a solver, a cache entry and a runner let go once open, the
-# inspector's GOMAXPROCS sweeps, since every inspection fans out over
-# min(Threads, GOMAXPROCS) workers, the inspector's pinned output at the
-# sizes inspect-churn inspects, and the admission queue's bound under
-# callers that arrive together. TestMakeRaceNamesExist (makefile_test.go)
-# fails when a -run pattern below names no test.
+# race also repeats the packed rung's determinism tests — a slot shared
+# between two w-partitions, or a fold that depends on who ran what, shows up
+# as a race or as differing bits only when the timing cooperates — the held
+# pool and the worker set a solve keeps (one per solve, held, closed however
+# it ends), the concurrent opens over one Matrix, whose memoized forms every
+# operation shares, sessions that demote at once after their shared program
+# faults (each on its own ladder, down to the kernels in program order), what
+# an operation, a solver, a cache entry and a runner let go once open, the one
+# copy of each matrix an open keeps (a CSC that is the Matrix's own arrays, a
+# stream two solves read), the inspector's GOMAXPROCS sweeps, since every
+# inspection fans out over min(Threads, GOMAXPROCS) workers, the inspector's
+# pinned output at the sizes inspect-churn inspects, and the admission queue's
+# bound under callers that arrive together. TestMakeRaceNamesExist
+# (makefile_test.go) fails when a -run pattern below names no test.
 race:
 	$(GO) test -race . ./internal/exec/... ./internal/core/... ./internal/dag/... ./internal/lbc/... ./internal/cache/... ./internal/combos/... ./internal/kernels/... ./internal/relayout/... ./internal/serve/... ./internal/telemetry/... ./internal/chaos/... ./internal/par/...
 	$(GO) test -race -count=5 -run 'TestPackedScatter|TestScatterArmedFromPoolWidth|TestHeld' ./internal/exec/
-	$(GO) test -race -count=5 -run 'TestConcurrentSessionsMatchReference|TestScatterOperationCleanAfterCancelStorm|TestConcurrentOpensShareMatrixMemos|TestRunsLeaveNoWorkers|TestSolveKeepsOneWorkerSet|TestSolveClosesItsWorkerSet|TestIdleWorkerSetsPinNothing|TestSessionsDemoteConcurrently|TestOperationKeepsNoFusionInput|TestSolversKeepNoFusionInput|TestCacheEntriesKeepNoTreeSchedule|TestRunnerKeepsNoDispatchTable' .
+	$(GO) test -race -count=5 -run 'TestConcurrentSessionsMatchReference|TestScatterOperationCleanAfterCancelStorm|TestConcurrentOpensShareMatrixMemos|TestRunsLeaveNoWorkers|TestSolveKeepsOneWorkerSet|TestSolveClosesItsWorkerSet|TestIdleWorkerSetsPinNothing|TestSessionsDemoteConcurrently|TestOperationKeepsNoFusionInput|TestSolversKeepNoFusionInput|TestCacheEntriesKeepNoTreeSchedule|TestRunnerKeepsNoDispatchTable|TestOpenKeepsOneCopyPerMatrix' .
 	$(GO) test -race -count=5 -run 'TestICOWorkersDeterministic|TestScheduleWorkersDeterministic|TestICOMatchesSeedCorpus|TestICOChurnGolden' ./internal/core/ ./internal/lbc/
 	$(GO) test -race -count=5 -run 'TestDoContextQueueBoundHoldsUnderConcurrentArrival' ./internal/serve/
 

@@ -52,7 +52,7 @@ func main() {
 		threads = flag.Int("threads", runtime.GOMAXPROCS(0), "schedule width r")
 		runs    = flag.Int("runs", 5, "executor repetitions (minimum reported)")
 		reorder = flag.Bool("reorder", true, "apply nested-dissection reordering first (the paper's METIS step)")
-		dump    = flag.Bool("dump", false, "print the fused schedule's per-s-partition shape, its w-partitions' iterations per loop, the dispatch units and the packed scatter loops' redirect counts")
+		dump    = flag.Bool("dump", false, "print the fused schedule's per-s-partition shape, its w-partitions' iterations per loop, the dispatch units, each loop's packed stream words (or whose stream it reads) and the packed scatter loops' redirect counts")
 		trace   = flag.String("trace", "", "write a Chrome trace of one fused execution to this path")
 	)
 	flag.Parse()
@@ -252,10 +252,12 @@ func writeTrace(path string, in *combos.Instance, threads int) error {
 	return nil
 }
 
-// dumpScatter prints what the packed rung's no-atomics scatter costs on this
-// schedule: per scatter loop, how many of its updates the re-layout redirected
-// into private slots and how many adds fold them back, then the share of one
-// warm packed run the calling goroutine spent folding.
+// dumpScatter prints what the packed rung keeps and what its no-atomics
+// scatter costs on this schedule: per loop the words of its packed stream, or
+// the earlier loop whose stream it reads; per scatter loop, how many of its
+// updates the re-layout redirected into private slots and how many adds fold
+// them back, then the share of one warm packed run the calling goroutine spent
+// folding.
 func dumpScatter(in *combos.Instance, sched *core.Schedule, threads int) error {
 	art := cache.Artifacts{Schedule: sched}
 	runner, err := exec.CompileFused(in.Kernels, &art, nil)
@@ -275,6 +277,14 @@ func dumpScatter(in *combos.Instance, sched *core.Schedule, threads int) error {
 	if lay == nil {
 		fmt.Printf("packed scatter: chain does not pack (%s)\n\n", art.LayoutErr)
 		return nil
+	}
+	fmt.Printf("packed streams (%d words in all):\n", lay.Words())
+	for l, st := range lay.Streams {
+		if own := lay.Owner(l); own != l {
+			fmt.Printf("  loop %d %-12s reads loop %d's stream\n", l, in.Kernels[l].Name(), own)
+			continue
+		}
+		fmt.Printf("  loop %d %-12s words=%d\n", l, in.Kernels[l].Name(), st.Words())
 	}
 	fmt.Println("packed scatter loops (updates per run, redirected to private slots, slots, fold adds per run):")
 	for l, sc := range lay.Scatter {

@@ -291,21 +291,25 @@ func (e *execState) traceStages(art *cache.Artifacts) func(string, time.Duration
 		default:
 			// What the no-atomics scatter costs: of the scatter updates per
 			// run, how many go to private slots, and how many adds fold them
-			// back.
-			var entries, redirected, slots, folds int
-			for _, sc := range art.Layout.Scatter {
+			// back. And how many loops read another loop's stream.
+			var entries, redirected, slots, folds, shared int
+			for l, sc := range art.Layout.Scatter {
 				if sc != nil {
 					entries += sc.Entries
 					redirected += sc.Redirected
 					slots += sc.Slots
 					folds += len(sc.FoldTarget)
 				}
+				if art.Layout.Owner(l) != l {
+					shared++
+				}
 			}
 			t.Emit("inspect.relayout", op, dur,
 				telemetry.Int("scatter_entries", int64(entries)),
 				telemetry.Int("scatter_redirected", int64(redirected)),
 				telemetry.Int("scatter_slots", int64(slots)),
-				telemetry.Int("scatter_fold_entries", int64(folds)))
+				telemetry.Int("scatter_fold_entries", int64(folds)),
+				telemetry.Int("shared_loops", int64(shared)))
 		}
 	}
 }

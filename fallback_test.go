@@ -174,12 +174,13 @@ func TestUnpackableChainRecordsConstructionDemotion(t *testing.T) {
 func TestBreakdownDoesNotDemote(t *testing.T) {
 	// An indefinite matrix breaks down IC0. That is a property of the
 	// numbers: the ladder must surface the typed error without demoting.
-	m := RandomSPD(150, 4, 21)
-	for p := m.csr.P[80]; p < m.csr.P[81]; p++ {
-		if m.csr.I[p] == 80 {
-			m.csr.X[p] = -5
+	a := sparse.Must(sparse.RandomSPD(150, 4, 21))
+	for p := a.P[80]; p < a.P[81]; p++ {
+		if a.I[p] == 80 {
+			a.X[p] = -5
 		}
 	}
+	m := newMatrix(a) // a Matrix's arrays are never written once wrapped
 	op, err := NewOperation(Ic0Trsv, m, Options{Threads: 4})
 	if err != nil {
 		t.Fatal(err)
@@ -210,12 +211,13 @@ func TestBreakdownDoesNotDemote(t *testing.T) {
 func TestPreconditionerTranslatesBreakdown(t *testing.T) {
 	// The solver-facing wrapper must name the kernel and row in its message
 	// and keep the BreakdownError reachable through errors.As.
-	m := RandomSPD(100, 3, 2)
-	for p := m.csr.P[40]; p < m.csr.P[41]; p++ {
-		if m.csr.I[p] == 40 {
-			m.csr.X[p] = -3
+	a := sparse.Must(sparse.RandomSPD(100, 3, 2))
+	for p := a.P[40]; p < a.P[41]; p++ {
+		if a.I[p] == 40 {
+			a.X[p] = -3
 		}
 	}
+	m := newMatrix(a)
 	_, err := NewIC0Preconditioner(m, Options{Threads: 2})
 	if err == nil {
 		t.Fatal("IC0 preconditioner setup accepted an indefinite matrix")

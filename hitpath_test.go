@@ -452,7 +452,8 @@ func TestConcurrentOpensShareMatrixMemos(t *testing.T) {
 // TestOperationDoesNotPinMatrix: TRSV-MV reads the lower triangle and the CSC
 // form, never the CSR its Matrix was built from. An operation that outlives
 // its Matrix handle — gs-wide's, every inspect-churn unit's — must let that
-// array go: the memoized forms reach the operation, the memo itself does not.
+// CSR header go: the memoized forms reach the operation, the memo itself does
+// not. A symmetric matrix's arrays do live on, as the operation's CSC form.
 func TestOperationDoesNotPinMatrix(t *testing.T) {
 	for _, sc := range []*ScheduleCache{nil, NewScheduleCache(CacheConfig{})} {
 		freed := make(chan struct{})

@@ -11,7 +11,7 @@ import (
 // lists, no sort), read lists live in one flat backing, and counting cursors
 // come from the shared pool. Every constructor must finish in a small,
 // size-independent number of allocations; the old append-grown edge lists
-// allocated O(log nnz) grow steps and the per-row rowEntries appends
+// allocated O(log nnz) grow steps and the per-row read-list appends
 // allocated O(n). Bounds are deliberately loose (about 2x the current counts)
 // so only a regression back to per-element allocation trips them. Note the
 // weight slices themselves are retained by the DAG (dag.Parallel keeps w),

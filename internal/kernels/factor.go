@@ -23,56 +23,58 @@ type SpIC0CSC struct {
 	// nil once DisableRestore hands the replay to an upstream kernel.
 	A0 []float64
 
-	// rowEntries[j] lists (column k < j, value index p) of every entry
-	// L[j][k]: the columns iteration j must read.
-	rowEntries [][]rowRef
-	flops      int64
+	// refs[refOff[j]:refOff[j+1]] lists (column k < j, value index p) of
+	// every entry L[j][k]: the columns iteration j must read (reads).
+	refs   []rowRef
+	refOff []int
+	flops  int64
 }
 
 type rowRef struct{ col, idx int }
 
 // NewSpIC0CSC builds the kernel from the lower-triangular CSC pattern l
 // (typically tril(A) of an SPD matrix). The values of l are copied as the
-// replayable input. The per-row read lists are carved out of one flat backing
-// array instead of n append-grown slices; DAG takes its adjacency straight
-// from the strictly-lower column pattern (dag.FromLowerCSC — no edge list, no
-// sort).
+// replayable input. The per-row read lists are one flat array and one offset
+// array, not n slices; DAG takes its adjacency straight from the
+// strictly-lower column pattern (dag.FromLowerCSC — no edge list, no sort).
 func NewSpIC0CSC(l *sparse.CSC) *SpIC0CSC {
 	n := l.Cols
-	k := &SpIC0CSC{L: l, A0: append([]float64(nil), l.X...)}
+	k := &SpIC0CSC{L: l, A0: append([]float64(nil), l.X...), refOff: make([]int, n+1)}
 
-	// Count strictly-lower refs per row (cnt[i+1]), prefix-sum into start
-	// offsets, carve the sub-slice headers, then fill in the same
-	// column-scan order as before, advancing cnt[i] as the row cursor.
-	cntp := getInts(n + 1)
-	defer putInts(cntp)
-	cnt := *cntp
+	// Count strictly-lower refs per row (refOff[i+1]), prefix-sum into start
+	// offsets, then fill in column-scan order with a copy of the starts as
+	// the row cursors.
+	off := k.refOff
 	for j := 0; j < n; j++ {
 		for p := l.P[j]; p < l.P[j+1]; p++ {
 			if i := l.I[p]; i > j {
-				cnt[i+1]++
+				off[i+1]++
 			}
 		}
 	}
 	for i := 0; i < n; i++ {
-		cnt[i+1] += cnt[i]
+		off[i+1] += off[i]
 	}
-	refs := make([]rowRef, cnt[n])
-	k.rowEntries = make([][]rowRef, n)
-	for i := 0; i < n; i++ {
-		k.rowEntries[i] = refs[cnt[i]:cnt[i+1]]
-	}
+	k.refs = make([]rowRef, off[n])
+	curp := getInts(n)
+	defer putInts(curp)
+	cur := *curp
+	copy(cur, off[:n])
 	for j := 0; j < n; j++ {
 		for p := l.P[j]; p < l.P[j+1]; p++ {
 			if i := l.I[p]; i > j {
-				refs[cnt[i]] = rowRef{j, p}
-				cnt[i]++
+				k.refs[cur[i]] = rowRef{j, p}
+				cur[i]++
 			}
 		}
 	}
 	k.flops = k.countFlops()
 	return k
 }
+
+// reads lists the (column, value index) refs of row j: the columns iteration
+// j reads.
+func (k *SpIC0CSC) reads(j int) []rowRef { return k.refs[k.refOff[j]:k.refOff[j+1]] }
 
 func (k *SpIC0CSC) Name() string    { return "SpIC0-CSC" }
 func (k *SpIC0CSC) Iterations() int { return k.L.Cols }
@@ -83,8 +85,8 @@ func (k *SpIC0CSC) Iterations() int { return k.L.Cols }
 func (k *SpIC0CSC) DAG() *dag.Graph {
 	l := k.L
 	g := dag.FromLowerCSC(l)
-	for j := range k.rowEntries {
-		for _, ref := range k.rowEntries[j] {
+	for j := 0; j < l.Cols; j++ {
+		for _, ref := range k.reads(j) {
 			g.W[j] += l.P[ref.col+1] - l.P[ref.col]
 		}
 	}
@@ -111,7 +113,7 @@ func (k *SpIC0CSC) DisableRestore() { k.A0 = nil }
 func (k *SpIC0CSC) Run(j int) {
 	l := k.L
 	jStart, jEnd := l.P[j], l.P[j+1]
-	for _, ref := range k.rowEntries[j] {
+	for _, ref := range k.reads(j) {
 		ljk := l.X[ref.idx]
 		if ljk == 0 {
 			continue
@@ -161,7 +163,7 @@ func (k *SpIC0CSC) countFlops() int64 {
 	var f int64
 	for j := 0; j < k.L.Cols; j++ {
 		nt := k.L.P[j+1] - k.L.P[j]
-		for _, ref := range k.rowEntries[j] {
+		for _, ref := range k.reads(j) {
 			f += 2 * int64(min(k.L.P[ref.col+1]-ref.idx, nt))
 		}
 		f += int64(k.L.P[j+1]-k.L.P[j]) + 1 // sqrt + scale

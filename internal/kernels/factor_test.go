@@ -164,7 +164,7 @@ func hubSPD(n, deg, hubs int, seed int64) *sparse.CSR {
 func mergeIC0(k *SpIC0CSC, j int) {
 	l := k.L
 	jStart, jEnd := l.P[j], l.P[j+1]
-	for _, ref := range k.rowEntries[j] {
+	for _, ref := range k.reads(j) {
 		ljk := l.X[ref.idx]
 		if ljk == 0 {
 			continue

@@ -22,7 +22,9 @@ package kernels
 // PackedStream is one loop's sparse operand re-laid-out into schedule
 // execution order. Entries of consecutive scheduled iterations are adjacent:
 // iteration occurrence o (the o-th time this loop appears in the execution
-// stream) owns Len[o] entries, starting where occurrence o-1's ended.
+// stream) owns Len[o] entries, starting where occurrence o-1's ended. A stream
+// may serve several loops: those whose operand runs are, occurrence for
+// occurrence, the same (relayout.Layout.Owner).
 type PackedStream struct {
 	// Idx holds the operand indices (column ids of a CSR row, row ids of a
 	// CSC column) of every scheduled iteration, one contiguous run per
@@ -45,6 +47,9 @@ func (s *PackedStream) Entries() int { return len(s.Idx) }
 
 // Occurrences returns the number of scheduled iterations packed.
 func (s *PackedStream) Occurrences() int { return len(s.Len) }
+
+// Words returns the stream's memory footprint in 4-byte words.
+func (s *PackedStream) Words() int { return len(s.Idx) + 2*len(s.Val) + len(s.Len) + len(s.Pos) }
 
 // PackedKernel is implemented by the kernels the packed executor supports.
 type PackedKernel interface {

@@ -191,7 +191,7 @@ func traceScale(i int, v View, d, out []float64, emit func(uintptr)) {
 func (k *SpIC0CSC) Trace(j int, _ View, emit func(uintptr)) {
 	l := k.L
 	bx, bi := base(l.X), base(l.I)
-	for _, ref := range k.rowEntries[j] {
+	for _, ref := range k.reads(j) {
 		for p := ref.idx; p < l.P[ref.col+1]; p++ {
 			emit(bi + uintptr(p)*wordSize)
 			emit(bx + uintptr(p)*wordSize)

@@ -52,7 +52,7 @@ func adjacency(a *sparse.CSR) (ptr []int, adj []int32) {
 	n := a.Rows
 	ptr = make([]int, n+1)
 	var t *sparse.CSR
-	if !a.PatternSymmetric(ptr[1:]) { // ptr[1:] is the check's scratch until counted
+	if !a.Symmetric(ptr[1:], false) { // ptr[1:] is the check's scratch until counted
 		t = (&sparse.CSR{Rows: n, Cols: n, P: a.P, I: a.I}).Transpose() // pattern only: no value copy
 	}
 	rows := func(r int) (x, y []int) {

@@ -39,7 +39,9 @@ func fuzzMatrix(n int, data []byte) *sparse.CSR {
 // TRSV-MV, MV-MV or a Gauss-Seidel chain of 1–3 sweeps) over a random
 // pattern, inspected at 1–4 threads. The program must rebuild the inspected
 // schedule byte for byte (inspect checks it). The layout must build, pass
-// CheckExclusive and account for every entry in its Len stream. The packed
+// CheckExclusive and account for every entry in its Len stream; every stream
+// a loop shares must be its private fill, and no scatter loop may share
+// (checkSharing). The packed
 // runner must return the one-thread walk's bits on the gather chains and, on
 // the scatter chain, one set of bits at every pool width.
 func FuzzRelayout(f *testing.F) {
@@ -70,6 +72,7 @@ func FuzzRelayout(f *testing.F) {
 		if err := relayout.CheckExclusive(prog, lay, ks); err != nil {
 			t.Fatalf("%s: %v", in.Name, err)
 		}
+		checkSharing(t, in.Name, prog, lay, ks)
 		for l, s := range lay.Streams {
 			sum := 0
 			for _, ln := range s.Len {

@@ -162,16 +162,8 @@ func TestLayoutGolden(t *testing.T) {
 	pcg := cgChain(t, a, true, 64)
 	build("lap2d:40/pcg/threads=4", fusedProgram(t, pcg.Loops, pcg.Reuse, len(pcg.Kernels), 4), pcg.Kernels)
 
-	dscal := kernels.NewDScalCSR(a, kernels.JacobiScaling(a), a.Clone())
-	p, err := lbc.Schedule(dscal.DAG(), 4, lbc.DefaultParams())
-	if err != nil {
-		t.Fatal(err)
-	}
-	r, err := exec.CompilePartitioned([]kernels.Kernel{dscal}, p)
-	if err != nil {
-		t.Fatal(err)
-	}
-	build("lap2d:40/DSCAL-CSR/threads=4", r.Program(), []kernels.Kernel{dscal})
+	prog, ks := dscalFixture(t, a)
+	build("lap2d:40/DSCAL-CSR/threads=4", prog, ks)
 
 	for key, sum := range got {
 		if want, ok := goldenLayouts[key]; !ok || sum != want {

@@ -4,7 +4,10 @@
 // kernels, it copies each kernel's sparse operand rows/columns into schedule
 // execution order as flat, contiguous int32 index + float64 value streams
 // (kernels.PackedStream), one stream per loop, segment-aligned with
-// Program.SegOff/SegIter.
+// Program.SegOff/SegIter. A loop whose operand runs are, occurrence for
+// occurrence, the very slices an earlier loop reads (two triangular solves
+// over one L, fused in one order) reads that loop's stream instead of a copy
+// of it.
 //
 // The paper's packing step (ICO step 3) chooses interleaved vs. separated
 // vertex orders to create temporal locality, but an executor that still
@@ -33,7 +36,10 @@ import (
 // data: one packed stream per loop plus the per-segment entry cursors that
 // align the streams with the program's run segments.
 type Layout struct {
-	// Streams holds one packed stream per loop, indexed by loop tag.
+	// Streams holds one packed stream per loop, indexed by loop tag. Two
+	// loops hold the same *PackedStream when the later one's operand runs
+	// are the earlier one's, occurrence for occurrence (pack's sharing rule;
+	// Owner names the loop that filled it).
 	Streams []*kernels.PackedStream
 	// SegEnt[g] is the first operand-entry slot of program segment g in
 	// Streams[Program.SegLoop[g]]. Together with Program.SegIter (the
@@ -60,18 +66,33 @@ type Layout struct {
 func (l *Layout) Program() *core.Program { return l.prog }
 
 // Words returns the operand streams' memory footprint in 4-byte words, for
-// reporting the re-layout's space cost and the bytes a run streams. The
-// scatter fold tables (Scatter) are not operand data and are not counted.
+// reporting the re-layout's space cost. A stream several loops read counts
+// once. The scatter fold tables (Scatter) are not operand data and are not
+// counted.
 func (l *Layout) Words() int {
 	w := 0
-	for _, s := range l.Streams {
-		w += len(s.Idx) + 2*len(s.Val) + len(s.Len) + len(s.Pos)
+	for loop, s := range l.Streams {
+		if l.Owner(loop) == loop {
+			w += s.Words()
+		}
 	}
 	return w
 }
 
-// sameBacking reports whether two non-empty slices share a backing array.
-func sameBacking(a, b []float64) bool {
+// Owner returns the loop that filled loop's stream: loop itself, or the
+// earlier loop whose stream it reads.
+func (l *Layout) Owner(loop int) int {
+	for j, s := range l.Streams[:loop] {
+		if s == l.Streams[loop] {
+			return j
+		}
+	}
+	return loop
+}
+
+// sameBacking reports whether two non-empty slices start at the same element
+// of one backing array.
+func sameBacking[T any](a, b []T) bool {
 	return len(a) > 0 && len(b) > 0 && &a[0] == &b[0]
 }
 
@@ -124,7 +145,9 @@ func Build(prog *core.Program, ks []kernels.Kernel) (*Layout, error) {
 // over the same operand runs comes first. It sets every segment's entry
 // cursor (SegEnt), cross-checks the occurrence cursors against
 // Program.SegIter, and sizes each array, which is then allocated once at its
-// final length: the fill writes in place and never grows or moves one.
+// final length: the fill writes in place and never grows or moves one. A loop
+// that shares an earlier loop's runs (sharedRuns) gets that loop's stream and
+// is neither allocated nor filled.
 func pack(prog *core.Program, packers []kernels.PackedKernel) (*Layout, error) {
 	lay := &Layout{
 		Streams: make([]*kernels.PackedStream, prog.NumLoops),
@@ -151,7 +174,26 @@ func pack(prog *core.Program, packers []kernels.PackedKernel) (*Layout, error) {
 			return nil, fmt.Errorf("relayout: loop %d stream exceeds int32 entry cursors", l)
 		}
 	}
+	// A scatter loop's stream is rewritten in place (redirectShared), and a
+	// Pos stream carries positions the runs do not: neither is shared.
+	shareable := make([]bool, prog.NumLoops)
+	for l, p := range packers {
+		_, scatters := p.(kernels.SpillScatterer)
+		shareable[l] = !scatters && !usesPos[l]
+	}
+	owner := make([]int, prog.NumLoops)
 	for l := range lay.Streams {
+		owner[l] = l
+		for j := 0; j < l && owner[l] == l; j++ {
+			if owner[j] == j && shareable[j] && shareable[l] && occs[j] == occs[l] && ents[j] == ents[l] &&
+				sharedRuns(prog, packers, j, l) {
+				owner[l] = j
+			}
+		}
+		if owner[l] != l {
+			lay.Streams[l] = lay.Streams[owner[l]]
+			continue
+		}
 		s := &kernels.PackedStream{
 			Idx: make([]int32, ents[l]),
 			Val: make([]float64, ents[l]),
@@ -164,6 +206,9 @@ func pack(prog *core.Program, packers []kernels.PackedKernel) (*Layout, error) {
 	}
 	for g := 0; g < prog.NumSegments(); g++ {
 		l := int(prog.SegLoop[g])
+		if owner[l] != l {
+			continue
+		}
 		s := lay.Streams[l]
 		e, o := int(lay.SegEnt[g]), int(prog.SegIter[g])
 		for _, v := range prog.Iters[prog.SegOff[g]:prog.SegOff[g+1]] {
@@ -181,6 +226,56 @@ func pack(prog *core.Program, packers []kernels.PackedKernel) (*Layout, error) {
 		}
 	}
 	return lay, nil
+}
+
+// sharedRuns reports whether loop l's operand run at every occurrence is the
+// very slices of loop j's run at the same occurrence: index and value slices
+// of the same length starting at the same element (sameBacking). Empty runs
+// have no first element, so a loop that reads nothing (the vector kernels)
+// shares with no one. When the runs match, the two streams would hold the
+// same bytes, and l reads j's. It walks both loops' occurrences in lockstep
+// and stops at the first difference; the caller has checked that the
+// occurrence counts are equal and that neither loop has a Pos stream.
+func sharedRuns(prog *core.Program, packers []kernels.PackedKernel, j, l int) bool {
+	cj, cl := occCursor{prog: prog, loop: j}, occCursor{prog: prog, loop: l}
+	for {
+		ij, ok := cj.next()
+		if !ok {
+			return true
+		}
+		il, _ := cl.next()
+		idxJ, valJ, _ := packers[j].Operands(ij)
+		idxL, valL, _ := packers[l].Operands(il)
+		if len(idxJ) != len(idxL) || len(valJ) != len(valL) || !sameBacking(idxJ, idxL) || !sameBacking(valJ, valL) {
+			return false
+		}
+	}
+}
+
+// occCursor walks one loop's iterations in occurrence order: the program's
+// iteration slots of that loop's segments, g ascending.
+type occCursor struct {
+	prog *core.Program
+	loop int
+	g    int   // current segment
+	k    int32 // next iteration slot of segment g
+}
+
+// next returns the loop's next iteration, or ok=false past its last one.
+func (c *occCursor) next() (it int, ok bool) {
+	p := c.prog
+	for c.g < p.NumSegments() && (int(p.SegLoop[c.g]) != c.loop || c.k >= p.SegOff[c.g+1]) {
+		c.g++
+		if c.g < p.NumSegments() {
+			c.k = p.SegOff[c.g]
+		}
+	}
+	if c.g == p.NumSegments() {
+		return 0, false
+	}
+	v := p.Iters[c.k]
+	c.k++
+	return int(v & kernels.IterMask), true
 }
 
 // validateChain is Build's admission check: the chain must carry SegIter

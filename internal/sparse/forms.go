@@ -8,9 +8,10 @@ import (
 // Forms memoizes what other layers derive from one immutable CSR matrix: its
 // lower triangle, its CSC form, and the value checksum of each. Every form is
 // computed by the first call that asks for it, at most once, and is shared
-// read-only by all callers — so A's values may still be edited until that
-// first call, and nothing returned here may ever be written. The memo lives
-// exactly as long as its Forms value; whoever owns the matrix owns that.
+// read-only by all callers. A's arrays are never written once wrapped: the
+// CSC form of a symmetric A is A's own P, I and X. Nothing returned here may
+// ever be written either. The memo lives exactly as long as its Forms value;
+// whoever owns the matrix owns that.
 //
 // Each func holds on to the form it answers from and to nothing else — not
 // to A once it has run, not to the Forms — so a consumer may keep one (an
@@ -19,7 +20,9 @@ import (
 type Forms struct {
 	A *CSR
 
-	// Lower and CSC are A.Lower() and A.ToCSC().
+	// Lower and CSC are A.Lower() and A.ToCSC(). When ToCSC would build
+	// exactly A's arrays (A.Symmetric with values), CSC returns them instead
+	// of a copy.
 	Lower func() *CSR
 	CSC   func() *CSC
 	// Sum, LowerSum and CSCSum are ValueSum of A.X, Lower().X and CSC().X.
@@ -28,7 +31,13 @@ type Forms struct {
 
 // NewForms wraps a; nothing is derived yet.
 func NewForms(a *CSR) *Forms {
-	lower, csc := sync.OnceValue(a.Lower), sync.OnceValue(a.ToCSC)
+	lower := sync.OnceValue(a.Lower)
+	csc := sync.OnceValue(func() *CSC {
+		if a.Symmetric(make([]int, a.Rows), true) {
+			return &CSC{Rows: a.Rows, Cols: a.Cols, P: a.P, I: a.I, X: a.X}
+		}
+		return a.ToCSC()
+	})
 	return &Forms{
 		A: a, Lower: lower, CSC: csc,
 		Sum:      sync.OnceValue(func() uint64 { return ValueSum(a.X) }),

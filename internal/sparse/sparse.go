@@ -15,6 +15,7 @@ package sparse
 
 import (
 	"fmt"
+	"math"
 	"sort"
 )
 
@@ -271,23 +272,27 @@ func (a *CSR) IsLowerTriangular() bool {
 	return true
 }
 
-// IsSymmetricPattern reports whether the sparsity pattern of a is symmetric.
-func (a *CSR) IsSymmetricPattern() bool {
-	return a.Rows == a.Cols && a.PatternSymmetric(make([]int, a.Rows))
-}
-
-// PatternSymmetric reports whether the sparsity pattern of the square matrix
-// a is symmetric, in one pass that builds no transpose: cursor (at least
-// a.Rows ints, overwritten) walks every row in place as a column of the
-// transpose, so visiting rows in order, entry (r, c) must be the next
-// unvisited entry of row c. Every entry then pairs with one of the
-// transpose's, and with the counts equal none is left over.
-func (a *CSR) PatternSymmetric(cursor []int) bool {
+// Symmetric reports whether a is its own transpose: in pattern, and with
+// values set, also bit for bit in value. It is one pass that builds no
+// transpose: cursor (at least a.Rows ints, overwritten) walks every row in
+// place as a column of the transpose, so visiting rows in order, entry (r, c)
+// must be the next unvisited entry of row c, and with values set hold the
+// same bits. Every entry then pairs with one of the transpose's, and with the
+// counts equal none is left over. A matrix with values that passes is exactly
+// what ToCSC would build from it, array for array. A non-square matrix is not
+// symmetric.
+func (a *CSR) Symmetric(cursor []int, values bool) bool {
+	if a.Rows != a.Cols {
+		return false
+	}
+	values = values && len(a.X) != 0
 	cur := cursor[:a.Rows]
 	copy(cur, a.P)
 	for r := 0; r < a.Rows; r++ {
-		for _, c := range a.I[a.P[r]:a.P[r+1]] {
-			if cur[c] == a.P[c+1] || a.I[cur[c]] != r {
+		for k := a.P[r]; k < a.P[r+1]; k++ {
+			c := a.I[k]
+			t := cur[c]
+			if t == a.P[c+1] || a.I[t] != r || values && math.Float64bits(a.X[t]) != math.Float64bits(a.X[k]) {
 				return false
 			}
 			cur[c]++

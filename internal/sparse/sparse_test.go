@@ -2,6 +2,7 @@ package sparse
 
 import (
 	"bytes"
+	"math"
 	"math/rand"
 	"reflect"
 	"slices"
@@ -167,7 +168,7 @@ func TestStrictPartsDisjointCover(t *testing.T) {
 
 func TestLaplacian2DStructure(t *testing.T) {
 	a := Must(Laplacian2D(4))
-	if a.Rows != 16 || !a.IsSymmetricPattern() {
+	if a.Rows != 16 || !a.Symmetric(make([]int, a.Rows), false) {
 		t.Fatal("laplacian2d malformed")
 	}
 	if a.At(0, 0) != 4 || a.At(0, 1) != -1 || a.At(0, 4) != -1 {
@@ -182,7 +183,7 @@ func TestLaplacian2DStructure(t *testing.T) {
 
 func TestLaplacian3DStructure(t *testing.T) {
 	a := Must(Laplacian3D(3))
-	if a.Rows != 27 || !a.IsSymmetricPattern() {
+	if a.Rows != 27 || !a.Symmetric(make([]int, a.Rows), false) {
 		t.Fatal("laplacian3d malformed")
 	}
 	center := (1*3+1)*3 + 1
@@ -201,8 +202,8 @@ func testSPDStrict(t *testing.T, a *CSR, name string, strict bool) {
 	if err := a.Validate(); err != nil {
 		t.Fatalf("%s: %v", name, err)
 	}
-	if !a.IsSymmetricPattern() {
-		t.Fatalf("%s: pattern not symmetric", name)
+	if !a.Symmetric(make([]int, a.Rows), true) {
+		t.Fatalf("%s: not symmetric", name)
 	}
 	// Diagonal dominance check (sufficient for PD given positive diagonal).
 	for r := 0; r < a.Rows; r++ {
@@ -565,16 +566,13 @@ func TestLowerUpperCountThenFill(t *testing.T) {
 }
 
 // TestFormsDeriveOnceOnFirstUse: nothing is derived before it is asked for
-// (values edited until then are the values every form sees), and every later
+// (over a header without arrays any derivation would panic), and every later
 // call returns the same arrays and sums.
 func TestFormsDeriveOnceOnFirstUse(t *testing.T) {
+	NewForms(&CSR{Rows: 3, Cols: 3})
 	a := Must(RandomSPD(200, 4, 3))
 	f := NewForms(a)
-	a.X[a.P[7]] = -42 // before first use: still allowed
 	l, c := f.Lower(), f.CSC()
-	if l.X[l.P[7]] != -42 {
-		t.Fatal("Lower was derived before its first use")
-	}
 	if !reflect.DeepEqual(l, a.Lower()) || !reflect.DeepEqual(c, a.ToCSC()) {
 		t.Fatal("memoized forms differ from Lower()/ToCSC()")
 	}
@@ -589,13 +587,91 @@ func TestFormsDeriveOnceOnFirstUse(t *testing.T) {
 	}
 }
 
-// TestPatternSymmetricMatchesTranspose: the in-place cursor check agrees with
-// comparing the pattern against its transpose, on symmetric patterns and on
-// each with one entry added or dropped.
+// TestFormsCSCSharesSymmetricArrays: the CSC form of every generator's matrix,
+// natural and symmetrically permuted, is the matrix's own P, I and X. It is a
+// copy equal to ToCSC when one value differs from its mirror by one ulp, when
+// one is -0 and its mirror +0, when the pattern is not symmetric, and when the
+// matrix is not square.
+func TestFormsCSCSharesSymmetricArrays(t *testing.T) {
+	shares := func(a *CSR) bool {
+		c := NewForms(a).CSC()
+		if !reflect.DeepEqual(c, a.ToCSC()) {
+			t.Fatalf("%dx%d: CSC form differs from ToCSC", a.Rows, a.Cols)
+		}
+		same := &c.P[0] == &a.P[0]
+		if len(a.I) > 0 && (&c.I[0] == &a.I[0]) != same || len(a.X) > 0 && (&c.X[0] == &a.X[0]) != same {
+			t.Fatalf("%dx%d: CSC shares some of A's arrays but not all", a.Rows, a.Cols)
+		}
+		return same
+	}
+	gens := map[string]*CSR{
+		"lap2d":    Must(Laplacian2D(9)),
+		"lap3d":    Must(Laplacian3D(5)),
+		"random":   Must(RandomSPD(300, 5, 7)),
+		"band":     Must(BandedSPD(300, 6, 0.5, 8)),
+		"powerlaw": Must(PowerLawSPD(300, 4, 9)),
+	}
+	rng := rand.New(rand.NewSource(11))
+	for name, a := range gens {
+		perm := rng.Perm(a.Rows)
+		pa, err := PermuteSym(a, perm)
+		if err != nil {
+			t.Fatal(err)
+		}
+		for _, m := range []*CSR{a, pa} {
+			if !shares(m) {
+				t.Fatalf("%s: the CSC form of a symmetric matrix is a copy", name)
+			}
+		}
+	}
+
+	// off returns the position of an off-diagonal entry (r, c) and of its
+	// mirror (c, r).
+	off := func(a *CSR) (k, m int) {
+		for r := 0; r < a.Rows; r++ {
+			for k := a.P[r]; k < a.P[r+1]; k++ {
+				if c := a.I[k]; c != r {
+					for m := a.P[c]; m < a.P[c+1]; m++ {
+						if a.I[m] == r {
+							return k, m
+						}
+					}
+				}
+			}
+		}
+		t.Fatal("no off-diagonal entry")
+		return 0, 0
+	}
+	ulp := gens["random"].Clone()
+	k, _ := off(ulp)
+	ulp.X[k] = math.Nextafter(ulp.X[k], math.Inf(1))
+	zero := gens["lap2d"].Clone()
+	k, m := off(zero)
+	zero.X[k], zero.X[m] = 0, math.Copysign(0, -1)
+	var ts []Triplet
+	for r := 0; r < 20; r++ {
+		ts = append(ts, Triplet{Row: r, Col: r, Val: 2})
+	}
+	asym := Must(FromTriplets(20, 20, append(ts, Triplet{Row: 7, Col: 3, Val: 1})))
+	wide := Must(FromTriplets(20, 21, append(ts, Triplet{Row: 3, Col: 20, Val: 1})))
+	for name, a := range map[string]*CSR{"one ulp": ulp, "-0 and +0": zero, "asymmetric pattern": asym, "non-square": wide} {
+		if shares(a) {
+			t.Fatalf("%s: the CSC form shares the matrix's arrays", name)
+		}
+	}
+}
+
+// TestPatternSymmetricMatchesTranspose: the in-place cursor check
+// (Symmetric) agrees with comparing the matrix against its transpose, pattern
+// alone and with values, on symmetric patterns and on each with one entry
+// added or dropped.
 func TestPatternSymmetricMatchesTranspose(t *testing.T) {
 	viaTranspose := func(a *CSR) bool {
 		tr := a.Transpose()
 		return slices.Equal(tr.P, a.P) && slices.Equal(tr.I, a.I)
+	}
+	valuesViaTranspose := func(a *CSR) bool {
+		return viaTranspose(a) && slices.Equal(a.Transpose().X, a.X)
 	}
 	rng := rand.New(rand.NewSource(5))
 	seen := map[bool]bool{}
@@ -619,13 +695,13 @@ func TestPatternSymmetricMatchesTranspose(t *testing.T) {
 			variants = append(variants, Must(FromTriplets(base.Rows, base.Cols, ts)))
 		}
 		for i, a := range variants {
-			if got, want := a.PatternSymmetric(make([]int, a.Rows)), viaTranspose(a); got != want {
-				t.Fatalf("variant %d of %d rows: PatternSymmetric %v, the transpose says %v", i, a.Rows, got, want)
+			if got, want := a.Symmetric(make([]int, a.Rows), false), viaTranspose(a); got != want {
+				t.Fatalf("variant %d of %d rows: Symmetric %v, the transpose says %v", i, a.Rows, got, want)
 			} else {
 				seen[got] = true
 			}
-			if a.IsSymmetricPattern() != viaTranspose(a) {
-				t.Fatalf("variant %d: IsSymmetricPattern disagrees with the transpose", i)
+			if a.Symmetric(make([]int, a.Rows), true) != valuesViaTranspose(a) {
+				t.Fatalf("variant %d: Symmetric with values disagrees with the transpose", i)
 			}
 		}
 	}

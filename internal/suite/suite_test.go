@@ -72,7 +72,7 @@ func TestSuitesGenerate(t *testing.T) {
 		if err := a.Validate(); err != nil {
 			t.Fatalf("%s: %v", e.Name, err)
 		}
-		if !a.IsSymmetricPattern() {
+		if !a.Symmetric(make([]int, a.Rows), true) {
 			t.Fatalf("%s: not symmetric", e.Name)
 		}
 	}

@@ -5,6 +5,7 @@ import (
 	"context"
 	"crypto/sha256"
 	"encoding/hex"
+	"math"
 	"reflect"
 	"runtime"
 	"sync"
@@ -604,5 +605,58 @@ func TestDemotionBuildsNothing(t *testing.T) {
 	}
 	if n := dagBuilds(); n != opened {
 		t.Fatalf("%d inspect.dag_build events after the demotions, %d after the opens", n, opened)
+	}
+}
+
+// TestOpenKeepsOneCopyPerMatrix: an open keeps one copy of each operand. A
+// TRSV-MV operation over a symmetric matrix multiplies by the Matrix's own
+// arrays, on a miss, on a hit and in a session, rather than by a CSC copy of
+// them; a TRSV-TRSV layout over a reordered grid holds one stream, which both
+// solves read. Every output is the bits of a cache-less reference.
+func TestOpenKeepsOneCopyPerMatrix(t *testing.T) {
+	m := mustReorder(t, Laplacian2D(40))
+	x := testInput(m.Rows())
+	for _, c := range []Combination{TrsvMv, TrsvTrsv} {
+		ref, err := NewOperation(c, m, Options{Threads: 2})
+		if err != nil {
+			t.Fatal(err)
+		}
+		want := runWith(t, &ref.execState, x)
+		sc := NewScheduleCache(CacheConfig{})
+		for _, side := range []string{"miss", "hit"} {
+			op, err := NewOperation(c, m, Options{Threads: 2, Cache: sc})
+			if err != nil {
+				t.Fatal(err)
+			}
+			s, err := op.NewSession()
+			if err != nil {
+				t.Fatal(err)
+			}
+			for who, e := range map[string]*execState{"operation": &op.execState, "session": &s.execState} {
+				if e.layout == nil {
+					t.Fatalf("%s %s %s: no packed layout", c, side, who)
+				}
+				switch c {
+				case TrsvMv:
+					a := e.inst.Kernels[1].(*kernels.SpMVCSC).A
+					if &a.P[0] != &m.csr.P[0] || &a.I[0] != &m.csr.I[0] || &a.X[0] != &m.csr.X[0] {
+						t.Fatalf("%s %s %s: SpMV-CSC multiplies by a copy of the Matrix's arrays", c, side, who)
+					}
+				case TrsvTrsv:
+					if e.layout.Streams[0] != e.layout.Streams[1] {
+						t.Fatalf("%s %s %s: the two solves read two streams", c, side, who)
+					}
+				}
+				got := runWith(t, e, x)
+				for i := range got {
+					if math.Float64bits(got[i]) != math.Float64bits(want[i]) {
+						t.Fatalf("%s %s %s: output %d is %v, the cache-less reference %v", c, side, who, i, got[i], want[i])
+					}
+				}
+			}
+		}
+		if st := sc.Stats(); st.Misses != 1 || st.Hits != 1 {
+			t.Fatalf("%s: cache %+v, want one miss then one hit", c, st)
+		}
 	}
 }

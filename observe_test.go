@@ -84,39 +84,52 @@ func TestTracerSeesInspectionAndLifecycle(t *testing.T) {
 
 // TestTracerReportsScatterRedirects: the relayout event of a scatter chain
 // says what running without atomics costs — how many of the scatter updates
-// go to private slots and how many adds fold them back.
+// go to private slots and how many adds fold them back. It also counts the
+// loops that read another loop's stream: none for TRSV-MV, whose loops read
+// two matrices, and on a reordered grid TRSV-TRSV's second solve, whose runs
+// are the first one's.
 func TestTracerReportsScatterRedirects(t *testing.T) {
-	var buf bytes.Buffer
 	m, _, err := RandomSPD(600, 6, 23).Reorder()
 	if err != nil {
 		t.Fatal(err)
 	}
-	if _, err := NewOperation(TrsvMv, m, Options{Threads: 4, Tracer: NewTracer(&buf)}); err != nil {
-		t.Fatal(err)
-	}
-	_, lines := traceEvents(t, &buf)
-	for _, l := range lines {
-		if l["ev"] != "inspect.relayout" {
-			continue
+	relayoutEvent := func(c Combination, m *Matrix) map[string]any {
+		var buf bytes.Buffer
+		if _, err := NewOperation(c, m, Options{Threads: 4, Tracer: NewTracer(&buf)}); err != nil {
+			t.Fatal(err)
 		}
-		get := func(k string) float64 {
-			v, ok := l[k].(float64)
-			if !ok {
-				t.Fatalf("inspect.relayout missing %q: %v", k, l)
+		_, lines := traceEvents(t, &buf)
+		for _, l := range lines {
+			if l["ev"] == "inspect.relayout" {
+				return l
 			}
-			return v
 		}
-		entries, red := get("scatter_entries"), get("scatter_redirected")
-		slots, folds := get("scatter_slots"), get("scatter_fold_entries")
-		if entries != float64(m.NNZ()) {
-			t.Fatalf("scatter_entries = %v, want the %d nonzeros SpMV-CSC scatters", entries, m.NNZ())
-		}
-		if red <= 0 || red > entries || folds <= 0 || folds > red || slots <= 0 || slots > folds {
-			t.Fatalf("implausible scatter counts: %v", l)
-		}
-		return
+		t.Fatal("no inspect.relayout event")
+		return nil
 	}
-	t.Fatal("no inspect.relayout event")
+	l := relayoutEvent(TrsvMv, m)
+	get := func(k string) float64 {
+		v, ok := l[k].(float64)
+		if !ok {
+			t.Fatalf("inspect.relayout missing %q: %v", k, l)
+		}
+		return v
+	}
+	entries, red := get("scatter_entries"), get("scatter_redirected")
+	slots, folds := get("scatter_slots"), get("scatter_fold_entries")
+	if entries != float64(m.NNZ()) {
+		t.Fatalf("scatter_entries = %v, want the %d nonzeros SpMV-CSC scatters", entries, m.NNZ())
+	}
+	if red <= 0 || red > entries || folds <= 0 || folds > red || slots <= 0 || slots > folds {
+		t.Fatalf("implausible scatter counts: %v", l)
+	}
+	if get("shared_loops") != 0 {
+		t.Fatalf("TRSV-MV's loops share a stream: %v", l)
+	}
+	l = relayoutEvent(TrsvTrsv, mustReorder(t, Laplacian2D(30)))
+	if get("shared_loops") != 1 || get("scatter_entries") != 0 {
+		t.Fatalf("TRSV-TRSV's relayout event: %v, want one loop reading the other's stream", l)
+	}
 }
 
 func TestTracerSeesCacheTransitions(t *testing.T) {

@@ -22,7 +22,6 @@ var orphansAllowed = map[string]string{
 	"sparse.CSR.Dense":                   "dense reference form the kernel and factorization tests compare against",
 	"sparse.CSR.At":                      "element lookup of the same dense-reference tests",
 	"sparse.CSR.IsLowerTriangular":       "shape oracle of the triangle-extraction and ILU-split tests",
-	"sparse.CSR.IsSymmetricPattern":      "asserts every generator in sparse and suite yields a symmetric pattern",
 	"dagp.EdgeCut":                       "objective the refinement test requires not to rise",
 	"dagp.QuotientAcyclic":               "validity oracle of every dagp partition the tests build",
 	"partition.Partitioning.NumVertices": "coverage oracle of the lbc and dagp tests",

@@ -190,10 +190,11 @@ func TestSolveClosesItsWorkerSet(t *testing.T) {
 	}
 	requireGoroutines(t, base, "a solve that ran out of iterations")
 
-	neg := mustReorder(t, Laplacian2D(30))
-	for i := range neg.csr.X {
-		neg.csr.X[i] = -neg.csr.X[i]
+	a := mustReorder(t, Laplacian2D(30)).csr.Clone()
+	for i := range a.X {
+		a.X[i] = -a.X[i]
 	}
+	neg := newMatrix(a)
 	f = openCG(t, neg, FusedCGOptions{})
 	var brk *kernels.BreakdownError
 	if _, _, _, err := f.Solve(b); !errors.As(err, &brk) {
